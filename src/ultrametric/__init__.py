@@ -49,7 +49,7 @@ from .gromov import (
 )
 from .hyperspace import epsilon_net, hausdorff_distance, restrict
 from .oracle import ORACLE_MAX_POINTS, brute_force_isometry, ugh_oracle
-from .rationals import Rational, as_rational, format_rational, parse_rational
+from .rationals import as_rational, format_rational, parse_rational
 from .spaces import (
     QuotientSpace,
     UltrametricSpace,
@@ -71,7 +71,6 @@ __all__ = [
     "Node",
     "ORACLE_MAX_POINTS",
     "QuotientSpace",
-    "Rational",
     "SpectrumConstraint",
     "UghResult",
     "UltrametricError",

@@ -14,7 +14,6 @@ collision-free.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import (
     DuplicateIdentification,
@@ -26,7 +25,7 @@ from .errors import (
     UnknownLabel,
 )
 from .rationals import as_rational, format_rational
-from .spaces import UltrametricSpace, validate_ultrametric
+from .spaces import UltrametricSpace, block_matrix, validate_ultrametric
 
 
 @dataclass(frozen=True)
@@ -85,30 +84,16 @@ def glue(spec: GlueSpec) -> UltrametricSpace:
     """Amalgamate the two spaces along their identified common part."""
     _check_spec(spec)
     x1, x2 = spec.x1, spec.x2
-    common1 = [x1.index(a) for a, _ in spec.identify]
-    common2 = [x2.index(b) for _, b in spec.identify]
-    identified_right = {x2.index(b) for _, b in spec.identify}
+    common = [(x1.index(a), x2.index(b)) for a, b in spec.identify]
+    identified_right = {b for _, b in common}
     rest2 = [j for j in range(len(x2)) if j not in identified_right]
 
     labels = [f"L:{l}" for l in x1.labels] + [f"R:{x2.labels[j]}" for j in rest2]
-    n1 = len(x1)
-    n = n1 + len(rest2)
-    matrix: list[list[Fraction]] = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n1):
-        for j in range(n1):
-            matrix[i][j] = x1.dist[i][j]
-    for p, jp in enumerate(rest2):
-        for q, jq in enumerate(rest2):
-            matrix[n1 + p][n1 + q] = x2.dist[jp][jq]
-    for i in range(n1):
-        for p, jp in enumerate(rest2):
-            value = min(
-                max(x1.dist[i][a1], x2.dist[a2][jp])
-                for a1, a2 in zip(common1, common2)
-            )
-            matrix[i][n1 + p] = value
-            matrix[n1 + p][i] = value
-    return validate_ultrametric(labels, matrix)
+    rest = [[x2.dist[p][q] for q in rest2] for p in rest2]
+    cross = [
+        [min(max(row[a], x2.dist[b][q]) for a, b in common) for q in rest2] for row in x1.dist
+    ]
+    return validate_ultrametric(labels, block_matrix(x1.dist, rest, cross))
 
 
 def disjoint_amalgam(x: UltrametricSpace, y: UltrametricSpace, s) -> UltrametricSpace:
@@ -128,15 +113,8 @@ def disjoint_amalgam(x: UltrametricSpace, y: UltrametricSpace, s) -> Ultrametric
             required_minimum=format_rational(required),
         )
     labels = [f"L:{l}" for l in x.labels] + [f"R:{l}" for l in y.labels]
-    nx, ny = len(x), len(y)
-    matrix: list[list[Fraction]] = [[s] * (nx + ny) for _ in range(nx + ny)]
-    for i in range(nx):
-        for j in range(nx):
-            matrix[i][j] = x.dist[i][j]
-    for i in range(ny):
-        for j in range(ny):
-            matrix[nx + i][nx + j] = y.dist[i][j]
-    return validate_ultrametric(labels, matrix)
+    cross = [[s] * len(y) for _ in x.labels]
+    return validate_ultrametric(labels, block_matrix(x.dist, y.dist, cross))
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ import sys
 
 from . import jsonio
 from .amalgam import disjoint_amalgam, glue
-from .errors import InputFormat, OracleMismatch, UltrametricError
+from .errors import InputFormat, InvalidParameter, OracleMismatch, UltrametricError
 from .generators import (
     cauchy_sequence,
     crowd_family,
@@ -59,11 +59,14 @@ def _load_subset(text: str) -> list[str]:
 
 
 def _emit(line: str, out_path: str | None) -> None:
-    if out_path:
+    if not out_path:
+        sys.stdout.write(line + "\n")
+        return
+    try:
         with open(out_path, "w", encoding="utf-8") as handle:
             handle.write(line + "\n")
-    else:
-        sys.stdout.write(line + "\n")
+    except OSError as exc:
+        raise InvalidParameter(f"cannot write {out_path}: {exc.strerror}", path=out_path) from exc
 
 
 def _diagnose(error: UltrametricError) -> None:
@@ -224,8 +227,7 @@ def _run(args) -> tuple[str, str | None]:
         if args.certificate:
             cert = certificate(a, b, result)
             verify_certificate(cert, a, b)
-            with open(args.certificate, "w", encoding="utf-8") as handle:
-                handle.write(jsonio.dumps(jsonio.certificate_to_obj(cert)) + "\n")
+            _emit(jsonio.dumps(jsonio.certificate_to_obj(cert)), args.certificate)
         return jsonio.dumps(jsonio.ugh_result_to_obj(result)), args.output
 
     if args.verb == "gen":

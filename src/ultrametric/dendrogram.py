@@ -23,7 +23,14 @@ from fractions import Fraction
 
 from .errors import MalformedTree
 from .rationals import as_rational, format_rational
-from .spaces import ZERO, UltrametricSpace, spectrum, validate_ultrametric
+from .spaces import (
+    ZERO,
+    UltrametricSpace,
+    find_root,
+    minimum_spanning_tree,
+    spectrum,
+    validate_ultrametric,
+)
 
 
 @dataclass(frozen=True)
@@ -84,29 +91,23 @@ def encoding(node: Node) -> str:
 def to_dendrogram(space: UltrametricSpace) -> Node:
     """Merge-tree of a space, in canonical form.
 
-    Sweeps the positive spectrum in increasing order, merging the clusters
-    that fall within each threshold; cluster-to-cluster distance is read off
-    any pair of representatives, which the strong triangle inequality makes
-    well defined.
+    Joins the clusters along the minimum spanning tree's edges in increasing
+    weight (single linkage, which is exact on an ultrametric).  A merge at the
+    height of a cluster it joins absorbs that cluster's children, so no node
+    has a child of its own height.
     """
-    clusters: list[tuple[Node, int]] = [
-        (Leaf(label), i) for i, label in enumerate(space.labels)
-    ]
-    for t in spectrum(space)[1:]:
-        merged: list[tuple[Node, int]] = []
-        used = [False] * len(clusters)
-        for a, (node_a, rep_a) in enumerate(clusters):
-            if used[a]:
-                continue
-            group = [node_a]
-            for b in range(a + 1, len(clusters)):
-                if not used[b] and space.dist[rep_a][clusters[b][1]] <= t:
-                    group.append(clusters[b][0])
-                    used[b] = True
-            merged.append((Merge(t, tuple(group)) if len(group) > 1 else node_a, rep_a))
-        clusters = merged
-    assert len(clusters) == 1, "sweep up to the diameter must merge everything"
-    return canonicalize(clusters[0][0])
+    cluster_of = list(range(len(space)))
+    nodes: list[Node] = [Leaf(label) for label in space.labels]
+    for a, b, weight in sorted(minimum_spanning_tree(space.dist), key=lambda edge: edge[2]):
+        ra, rb = find_root(cluster_of, a), find_root(cluster_of, b)
+        children = tuple(
+            child
+            for node in (nodes[ra], nodes[rb])
+            for child in (node.children if node_height(node) == weight else (node,))
+        )
+        cluster_of[rb] = ra
+        nodes[ra] = Merge(weight, children)
+    return canonicalize(nodes[find_root(cluster_of, 0)])
 
 
 def from_dendrogram(node: Node) -> UltrametricSpace:

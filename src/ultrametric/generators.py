@@ -19,7 +19,7 @@ from .errors import (
     ScaleNotBelowMinDistance,
 )
 from .rationals import as_rational, format_rational
-from .spaces import UltrametricSpace, ZERO, validate_ultrametric
+from .spaces import UltrametricSpace, ZERO, block_matrix, subdominant, validate_ultrametric
 
 
 def two_point_space(c) -> UltrametricSpace:
@@ -68,23 +68,10 @@ def crowd_family(
     fresh = [f"{prefix}{k}" for k in range(1, n + 1)]
 
     base_index = base_space.index(base_point)
-    m = len(base_space)
-    labels = list(base_space.labels) + fresh
-    size = m + n
-    matrix: list[list[Fraction]] = [[ZERO] * size for _ in range(size)]
-    for i in range(m):
-        for j in range(m):
-            matrix[i][j] = base_space.dist[i][j]
-    for i in range(m):
-        reach = max(base_space.dist[i][base_index], c)
-        for k in range(n):
-            matrix[i][m + k] = reach
-            matrix[m + k][i] = reach
-    for k in range(n):
-        for l in range(n):
-            if k != l:
-                matrix[m + k][m + l] = c
-    return validate_ultrametric(labels, matrix)
+    among_fresh = [[ZERO if k == l else c for l in range(n)] for k in range(n)]
+    reach = [[max(row[base_index], c)] * n for row in base_space.dist]
+    matrix = block_matrix(base_space.dist, among_fresh, reach)
+    return validate_ultrametric(list(base_space.labels) + fresh, matrix)
 
 
 def cauchy_sequence(depth: int) -> UltrametricSpace:
@@ -181,7 +168,8 @@ def random_space(n: int, constraint: SpectrumConstraint, seed: int) -> Ultrametr
 
 
 def single_linkage(labels, matrix) -> UltrametricSpace:
-    """Largest ultrametric below a metric: min over paths of the max edge.
+    """Largest ultrametric below a metric: min over paths of the max edge,
+    read off a minimum spanning tree.
 
     The input must be a genuine metric (symmetric, zero diagonal, positive
     off-diagonal, ordinary triangle inequality); the output agrees with the
@@ -222,15 +210,4 @@ def single_linkage(labels, matrix) -> UltrametricSpace:
                         kind="triangle",
                         points=[labels[i], labels[j], labels[k]],
                     )
-    closure = [row[:] for row in rows]
-    for k in range(n):
-        ck = closure[k]
-        for i in range(n):
-            cik = closure[i][k]
-            row = closure[i]
-            for j in range(n):
-                if i != j:
-                    through = cik if cik > ck[j] else ck[j]
-                    if through < row[j]:
-                        row[j] = through
-    return validate_ultrametric(labels, closure)
+    return validate_ultrametric(labels, subdominant(rows))

@@ -31,6 +31,7 @@ from .rationals import format_rational
 from .spaces import (
     UltrametricSpace,
     ZERO,
+    block_matrix,
     closed_quotient,
     spectrum,
     validate_ultrametric,
@@ -117,23 +118,10 @@ def certificate(
     qx = closed_quotient(x, t).quotient
 
     labels = [f"L:{l}" for l in x.labels] + [f"R:{l}" for l in y.labels]
-    nx = len(x)
-    n = nx + len(y)
-    matrix: list[list[Fraction]] = [[ZERO] * n for _ in range(n)]
-    for i in range(nx):
-        for j in range(nx):
-            matrix[i][j] = x.dist[i][j]
-    for i in range(len(y)):
-        for j in range(len(y)):
-            matrix[nx + i][nx + j] = y.dist[i][j]
-    for i, xl in enumerate(x.labels):
-        bx = x_block_index[xl]
-        for j, yl in enumerate(y.labels):
-            by = y_block_index[yl]
-            value = t if bx == by else qx.dist[bx][by]
-            matrix[i][nx + j] = value
-            matrix[nx + j][i] = value
-    space = validate_ultrametric(labels, matrix)
+    x_blocks = [x_block_index[l] for l in x.labels]
+    y_blocks = [y_block_index[l] for l in y.labels]
+    cross = [[t if bx == by else qx.dist[bx][by] for by in y_blocks] for bx in x_blocks]
+    space = validate_ultrametric(labels, block_matrix(x.dist, y.dist, cross))
     embed_left = {l: f"L:{l}" for l in x.labels}
     embed_right = {l: f"R:{l}" for l in y.labels}
     return Certificate(space, embed_left, embed_right, t)

@@ -32,7 +32,7 @@ def dumps(obj) -> str:
 def loads(text: str):
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise InputFormat(f"invalid JSON: {exc}") from exc
 
 

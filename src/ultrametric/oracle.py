@@ -23,7 +23,7 @@ from itertools import permutations
 from .errors import InstanceTooLarge, InvalidParameter
 from .hyperspace import hausdorff_distance
 from .rationals import as_rational
-from .spaces import UltrametricSpace, spectrum, validate_ultrametric
+from .spaces import UltrametricSpace, block_matrix, spectrum, validate_ultrametric
 
 ORACLE_MAX_POINTS = 4
 
@@ -146,20 +146,8 @@ def ugh_oracle(x: UltrametricSpace, y: UltrametricSpace, candidate_values=None) 
         )
 
     labels = [f"L:{l}" for l in x.labels] + [f"R:{l}" for l in y.labels]
-    matrix: list[list[Fraction]] = [[Fraction(0)] * (nx + ny) for _ in range(nx + ny)]
-    for i in range(nx):
-        for j in range(nx):
-            matrix[i][j] = x.dist[i][j]
-    for i in range(ny):
-        for j in range(ny):
-            matrix[nx + i][nx + j] = y.dist[i][j]
-    for i in range(nx):
-        for j in range(ny):
-            matrix[i][nx + j] = values[best_cross[i][j]]
-            matrix[nx + j][i] = values[best_cross[i][j]]
-    joint = validate_ultrametric(labels, matrix)
-    achieved = hausdorff_distance(
-        joint, [f"L:{l}" for l in x.labels], [f"R:{l}" for l in y.labels]
-    )
+    cross = [[values[r] for r in row] for row in best_cross]
+    joint = validate_ultrametric(labels, block_matrix(x.dist, y.dist, cross))
+    achieved = hausdorff_distance(joint, labels[:nx], labels[nx:])
     assert achieved == values[best_rank], "rank search and exact Hausdorff disagree"
     return achieved

@@ -8,21 +8,38 @@ canonical reduced form (``"3/4"``, ``"2"``, ``"0"``).
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 
-from .errors import InputFormat
+from .errors import InputFormat, InstanceTooLarge
 
-Rational = Fraction
+# Interpreters before 3.10.7 have no integer string limit.
+_int_max_str_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse ``"p/q"``, an integer string, or a finite decimal string, exactly."""
+    """Parse ``"p/q"``, an integer string, or a finite decimal string, exactly.
+
+    Numerators and denominators may not exceed the interpreter's integer
+    string limit (0 meaning none), so every accepted value formats back.
+    """
     if not isinstance(text, str):
         raise InputFormat(f"expected a rational string, got {type(text).__name__}")
+    limit = _int_max_str_digits()
+    _, e, exponent = text.lower().rpartition("e")
     try:
-        return Fraction(text)
+        # The exponent is checked first, because Fraction computes 10**exponent.
+        if not limit or not e or abs(int(exponent)) <= limit:
+            value = Fraction(text)
+            size = max(abs(value.numerator), value.denominator)
+            # 10**limit has more than 3 * limit bits, so short values skip the power.
+            if not limit or size.bit_length() <= 3 * limit or size < 10**limit:
+                return value
     except (ValueError, ZeroDivisionError) as exc:
         raise InputFormat(f"not a rational: {text!r}", value=text) from exc
+    raise InstanceTooLarge(
+        f"rational {text!r} exceeds the {limit}-digit integer limit", value=text, limit=limit
+    )
 
 
 def format_rational(value: Fraction) -> str:

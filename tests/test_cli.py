@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -93,11 +95,16 @@ def test_diagnostics_colored_on_tty_without_no_color(monkeypatch, capsys):
 
 
 def test_module_entrypoint_subprocess():
+    # The child runs from tests/golden, so a relative PYTHONPATH would miss src.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    inherited = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, inherited]) if inherited else src)
     result = subprocess.run(
         [sys.executable, "-m", "ultrametric", "validate", "isosceles.json"],
         cwd=GOLDEN,
         capture_output=True,
         text=True,
+        env=env,
     )
     assert result.returncode == 0
     assert result.stdout == (EXPECTED / "validate_ok.out").read_text(encoding="utf-8")
@@ -131,3 +138,27 @@ def test_certificate_file_revalidates(tmp_path):
     assert code == 0
     cert = jsonio.certificate_from_obj(json.loads(written["cert.json"]))
     validate_ultrametric(cert.space.labels, cert.space.dist)
+
+
+def test_deeply_nested_json_is_an_input_error(tmp_path, capsys):
+    depth = 100_000
+    deep = tmp_path / "deep.json"
+    deep.write_text('{"points": ["a"], "dist": ' + "[" * depth + "]" * depth + "}", encoding="utf-8")
+    assert main(["validate", str(deep)]) == 1
+    assert json.loads(capsys.readouterr().err)["error"] == "InputFormat"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["spectrum", "isosceles.json", "-o", "{tmp}/missing/out.json"],
+        ["ugh", "x_half.json", "x_three_quarters.json", "--certificate", "{tmp}/missing/cert.json"],
+    ],
+    ids=["output", "certificate"],
+)
+def test_unwritable_output_is_a_diagnostic(argv, tmp_path):
+    code, out, err, written = run_case(argv, tmp_path)
+    assert (code, out, written) == (1, "", {})
+    payload = json.loads(err)
+    assert payload["error"] == "InvalidParameter"
+    assert payload["path"] == argv[-1].replace("{tmp}", str(tmp_path))

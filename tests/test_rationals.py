@@ -1,8 +1,9 @@
+import sys
 from fractions import Fraction
 
 import pytest
 
-from ultrametric.errors import InputFormat
+from ultrametric.errors import InputFormat, InstanceTooLarge
 from ultrametric.rationals import (
     as_rational,
     format_rational,
@@ -61,3 +62,19 @@ def test_parse_rational_list():
     ]
     with pytest.raises(InputFormat):
         parse_rational_list("")
+
+
+def test_parse_rejects_values_beyond_the_int_string_limit():
+    limit = sys.get_int_max_str_digits()
+    if not limit:
+        pytest.skip("the interpreter sets no integer string limit")
+    assert format_rational(parse_rational(f"1e{limit - 1}")) == "1" + "0" * (limit - 1)
+    assert parse_rational(f"1e-{limit - 1}").denominator == 10 ** (limit - 1)
+    # The exponent is rejected before Fraction would compute 10**999999999.
+    too_large = ["1e400000", "1e999999999", "1e-999999999", f"1e{limit}"]
+    for text in too_large + ["0." + "0" * (limit - 1) + "1"]:
+        with pytest.raises(InstanceTooLarge) as info:
+            parse_rational(text)
+        assert info.value.payload()["limit"] == limit
+    with pytest.raises(InputFormat):
+        parse_rational("9" * (limit + 1))
