@@ -8,18 +8,26 @@ tree comparison.
 
 Canonical form: at every node the children are sorted by the key
 ``(height, leaf count, canonical encoding)``, where the encoding is a
-label-free string built bottom-up.  Ties on all three components mean the
-subtrees are identical as shapes, so any order among them represents the same
-isometry class; for byte-deterministic output the tie is broken by the sorted
-tuple of leaf labels.  Two spaces are isometric iff their canonical encodings
-are equal, and a witness bijection falls out of walking the two canonical
-trees in parallel.
+label-free string built bottom-up (the rooted-tree canonical form of Aho,
+Hopcroft & Ullman).  Ties on all three components mean the subtrees are
+identical as shapes, so any order among them represents the same isometry
+class; for byte-deterministic output the tie is broken by the sorted tuple of
+leaf labels.  Two spaces are isometric iff their canonical encodings are
+equal, and a witness bijection falls out of walking the two canonical trees
+in parallel.
+
+Truncation: collapsing every subtree of height ``<= t`` into one point turns
+the tree of a space into the tree of its closed-ball quotient at ``t``, so
+:func:`truncated_canon` reads the quotient's canonical form off the tree
+without building the quotient.  Every tree walk here is iterative, so the
+depth of a tree is not bounded by the interpreter's recursion limit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 
 from .errors import MalformedTree
 from .rationals import as_rational, format_rational
@@ -28,7 +36,6 @@ from .spaces import (
     UltrametricSpace,
     find_root,
     minimum_spanning_tree,
-    spectrum,
     validate_ultrametric,
 )
 
@@ -51,45 +58,113 @@ def node_height(node: Node) -> Fraction:
     return ZERO if isinstance(node, Leaf) else node.height
 
 
+def _points(root: Node, t: Fraction | None = None):
+    """The maximal subtrees of height <= t in tree order; the leaves if t is None."""
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Leaf) or (t is not None and node.height <= t):
+            yield node
+        else:
+            stack.extend(reversed(node.children))
+
+
 def leaf_labels(node: Node) -> tuple[str, ...]:
     """Leaf labels in tree order."""
-    if isinstance(node, Leaf):
-        return (node.label,)
-    out: list[str] = []
-    for child in node.children:
-        out.extend(leaf_labels(child))
-    return tuple(out)
+    return tuple(leaf.label for leaf in _points(node))
 
 
-def _canon(node: Node) -> tuple[Node, tuple]:
-    """Return (canonical node, sort key).
+def heights(node: Node) -> set[Fraction]:
+    """Merge heights plus 0: the spectrum of the space the tree encodes."""
+    found = {ZERO}
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Merge):
+            found.add(node.height)
+            stack.extend(node.children)
+    return found
 
-    The key is ``(height, leaf count, encoding, leaf label tuple)``; only the
-    first three components define the isometry class, the label tuple merely
-    fixes the order of shape-identical siblings.
+
+def truncated_canon(
+    root: Node, t: Fraction | None = None, rank: dict[str, int] | None = None
+) -> tuple[Node, tuple]:
+    """Canonical form of ``root`` truncated at ``t``, and its sort key.
+
+    Every subtree of height ``<= t`` becomes one point: a leaf named by its
+    lowest-ranked label, the representative :func:`closed_quotient` keeps.
+    With ``t`` None only the leaves are points and ``rank`` is unused.  The key
+    is ``(height, point count, encoding, sorted point labels)``; only the first
+    three components define the isometry class, the label tuple merely fixes
+    the order of shape-identical siblings.  One post-order walk over the nodes
+    above ``t``.
     """
-    if isinstance(node, Leaf):
-        return node, (ZERO, 1, "p", (node.label,))
-    pairs = [_canon(child) for child in node.children]
-    pairs.sort(key=lambda pair: pair[1])
-    children = tuple(pair[0] for pair in pairs)
-    count = sum(pair[1][1] for pair in pairs)
-    encoding = f"({format_rational(node.height)};{','.join(pair[1][2] for pair in pairs)})"
-    labels = tuple(sorted(label for pair in pairs for label in pair[1][3]))
-    return Merge(node.height, children), (node.height, count, encoding, labels)
+    done: list[tuple[Node, tuple]] = []
+    stack: list[tuple[Node, bool]] = [(root, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if isinstance(node, Leaf):
+            done.append((node, (ZERO, 1, "p", (node.label,))))
+        elif t is not None and node.height <= t:
+            label = min(leaf_labels(node), key=rank.__getitem__)
+            done.append((Leaf(label), (ZERO, 1, "p", (label,))))
+        elif not expanded:
+            stack.append((node, True))
+            stack.extend((child, False) for child in reversed(node.children))
+        else:
+            start = len(done) - len(node.children)
+            pairs = sorted(done[start:], key=itemgetter(1))
+            del done[start:]
+            keys = [pair[1] for pair in pairs]
+            encoding = f"({format_rational(node.height)};{','.join(key[2] for key in keys)})"
+            key = (
+                node.height,
+                sum(key[1] for key in keys),
+                encoding,
+                tuple(sorted(label for key in keys for label in key[3])),
+            )
+            done.append((Merge(node.height, tuple(pair[0] for pair in pairs)), key))
+    return done[0]
 
 
 def canonicalize(node: Node) -> Node:
-    return _canon(node)[0]
+    return truncated_canon(node)[0]
 
 
 def encoding(node: Node) -> str:
     """Label-free canonical encoding; equal encodings == isometric spaces."""
-    return _canon(node)[1][2]
+    return truncated_canon(node)[1][2]
 
 
-def to_dendrogram(space: UltrametricSpace) -> Node:
-    """Merge-tree of a space, in canonical form.
+def quotient_blocks(root: Node, t: Fraction, rank: dict[str, int]) -> list[tuple[str, ...]]:
+    """Blocks of the closed-ball quotient at ``t``, ordered as :func:`closed_quotient` lists them.
+
+    Each block is the leaf set of one maximal subtree of height ``<= t``, in
+    ``rank`` order, and the blocks are ordered by their first label's rank.
+    """
+    blocks = [tuple(sorted(leaf_labels(sub), key=rank.__getitem__)) for sub in _points(root, t)]
+    return sorted(blocks, key=lambda block: rank[block[0]])
+
+
+def leaf_pairing(a: Node, b: Node) -> dict[str, str]:
+    """Pair the leaves of two canonical trees with equal encodings, position by position.
+
+    Equal encodings force equal child key sequences, and shape-identical
+    siblings may be paired either way.
+    """
+    mapping: dict[str, str] = {}
+    stack = [(a, b)]
+    while stack:
+        a, b = stack.pop()
+        if isinstance(a, Leaf):
+            mapping[a.label] = b.label
+        else:
+            stack.extend(reversed(list(zip(a.children, b.children))))
+    return mapping
+
+
+def merge_tree(space: UltrametricSpace) -> Node:
+    """Merge-tree of a space, children in construction order.
 
     Joins the clusters along the minimum spanning tree's edges in increasing
     weight (single linkage, which is exact on an ultrametric).  A merge at the
@@ -107,7 +182,12 @@ def to_dendrogram(space: UltrametricSpace) -> Node:
         )
         cluster_of[rb] = ra
         nodes[ra] = Merge(weight, children)
-    return canonicalize(nodes[find_root(cluster_of, 0)])
+    return nodes[find_root(cluster_of, 0)]
+
+
+def to_dendrogram(space: UltrametricSpace) -> Node:
+    """Merge-tree of a space, in canonical form."""
+    return canonicalize(merge_tree(space))
 
 
 def from_dendrogram(node: Node) -> UltrametricSpace:
@@ -115,15 +195,29 @@ def from_dendrogram(node: Node) -> UltrametricSpace:
 
     Raises MalformedTree on structural defects: heights not strictly
     decreasing toward the leaves, internal nodes with fewer than two children,
-    nonpositive heights, or duplicate leaf labels.
+    nonpositive heights, or duplicate leaf labels.  Nodes are checked in
+    pre-order, each against its parent first.
     """
-    entries: dict[tuple[int, int], Fraction] = {}
-
-    def walk(current: Node) -> list[int]:
+    order: list[str] = []
+    # One [height, boundaries] record per internal node: the leaf index where
+    # each child's leaves start, then the index one past the node's last leaf.
+    merges: list[tuple[Fraction, list[int]]] = []
+    stack: list[tuple[Node | None, tuple[Fraction, list[int]] | None]] = [(node, None)]
+    while stack:
+        current, parent = stack.pop()
+        if current is None:  # every leaf below ``parent`` is numbered
+            parent[1].append(len(order))
+            continue
+        if parent is not None:
+            if node_height(current) >= parent[0]:
+                raise MalformedTree(
+                    f"child height {format_rational(node_height(current))} does not "
+                    f"decrease below parent height {format_rational(parent[0])}"
+                )
+            parent[1].append(len(order))
         if isinstance(current, Leaf):
-            index = len(order)
             order.append(current.label)
-            return [index]
+            continue
         height = as_rational(current.height)
         if height <= 0:
             raise MalformedTree(
@@ -131,58 +225,37 @@ def from_dendrogram(node: Node) -> UltrametricSpace:
             )
         if len(current.children) < 2:
             raise MalformedTree("internal node has fewer than two children")
-        groups = []
-        for child in current.children:
-            if node_height(child) >= height:
-                raise MalformedTree(
-                    f"child height {format_rational(node_height(child))} does not "
-                    f"decrease below parent height {format_rational(height)}"
-                )
-            groups.append(walk(child))
-        for g in range(len(groups)):
-            for h in range(g + 1, len(groups)):
-                for i in groups[g]:
-                    for j in groups[h]:
-                        entries[(i, j)] = height
-        return [i for group in groups for i in group]
-
-    order: list[str] = []
-    walk(node)
+        record = (height, [])
+        merges.append(record)
+        stack.append((None, record))
+        stack.extend((child, record) for child in reversed(current.children))
     if len(set(order)) != len(order):
         raise MalformedTree("duplicate leaf labels")
     n = len(order)
     matrix = [[ZERO] * n for _ in range(n)]
-    for (i, j), height in entries.items():
-        matrix[i][j] = height
-        matrix[j][i] = height
+    for height, bounds in merges:
+        end = bounds[-1]
+        for g in range(len(bounds) - 2):
+            for i in range(bounds[g], bounds[g + 1]):
+                row = matrix[i]
+                for j in range(bounds[g + 1], end):
+                    row[j] = height
+                    matrix[j][i] = height
     return validate_ultrametric(order, matrix)
 
 
 def isometry_witness(x: UltrametricSpace, y: UltrametricSpace) -> dict[str, str] | None:
     """A distance-preserving bijection from x to y, or None.
 
-    Compares canonical encodings; on a match, pairs leaves by walking the two
-    canonical trees position by position (equal encodings force equal child
-    key sequences, and shape-identical siblings may be paired either way).
+    Compares the canonical encodings of the two merge trees; on a match,
+    pairs leaves by walking the two canonical trees position by position.
     """
-    if len(x) != len(y) or spectrum(x) != spectrum(y):
+    if len(x) != len(y):
         return None
-    tx, ty = to_dendrogram(x), to_dendrogram(y)
-    if encoding(tx) != encoding(ty):
+    (tx, kx), (ty, ky) = (truncated_canon(merge_tree(s)) for s in (x, y))
+    if kx[2] != ky[2]:
         return None
-    mapping: dict[str, str] = {}
-
-    def pair(a: Node, b: Node) -> None:
-        if isinstance(a, Leaf):
-            assert isinstance(b, Leaf)
-            mapping[a.label] = b.label
-            return
-        assert isinstance(b, Merge) and len(a.children) == len(b.children)
-        for ca, cb in zip(a.children, b.children):
-            pair(ca, cb)
-
-    pair(tx, ty)
-    return mapping
+    return leaf_pairing(tx, ty)
 
 
 def isometric(x: UltrametricSpace, y: UltrametricSpace) -> bool:

@@ -13,12 +13,13 @@ from .errors import (
     BasePointMissing,
     ConstraintTooSmall,
     InputFormat,
+    InstanceTooLarge,
     InvalidParameter,
     NonpositiveDistance,
     NotAMetric,
     ScaleNotBelowMinDistance,
 )
-from .rationals import as_rational, format_rational
+from .rationals import as_rational, format_rational, int_max_str_digits
 from .spaces import UltrametricSpace, ZERO, block_matrix, subdominant, validate_ultrametric
 
 
@@ -78,10 +79,20 @@ def cauchy_sequence(depth: int) -> UltrametricSpace:
     """Space on ``{1, 1/2, ..., 2^-depth}`` with ``d(x,y) = max(x,y)``.
 
     Consecutive members of this family form a Cauchy sequence under the
-    Gromov-Hausdorff ultrametric.
+    Gromov-Hausdorff ultrametric.  Raises InstanceTooLarge, before building
+    anything, when ``2^depth`` has more digits than the interpreter's integer
+    string limit, since ``2^-depth`` could not be written out.
     """
     if depth < 0:
         raise InvalidParameter(f"depth must be >= 0, got {depth}")
+    limit = int_max_str_digits()
+    # 2^depth has more than ``limit`` digits iff 2^depth >= 10^limit.
+    if limit and depth >= (10**limit).bit_length():
+        raise InstanceTooLarge(
+            f"depth {depth} puts 2^-{depth} beyond the {limit}-digit integer limit",
+            depth=depth,
+            limit=limit,
+        )
     points = [Fraction(1, 2**k) for k in range(depth + 1)]
     labels = [format_rational(p) for p in points]
     size = len(points)

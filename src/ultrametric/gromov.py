@@ -1,9 +1,10 @@
 """Exact Gromov-Hausdorff ultrametric between finite ultrametric spaces.
 
-Algorithm: scan the candidate scales ``{0} | spectrum(X) | spectrum(Y)`` in
-increasing order and return the first ``t`` whose closed-ball quotients of X
-and Y are isometric.  Why this equals the infimum of Hausdorff distances over
-common ultrametric embeddings:
+Definition used: ``u_GH(X, Y)`` is the first candidate scale ``t`` in
+``{0} | spectrum(X) | spectrum(Y)`` whose closed-ball quotients of X and Y
+are isometric.  Why this equals the infimum of Hausdorff distances over
+common ultrametric embeddings (Memoli, Smith & Wan, arXiv:2110.03136, study
+this quantity through the two dendrograms):
 
 * (upper bound) from a quotient isometry at scale ``t`` one can build an
   explicit common space on the disjoint union realizing Hausdorff distance
@@ -13,10 +14,35 @@ common ultrametric embeddings:
   distances above ``t`` propagate unchanged across points that are within
   ``t`` of each other.
 
-The scan never misses: quotient partitions only change at spectrum values,
-and at the larger diameter both quotients are single points.  The exhaustive
-search in :mod:`ultrametric.oracle` double-checks the whole scheme on small
-instances; the acceptance suite treats any disagreement as a bug in the scan.
+Quotient partitions only change at spectrum values, and at the larger
+diameter both quotients are single points, so some candidate always works.
+
+Search.  Isometry of the quotients is monotone in ``t``: the quotient at
+``t' >= t`` is the quotient at ``t'`` of the quotient at ``t``, so an
+isometry at ``t`` carries over to every larger scale.  The candidates
+therefore split into a failing prefix and an isometric suffix.
+:func:`spectrum_agreement` is a lower bound (an isometry at ``t`` makes the
+spectra agree above ``t``), so candidates below it are dropped.
+:func:`ugh_distance` gallops upward over positions 0, 1, 3, 7, ... of the
+rest and then bisects: an answer at position ``p`` costs ``O(log p)`` tests,
+at most ``O(log k)`` for ``k`` candidates, instead of a linear scan.
+
+Test.  Both merge trees are built once (Prim's tree and a union-find, O(n^2)
+per space).  The tree of the quotient at ``t`` is the merge tree with every
+subtree of height ``<= t`` collapsed into one point, so one post-order walk
+(:func:`ultrametric.dendrogram.truncated_canon`) yields the quotient's
+truncated canonical key ``(height, count, encoding, labels)`` without
+building a quotient matrix; equal encodings mean isometric quotients.  A
+walk costs the total size of the keys it builds, ``O(n log n)`` on a tree of
+logarithmic depth (``O(n^2)`` on a caterpillar), so a search is two O(n^2)
+tree builds plus ``O(n log n * log k)``.  At the answer the two truncated
+canonical trees are paired leaf by leaf for the block map, whose blocks are
+named by their lowest-index point exactly as :func:`closed_quotient` names
+them.
+
+The exhaustive search in :mod:`ultrametric.oracle` double-checks the whole
+scheme on small instances; the acceptance suite treats any disagreement as a
+bug in the scan.
 """
 
 from __future__ import annotations
@@ -24,7 +50,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .dendrogram import isometry_witness
+from .dendrogram import heights, leaf_pairing, merge_tree, quotient_blocks, truncated_canon
 from .errors import CertificateInvalid
 from .hyperspace import hausdorff_distance
 from .rationals import format_rational
@@ -32,7 +58,6 @@ from .spaces import (
     UltrametricSpace,
     ZERO,
     block_matrix,
-    closed_quotient,
     spectrum,
     validate_ultrametric,
 )
@@ -65,20 +90,48 @@ class Certificate:
 
 
 def ugh_distance(x: UltrametricSpace, y: UltrametricSpace) -> UghResult:
-    """Gromov-Hausdorff ultrametric, exact, with a quotient isometry witness."""
-    candidates = sorted(set(spectrum(x)) | set(spectrum(y)))
-    for t in candidates:
-        qx = closed_quotient(x, t)
-        qy = closed_quotient(y, t)
-        witness = isometry_witness(qx.quotient, qy.quotient)
-        if witness is None:
-            continue
-        y_block_of = {block[0]: block for block in qy.blocks}
-        block_map = tuple(
-            (block, y_block_of[witness[block[0]]]) for block in qx.blocks
-        )
-        return UghResult(t, t, block_map)
-    raise AssertionError("unreachable: quotients at the diameter are single points")
+    """Gromov-Hausdorff ultrametric, exact, with a quotient isometry witness.
+
+    Searches the candidate scales on the two merge trees, as the module
+    docstring explains.
+    """
+    trees = (merge_tree(x), merge_tree(y))
+    ranks = tuple({label: i for i, label in enumerate(s.labels)} for s in (x, y))
+    hx, hy = heights(trees[0]), heights(trees[1])
+    floor = max(hx ^ hy, default=ZERO)
+    candidates = sorted(t for t in hx | hy if t >= floor)
+    canon: dict[int, tuple] = {}
+
+    def truncated(k: int) -> tuple:
+        if k not in canon:
+            canon[k] = tuple(
+                truncated_canon(tree, candidates[k], rank) for tree, rank in zip(trees, ranks)
+            )
+        return canon[k]
+
+    def isometric_at(k: int) -> bool:
+        (_, kx), (_, ky) = truncated(k)
+        return kx[2] == ky[2]
+
+    # Both quotients are single points at the last candidate.  Gallop up over
+    # positions 0, 1, 3, 7, ... to the first isometric one, then bisect below it.
+    lo, hi, probe = 0, len(candidates) - 1, 0
+    while probe < hi and not isometric_at(probe):
+        lo, probe = probe + 1, 2 * probe + 1
+    hi = min(hi, probe)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if isometric_at(mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    t = candidates[hi]
+    (qx, _), (qy, _) = truncated(hi)
+    witness = leaf_pairing(qx, qy)
+    x_blocks, y_blocks = (quotient_blocks(tree, t, rank) for tree, rank in zip(trees, ranks))
+    y_block_of = {block[0]: block for block in y_blocks}
+    block_map = tuple((block, y_block_of[witness[block[0]]]) for block in x_blocks)
+    return UghResult(t, t, block_map)
 
 
 def spectrum_agreement(x: UltrametricSpace, y: UltrametricSpace) -> Fraction:
@@ -89,8 +142,7 @@ def spectrum_agreement(x: UltrametricSpace, y: UltrametricSpace) -> Fraction:
     quotient isometry at the distance value forces the spectra to agree above
     it.
     """
-    difference = set(spectrum(x)) ^ set(spectrum(y))
-    return max(difference) if difference else ZERO
+    return max(set(spectrum(x)) ^ set(spectrum(y)), default=ZERO)
 
 
 def certificate(
@@ -115,12 +167,16 @@ def certificate(
 
     x_block_index = {label: k for k, (bx, _) in enumerate(result.block_map) for label in bx}
     y_block_index = {label: k for k, (_, by) in enumerate(result.block_map) for label in by}
-    qx = closed_quotient(x, t).quotient
+    # Points of different blocks sit at the block distance, read off X.
+    x_reps = [x.index(bx[0]) for bx, _ in result.block_map]
 
     labels = [f"L:{l}" for l in x.labels] + [f"R:{l}" for l in y.labels]
     x_blocks = [x_block_index[l] for l in x.labels]
     y_blocks = [y_block_index[l] for l in y.labels]
-    cross = [[t if bx == by else qx.dist[bx][by] for by in y_blocks] for bx in x_blocks]
+    cross = [
+        [t if bx == by else row[x_reps[by]] for by in y_blocks]
+        for row, bx in zip(x.dist, x_blocks)
+    ]
     space = validate_ultrametric(labels, block_matrix(x.dist, y.dist, cross))
     embed_left = {l: f"L:{l}" for l in x.labels}
     embed_right = {l: f"R:{l}" for l in y.labels}

@@ -80,18 +80,36 @@ def dendrogram_to_obj(node: Node) -> dict:
 
 
 def dendrogram_from_obj(obj) -> Node:
-    if not isinstance(obj, dict):
-        raise InputFormat("dendrogram node must be a JSON object")
-    if "leaf" in obj:
-        if not isinstance(obj["leaf"], str):
-            raise InputFormat('"leaf" must be a string label')
-        return Leaf(obj["leaf"])
-    if "height" not in obj or "children" not in obj:
-        raise InputFormat('dendrogram node needs "leaf" or "height"+"children"')
-    if not isinstance(obj["children"], list):
-        raise InputFormat('"children" must be a list')
-    children = tuple(dendrogram_from_obj(child) for child in obj["children"])
-    return Merge(as_rational(obj["height"]), children)
+    """Dendrogram from its JSON object, read without recursion.
+
+    Nodes are checked in pre-order; an internal node's height is read after
+    its children, so the first malformed node reported is the same as in a
+    recursive reader.
+    """
+    built: list[Node] = []
+    stack = [(obj, False)]
+    while stack:
+        current, expanded = stack.pop()
+        if expanded:
+            start = len(built) - len(current["children"])
+            children = tuple(built[start:])
+            del built[start:]
+            built.append(Merge(as_rational(current["height"]), children))
+            continue
+        if not isinstance(current, dict):
+            raise InputFormat("dendrogram node must be a JSON object")
+        if "leaf" in current:
+            if not isinstance(current["leaf"], str):
+                raise InputFormat('"leaf" must be a string label')
+            built.append(Leaf(current["leaf"]))
+            continue
+        if "height" not in current or "children" not in current:
+            raise InputFormat('dendrogram node needs "leaf" or "height"+"children"')
+        if not isinstance(current["children"], list):
+            raise InputFormat('"children" must be a list')
+        stack.append((current, True))
+        stack.extend((child, False) for child in reversed(current["children"]))
+    return built[0]
 
 
 def gluespec_from_obj(obj) -> GlueSpec:

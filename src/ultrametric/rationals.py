@@ -14,7 +14,7 @@ from fractions import Fraction
 from .errors import InputFormat, InstanceTooLarge
 
 # Interpreters before 3.10.7 have no integer string limit.
-_int_max_str_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)
+int_max_str_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)
 
 
 def parse_rational(text: str) -> Fraction:
@@ -25,7 +25,7 @@ def parse_rational(text: str) -> Fraction:
     """
     if not isinstance(text, str):
         raise InputFormat(f"expected a rational string, got {type(text).__name__}")
-    limit = _int_max_str_digits()
+    limit = int_max_str_digits()
     _, e, exponent = text.lower().rpartition("e")
     try:
         # The exponent is checked first, because Fraction computes 10**exponent.

@@ -77,11 +77,22 @@ def _coerce_matrix(labels, matrix) -> tuple[tuple[str, ...], list[list[Fraction]
         seen.add(label)
     if len(matrix) != n:
         raise InputFormat(f"matrix has {len(matrix)} rows for {n} labels")
+    # Each distinct string is parsed once; a failed parse raises before caching.
+    parsed: dict[str, Fraction] = {}
+
+    def coerce(v) -> Fraction:
+        if isinstance(v, str):
+            value = parsed.get(v)
+            if value is None:
+                value = parsed[v] = as_rational(v)
+            return value
+        return as_rational(v)
+
     rows = []
     for i, row in enumerate(matrix):
         if len(row) != n:
             raise InputFormat(f"matrix row {i} has {len(row)} entries, expected {n}")
-        rows.append([as_rational(v) for v in row])
+        rows.append([coerce(v) for v in row])
     return labels, rows
 
 

@@ -7,6 +7,8 @@ replay exactly.
 from __future__ import annotations
 
 import random
+import sys
+from contextlib import contextmanager
 
 import pytest
 
@@ -60,3 +62,21 @@ def random_glue_spec(rng: random.Random, max_side: int = 7) -> GlueSpec:
     )
     identify = tuple((l, f"m:{l}") for l in labels[na - overlap : na])
     return GlueSpec(left, right, identify)
+
+
+@contextmanager
+def shallow_recursion(headroom: int = 100):
+    """Lower the recursion limit to the current stack depth plus ``headroom``.
+
+    Code run inside then fails on any recursion deeper than ``headroom``
+    frames, so a tree a few hundred levels deep proves a walk iterative.
+    """
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + headroom)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(limit)

@@ -10,6 +10,7 @@ from ultrametric import jsonio, validate_ultrametric
 from ultrametric.cli import main
 
 from cli_corpus import CASES, EXPECTED, GOLDEN, run_case
+from conftest import shallow_recursion
 
 
 @pytest.mark.parametrize("name,argv,want_code", CASES, ids=[c[0] for c in CASES])
@@ -162,3 +163,18 @@ def test_unwritable_output_is_a_diagnostic(argv, tmp_path):
     payload = json.loads(err)
     assert payload["error"] == "InvalidParameter"
     assert payload["path"] == argv[-1].replace("{tmp}", str(tmp_path))
+
+
+def test_cauchy_depth_beyond_the_int_string_limit_is_a_diagnostic(tmp_path):
+    code, out, err, written = run_case(["gen", "cauchy", "--depth", "1000000000"], tmp_path)
+    assert (code, out, written) == (1, "", {})
+    assert err.count("\n") == 1
+    assert json.loads(err)["error"] == "InstanceTooLarge"
+
+
+def test_ugh_on_a_caterpillar_deeper_than_the_recursion_limit(tmp_path):
+    code, _, _, _ = run_case(["gen", "cauchy", "--depth", "200", "-o", "{tmp}/c.json"], tmp_path)
+    assert code == 0
+    with shallow_recursion():
+        code, out, err, _ = run_case(["ugh", "{tmp}/c.json", "{tmp}/c.json"], tmp_path)
+    assert (code, out, err) == (0, '{"value": "0", "scale_witness": "0"}\n', "")

@@ -20,8 +20,9 @@ from ultrametric import (
     validate_ultrametric,
 )
 from ultrametric.errors import MalformedTree
+from ultrametric.jsonio import dendrogram_from_obj
 
-from conftest import SIX_VALUES, make_space
+from conftest import SIX_VALUES, make_space, shallow_recursion
 
 
 def lca_height(node, a, b):
@@ -175,3 +176,48 @@ class TestCanonicalForm:
             space = random_space(rng.randint(1, 8), SIX_VALUES, rng.randrange(10**9))
             tree = to_dendrogram(space)
             assert canonicalize(tree) == tree
+
+
+def merge_chain(levels):
+    """Caterpillar tree: level ``k`` joins leaf ``p<k>`` to everything below at height ``k``."""
+    node = Leaf("p0")
+    for k in range(1, levels + 1):
+        node = Merge(Fraction(k), (node, Leaf(f"p{k}")))
+    return node
+
+
+class TestDeepTrees:
+    """Trees deeper than the default recursion limit of 1000 frames."""
+
+    LEVELS = 1100
+
+    def test_canonical_form_and_leaf_labels(self):
+        tree = merge_chain(self.LEVELS)
+        canon = canonicalize(tree)
+        assert canon.height == self.LEVELS
+        assert canon.children[0] == Leaf(f"p{self.LEVELS}")  # leaves sort first
+        assert leaf_labels(tree) == tuple(f"p{k}" for k in range(self.LEVELS + 1))
+        assert leaf_labels(canon)[-2:] == ("p0", "p1")
+        text = encoding(tree)
+        assert text == encoding(canon)
+        assert text.startswith(f"({self.LEVELS};p,({self.LEVELS - 1};p,")
+        assert text.endswith("(1;p,p)" + ")" * (self.LEVELS - 1))
+
+    def test_dendrogram_from_obj(self):
+        obj = {"leaf": "p0"}
+        for k in range(1, self.LEVELS + 1):
+            obj = {"height": str(k), "children": [obj, {"leaf": f"p{k}"}]}
+        tree = dendrogram_from_obj(obj)
+        assert tree.height == self.LEVELS
+        assert leaf_labels(tree) == leaf_labels(merge_chain(self.LEVELS))
+        assert encoding(tree) == encoding(merge_chain(self.LEVELS))
+
+    def test_from_dendrogram_and_isometry(self):
+        tree = merge_chain(300)
+        with shallow_recursion():
+            space = from_dendrogram(tree)
+            witness = isometry_witness(space, space)
+        assert space.d("p0", "p1") == 1
+        assert space.d("p0", "p300") == 300
+        assert space.d("p299", "p300") == 300
+        assert witness == {label: label for label in space.labels}

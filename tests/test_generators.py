@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 from itertools import combinations
 
@@ -21,6 +22,7 @@ from ultrametric.errors import (
     BasePointMissing,
     ConstraintTooSmall,
     InputFormat,
+    InstanceTooLarge,
     InvalidParameter,
     NonpositiveDistance,
     NotAMetric,
@@ -115,6 +117,19 @@ class TestCauchySequence:
     def test_negative_depth(self):
         with pytest.raises(InvalidParameter):
             cauchy_sequence(-1)
+
+    def test_depth_beyond_the_int_string_limit_is_refused_before_building(self):
+        limit = sys.get_int_max_str_digits()
+        if not limit:
+            pytest.skip("the interpreter sets no integer string limit")
+        bound = (10**limit).bit_length()
+        # 2^-(bound - 1) still formats; 2^-bound would not.
+        assert len(str(2 ** (bound - 1))) == limit
+        for depth in (bound, 10**12):
+            with pytest.raises(InstanceTooLarge) as info:
+                cauchy_sequence(depth)
+            assert info.value.payload()["depth"] == depth
+            assert info.value.payload()["limit"] == limit
 
 
 class TestInUK:
