@@ -5,8 +5,11 @@ random spaces, and single-linkage ingestion of ordinary metrics.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from operator import add
 
 from .dendrogram import Leaf, Merge, Node, from_dendrogram
 from .errors import (
@@ -20,7 +23,14 @@ from .errors import (
     ScaleNotBelowMinDistance,
 )
 from .rationals import as_rational, format_rational, int_max_str_digits
-from .spaces import UltrametricSpace, ZERO, block_matrix, subdominant, validate_ultrametric
+from .spaces import (
+    ZERO,
+    UltrametricSpace,
+    block_matrix,
+    rank_image,
+    subdominant,
+    validate_ultrametric,
+)
 
 
 def two_point_space(c) -> UltrametricSpace:
@@ -178,13 +188,21 @@ def random_space(n: int, constraint: SpectrumConstraint, seed: int) -> Ultrametr
     return from_dendrogram(build(labels, positive))
 
 
+# Scaled images of a metric use the lcm of its denominators while that fits
+# in this many bits, and 2**SCALE_BITS (rounding down) otherwise.
+SCALE_BITS = 64
+
+
 def single_linkage(labels, matrix) -> UltrametricSpace:
     """Largest ultrametric below a metric: min over paths of the max edge,
     read off a minimum spanning tree.
 
     The input must be a genuine metric (symmetric, zero diagonal, positive
     off-diagonal, ordinary triangle inequality); the output agrees with the
-    input wherever the input was already ultrametric.
+    input wherever the input was already ultrametric.  The diagonal,
+    symmetry and positivity checks and the tree run on the integer ranks of
+    :func:`rank_image`; the triangle check runs on scaled integers
+    (:func:`_check_triangles`).
     """
     labels = tuple(str(l) for l in labels)
     n = len(labels)
@@ -192,33 +210,63 @@ def single_linkage(labels, matrix) -> UltrametricSpace:
         raise NotAMetric("a metric needs at least one point")
     if len(matrix) != n or any(len(row) != n for row in matrix):
         raise InputFormat("metric matrix shape does not match the labels")
-    rows = [[as_rational(v) for v in row] for row in matrix]
+    rows, ranks, values = rank_image(matrix)
+    zero = bisect_left(values, ZERO)
     for i in range(n):
-        if rows[i][i] != 0:
+        if ranks[i][i] != zero:
             raise NotAMetric(
                 f"nonzero diagonal at {labels[i]!r}", kind="diagonal", point=labels[i]
             )
         for j in range(i + 1, n):
-            if rows[i][j] != rows[j][i]:
+            if ranks[i][j] != ranks[j][i]:
                 raise NotAMetric(
                     f"asymmetric at ({labels[i]},{labels[j]})",
                     kind="symmetry",
                     points=[labels[i], labels[j]],
                 )
-            if rows[i][j] <= 0:
+            if ranks[i][j] <= zero:
                 raise NotAMetric(
                     f"nonpositive distance at ({labels[i]},{labels[j]}); "
                     "merge duplicate points first if the data is dirty",
                     kind="positivity",
                     points=[labels[i], labels[j]],
                 )
+    _check_triangles(labels, rows, ranks, values)
+    sub = [list(map(values.__getitem__, row)) for row in subdominant(ranks)]
+    return validate_ultrametric(labels, sub)
+
+
+def _check_triangles(labels, rows, ranks, values) -> None:
+    """Raise at the first ``(i, j, k)`` with ``d(i,j) > d(i,k) + d(k,j)``.
+
+    Each value ``d`` becomes ``floor(d * scale)``.  With ``scale`` the lcm of
+    the denominators the image is exact and a pair ``(i, j)`` is clear when
+    its image is at most every ``image(i,k) + image(k,j)``; with a power of
+    two the image is up to 1 too low, so a pair needs a margin of 1.  Only a
+    pair the integers cannot clear is scanned over ``k`` in Fractions, so
+    the first witness is the one of the full scan.  The image's diagonal
+    holds 1, so the terms ``k = i`` and ``k = j`` never block a pair.
+    """
+    scale, margin = 1, 0
+    for v in values:
+        scale = lcm(scale, v.denominator)
+        if scale.bit_length() > SCALE_BITS:
+            scale, margin = 1 << SCALE_BITS, 1
+            break
+    scaled = [v.numerator * scale // v.denominator for v in values]
+    image = [list(map(scaled.__getitem__, row)) for row in ranks]
+    n = len(labels)
     for i in range(n):
+        image[i][i] = 1
+    for i in range(n):
+        image_i, row_i = image[i], rows[i]
         for j in range(i + 1, n):
+            if image_i[j] + margin <= min(map(add, image_i, image[j])):
+                continue
             for k in range(n):
-                if k != i and k != j and rows[i][j] > rows[i][k] + rows[k][j]:
+                if k != i and k != j and row_i[j] > row_i[k] + rows[k][j]:
                     raise NotAMetric(
                         f"triangle inequality fails at ({labels[i]},{labels[j]},{labels[k]})",
                         kind="triangle",
                         points=[labels[i], labels[j], labels[k]],
                     )
-    return validate_ultrametric(labels, subdominant(rows))

@@ -71,12 +71,18 @@ def quotient_to_obj(q: QuotientSpace) -> dict:
 
 
 def dendrogram_to_obj(node: Node) -> dict:
-    if isinstance(node, Leaf):
-        return {"leaf": node.label}
-    return {
-        "height": format_rational(node.height),
-        "children": [dendrogram_to_obj(child) for child in node.children],
-    }
+    """JSON object of a dendrogram, built in pre-order without recursion."""
+    root: dict = {}
+    stack = [(node, root)]
+    while stack:
+        node, obj = stack.pop()
+        if isinstance(node, Leaf):
+            obj["leaf"] = node.label
+            continue
+        obj["height"] = format_rational(node.height)
+        obj["children"] = children = [{} for _ in node.children]
+        stack.extend(reversed(list(zip(node.children, children))))
+    return root
 
 
 def dendrogram_from_obj(obj) -> Node:

@@ -8,6 +8,7 @@ public gate that checks the axioms; everything downstream assumes it ran.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -65,7 +66,53 @@ class UltrametricSpace:
         return f"UltrametricSpace({len(self)} points: {', '.join(self.labels[:6])}{'...' if len(self) > 6 else ''})"
 
 
-def _coerce_matrix(labels, matrix) -> tuple[tuple[str, ...], list[list[Fraction]]]:
+def rank_image(
+    matrix, width: int | None = None
+) -> tuple[list[list[Fraction]], list[list[int]], list[Fraction]]:
+    """Exact values of a matrix and the same matrix as integer ranks.
+
+    Returns ``(rows, ranks, values)``: ``rows`` holds Fractions, ``ranks[i][j]``
+    is the position of ``rows[i][j]`` in ``values``, the sorted distinct values
+    with 0 always among them.  Equal values get equal ranks however they are
+    spelled, so ranks compare as the values do.  Each distinct spelling or
+    value is parsed once and numbered by a provisional id, which one sort of
+    the distinct values remaps to its rank.  Entries are read in row-major
+    order and the first bad one raises; with ``width`` given, a row's length
+    is checked before its entries are read.
+    """
+    # A string is keyed by its spelling, anything else by its reduced value.
+    ids: dict = {(0, 1): 0}
+    parsed = [ZERO]
+    id_rows = []
+    for i, row in enumerate(matrix):
+        if width is not None and len(row) != width:
+            raise InputFormat(f"matrix row {i} has {len(row)} entries, expected {width}")
+        id_row = []
+        for v in row:
+            if type(v) is str:
+                key = v
+            else:
+                value = v if type(v) is Fraction else as_rational(v)
+                key = (value.numerator, value.denominator)
+            pid = ids.get(key)
+            if pid is None:
+                pid = ids[key] = len(parsed)
+                # A string is parsed here only, so its first bad spelling raises.
+                parsed.append(as_rational(v) if type(v) is str else value)
+            id_row.append(pid)
+        id_rows.append(id_row)
+    values = sorted(set(parsed))
+    position = {v: r for r, v in enumerate(values)}
+    rank_of = [position[v] for v in parsed]
+    rows = [list(map(parsed.__getitem__, id_row)) for id_row in id_rows]
+    ranks = [list(map(rank_of.__getitem__, id_row)) for id_row in id_rows]
+    return rows, ranks, values
+
+
+def _coerce_matrix(
+    labels, matrix
+) -> tuple[tuple[str, ...], list[list[Fraction]], list[list[int]], list[Fraction]]:
+    """Labels as strings plus :func:`rank_image` of the matrix, shape checked."""
     labels = tuple(str(l) for l in labels)
     n = len(labels)
     if n == 0:
@@ -77,23 +124,7 @@ def _coerce_matrix(labels, matrix) -> tuple[tuple[str, ...], list[list[Fraction]
         seen.add(label)
     if len(matrix) != n:
         raise InputFormat(f"matrix has {len(matrix)} rows for {n} labels")
-    # Each distinct string is parsed once; a failed parse raises before caching.
-    parsed: dict[str, Fraction] = {}
-
-    def coerce(v) -> Fraction:
-        if isinstance(v, str):
-            value = parsed.get(v)
-            if value is None:
-                value = parsed[v] = as_rational(v)
-            return value
-        return as_rational(v)
-
-    rows = []
-    for i, row in enumerate(matrix):
-        if len(row) != n:
-            raise InputFormat(f"matrix row {i} has {len(row)} entries, expected {n}")
-        rows.append([coerce(v) for v in row])
-    return labels, rows
+    return (labels, *rank_image(matrix, n))
 
 
 def minimum_spanning_tree(rows) -> list[tuple[int, int, Fraction]]:
@@ -102,31 +133,35 @@ def minimum_spanning_tree(rows) -> list[tuple[int, int, Fraction]]:
     Returns ``(parent, child, weight)`` edges in the order the children
     joined, so every parent is point 0 or an earlier child.
     """
-    best = {k: (rows[0][k], 0) for k in range(1, len(rows))}
+    weight = list(rows[0])
+    source = [0] * len(rows)
+    left = list(range(1, len(rows)))
     edges = []
-    while best:
-        child = min(best, key=lambda k: best[k][0])
-        weight, parent = best.pop(child)
-        edges.append((parent, child, weight))
+    while left:
+        child = min(left, key=weight.__getitem__)
+        left.remove(child)
+        edges.append((source[child], child, weight[child]))
         row = rows[child]
-        for k, (w, _) in best.items():
-            if row[k] < w:
-                best[k] = (row[k], child)
+        for k in left:
+            if row[k] < weight[k]:
+                weight[k] = row[k]
+                source[k] = child
     return edges
 
 
-def subdominant(rows) -> list[list[Fraction]]:
+def subdominant(rows) -> list[list]:
     """Largest ultrametric below a symmetric matrix (single linkage).
 
     Entry ``(x, y)`` is the largest edge on the tree path from x to y; each
-    child's row copies its parent's, raised to the joining edge: O(n^2).
+    child's row copies its parent's, raised to the joining edge: O(n^2).  The
+    diagonal is kept from ``rows``, so the result has the entry type of ``rows``.
     """
-    n = len(rows)
-    sub = [[ZERO] * n for _ in range(n)]
+    sub = [list(row) for row in rows]
     joined = [0]
     for parent, child, weight in minimum_spanning_tree(rows):
+        sub_parent, sub_child = sub[parent], sub[child]
         for k in joined:
-            sub[child][k] = sub[k][child] = max(sub[parent][k], weight)
+            sub_child[k] = sub[k][child] = max(sub_parent[k], weight)
         joined.append(child)
     return sub
 
@@ -154,52 +189,56 @@ def validate_ultrametric(labels, matrix) -> UltrametricSpace:
     strong triangle over ascending index triples) is deterministic.  The
     matrix is ultrametric iff it equals its subdominant ultrametric, so the
     triple scan only visits pairs where the two differ: accepting costs
-    O(n^2).
+    O(n^2).  Every check compares the integer ranks of :func:`rank_image`;
+    the Fractions only fill the messages and the returned space.
     """
-    labels, rows = _coerce_matrix(labels, matrix)
+    labels, rows, ranks, values = _coerce_matrix(labels, matrix)
+    zero = bisect_left(values, ZERO)
     n = len(labels)
     for i in range(n):
-        if rows[i][i] != 0:
+        if ranks[i][i] != zero:
             raise NonzeroDiagonal(
                 f"d({labels[i]},{labels[i]}) = {format_rational(rows[i][i])}, expected 0",
                 point=labels[i],
             )
     for i in range(n):
+        rank_i = ranks[i]
         for j in range(i + 1, n):
-            if rows[i][j] != rows[j][i]:
+            r = rank_i[j]
+            if r != ranks[j][i]:
                 raise NonSymmetric(
                     f"d({labels[i]},{labels[j]}) = {format_rational(rows[i][j])} but "
                     f"d({labels[j]},{labels[i]}) = {format_rational(rows[j][i])}",
                     points=[labels[i], labels[j]],
                 )
-            if rows[i][j] < 0:
+            if r < zero:
                 raise NegativeDistance(
                     f"d({labels[i]},{labels[j]}) = {format_rational(rows[i][j])} < 0",
                     points=[labels[i], labels[j]],
                 )
-            if rows[i][j] == 0:
+            if r == zero:
                 raise ZeroOffDiagonal(
                     f"d({labels[i]},{labels[j]}) = 0 for distinct points",
                     points=[labels[i], labels[j]],
                 )
-    sub = subdominant(rows)
+    sub = subdominant(ranks)
     for i in range(n):
-        row_i = rows[i]
+        rank_i = ranks[i]
         sub_i = sub[i]
         for j in range(i + 1, n):
-            dij = row_i[j]
+            dij = rank_i[j]
             # A violating k forces dij > max(d(i,k), d(k,j)) >= sub(i,j).
             if dij == sub_i[j]:
                 continue
-            row_j = rows[j]
+            rank_j = ranks[j]
             for k in range(n):
                 if k == i or k == j:
                     continue
-                if dij > row_i[k] and dij > row_j[k]:
+                if dij > rank_i[k] and dij > rank_j[k]:
                     raise TriangleViolation(
-                        f"d({labels[i]},{labels[j]}) = {format_rational(dij)} > "
+                        f"d({labels[i]},{labels[j]}) = {format_rational(rows[i][j])} > "
                         f"max(d({labels[i]},{labels[k]}), d({labels[k]},{labels[j]})) = "
-                        f"max({format_rational(row_i[k])}, {format_rational(row_j[k])})",
+                        f"max({format_rational(rows[i][k])}, {format_rational(rows[j][k])})",
                         points=[labels[i], labels[j], labels[k]],
                     )
     return UltrametricSpace(labels, tuple(tuple(row) for row in rows))
@@ -214,12 +253,13 @@ def merge_duplicate_points(labels, matrix) -> tuple[list[str], list[list[Fractio
     even transitive); distances between groups are read off the first member
     of each group.
     """
-    labels, rows = _coerce_matrix(labels, matrix)
+    labels, rows, ranks, values = _coerce_matrix(labels, matrix)
+    zero = bisect_left(values, ZERO)
     n = len(labels)
     group_of = list(range(n))
     for i in range(n):
         for j in range(i + 1, n):
-            if rows[i][j] == 0 or rows[j][i] == 0:
+            if ranks[i][j] == zero or ranks[j][i] == zero:
                 ri, rj = find_root(group_of, i), find_root(group_of, j)
                 if ri != rj:
                     group_of[max(ri, rj)] = min(ri, rj)

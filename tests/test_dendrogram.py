@@ -20,7 +20,8 @@ from ultrametric import (
     validate_ultrametric,
 )
 from ultrametric.errors import MalformedTree
-from ultrametric.jsonio import dendrogram_from_obj
+from ultrametric.jsonio import dendrogram_from_obj, dendrogram_to_obj, dumps
+from ultrametric.rationals import format_rational
 
 from conftest import SIX_VALUES, make_space, shallow_recursion
 
@@ -178,6 +179,16 @@ class TestCanonicalForm:
             assert canonicalize(tree) == tree
 
 
+def reference_dendrogram_to_obj(node):
+    """The recursive writer that the iterative one replaced."""
+    if isinstance(node, Leaf):
+        return {"leaf": node.label}
+    return {
+        "height": format_rational(node.height),
+        "children": [reference_dendrogram_to_obj(child) for child in node.children],
+    }
+
+
 def merge_chain(levels):
     """Caterpillar tree: level ``k`` joins leaf ``p<k>`` to everything below at height ``k``."""
     node = Leaf("p0")
@@ -221,3 +232,25 @@ class TestDeepTrees:
         assert space.d("p0", "p300") == 300
         assert space.d("p299", "p300") == 300
         assert witness == {label: label for label in space.labels}
+
+    def test_dendrogram_to_obj(self):
+        obj = dendrogram_to_obj(merge_chain(self.LEVELS))
+        node, depth = obj, self.LEVELS
+        while "leaf" not in node:
+            assert list(node) == ["height", "children"]
+            assert node["height"] == str(depth)
+            assert node["children"][1] == {"leaf": f"p{depth}"}
+            node, depth = node["children"][0], depth - 1
+        assert (node, depth) == ({"leaf": "p0"}, 0)
+        assert encoding(dendrogram_from_obj(obj)) == encoding(merge_chain(self.LEVELS))
+
+    def test_dendrogram_to_obj_matches_the_recursive_writer(self):
+        rng = random.Random(17)
+        trees = [Leaf("a"), merge_chain(40), canonicalize(merge_chain(40))]
+        for n in [2, 5, 12, 30]:
+            space = random_space(n, SIX_VALUES, rng.randrange(10**9))
+            trees.append(to_dendrogram(space))
+        pair = Merge(Fraction(1), (Leaf("y"), Leaf("x")))
+        trees.append(Merge(Fraction(3, 2), (Leaf("z"), trees[-1], pair)))
+        for tree in trees:
+            assert dumps(dendrogram_to_obj(tree)) == dumps(reference_dendrogram_to_obj(tree))

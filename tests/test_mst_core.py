@@ -1,10 +1,12 @@
-"""Differential tests for the minimum-spanning-tree core.
+"""Differential tests for the minimum-spanning-tree core and its integer kernels.
 
 Validation, single linkage and dendrogram construction all read the
-subdominant ultrametric off one Prim tree.  The reference functions below are
-the cubic algorithms they replaced: the full triple scan, the minimax
-Floyd-Warshall closure and the spectrum sweep.  Seeded inputs must give
-identical results, including identical error payloads.
+subdominant ultrametric off one Prim tree, and validation and the metric
+check compare integers (ranks, scaled values) instead of Fractions.  The
+reference functions below are the algorithms they replaced: the full triple
+scan, the Fraction metric check, the minimax Floyd-Warshall closure and the
+spectrum sweep.  Seeded inputs must give identical results, including
+identical error payloads.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from ultrametric import (
     cauchy_sequence,
     canonicalize,
     closed_quotient,
+    merge_duplicate_points,
     random_space,
     single_linkage,
     spectrum,
@@ -26,7 +29,9 @@ from ultrametric import (
     validate_ultrametric,
 )
 from ultrametric.errors import (
+    InputFormat,
     NegativeDistance,
+    NotAMetric,
     NonSymmetric,
     NonzeroDiagonal,
     TriangleViolation,
@@ -35,7 +40,8 @@ from ultrametric.errors import (
 )
 from ultrametric.jsonio import dendrogram_to_obj, dumps
 from ultrametric.rationals import as_rational, format_rational
-from ultrametric.spaces import UltrametricSpace, block_matrix
+from ultrametric.generators import SCALE_BITS
+from ultrametric.spaces import UltrametricSpace, block_matrix, rank_image
 
 VALUES = ["0", "1/8", "1/4", "3/8", "1/2", "1"]
 CORRUPTIONS = [Fraction(v) for v in ["1/16", "1/8", "3/16", "1/4", "3/8", "1/2", "3/4", "1", "2"]]
@@ -96,6 +102,46 @@ def reference_closure(rows):
                 if i != j:
                     closure[i][j] = min(closure[i][j], max(closure[i][k], closure[k][j]))
     return closure
+
+
+def reference_single_linkage(labels, matrix) -> UltrametricSpace:
+    """The Fraction metric check (every triple), then the minimax closure."""
+    labels = tuple(str(l) for l in labels)
+    n = len(labels)
+    if n == 0:
+        raise NotAMetric("a metric needs at least one point")
+    if len(matrix) != n or any(len(row) != n for row in matrix):
+        raise InputFormat("metric matrix shape does not match the labels")
+    rows = [[as_rational(v) for v in row] for row in matrix]
+    for i in range(n):
+        if rows[i][i] != 0:
+            raise NotAMetric(
+                f"nonzero diagonal at {labels[i]!r}", kind="diagonal", point=labels[i]
+            )
+        for j in range(i + 1, n):
+            if rows[i][j] != rows[j][i]:
+                raise NotAMetric(
+                    f"asymmetric at ({labels[i]},{labels[j]})",
+                    kind="symmetry",
+                    points=[labels[i], labels[j]],
+                )
+            if rows[i][j] <= 0:
+                raise NotAMetric(
+                    f"nonpositive distance at ({labels[i]},{labels[j]}); "
+                    "merge duplicate points first if the data is dirty",
+                    kind="positivity",
+                    points=[labels[i], labels[j]],
+                )
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(n):
+                if k != i and k != j and rows[i][j] > rows[i][k] + rows[k][j]:
+                    raise NotAMetric(
+                        f"triangle inequality fails at ({labels[i]},{labels[j]},{labels[k]})",
+                        kind="triangle",
+                        points=[labels[i], labels[j], labels[k]],
+                    )
+    return reference_validate(labels, reference_closure(rows))
 
 
 def reference_dendrogram(space: UltrametricSpace):
@@ -197,3 +243,147 @@ def test_block_matrix():
     out[0][0] = 9
     assert a == [[0, 1], [1, 0]]
     assert block_matrix([[0]], [], [[]]) == [[0]]
+
+
+def spellings(value: Fraction) -> list:
+    """Ways to write ``value`` that must all read as the same distance."""
+    p, q = value.numerator, value.denominator
+    out = [f"{p}/{q}", f"{2 * p}/{2 * q}", f" {p}/{q}", value]
+    if q == 1:
+        out += [str(p), p, f"{p}.0", f"{p}e0"]
+    if 1000 % q == 0:
+        out += [f"{p * 1000 // q / 1000}", f"{p * (1000 // q)}e-3"]
+    if p == 0:
+        out += ["-0", "0.000", 0]
+    return out
+
+
+def respelled(rng: random.Random, matrix):
+    return [[rng.choice(spellings(as_rational(v))) for v in row] for row in matrix]
+
+
+def test_validation_matches_the_cubic_scan_on_mixed_spellings():
+    rng = random.Random(31)
+    constraint = spectrum_constraint(VALUES)
+    codes = set()
+    for _ in range(300):
+        space = random_space(rng.randint(2, 16), constraint, rng.randrange(10**9))
+        n = len(space)
+        matrix = respelled(rng, space.dist)
+        for _ in range(rng.randint(0, 2)):
+            i, j = rng.randrange(n), rng.randrange(n)
+            value = rng.choice([Fraction(0), Fraction(-1, 8), Fraction(-1), *CORRUPTIONS])
+            matrix[i][j] = rng.choice(spellings(value))
+            if rng.random() < 0.7:
+                matrix[j][i] = rng.choice(spellings(value))
+        want = outcome(reference_validate, space.labels, matrix)
+        assert outcome(validate_ultrametric, space.labels, matrix) == want
+        codes.add(want[0] if isinstance(want[0], type) else "accepted")
+    assert codes == {
+        "accepted",
+        NonzeroDiagonal,
+        NonSymmetric,
+        NegativeDistance,
+        ZeroOffDiagonal,
+        TriangleViolation,
+    }
+
+
+def test_equal_values_get_equal_ranks_whatever_their_spelling():
+    half = ["1/2", "0.5", "2/4", Fraction(1, 2), "0.50", "5e-1"]
+    rows, ranks, values = rank_image([[0, *half, "1", 1, Fraction(2, 2), "-0", "0/7"]])
+    assert values == [0, Fraction(1, 2), 1]
+    assert ranks == [[0, 1, 1, 1, 1, 1, 1, 2, 2, 2, 0, 0]]
+    assert rows[0][1:7] == [Fraction(1, 2)] * 6
+
+
+def test_merge_duplicates_reads_every_spelling_of_zero():
+    rng = random.Random(8)
+    for _ in range(40):
+        n = rng.randint(2, 9)
+        groups = [rng.randrange(3) for _ in range(n)]
+        matrix = [[Fraction(abs(a - b) + (a != b)) for b in groups] for a in groups]
+        labels = [f"q{k}" for k in range(n)]
+        want = merge_duplicate_points(labels, matrix)
+        assert merge_duplicate_points(labels, respelled(rng, matrix)) == want
+
+
+def l1_rational_metric(rng: random.Random, n: int, denominators):
+    """L1 distances between distinct grid points with rational coordinates.
+
+    Points on a common axis-parallel line give triangles with equality, the
+    tightest case for an approximate integer check.
+    """
+    points = set()
+    while len(points) < n:
+        points.add(tuple(Fraction(rng.randrange(4 * q), q) for q in denominators))
+    points = sorted(points)
+    rng.shuffle(points)
+    return [[sum(abs(a - b) for a, b in zip(p, r)) for r in points] for p in points]
+
+
+def planted(rng: random.Random, rows, pair, epsilon):
+    """Break the triangle inequality at ``pair``: raise it just past its
+    shortest two-step path, or lower it to ``epsilon``."""
+    a, b = pair
+    rows = [row[:] for row in rows]
+    if rng.random() < 0.6:
+        detour = min(rows[a][k] + rows[k][b] for k in range(len(rows)) if k not in pair)
+        rows[a][b] = rows[b][a] = detour + epsilon
+    else:
+        rows[a][b] = rows[b][a] = epsilon
+    return rows
+
+
+def test_single_linkage_matches_the_fraction_scan_on_tight_rational_metrics():
+    rng = random.Random(2718)
+    huge = [10**30 + 7, 10**31 + 3]  # lcm beyond SCALE_BITS: the rounded image
+    assert (huge[0] * huge[1]).bit_length() > SCALE_BITS
+    seen = set()
+    for denominators, epsilon in [
+        ((3, 3, 1), Fraction(1, 3)),
+        ((7, 7, 1), Fraction(1, 7)),
+        ((3, 7, 1), Fraction(1, 21)),
+        ((huge[0], huge[1], 1), Fraction(1, 10**80)),
+    ]:
+        for _ in range(12):
+            n = rng.randint(3, 14)
+            rows = l1_rational_metric(rng, n, denominators)
+            pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+            for pair in [None, pairs[0], pairs[len(pairs) // 2], pairs[-1]]:
+                matrix = rows if pair is None else planted(rng, rows, pair, epsilon)
+                labels = [f"p{k}" for k in range(n)]
+                want = outcome(reference_single_linkage, labels, matrix)
+                got = outcome(single_linkage, labels, respelled(rng, matrix))
+                assert got == want
+                seen.add(want[1]["kind"] if isinstance(want[0], type) else "accepted")
+    assert seen == {"accepted", "triangle"}
+
+
+def test_single_linkage_matches_the_fraction_scan_on_metric_defects():
+    rng = random.Random(4)
+    for _ in range(60):
+        n = rng.randint(2, 10)
+        rows = l1_rational_metric(rng, n, (3, 7))
+        i, j = rng.randrange(n), rng.randrange(n)
+        rows[i][j] = rng.choice([Fraction(0), Fraction(-1, 3), Fraction(5, 7), rows[j][i]])
+        labels = [f"p{k}" for k in range(n)]
+        want = outcome(reference_single_linkage, labels, rows)
+        assert outcome(single_linkage, labels, respelled(rng, rows)) == want
+
+
+def test_single_linkage_on_long_distinct_denominators():
+    """Every value has its own ~200-digit denominator, so the lcm of the
+    denominators has thousands of digits; the scaled image must not use it."""
+    rng = random.Random(1770)
+    n = 16
+    rows = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            q = rng.randrange(10**199, 10**200)
+            rows[i][j] = rows[j][i] = 1 + Fraction(rng.randrange(q // 2), q)
+    labels = [f"p{k}" for k in range(n)]
+    want = outcome(reference_single_linkage, labels, rows)
+    assert isinstance(want[0], tuple)
+    text = [[format_rational(v) for v in row] for row in rows]
+    assert outcome(single_linkage, labels, text) == want
