@@ -13,18 +13,15 @@ from .amalgam import (
     chain_glue,
     disjoint_amalgam,
     glue,
-    glue_embeddings,
 )
 from .dendrogram import (
     Leaf,
     Merge,
     Node,
-    canonicalize,
     encoding,
     from_dendrogram,
     isometric,
     isometry_witness,
-    leaf_labels,
     to_dendrogram,
 )
 from .errors import UltrametricError
@@ -48,7 +45,7 @@ from .gromov import (
     verify_certificate,
 )
 from .hyperspace import epsilon_net, hausdorff_distance, restrict
-from .oracle import ORACLE_MAX_POINTS, brute_force_isometry, ugh_oracle
+from .oracle import ORACLE_MAX_POINTS, ugh_oracle
 from .rationals import as_rational, format_rational, parse_rational
 from .spaces import (
     QuotientSpace,
@@ -76,8 +73,6 @@ __all__ = [
     "UltrametricError",
     "UltrametricSpace",
     "as_rational",
-    "brute_force_isometry",
-    "canonicalize",
     "cauchy_sequence",
     "certificate",
     "chain_glue",
@@ -89,12 +84,10 @@ __all__ = [
     "format_rational",
     "from_dendrogram",
     "glue",
-    "glue_embeddings",
     "hausdorff_distance",
     "in_uk",
     "isometric",
     "isometry_witness",
-    "leaf_labels",
     "merge_duplicate_points",
     "parse_rational",
     "random_space",

@@ -74,18 +74,6 @@ def leaf_labels(node: Node) -> tuple[str, ...]:
     return tuple(leaf.label for leaf in _points(node))
 
 
-def heights(node: Node) -> set[Fraction]:
-    """Merge heights plus 0: the spectrum of the space the tree encodes."""
-    found = {ZERO}
-    stack = [node]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Merge):
-            found.add(node.height)
-            stack.extend(node.children)
-    return found
-
-
 def truncated_canon(
     root: Node, t: Fraction | None = None, rank: dict[str, int] | None = None
 ) -> tuple[Node, tuple]:
@@ -167,21 +155,24 @@ def merge_tree(space: UltrametricSpace) -> Node:
     """Merge-tree of a space, children in construction order.
 
     Joins the clusters along the minimum spanning tree's edges in increasing
-    weight (single linkage, which is exact on an ultrametric).  A merge at the
-    height of a cluster it joins absorbs that cluster's children, so no node
-    has a child of its own height.
+    weight (single linkage, which is exact on an ultrametric), comparing
+    ranks; a merge's height is its edge's value.  A merge at the height of a
+    cluster it joins absorbs that cluster's children, so no node has a child
+    of its own height.
     """
     cluster_of = list(range(len(space)))
     nodes: list[Node] = [Leaf(label) for label in space.labels]
-    for a, b, weight in sorted(minimum_spanning_tree(space.dist), key=lambda edge: edge[2]):
+    level = [0] * len(space)  # rank of each cluster's height, leaves at rank 0
+    for a, b, r in sorted(minimum_spanning_tree(space.ranks), key=itemgetter(2)):
         ra, rb = find_root(cluster_of, a), find_root(cluster_of, b)
         children = tuple(
             child
-            for node in (nodes[ra], nodes[rb])
-            for child in (node.children if node_height(node) == weight else (node,))
+            for root in (ra, rb)
+            for child in (nodes[root].children if level[root] == r else (nodes[root],))
         )
         cluster_of[rb] = ra
-        nodes[ra] = Merge(weight, children)
+        nodes[ra] = Merge(space.values[r], children)
+        level[ra] = r
     return nodes[find_root(cluster_of, 0)]
 
 

@@ -38,7 +38,7 @@ def two_point_space(c) -> UltrametricSpace:
     c = as_rational(c)
     if c <= 0:
         raise NonpositiveDistance(f"two-point distance must be > 0, got {format_rational(c)}")
-    return UltrametricSpace(("p", "q"), ((ZERO, c), (c, ZERO)))
+    return validate_ultrametric(("p", "q"), ((ZERO, c), (c, ZERO)))
 
 
 def crowd_family(
@@ -122,10 +122,10 @@ class SpectrumConstraint:
 
 def spectrum_constraint(values) -> SpectrumConstraint:
     parsed = sorted({as_rational(v) for v in values})
-    if not parsed or parsed[0] != 0:
-        raise InvalidParameter("the allowed value set must contain 0")
     if any(v < 0 for v in parsed):
         raise InvalidParameter("allowed values must be nonnegative")
+    if not parsed or parsed[0] != 0:
+        raise InvalidParameter("the allowed value set must contain 0")
     return SpectrumConstraint(tuple(parsed))
 
 
@@ -145,10 +145,12 @@ def in_uk(space: UltrametricSpace, constraint: SpectrumConstraint) -> Membership
     its distance value.
     """
     allowed = set(constraint.values)
-    for i in range(len(space)):
+    banned = [v not in allowed for v in space.values]
+    for i, rank_i in enumerate(space.ranks):
         for j in range(i + 1, len(space)):
-            if space.dist[i][j] not in allowed:
-                return Membership(False, (space.labels[i], space.labels[j], space.dist[i][j]))
+            if banned[rank_i[j]]:
+                value = space.values[rank_i[j]]
+                return Membership(False, (space.labels[i], space.labels[j], value))
     return Membership(True)
 
 
@@ -210,7 +212,7 @@ def single_linkage(labels, matrix) -> UltrametricSpace:
         raise NotAMetric("a metric needs at least one point")
     if len(matrix) != n or any(len(row) != n for row in matrix):
         raise InputFormat("metric matrix shape does not match the labels")
-    rows, ranks, values = rank_image(matrix)
+    ranks, values = rank_image(matrix)
     zero = bisect_left(values, ZERO)
     for i in range(n):
         if ranks[i][i] != zero:
@@ -231,12 +233,12 @@ def single_linkage(labels, matrix) -> UltrametricSpace:
                     kind="positivity",
                     points=[labels[i], labels[j]],
                 )
-    _check_triangles(labels, rows, ranks, values)
+    _check_triangles(labels, ranks, values)
     sub = [list(map(values.__getitem__, row)) for row in subdominant(ranks)]
     return validate_ultrametric(labels, sub)
 
 
-def _check_triangles(labels, rows, ranks, values) -> None:
+def _check_triangles(labels, ranks, values) -> None:
     """Raise at the first ``(i, j, k)`` with ``d(i,j) > d(i,k) + d(k,j)``.
 
     Each value ``d`` becomes ``floor(d * scale)``.  With ``scale`` the lcm of
@@ -259,12 +261,13 @@ def _check_triangles(labels, rows, ranks, values) -> None:
     for i in range(n):
         image[i][i] = 1
     for i in range(n):
-        image_i, row_i = image[i], rows[i]
+        image_i, rank_i = image[i], ranks[i]
         for j in range(i + 1, n):
             if image_i[j] + margin <= min(map(add, image_i, image[j])):
                 continue
+            dij = values[rank_i[j]]
             for k in range(n):
-                if k != i and k != j and row_i[j] > row_i[k] + rows[k][j]:
+                if k != i and k != j and dij > values[rank_i[k]] + values[ranks[k][j]]:
                     raise NotAMetric(
                         f"triangle inequality fails at ({labels[i]},{labels[j]},{labels[k]})",
                         kind="triangle",

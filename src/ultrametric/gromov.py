@@ -50,17 +50,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .dendrogram import heights, leaf_pairing, merge_tree, quotient_blocks, truncated_canon
+from .dendrogram import leaf_pairing, merge_tree, quotient_blocks, truncated_canon
 from .errors import CertificateInvalid
 from .hyperspace import hausdorff_distance
 from .rationals import format_rational
-from .spaces import (
-    UltrametricSpace,
-    ZERO,
-    block_matrix,
-    spectrum,
-    validate_ultrametric,
-)
+from .spaces import UltrametricSpace, ZERO, block_matrix, validate_ultrametric
 
 BlockMap = tuple[tuple[tuple[str, ...], tuple[str, ...]], ...]
 
@@ -97,9 +91,8 @@ def ugh_distance(x: UltrametricSpace, y: UltrametricSpace) -> UghResult:
     """
     trees = (merge_tree(x), merge_tree(y))
     ranks = tuple({label: i for i, label in enumerate(s.labels)} for s in (x, y))
-    hx, hy = heights(trees[0]), heights(trees[1])
-    floor = max(hx ^ hy, default=ZERO)
-    candidates = sorted(t for t in hx | hy if t >= floor)
+    floor = spectrum_agreement(x, y)
+    candidates = sorted(t for t in {*x.values, *y.values} if t >= floor)
     canon: dict[int, tuple] = {}
 
     def truncated(k: int) -> tuple:
@@ -142,7 +135,7 @@ def spectrum_agreement(x: UltrametricSpace, y: UltrametricSpace) -> Fraction:
     quotient isometry at the distance value forces the spectra to agree above
     it.
     """
-    return max(set(spectrum(x)) ^ set(spectrum(y)), default=ZERO)
+    return max(set(x.values) ^ set(y.values), default=ZERO)
 
 
 def certificate(

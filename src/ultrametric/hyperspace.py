@@ -6,11 +6,12 @@ neighborhood radii collapses to the exact max-min formula used here.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from fractions import Fraction
 
 from .errors import DuplicateLabel, EmptySubset, InvalidParameter
 from .rationals import as_rational, format_rational
-from .spaces import UltrametricSpace
+from .spaces import UltrametricSpace, validate_ultrametric
 
 
 def _subset_indices(space: UltrametricSpace, subset, name: str) -> list[int]:
@@ -25,13 +26,13 @@ def _subset_indices(space: UltrametricSpace, subset, name: str) -> list[int]:
 
 
 def hausdorff_distance(space: UltrametricSpace, a, b) -> Fraction:
-    """max(max_{x in a} min_{y in b} d(x,y), max_{y in b} min_{x in a} d(x,y))."""
+    """max(max_{x in a} min_{y in b} d(x,y), max_{y in b} min_{x in a} d(x,y)), on ranks."""
     ia = _subset_indices(space, a, "A")
     ib = _subset_indices(space, b, "B")
-    dist = space.dist
-    forward = max(min(dist[i][j] for j in ib) for i in ia)
-    backward = max(min(dist[i][j] for i in ia) for j in ib)
-    return max(forward, backward)
+    ranks = space.ranks
+    forward = max(min(ranks[i][j] for j in ib) for i in ia)
+    backward = max(min(ranks[i][j] for i in ia) for j in ib)
+    return space.values[max(forward, backward)]
 
 
 def restrict(space: UltrametricSpace, subset) -> UltrametricSpace:
@@ -39,8 +40,8 @@ def restrict(space: UltrametricSpace, subset) -> UltrametricSpace:
     chosen = set(_subset_indices(space, subset, "subset"))
     indices = [i for i in range(len(space)) if i in chosen]
     labels = tuple(space.labels[i] for i in indices)
-    matrix = tuple(tuple(space.dist[i][j] for j in indices) for i in indices)
-    return UltrametricSpace(labels, matrix)
+    matrix = [[space.dist[i][j] for j in indices] for i in indices]
+    return validate_ultrametric(labels, matrix)
 
 
 def epsilon_net(space: UltrametricSpace, eps) -> tuple[str, ...]:
@@ -53,8 +54,10 @@ def epsilon_net(space: UltrametricSpace, eps) -> tuple[str, ...]:
     eps = as_rational(eps)
     if eps <= 0:
         raise InvalidParameter(f"eps must be > 0, got {format_rational(eps)}")
+    # d > eps exactly when the rank of d is at least ``cut``.
+    cut = bisect_right(space.values, eps)
     kept: list[int] = []
-    for i in range(len(space)):
-        if all(space.dist[i][j] > eps for j in kept):
+    for i, rank_i in enumerate(space.ranks):
+        if all(rank_i[j] >= cut for j in kept):
             kept.append(i)
     return tuple(space.labels[i] for i in kept)

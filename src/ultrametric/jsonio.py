@@ -30,9 +30,10 @@ def dumps(obj) -> str:
 
 
 def loads(text: str):
+    # A JSONDecodeError is a ValueError, and so is an integer past the digit limit.
     try:
         return json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:
         raise InputFormat(f"invalid JSON: {exc}") from exc
 
 
@@ -57,9 +58,10 @@ def space_from_obj(obj) -> UltrametricSpace:
 
 
 def space_to_obj(space: UltrametricSpace) -> dict:
+    text = [format_rational(v) for v in space.values]
     return {
         "points": list(space.labels),
-        "dist": [[format_rational(v) for v in row] for row in space.dist],
+        "dist": [list(map(text.__getitem__, row)) for row in space.ranks],
     }
 
 

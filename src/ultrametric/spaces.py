@@ -2,13 +2,16 @@
 
 A space is a tuple of distinct point labels plus a symmetric matrix of
 Fractions satisfying the strong triangle inequality
-``d(x,y) <= max(d(x,z), d(z,y))``.  :func:`validate_ultrametric` is the only
-public gate that checks the axioms; everything downstream assumes it ran.
+``d(x,y) <= max(d(x,z), d(z,y))``.  It is stored as its spectrum ``values``
+(sorted distinct distances, 0 first) and the matrix ``ranks`` of positions in
+``values``; ranks compare as the distances do, so code that only compares
+reads them.  :func:`validate_ultrametric` checks the axioms and is the only
+place a space is built; everything downstream assumes it ran.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -32,13 +35,19 @@ ZERO = Fraction(0)
 
 @dataclass(frozen=True)
 class UltrametricSpace:
-    """Immutable finite ultrametric space: labels plus exact distance matrix."""
+    """Immutable finite ultrametric space; ``d(i, j)`` is ``values[ranks[i][j]]``."""
 
     labels: tuple[str, ...]
-    dist: tuple[tuple[Fraction, ...], ...]
+    values: tuple[Fraction, ...]
+    ranks: tuple[tuple[int, ...], ...]
 
     def __len__(self) -> int:
         return len(self.labels)
+
+    @cached_property
+    def dist(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The distance matrix as Fractions."""
+        return tuple(tuple(map(self.values.__getitem__, row)) for row in self.ranks)
 
     @cached_property
     def _index(self) -> dict[str, int]:
@@ -52,33 +61,30 @@ class UltrametricSpace:
 
     def d(self, a: str, b: str) -> Fraction:
         """Distance between two points given by label."""
-        return self.dist[self.index(a)][self.index(b)]
+        return self.values[self.ranks[self.index(a)][self.index(b)]]
 
     def diameter(self) -> Fraction:
-        return max((v for row in self.dist for v in row), default=ZERO)
+        return self.values[-1]
 
     def min_positive_distance(self) -> Fraction | None:
         """Smallest nonzero distance, or None for a one-point space."""
-        values = [v for row in self.dist for v in row if v > 0]
-        return min(values) if values else None
+        return self.values[1] if len(self.values) > 1 else None
 
     def __repr__(self) -> str:  # compact, matrix omitted
         return f"UltrametricSpace({len(self)} points: {', '.join(self.labels[:6])}{'...' if len(self) > 6 else ''})"
 
 
-def rank_image(
-    matrix, width: int | None = None
-) -> tuple[list[list[Fraction]], list[list[int]], list[Fraction]]:
-    """Exact values of a matrix and the same matrix as integer ranks.
+def rank_image(matrix, width: int | None = None) -> tuple[list[list[int]], list[Fraction]]:
+    """A matrix as integer ranks of its exact values.
 
-    Returns ``(rows, ranks, values)``: ``rows`` holds Fractions, ``ranks[i][j]``
-    is the position of ``rows[i][j]`` in ``values``, the sorted distinct values
-    with 0 always among them.  Equal values get equal ranks however they are
-    spelled, so ranks compare as the values do.  Each distinct spelling or
-    value is parsed once and numbered by a provisional id, which one sort of
-    the distinct values remaps to its rank.  Entries are read in row-major
-    order and the first bad one raises; with ``width`` given, a row's length
-    is checked before its entries are read.
+    Returns ``(ranks, values)``: ``values`` holds the sorted distinct values
+    with 0 always among them, and ``ranks[i][j]`` is the position of entry
+    ``(i, j)`` in it.  Equal values get equal ranks however they are spelled,
+    so ranks compare as the values do.  Each distinct spelling or value is
+    parsed once and numbered by a provisional id, which one sort of the
+    distinct values remaps to its rank.  Entries are read in row-major order
+    and the first bad one raises; with ``width`` given, a row's length is
+    checked before its entries are read.
     """
     # A string is keyed by its spelling, anything else by its reduced value.
     ids: dict = {(0, 1): 0}
@@ -104,14 +110,10 @@ def rank_image(
     values = sorted(set(parsed))
     position = {v: r for r, v in enumerate(values)}
     rank_of = [position[v] for v in parsed]
-    rows = [list(map(parsed.__getitem__, id_row)) for id_row in id_rows]
-    ranks = [list(map(rank_of.__getitem__, id_row)) for id_row in id_rows]
-    return rows, ranks, values
+    return [list(map(rank_of.__getitem__, id_row)) for id_row in id_rows], values
 
 
-def _coerce_matrix(
-    labels, matrix
-) -> tuple[tuple[str, ...], list[list[Fraction]], list[list[int]], list[Fraction]]:
+def _coerce_matrix(labels, matrix) -> tuple[tuple[str, ...], list[list[int]], list[Fraction]]:
     """Labels as strings plus :func:`rank_image` of the matrix, shape checked."""
     labels = tuple(str(l) for l in labels)
     n = len(labels)
@@ -127,21 +129,21 @@ def _coerce_matrix(
     return (labels, *rank_image(matrix, n))
 
 
-def minimum_spanning_tree(rows) -> list[tuple[int, int, Fraction]]:
-    """Prim's tree of a symmetric matrix, grown from point 0.
+def minimum_spanning_tree(ranks) -> list[tuple[int, int, int]]:
+    """Prim's tree of a symmetric matrix of ranks, grown from point 0.
 
     Returns ``(parent, child, weight)`` edges in the order the children
     joined, so every parent is point 0 or an earlier child.
     """
-    weight = list(rows[0])
-    source = [0] * len(rows)
-    left = list(range(1, len(rows)))
+    weight = list(ranks[0])
+    source = [0] * len(ranks)
+    left = list(range(1, len(ranks)))
     edges = []
     while left:
         child = min(left, key=weight.__getitem__)
         left.remove(child)
         edges.append((source[child], child, weight[child]))
-        row = rows[child]
+        row = ranks[child]
         for k in left:
             if row[k] < weight[k]:
                 weight[k] = row[k]
@@ -149,16 +151,16 @@ def minimum_spanning_tree(rows) -> list[tuple[int, int, Fraction]]:
     return edges
 
 
-def subdominant(rows) -> list[list]:
-    """Largest ultrametric below a symmetric matrix (single linkage).
+def subdominant(ranks) -> list[list[int]]:
+    """Largest ultrametric below a symmetric matrix of ranks (single linkage).
 
     Entry ``(x, y)`` is the largest edge on the tree path from x to y; each
     child's row copies its parent's, raised to the joining edge: O(n^2).  The
-    diagonal is kept from ``rows``, so the result has the entry type of ``rows``.
+    diagonal is kept from ``ranks``.
     """
-    sub = [list(row) for row in rows]
+    sub = [list(row) for row in ranks]
     joined = [0]
-    for parent, child, weight in minimum_spanning_tree(rows):
+    for parent, child, weight in minimum_spanning_tree(ranks):
         sub_parent, sub_child = sub[parent], sub[child]
         for k in joined:
             sub_child[k] = sub[k][child] = max(sub_parent[k], weight)
@@ -189,16 +191,20 @@ def validate_ultrametric(labels, matrix) -> UltrametricSpace:
     strong triangle over ascending index triples) is deterministic.  The
     matrix is ultrametric iff it equals its subdominant ultrametric, so the
     triple scan only visits pairs where the two differ: accepting costs
-    O(n^2).  Every check compares the integer ranks of :func:`rank_image`;
-    the Fractions only fill the messages and the returned space.
+    O(n^2).  Every check compares the integer ranks of :func:`rank_image`,
+    which the returned space keeps.
     """
-    labels, rows, ranks, values = _coerce_matrix(labels, matrix)
+    labels, ranks, values = _coerce_matrix(labels, matrix)
     zero = bisect_left(values, ZERO)
     n = len(labels)
+
+    def text(i, j):
+        return format_rational(values[ranks[i][j]])
+
     for i in range(n):
         if ranks[i][i] != zero:
             raise NonzeroDiagonal(
-                f"d({labels[i]},{labels[i]}) = {format_rational(rows[i][i])}, expected 0",
+                f"d({labels[i]},{labels[i]}) = {text(i, i)}, expected 0",
                 point=labels[i],
             )
     for i in range(n):
@@ -207,13 +213,13 @@ def validate_ultrametric(labels, matrix) -> UltrametricSpace:
             r = rank_i[j]
             if r != ranks[j][i]:
                 raise NonSymmetric(
-                    f"d({labels[i]},{labels[j]}) = {format_rational(rows[i][j])} but "
-                    f"d({labels[j]},{labels[i]}) = {format_rational(rows[j][i])}",
+                    f"d({labels[i]},{labels[j]}) = {text(i, j)} but "
+                    f"d({labels[j]},{labels[i]}) = {text(j, i)}",
                     points=[labels[i], labels[j]],
                 )
             if r < zero:
                 raise NegativeDistance(
-                    f"d({labels[i]},{labels[j]}) = {format_rational(rows[i][j])} < 0",
+                    f"d({labels[i]},{labels[j]}) = {text(i, j)} < 0",
                     points=[labels[i], labels[j]],
                 )
             if r == zero:
@@ -236,12 +242,12 @@ def validate_ultrametric(labels, matrix) -> UltrametricSpace:
                     continue
                 if dij > rank_i[k] and dij > rank_j[k]:
                     raise TriangleViolation(
-                        f"d({labels[i]},{labels[j]}) = {format_rational(rows[i][j])} > "
+                        f"d({labels[i]},{labels[j]}) = {text(i, j)} > "
                         f"max(d({labels[i]},{labels[k]}), d({labels[k]},{labels[j]})) = "
-                        f"max({format_rational(rows[i][k])}, {format_rational(rows[j][k])})",
+                        f"max({text(i, k)}, {text(j, k)})",
                         points=[labels[i], labels[j], labels[k]],
                     )
-    return UltrametricSpace(labels, tuple(tuple(row) for row in rows))
+    return UltrametricSpace(labels, tuple(values), tuple(map(tuple, ranks)))
 
 
 def merge_duplicate_points(labels, matrix) -> tuple[list[str], list[list[Fraction]]]:
@@ -253,7 +259,7 @@ def merge_duplicate_points(labels, matrix) -> tuple[list[str], list[list[Fractio
     even transitive); distances between groups are read off the first member
     of each group.
     """
-    labels, rows, ranks, values = _coerce_matrix(labels, matrix)
+    labels, ranks, values = _coerce_matrix(labels, matrix)
     zero = bisect_left(values, ZERO)
     n = len(labels)
     group_of = list(range(n))
@@ -265,16 +271,13 @@ def merge_duplicate_points(labels, matrix) -> tuple[list[str], list[list[Fractio
                     group_of[max(ri, rj)] = min(ri, rj)
     reps = sorted({find_root(group_of, i) for i in range(n)})
     merged_labels = [labels[r] for r in reps]
-    merged = [[rows[a][b] for b in reps] for a in reps]
+    merged = [[values[ranks[a][b]] for b in reps] for a in reps]
     return merged_labels, merged
 
 
 def spectrum(space: UltrametricSpace) -> tuple[Fraction, ...]:
     """Sorted distinct distance values; always starts with 0."""
-    values = {ZERO}
-    for row in space.dist:
-        values.update(row)
-    return tuple(sorted(values))
+    return space.values
 
 
 @dataclass(frozen=True)
@@ -297,23 +300,26 @@ def closed_quotient(space: UltrametricSpace, t) -> QuotientSpace:
 
     ``d(x,y) <= t`` is an equivalence relation on an ultrametric space, so the
     blocks are simply the closed balls; block distances are the (well-defined)
-    source distances between representatives.
+    source distances between representatives.  ``d(x,y) <= t`` holds exactly
+    when the rank of ``d(x,y)`` is below ``bisect_right(values, t)``.
     """
     t = as_rational(t)
     if t < 0:
         raise InvalidParameter(f"scale must be >= 0, got {format_rational(t)}")
+    ranks, values = space.ranks, space.values
+    cut = bisect_right(values, t)
     n = len(space)
     assigned = [False] * n
     block_indices: list[list[int]] = []
     for i in range(n):
         if assigned[i]:
             continue
-        members = [j for j in range(n) if not assigned[j] and space.dist[i][j] <= t]
+        members = [j for j in range(n) if not assigned[j] and ranks[i][j] < cut]
         for j in members:
             assigned[j] = True
         block_indices.append(members)
     reps = [members[0] for members in block_indices]
     labels = tuple(space.labels[r] for r in reps)
-    matrix = tuple(tuple(space.dist[a][b] for b in reps) for a in reps)
+    matrix = [[values[ranks[a][b]] for b in reps] for a in reps]
     blocks = tuple(tuple(space.labels[j] for j in members) for members in block_indices)
-    return QuotientSpace(space, t, blocks, UltrametricSpace(labels, matrix))
+    return QuotientSpace(space, t, blocks, validate_ultrametric(labels, matrix))

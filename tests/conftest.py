@@ -9,6 +9,7 @@ from __future__ import annotations
 import random
 import sys
 from contextlib import contextmanager
+from fractions import Fraction
 
 import pytest
 
@@ -20,6 +21,7 @@ from ultrametric import (
     spectrum_constraint,
     validate_ultrametric,
 )
+from ultrametric.rationals import as_rational
 
 
 def make_space(labels, entries) -> UltrametricSpace:
@@ -57,11 +59,26 @@ def random_glue_spec(rng: random.Random, max_side: int = 7) -> GlueSpec:
     extra = rng.randint(0, min(max_side - overlap, len(labels) - na))
     left = restrict(host, labels[:na])
     right_raw = restrict(host, labels[na - overlap : na + extra])
-    right = UltrametricSpace(
-        tuple(f"m:{l}" for l in right_raw.labels), right_raw.dist
-    )
+    right = validate_ultrametric([f"m:{l}" for l in right_raw.labels], right_raw.dist)
     identify = tuple((l, f"m:{l}") for l in labels[na - overlap : na])
     return GlueSpec(left, right, identify)
+
+
+def spellings(value: Fraction) -> list:
+    """Ways to write ``value`` that must all read as the same distance."""
+    p, q = value.numerator, value.denominator
+    out = [f"{p}/{q}", f"{2 * p}/{2 * q}", f" {p}/{q}", value]
+    if q == 1:
+        out += [str(p), p, f"{p}.0", f"{p}e0"]
+    if 1000 % q == 0:
+        out += [f"{p * 1000 // q / 1000}", f"{p * (1000 // q)}e-3"]
+    if p == 0:
+        out += ["-0", "0.000", 0]
+    return out
+
+
+def respelled(rng: random.Random, matrix):
+    return [[rng.choice(spellings(as_rational(v))) for v in row] for row in matrix]
 
 
 @contextmanager

@@ -8,12 +8,12 @@ from ultrametric import (
     chain_glue,
     disjoint_amalgam,
     glue,
-    glue_embeddings,
     hausdorff_distance,
     isometric,
     restrict,
     validate_ultrametric,
 )
+from ultrametric.amalgam import glue_embeddings
 from ultrametric.errors import (
     DuplicateIdentification,
     EmptyChain,

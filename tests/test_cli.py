@@ -8,6 +8,7 @@ import pytest
 
 from ultrametric import jsonio, validate_ultrametric
 from ultrametric.cli import main
+from ultrametric.rationals import int_max_str_digits
 
 from cli_corpus import CASES, EXPECTED, GOLDEN, run_case
 from conftest import shallow_recursion
@@ -147,6 +148,30 @@ def test_deeply_nested_json_is_an_input_error(tmp_path, capsys):
     deep.write_text('{"points": ["a"], "dist": ' + "[" * depth + "]" * depth + "}", encoding="utf-8")
     assert main(["validate", str(deep)]) == 1
     assert json.loads(capsys.readouterr().err)["error"] == "InputFormat"
+
+
+@pytest.mark.skipif(not int_max_str_digits(), reason="the interpreter has no integer string limit")
+def test_json_integer_beyond_the_int_string_limit_is_an_input_error(tmp_path, capsys):
+    big = tmp_path / "bigint.json"
+    digits = "1" * (int_max_str_digits() + 1)
+    big.write_text('{"points": ["a", "b"], "dist": [[0, ' + digits + "], [" + digits + ", 0]]}")
+    assert main(["validate", str(big)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert json.loads(err)["error"] == "InputFormat"
+
+
+@pytest.mark.parametrize(
+    "k, message",
+    [
+        ("0,-1,1", "allowed values must be nonnegative"),
+        ("1/2,1", "the allowed value set must contain 0"),
+    ],
+)
+def test_bad_allowed_values_are_named(k, message, tmp_path):
+    code, out, err, _ = run_case(["in-uk", "isosceles.json", f"--k={k}"], tmp_path)
+    assert (code, out, err.count("\n")) == (1, "", 1)
+    assert json.loads(err) == {"error": "InvalidParameter", "message": message}
 
 
 @pytest.mark.parametrize(

@@ -7,20 +7,19 @@ import pytest
 from ultrametric import (
     Leaf,
     Merge,
-    brute_force_isometry,
-    canonicalize,
     encoding,
     from_dendrogram,
     isometric,
     isometry_witness,
-    leaf_labels,
     random_space,
     spectrum,
     to_dendrogram,
     validate_ultrametric,
 )
+from ultrametric.dendrogram import canonicalize, leaf_labels
 from ultrametric.errors import MalformedTree
 from ultrametric.jsonio import dendrogram_from_obj, dendrogram_to_obj, dumps
+from ultrametric.oracle import brute_force_isometry
 from ultrametric.rationals import format_rational
 
 from conftest import SIX_VALUES, make_space, shallow_recursion

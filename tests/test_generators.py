@@ -150,6 +150,14 @@ class TestInUK:
         with pytest.raises(InvalidParameter):
             spectrum_constraint([])
 
+    def test_constraint_names_the_defect(self):
+        with pytest.raises(InvalidParameter, match="must be nonnegative"):
+            spectrum_constraint(["0", "-1", "1"])
+        with pytest.raises(InvalidParameter, match="must be nonnegative"):
+            spectrum_constraint(["-1", "1"])
+        with pytest.raises(InvalidParameter, match="must contain 0"):
+            spectrum_constraint(["1/2", "1"])
+
 
 class TestRandomSpace:
     def test_one_point(self):

@@ -4,7 +4,6 @@ from fractions import Fraction
 import pytest
 
 from ultrametric import (
-    brute_force_isometry,
     certificate,
     closed_quotient,
     hausdorff_distance,
@@ -19,6 +18,7 @@ from ultrametric import (
     verify_certificate,
 )
 from ultrametric.errors import CertificateInvalid, InstanceTooLarge
+from ultrametric.oracle import brute_force_isometry
 
 from conftest import SIX_VALUES
 

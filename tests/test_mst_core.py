@@ -12,13 +12,13 @@ identical error payloads.
 from __future__ import annotations
 
 import random
+from collections import namedtuple
 from fractions import Fraction
 
 from ultrametric import (
     Leaf,
     Merge,
     cauchy_sequence,
-    canonicalize,
     closed_quotient,
     merge_duplicate_points,
     random_space,
@@ -28,6 +28,7 @@ from ultrametric import (
     to_dendrogram,
     validate_ultrametric,
 )
+from ultrametric.dendrogram import canonicalize
 from ultrametric.errors import (
     InputFormat,
     NegativeDistance,
@@ -43,11 +44,16 @@ from ultrametric.rationals import as_rational, format_rational
 from ultrametric.generators import SCALE_BITS
 from ultrametric.spaces import UltrametricSpace, block_matrix, rank_image
 
+from conftest import respelled, spellings
+
 VALUES = ["0", "1/8", "1/4", "3/8", "1/2", "1"]
 CORRUPTIONS = [Fraction(v) for v in ["1/16", "1/8", "3/16", "1/4", "3/8", "1/2", "3/4", "1", "2"]]
 
+# What the reference functions return: labels and the matrix of Fractions.
+Reference = namedtuple("Reference", "labels dist")
 
-def reference_validate(labels, matrix) -> UltrametricSpace:
+
+def reference_validate(labels, matrix) -> Reference:
     """The cubic scan: diagonal, then pairs, then every ascending triple."""
     labels = tuple(str(l) for l in labels)
     rows = [[as_rational(v) for v in row] for row in matrix]
@@ -89,7 +95,7 @@ def reference_validate(labels, matrix) -> UltrametricSpace:
                         f"max({format_rational(rows[i][k])}, {format_rational(rows[j][k])})",
                         points=[labels[i], labels[j], labels[k]],
                     )
-    return UltrametricSpace(labels, tuple(tuple(row) for row in rows))
+    return Reference(labels, tuple(tuple(row) for row in rows))
 
 
 def reference_closure(rows):
@@ -104,7 +110,7 @@ def reference_closure(rows):
     return closure
 
 
-def reference_single_linkage(labels, matrix) -> UltrametricSpace:
+def reference_single_linkage(labels, matrix) -> Reference:
     """The Fraction metric check (every triple), then the minimax closure."""
     labels = tuple(str(l) for l in labels)
     n = len(labels)
@@ -245,23 +251,6 @@ def test_block_matrix():
     assert block_matrix([[0]], [], [[]]) == [[0]]
 
 
-def spellings(value: Fraction) -> list:
-    """Ways to write ``value`` that must all read as the same distance."""
-    p, q = value.numerator, value.denominator
-    out = [f"{p}/{q}", f"{2 * p}/{2 * q}", f" {p}/{q}", value]
-    if q == 1:
-        out += [str(p), p, f"{p}.0", f"{p}e0"]
-    if 1000 % q == 0:
-        out += [f"{p * 1000 // q / 1000}", f"{p * (1000 // q)}e-3"]
-    if p == 0:
-        out += ["-0", "0.000", 0]
-    return out
-
-
-def respelled(rng: random.Random, matrix):
-    return [[rng.choice(spellings(as_rational(v))) for v in row] for row in matrix]
-
-
 def test_validation_matches_the_cubic_scan_on_mixed_spellings():
     rng = random.Random(31)
     constraint = spectrum_constraint(VALUES)
@@ -291,10 +280,10 @@ def test_validation_matches_the_cubic_scan_on_mixed_spellings():
 
 def test_equal_values_get_equal_ranks_whatever_their_spelling():
     half = ["1/2", "0.5", "2/4", Fraction(1, 2), "0.50", "5e-1"]
-    rows, ranks, values = rank_image([[0, *half, "1", 1, Fraction(2, 2), "-0", "0/7"]])
+    ranks, values = rank_image([[0, *half, "1", 1, Fraction(2, 2), "-0", "0/7"]])
     assert values == [0, Fraction(1, 2), 1]
     assert ranks == [[0, 1, 1, 1, 1, 1, 1, 2, 2, 2, 0, 0]]
-    assert rows[0][1:7] == [Fraction(1, 2)] * 6
+    assert [values[r] for r in ranks[0][1:7]] == [Fraction(1, 2)] * 6
 
 
 def test_merge_duplicates_reads_every_spelling_of_zero():

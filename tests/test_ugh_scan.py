@@ -22,6 +22,7 @@ from ultrametric import (
     spectrum,
     spectrum_constraint,
     ugh_distance,
+    validate_ultrametric,
     verify_certificate,
 )
 from ultrametric.dendrogram import merge_tree
@@ -79,11 +80,11 @@ def reference_ugh(x, y) -> UghResult:
 def caterpillar(counts, heights, labels) -> UltrametricSpace:
     """``counts[level]`` points join everything below at ``heights[level]``."""
     level_of = [level for level, count in enumerate(counts) for _ in range(count)]
-    dist = tuple(
-        tuple(ZERO if i == j else heights[max(a, b)] for j, b in enumerate(level_of))
+    dist = [
+        [ZERO if i == j else heights[max(a, b)] for j, b in enumerate(level_of)]
         for i, a in enumerate(level_of)
-    )
-    return UltrametricSpace(tuple(labels), dist)
+    ]
+    return validate_ultrametric(labels, dist)
 
 
 def swapped_caterpillars(rng, levels):
@@ -129,9 +130,9 @@ def test_scan_matches_linear_scan_on_near_copies():
     for x, _ in random_pairs(seed=5, count=40, max_n=30):
         keep = sorted(rng.sample(range(len(x)), max(1, len(x) - rng.randint(0, 2))))
         labels = tuple(f"r{i}" for i in keep)
-        y = UltrametricSpace(labels, tuple(tuple(x.dist[i][j] for j in keep) for i in keep))
+        y = validate_ultrametric(labels, [[x.dist[i][j] for j in keep] for i in keep])
         q = closed_quotient(x, rng.choice(spectrum(x))).quotient
-        z = UltrametricSpace(tuple(f"q{label}" for label in q.labels), q.dist)
+        z = validate_ultrametric([f"q{label}" for label in q.labels], q.dist)
         for a, b in ((x, y), (y, x), (x, z), (z, x)):
             assert ugh_distance(a, b) == reference_ugh(a, b)
 
