@@ -5,101 +5,73 @@ inequality; on top of that sit dendrogram conversion and isometry testing,
 Hausdorff distances between subsets, amalgamation along common subspaces, the
 Gromov-Hausdorff ultrametric with constructive certificates, and generators
 for the standard counterexample families.
+
+Public names are imported from their home module on first access (PEP 562),
+so ``import ultrametric`` stays cheap and a CLI job loads only what its verb
+uses.
 """
 
-from .amalgam import (
-    ChainGlueResult,
-    GlueSpec,
-    chain_glue,
-    disjoint_amalgam,
-    glue,
-)
-from .dendrogram import (
-    Leaf,
-    Merge,
-    Node,
-    encoding,
-    from_dendrogram,
-    isometric,
-    isometry_witness,
-    to_dendrogram,
-)
-from .errors import UltrametricError
-from .generators import (
-    Membership,
-    SpectrumConstraint,
-    cauchy_sequence,
-    crowd_family,
-    in_uk,
-    random_space,
-    single_linkage,
-    spectrum_constraint,
-    two_point_space,
-)
-from .gromov import (
-    Certificate,
-    UghResult,
-    certificate,
-    spectrum_agreement,
-    ugh_distance,
-    verify_certificate,
-)
-from .hyperspace import epsilon_net, hausdorff_distance, restrict
-from .oracle import ORACLE_MAX_POINTS, ugh_oracle
-from .rationals import as_rational, format_rational, parse_rational
-from .spaces import (
-    QuotientSpace,
-    UltrametricSpace,
-    closed_quotient,
-    merge_duplicate_points,
-    spectrum,
-    validate_ultrametric,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Certificate",
-    "ChainGlueResult",
-    "GlueSpec",
-    "Leaf",
-    "Membership",
-    "Merge",
-    "Node",
-    "ORACLE_MAX_POINTS",
-    "QuotientSpace",
-    "SpectrumConstraint",
-    "UghResult",
-    "UltrametricError",
-    "UltrametricSpace",
-    "as_rational",
-    "cauchy_sequence",
-    "certificate",
-    "chain_glue",
-    "closed_quotient",
-    "crowd_family",
-    "disjoint_amalgam",
-    "encoding",
-    "epsilon_net",
-    "format_rational",
-    "from_dendrogram",
-    "glue",
-    "hausdorff_distance",
-    "in_uk",
-    "isometric",
-    "isometry_witness",
-    "merge_duplicate_points",
-    "parse_rational",
-    "random_space",
-    "restrict",
-    "single_linkage",
-    "spectrum",
-    "spectrum_agreement",
-    "spectrum_constraint",
-    "to_dendrogram",
-    "two_point_space",
-    "ugh_distance",
-    "ugh_oracle",
-    "validate_ultrametric",
-    "verify_certificate",
-]
+_HOME = {
+    "Certificate": "gromov",
+    "ChainGlueResult": "amalgam",
+    "GlueSpec": "amalgam",
+    "Leaf": "dendrogram",
+    "Membership": "generators",
+    "Merge": "dendrogram",
+    "Node": "dendrogram",
+    "ORACLE_MAX_POINTS": "oracle",
+    "QuotientSpace": "spaces",
+    "SpectrumConstraint": "generators",
+    "UghResult": "gromov",
+    "UltrametricError": "errors",
+    "UltrametricSpace": "spaces",
+    "as_rational": "rationals",
+    "cauchy_sequence": "generators",
+    "certificate": "gromov",
+    "chain_glue": "amalgam",
+    "closed_quotient": "spaces",
+    "crowd_family": "generators",
+    "disjoint_amalgam": "amalgam",
+    "encoding": "dendrogram",
+    "epsilon_net": "hyperspace",
+    "format_rational": "rationals",
+    "from_dendrogram": "dendrogram",
+    "glue": "amalgam",
+    "hausdorff_distance": "hyperspace",
+    "in_uk": "generators",
+    "isometric": "dendrogram",
+    "isometry_witness": "dendrogram",
+    "merge_duplicate_points": "spaces",
+    "parse_rational": "rationals",
+    "random_space": "generators",
+    "restrict": "hyperspace",
+    "single_linkage": "generators",
+    "spectrum": "spaces",
+    "spectrum_agreement": "gromov",
+    "spectrum_constraint": "generators",
+    "to_dendrogram": "dendrogram",
+    "two_point_space": "generators",
+    "ugh_distance": "gromov",
+    "ugh_oracle": "oracle",
+    "validate_ultrametric": "spaces",
+    "verify_certificate": "gromov",
+}
+
+__all__ = list(_HOME)
+
+
+def __getattr__(name):
+    try:
+        home = _HOME[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = globals()[name] = getattr(import_module(f".{home}", __name__), name)
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -12,21 +12,10 @@ import argparse
 import os
 import sys
 
+# Every verb pays for the imports below, so they are only what all verbs need;
+# each verb's branch in _run imports the rest.
 from . import jsonio
-from .amalgam import disjoint_amalgam, glue
 from .errors import InputFormat, InvalidParameter, OracleMismatch, UltrametricError
-from .generators import (
-    cauchy_sequence,
-    crowd_family,
-    in_uk,
-    random_space,
-    single_linkage,
-    spectrum_constraint,
-    two_point_space,
-)
-from .gromov import certificate, ugh_distance, verify_certificate
-from .hyperspace import epsilon_net, hausdorff_distance
-from .oracle import ugh_oracle
 from .rationals import format_rational, parse_rational, parse_rational_list
 from .spaces import closed_quotient, merge_duplicate_points, spectrum, validate_ultrametric
 
@@ -192,30 +181,42 @@ def _run(args) -> tuple[str, str | None]:
         return jsonio.dumps(jsonio.quotient_to_obj(q)), args.output
 
     if args.verb == "hausdorff":
+        from .hyperspace import hausdorff_distance
+
         space = _load_space(args.space)
         value = hausdorff_distance(space, _load_subset(args.a), _load_subset(args.b))
         return jsonio.dumps({"value": format_rational(value)}), args.output
 
     if args.verb == "net":
+        from .hyperspace import epsilon_net
+
         space = _load_space(args.space)
         net = epsilon_net(space, parse_rational(args.eps))
         return jsonio.dumps(list(net)), args.output
 
     if args.verb == "glue":
+        from .amalgam import glue
+
         spec = jsonio.gluespec_from_obj(_load_json(args.gluespec))
         return jsonio.dumps(jsonio.space_to_obj(glue(spec))), args.output
 
     if args.verb == "amalgam":
+        from .amalgam import disjoint_amalgam
+
         a = _load_space(args.space_a)
         b = _load_space(args.space_b)
         glued = disjoint_amalgam(a, b, parse_rational(args.s))
         return jsonio.dumps(jsonio.space_to_obj(glued)), args.output
 
     if args.verb == "ugh":
+        from .gromov import certificate, ugh_distance, verify_certificate
+
         a = _load_space(args.space_a)
         b = _load_space(args.space_b)
         result = ugh_distance(a, b)
         if args.oracle:
+            from .oracle import ugh_oracle
+
             oracle_value = ugh_oracle(a, b)
             if oracle_value != result.value:
                 raise OracleMismatch(
@@ -231,6 +232,14 @@ def _run(args) -> tuple[str, str | None]:
         return jsonio.dumps(jsonio.ugh_result_to_obj(result)), args.output
 
     if args.verb == "gen":
+        from .generators import (
+            cauchy_sequence,
+            crowd_family,
+            random_space,
+            spectrum_constraint,
+            two_point_space,
+        )
+
         if args.family == "two-point":
             space = two_point_space(parse_rational(args.c))
         elif args.family == "crowd":
@@ -244,12 +253,16 @@ def _run(args) -> tuple[str, str | None]:
         return jsonio.dumps(jsonio.space_to_obj(space)), args.output
 
     if args.verb == "cluster":
+        from .generators import single_linkage
+
         points, dist = jsonio.raw_space_from_obj(_load_json(args.input))
         if args.merge_duplicates:
             points, dist = merge_duplicate_points(points, dist)
         return jsonio.dumps(jsonio.space_to_obj(single_linkage(points, dist))), args.output
 
     if args.verb == "in-uk":
+        from .generators import in_uk, spectrum_constraint
+
         space = _load_space(args.space)
         constraint = spectrum_constraint(parse_rational_list(args.k))
         membership = in_uk(space, constraint)

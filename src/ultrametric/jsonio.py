@@ -16,12 +16,13 @@ from __future__ import annotations
 
 import json
 
-from .amalgam import GlueSpec
-from .dendrogram import Leaf, Merge, Node
 from .errors import InputFormat
 from .rationals import as_rational, format_rational
 from .spaces import QuotientSpace, UltrametricSpace, validate_ultrametric
-from .gromov import Certificate, UghResult
+
+# Dendrogram, glue and certificate types are imported by the functions that
+# build or inspect them, so reading a space pulls in none of those modules;
+# elsewhere they appear only in annotations, which are never evaluated.
 
 
 def dumps(obj) -> str:
@@ -74,6 +75,8 @@ def quotient_to_obj(q: QuotientSpace) -> dict:
 
 def dendrogram_to_obj(node: Node) -> dict:
     """JSON object of a dendrogram, built in pre-order without recursion."""
+    from .dendrogram import Leaf
+
     root: dict = {}
     stack = [(node, root)]
     while stack:
@@ -94,6 +97,8 @@ def dendrogram_from_obj(obj) -> Node:
     its children, so the first malformed node reported is the same as in a
     recursive reader.
     """
+    from .dendrogram import Leaf, Merge
+
     built: list[Node] = []
     stack = [(obj, False)]
     while stack:
@@ -121,6 +126,8 @@ def dendrogram_from_obj(obj) -> Node:
 
 
 def gluespec_from_obj(obj) -> GlueSpec:
+    from .amalgam import GlueSpec
+
     if not isinstance(obj, dict):
         raise InputFormat("glue spec must be a JSON object")
     for key in ("x1", "x2", "identify"):
@@ -170,6 +177,8 @@ def certificate_to_obj(cert: Certificate) -> dict:
 
 
 def certificate_from_obj(obj) -> Certificate:
+    from .gromov import Certificate
+
     if not isinstance(obj, dict):
         raise InputFormat("certificate must be a JSON object")
     for key in ("space", "embed_left", "embed_right", "achieved"):

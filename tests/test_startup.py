@@ -1,0 +1,114 @@
+"""Start-up cost: a CLI job imports only the modules its verb reaches.
+
+Each check runs a fresh interpreter, since this test process has long since
+imported every module of the package.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import ultrametric
+
+from cli_corpus import GOLDEN
+
+MINIMAL = {
+    "ultrametric",
+    "ultrametric.cli",
+    "ultrametric.errors",
+    "ultrametric.jsonio",
+    "ultrametric.rationals",
+    "ultrametric.spaces",
+}
+
+# Runs the CLI as ``python -m ultrametric`` does, then prints the package
+# modules it left loaded as the last line of stdout.
+RUN_AND_LIST = """
+import json, runpy, sys
+sys.argv = ["ultrametric", *sys.argv[1:]]
+try:
+    runpy.run_module("ultrametric", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    code = exc.code
+print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("ultrametric"))]))
+"""
+
+
+def run_python(args):
+    # The child runs from tests/golden, so a relative PYTHONPATH would miss src.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    inherited = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, inherited]) if inherited else src)
+    result = subprocess.run(
+        [sys.executable, *args], cwd=GOLDEN, capture_output=True, text=True, env=env
+    )
+    assert result.returncode == 0, result.stderr
+    return result.stdout
+
+
+def modules_loaded_by(argv):
+    code, modules = json.loads(run_python(["-c", RUN_AND_LIST, *argv]).splitlines()[-1])
+    assert code == 0
+    return set(modules)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["validate", "isosceles.json"],
+        ["spectrum", "isosceles.json"],
+        ["quotient", "isosceles.json", "--t", "1"],
+    ],
+    ids=["validate", "spectrum", "quotient"],
+)
+def test_space_verbs_load_the_minimal_set(argv):
+    assert modules_loaded_by(argv) == MINIMAL
+
+
+def test_ugh_without_oracle_skips_oracle_amalgam_and_generators():
+    loaded = modules_loaded_by(["ugh", "x_half.json", "x_three_quarters.json"])
+    assert "ultrametric.gromov" in loaded
+    assert not loaded & {"ultrametric.oracle", "ultrametric.amalgam", "ultrametric.generators"}
+
+
+def test_glue_skips_gromov_and_generators():
+    loaded = modules_loaded_by(["glue", "gluespec.json"])
+    assert "ultrametric.amalgam" in loaded
+    assert not loaded & {"ultrametric.gromov", "ultrametric.generators"}
+
+
+def test_star_import_binds_every_public_name_to_its_home_object():
+    # A name missing from the star import fails the lookup in ``ns``; a name
+    # bound to another object than the modules hold is listed.
+    script = """
+import importlib, json, pkgutil
+import ultrametric
+from ultrametric import *
+ns = dict(globals())
+modules = [
+    importlib.import_module("ultrametric." + info.name)
+    for info in pkgutil.iter_modules(ultrametric.__path__)
+    if info.name != "__main__"
+]
+print(json.dumps([
+    [name, m.__name__]
+    for name in ultrametric.__all__
+    for m in modules
+    if getattr(m, name, ns[name]) is not ns[name]
+]))
+"""
+    assert json.loads(run_python(["-c", script])) == []
+
+
+def test_unknown_attribute_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        ultrametric.no_such_name
+
+
+def test_dir_lists_every_public_name():
+    script = "import json, ultrametric; print(json.dumps(dir(ultrametric)))"
+    assert set(ultrametric.__all__) <= set(json.loads(run_python(["-c", script])))
