@@ -13,8 +13,6 @@ collision-free.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import (
     DuplicateIdentification,
     EmptyChain,
@@ -25,19 +23,18 @@ from .errors import (
     UnknownLabel,
 )
 from .rationals import as_rational, format_rational
-from .spaces import UltrametricSpace, block_matrix, validate_ultrametric
+from .spaces import Record, UltrametricSpace, block_matrix, validate_ultrametric
 
 
-@dataclass(frozen=True)
-class GlueSpec:
+class GlueSpec(Record):
     """Two spaces plus the point identification defining their common part."""
 
     x1: UltrametricSpace
     x2: UltrametricSpace
     identify: tuple[tuple[str, str], ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "identify", tuple((a, b) for a, b in self.identify))
+    def __init__(self, x1, x2, identify):
+        super().__init__(x1, x2, tuple((a, b) for a, b in identify))
 
 
 def _check_spec(spec: GlueSpec) -> None:
@@ -117,8 +114,7 @@ def disjoint_amalgam(x: UltrametricSpace, y: UltrametricSpace, s) -> Ultrametric
     return validate_ultrametric(labels, block_matrix(x.dist, y.dist, cross))
 
 
-@dataclass(frozen=True)
-class ChainGlueResult:
+class ChainGlueResult(Record):
     """Glued chain plus, for each input space, its label map into the result."""
 
     space: UltrametricSpace

@@ -25,7 +25,6 @@ depth of a tree is not bounded by the interpreter's recursion limit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
 
@@ -33,6 +32,7 @@ from .errors import MalformedTree
 from .rationals import as_rational, format_rational
 from .spaces import (
     ZERO,
+    Record,
     UltrametricSpace,
     find_root,
     minimum_spanning_tree,
@@ -40,13 +40,11 @@ from .spaces import (
 )
 
 
-@dataclass(frozen=True)
-class Leaf:
+class Leaf(Record):
     label: str
 
 
-@dataclass(frozen=True)
-class Merge:
+class Merge(Record):
     height: Fraction
     children: tuple["Node", ...]
 

@@ -6,9 +6,8 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_left
-from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import isqrt, lcm
 from operator import add
 
 from .dendrogram import Leaf, Merge, Node, from_dendrogram
@@ -25,6 +24,7 @@ from .errors import (
 from .rationals import as_rational, format_rational, int_max_str_digits
 from .spaces import (
     ZERO,
+    Record,
     UltrametricSpace,
     block_matrix,
     rank_image,
@@ -85,13 +85,20 @@ def crowd_family(
     return validate_ultrametric(list(base_space.labels) + fresh, matrix)
 
 
+# Cells of the largest matrix ``cauchy_sequence`` builds.  The matrix grows
+# with the square of the depth and its JSON with the cube (the entries get
+# longer), so the budget stops depth at 1447, where the JSON is 318 MB.
+CAUCHY_CELL_BUDGET = 2**21
+
+
 def cauchy_sequence(depth: int) -> UltrametricSpace:
     """Space on ``{1, 1/2, ..., 2^-depth}`` with ``d(x,y) = max(x,y)``.
 
     Consecutive members of this family form a Cauchy sequence under the
     Gromov-Hausdorff ultrametric.  Raises InstanceTooLarge, before building
     anything, when ``2^depth`` has more digits than the interpreter's integer
-    string limit, since ``2^-depth`` could not be written out.
+    string limit, since ``2^-depth`` could not be written out, or when the
+    ``(depth+1)^2`` matrix exceeds :data:`CAUCHY_CELL_BUDGET` cells.
     """
     if depth < 0:
         raise InvalidParameter(f"depth must be >= 0, got {depth}")
@@ -103,18 +110,22 @@ def cauchy_sequence(depth: int) -> UltrametricSpace:
             depth=depth,
             limit=limit,
         )
+    max_depth = isqrt(CAUCHY_CELL_BUDGET) - 1
+    if depth > max_depth:
+        raise InstanceTooLarge(
+            f"depth {depth} needs a {depth + 1}x{depth + 1} matrix, beyond the "
+            f"{CAUCHY_CELL_BUDGET}-cell budget (depth at most {max_depth})",
+            depth=depth,
+            max_depth=max_depth,
+        )
     points = [Fraction(1, 2**k) for k in range(depth + 1)]
     labels = [format_rational(p) for p in points]
-    size = len(points)
-    matrix = [
-        [max(points[i], points[j]) if i != j else ZERO for j in range(size)]
-        for i in range(size)
-    ]
+    # max(2^-i, 2^-j) = 2^-min(i, j)
+    matrix = [points[:i] + [ZERO] + [points[i]] * (depth - i) for i in range(depth + 1)]
     return validate_ultrametric(labels, matrix)
 
 
-@dataclass(frozen=True)
-class SpectrumConstraint:
+class SpectrumConstraint(Record):
     """Allowed distance values: sorted, distinct, nonnegative, containing 0."""
 
     values: tuple[Fraction, ...]
@@ -129,10 +140,12 @@ def spectrum_constraint(values) -> SpectrumConstraint:
     return SpectrumConstraint(tuple(parsed))
 
 
-@dataclass(frozen=True)
-class Membership:
+class Membership(Record):
     member: bool
-    witness: tuple[str, str, Fraction] | None = None
+    witness: tuple[str, str, Fraction] | None
+
+    def __init__(self, member, witness=None):
+        super().__init__(member, witness)
 
     def __bool__(self) -> bool:
         return self.member

@@ -47,20 +47,18 @@ bug in the scan.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .dendrogram import leaf_pairing, merge_tree, quotient_blocks, truncated_canon
 from .errors import CertificateInvalid
 from .hyperspace import hausdorff_distance
 from .rationals import format_rational
-from .spaces import UltrametricSpace, ZERO, block_matrix, validate_ultrametric
+from .spaces import Record, UltrametricSpace, ZERO, block_matrix, validate_ultrametric
 
 BlockMap = tuple[tuple[tuple[str, ...], tuple[str, ...]], ...]
 
 
-@dataclass(frozen=True)
-class UghResult:
+class UghResult(Record):
     """Distance value plus the constructive evidence the scan produced.
 
     ``scale_witness`` is the minimal scale with isometric closed quotients
@@ -73,8 +71,7 @@ class UghResult:
     block_map: BlockMap
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(Record):
     """Common ultrametric space witnessing that the distance is attained."""
 
     space: UltrametricSpace

@@ -12,7 +12,6 @@ place a space is built; everything downstream assumes it ran.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
@@ -33,8 +32,47 @@ from .rationals import as_rational, format_rational
 ZERO = Fraction(0)
 
 
-@dataclass(frozen=True)
-class UltrametricSpace:
+class Record:
+    """Base of the library's immutable records, built positionally.
+
+    A subclass's fields are its own annotations, in order.  Equality, hash
+    and repr are those of a frozen dataclass with the same fields: equal only
+    to the same class, hashed as the tuple of field values.  Instances keep a
+    ``__dict__``, so ``cached_property`` works on them.
+    """
+
+    def __init_subclass__(cls):
+        cls._fields = tuple(cls.__annotations__)
+
+    def __init__(self, *values):
+        fields = self._fields
+        if len(values) != len(fields):
+            raise TypeError(f"{type(self).__name__} takes {len(fields)} fields, got {len(values)}")
+        self.__dict__.update(zip(fields, values))
+
+    def _astuple(self) -> tuple:
+        return tuple(map(self.__dict__.__getitem__, self._fields))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._astuple() == other._astuple()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._astuple())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class UltrametricSpace(Record):
     """Immutable finite ultrametric space; ``d(i, j)`` is ``values[ranks[i][j]]``."""
 
     labels: tuple[str, ...]
@@ -280,8 +318,7 @@ def spectrum(space: UltrametricSpace) -> tuple[Fraction, ...]:
     return space.values
 
 
-@dataclass(frozen=True)
-class QuotientSpace:
+class QuotientSpace(Record):
     """Closed-ball quotient of a space at a given scale.
 
     ``blocks[k]`` lists the source labels merged into quotient point ``k``;

@@ -18,6 +18,7 @@ from ultrametric import (
     ugh_oracle,
     validate_ultrametric,
 )
+from ultrametric import generators
 from ultrametric.errors import (
     BasePointMissing,
     ConstraintTooSmall,
@@ -130,6 +131,33 @@ class TestCauchySequence:
                 cauchy_sequence(depth)
             assert info.value.payload()["depth"] == depth
             assert info.value.payload()["limit"] == limit
+
+    def test_depth_beyond_the_cell_budget_is_refused_before_building(self, monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("a refused instance was partly built")
+
+        monkeypatch.setattr(generators, "Fraction", unreachable)
+        monkeypatch.setattr(generators, "validate_ultrametric", unreachable)
+        # Both stay below 2127, the integer-limit bound at the lowest limit (640).
+        for depth in (1448, 2000):
+            with pytest.raises(InstanceTooLarge) as info:
+                cauchy_sequence(depth)
+            assert info.value.payload()["depth"] == depth
+            assert info.value.payload()["max_depth"] == 1447
+
+    def test_largest_depth_within_the_cell_budget_is_built(self, monkeypatch):
+        monkeypatch.setattr(generators, "validate_ultrametric", lambda labels, m: (labels, m))
+        labels, matrix = cauchy_sequence(1447)
+        assert 1448**2 <= generators.CAUCHY_CELL_BUDGET < 1449**2
+        assert (len(labels), len(matrix), {len(row) for row in matrix}) == (1448, 1448, {1448})
+
+    def test_rows_hold_the_max_of_their_points(self):
+        space = cauchy_sequence(12)
+        points = [Fraction(1, 2**k) for k in range(13)]
+        assert space.dist == tuple(
+            tuple(max(p, q) if i != j else 0 for j, q in enumerate(points))
+            for i, p in enumerate(points)
+        )
 
 
 class TestInUK:

@@ -25,8 +25,8 @@ MINIMAL = {
     "ultrametric.spaces",
 }
 
-# Runs the CLI as ``python -m ultrametric`` does, then prints the package
-# modules it left loaded as the last line of stdout.
+# Runs the CLI as ``python -m ultrametric`` does, then prints the modules it
+# left loaded as the last line of stdout.
 RUN_AND_LIST = """
 import json, runpy, sys
 sys.argv = ["ultrametric", *sys.argv[1:]]
@@ -34,8 +34,12 @@ try:
     runpy.run_module("ultrametric", run_name="__main__", alter_sys=True)
 except SystemExit as exc:
     code = exc.code
-print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("ultrametric"))]))
+print(json.dumps([code, sorted(sys.modules)]))
 """
+
+# Stdlib modules no verb needs; ``dataclasses`` alone imports ``inspect``,
+# ``ast``, ``dis`` and ``tokenize``.
+HEAVY = {"dataclasses", "inspect"}
 
 
 def run_python(args):
@@ -50,10 +54,14 @@ def run_python(args):
     return result.stdout
 
 
-def modules_loaded_by(argv):
+def all_modules_loaded_by(argv):
     code, modules = json.loads(run_python(["-c", RUN_AND_LIST, *argv]).splitlines()[-1])
     assert code == 0
     return set(modules)
+
+
+def modules_loaded_by(argv):
+    return {m for m in all_modules_loaded_by(argv) if m.startswith("ultrametric")}
 
 
 @pytest.mark.parametrize(
@@ -79,6 +87,30 @@ def test_glue_skips_gromov_and_generators():
     loaded = modules_loaded_by(["glue", "gluespec.json"])
     assert "ultrametric.amalgam" in loaded
     assert not loaded & {"ultrametric.gromov", "ultrametric.generators"}
+
+
+@pytest.fixture(scope="module")
+def bare_modules():
+    """Modules a bare interpreter loads, which are not charged to a job."""
+    return set(run_python(["-c", "import sys; print(*sys.modules)"]).split())
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["validate", "isosceles.json"],
+        ["ugh", "x_half.json", "x_three_quarters.json"],
+        ["ugh", "x_half.json", "x_three_quarters.json", "--certificate", "{tmp}/cert.json"],
+        ["glue", "gluespec.json"],
+        ["gen", "two-point", "--c", "1/2"],
+        ["cluster", "--input", "metric.json"],
+        ["in-uk", "isosceles.json", "--k", "0,1,2"],
+    ],
+    ids=["validate", "ugh", "ugh_certificate", "glue", "gen_two_point", "cluster", "in_uk"],
+)
+def test_verbs_import_no_heavy_stdlib_module(argv, tmp_path, bare_modules):
+    argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
+    assert not (all_modules_loaded_by(argv) - bare_modules) & HEAVY
 
 
 def test_star_import_binds_every_public_name_to_its_home_object():
