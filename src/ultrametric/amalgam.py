@@ -23,7 +23,14 @@ from .errors import (
     UnknownLabel,
 )
 from .rationals import as_rational, format_rational
-from .spaces import Record, UltrametricSpace, block_matrix, validate_ultrametric
+from .spaces import (
+    Record,
+    UltrametricSpace,
+    block_matrix,
+    merged_spectrum,
+    remap,
+    space_from_ranks,
+)
 
 
 class GlueSpec(Record):
@@ -86,11 +93,16 @@ def glue(spec: GlueSpec) -> UltrametricSpace:
     rest2 = [j for j in range(len(x2)) if j not in identified_right]
 
     labels = [f"L:{l}" for l in x1.labels] + [f"R:{x2.labels[j]}" for j in rest2]
-    rest = [[x2.dist[p][q] for q in rest2] for p in rest2]
+    values, (table1, table2) = merged_spectrum(x1.values, x2.values)
+    ranks1, ranks2 = remap(x1.ranks, table1), remap(x2.ranks, table2)
+    rest = [[ranks2[p][q] for q in rest2] for p in rest2]
+    # Cross rank (x, q) is the min over pairs (a, b) of max(d1(x, a), d2(b, q)).
+    to_common = [[ranks2[q][b] for _, b in common] for q in rest2]
     cross = [
-        [min(max(row[a], x2.dist[b][q]) for a, b in common) for q in rest2] for row in x1.dist
+        [min(map(max, via, column)) for column in to_common]
+        for via in ([row[a] for a, _ in common] for row in ranks1)
     ]
-    return validate_ultrametric(labels, block_matrix(x1.dist, rest, cross))
+    return space_from_ranks(labels, block_matrix(ranks1, rest, cross), values)
 
 
 def disjoint_amalgam(x: UltrametricSpace, y: UltrametricSpace, s) -> UltrametricSpace:
@@ -110,8 +122,10 @@ def disjoint_amalgam(x: UltrametricSpace, y: UltrametricSpace, s) -> Ultrametric
             required_minimum=format_rational(required),
         )
     labels = [f"L:{l}" for l in x.labels] + [f"R:{l}" for l in y.labels]
-    cross = [[s] * len(y) for _ in x.labels]
-    return validate_ultrametric(labels, block_matrix(x.dist, y.dist, cross))
+    values, (table_x, table_y, (rank_s,)) = merged_spectrum(x.values, y.values, (s,))
+    cross = [[rank_s] * len(y) for _ in x.labels]
+    ranks = block_matrix(remap(x.ranks, table_x), remap(y.ranks, table_y), cross)
+    return space_from_ranks(labels, ranks, values)
 
 
 class ChainGlueResult(Record):

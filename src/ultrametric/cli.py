@@ -65,105 +65,147 @@ def _diagnose(error: UltrametricError) -> None:
     sys.stderr.write(prefix + jsonio.dumps(error.payload()) + "\n")
 
 
+_OUTPUT = (("-o", "--output"), {"metavar": "FILE", "help": "write the result to FILE"})
+_SPACE = (("space",), {})
+
+
+def _merge_duplicates(before: str):
+    return (
+        ("--merge-duplicates",),
+        {"action": "store_true", "help": f"collapse points at distance 0 before {before}"},
+    )
+
+
+def _required(flag: str, help: str | None = None, **options):
+    return ((flag,), {"required": True, "help": help, **options})
+
+
+# Each verb's help line and arguments as (flags, add_argument options); ``gen``
+# has a table of families in place of arguments.  Both the full parser and a
+# single verb's parser are built from this table.
+VERBS = {
+    "validate": (
+        "check the axioms and emit the canonical space",
+        [_SPACE, _merge_duplicates("validating"), _OUTPUT],
+    ),
+    "spectrum": ("sorted distinct distance values", [_SPACE, _OUTPUT]),
+    "quotient": (
+        "closed-ball quotient at a scale",
+        [_SPACE, _required("--t", "scale (rational, >= 0)"), _OUTPUT],
+    ),
+    "hausdorff": (
+        "Hausdorff distance between two subsets",
+        [
+            _SPACE,
+            _required("--a", "subset as JSON array or @file"),
+            _required("--b", "subset as JSON array or @file"),
+            _OUTPUT,
+        ],
+    ),
+    "net": (
+        "greedy epsilon-net (covering, separated)",
+        [_SPACE, _required("--eps", "radius (rational, > 0)"), _OUTPUT],
+    ),
+    "glue": ("amalgamate two spaces along a common part", [(("gluespec",), {}), _OUTPUT]),
+    "amalgam": (
+        "disjoint union at a fixed cross distance",
+        [
+            (("space_a",), {}),
+            (("space_b",), {}),
+            _required("--s", "cross distance (>= both diameters)"),
+            _OUTPUT,
+        ],
+    ),
+    "ugh": (
+        "Gromov-Hausdorff ultrametric between two spaces",
+        [
+            (("space_a",), {}),
+            (("space_b",), {}),
+            (("--certificate",), {"metavar": "FILE", "help": "write an embedding certificate"}),
+            (
+                ("--oracle",),
+                {
+                    "action": "store_true",
+                    "help": "cross-check against the exhaustive oracle (small spaces only)",
+                },
+            ),
+            _OUTPUT,
+        ],
+    ),
+    "gen": (
+        "generate a named family",
+        {
+            "two-point": ("two points at a given distance", [_required("--c"), _OUTPUT]),
+            "crowd": (
+                "adjoin n points crowded at scale c",
+                [
+                    _required("--space"),
+                    _required("--base"),
+                    _required("--c"),
+                    _required("--n", type=int),
+                    _OUTPUT,
+                ],
+            ),
+            "cauchy": (
+                "powers of 1/2 under the max metric",
+                [_required("--depth", type=int), _OUTPUT],
+            ),
+            "random": (
+                "seeded random space with a fixed value set",
+                [
+                    _required("--n", type=int),
+                    _required("--k", 'allowed values, e.g. "0,1/4,1/2,1"'),
+                    _required("--seed", type=int),
+                    _OUTPUT,
+                ],
+            ),
+        },
+    ),
+    "cluster": (
+        "single-linkage ultrametric of a metric",
+        [_required("--input", "metric matrix file"), _merge_duplicates("clustering"), _OUTPUT],
+    ),
+    "in-uk": (
+        "is the spectrum inside an allowed value set",
+        [_SPACE, _required("--k", 'allowed values, e.g. "0,1/4,1/2,1"'), _OUTPUT],
+    ),
+}
+
+
+def _add_arguments(parser: argparse.ArgumentParser, spec) -> None:
+    if isinstance(spec, dict):
+        families = parser.add_subparsers(dest="family", required=True)
+        for name, (help, arguments) in spec.items():
+            _add_arguments(families.add_parser(name, help=help), arguments)
+        return
+    for flags, options in spec:
+        parser.add_argument(*flags, **options)
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every verb."""
     parser = argparse.ArgumentParser(
         prog="ultrametric",
         description="Exact computations on finite ultrametric spaces.",
     )
-    sub = parser.add_subparsers(dest="verb", required=True)
-
-    def add_output(p):
-        p.add_argument("-o", "--output", metavar="FILE", help="write the result to FILE")
-
-    p = sub.add_parser("validate", help="check the axioms and emit the canonical space")
-    p.add_argument("space")
-    p.add_argument(
-        "--merge-duplicates",
-        action="store_true",
-        help="collapse points at distance 0 before validating",
-    )
-    add_output(p)
-
-    p = sub.add_parser("spectrum", help="sorted distinct distance values")
-    p.add_argument("space")
-    add_output(p)
-
-    p = sub.add_parser("quotient", help="closed-ball quotient at a scale")
-    p.add_argument("space")
-    p.add_argument("--t", required=True, help="scale (rational, >= 0)")
-    add_output(p)
-
-    p = sub.add_parser("hausdorff", help="Hausdorff distance between two subsets")
-    p.add_argument("space")
-    p.add_argument("--a", required=True, help="subset as JSON array or @file")
-    p.add_argument("--b", required=True, help="subset as JSON array or @file")
-    add_output(p)
-
-    p = sub.add_parser("net", help="greedy epsilon-net (covering, separated)")
-    p.add_argument("space")
-    p.add_argument("--eps", required=True, help="radius (rational, > 0)")
-    add_output(p)
-
-    p = sub.add_parser("glue", help="amalgamate two spaces along a common part")
-    p.add_argument("gluespec")
-    add_output(p)
-
-    p = sub.add_parser("amalgam", help="disjoint union at a fixed cross distance")
-    p.add_argument("space_a")
-    p.add_argument("space_b")
-    p.add_argument("--s", required=True, help="cross distance (>= both diameters)")
-    add_output(p)
-
-    p = sub.add_parser("ugh", help="Gromov-Hausdorff ultrametric between two spaces")
-    p.add_argument("space_a")
-    p.add_argument("space_b")
-    p.add_argument("--certificate", metavar="FILE", help="write an embedding certificate")
-    p.add_argument(
-        "--oracle",
-        action="store_true",
-        help="cross-check against the exhaustive oracle (small spaces only)",
-    )
-    add_output(p)
-
-    p = sub.add_parser("gen", help="generate a named family")
-    gen = p.add_subparsers(dest="family", required=True)
-
-    g = gen.add_parser("two-point", help="two points at a given distance")
-    g.add_argument("--c", required=True)
-    add_output(g)
-
-    g = gen.add_parser("crowd", help="adjoin n points crowded at scale c")
-    g.add_argument("--space", required=True)
-    g.add_argument("--base", required=True)
-    g.add_argument("--c", required=True)
-    g.add_argument("--n", required=True, type=int)
-    add_output(g)
-
-    g = gen.add_parser("cauchy", help="powers of 1/2 under the max metric")
-    g.add_argument("--depth", required=True, type=int)
-    add_output(g)
-
-    g = gen.add_parser("random", help="seeded random space with a fixed value set")
-    g.add_argument("--n", required=True, type=int)
-    g.add_argument("--k", required=True, help='allowed values, e.g. "0,1/4,1/2,1"')
-    g.add_argument("--seed", required=True, type=int)
-    add_output(g)
-
-    p = sub.add_parser("cluster", help="single-linkage ultrametric of a metric")
-    p.add_argument("--input", required=True, help="metric matrix file")
-    p.add_argument(
-        "--merge-duplicates",
-        action="store_true",
-        help="collapse points at distance 0 before clustering",
-    )
-    add_output(p)
-
-    p = sub.add_parser("in-uk", help="is the spectrum inside an allowed value set")
-    p.add_argument("space")
-    p.add_argument("--k", required=True, help='allowed values, e.g. "0,1/4,1/2,1"')
-    add_output(p)
-
+    verbs = parser.add_subparsers(dest="verb", required=True)
+    for verb, (help, spec) in VERBS.items():
+        _add_arguments(verbs.add_parser(verb, help=help), spec)
     return parser
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """Parse with the named verb's parser alone where that answers as the full
+    parser would: its usage, help and errors are the full parser's bytes, and
+    only arguments it leaves over need the full parser's diagnostic."""
+    if argv and argv[0] in VERBS:
+        parser = argparse.ArgumentParser(prog=f"ultrametric {argv[0]}")
+        _add_arguments(parser, VERBS[argv[0]][1])
+        args, left_over = parser.parse_known_args(argv[1:])
+        if not left_over:
+            args.verb = argv[0]
+            return args
+    return build_parser().parse_args(argv)
 
 
 def _run(args) -> tuple[str, str | None]:
@@ -283,9 +325,8 @@ def _run(args) -> tuple[str, str | None]:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else list(argv))
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

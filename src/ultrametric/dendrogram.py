@@ -36,7 +36,7 @@ from .spaces import (
     UltrametricSpace,
     find_root,
     minimum_spanning_tree,
-    validate_ultrametric,
+    space_from_ranks,
 )
 
 
@@ -221,16 +221,19 @@ def from_dendrogram(node: Node) -> UltrametricSpace:
     if len(set(order)) != len(order):
         raise MalformedTree("duplicate leaf labels")
     n = len(order)
-    matrix = [[ZERO] * n for _ in range(n)]
+    values = [ZERO, *sorted({height for height, _ in merges})]
+    rank = {height: r for r, height in enumerate(values)}
+    matrix = [[0] * n for _ in range(n)]
     for height, bounds in merges:
-        end = bounds[-1]
-        for g in range(len(bounds) - 2):
-            for i in range(bounds[g], bounds[g + 1]):
+        # A leaf meets the node's leaves outside its own child at this height.
+        r = rank[height]
+        start, end = bounds[0], bounds[-1]
+        for lo, hi in zip(bounds, bounds[1:]):
+            for i in range(lo, hi):
                 row = matrix[i]
-                for j in range(bounds[g + 1], end):
-                    row[j] = height
-                    matrix[j][i] = height
-    return validate_ultrametric(order, matrix)
+                row[start:lo] = [r] * (lo - start)
+                row[hi:end] = [r] * (end - hi)
+    return space_from_ranks(order, matrix, values)
 
 
 def isometry_witness(x: UltrametricSpace, y: UltrametricSpace) -> dict[str, str] | None:

@@ -10,7 +10,6 @@ from fractions import Fraction
 from math import isqrt, lcm
 from operator import add
 
-from .dendrogram import Leaf, Merge, Node, from_dendrogram
 from .errors import (
     BasePointMissing,
     ConstraintTooSmall,
@@ -27,7 +26,10 @@ from .spaces import (
     Record,
     UltrametricSpace,
     block_matrix,
+    merged_spectrum,
     rank_image,
+    remap,
+    space_from_ranks,
     subdominant,
     validate_ultrametric,
 )
@@ -55,12 +57,15 @@ def crowd_family(
     allows.)
 
     Fresh points are labeled ``"1"``..``"n"``, underscore-prefixed as needed
-    to dodge collisions with existing labels.
+    to dodge collisions with existing labels.  Raises InstanceTooLarge,
+    before building anything, when the ``(|base| + n)^2`` matrix would pass
+    :data:`CELL_BUDGET` cells.
     """
     if base_point not in base_space.labels:
         raise BasePointMissing(f"base point {base_point!r} is not in the space", label=base_point)
     if n < 1:
         raise InvalidParameter(f"family index must be >= 1, got {n}")
+    _check_cells(n, len(base_space))
     c = as_rational(c)
     if c <= 0:
         raise NonpositiveDistance(f"crowd scale must be > 0, got {format_rational(c)}")
@@ -79,16 +84,34 @@ def crowd_family(
     fresh = [f"{prefix}{k}" for k in range(1, n + 1)]
 
     base_index = base_space.index(base_point)
-    among_fresh = [[ZERO if k == l else c for l in range(n)] for k in range(n)]
-    reach = [[max(row[base_index], c)] * n for row in base_space.dist]
-    matrix = block_matrix(base_space.dist, among_fresh, reach)
-    return validate_ultrametric(list(base_space.labels) + fresh, matrix)
+    values, (table, (rank_c,)) = merged_spectrum(base_space.values, (c,))
+    ranks = remap(base_space.ranks, table)
+    # Every spectrum starts with 0, so 0 keeps rank 0.
+    among_fresh = [[0 if k == l else rank_c for l in range(n)] for k in range(n)]
+    reach = [[max(row[base_index], rank_c)] * n for row in ranks]
+    matrix = block_matrix(ranks, among_fresh, reach)
+    return space_from_ranks(list(base_space.labels) + fresh, matrix, values)
 
 
-# Cells of the largest matrix ``cauchy_sequence`` builds.  The matrix grows
-# with the square of the depth and its JSON with the cube (the entries get
-# longer), so the budget stops depth at 1447, where the JSON is 318 MB.
-CAUCHY_CELL_BUDGET = 2**21
+# Cells of the largest matrix a generator builds.  For ``cauchy_sequence``
+# the matrix grows with the square of the depth and its JSON with the cube
+# (the entries get longer), so the budget stops depth at 1447, where the JSON
+# is 318 MB; ``random_space`` and ``crowd_family`` stop at 1448 points.
+CELL_BUDGET = 2**21
+
+
+def _check_cells(n: int, base: int = 0) -> None:
+    """Refuse ``n`` new points beside ``base`` others when their square
+    matrix would pass :data:`CELL_BUDGET` cells."""
+    max_n = max(isqrt(CELL_BUDGET) - base, 0)
+    if n > max_n:
+        size = base + n
+        raise InstanceTooLarge(
+            f"n {n}{f' on a {base}-point base' if base else ''} needs a {size}x{size} "
+            f"matrix, beyond the {CELL_BUDGET}-cell budget (n at most {max_n})",
+            n=n,
+            max_n=max_n,
+        )
 
 
 def cauchy_sequence(depth: int) -> UltrametricSpace:
@@ -98,7 +121,7 @@ def cauchy_sequence(depth: int) -> UltrametricSpace:
     Gromov-Hausdorff ultrametric.  Raises InstanceTooLarge, before building
     anything, when ``2^depth`` has more digits than the interpreter's integer
     string limit, since ``2^-depth`` could not be written out, or when the
-    ``(depth+1)^2`` matrix exceeds :data:`CAUCHY_CELL_BUDGET` cells.
+    ``(depth+1)^2`` matrix exceeds :data:`CELL_BUDGET` cells.
     """
     if depth < 0:
         raise InvalidParameter(f"depth must be >= 0, got {depth}")
@@ -110,11 +133,11 @@ def cauchy_sequence(depth: int) -> UltrametricSpace:
             depth=depth,
             limit=limit,
         )
-    max_depth = isqrt(CAUCHY_CELL_BUDGET) - 1
+    max_depth = isqrt(CELL_BUDGET) - 1
     if depth > max_depth:
         raise InstanceTooLarge(
             f"depth {depth} needs a {depth + 1}x{depth + 1} matrix, beyond the "
-            f"{CAUCHY_CELL_BUDGET}-cell budget (depth at most {max_depth})",
+            f"{CELL_BUDGET}-cell budget (depth at most {max_depth})",
             depth=depth,
             max_depth=max_depth,
         )
@@ -173,10 +196,14 @@ def random_space(n: int, constraint: SpectrumConstraint, seed: int) -> Ultrametr
     Generation goes through a random merge tree whose heights are drawn from
     the positive allowed values with strictly decreasing levels, so every draw
     is valid by construction (rejection sampling on matrices would almost
-    never succeed for larger n).
+    never succeed for larger n).  Raises InstanceTooLarge, before building
+    anything, when the ``n^2`` matrix would pass :data:`CELL_BUDGET` cells.
     """
+    from .dendrogram import Leaf, Merge, from_dendrogram
+
     if n < 1:
         raise InvalidParameter(f"need n >= 1 points, got {n}")
+    _check_cells(n)
     positive = [v for v in constraint.values if v > 0]
     if not positive:
         raise ConstraintTooSmall(
@@ -247,8 +274,7 @@ def single_linkage(labels, matrix) -> UltrametricSpace:
                     points=[labels[i], labels[j]],
                 )
     _check_triangles(labels, ranks, values)
-    sub = [list(map(values.__getitem__, row)) for row in subdominant(ranks)]
-    return validate_ultrametric(labels, sub)
+    return space_from_ranks(labels, subdominant(ranks), values)
 
 
 def _check_triangles(labels, ranks, values) -> None:

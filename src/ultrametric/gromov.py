@@ -51,9 +51,16 @@ from fractions import Fraction
 
 from .dendrogram import leaf_pairing, merge_tree, quotient_blocks, truncated_canon
 from .errors import CertificateInvalid
-from .hyperspace import hausdorff_distance
 from .rationals import format_rational
-from .spaces import Record, UltrametricSpace, ZERO, block_matrix, validate_ultrametric
+from .spaces import (
+    ZERO,
+    Record,
+    UltrametricSpace,
+    block_matrix,
+    merged_spectrum,
+    remap,
+    space_from_ranks,
+)
 
 BlockMap = tuple[tuple[tuple[str, ...], tuple[str, ...]], ...]
 
@@ -157,17 +164,23 @@ def certificate(
 
     x_block_index = {label: k for k, (bx, _) in enumerate(result.block_map) for label in bx}
     y_block_index = {label: k for k, (_, by) in enumerate(result.block_map) for label in by}
-    # Points of different blocks sit at the block distance, read off X.
+    values, (table_x, table_y, (rank_t,)) = merged_spectrum(x.values, y.values, (t,))
+    ranks_x, ranks_y = remap(x.ranks, table_x), remap(y.ranks, table_y)
+    # Points of different blocks sit at the block distance, read off X from
+    # the block's first point; points of matched blocks sit at t.
     x_reps = [x.index(bx[0]) for bx, _ in result.block_map]
-
+    reach = [x_reps[y_block_index[l]] for l in y.labels]
+    matched: dict[int, list[int]] = {}
+    for j, l in enumerate(y.labels):
+        matched.setdefault(y_block_index[l], []).append(j)
+    cross = []
+    for row, l in zip(ranks_x, x.labels):
+        cross_row = list(map(row.__getitem__, reach))
+        for j in matched.get(x_block_index[l], ()):
+            cross_row[j] = rank_t
+        cross.append(cross_row)
     labels = [f"L:{l}" for l in x.labels] + [f"R:{l}" for l in y.labels]
-    x_blocks = [x_block_index[l] for l in x.labels]
-    y_blocks = [y_block_index[l] for l in y.labels]
-    cross = [
-        [t if bx == by else row[x_reps[by]] for by in y_blocks]
-        for row, bx in zip(x.dist, x_blocks)
-    ]
-    space = validate_ultrametric(labels, block_matrix(x.dist, y.dist, cross))
+    space = space_from_ranks(labels, block_matrix(ranks_x, ranks_y, cross), values)
     embed_left = {l: f"L:{l}" for l in x.labels}
     embed_right = {l: f"R:{l}" for l in y.labels}
     return Certificate(space, embed_left, embed_right, t)
@@ -180,26 +193,47 @@ def verify_certificate(
 
     Checks: the ambient space satisfies the ultrametric axioms, both
     embeddings are injective and distance-preserving, and the Hausdorff
-    distance between the images equals the claimed value.
+    distance between the images equals the claimed value.  Distances are
+    compared as ranks of the ambient space, each source value looked up once.
     """
-    validate_ultrametric(cert.space.labels, cert.space.dist)
+    from .hyperspace import hausdorff_distance
+
+    space = cert.space
+    space_from_ranks(space.labels, space.ranks, space.values)
+    position = {v: r for r, v in enumerate(space.values)}
     for name, source, embed in (("left", x, cert.embed_left), ("right", y, cert.embed_right)):
         if sorted(embed) != sorted(source.labels):
             raise CertificateInvalid(f"{name} embedding is not defined on every point")
         if len(set(embed.values())) != len(embed):
             raise CertificateInvalid(f"{name} embedding is not injective")
-        for a in source.labels:
-            for b in source.labels:
-                if source.d(a, b) != cert.space.d(embed[a], embed[b]):
-                    raise CertificateInvalid(
-                        f"{name} embedding distorts d({a},{b})",
-                        points=[a, b],
-                    )
+        _check_isometric(name, source, embed, space, position)
     image_left = [cert.embed_left[l] for l in x.labels]
     image_right = [cert.embed_right[l] for l in y.labels]
-    achieved = hausdorff_distance(cert.space, image_left, image_right)
+    achieved = hausdorff_distance(space, image_left, image_right)
     if achieved != cert.achieved:
         raise CertificateInvalid(
             f"claimed Hausdorff distance {format_rational(cert.achieved)} but images "
             f"realize {format_rational(achieved)}",
         )
+
+
+def _check_isometric(name, source, embed, space, position) -> None:
+    """Raise at the first pair, row by row, whose distance the embedding changes.
+
+    Source ranks go through one table into the ambient space's ranks (-1 for
+    a value it lacks).  An image missing from the space raises UnknownLabel
+    where a pair scan first looks it up, in row 0.
+    """
+    table = [position.get(v, -1) for v in source.values]
+    images = list(map(space._index.get, map(embed.__getitem__, source.labels)))
+    known = images.index(None) if None in images else len(images)
+    rows = len(images) if known == len(images) else min(known, 1)
+    for i in range(rows):
+        want = list(map(table.__getitem__, source.ranks[i][:known]))
+        got = list(map(space.ranks[images[i]].__getitem__, images[:known]))
+        if want != got:
+            a = source.labels[i]
+            b = source.labels[next(j for j, (w, g) in enumerate(zip(want, got)) if w != g)]
+            raise CertificateInvalid(f"{name} embedding distorts d({a},{b})", points=[a, b])
+    if known < len(images):
+        space.index(embed[source.labels[known]])

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 from .errors import DuplicateLabel, EmptySubset, InvalidParameter
 from .rationals import as_rational, format_rational
-from .spaces import UltrametricSpace, validate_ultrametric
+from .spaces import UltrametricSpace, space_from_ranks
 
 
 def _subset_indices(space: UltrametricSpace, subset, name: str) -> list[int]:
@@ -30,8 +30,9 @@ def hausdorff_distance(space: UltrametricSpace, a, b) -> Fraction:
     ia = _subset_indices(space, a, "A")
     ib = _subset_indices(space, b, "B")
     ranks = space.ranks
-    forward = max(min(ranks[i][j] for j in ib) for i in ia)
-    backward = max(min(ranks[i][j] for i in ia) for j in ib)
+    # The matrix is symmetric, so both directions read rows.
+    forward = max(min(map(ranks[i].__getitem__, ib)) for i in ia)
+    backward = max(min(map(ranks[j].__getitem__, ia)) for j in ib)
     return space.values[max(forward, backward)]
 
 
@@ -40,8 +41,8 @@ def restrict(space: UltrametricSpace, subset) -> UltrametricSpace:
     chosen = set(_subset_indices(space, subset, "subset"))
     indices = [i for i in range(len(space)) if i in chosen]
     labels = tuple(space.labels[i] for i in indices)
-    matrix = [[space.dist[i][j] for j in indices] for i in indices]
-    return validate_ultrametric(labels, matrix)
+    ranks = [[space.ranks[i][j] for j in indices] for i in indices]
+    return space_from_ranks(labels, ranks, space.values)
 
 
 def epsilon_net(space: UltrametricSpace, eps) -> tuple[str, ...]:

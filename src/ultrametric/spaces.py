@@ -5,8 +5,11 @@ Fractions satisfying the strong triangle inequality
 ``d(x,y) <= max(d(x,z), d(z,y))``.  It is stored as its spectrum ``values``
 (sorted distinct distances, 0 first) and the matrix ``ranks`` of positions in
 ``values``; ranks compare as the distances do, so code that only compares
-reads them.  :func:`validate_ultrametric` checks the axioms and is the only
-place a space is built; everything downstream assumes it ran.
+reads them.  A space is built in one of two places, which share one axiom
+checker: :func:`validate_ultrametric` parses a matrix, and
+:func:`space_from_ranks` takes the ranks that constructions on validated
+spaces assemble over their merged spectrum.  Everything downstream assumes
+the checker ran.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from functools import cached_property
+from operator import itemgetter
 
 from .errors import (
     DuplicateLabel,
@@ -151,20 +155,39 @@ def rank_image(matrix, width: int | None = None) -> tuple[list[list[int]], list[
     return [list(map(rank_of.__getitem__, id_row)) for id_row in id_rows], values
 
 
-def _coerce_matrix(labels, matrix) -> tuple[tuple[str, ...], list[list[int]], list[Fraction]]:
-    """Labels as strings plus :func:`rank_image` of the matrix, shape checked."""
+def _check_labels(labels) -> tuple[str, ...]:
+    """Labels as strings; raises on an empty or repeated one."""
     labels = tuple(str(l) for l in labels)
-    n = len(labels)
-    if n == 0:
+    if not labels:
         raise EmptySpace("a space needs at least one point")
     seen = set()
     for label in labels:
         if label in seen:
             raise DuplicateLabel(f"label {label!r} appears more than once", label=label)
         seen.add(label)
+    return labels
+
+
+def _coerce_matrix(labels, matrix) -> tuple[tuple[str, ...], list[list[int]], list[Fraction]]:
+    """Labels as strings plus :func:`rank_image` of the matrix, shape checked."""
+    labels = _check_labels(labels)
+    n = len(labels)
     if len(matrix) != n:
         raise InputFormat(f"matrix has {len(matrix)} rows for {n} labels")
     return (labels, *rank_image(matrix, n))
+
+
+def merged_spectrum(*spectra) -> tuple[list[Fraction], list[list[int]]]:
+    """The sorted union of some value lists, and per list the table taking
+    a rank in it to the rank of the same value in the union."""
+    values = sorted(set().union(*spectra))
+    position = {v: r for r, v in enumerate(values)}
+    return values, [[position[v] for v in spectrum] for spectrum in spectra]
+
+
+def remap(ranks, table) -> list[list[int]]:
+    """A matrix of ranks rewritten through a rank table."""
+    return [list(map(table.__getitem__, row)) for row in ranks]
 
 
 def minimum_spanning_tree(ranks) -> list[tuple[int, int, int]]:
@@ -189,21 +212,43 @@ def minimum_spanning_tree(ranks) -> list[tuple[int, int, int]]:
     return edges
 
 
-def subdominant(ranks) -> list[list[int]]:
+def subdominant(ranks) -> tuple[tuple[int, ...], ...]:
     """Largest ultrametric below a symmetric matrix of ranks (single linkage).
 
-    Entry ``(x, y)`` is the largest edge on the tree path from x to y; each
-    child's row copies its parent's, raised to the joining edge: O(n^2).  The
-    diagonal is kept from ``ranks``.
+    Joining clusters along :func:`minimum_spanning_tree`'s edges in
+    increasing weight, every pair across a join gets the edge's weight; the
+    diagonal is kept from ``ranks``.  Each cluster stays one run of the final
+    member order, so in that order a join writes each row of its smaller,
+    later side as one slice over the earlier side: O(n log n) loop steps for
+    the O(n^2) entries below the diagonal, which are then mirrored and put
+    back in point order.
     """
-    sub = [list(row) for row in ranks]
-    joined = [0]
-    for parent, child, weight in minimum_spanning_tree(ranks):
-        sub_parent, sub_child = sub[parent], sub[child]
-        for k in joined:
-            sub_child[k] = sub[k][child] = max(sub_parent[k], weight)
-        joined.append(child)
-    return sub
+    n = len(ranks)
+    if n == 1:
+        return (tuple(ranks[0]),)
+    root = list(range(n))
+    members = [[i] for i in root]
+    joins = []
+    for a, b, weight in sorted(minimum_spanning_tree(ranks), key=itemgetter(2)):
+        a, b = find_root(root, a), find_root(root, b)
+        if len(members[a]) < len(members[b]):
+            a, b = b, a
+        joins.append((members[a][0], len(members[a]), len(members[b]), weight))
+        members[a] += members[b]
+        root[b] = a
+    order = members[find_root(root, 0)]
+    position = [0] * n
+    for p, i in enumerate(order):
+        position[i] = p
+    lower = [[ranks[i][i]] * n for i in order]
+    for first, size, extra, weight in joins:
+        start = position[first]
+        across = [weight] * size
+        for row in lower[start + size : start + size + extra]:
+            row[start : start + size] = across
+    columns = list(zip(*lower))
+    in_point_order = itemgetter(*position)
+    return tuple(in_point_order(lower[p][: p + 1] + list(columns[p][p + 1 :])) for p in position)
 
 
 def find_root(parent: list[int], i: int) -> int:
@@ -214,7 +259,7 @@ def find_root(parent: list[int], i: int) -> int:
     return i
 
 
-def block_matrix(a, b, cross) -> list[list[Fraction]]:
+def block_matrix(a, b, cross) -> list[list]:
     """The square matrix ``[[a, cross], [cross^T, b]]`` as fresh rows."""
     top = [[*row_a, *row_c] for row_a, row_c in zip(a, cross)]
     bottom = [[row_c[j] for row_c in cross] + list(row_b) for j, row_b in enumerate(b)]
@@ -232,24 +277,54 @@ def validate_ultrametric(labels, matrix) -> UltrametricSpace:
     O(n^2).  Every check compares the integer ranks of :func:`rank_image`,
     which the returned space keeps.
     """
-    labels, ranks, values = _coerce_matrix(labels, matrix)
+    return _check_axioms(*_coerce_matrix(labels, matrix))
+
+
+def space_from_ranks(labels, ranks, values) -> UltrametricSpace:
+    """:func:`validate_ultrametric` for a matrix already given as ranks.
+
+    ``values`` must be sorted, distinct and hold 0, as a merged spectrum is;
+    ``ranks[i][j]`` indexes it.  Builders that combine validated spaces hand
+    over ranks, so no entry is parsed again.  Values no entry uses are
+    dropped first, so the space's values are exactly its spectrum.  The
+    labels and every axiom are checked as :func:`validate_ultrametric`
+    checks them, with the same errors in the same order.
+    """
+    labels = _check_labels(labels)
+    used = sorted(set().union(*ranks))
+    if len(used) < len(values):
+        table = dict(zip(used, range(len(used))))
+        ranks = remap(ranks, table)
+        values = [values[r] for r in used]
+    return _check_axioms(labels, ranks, values)
+
+
+def _check_axioms(labels, ranks, values) -> UltrametricSpace:
+    """The space of checked labels and a matrix of ranks into ``values``, or
+    the first axiom it violates.  Clean rows skip the pair loops."""
+    rows = tuple(map(tuple, ranks))
     zero = bisect_left(values, ZERO)
     n = len(labels)
 
     def text(i, j):
-        return format_rational(values[ranks[i][j]])
+        return format_rational(values[rows[i][j]])
 
     for i in range(n):
-        if ranks[i][i] != zero:
+        if rows[i][i] != zero:
             raise NonzeroDiagonal(
                 f"d({labels[i]},{labels[i]}) = {text(i, i)}, expected 0",
                 point=labels[i],
             )
-    for i in range(n):
-        rank_i = ranks[i]
+    # With a zero diagonal, a symmetric matrix whose rows hold no negative
+    # value and one zero each passes the pair loop below.
+    clean = rows == tuple(zip(*rows)) and all(
+        row.count(zero) == 1 and min(row) >= zero for row in rows
+    )
+    for i in range(0 if clean else n):
+        rank_i = rows[i]
         for j in range(i + 1, n):
             r = rank_i[j]
-            if r != ranks[j][i]:
+            if r != rows[j][i]:
                 raise NonSymmetric(
                     f"d({labels[i]},{labels[j]}) = {text(i, j)} but "
                     f"d({labels[j]},{labels[i]}) = {text(j, i)}",
@@ -265,16 +340,16 @@ def validate_ultrametric(labels, matrix) -> UltrametricSpace:
                     f"d({labels[i]},{labels[j]}) = 0 for distinct points",
                     points=[labels[i], labels[j]],
                 )
-    sub = subdominant(ranks)
-    for i in range(n):
-        rank_i = ranks[i]
+    sub = subdominant(rows)
+    for i in range(0 if sub == rows else n):
+        rank_i = rows[i]
         sub_i = sub[i]
         for j in range(i + 1, n):
             dij = rank_i[j]
             # A violating k forces dij > max(d(i,k), d(k,j)) >= sub(i,j).
             if dij == sub_i[j]:
                 continue
-            rank_j = ranks[j]
+            rank_j = rows[j]
             for k in range(n):
                 if k == i or k == j:
                     continue
@@ -285,7 +360,7 @@ def validate_ultrametric(labels, matrix) -> UltrametricSpace:
                         f"max({text(i, k)}, {text(j, k)})",
                         points=[labels[i], labels[j], labels[k]],
                     )
-    return UltrametricSpace(labels, tuple(values), tuple(map(tuple, ranks)))
+    return UltrametricSpace(labels, tuple(values), rows)
 
 
 def merge_duplicate_points(labels, matrix) -> tuple[list[str], list[list[Fraction]]]:
@@ -357,6 +432,6 @@ def closed_quotient(space: UltrametricSpace, t) -> QuotientSpace:
         block_indices.append(members)
     reps = [members[0] for members in block_indices]
     labels = tuple(space.labels[r] for r in reps)
-    matrix = [[values[ranks[a][b]] for b in reps] for a in reps]
+    matrix = [[ranks[a][b] for b in reps] for a in reps]
     blocks = tuple(tuple(space.labels[j] for j in members) for members in block_indices)
-    return QuotientSpace(space, t, blocks, validate_ultrametric(labels, matrix))
+    return QuotientSpace(space, t, blocks, space_from_ranks(labels, matrix, values))

@@ -59,6 +59,12 @@ CASES = [
     ("validate_huge_exponent", ["validate", "huge_exponent.json"], 1),
     ("gen_cauchy_too_deep", ["gen", "cauchy", "--depth", "14285"], 1),
     ("gen_cauchy_too_large", ["gen", "cauchy", "--depth", "1448"], 1),
+    ("gen_random_too_large", ["gen", "random", "--n", "1449", "--k", "0,1", "--seed", "1"], 1),
+    (
+        "gen_crowd_too_large",
+        ["gen", "crowd", "--space", "pair.json", "--base", "a", "--c", "1/2", "--n", "1447"],
+        1,
+    ),
     ("gen_unwritable_output", ["gen", "two-point", "--c", "1/2", "-o", "no-such-dir/out.json"], 1),
     ("usage_unknown_verb", ["frobnicate"], 2),
     ("usage_missing_flag", ["quotient", "isosceles.json"], 2),

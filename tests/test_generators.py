@@ -84,6 +84,25 @@ class TestCrowdFamily:
         with pytest.raises(NonpositiveDistance):
             crowd_family(base, "x1", 0, 1)
 
+    def test_n_beyond_the_cell_budget_is_refused_before_building(self, monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("a refused instance was partly built")
+
+        monkeypatch.setattr(generators, "merged_spectrum", unreachable)
+        base = make_space(["x1", "x2"], {("x1", "x2"): 1})
+        for n in (1447, 10**12):
+            with pytest.raises(InstanceTooLarge) as info:
+                crowd_family(base, "x1", "1/4", n)
+            assert info.value.payload()["n"] == n
+            assert info.value.payload()["max_n"] == 1446
+
+    def test_largest_n_within_the_cell_budget_is_built(self, monkeypatch):
+        monkeypatch.setattr(generators, "space_from_ranks", lambda labels, m, values: m)
+        base = make_space(["x1", "x2"], {("x1", "x2"): 1})
+        matrix = crowd_family(base, "x1", "1/4", 1446)
+        assert 1448**2 <= generators.CELL_BUDGET < 1449**2
+        assert (len(matrix), {len(row) for row in matrix}) == (1448, {1448})
+
 
 class TestCauchySequence:
     def test_depth_zero(self):
@@ -148,7 +167,7 @@ class TestCauchySequence:
     def test_largest_depth_within_the_cell_budget_is_built(self, monkeypatch):
         monkeypatch.setattr(generators, "validate_ultrametric", lambda labels, m: (labels, m))
         labels, matrix = cauchy_sequence(1447)
-        assert 1448**2 <= generators.CAUCHY_CELL_BUDGET < 1449**2
+        assert 1448**2 <= generators.CELL_BUDGET < 1449**2
         assert (len(labels), len(matrix), {len(row) for row in matrix}) == (1448, 1448, {1448})
 
     def test_rows_hold_the_max_of_their_points(self):
@@ -208,6 +227,17 @@ class TestRandomSpace:
             random_space(3, spectrum_constraint(["0"]), 1)
         with pytest.raises(InvalidParameter):
             random_space(0, SIX_VALUES, 1)
+
+    def test_n_beyond_the_cell_budget_is_refused_before_building(self, monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("a refused instance was partly built")
+
+        monkeypatch.setattr(generators.random, "Random", unreachable)
+        for n in (1449, 10**12):
+            with pytest.raises(InstanceTooLarge) as info:
+                random_space(n, SIX_VALUES, 1)
+            assert info.value.payload()["n"] == n
+            assert info.value.payload()["max_n"] == 1448
 
 
 def all_paths_minimax(labels, matrix, a, b):

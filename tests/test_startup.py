@@ -83,6 +83,26 @@ def test_ugh_without_oracle_skips_oracle_amalgam_and_generators():
     assert not loaded & {"ultrametric.oracle", "ultrametric.amalgam", "ultrametric.generators"}
 
 
+def test_ugh_without_certificate_or_oracle_skips_hyperspace():
+    loaded = modules_loaded_by(["ugh", "x_half.json", "x_three_quarters.json"])
+    assert "ultrametric.hyperspace" not in loaded
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cluster", "--input", "metric.json"],
+        ["in-uk", "isosceles.json", "--k", "0,1,2"],
+        ["gen", "crowd", "--space", "pair.json", "--base", "a", "--c", "1/2", "--n", "2"],
+    ],
+    ids=["cluster", "in_uk", "gen_crowd"],
+)
+def test_generators_without_random_skip_dendrogram(argv):
+    loaded = modules_loaded_by(argv)
+    assert "ultrametric.generators" in loaded
+    assert "ultrametric.dendrogram" not in loaded
+
+
 def test_glue_skips_gromov_and_generators():
     loaded = modules_loaded_by(["glue", "gluespec.json"])
     assert "ultrametric.amalgam" in loaded
