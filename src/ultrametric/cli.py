@@ -208,39 +208,39 @@ def _parse(argv: list[str]) -> argparse.Namespace:
     return build_parser().parse_args(argv)
 
 
-def _run(args) -> tuple[str, str | None]:
+def _run(args) -> dict | list:
     if args.verb == "validate":
         space = _load_space(args.space, args.merge_duplicates)
-        return jsonio.dumps(jsonio.space_to_obj(space)), args.output
+        return jsonio.space_to_obj(space)
 
     if args.verb == "spectrum":
         space = _load_space(args.space)
-        return jsonio.dumps(jsonio.rational_list_to_obj(spectrum(space))), args.output
+        return jsonio.rational_list_to_obj(spectrum(space))
 
     if args.verb == "quotient":
         space = _load_space(args.space)
         q = closed_quotient(space, parse_rational(args.t))
-        return jsonio.dumps(jsonio.quotient_to_obj(q)), args.output
+        return jsonio.quotient_to_obj(q)
 
     if args.verb == "hausdorff":
         from .hyperspace import hausdorff_distance
 
         space = _load_space(args.space)
         value = hausdorff_distance(space, _load_subset(args.a), _load_subset(args.b))
-        return jsonio.dumps({"value": format_rational(value)}), args.output
+        return {"value": format_rational(value)}
 
     if args.verb == "net":
         from .hyperspace import epsilon_net
 
         space = _load_space(args.space)
         net = epsilon_net(space, parse_rational(args.eps))
-        return jsonio.dumps(list(net)), args.output
+        return list(net)
 
     if args.verb == "glue":
         from .amalgam import glue
 
         spec = jsonio.gluespec_from_obj(_load_json(args.gluespec))
-        return jsonio.dumps(jsonio.space_to_obj(glue(spec))), args.output
+        return jsonio.space_to_obj(glue(spec))
 
     if args.verb == "amalgam":
         from .amalgam import disjoint_amalgam
@@ -248,7 +248,7 @@ def _run(args) -> tuple[str, str | None]:
         a = _load_space(args.space_a)
         b = _load_space(args.space_b)
         glued = disjoint_amalgam(a, b, parse_rational(args.s))
-        return jsonio.dumps(jsonio.space_to_obj(glued)), args.output
+        return jsonio.space_to_obj(glued)
 
     if args.verb == "ugh":
         from .gromov import certificate, ugh_distance, verify_certificate
@@ -271,7 +271,7 @@ def _run(args) -> tuple[str, str | None]:
             cert = certificate(a, b, result)
             verify_certificate(cert, a, b)
             _emit(jsonio.dumps(jsonio.certificate_to_obj(cert)), args.certificate)
-        return jsonio.dumps(jsonio.ugh_result_to_obj(result)), args.output
+        return jsonio.ugh_result_to_obj(result)
 
     if args.verb == "gen":
         from .generators import (
@@ -292,7 +292,7 @@ def _run(args) -> tuple[str, str | None]:
         else:
             constraint = spectrum_constraint(parse_rational_list(args.k))
             space = random_space(args.n, constraint, args.seed)
-        return jsonio.dumps(jsonio.space_to_obj(space)), args.output
+        return jsonio.space_to_obj(space)
 
     if args.verb == "cluster":
         from .generators import single_linkage
@@ -300,7 +300,7 @@ def _run(args) -> tuple[str, str | None]:
         points, dist = jsonio.raw_space_from_obj(_load_json(args.input))
         if args.merge_duplicates:
             points, dist = merge_duplicate_points(points, dist)
-        return jsonio.dumps(jsonio.space_to_obj(single_linkage(points, dist))), args.output
+        return jsonio.space_to_obj(single_linkage(points, dist))
 
     if args.verb == "in-uk":
         from .generators import in_uk, spectrum_constraint
@@ -309,17 +309,9 @@ def _run(args) -> tuple[str, str | None]:
         constraint = spectrum_constraint(parse_rational_list(args.k))
         membership = in_uk(space, constraint)
         if membership.member:
-            return jsonio.dumps({"member": True}), args.output
+            return {"member": True}
         a, b, value = membership.witness
-        return (
-            jsonio.dumps(
-                {
-                    "member": False,
-                    "witness": {"points": [a, b], "value": format_rational(value)},
-                }
-            ),
-            args.output,
-        )
+        return {"member": False, "witness": {"points": [a, b], "value": format_rational(value)}}
 
     raise AssertionError(f"unhandled verb {args.verb!r}")
 
@@ -330,8 +322,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        line, out_path = _run(args)
-        _emit(line, out_path)
+        _emit(jsonio.dumps(_run(args)), args.output)
     except OracleMismatch as exc:
         _diagnose(exc)
         return 3

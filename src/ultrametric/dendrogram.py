@@ -30,14 +30,7 @@ from operator import itemgetter
 
 from .errors import MalformedTree
 from .rationals import as_rational, format_rational
-from .spaces import (
-    ZERO,
-    Record,
-    UltrametricSpace,
-    find_root,
-    minimum_spanning_tree,
-    space_from_ranks,
-)
+from .spaces import ZERO, Record, UltrametricSpace, chain_matrix, chain_order, space_from_ranks
 
 
 class Leaf(Record):
@@ -150,28 +143,27 @@ def leaf_pairing(a: Node, b: Node) -> dict[str, str]:
 
 
 def merge_tree(space: UltrametricSpace) -> Node:
-    """Merge-tree of a space, children in construction order.
+    """Merge-tree of a space: the Cartesian tree of :func:`chain_order`'s gaps.
 
-    Joins the clusters along the minimum spanning tree's edges in increasing
-    weight (single linkage, which is exact on an ultrametric), comparing
-    ranks; a merge's height is its edge's value.  A merge at the height of a
-    cluster it joins absorbs that cluster's children, so no node has a child
-    of its own height.
+    One pass along the order keeps a stack of open merges, lowest on top.  A
+    gap closes every open merge below it and equal gaps join one merge, so no
+    node has a child of its own height.
     """
-    cluster_of = list(range(len(space)))
-    nodes: list[Node] = [Leaf(label) for label in space.labels]
-    level = [0] * len(space)  # rank of each cluster's height, leaves at rank 0
-    for a, b, r in sorted(minimum_spanning_tree(space.ranks), key=itemgetter(2)):
-        ra, rb = find_root(cluster_of, a), find_root(cluster_of, b)
-        children = tuple(
-            child
-            for root in (ra, rb)
-            for child in (nodes[root].children if level[root] == r else (nodes[root],))
-        )
-        cluster_of[rb] = ra
-        nodes[ra] = Merge(space.values[r], children)
-        level[ra] = r
-    return nodes[find_root(cluster_of, 0)]
+    order, gaps = chain_order(space.ranks)
+    open_merges: list[tuple[int, list[Node]]] = []
+    node: Node = Leaf(space.labels[order[0]])
+    for gap, i in zip(gaps, order[1:]):
+        while open_merges and open_merges[-1][0] < gap:
+            r, children = open_merges.pop()
+            node = Merge(space.values[r], (*children, node))
+        if open_merges and open_merges[-1][0] == gap:
+            open_merges[-1][1].append(node)
+        else:
+            open_merges.append((gap, [node]))
+        node = Leaf(space.labels[i])
+    for r, children in reversed(open_merges):
+        node = Merge(space.values[r], (*children, node))
+    return node
 
 
 def to_dendrogram(space: UltrametricSpace) -> Node:
@@ -185,54 +177,39 @@ def from_dendrogram(node: Node) -> UltrametricSpace:
     Raises MalformedTree on structural defects: heights not strictly
     decreasing toward the leaves, internal nodes with fewer than two children,
     nonpositive heights, or duplicate leaf labels.  Nodes are checked in
-    pre-order, each against its parent first.
+    pre-order, each against its parent first.  A leaf meets the one before it
+    at the parent of its lowest ancestor (or itself) that is not a first child,
+    whose height the walk appends as their gap for :func:`chain_matrix`.
     """
     order: list[str] = []
-    # One [height, boundaries] record per internal node: the leaf index where
-    # each child's leaves start, then the index one past the node's last leaf.
-    merges: list[tuple[Fraction, list[int]]] = []
-    stack: list[tuple[Node | None, tuple[Fraction, list[int]] | None]] = [(node, None)]
+    gaps: list[Fraction] = []
+    stack: list[tuple[Node, Fraction | None, bool]] = [(node, None, False)]
     while stack:
-        current, parent = stack.pop()
-        if current is None:  # every leaf below ``parent`` is numbered
-            parent[1].append(len(order))
-            continue
+        current, parent, later = stack.pop()
         if parent is not None:
-            if node_height(current) >= parent[0]:
+            if node_height(current) >= parent:
                 raise MalformedTree(
                     f"child height {format_rational(node_height(current))} does not "
-                    f"decrease below parent height {format_rational(parent[0])}"
+                    f"decrease below parent height {format_rational(parent)}"
                 )
-            parent[1].append(len(order))
+            if later:
+                gaps.append(parent)
         if isinstance(current, Leaf):
             order.append(current.label)
             continue
         height = as_rational(current.height)
         if height <= 0:
-            raise MalformedTree(
-                f"internal node height {format_rational(height)} is not positive"
-            )
+            raise MalformedTree(f"internal node height {format_rational(height)} is not positive")
         if len(current.children) < 2:
             raise MalformedTree("internal node has fewer than two children")
-        record = (height, [])
-        merges.append(record)
-        stack.append((None, record))
-        stack.extend((child, record) for child in reversed(current.children))
+        first, *rest = current.children
+        stack.extend((child, height, True) for child in reversed(rest))
+        stack.append((first, height, False))
     if len(set(order)) != len(order):
         raise MalformedTree("duplicate leaf labels")
-    n = len(order)
-    values = [ZERO, *sorted({height for height, _ in merges})]
+    values = [ZERO, *sorted(set(gaps))]
     rank = {height: r for r, height in enumerate(values)}
-    matrix = [[0] * n for _ in range(n)]
-    for height, bounds in merges:
-        # A leaf meets the node's leaves outside its own child at this height.
-        r = rank[height]
-        start, end = bounds[0], bounds[-1]
-        for lo, hi in zip(bounds, bounds[1:]):
-            for i in range(lo, hi):
-                row = matrix[i]
-                row[start:lo] = [r] * (lo - start)
-                row[hi:end] = [r] * (end - hi)
+    matrix = chain_matrix([rank[height] for height in gaps], [0] * len(order))
     return space_from_ranks(order, matrix, values)
 
 

@@ -94,7 +94,7 @@ def ugh_distance(x: UltrametricSpace, y: UltrametricSpace) -> UghResult:
     docstring explains.
     """
     trees = (merge_tree(x), merge_tree(y))
-    ranks = tuple({label: i for i, label in enumerate(s.labels)} for s in (x, y))
+    ranks = (x._index, y._index)
     floor = spectrum_agreement(x, y)
     candidates = sorted(t for t in {*x.values, *y.values} if t >= floor)
     canon: dict[int, tuple] = {}

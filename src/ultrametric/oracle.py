@@ -20,9 +20,8 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import permutations
 
-from .errors import InstanceTooLarge, InvalidParameter
+from .errors import InstanceTooLarge
 from .hyperspace import hausdorff_distance
-from .rationals import as_rational
 from .spaces import UltrametricSpace, block_matrix, spectrum, validate_ultrametric
 
 ORACLE_MAX_POINTS = 4
@@ -52,13 +51,14 @@ def _rank_hausdorff(cross: list[list[int]], nx: int, ny: int) -> int:
     return max(forward, backward)
 
 
-def ugh_oracle(x: UltrametricSpace, y: UltrametricSpace, candidate_values=None) -> Fraction:
+def ugh_oracle(x: UltrametricSpace, y: UltrametricSpace) -> Fraction:
     """Minimum Hausdorff distance over all joint ultrametric embeddings.
 
     Isometric inputs give 0 (the two copies are identified point by point);
     otherwise the minimum runs over every ultrametric on the disjoint union
-    with cross distances drawn from ``candidate_values`` (default: the union
-    of the two spectra).
+    with positive cross distances drawn from the union of the two spectra.
+    A non-isometric pair has a positive value in that pool, and the constant
+    cross matrix at the top value is always admissible, so a best one exists.
     """
     if len(x) > ORACLE_MAX_POINTS or len(y) > ORACLE_MAX_POINTS:
         raise InstanceTooLarge(
@@ -69,20 +69,12 @@ def ugh_oracle(x: UltrametricSpace, y: UltrametricSpace, candidate_values=None) 
     if brute_force_isometry(x, y) is not None:
         return Fraction(0)
 
-    if candidate_values is None:
-        pool = set(spectrum(x)) | set(spectrum(y))
-    else:
-        pool = {as_rational(v) for v in candidate_values}
-    positive = sorted(v for v in pool if v > 0)
-    if not positive:
-        raise InvalidParameter("no positive candidate cross distances available")
-
-    values = sorted({Fraction(0), *spectrum(x), *spectrum(y), *positive})
+    values = sorted({*spectrum(x), *spectrum(y)})
     rank = {v: r for r, v in enumerate(values)}
     nx, ny = len(x), len(y)
     rx = [[rank[v] for v in row] for row in x.dist]
     ry = [[rank[v] for v in row] for row in y.dist]
-    choices = [rank[v] for v in positive]
+    choices = range(1, len(values))
 
     cross = [[-1] * ny for _ in range(nx)]
     cells = [(i, j) for i in range(nx) for j in range(ny)]
@@ -138,13 +130,6 @@ def ugh_oracle(x: UltrametricSpace, y: UltrametricSpace, candidate_values=None) 
                 cross[i][j] = -1
 
     search(0, -1)
-    if best_cross is None:
-        # unreachable with default candidates: the constant matrix at the top
-        # spectral value (= the larger diameter) is always admissible
-        raise InvalidParameter(
-            "no joint ultrametric exists over the supplied candidate values"
-        )
-
     labels = [f"L:{l}" for l in x.labels] + [f"R:{l}" for l in y.labels]
     cross = [[values[r] for r in row] for row in best_cross]
     joint = validate_ultrametric(labels, block_matrix(x.dist, y.dist, cross))

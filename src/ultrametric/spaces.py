@@ -9,7 +9,8 @@ reads them.  A space is built in one of two places, which share one axiom
 checker: :func:`validate_ultrametric` parses a matrix, and
 :func:`space_from_ranks` takes the ranks that constructions on validated
 spaces assemble over their merged spectrum.  Everything downstream assumes
-the checker ran.
+the checker ran.  A hierarchy leaves this module in one form: a point order
+and the gaps between neighbours, ``d = max(gaps between)`` (:func:`chain_order`).
 """
 
 from __future__ import annotations
@@ -212,43 +213,64 @@ def minimum_spanning_tree(ranks) -> list[tuple[int, int, int]]:
     return edges
 
 
-def subdominant(ranks) -> tuple[tuple[int, ...], ...]:
-    """Largest ultrametric below a symmetric matrix of ranks (single linkage).
+def chain_order(ranks) -> tuple[list[int], list[int]]:
+    """Single linkage's point order and the gaps between neighbours in it.
 
-    Joining clusters along :func:`minimum_spanning_tree`'s edges in
-    increasing weight, every pair across a join gets the edge's weight; the
-    diagonal is kept from ``ranks``.  Each cluster stays one run of the final
-    member order, so in that order a join writes each row of its smaller,
-    later side as one slice over the earlier side: O(n log n) loop steps for
-    the O(n^2) entries below the diagonal, which are then mirrored and put
-    back in point order.
+    Joins clusters along :func:`minimum_spanning_tree`'s edges in increasing
+    weight, the larger cluster first, so every cluster stays one run of the
+    order and each join's right run is the smaller one.  A join sets the gap
+    between its two runs to its weight, so the subdominant ultrametric of
+    ``ranks`` between the points at positions ``p < q`` is ``max(gaps[p:q])``.
     """
-    n = len(ranks)
-    if n == 1:
-        return (tuple(ranks[0]),)
-    root = list(range(n))
+    root = list(range(len(ranks)))
     members = [[i] for i in root]
-    joins = []
+    gap_before = [0] * len(ranks)
     for a, b, weight in sorted(minimum_spanning_tree(ranks), key=itemgetter(2)):
         a, b = find_root(root, a), find_root(root, b)
         if len(members[a]) < len(members[b]):
             a, b = b, a
-        joins.append((members[a][0], len(members[a]), len(members[b]), weight))
+        gap_before[members[b][0]] = weight
         members[a] += members[b]
         root[b] = a
     order = members[find_root(root, 0)]
-    position = [0] * n
-    for p, i in enumerate(order):
-        position[i] = p
-    lower = [[ranks[i][i]] * n for i in order]
-    for first, size, extra, weight in joins:
-        start = position[first]
-        across = [weight] * size
-        for row in lower[start + size : start + size + extra]:
-            row[start : start + size] = across
-    columns = list(zip(*lower))
+    return order, [gap_before[i] for i in order[1:]]
+
+
+def chain_matrix(gaps, diagonal) -> list[list]:
+    """The symmetric matrix with ``diagonal[p]`` at ``(p, p)`` and
+    ``max(gaps[p:q])`` at ``(p, q)``, ``p < q``.
+
+    Joins neighbouring runs in increasing gap order, writing each row of the
+    right run as one slice over the left run, then mirrors the lower triangle:
+    column ``p`` is read before row ``p`` changes, from rows not changed yet.
+    """
+    lower = [[d] * len(diagonal) for d in diagonal]
+    first = list(range(len(diagonal)))  # at each run's last position, its first
+    last = first[:]  # at each run's first position, its last
+    for k in sorted(range(len(gaps)), key=gaps.__getitem__):
+        start, end = first[k], last[k + 1]
+        across = [gaps[k]] * (k + 1 - start)
+        for row in lower[k + 1 : end + 1]:
+            row[start : k + 1] = across
+        first[end], last[start] = start, end
+    for p, column in enumerate(zip(*lower)):
+        lower[p][p + 1 :] = column[p + 1 :]
+    return lower
+
+
+def subdominant(ranks) -> tuple[tuple[int, ...], ...]:
+    """Largest ultrametric below a symmetric matrix of ranks (single linkage).
+
+    :func:`chain_matrix` of :func:`chain_order`'s gaps, put back in point
+    order; the diagonal is kept from ``ranks``.
+    """
+    if len(ranks) == 1:
+        return (tuple(ranks[0]),)
+    order, gaps = chain_order(ranks)
+    rows = chain_matrix(gaps, [ranks[i][i] for i in order])
+    position = sorted(range(len(order)), key=order.__getitem__)
     in_point_order = itemgetter(*position)
-    return tuple(in_point_order(lower[p][: p + 1] + list(columns[p][p + 1 :])) for p in position)
+    return tuple(in_point_order(rows[p]) for p in position)
 
 
 def find_root(parent: list[int], i: int) -> int:

@@ -16,6 +16,8 @@ import pytest
 from ultrametric import (
     GlueSpec,
     UltrametricSpace,
+    cauchy_sequence,
+    crowd_family,
     random_space,
     restrict,
     spectrum_constraint,
@@ -43,6 +45,12 @@ def isosceles():
 
 
 SIX_VALUES = spectrum_constraint(["0", "1/8", "1/4", "3/8", "1/2", "1"])
+
+
+def deep_and_wide() -> list[UltrametricSpace]:
+    """A 41-point caterpillar (every merge has a leaf child) and a space whose
+    lowest merge joins 21 points at one height."""
+    return [cauchy_sequence(40), crowd_family(cauchy_sequence(5), "1/32", Fraction(1, 64), 20)]
 
 
 def random_glue_spec(rng: random.Random, max_side: int = 7) -> GlueSpec:

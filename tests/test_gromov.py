@@ -120,17 +120,6 @@ class TestOracle:
         with pytest.raises(InstanceTooLarge):
             ugh_oracle(big, ONE_POINT)
 
-    def test_candidate_override(self):
-        # forcing coarser candidates cannot go below the default optimum
-        xh, x34 = two_point_space("1/2"), two_point_space("3/4")
-        assert ugh_oracle(xh, x34, ["1/2", "3/4", "1"]) == Fraction(3, 4)
-
-    def test_starved_candidates_raise(self):
-        from ultrametric.errors import InvalidParameter
-
-        with pytest.raises(InvalidParameter):
-            ugh_oracle(two_point_space("3/4"), two_point_space("1/2"), ["1/4"])
-
     def test_agrees_with_scan_on_random_pool(self):
         rng = random.Random(47)
         pool = [

@@ -31,7 +31,7 @@ from ultrametric import (
     verify_certificate,
 )
 from ultrametric.errors import CertificateInvalid, UltrametricError
-from ultrametric.dendrogram import from_dendrogram, leaf_labels, merge_tree
+from ultrametric.dendrogram import from_dendrogram, leaf_labels, merge_tree, to_dendrogram
 from ultrametric.gromov import Certificate
 from ultrametric.rationals import format_rational
 from ultrametric.spaces import (
@@ -42,7 +42,7 @@ from ultrametric.spaces import (
     subdominant,
 )
 
-from conftest import SIX_VALUES, random_glue_spec
+from conftest import SIX_VALUES, deep_and_wide, random_glue_spec
 from test_mst_core import reference_single_linkage
 
 GRIDS = [
@@ -259,8 +259,10 @@ def test_restrict_and_quotients_match_the_fraction_formula():
 
 def test_from_dendrogram_matches_the_fraction_fill():
     rng = random.Random(814)
-    for _ in range(80):
-        tree = merge_tree(fresh(rng, rng.randint(1, 14)))
+    trees = [merge_tree(fresh(rng, rng.randint(1, 14))) for _ in range(80)]
+    # Both child orders of each shape: the deep or wide subtree first and last.
+    trees += [tree for s in deep_and_wide() for tree in (merge_tree(s), to_dendrogram(s))]
+    for tree in trees:
         got = from_dendrogram(tree)
         assert_exact_spectrum(got)
         assert got == reference_from_dendrogram(tree)
@@ -302,6 +304,13 @@ def test_subdominant_matches_the_row_copying_fill():
     for n in (50, 200):
         space = fresh(rng, n)
         assert subdominant(space.ranks) == reference_subdominant(space.ranks) == space.ranks
+    # Heavy ties: every off-diagonal rank is one of one to three values.
+    for n, top in ((30, 2), (30, 3), (80, 3), (80, 4)):
+        rows = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                rows[i][j] = rows[j][i] = rng.randint(2, top)
+        assert subdominant(rows) == reference_subdominant(rows)
 
 
 # Tampered certificates.

@@ -34,7 +34,6 @@ from ultrametric import (
 )
 from ultrametric.dendrogram import (
     canonicalize,
-    find_root,
     leaf_pairing,
     node_height,
     quotient_blocks,
@@ -42,8 +41,9 @@ from ultrametric.dendrogram import (
 )
 from ultrametric.jsonio import dendrogram_to_obj, dumps, space_to_obj
 from ultrametric.rationals import as_rational, format_rational
+from ultrametric.spaces import find_root
 
-from conftest import respelled
+from conftest import deep_and_wide, respelled
 
 VALUES = ["0", "1/8", "1/4", "3/8", "1/2", "5/8", "3/4", "1", "3/2", "2"]
 
@@ -228,7 +228,8 @@ def test_in_uk_matches_the_fraction_scan_with_its_witness():
 
 
 def test_dendrogram_and_space_json_match_the_fraction_versions():
-    for _, space, plain in spaces(seed=6, count=80, max_n=24):
+    shapes = [(None, s, Plain(s.labels, s.dist)) for s in deep_and_wide()]
+    for _, space, plain in [*spaces(seed=6, count=80, max_n=24), *shapes]:
         want = dumps(dendrogram_to_obj(canonicalize(reference_merge_tree(plain))))
         assert dumps(dendrogram_to_obj(to_dendrogram(space))) == want
         assert space_to_obj(space) == reference_space_to_obj(plain)
