@@ -237,7 +237,7 @@ SCALE_BITS = 64
 
 def single_linkage(labels, matrix) -> UltrametricSpace:
     """Largest ultrametric below a metric: min over paths of the max edge,
-    read off a minimum spanning tree.
+    read off Prim's visit order and join keys (:func:`subdominant`).
 
     The input must be a genuine metric (symmetric, zero diagonal, positive
     off-diagonal, ordinary triangle inequality); the output agrees with the

@@ -27,11 +27,11 @@ spectra agree above ``t``), so candidates below it are dropped.
 rest and then bisects: an answer at position ``p`` costs ``O(log p)`` tests,
 at most ``O(log k)`` for ``k`` candidates, instead of a linear scan.
 
-Test.  Both merge trees are built once (Prim's tree and a union-find, O(n^2)
-per space).  The tree of the quotient at ``t`` is the merge tree with every
-subtree of height ``<= t`` collapsed into one point, so one post-order walk
-(:func:`ultrametric.dendrogram.truncated_canon`) yields the quotient's
-truncated canonical key ``(height, count, encoding, labels)`` without
+Test.  Both merge trees are built once (from Prim's visit order and join
+keys, O(n^2) per space).  The tree of the quotient at ``t`` is the merge
+tree with every subtree of height ``<= t`` collapsed into one point, so one
+post-order walk (:func:`ultrametric.dendrogram.truncated_canon`) yields the
+quotient's truncated canonical key ``(height, count, encoding, labels)`` without
 building a quotient matrix; equal encodings mean isometric quotients.  A
 walk costs the total size of the keys it builds, ``O(n log n)`` on a tree of
 logarithmic depth (``O(n^2)`` on a caterpillar), so a search is two O(n^2)

@@ -10,7 +10,8 @@ checker: :func:`validate_ultrametric` parses a matrix, and
 :func:`space_from_ranks` takes the ranks that constructions on validated
 spaces assemble over their merged spectrum.  Everything downstream assumes
 the checker ran.  A hierarchy leaves this module in one form: a point order
-and the gaps between neighbours, ``d = max(gaps between)`` (:func:`chain_order`).
+and the gaps between neighbours, ``d = max(gaps between)``, which are Prim's
+visit order and join keys (:func:`chain_order`).
 """
 
 from __future__ import annotations
@@ -191,49 +192,31 @@ def remap(ranks, table) -> list[list[int]]:
     return [list(map(table.__getitem__, row)) for row in ranks]
 
 
-def minimum_spanning_tree(ranks) -> list[tuple[int, int, int]]:
-    """Prim's tree of a symmetric matrix of ranks, grown from point 0.
-
-    Returns ``(parent, child, weight)`` edges in the order the children
-    joined, so every parent is point 0 or an earlier child.
-    """
-    weight = list(ranks[0])
-    source = [0] * len(ranks)
-    left = list(range(1, len(ranks)))
-    edges = []
-    while left:
-        child = min(left, key=weight.__getitem__)
-        left.remove(child)
-        edges.append((source[child], child, weight[child]))
-        row = ranks[child]
-        for k in left:
-            if row[k] < weight[k]:
-                weight[k] = row[k]
-                source[k] = child
-    return edges
-
-
 def chain_order(ranks) -> tuple[list[int], list[int]]:
     """Single linkage's point order and the gaps between neighbours in it.
 
-    Joins clusters along :func:`minimum_spanning_tree`'s edges in increasing
-    weight, the larger cluster first, so every cluster stays one run of the
-    order and each join's right run is the smaller one.  A join sets the gap
-    between its two runs to its weight, so the subdominant ultrametric of
-    ``ranks`` between the points at positions ``p < q`` is ``max(gaps[p:q])``.
+    One pass of Prim's algorithm over a symmetric matrix of ranks, grown from
+    point 0: the order is the visit order and each gap is the key its right
+    point joined at, so the subdominant ultrametric of ``ranks`` between the
+    points at positions ``p < q`` is ``max(gaps[p:q])``.  At the largest
+    join between them the tree held the first point but not the second, and
+    that key was the lightest edge leaving the tree, so every path between
+    them has an edge at least that heavy.  Conversely, by induction on ``q``,
+    each point hangs off an earlier one at its key, and every key taken while
+    it waited was at most that key.
     """
-    root = list(range(len(ranks)))
-    members = [[i] for i in root]
-    gap_before = [0] * len(ranks)
-    for a, b, weight in sorted(minimum_spanning_tree(ranks), key=itemgetter(2)):
-        a, b = find_root(root, a), find_root(root, b)
-        if len(members[a]) < len(members[b]):
-            a, b = b, a
-        gap_before[members[b][0]] = weight
-        members[a] += members[b]
-        root[b] = a
-    order = members[find_root(root, 0)]
-    return order, [gap_before[i] for i in order[1:]]
+    weight = list(ranks[0])
+    left = list(range(1, len(ranks)))
+    order = [0]
+    while left:
+        point = min(left, key=weight.__getitem__)
+        left.remove(point)
+        order.append(point)
+        row = ranks[point]
+        for k in left:
+            if row[k] < weight[k]:
+                weight[k] = row[k]
+    return order, [weight[p] for p in order[1:]]
 
 
 def chain_matrix(gaps, diagonal) -> list[list]:
@@ -307,13 +290,14 @@ def space_from_ranks(labels, ranks, values) -> UltrametricSpace:
 
     ``values`` must be sorted, distinct and hold 0, as a merged spectrum is;
     ``ranks[i][j]`` indexes it.  Builders that combine validated spaces hand
-    over ranks, so no entry is parsed again.  Values no entry uses are
-    dropped first, so the space's values are exactly its spectrum.  The
-    labels and every axiom are checked as :func:`validate_ultrametric`
-    checks them, with the same errors in the same order.
+    over ranks, so no entry is parsed again.  Values other than 0 that no
+    entry uses are dropped first, so the space's values are exactly its
+    spectrum.  The labels and every axiom are checked as
+    :func:`validate_ultrametric` checks them, with the same errors in the
+    same order.
     """
     labels = _check_labels(labels)
-    used = sorted(set().union(*ranks))
+    used = sorted(set().union([bisect_left(values, ZERO)], *ranks))
     if len(used) < len(values):
         table = dict(zip(used, range(len(used))))
         ranks = remap(ranks, table)

@@ -72,6 +72,29 @@ def random_glue_spec(rng: random.Random, max_side: int = 7) -> GlueSpec:
     return GlueSpec(left, right, identify)
 
 
+def prim_edges(matrix) -> list[tuple[int, int, object]]:
+    """Prim's tree of a symmetric matrix, grown from point 0.
+
+    Returns ``(parent, child, weight)`` edges in the order the children
+    joined, so every parent is point 0 or an earlier child.  Entries only
+    need to compare, so ranks and Fractions both work.
+    """
+    weight = list(matrix[0])
+    source = [0] * len(matrix)
+    left = list(range(1, len(matrix)))
+    edges = []
+    while left:
+        child = min(left, key=weight.__getitem__)
+        left.remove(child)
+        edges.append((source[child], child, weight[child]))
+        row = matrix[child]
+        for k in left:
+            if row[k] < weight[k]:
+                weight[k] = row[k]
+                source[k] = child
+    return edges
+
+
 def spellings(value: Fraction) -> list:
     """Ways to write ``value`` that must all read as the same distance."""
     p, q = value.numerator, value.denominator

@@ -38,11 +38,10 @@ from ultrametric.spaces import (
     ZERO,
     UltrametricSpace,
     block_matrix,
-    minimum_spanning_tree,
     subdominant,
 )
 
-from conftest import SIX_VALUES, deep_and_wide, random_glue_spec
+from conftest import SIX_VALUES, deep_and_wide, prim_edges, random_glue_spec
 from test_mst_core import reference_single_linkage
 
 GRIDS = [
@@ -282,10 +281,11 @@ def test_single_linkage_values_are_exactly_its_spectrum():
 
 
 def reference_subdominant(ranks):
-    """The row-copying fill along Prim's tree that the join order replaced."""
+    """The row-copying fill along Prim's tree: each child copies its parent's
+    row, raised to the weight of the edge between them."""
     sub = [list(row) for row in ranks]
     joined = [0]
-    for parent, child, weight in minimum_spanning_tree(ranks):
+    for parent, child, weight in prim_edges(ranks):
         for k in joined:
             sub[child][k] = sub[k][child] = max(sub[parent][k], weight)
         joined.append(child)
@@ -356,6 +356,12 @@ def tampered(rng: random.Random, cert: Certificate):
         ranks[b][a] = ranks[a][b]
         yield "broken axiom", with_space(ranks=tuple(map(tuple, ranks)))
     yield "unused value", with_space(values=(*space.values, space.values[-1] + 1))
+    if len(space.values) > 1:
+        # No entry uses 0, so 0 must not be dropped as an unused value.
+        ranks = [list(row) for row in space.ranks]
+        for i in range(n):
+            ranks[i][i] = 1
+        yield "positive diagonal", with_space(ranks=tuple(map(tuple, ranks)))
 
 
 def test_tampered_certificates_raise_what_the_label_scan_raised():
@@ -372,9 +378,11 @@ def test_tampered_certificates_raise_what_the_label_scan_raised():
     assert caught >= {
         "wrong value", "swapped embeddings", "distorted pair", "non-injective left",
         "unknown image left", "asymmetric", "broken axiom", "distorted, then unknown",
+        "positive diagonal",
     }
     assert {error for _, error, _ in kinds} >= {
         "CertificateInvalid", "UnknownLabel", "NonSymmetric", "TriangleViolation", "ok",
+        "NonzeroDiagonal",
     }
     assert ("distorted, then unknown", "CertificateInvalid", "left embedding distorts") in kinds
 

@@ -43,7 +43,7 @@ from ultrametric.jsonio import dendrogram_to_obj, dumps, space_to_obj
 from ultrametric.rationals import as_rational, format_rational
 from ultrametric.spaces import find_root
 
-from conftest import deep_and_wide, respelled
+from conftest import deep_and_wide, prim_edges, respelled
 
 VALUES = ["0", "1/8", "1/4", "3/8", "1/2", "5/8", "3/4", "1", "3/2", "2"]
 
@@ -108,18 +108,9 @@ def reference_in_uk(s: Plain, allowed) -> tuple[bool, tuple | None]:
 
 def reference_merge_tree(s: Plain):
     """Prim's tree on Fractions, then the union-find merge along its edges."""
-    n = len(s.labels)
-    weight, source, left, edges = list(s.dist[0]), [0] * n, list(range(1, n)), []
-    while left:
-        child = min(left, key=weight.__getitem__)
-        left.remove(child)
-        edges.append((source[child], child, weight[child]))
-        for k in left:
-            if s.dist[child][k] < weight[k]:
-                weight[k], source[k] = s.dist[child][k], child
-    cluster_of = list(range(n))
+    cluster_of = list(range(len(s.labels)))
     nodes = [Leaf(label) for label in s.labels]
-    for a, b, w in sorted(edges, key=lambda edge: edge[2]):
+    for a, b, w in sorted(prim_edges(s.dist), key=lambda edge: edge[2]):
         ra, rb = find_root(cluster_of, a), find_root(cluster_of, b)
         children = tuple(
             child
