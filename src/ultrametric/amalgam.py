@@ -85,7 +85,12 @@ def glue_embeddings(spec: GlueSpec) -> tuple[dict[str, str], dict[str, str]]:
 
 
 def glue(spec: GlueSpec) -> UltrametricSpace:
-    """Amalgamate the two spaces along their identified common part."""
+    """Amalgamate the two spaces along their identified common part.
+
+    The result is ultrametric: a triangle with two points on one side is
+    bounded through the common part by that side's strong triangle
+    inequality, and the two sides agree on the common part.
+    """
     _check_spec(spec)
     x1, x2 = spec.x1, spec.x2
     common = [(x1.index(a), x2.index(b)) for a, b in spec.identify]
@@ -108,9 +113,10 @@ def glue(spec: GlueSpec) -> UltrametricSpace:
 def disjoint_amalgam(x: UltrametricSpace, y: UltrametricSpace, s) -> UltrametricSpace:
     """Disjoint union with every cross distance equal to ``s``.
 
-    ``s`` must be positive and at least both diameters: any smaller scale
-    would break the strong triangle inequality on a triangle with two points
-    in the wider space.
+    ``s`` must be positive and at least both diameters: then every triangle
+    with points on both sides has its two longest sides equal to ``s``, and
+    any smaller scale would break the strong triangle inequality on a
+    triangle with two points in the wider space.
     """
     s = as_rational(s)
     required = max(x.diameter(), y.diameter())

@@ -30,7 +30,15 @@ from operator import itemgetter
 
 from .errors import MalformedTree
 from .rationals import as_rational, format_rational
-from .spaces import ZERO, Record, UltrametricSpace, chain_matrix, chain_order, space_from_ranks
+from .spaces import (
+    ZERO,
+    Record,
+    UltrametricSpace,
+    chain_matrix,
+    chain_order,
+    merged_spectrum,
+    space_from_ranks,
+)
 
 
 class Leaf(Record):
@@ -177,27 +185,31 @@ def from_dendrogram(node: Node) -> UltrametricSpace:
     Raises MalformedTree on structural defects: heights not strictly
     decreasing toward the leaves, internal nodes with fewer than two children,
     nonpositive heights, or duplicate leaf labels.  Nodes are checked in
-    pre-order, each against its parent first.  A leaf meets the one before it
-    at the parent of its lowest ancestor (or itself) that is not a first child,
-    whose height the walk appends as their gap for :func:`chain_matrix`.
+    pre-order, each height read once and tested against its parent first.  A
+    leaf meets the one before it at the parent of its lowest ancestor (or
+    itself) that is not a first child, whose height the walk appends as their
+    gap for :func:`chain_matrix`.  A tree that passes is ultrametric: where
+    x meets y is at or below where z meets x or y, and heights grow toward
+    the root.
     """
     order: list[str] = []
     gaps: list[Fraction] = []
     stack: list[tuple[Node, Fraction | None, bool]] = [(node, None, False)]
     while stack:
         current, parent, later = stack.pop()
+        leaf = isinstance(current, Leaf)
+        height = ZERO if leaf else as_rational(current.height)
         if parent is not None:
-            if node_height(current) >= parent:
+            if height >= parent:
                 raise MalformedTree(
-                    f"child height {format_rational(node_height(current))} does not "
+                    f"child height {format_rational(height)} does not "
                     f"decrease below parent height {format_rational(parent)}"
                 )
             if later:
                 gaps.append(parent)
-        if isinstance(current, Leaf):
+        if leaf:
             order.append(current.label)
             continue
-        height = as_rational(current.height)
         if height <= 0:
             raise MalformedTree(f"internal node height {format_rational(height)} is not positive")
         if len(current.children) < 2:
@@ -207,9 +219,8 @@ def from_dendrogram(node: Node) -> UltrametricSpace:
         stack.append((first, height, False))
     if len(set(order)) != len(order):
         raise MalformedTree("duplicate leaf labels")
-    values = [ZERO, *sorted(set(gaps))]
-    rank = {height: r for r, height in enumerate(values)}
-    matrix = chain_matrix([rank[height] for height in gaps], [0] * len(order))
+    values, (_, gap_ranks) = merged_spectrum((ZERO,), gaps)
+    matrix = chain_matrix(gap_ranks, [0] * len(order))
     return space_from_ranks(order, matrix, values)
 
 

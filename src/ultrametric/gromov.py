@@ -56,6 +56,8 @@ from .spaces import (
     ZERO,
     Record,
     UltrametricSpace,
+    _check_axioms,
+    _check_labels,
     block_matrix,
     merged_spectrum,
     remap,
@@ -152,6 +154,11 @@ def certificate(
     disjoint union: a point of X sits at exactly t from the points of its
     matched block of Y, and at the (quotient) block distance from everything
     else.  Hausdorff distance between the two images is then exactly t.
+    With ``result = ugh_distance(x, y)`` the space is ultrametric: each cross
+    distance is ``max(t, d_Q)`` for the metric ``d_Q`` of the common quotient
+    at ``t``, which agrees with both sides' metrics above ``t``.  Any other
+    ``result`` gives an unchecked space; :func:`verify_certificate` is the
+    check for it.
     """
     if result is None:
         result = ugh_distance(x, y)
@@ -191,15 +198,17 @@ def verify_certificate(
 ) -> None:
     """Re-check a certificate from scratch; raises CertificateInvalid.
 
-    Checks: the ambient space satisfies the ultrametric axioms, both
-    embeddings are injective and distance-preserving, and the Hausdorff
-    distance between the images equals the claimed value.  Distances are
-    compared as ranks of the ambient space, each source value looked up once.
+    Checks: the ambient space is a well-formed record satisfying the
+    ultrametric axioms, both embeddings are injective and
+    distance-preserving, and the Hausdorff distance between the images
+    equals the claimed value.  Distances are compared as ranks of the
+    ambient space, each source value looked up once.
     """
     from .hyperspace import hausdorff_distance
 
     space = cert.space
-    space_from_ranks(space.labels, space.ranks, space.values)
+    _check_record(space)
+    _check_axioms(_check_labels(space.labels), space.ranks, space.values)
     position = {v: r for r, v in enumerate(space.values)}
     for name, source, embed in (("left", x, cert.embed_left), ("right", y, cert.embed_right)):
         if sorted(embed) != sorted(source.labels):
@@ -214,6 +223,23 @@ def verify_certificate(
         raise CertificateInvalid(
             f"claimed Hausdorff distance {format_rational(cert.achieved)} but images "
             f"realize {format_rational(achieved)}",
+        )
+
+
+def _check_record(space: UltrametricSpace) -> None:
+    """Raise unless ``ranks`` is a square matrix of positions in ``values``
+    and ``values`` rise strictly from 0, as the axiom scan reads them."""
+    values, ranks, n = space.values, space.ranks, len(space.labels)
+    if (
+        not values
+        or values[0] != 0
+        or any(a >= b for a, b in zip(values, values[1:]))
+        or len(ranks) != n
+        or any(len(row) != n for row in ranks)
+        or not set().union(*ranks) <= set(range(len(values)))
+    ):
+        raise CertificateInvalid(
+            f"certificate space is not {n} x {n} ranks into values rising strictly from 0"
         )
 
 

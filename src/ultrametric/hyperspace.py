@@ -37,7 +37,8 @@ def hausdorff_distance(space: UltrametricSpace, a, b) -> Fraction:
 
 
 def restrict(space: UltrametricSpace, subset) -> UltrametricSpace:
-    """Induced subspace on the given points, kept in source label order."""
+    """Induced subspace on the given points, kept in source label order;
+    the axioms hold on any subset of the points."""
     chosen = set(_subset_indices(space, subset, "subset"))
     indices = [i for i in range(len(space)) if i in chosen]
     labels = tuple(space.labels[i] for i in indices)

@@ -5,13 +5,16 @@ Fractions satisfying the strong triangle inequality
 ``d(x,y) <= max(d(x,z), d(z,y))``.  It is stored as its spectrum ``values``
 (sorted distinct distances, 0 first) and the matrix ``ranks`` of positions in
 ``values``; ranks compare as the distances do, so code that only compares
-reads them.  A space is built in one of two places, which share one axiom
-checker: :func:`validate_ultrametric` parses a matrix, and
-:func:`space_from_ranks` takes the ranks that constructions on validated
-spaces assemble over their merged spectrum.  Everything downstream assumes
-the checker ran.  A hierarchy leaves this module in one form: a point order
-and the gaps between neighbours, ``d = max(gaps between)``, which are Prim's
-visit order and join keys (:func:`chain_order`).
+reads them.  The axioms are checked where a matrix enters from outside, by
+:func:`validate_ultrametric` (and by ``verify_certificate`` for a
+caller-supplied certificate), and nowhere else.  Constructions on spaces
+assemble ranks over their merged spectrum and hand them to
+:func:`space_from_ranks`, which only checks labels: each construction is
+ultrametric by the proof in its docstring.  A hand-built
+:class:`UltrametricSpace` is therefore unchecked.  A hierarchy leaves this
+module in one form: a point order and the gaps between neighbours,
+``d = max(gaps between)``, which are Prim's visit order and join keys
+(:func:`chain_order`).
 """
 
 from __future__ import annotations
@@ -151,10 +154,8 @@ def rank_image(matrix, width: int | None = None) -> tuple[list[list[int]], list[
                 parsed.append(as_rational(v) if type(v) is str else value)
             id_row.append(pid)
         id_rows.append(id_row)
-    values = sorted(set(parsed))
-    position = {v: r for r, v in enumerate(values)}
-    rank_of = [position[v] for v in parsed]
-    return [list(map(rank_of.__getitem__, id_row)) for id_row in id_rows], values
+    values, (rank_of,) = merged_spectrum(parsed)
+    return remap(id_rows, rank_of), values
 
 
 def _check_labels(labels) -> tuple[str, ...]:
@@ -286,23 +287,23 @@ def validate_ultrametric(labels, matrix) -> UltrametricSpace:
 
 
 def space_from_ranks(labels, ranks, values) -> UltrametricSpace:
-    """:func:`validate_ultrametric` for a matrix already given as ranks.
+    """The space of a matrix of ranks that is ultrametric by construction.
 
-    ``values`` must be sorted, distinct and hold 0, as a merged spectrum is;
-    ``ranks[i][j]`` indexes it.  Builders that combine validated spaces hand
-    over ranks, so no entry is parsed again.  Values other than 0 that no
-    entry uses are dropped first, so the space's values are exactly its
-    spectrum.  The labels and every axiom are checked as
-    :func:`validate_ultrametric` checks them, with the same errors in the
-    same order.
+    ``values`` must be sorted, distinct and start with 0, as a merged
+    spectrum does; ``ranks[i][j]`` indexes it.  Builders that combine spaces
+    hand over ranks, so no entry is parsed again, and their proofs stand in
+    for the axiom scan, which runs only in :func:`validate_ultrametric` and
+    ``verify_certificate``.  The labels are checked as
+    :func:`validate_ultrametric` checks them, and values that no entry uses
+    are dropped, so the space's values are exactly its spectrum.
     """
     labels = _check_labels(labels)
-    used = sorted(set().union([bisect_left(values, ZERO)], *ranks))
+    used = sorted(set().union(*ranks))
     if len(used) < len(values):
         table = dict(zip(used, range(len(used))))
         ranks = remap(ranks, table)
         values = [values[r] for r in used]
-    return _check_axioms(labels, ranks, values)
+    return UltrametricSpace(labels, tuple(values), tuple(map(tuple, ranks)))
 
 
 def _check_axioms(labels, ranks, values) -> UltrametricSpace:
@@ -418,7 +419,8 @@ def closed_quotient(space: UltrametricSpace, t) -> QuotientSpace:
 
     ``d(x,y) <= t`` is an equivalence relation on an ultrametric space, so the
     blocks are simply the closed balls; block distances are the (well-defined)
-    source distances between representatives.  ``d(x,y) <= t`` holds exactly
+    source distances between representatives, so the quotient is the
+    subspace on the representatives.  ``d(x,y) <= t`` holds exactly
     when the rank of ``d(x,y)`` is below ``bisect_right(values, t)``.
     """
     t = as_rational(t)

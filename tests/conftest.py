@@ -23,7 +23,32 @@ from ultrametric import (
     spectrum_constraint,
     validate_ultrametric,
 )
+from ultrametric import amalgam, dendrogram, generators, gromov, hyperspace, spaces
+from ultrametric.errors import UltrametricError
 from ultrametric.rationals import as_rational
+
+# Taken at import, so a test that patches ``spaces._check_axioms`` to count
+# calls sees only the library's own.
+BUILD_SPACE = spaces.space_from_ranks
+CHECK_AXIOMS = spaces._check_axioms
+
+
+def rechecked_space_from_ranks(labels, ranks, values) -> UltrametricSpace:
+    """``space_from_ranks``, then the axiom scan it leaves to each builder's proof."""
+    space = BUILD_SPACE(labels, ranks, values)
+    try:
+        checked = CHECK_AXIOMS(space.labels, space.ranks, space.values)
+    except UltrametricError as exc:
+        raise AssertionError(f"a construction built a non-ultrametric space: {exc}") from exc
+    assert checked == space
+    return space
+
+
+@pytest.fixture(autouse=True)
+def recheck_constructions(monkeypatch):
+    """Every space a construction builds in a test goes through the axiom scan."""
+    for module in (spaces, amalgam, generators, gromov, dendrogram, hyperspace):
+        monkeypatch.setattr(module, "space_from_ranks", rechecked_space_from_ranks)
 
 
 def make_space(labels, entries) -> UltrametricSpace:

@@ -6,12 +6,12 @@ from pathlib import Path
 
 import pytest
 
-from ultrametric import jsonio, validate_ultrametric
+from ultrametric import gromov, jsonio, spaces, validate_ultrametric
 from ultrametric.cli import main
 from ultrametric.rationals import int_max_str_digits
 
 from cli_corpus import CASES, EXPECTED, GOLDEN, SKIPPED, run_case
-from conftest import shallow_recursion
+from conftest import CHECK_AXIOMS, shallow_recursion
 
 CORPUS = [
     pytest.param(
@@ -151,6 +151,34 @@ def test_certificate_file_revalidates(tmp_path):
     assert code == 0
     cert = jsonio.certificate_from_obj(json.loads(written["cert.json"]))
     validate_ultrametric(cert.space.labels, cert.space.dist)
+
+
+# One axiom scan per space read from a file and one for a certificate's
+# ambient space; constructions add none.
+AXIOM_SCANS = [
+    ("ugh_cert", 3),
+    ("amalgam", 2),
+    ("glue", 2),
+    ("quotient", 1),
+    ("gen_crowd", 1),
+    ("gen_random", 0),
+    ("cluster", 0),
+]
+
+
+@pytest.mark.parametrize("name,want", AXIOM_SCANS)
+def test_axioms_are_scanned_where_data_enters(name, want, tmp_path, monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return CHECK_AXIOMS(*args)
+
+    for module in (spaces, gromov):
+        monkeypatch.setattr(module, "_check_axioms", counted)
+    argv = {case: argv for case, argv, _ in CASES}[name]
+    assert run_case(argv, tmp_path)[0] == 0
+    assert len(calls) == want
 
 
 def test_deeply_nested_json_is_an_input_error(tmp_path, capsys):

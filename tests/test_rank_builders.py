@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -30,8 +31,15 @@ from ultrametric import (
     validate_ultrametric,
     verify_certificate,
 )
-from ultrametric.errors import CertificateInvalid, UltrametricError
-from ultrametric.dendrogram import from_dendrogram, leaf_labels, merge_tree, to_dendrogram
+from ultrametric.errors import CertificateInvalid, MalformedTree, UltrametricError
+from ultrametric.dendrogram import (
+    Leaf,
+    Merge,
+    from_dendrogram,
+    leaf_labels,
+    merge_tree,
+    to_dendrogram,
+)
 from ultrametric.gromov import Certificate
 from ultrametric.rationals import format_rational
 from ultrametric.spaces import (
@@ -41,7 +49,7 @@ from ultrametric.spaces import (
     subdominant,
 )
 
-from conftest import SIX_VALUES, deep_and_wide, prim_edges, random_glue_spec
+from conftest import SIX_VALUES, deep_and_wide, prim_edges, random_glue_spec, spellings
 from test_mst_core import reference_single_linkage
 
 GRIDS = [
@@ -128,7 +136,19 @@ def reference_hausdorff(space, a, b) -> Fraction:
     return max(forward, backward)
 
 
+def reference_record(space) -> None:
+    values, n = space.values, len(space.labels)
+    square = len(space.ranks) == n and all(len(row) == n for row in space.ranks)
+    in_range = all(r in range(len(values)) for row in space.ranks for r in row)
+    rising = bool(values) and values[0] == 0 and list(values) == sorted(set(values))
+    if not (square and in_range and rising):
+        raise CertificateInvalid(
+            f"certificate space is not {n} x {n} ranks into values rising strictly from 0"
+        )
+
+
 def reference_verify(cert, x, y) -> None:
+    reference_record(cert.space)
     validate_ultrametric(cert.space.labels, cert.space.dist)
     for name, source, embed in (("left", x, cert.embed_left), ("right", y, cert.embed_right)):
         if sorted(embed) != sorted(source.labels):
@@ -267,6 +287,33 @@ def test_from_dendrogram_matches_the_fraction_fill():
         assert got == reference_from_dendrogram(tree)
 
 
+def with_heights(node, spell):
+    """The tree with every merge height ``h`` replaced by ``spell(h)``."""
+    if isinstance(node, Leaf):
+        return node
+    return Merge(spell(node.height), tuple(with_heights(child, spell) for child in node.children))
+
+
+def test_from_dendrogram_reads_string_and_int_heights_at_every_depth():
+    strings = Merge("1", (Merge("1/2", (Leaf("a"), Leaf("b"))), Leaf("c")))
+    assert from_dendrogram(strings) == from_dendrogram(with_heights(strings, Fraction))
+    with pytest.raises(MalformedTree):
+        from_dendrogram(Merge("1", (Merge("2", (Leaf("a"), Leaf("b"))), Leaf("c"))))
+    rng = random.Random(818)
+    spaces = [fresh(rng, rng.randint(2, 14)) for _ in range(40)] + deep_and_wide()
+    for space in spaces:
+        tree = merge_tree(space)
+        scale = lcm(*(v.denominator for v in space.values))
+        whole = with_heights(tree, lambda h: h * scale)
+        for base, spell in (
+            (tree, str),
+            (tree, lambda h: rng.choice(spellings(h))),
+            (whole, str),
+            (whole, int),
+        ):
+            assert from_dendrogram(with_heights(base, spell)) == from_dendrogram(base)
+
+
 def test_single_linkage_values_are_exactly_its_spectrum():
     rng = random.Random(815)
     for _ in range(60):
@@ -355,6 +402,12 @@ def tampered(rng: random.Random, cert: Certificate):
         yield "asymmetric", with_space(ranks=tuple(map(tuple, ranks)))
         ranks[b][a] = ranks[a][b]
         yield "broken axiom", with_space(ranks=tuple(map(tuple, ranks)))
+    if n > 1:
+        a, b = rng.sample(range(n), 2)
+        for rank in (len(space.values), -1):
+            ranks = [list(row) for row in space.ranks]
+            ranks[a][b] = ranks[b][a] = rank
+            yield "rank out of range", with_space(ranks=tuple(map(tuple, ranks)))
     yield "unused value", with_space(values=(*space.values, space.values[-1] + 1))
     if len(space.values) > 1:
         # No entry uses 0, so 0 must not be dropped as an unused value.
@@ -362,6 +415,7 @@ def tampered(rng: random.Random, cert: Certificate):
         for i in range(n):
             ranks[i][i] = 1
         yield "positive diagonal", with_space(ranks=tuple(map(tuple, ranks)))
+        yield "values without 0", with_space(values=(space.values[1] / 2, *space.values[1:]))
 
 
 def test_tampered_certificates_raise_what_the_label_scan_raised():
@@ -378,7 +432,7 @@ def test_tampered_certificates_raise_what_the_label_scan_raised():
     assert caught >= {
         "wrong value", "swapped embeddings", "distorted pair", "non-injective left",
         "unknown image left", "asymmetric", "broken axiom", "distorted, then unknown",
-        "positive diagonal",
+        "positive diagonal", "rank out of range", "values without 0",
     }
     assert {error for _, error, _ in kinds} >= {
         "CertificateInvalid", "UnknownLabel", "NonSymmetric", "TriangleViolation", "ok",
