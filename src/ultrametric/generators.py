@@ -31,16 +31,16 @@ from .spaces import (
     remap,
     space_from_ranks,
     subdominant,
-    validate_ultrametric,
 )
 
 
 def two_point_space(c) -> UltrametricSpace:
-    """Points ``p`` and ``q`` at distance ``c > 0``."""
+    """Points ``p`` and ``q`` at distance ``c > 0``; with two points every
+    triangle repeats a point, so the strong triangle inequality holds."""
     c = as_rational(c)
     if c <= 0:
         raise NonpositiveDistance(f"two-point distance must be > 0, got {format_rational(c)}")
-    return validate_ultrametric(("p", "q"), ((ZERO, c), (c, ZERO)))
+    return space_from_ranks(("p", "q"), ((0, 1), (1, 0)), (ZERO, c))
 
 
 def crowd_family(
@@ -118,10 +118,12 @@ def cauchy_sequence(depth: int) -> UltrametricSpace:
     """Space on ``{1, 1/2, ..., 2^-depth}`` with ``d(x,y) = max(x,y)``.
 
     Consecutive members of this family form a Cauchy sequence under the
-    Gromov-Hausdorff ultrametric.  Raises InstanceTooLarge, before building
-    anything, when ``2^depth`` has more digits than the interpreter's integer
-    string limit, since ``2^-depth`` could not be written out, or when the
-    ``(depth+1)^2`` matrix exceeds :data:`CELL_BUDGET` cells.
+    Gromov-Hausdorff ultrametric.  It is ultrametric because
+    ``max(x, y) <= max(x, y, z) = max(max(x, z), max(z, y))``.  Raises
+    InstanceTooLarge, before building anything, when ``2^depth`` has more
+    digits than the interpreter's integer string limit, since ``2^-depth``
+    could not be written out, or when the ``(depth+1)^2`` matrix exceeds
+    :data:`CELL_BUDGET` cells.
     """
     if depth < 0:
         raise InvalidParameter(f"depth must be >= 0, got {depth}")
@@ -143,9 +145,10 @@ def cauchy_sequence(depth: int) -> UltrametricSpace:
         )
     points = [Fraction(1, 2**k) for k in range(depth + 1)]
     labels = [format_rational(p) for p in points]
-    # max(2^-i, 2^-j) = 2^-min(i, j)
-    matrix = [points[:i] + [ZERO] + [points[i]] * (depth - i) for i in range(depth + 1)]
-    return validate_ultrametric(labels, matrix)
+    # max(2^-i, 2^-j) = 2^-min(i, j), and 2^-k has rank depth + 1 - k in values.
+    rank = range(depth + 1, 0, -1)
+    matrix = [[*rank[:i], 0, *[rank[i]] * (depth - i)] for i in range(depth + 1)]
+    return space_from_ranks(labels, matrix, [ZERO, *reversed(points)])
 
 
 class SpectrumConstraint(Record):

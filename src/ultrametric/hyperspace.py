@@ -6,12 +6,11 @@ neighborhood radii collapses to the exact max-min formula used here.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from fractions import Fraction
 
 from .errors import DuplicateLabel, EmptySubset, InvalidParameter
 from .rationals import as_rational, format_rational
-from .spaces import UltrametricSpace, space_from_ranks
+from .spaces import UltrametricSpace, closed_balls, subspace
 
 
 def _subset_indices(space: UltrametricSpace, subset, name: str) -> list[int]:
@@ -37,13 +36,8 @@ def hausdorff_distance(space: UltrametricSpace, a, b) -> Fraction:
 
 
 def restrict(space: UltrametricSpace, subset) -> UltrametricSpace:
-    """Induced subspace on the given points, kept in source label order;
-    the axioms hold on any subset of the points."""
-    chosen = set(_subset_indices(space, subset, "subset"))
-    indices = [i for i in range(len(space)) if i in chosen]
-    labels = tuple(space.labels[i] for i in indices)
-    ranks = [[space.ranks[i][j] for j in indices] for i in indices]
-    return space_from_ranks(labels, ranks, space.values)
+    """Induced subspace on the given points, kept in source label order."""
+    return subspace(space, sorted(_subset_indices(space, subset, "subset")))
 
 
 def epsilon_net(space: UltrametricSpace, eps) -> tuple[str, ...]:
@@ -51,15 +45,11 @@ def epsilon_net(space: UltrametricSpace, eps) -> tuple[str, ...]:
     from every point kept so far.
 
     The result covers the space within eps and is eps-separated (all pairwise
-    distances strictly exceed eps).
+    distances strictly exceed eps).  The closed eps-balls partition the
+    space, so the greedy scan keeps exactly the first point of each ball
+    (:func:`closed_balls`).
     """
     eps = as_rational(eps)
     if eps <= 0:
         raise InvalidParameter(f"eps must be > 0, got {format_rational(eps)}")
-    # d > eps exactly when the rank of d is at least ``cut``.
-    cut = bisect_right(space.values, eps)
-    kept: list[int] = []
-    for i, rank_i in enumerate(space.ranks):
-        if all(rank_i[j] >= cut for j in kept):
-            kept.append(i)
-    return tuple(space.labels[i] for i in kept)
+    return tuple(space.labels[ball[0]] for ball in closed_balls(space, eps))

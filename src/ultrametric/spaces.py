@@ -204,7 +204,7 @@ def chain_order(ranks) -> tuple[list[int], list[int]]:
     that key was the lightest edge leaving the tree, so every path between
     them has an edge at least that heavy.  Conversely, by induction on ``q``,
     each point hangs off an earlier one at its key, and every key taken while
-    it waited was at most that key.
+    it waited was at most that key.  Among equal keys the lowest index joins.
     """
     weight = list(ranks[0])
     left = list(range(1, len(ranks)))
@@ -255,14 +255,6 @@ def subdominant(ranks) -> tuple[tuple[int, ...], ...]:
     position = sorted(range(len(order)), key=order.__getitem__)
     in_point_order = itemgetter(*position)
     return tuple(in_point_order(rows[p]) for p in position)
-
-
-def find_root(parent: list[int], i: int) -> int:
-    """Union-find root of ``i``, halving the path on the way."""
-    while parent[i] != i:
-        parent[i] = parent[parent[i]]
-        i = parent[i]
-    return i
 
 
 def block_matrix(a, b, cross) -> list[list]:
@@ -375,21 +367,19 @@ def merge_duplicate_points(labels, matrix) -> tuple[list[str], list[list[Fractio
 
     Preprocessing for dirty data: validation rejects zero off-diagonal entries,
     so callers opt into this merge explicitly.  Groups are the connected
-    components of the d=0 relation (closure taken in case the input is not
-    even transitive); distances between groups are read off the first member
-    of each group.
+    components of the d=0 relation read in either direction: the zero-gap
+    runs of :func:`chain_order` on "neither entry is 0".  A run starts when
+    every key left is 1, so at its lowest point, and runs start in index
+    order; distances between groups are read off these first members.
     """
     labels, ranks, values = _coerce_matrix(labels, matrix)
     zero = bisect_left(values, ZERO)
-    n = len(labels)
-    group_of = list(range(n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            if ranks[i][j] == zero or ranks[j][i] == zero:
-                ri, rj = find_root(group_of, i), find_root(group_of, j)
-                if ri != rj:
-                    group_of[max(ri, rj)] = min(ri, rj)
-    reps = sorted({find_root(group_of, i) for i in range(n)})
+    apart = [
+        [ij != zero and ji != zero for ij, ji in zip(row, column)]
+        for row, column in zip(ranks, zip(*ranks))
+    ]
+    order, gaps = chain_order(apart)
+    reps = [0, *(point for point, gap in zip(order[1:], gaps) if gap)]
     merged_labels = [labels[r] for r in reps]
     merged = [[values[ranks[a][b]] for b in reps] for a in reps]
     return merged_labels, merged
@@ -414,32 +404,44 @@ class QuotientSpace(Record):
     quotient: UltrametricSpace
 
 
-def closed_quotient(space: UltrametricSpace, t) -> QuotientSpace:
-    """Collapse closed balls of radius ``t``.
+def subspace(space: UltrametricSpace, indices) -> UltrametricSpace:
+    """The induced subspace on the points at ``indices``, in that order; the
+    axioms hold on any subset of the points."""
+    ranks = [[row[j] for j in indices] for row in map(space.ranks.__getitem__, indices)]
+    labels = [space.labels[i] for i in indices]
+    return space_from_ranks(labels, ranks, space.values)
+
+
+def closed_balls(space: UltrametricSpace, t) -> list[list[int]]:
+    """Index lists of the closed balls of radius ``t``, ordered by first index.
 
     ``d(x,y) <= t`` is an equivalence relation on an ultrametric space, so the
-    blocks are simply the closed balls; block distances are the (well-defined)
-    source distances between representatives, so the quotient is the
-    subspace on the representatives.  ``d(x,y) <= t`` holds exactly
-    when the rank of ``d(x,y)`` is below ``bisect_right(values, t)``.
+    balls partition it, and a ball met at its first point holds no point of
+    an earlier one.  ``d(x,y) <= t`` holds exactly when the rank of
+    ``d(x,y)`` is below ``bisect_right(values, t)``.
+    """
+    cut = bisect_right(space.values, t)
+    assigned = [False] * len(space)
+    balls: list[list[int]] = []
+    for i, row in enumerate(space.ranks):
+        if not assigned[i]:
+            members = [j for j, r in enumerate(row) if r < cut]
+            for j in members:
+                assigned[j] = True
+            balls.append(members)
+    return balls
+
+
+def closed_quotient(space: UltrametricSpace, t) -> QuotientSpace:
+    """Collapse closed balls of radius ``t`` (:func:`closed_balls`).
+
+    Block distances are the (well-defined) source distances between
+    representatives, so the quotient is the :func:`subspace` on each
+    block's first point.
     """
     t = as_rational(t)
     if t < 0:
         raise InvalidParameter(f"scale must be >= 0, got {format_rational(t)}")
-    ranks, values = space.ranks, space.values
-    cut = bisect_right(values, t)
-    n = len(space)
-    assigned = [False] * n
-    block_indices: list[list[int]] = []
-    for i in range(n):
-        if assigned[i]:
-            continue
-        members = [j for j in range(n) if not assigned[j] and ranks[i][j] < cut]
-        for j in members:
-            assigned[j] = True
-        block_indices.append(members)
-    reps = [members[0] for members in block_indices]
-    labels = tuple(space.labels[r] for r in reps)
-    matrix = [[ranks[a][b] for b in reps] for a in reps]
-    blocks = tuple(tuple(space.labels[j] for j in members) for members in block_indices)
-    return QuotientSpace(space, t, blocks, space_from_ranks(labels, matrix, values))
+    balls = closed_balls(space, t)
+    blocks = tuple(tuple(space.labels[j] for j in ball) for ball in balls)
+    return QuotientSpace(space, t, blocks, subspace(space, [ball[0] for ball in balls]))

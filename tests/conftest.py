@@ -23,7 +23,7 @@ from ultrametric import (
     spectrum_constraint,
     validate_ultrametric,
 )
-from ultrametric import amalgam, dendrogram, generators, gromov, hyperspace, spaces
+from ultrametric import amalgam, dendrogram, generators, gromov, spaces
 from ultrametric.errors import UltrametricError
 from ultrametric.rationals import as_rational
 
@@ -47,7 +47,7 @@ def rechecked_space_from_ranks(labels, ranks, values) -> UltrametricSpace:
 @pytest.fixture(autouse=True)
 def recheck_constructions(monkeypatch):
     """Every space a construction builds in a test goes through the axiom scan."""
-    for module in (spaces, amalgam, generators, gromov, dendrogram, hyperspace):
+    for module in (spaces, amalgam, generators, gromov, dendrogram):
         monkeypatch.setattr(module, "space_from_ranks", rechecked_space_from_ranks)
 
 
@@ -118,6 +118,14 @@ def prim_edges(matrix) -> list[tuple[int, int, object]]:
                 weight[k] = row[k]
                 source[k] = child
     return edges
+
+
+def find_root(parent: list[int], i: int) -> int:
+    """Union-find root of ``i``, halving the path on the way."""
+    while parent[i] != i:
+        parent[i] = parent[parent[i]]
+        i = parent[i]
+    return i
 
 
 def spellings(value: Fraction) -> list:

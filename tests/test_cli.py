@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from ultrametric import gromov, jsonio, spaces, validate_ultrametric
+from ultrametric import gromov, jsonio, spaces, verify_certificate
 from ultrametric.cli import main
 from ultrametric.rationals import int_max_str_digits
 
@@ -150,17 +150,23 @@ def test_certificate_file_revalidates(tmp_path):
     )
     assert code == 0
     cert = jsonio.certificate_from_obj(json.loads(written["cert.json"]))
-    validate_ultrametric(cert.space.labels, cert.space.dist)
+    x, y = (
+        jsonio.space_from_obj(json.loads((GOLDEN / name).read_text(encoding="utf-8")))
+        for name in ("x_half.json", "x_three_quarters.json")
+    )
+    verify_certificate(cert, x, y)
 
 
-# One axiom scan per space read from a file and one for a certificate's
-# ambient space; constructions add none.
+# One axiom scan per space read from a file; constructions, and the
+# certificate built from ugh_distance's own result, add none.
 AXIOM_SCANS = [
-    ("ugh_cert", 3),
+    ("ugh_cert", 2),
     ("amalgam", 2),
     ("glue", 2),
     ("quotient", 1),
     ("gen_crowd", 1),
+    ("gen_two_point", 0),
+    ("gen_cauchy", 0),
     ("gen_random", 0),
     ("cluster", 0),
 ]

@@ -156,7 +156,7 @@ class TestCauchySequence:
             raise AssertionError("a refused instance was partly built")
 
         monkeypatch.setattr(generators, "Fraction", unreachable)
-        monkeypatch.setattr(generators, "validate_ultrametric", unreachable)
+        monkeypatch.setattr(generators, "space_from_ranks", unreachable)
         # Both stay below 2127, the integer-limit bound at the lowest limit (640).
         for depth in (1448, 2000):
             with pytest.raises(InstanceTooLarge) as info:
@@ -165,7 +165,7 @@ class TestCauchySequence:
             assert info.value.payload()["max_depth"] == 1447
 
     def test_largest_depth_within_the_cell_budget_is_built(self, monkeypatch):
-        monkeypatch.setattr(generators, "validate_ultrametric", lambda labels, m: (labels, m))
+        monkeypatch.setattr(generators, "space_from_ranks", lambda labels, m, values: (labels, m))
         labels, matrix = cauchy_sequence(1447)
         assert 1448**2 <= generators.CELL_BUDGET < 1449**2
         assert (len(labels), len(matrix), {len(row) for row in matrix}) == (1448, 1448, {1448})

@@ -4,14 +4,15 @@ Validation, single linkage and dendrogram construction all read the
 subdominant ultrametric off one Prim tree, and validation and the metric
 check compare integers (ranks, scaled values) instead of Fractions.  The
 reference functions below are the algorithms they replaced: the full triple
-scan, the Fraction metric check, the minimax Floyd-Warshall closure and the
-spectrum sweep.  Seeded inputs must give identical results, including
-identical error payloads.
+scan, the Fraction metric check, the minimax Floyd-Warshall closure, the
+spectrum sweep and the union-find duplicate merge.  Seeded inputs must give
+identical results, including identical error payloads.
 """
 
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from collections import namedtuple
 from fractions import Fraction
 
@@ -42,9 +43,9 @@ from ultrametric.errors import (
 from ultrametric.jsonio import dendrogram_to_obj, dumps
 from ultrametric.rationals import as_rational, format_rational
 from ultrametric.generators import SCALE_BITS
-from ultrametric.spaces import UltrametricSpace, block_matrix, rank_image
+from ultrametric.spaces import UltrametricSpace, _coerce_matrix, block_matrix, rank_image
 
-from conftest import respelled, spellings
+from conftest import find_root, respelled, spellings
 
 VALUES = ["0", "1/8", "1/4", "3/8", "1/2", "1"]
 CORRUPTIONS = [Fraction(v) for v in ["1/16", "1/8", "3/16", "1/4", "3/8", "1/2", "3/4", "1", "2"]]
@@ -295,6 +296,92 @@ def test_merge_duplicates_reads_every_spelling_of_zero():
         labels = [f"q{k}" for k in range(n)]
         want = merge_duplicate_points(labels, matrix)
         assert merge_duplicate_points(labels, respelled(rng, matrix)) == want
+
+
+def reference_merge_duplicates(labels, matrix):
+    """Union-find over every pair with a 0 entry in either direction; each
+    group keeps its lowest index."""
+    labels, ranks, values = _coerce_matrix(labels, matrix)
+    zero = bisect_left(values, Fraction(0))
+    n = len(labels)
+    group_of = list(range(n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            if ranks[i][j] == zero or ranks[j][i] == zero:
+                ri, rj = find_root(group_of, i), find_root(group_of, j)
+                if ri != rj:
+                    group_of[max(ri, rj)] = min(ri, rj)
+    reps = sorted({find_root(group_of, i) for i in range(n)})
+    return [labels[r] for r in reps], [[values[ranks[a][b]] for b in reps] for a in reps]
+
+
+DIRTY = ["1/4", "1/2", "1", "2", "-1"]
+BAD_ENTRIES = ["abc", "1/0", "", 0.5, True, None]
+
+
+def dirty_matrix(rng: random.Random):
+    """Labels and a square matrix whose pairs are 0 both ways, 0 one way only,
+    or nonzero (asymmetric now and then, -1 among the values); some
+    diagonals are not 0.  Sparse zeros leave chains that only the
+    transitive closure joins."""
+    n = rng.randint(1, 12)
+    zeros = rng.choice([0.1, 0.25, 0.5])
+    matrix = [[rng.choice(["0", "0", "1/2"]) for _ in range(n)] for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            value = rng.choice(DIRTY)
+            forward = backward = value
+            if rng.random() < 0.2:
+                backward = rng.choice(DIRTY)
+            if rng.random() < zeros:
+                forward = "0"
+                if rng.random() < 0.5:
+                    backward = "0"
+            if rng.random() < 0.5:
+                forward, backward = backward, forward
+            matrix[i][j], matrix[j][i] = forward, backward
+    return [f"p{k}" for k in range(n)], matrix
+
+
+def merged_outcome(merge, labels, matrix):
+    try:
+        return merge(labels, matrix)
+    except UltrametricError as exc:
+        return type(exc), exc.payload()
+
+
+def test_merge_duplicates_matches_the_union_find_on_dirty_matrices():
+    # d(a,b) = -1 faces d(b,a) = 0, so a and b merge; min(-1, 0) != 0 would miss it.
+    labels, matrix = ["a", "b", "c"], [["0", "-1", "1"], ["0", "0", "1"], ["1", "1", "0"]]
+    assert merge_duplicate_points(labels, matrix) == (["a", "c"], [[0, 1], [1, 0]])
+    assert reference_merge_duplicates(labels, matrix) == (["a", "c"], [[0, 1], [1, 0]])
+    rng = random.Random(20261018)
+    seen = dict.fromkeys(["one-sided zero", "nontransitive", "negative facing zero", "error"], 0)
+    for _ in range(800):
+        labels, matrix = dirty_matrix(rng)
+        n = len(labels)
+        pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+        linked = {(i, j) for i, j in pairs if "0" in (matrix[i][j], matrix[j][i])}
+        seen["one-sided zero"] += any(matrix[i][j] != matrix[j][i] for i, j in linked)
+        seen["negative facing zero"] += any(matrix[i][j] == "-1" for i, j in linked)
+        seen["nontransitive"] += any(
+            (i, k) in linked and (k, j) in linked and (i, j) not in linked
+            for i, j in pairs
+            for k in range(n)
+        )
+        if rng.random() < 0.5:
+            matrix = respelled(rng, matrix)
+        roll = rng.random()
+        if roll < 0.1:
+            matrix[rng.randrange(n)][rng.randrange(n)] = rng.choice(BAD_ENTRIES)
+        elif roll < 0.13:
+            matrix[rng.randrange(n)].pop()
+        elif roll < 0.15 and n > 1:
+            labels[rng.randrange(1, n)] = labels[0]
+        want = merged_outcome(reference_merge_duplicates, labels, matrix)
+        assert merged_outcome(merge_duplicate_points, labels, matrix) == want
+        seen["error"] += isinstance(want[0], type)
+    assert min(seen.values()) > 40, seen
 
 
 def l1_rational_metric(rng: random.Random, n: int, denominators):

@@ -41,9 +41,8 @@ from ultrametric.dendrogram import (
 )
 from ultrametric.jsonio import dendrogram_to_obj, dumps, space_to_obj
 from ultrametric.rationals import as_rational, format_rational
-from ultrametric.spaces import find_root
 
-from conftest import deep_and_wide, prim_edges, respelled
+from conftest import deep_and_wide, find_root, prim_edges, respelled
 
 VALUES = ["0", "1/8", "1/4", "3/8", "1/2", "5/8", "3/4", "1", "3/2", "2"]
 
