@@ -35,7 +35,6 @@ from .spaces import (
     Record,
     UltrametricSpace,
     chain_matrix,
-    chain_order,
     merged_spectrum,
     space_from_ranks,
 )
@@ -57,20 +56,16 @@ def node_height(node: Node) -> Fraction:
     return ZERO if isinstance(node, Leaf) else node.height
 
 
-def _points(root: Node, t: Fraction | None = None):
-    """The maximal subtrees of height <= t in tree order; the leaves if t is None."""
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Leaf) or (t is not None and node.height <= t):
-            yield node
-        else:
-            stack.extend(reversed(node.children))
-
-
 def leaf_labels(node: Node) -> tuple[str, ...]:
     """Leaf labels in tree order."""
-    return tuple(leaf.label for leaf in _points(node))
+    labels, stack = [], [node]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Leaf):
+            labels.append(node.label)
+        else:
+            stack.extend(reversed(node.children))
+    return tuple(labels)
 
 
 def truncated_canon(
@@ -123,16 +118,6 @@ def encoding(node: Node) -> str:
     return truncated_canon(node)[1][2]
 
 
-def quotient_blocks(root: Node, t: Fraction, rank: dict[str, int]) -> list[tuple[str, ...]]:
-    """Blocks of the closed-ball quotient at ``t``, ordered as :func:`closed_quotient` lists them.
-
-    Each block is the leaf set of one maximal subtree of height ``<= t``, in
-    ``rank`` order, and the blocks are ordered by their first label's rank.
-    """
-    blocks = [tuple(sorted(leaf_labels(sub), key=rank.__getitem__)) for sub in _points(root, t)]
-    return sorted(blocks, key=lambda block: rank[block[0]])
-
-
 def leaf_pairing(a: Node, b: Node) -> dict[str, str]:
     """Pair the leaves of two canonical trees with equal encodings, position by position.
 
@@ -151,13 +136,13 @@ def leaf_pairing(a: Node, b: Node) -> dict[str, str]:
 
 
 def merge_tree(space: UltrametricSpace) -> Node:
-    """Merge-tree of a space: the Cartesian tree of :func:`chain_order`'s gaps.
+    """Merge-tree of a space: the Cartesian tree of its chain's gaps.
 
     One pass along the order keeps a stack of open merges, lowest on top.  A
     gap closes every open merge below it and equal gaps join one merge, so no
     node has a child of its own height.
     """
-    order, gaps = chain_order(space.ranks)
+    order, gaps = space._chain
     open_merges: list[tuple[int, list[Node]]] = []
     node: Node = Leaf(space.labels[order[0]])
     for gap, i in zip(gaps, order[1:]):

@@ -276,20 +276,22 @@ def single_linkage(labels, matrix) -> UltrametricSpace:
                     kind="positivity",
                     points=[labels[i], labels[j]],
                 )
-    _check_triangles(labels, ranks, values)
-    return space_from_ranks(labels, subdominant(ranks), values)
+    sub = subdominant(ranks)
+    _check_triangles(labels, ranks, values, sub)
+    return space_from_ranks(labels, sub, values)
 
 
-def _check_triangles(labels, ranks, values) -> None:
+def _check_triangles(labels, ranks, values, sub) -> None:
     """Raise at the first ``(i, j, k)`` with ``d(i,j) > d(i,k) + d(k,j)``.
 
-    Each value ``d`` becomes ``floor(d * scale)``.  With ``scale`` the lcm of
+    A pair where ``ranks`` equals its subdominant ``sub`` is clear.  Else
+    each value ``d`` becomes ``floor(d * scale)``.  With ``scale`` the lcm of
     the denominators the image is exact and a pair ``(i, j)`` is clear when
     its image is at most every ``image(i,k) + image(k,j)``; with a power of
     two the image is up to 1 too low, so a pair needs a margin of 1.  Only a
-    pair the integers cannot clear is scanned over ``k`` in Fractions, so
-    the first witness is the one of the full scan.  The image's diagonal
-    holds 1, so the terms ``k = i`` and ``k = j`` never block a pair.
+    pair neither test clears is scanned over ``k`` in Fractions, so the
+    first witness is the one of the full scan.  The image's diagonal holds
+    1, so the terms ``k = i`` and ``k = j`` never block a pair.
     """
     scale, margin = 1, 0
     for v in values:
@@ -303,9 +305,10 @@ def _check_triangles(labels, ranks, values) -> None:
     for i in range(n):
         image[i][i] = 1
     for i in range(n):
-        image_i, rank_i = image[i], ranks[i]
+        image_i, rank_i, sub_i = image[i], ranks[i], sub[i]
         for j in range(i + 1, n):
-            if image_i[j] + margin <= min(map(add, image_i, image[j])):
+            # d(i,j) = sub(i,j) <= max(d(i,k), d(k,j)) <= d(i,k) + d(k,j)
+            if rank_i[j] == sub_i[j] or image_i[j] + margin <= min(map(add, image_i, image[j])):
                 continue
             dij = values[rank_i[j]]
             for k in range(n):

@@ -27,18 +27,19 @@ spectra agree above ``t``), so candidates below it are dropped.
 rest and then bisects: an answer at position ``p`` costs ``O(log p)`` tests,
 at most ``O(log k)`` for ``k`` candidates, instead of a linear scan.
 
-Test.  Both merge trees are built once (from Prim's visit order and join
-keys, O(n^2) per space).  The tree of the quotient at ``t`` is the merge
-tree with every subtree of height ``<= t`` collapsed into one point, so one
-post-order walk (:func:`ultrametric.dendrogram.truncated_canon`) yields the
-quotient's truncated canonical key ``(height, count, encoding, labels)`` without
+Test.  Both merge trees are built in O(n) from each space's chain (Prim's
+visit order and join keys, O(n^2) once per space, and already held by a
+validated one).  The tree of the quotient at ``t`` is the merge tree with
+every subtree of height ``<= t`` collapsed into one point, so one post-order
+walk (:func:`ultrametric.dendrogram.truncated_canon`) yields the quotient's
+truncated canonical key ``(height, count, encoding, labels)`` without
 building a quotient matrix; equal encodings mean isometric quotients.  A
 walk costs the total size of the keys it builds, ``O(n log n)`` on a tree of
-logarithmic depth (``O(n^2)`` on a caterpillar), so a search is two O(n^2)
-tree builds plus ``O(n log n * log k)``.  At the answer the two truncated
-canonical trees are paired leaf by leaf for the block map, whose blocks are
-named by their lowest-index point exactly as :func:`closed_quotient` names
-them.
+logarithmic depth (``O(n^2)`` on a caterpillar), so a search past the chains
+costs ``O(n log n * log k)``.  At the answer the two truncated canonical
+trees are paired leaf by leaf for the block map, whose blocks are the closed
+balls of :func:`ultrametric.spaces.closed_balls`, named by their
+lowest-index point exactly as :func:`closed_quotient` names them.
 
 The exhaustive search in :mod:`ultrametric.oracle` double-checks the whole
 scheme on small instances; the acceptance suite treats any disagreement as a
@@ -49,7 +50,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .dendrogram import leaf_pairing, merge_tree, quotient_blocks, truncated_canon
+from .dendrogram import leaf_pairing, merge_tree, truncated_canon
 from .errors import CertificateInvalid
 from .rationals import format_rational
 from .spaces import (
@@ -59,6 +60,7 @@ from .spaces import (
     _check_axioms,
     _check_labels,
     block_matrix,
+    closed_balls,
     merged_spectrum,
     remap,
     space_from_ranks,
@@ -127,7 +129,9 @@ def ugh_distance(x: UltrametricSpace, y: UltrametricSpace) -> UghResult:
     t = candidates[hi]
     (qx, _), (qy, _) = truncated(hi)
     witness = leaf_pairing(qx, qy)
-    x_blocks, y_blocks = (quotient_blocks(tree, t, rank) for tree, rank in zip(trees, ranks))
+    x_blocks, y_blocks = (
+        [tuple(map(s.labels.__getitem__, ball)) for ball in closed_balls(s, t)] for s in (x, y)
+    )
     y_block_of = {block[0]: block for block in y_blocks}
     block_map = tuple((block, y_block_of[witness[block[0]]]) for block in x_blocks)
     return UghResult(t, t, block_map)

@@ -22,12 +22,16 @@ def parse_rational(text: str) -> Fraction:
 
     Numerators and denominators may not exceed the interpreter's integer
     string limit (0 meaning none), so every accepted value formats back.
+    Digit separators (``"1_0"``) are refused on every Python version.
     """
     if not isinstance(text, str):
         raise InputFormat(f"expected a rational string, got {type(text).__name__}")
     limit = int_max_str_digits()
     _, e, exponent = text.lower().rpartition("e")
     try:
+        # Fraction reads the digit separator in "1_0" from Python 3.11 on only.
+        if "_" in text:
+            raise ValueError(text)
         # The exponent is checked first, because Fraction computes 10**exponent.
         if not limit or not e or abs(int(exponent)) <= limit:
             value = Fraction(text)

@@ -14,7 +14,8 @@ ultrametric by the proof in its docstring.  A hand-built
 :class:`UltrametricSpace` is therefore unchecked.  A hierarchy leaves this
 module in one form: a point order and the gaps between neighbours,
 ``d = max(gaps between)``, which are Prim's visit order and join keys
-(:func:`chain_order`).
+(:func:`chain_order`), computed once per space as ``_chain``; a validated
+space keeps the chain its triangle check used.
 """
 
 from __future__ import annotations
@@ -99,6 +100,10 @@ class UltrametricSpace(Record):
     @cached_property
     def _index(self) -> dict[str, int]:
         return {label: i for i, label in enumerate(self.labels)}
+
+    @cached_property
+    def _chain(self) -> tuple[list[int], list[int]]:
+        return chain_order(self.ranks)
 
     def index(self, label: str) -> int:
         try:
@@ -242,15 +247,16 @@ def chain_matrix(gaps, diagonal) -> list[list]:
     return lower
 
 
-def subdominant(ranks) -> tuple[tuple[int, ...], ...]:
+def subdominant(ranks, chain=None) -> tuple[tuple[int, ...], ...]:
     """Largest ultrametric below a symmetric matrix of ranks (single linkage).
 
     :func:`chain_matrix` of :func:`chain_order`'s gaps, put back in point
-    order; the diagonal is kept from ``ranks``.
+    order; the diagonal is kept from ``ranks``.  A caller that already holds
+    ``chain_order(ranks)`` passes it as ``chain``.
     """
     if len(ranks) == 1:
         return (tuple(ranks[0]),)
-    order, gaps = chain_order(ranks)
+    order, gaps = chain or chain_order(ranks)
     rows = chain_matrix(gaps, [ranks[i][i] for i in order])
     position = sorted(range(len(order)), key=order.__getitem__)
     in_point_order = itemgetter(*position)
@@ -273,7 +279,7 @@ def validate_ultrametric(labels, matrix) -> UltrametricSpace:
     matrix is ultrametric iff it equals its subdominant ultrametric, so the
     triple scan only visits pairs where the two differ: accepting costs
     O(n^2).  Every check compares the integer ranks of :func:`rank_image`,
-    which the returned space keeps.
+    which the returned space keeps, with the chain of the subdominant.
     """
     return _check_axioms(*_coerce_matrix(labels, matrix))
 
@@ -339,7 +345,8 @@ def _check_axioms(labels, ranks, values) -> UltrametricSpace:
                     f"d({labels[i]},{labels[j]}) = 0 for distinct points",
                     points=[labels[i], labels[j]],
                 )
-    sub = subdominant(rows)
+    space = UltrametricSpace(labels, tuple(values), rows)
+    sub = subdominant(rows, space._chain)
     for i in range(0 if sub == rows else n):
         rank_i = rows[i]
         sub_i = sub[i]
@@ -359,7 +366,7 @@ def _check_axioms(labels, ranks, values) -> UltrametricSpace:
                         f"max({text(i, k)}, {text(j, k)})",
                         points=[labels[i], labels[j], labels[k]],
                     )
-    return UltrametricSpace(labels, tuple(values), rows)
+    return space
 
 
 def merge_duplicate_points(labels, matrix) -> tuple[list[str], list[list[Fraction]]]:
@@ -374,10 +381,12 @@ def merge_duplicate_points(labels, matrix) -> tuple[list[str], list[list[Fractio
     """
     labels, ranks, values = _coerce_matrix(labels, matrix)
     zero = bisect_left(values, ZERO)
-    apart = [
-        [ij != zero and ji != zero for ij, ji in zip(row, column)]
-        for row, column in zip(ranks, zip(*ranks))
-    ]
+    apart = [[True] * len(labels) for _ in labels]
+    for i, row in enumerate(ranks):
+        j = -1
+        for _ in range(row.count(zero)):
+            j = row.index(zero, j + 1)
+            apart[i][j] = apart[j][i] = False
     order, gaps = chain_order(apart)
     reps = [0, *(point for point, gap in zip(order[1:], gaps) if gap)]
     merged_labels = [labels[r] for r in reps]
@@ -416,20 +425,14 @@ def closed_balls(space: UltrametricSpace, t) -> list[list[int]]:
     """Index lists of the closed balls of radius ``t``, ordered by first index.
 
     ``d(x,y) <= t`` is an equivalence relation on an ultrametric space, so the
-    balls partition it, and a ball met at its first point holds no point of
-    an earlier one.  ``d(x,y) <= t`` holds exactly when the rank of
-    ``d(x,y)`` is below ``bisect_right(values, t)``.
+    balls partition it.  Along the space's chain ``d = max(gaps between)``,
+    so the balls are the runs of its order cut at every gap above ``t``: a
+    gap whose rank is at least ``bisect_right(values, t)``.
     """
+    order, gaps = space._chain
     cut = bisect_right(space.values, t)
-    assigned = [False] * len(space)
-    balls: list[list[int]] = []
-    for i, row in enumerate(space.ranks):
-        if not assigned[i]:
-            members = [j for j, r in enumerate(row) if r < cut]
-            for j in members:
-                assigned[j] = True
-            balls.append(members)
-    return balls
+    bounds = [0, *(p for p, gap in enumerate(gaps, 1) if gap >= cut), len(order)]
+    return sorted(sorted(order[a:b]) for a, b in zip(bounds, bounds[1:]))
 
 
 def closed_quotient(space: UltrametricSpace, t) -> QuotientSpace:

@@ -15,6 +15,7 @@ import pytest
 
 from ultrametric import (
     GlueSpec,
+    Leaf,
     UltrametricSpace,
     cauchy_sequence,
     crowd_family,
@@ -126,6 +127,27 @@ def find_root(parent: list[int], i: int) -> int:
         parent[i] = parent[parent[i]]
         i = parent[i]
     return i
+
+
+def quotient_blocks(root, t: Fraction, rank: dict[str, int]) -> list[tuple[str, ...]]:
+    """Blocks of the closed-ball quotient at ``t``, read off a merge tree.
+
+    Each block is the leaf set of one maximal subtree of height ``<= t``, in
+    ``rank`` order, and the blocks are ordered by their first label's rank.
+    The tree-walk reference for ``spaces.closed_balls``.
+    """
+    blocks, stack = [], [(root, None)]
+    while stack:
+        node, block = stack.pop()
+        if block is None and (isinstance(node, Leaf) or node.height <= t):
+            block = []
+            blocks.append(block)
+        if isinstance(node, Leaf):
+            block.append(node.label)
+        else:
+            stack.extend((child, block) for child in node.children)
+    blocks = [tuple(sorted(block, key=rank.__getitem__)) for block in blocks]
+    return sorted(blocks, key=lambda block: rank[block[0]])
 
 
 def spellings(value: Fraction) -> list:

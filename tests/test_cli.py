@@ -6,12 +6,12 @@ from pathlib import Path
 
 import pytest
 
-from ultrametric import gromov, jsonio, spaces, verify_certificate
+from ultrametric import amalgam, dendrogram, generators, gromov, jsonio, spaces, verify_certificate
 from ultrametric.cli import main
 from ultrametric.rationals import int_max_str_digits
 
 from cli_corpus import CASES, EXPECTED, GOLDEN, SKIPPED, run_case
-from conftest import CHECK_AXIOMS, shallow_recursion
+from conftest import BUILD_SPACE, CHECK_AXIOMS, shallow_recursion
 
 CORPUS = [
     pytest.param(
@@ -182,6 +182,38 @@ def test_axioms_are_scanned_where_data_enters(name, want, tmp_path, monkeypatch)
 
     for module in (spaces, gromov):
         monkeypatch.setattr(module, "_check_axioms", counted)
+    argv = {case: argv for case, argv, _ in CASES}[name]
+    assert run_case(argv, tmp_path)[0] == 0
+    assert len(calls) == want
+
+
+# One Prim pass per space read from a file: validation computes the space's
+# chain, and closed balls, quotients, nets and merge trees read it.  Merging
+# duplicates runs one more pass, on the "neither entry is 0" matrix.
+PRIM_PASSES = [
+    ("validate_ok", 1),
+    ("quotient", 1),
+    ("net", 1),
+    ("ugh", 2),
+    ("ugh_cert", 2),
+    ("validate_merge", 2),
+]
+
+
+@pytest.mark.parametrize("name,want", PRIM_PASSES)
+def test_prim_runs_once_per_input(name, want, tmp_path, monkeypatch):
+    calls, chain_order = [], spaces.chain_order
+
+    def counted(ranks):
+        calls.append(len(ranks))
+        return chain_order(ranks)
+
+    # The autouse recheck scans every constructed space; count the CLI's passes only.
+    for module in (spaces, amalgam, generators, gromov, dendrogram):
+        monkeypatch.setattr(module, "space_from_ranks", BUILD_SPACE)
+    for module in (spaces, dendrogram):
+        if hasattr(module, "chain_order"):
+            monkeypatch.setattr(module, "chain_order", counted)
     argv = {case: argv for case, argv, _ in CASES}[name]
     assert run_case(argv, tmp_path)[0] == 0
     assert len(calls) == want

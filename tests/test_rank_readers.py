@@ -18,8 +18,11 @@ from ultrametric import (
     Leaf,
     Merge,
     UghResult,
+    certificate,
     closed_quotient,
+    crowd_family,
     epsilon_net,
+    glue,
     hausdorff_distance,
     in_uk,
     random_space,
@@ -36,13 +39,20 @@ from ultrametric.dendrogram import (
     canonicalize,
     leaf_pairing,
     node_height,
-    quotient_blocks,
     truncated_canon,
 )
 from ultrametric.jsonio import dendrogram_to_obj, dumps, space_to_obj
 from ultrametric.rationals import as_rational, format_rational
+from ultrametric.spaces import closed_balls
 
-from conftest import deep_and_wide, find_root, prim_edges, respelled
+from conftest import (
+    deep_and_wide,
+    find_root,
+    prim_edges,
+    quotient_blocks,
+    random_glue_spec,
+    respelled,
+)
 
 VALUES = ["0", "1/8", "1/4", "3/8", "1/2", "5/8", "3/4", "1", "3/2", "2"]
 
@@ -190,6 +200,33 @@ def test_closed_quotient_matches_the_fraction_scan_at_every_scale():
             q = closed_quotient(space, t)
             want = (t, *reference_quotient(plain, t))
             assert (q.scale, q.blocks, q.quotient.labels, q.quotient.dist) == want
+
+
+def constructed_spaces(seed: int, count: int):
+    """Seeded spaces no validation has seen: random, crowd, glue and certificate spaces."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        values = ["0", *rng.sample(VALUES[1:], rng.randint(1, len(VALUES) - 1))]
+        constraint = spectrum_constraint(values)
+        x, y = (random_space(rng.randint(1, 14), constraint, rng.randrange(10**9)) for _ in "xy")
+        yield x
+        c = (x.min_positive_distance() or Fraction(2)) / rng.choice([2, 3])
+        yield crowd_family(x, rng.choice(x.labels), c, rng.randint(1, 4))
+        yield glue(random_glue_spec(rng))
+        yield certificate(x, y).space
+
+
+def test_closed_balls_are_the_tree_blocks_and_the_brute_force_classes():
+    validated = [space for _, space, _ in spaces(seed=10, count=60, max_n=16)]
+    for space in [*validated, *constructed_spaces(seed=10, count=25), *deep_and_wide()]:
+        tree = reference_merge_tree(Plain(space.labels, space.dist))
+        n = len(space)
+        for t in scales(space.values):
+            balls = closed_balls(space, t)
+            blocks = [tuple(space.labels[i] for i in ball) for ball in balls]
+            assert blocks == quotient_blocks(tree, t, space._index)
+            classes = {tuple(j for j in range(n) if space.dist[i][j] <= t) for i in range(n)}
+            assert list(map(tuple, balls)) == sorted(classes)
 
 
 def test_hausdorff_distance_matches_the_fraction_scan():

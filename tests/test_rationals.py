@@ -33,6 +33,18 @@ def test_parse_rejects(text):
         parse_rational(text)
 
 
+@pytest.mark.parametrize("text", ["1_0", "1_0/3", "1.5_0"])
+def test_digit_separators_are_refused_on_every_python(text):
+    # Fraction reads "1_0" as 10 from Python 3.11 on, and refuses it on 3.10.
+    with pytest.raises(InputFormat) as info:
+        parse_rational(text)
+    assert info.value.payload() == {
+        "error": "InputFormat",
+        "message": f"not a rational: {text!r}",
+        "value": text,
+    }
+
+
 def test_format_is_reduced_and_canonical():
     assert format_rational(Fraction(6, 8)) == "3/4"
     assert format_rational(Fraction(0)) == "0"
