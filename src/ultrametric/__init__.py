@@ -16,7 +16,7 @@ from importlib import import_module
 __version__ = "0.1.0"
 
 _HOME = {
-    "Certificate": "gromov",
+    "Certificate": "certificates",
     "ChainGlueResult": "amalgam",
     "GlueSpec": "amalgam",
     "Leaf": "dendrogram",
@@ -31,7 +31,7 @@ _HOME = {
     "UltrametricSpace": "spaces",
     "as_rational": "rationals",
     "cauchy_sequence": "generators",
-    "certificate": "gromov",
+    "certificate": "certificates",
     "chain_glue": "amalgam",
     "closed_quotient": "spaces",
     "crowd_family": "generators",
@@ -58,7 +58,7 @@ _HOME = {
     "ugh_distance": "gromov",
     "ugh_oracle": "oracle",
     "validate_ultrametric": "spaces",
-    "verify_certificate": "gromov",
+    "verify_certificate": "certificates",
 }
 
 __all__ = list(_HOME)

@@ -8,9 +8,9 @@ names a file.
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
+from types import SimpleNamespace
 
 # Every verb pays for the imports below, so they are only what all verbs need;
 # each verb's branch in _run imports the rest.
@@ -28,6 +28,9 @@ def _read_text(path: str) -> str:
             return handle.read()
     except OSError as exc:
         raise InputFormat(f"cannot read {path}: {exc.strerror}", path=path) from exc
+    except UnicodeDecodeError as exc:
+        message = f"cannot read {path}: invalid {exc.encoding} at byte {exc.start}"
+        raise InputFormat(message, path=path) from exc
 
 
 def _load_json(path: str):
@@ -49,6 +52,9 @@ def _load_subset(text: str) -> list[str]:
 
 def _emit(line: str, out_path: str | None) -> None:
     if not out_path:
+        # A job started with stdout closed (``>&-``) has no sys.stdout.
+        if sys.stdout is None:
+            raise InvalidParameter("cannot write the result: standard output is closed")
         sys.stdout.write(line + "\n")
         return
     try:
@@ -81,8 +87,8 @@ def _required(flag: str, help: str | None = None, **options):
 
 
 # Each verb's help line and arguments as (flags, add_argument options); ``gen``
-# has a table of families in place of arguments.  Both the full parser and a
-# single verb's parser are built from this table.
+# has a table of families in place of arguments.  The argparse parser is built
+# from this table, and _scan reads a clean job's arguments off it.
 VERBS = {
     "validate": (
         "check the axioms and emit the canonical space",
@@ -172,7 +178,7 @@ VERBS = {
 }
 
 
-def _add_arguments(parser: argparse.ArgumentParser, spec) -> None:
+def _add_arguments(parser, spec) -> None:
     if isinstance(spec, dict):
         families = parser.add_subparsers(dest="family", required=True)
         for name, (help, arguments) in spec.items():
@@ -184,6 +190,8 @@ def _add_arguments(parser: argparse.ArgumentParser, spec) -> None:
 
 def build_parser() -> argparse.ArgumentParser:
     """The parser of every verb."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="ultrametric",
         description="Exact computations on finite ultrametric spaces.",
@@ -194,18 +202,76 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse(argv: list[str]) -> argparse.Namespace:
-    """Parse with the named verb's parser alone where that answers as the full
-    parser would: its usage, help and errors are the full parser's bytes, and
-    only arguments it leaves over need the full parser's diagnostic."""
-    if argv and argv[0] in VERBS:
-        parser = argparse.ArgumentParser(prog=f"ultrametric {argv[0]}")
-        _add_arguments(parser, VERBS[argv[0]][1])
-        args, left_over = parser.parse_known_args(argv[1:])
-        if not left_over:
-            args.verb = argv[0]
-            return args
-    return build_parser().parse_args(argv)
+def _scan(argv: list[str]) -> SimpleNamespace | None:
+    """The namespace ``build_parser().parse_args(argv)`` returns, for an argv
+    that argparse cannot read any other way; None for anything else.
+
+    Read: the verb (and ``gen``'s family), then the verb's flags, each at most
+    once, exact or as a unique ``--`` prefix among them and ``--help``, with
+    ``--flag=value`` or the value as the next argument, converted by the
+    flag's ``type``; exactly the verb's positionals and every required flag.
+    Declined, for argparse to answer with its own help, usage and error
+    bytes: any other argument starting with ``-`` (``-``, ``--``, ``-h``,
+    ``-ox``, ``-o=x``, negative numbers), a value starting with ``-``, ``=``
+    on a switch and a failed conversion.
+    """
+    if not argv or argv[0] not in VERBS:
+        return None
+    found, (_, spec), tokens = {"verb": argv[0]}, VERBS[argv[0]], argv[1:]
+    if isinstance(spec, dict):
+        if not tokens or tokens[0] not in spec:
+            return None
+        found["family"], (_, spec), tokens = tokens[0], spec[tokens[0]], tokens[1:]
+    flags, positionals, required = {}, [], set()
+    for names, options in spec:
+        if not names[0].startswith("-"):
+            positionals.append(names[0])
+            continue
+        dest = next((n for n in names if n.startswith("--")), names[0])
+        dest = dest.lstrip("-").replace("-", "_")
+        flags.update(dict.fromkeys(names, (dest, options)))
+        found[dest] = False if options.get("action") == "store_true" else None
+        if options.get("required"):
+            required.add(dest)
+    longs = [flag for flag in flags if flag.startswith("--")] + ["--help"]
+    seen, rest, tokens = set(), [], iter(tokens)
+    for token in tokens:
+        if not token.startswith("-"):
+            rest.append(token)
+            continue
+        flag, equals, value = token.partition("=")
+        if flag not in flags and flag.startswith("--"):
+            matches = [long for long in longs if long.startswith(flag)]
+            flag = matches[0] if len(matches) == 1 else None
+        if flag not in flags or (equals and not token.startswith("--")):
+            return None
+        dest, options = flags[flag]
+        if dest in seen:
+            return None
+        seen.add(dest)
+        if options.get("action") == "store_true":
+            if equals:
+                return None
+            found[dest] = True
+            continue
+        if not equals:
+            value = next(tokens, "-")
+        if value.startswith("-"):
+            return None
+        try:
+            found[dest] = options.get("type", str)(value)
+        except ValueError:
+            return None
+    if len(rest) != len(positionals) or not required <= seen:
+        return None
+    found.update(zip(positionals, rest))
+    return SimpleNamespace(**found)
+
+
+def _parse(argv: list[str]):
+    """Read a clean job with _scan; argparse reads, or refuses, the rest."""
+    args = _scan(argv)
+    return build_parser().parse_args(argv) if args is None else args
 
 
 def _run(args) -> dict | list:
@@ -251,7 +317,7 @@ def _run(args) -> dict | list:
         return jsonio.space_to_obj(glued)
 
     if args.verb == "ugh":
-        from .gromov import certificate, ugh_distance
+        from .gromov import ugh_distance
 
         a = _load_space(args.space_a)
         b = _load_space(args.space_b)
@@ -268,6 +334,8 @@ def _run(args) -> dict | list:
                     oracle=format_rational(oracle_value),
                 )
         if args.certificate:
+            from .certificates import certificate
+
             # Correct by construction for ugh_distance's own result; see certificate.
             cert = certificate(a, b, result)
             _emit(jsonio.dumps(jsonio.certificate_to_obj(cert)), args.certificate)

@@ -52,10 +52,6 @@ class Merge(Record):
 Node = Leaf | Merge
 
 
-def node_height(node: Node) -> Fraction:
-    return ZERO if isinstance(node, Leaf) else node.height
-
-
 def leaf_labels(node: Node) -> tuple[str, ...]:
     """Leaf labels in tree order."""
     labels, stack = [], [node]

@@ -8,7 +8,8 @@ this quantity through the two dendrograms):
 
 * (upper bound) from a quotient isometry at scale ``t`` one can build an
   explicit common space on the disjoint union realizing Hausdorff distance
-  exactly ``t`` -- that construction is :func:`certificate`;
+  exactly ``t`` -- that construction is
+  :func:`ultrametric.certificates.certificate`;
 * (lower bound) inside any common ultrametric space, mutual coverage within
   ``t`` forces the two closed-ball quotients at ``t`` to be isometric, because
   distances above ``t`` propagate unchanged across points that are within
@@ -43,7 +44,8 @@ lowest-index point exactly as :func:`closed_quotient` names them.
 
 The exhaustive search in :mod:`ultrametric.oracle` double-checks the whole
 scheme on small instances; the acceptance suite treats any disagreement as a
-bug in the scan.
+bug in the scan.  Certificates live in :mod:`ultrametric.certificates`, which
+a scan does not load; their names are still importable from here.
 """
 
 from __future__ import annotations
@@ -51,20 +53,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .dendrogram import leaf_pairing, merge_tree, truncated_canon
-from .errors import CertificateInvalid
-from .rationals import format_rational
-from .spaces import (
-    ZERO,
-    Record,
-    UltrametricSpace,
-    _check_axioms,
-    _check_labels,
-    block_matrix,
-    closed_balls,
-    merged_spectrum,
-    remap,
-    space_from_ranks,
-)
+from .spaces import ZERO, Record, UltrametricSpace, closed_balls
 
 BlockMap = tuple[tuple[tuple[str, ...], tuple[str, ...]], ...]
 
@@ -80,15 +69,6 @@ class UghResult(Record):
     value: Fraction
     scale_witness: Fraction
     block_map: BlockMap
-
-
-class Certificate(Record):
-    """Common ultrametric space witnessing that the distance is attained."""
-
-    space: UltrametricSpace
-    embed_left: dict[str, str]
-    embed_right: dict[str, str]
-    achieved: Fraction
 
 
 def ugh_distance(x: UltrametricSpace, y: UltrametricSpace) -> UghResult:
@@ -148,122 +128,9 @@ def spectrum_agreement(x: UltrametricSpace, y: UltrametricSpace) -> Fraction:
     return max(set(x.values) ^ set(y.values), default=ZERO)
 
 
-def certificate(
-    x: UltrametricSpace, y: UltrametricSpace, result: UghResult | None = None
-) -> Certificate:
-    """Common ultrametric space attaining the computed distance.
+def __getattr__(name):
+    if name in ("Certificate", "certificate", "verify_certificate"):
+        from . import certificates
 
-    At scale 0 the spaces are isometric and the certificate is X itself with
-    both embeddings onto it.  At scale t > 0 the certificate lives on the
-    disjoint union: a point of X sits at exactly t from the points of its
-    matched block of Y, and at the (quotient) block distance from everything
-    else.  Hausdorff distance between the two images is then exactly t.
-    With ``result = ugh_distance(x, y)`` the space is ultrametric: each cross
-    distance is ``max(t, d_Q)`` for the metric ``d_Q`` of the common quotient
-    at ``t``, which agrees with both sides' metrics above ``t``.  Any other
-    ``result`` gives an unchecked space; :func:`verify_certificate` is the
-    check for it.
-    """
-    if result is None:
-        result = ugh_distance(x, y)
-    t = result.value
-    if t == 0:
-        pairing = {bx[0]: by[0] for bx, by in result.block_map}
-        embed_left = {label: label for label in x.labels}
-        embed_right = {pairing[a]: a for a in x.labels}
-        return Certificate(x, embed_left, embed_right, ZERO)
-
-    x_block_index = {label: k for k, (bx, _) in enumerate(result.block_map) for label in bx}
-    y_block_index = {label: k for k, (_, by) in enumerate(result.block_map) for label in by}
-    values, (table_x, table_y, (rank_t,)) = merged_spectrum(x.values, y.values, (t,))
-    ranks_x, ranks_y = remap(x.ranks, table_x), remap(y.ranks, table_y)
-    # Points of different blocks sit at the block distance, read off X from
-    # the block's first point; points of matched blocks sit at t.
-    x_reps = [x.index(bx[0]) for bx, _ in result.block_map]
-    reach = [x_reps[y_block_index[l]] for l in y.labels]
-    matched: dict[int, list[int]] = {}
-    for j, l in enumerate(y.labels):
-        matched.setdefault(y_block_index[l], []).append(j)
-    cross = []
-    for row, l in zip(ranks_x, x.labels):
-        cross_row = list(map(row.__getitem__, reach))
-        for j in matched.get(x_block_index[l], ()):
-            cross_row[j] = rank_t
-        cross.append(cross_row)
-    labels = [f"L:{l}" for l in x.labels] + [f"R:{l}" for l in y.labels]
-    space = space_from_ranks(labels, block_matrix(ranks_x, ranks_y, cross), values)
-    embed_left = {l: f"L:{l}" for l in x.labels}
-    embed_right = {l: f"R:{l}" for l in y.labels}
-    return Certificate(space, embed_left, embed_right, t)
-
-
-def verify_certificate(
-    cert: Certificate, x: UltrametricSpace, y: UltrametricSpace
-) -> None:
-    """Re-check a certificate from scratch; raises CertificateInvalid.
-
-    Checks: the ambient space is a well-formed record satisfying the
-    ultrametric axioms, both embeddings are injective and
-    distance-preserving, and the Hausdorff distance between the images
-    equals the claimed value.  Distances are compared as ranks of the
-    ambient space, each source value looked up once.
-    """
-    from .hyperspace import hausdorff_distance
-
-    space = cert.space
-    _check_record(space)
-    _check_axioms(_check_labels(space.labels), space.ranks, space.values)
-    position = {v: r for r, v in enumerate(space.values)}
-    for name, source, embed in (("left", x, cert.embed_left), ("right", y, cert.embed_right)):
-        if sorted(embed) != sorted(source.labels):
-            raise CertificateInvalid(f"{name} embedding is not defined on every point")
-        if len(set(embed.values())) != len(embed):
-            raise CertificateInvalid(f"{name} embedding is not injective")
-        _check_isometric(name, source, embed, space, position)
-    image_left = [cert.embed_left[l] for l in x.labels]
-    image_right = [cert.embed_right[l] for l in y.labels]
-    achieved = hausdorff_distance(space, image_left, image_right)
-    if achieved != cert.achieved:
-        raise CertificateInvalid(
-            f"claimed Hausdorff distance {format_rational(cert.achieved)} but images "
-            f"realize {format_rational(achieved)}",
-        )
-
-
-def _check_record(space: UltrametricSpace) -> None:
-    """Raise unless ``ranks`` is a square matrix of positions in ``values``
-    and ``values`` rise strictly from 0, as the axiom scan reads them."""
-    values, ranks, n = space.values, space.ranks, len(space.labels)
-    if (
-        not values
-        or values[0] != 0
-        or any(a >= b for a, b in zip(values, values[1:]))
-        or len(ranks) != n
-        or any(len(row) != n for row in ranks)
-        or not set().union(*ranks) <= set(range(len(values)))
-    ):
-        raise CertificateInvalid(
-            f"certificate space is not {n} x {n} ranks into values rising strictly from 0"
-        )
-
-
-def _check_isometric(name, source, embed, space, position) -> None:
-    """Raise at the first pair, row by row, whose distance the embedding changes.
-
-    Source ranks go through one table into the ambient space's ranks (-1 for
-    a value it lacks).  An image missing from the space raises UnknownLabel
-    where a pair scan first looks it up, in row 0.
-    """
-    table = [position.get(v, -1) for v in source.values]
-    images = list(map(space._index.get, map(embed.__getitem__, source.labels)))
-    known = images.index(None) if None in images else len(images)
-    rows = len(images) if known == len(images) else min(known, 1)
-    for i in range(rows):
-        want = list(map(table.__getitem__, source.ranks[i][:known]))
-        got = list(map(space.ranks[images[i]].__getitem__, images[:known]))
-        if want != got:
-            a = source.labels[i]
-            b = source.labels[next(j for j, (w, g) in enumerate(zip(want, got)) if w != g)]
-            raise CertificateInvalid(f"{name} embedding distorts d({a},{b})", points=[a, b])
-    if known < len(images):
-        space.index(embed[source.labels[known]])
+        return getattr(certificates, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

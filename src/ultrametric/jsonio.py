@@ -3,7 +3,6 @@
 Formats (all rational values are canonical strings like ``"0"``, ``"1/2"``):
 
 * space:      ``{"points": ["a", ...], "dist": [["0", "1/2", ...], ...]}``
-* dendrogram: ``{"leaf": "a"}`` or ``{"height": "1/2", "children": [...]}``
 * glue spec:  ``{"x1": <space>, "x2": <space>, "identify": [["a","a2"], ...]}``
 * subset:     ``["a", "b", ...]``
 
@@ -20,9 +19,9 @@ from .errors import InputFormat
 from .rationals import as_rational, format_rational
 from .spaces import QuotientSpace, UltrametricSpace, validate_ultrametric
 
-# Dendrogram, glue and certificate types are imported by the functions that
-# build or inspect them, so reading a space pulls in none of those modules;
-# elsewhere they appear only in annotations, which are never evaluated.
+# Glue and certificate types are imported by the functions that build them,
+# so reading a space pulls in neither module; elsewhere they appear only in
+# annotations, which are never evaluated.
 
 
 def dumps(obj) -> str:
@@ -73,58 +72,6 @@ def quotient_to_obj(q: QuotientSpace) -> dict:
     return obj
 
 
-def dendrogram_to_obj(node: Node) -> dict:
-    """JSON object of a dendrogram, built in pre-order without recursion."""
-    from .dendrogram import Leaf
-
-    root: dict = {}
-    stack = [(node, root)]
-    while stack:
-        node, obj = stack.pop()
-        if isinstance(node, Leaf):
-            obj["leaf"] = node.label
-            continue
-        obj["height"] = format_rational(node.height)
-        obj["children"] = children = [{} for _ in node.children]
-        stack.extend(reversed(list(zip(node.children, children))))
-    return root
-
-
-def dendrogram_from_obj(obj) -> Node:
-    """Dendrogram from its JSON object, read without recursion.
-
-    Nodes are checked in pre-order; an internal node's height is read after
-    its children, so the first malformed node reported is the same as in a
-    recursive reader.
-    """
-    from .dendrogram import Leaf, Merge
-
-    built: list[Node] = []
-    stack = [(obj, False)]
-    while stack:
-        current, expanded = stack.pop()
-        if expanded:
-            start = len(built) - len(current["children"])
-            children = tuple(built[start:])
-            del built[start:]
-            built.append(Merge(as_rational(current["height"]), children))
-            continue
-        if not isinstance(current, dict):
-            raise InputFormat("dendrogram node must be a JSON object")
-        if "leaf" in current:
-            if not isinstance(current["leaf"], str):
-                raise InputFormat('"leaf" must be a string label')
-            built.append(Leaf(current["leaf"]))
-            continue
-        if "height" not in current or "children" not in current:
-            raise InputFormat('dendrogram node needs "leaf" or "height"+"children"')
-        if not isinstance(current["children"], list):
-            raise InputFormat('"children" must be a list')
-        stack.append((current, True))
-        stack.extend((child, False) for child in reversed(current["children"]))
-    return built[0]
-
-
 def gluespec_from_obj(obj) -> GlueSpec:
     from .amalgam import GlueSpec
 
@@ -144,14 +91,6 @@ def gluespec_from_obj(obj) -> GlueSpec:
         space_from_obj(obj["x2"]),
         tuple((a, b) for a, b in pairs),
     )
-
-
-def gluespec_to_obj(spec: GlueSpec) -> dict:
-    return {
-        "x1": space_to_obj(spec.x1),
-        "x2": space_to_obj(spec.x2),
-        "identify": [[a, b] for a, b in spec.identify],
-    }
 
 
 def subset_from_obj(obj) -> list[str]:
@@ -177,7 +116,7 @@ def certificate_to_obj(cert: Certificate) -> dict:
 
 
 def certificate_from_obj(obj) -> Certificate:
-    from .gromov import Certificate
+    from .certificates import Certificate
 
     if not isinstance(obj, dict):
         raise InputFormat("certificate must be a JSON object")

@@ -29,6 +29,7 @@ CASES = [
     ("validate_ok", ["validate", "isosceles.json"], 0),
     ("validate_triangle", ["validate", "bad_triangle.json"], 1),
     ("validate_missing", ["validate", "missing.json"], 1),
+    ("validate_not_utf8", ["validate", "not_utf8.json"], 1),
     ("validate_merge", ["validate", "dirty_space.json", "--merge-duplicates"], 0),
     ("spectrum", ["spectrum", "isosceles.json"], 0),
     ("quotient", ["quotient", "isosceles.json", "--t", "1"], 0),

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from ultrametric import amalgam, dendrogram, generators, gromov, jsonio, spaces, verify_certificate
+from ultrametric import amalgam, certificates, dendrogram, generators, jsonio, spaces, verify_certificate
 from ultrametric.cli import main
 from ultrametric.rationals import int_max_str_digits
 
@@ -107,18 +107,16 @@ def test_diagnostics_colored_on_tty_without_no_color(monkeypatch, capsys):
     assert capsys.readouterr().err.startswith("\x1b[31merror:\x1b[0m ")
 
 
-def test_module_entrypoint_subprocess():
+def run_in_golden(args):
     # The child runs from tests/golden, so a relative PYTHONPATH would miss src.
     src = str(Path(__file__).resolve().parents[1] / "src")
     inherited = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, inherited]) if inherited else src)
-    result = subprocess.run(
-        [sys.executable, "-m", "ultrametric", "validate", "isosceles.json"],
-        cwd=GOLDEN,
-        capture_output=True,
-        text=True,
-        env=env,
-    )
+    return subprocess.run(args, cwd=GOLDEN, capture_output=True, text=True, env=env)
+
+
+def test_module_entrypoint_subprocess():
+    result = run_in_golden([sys.executable, "-m", "ultrametric", "validate", "isosceles.json"])
     assert result.returncode == 0
     assert result.stdout == (EXPECTED / "validate_ok.out").read_text(encoding="utf-8")
     assert result.stderr == ""
@@ -180,7 +178,7 @@ def test_axioms_are_scanned_where_data_enters(name, want, tmp_path, monkeypatch)
         calls.append(args)
         return CHECK_AXIOMS(*args)
 
-    for module in (spaces, gromov):
+    for module in (spaces, certificates):
         monkeypatch.setattr(module, "_check_axioms", counted)
     argv = {case: argv for case, argv, _ in CASES}[name]
     assert run_case(argv, tmp_path)[0] == 0
@@ -209,7 +207,7 @@ def test_prim_runs_once_per_input(name, want, tmp_path, monkeypatch):
         return chain_order(ranks)
 
     # The autouse recheck scans every constructed space; count the CLI's passes only.
-    for module in (spaces, amalgam, generators, gromov, dendrogram):
+    for module in (spaces, amalgam, generators, certificates, dendrogram):
         monkeypatch.setattr(module, "space_from_ranks", BUILD_SPACE)
     for module in (spaces, dendrogram):
         if hasattr(module, "chain_order"):
@@ -265,6 +263,28 @@ def test_unwritable_output_is_a_diagnostic(argv, tmp_path):
     payload = json.loads(err)
     assert payload["error"] == "InvalidParameter"
     assert payload["path"] == argv[-1].replace("{tmp}", str(tmp_path))
+
+
+CLOSED_STDOUT = {
+    "error": "InvalidParameter",
+    "message": "cannot write the result: standard output is closed",
+}
+
+
+def test_closed_stdout_is_a_diagnostic(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdout", None)
+    assert main(["validate", str(GOLDEN / "isosceles.json")]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert json.loads(err) == CLOSED_STDOUT
+
+
+def test_closed_stdout_is_a_diagnostic_in_a_job():
+    script = 'exec "$0" -m ultrametric validate isosceles.json >&-'
+    result = run_in_golden(["sh", "-c", script, sys.executable])
+    assert result.returncode == 1
+    assert result.stderr.count("\n") == 1
+    assert json.loads(result.stderr) == CLOSED_STDOUT
 
 
 def test_cauchy_depth_beyond_the_int_string_limit_is_a_diagnostic(tmp_path):

@@ -1,10 +1,15 @@
-"""The verb-scoped parser answers exactly as the full parser does.
+"""The argv reader answers exactly as the full argparse parser does.
 
-``main`` builds only the named verb's parser when it can; these tests run the
-same argument lists through ``main`` twice, once as shipped and once with
-parsing forced through ``build_parser()``, and compare exit code, stdout,
-stderr and written files.
+``main`` reads a clean job's arguments with ``cli._scan`` and hands anything
+else to ``build_parser()``.  The first tests run the same argument lists
+through ``main`` twice, once as shipped and once with parsing forced through
+``build_parser()``, and compare exit code, stdout, stderr and written files;
+the last compares the two namespaces on seeded, mutated argument lists.
 """
+
+import io
+import random
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
@@ -73,3 +78,83 @@ def test_a_clean_job_builds_only_its_verb_parser(argv, tmp_path, monkeypatch):
     code, _, err, _ = run_case(argv, tmp_path)
     assert (code, err) == (0, "")
 
+
+
+# Arguments the mutations below draw from: hostile options, and values that
+# argparse reads as options, as negative numbers or as ints of another spelling.
+STRAY = ["-", "--", "-h", "--help", "--he", "-ox", "-o=x", "-1", "--bogus", "---o", "--=x", "-O"]
+VALUES = ["1/2", "x", "", "a=b", "x y", "-1", "-", "--", "-h", "٣"]
+INTS = ["3", " 7", "+7", "7_0", "٣", "x", "-1", "1.0"]
+
+
+def job(rng, verb, family, arguments):
+    """A random argv for one verb: its positionals, and its flags in any
+    spelling, order and value, some optional ones left out."""
+    units = []
+    for names, options in arguments:
+        if not names[0].startswith("-"):
+            units.append([f"{names[0]}.json"])
+            continue
+        if not options.get("required") and rng.random() < 0.5:
+            continue
+        flag = rng.choice(names)
+        if flag.startswith("--") and rng.random() < 0.3:
+            flag = flag[: rng.randint(3, len(flag))]  # unique, ambiguous or --help's
+        if options.get("action") == "store_true":
+            units.append([flag])
+            continue
+        value = rng.choice(INTS if options.get("type") else VALUES)
+        units.append([f"{flag}={value}"] if rng.random() < 0.3 else [flag, value])
+    rng.shuffle(units)
+    return [verb, *([family] if family else []), *(arg for unit in units for arg in unit)]
+
+
+def mutated(rng, argv):
+    """``argv`` with up to two random edits."""
+    argv = list(argv)
+    for _ in range(rng.randint(0, 2)):
+        k = rng.randrange(len(argv))
+        edit = rng.randrange(5)
+        if edit == 0:
+            argv.insert(k, rng.choice(STRAY))
+        elif edit == 1:
+            argv += argv[k : k + 2]  # a repeated flag, or an extra positional
+        elif edit == 2:
+            del argv[k]  # a missing positional, flag, value, verb or family
+        elif edit == 3:
+            argv.insert(k, rng.choice(["extra.json", "validate", "random"]))
+        elif argv[k].startswith("-"):
+            argv[k] += "=" + rng.choice(VALUES)  # also on a switch
+    return argv
+
+
+def test_scan_reads_every_argv_it_accepts_as_argparse_does():
+    parser = cli.build_parser()
+    rng = random.Random(16)
+    verbs = [
+        (verb, family, arguments)
+        for verb, (_, spec) in cli.VERBS.items()
+        for family, (_, arguments) in (
+            spec.items() if isinstance(spec, dict) else [(None, (None, spec))]
+        )
+    ]
+    accepted, declined = [], 0
+    for _ in range(12000):
+        argv = mutated(rng, job(rng, *rng.choice(verbs)))
+        args = cli._scan(argv)
+        if args is None:
+            declined += 1
+            continue
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            want = parser.parse_args(argv)
+        assert vars(args) == vars(want), argv
+        accepted.append(argv)
+    assert len(accepted) > 2000 and declined > 5000
+    assert {(argv[0], argv[1] if argv[0] == "gen" else None) for argv in accepted} == {
+        (verb, family) for verb, family, _ in verbs
+    }
+    spellings = {arg for argv in accepted for arg in argv}
+    exact = {flag for _, _, arguments in verbs for names, _ in arguments for flag in names}
+    assert {" 7", "+7", "7_0", "٣"} <= spellings
+    assert any(arg.startswith("--") and "=" in arg for arg in spellings)
+    assert any(arg.startswith("--") and "=" not in arg for arg in spellings - exact)

@@ -18,9 +18,7 @@ from ultrametric import (
 )
 from ultrametric.dendrogram import canonicalize, leaf_labels
 from ultrametric.errors import MalformedTree
-from ultrametric.jsonio import dendrogram_from_obj, dendrogram_to_obj, dumps
 from ultrametric.oracle import brute_force_isometry
-from ultrametric.rationals import format_rational
 
 from conftest import SIX_VALUES, make_space, shallow_recursion
 
@@ -59,6 +57,10 @@ class TestToDendrogram:
         assert first == Leaf("c")  # leaves sort before internal nodes
         assert isinstance(second, Merge) and second.height == 1
         assert_tree_matches_space(tree, isosceles)
+
+    def test_isosceles_tree_is_the_canonical_record(self, isosceles):
+        pair = Merge(Fraction(1), (Leaf("a"), Leaf("b")))
+        assert to_dendrogram(isosceles) == Merge(Fraction(2), (Leaf("c"), pair))
 
     def test_lca_metric_reproduces_random_matrices(self):
         rng = random.Random(11)
@@ -178,16 +180,6 @@ class TestCanonicalForm:
             assert canonicalize(tree) == tree
 
 
-def reference_dendrogram_to_obj(node):
-    """The recursive writer that the iterative one replaced."""
-    if isinstance(node, Leaf):
-        return {"leaf": node.label}
-    return {
-        "height": format_rational(node.height),
-        "children": [reference_dendrogram_to_obj(child) for child in node.children],
-    }
-
-
 def merge_chain(levels):
     """Caterpillar tree: level ``k`` joins leaf ``p<k>`` to everything below at height ``k``."""
     node = Leaf("p0")
@@ -213,15 +205,6 @@ class TestDeepTrees:
         assert text.startswith(f"({self.LEVELS};p,({self.LEVELS - 1};p,")
         assert text.endswith("(1;p,p)" + ")" * (self.LEVELS - 1))
 
-    def test_dendrogram_from_obj(self):
-        obj = {"leaf": "p0"}
-        for k in range(1, self.LEVELS + 1):
-            obj = {"height": str(k), "children": [obj, {"leaf": f"p{k}"}]}
-        tree = dendrogram_from_obj(obj)
-        assert tree.height == self.LEVELS
-        assert leaf_labels(tree) == leaf_labels(merge_chain(self.LEVELS))
-        assert encoding(tree) == encoding(merge_chain(self.LEVELS))
-
     def test_from_dendrogram_and_isometry(self):
         tree = merge_chain(300)
         with shallow_recursion():
@@ -231,25 +214,3 @@ class TestDeepTrees:
         assert space.d("p0", "p300") == 300
         assert space.d("p299", "p300") == 300
         assert witness == {label: label for label in space.labels}
-
-    def test_dendrogram_to_obj(self):
-        obj = dendrogram_to_obj(merge_chain(self.LEVELS))
-        node, depth = obj, self.LEVELS
-        while "leaf" not in node:
-            assert list(node) == ["height", "children"]
-            assert node["height"] == str(depth)
-            assert node["children"][1] == {"leaf": f"p{depth}"}
-            node, depth = node["children"][0], depth - 1
-        assert (node, depth) == ({"leaf": "p0"}, 0)
-        assert encoding(dendrogram_from_obj(obj)) == encoding(merge_chain(self.LEVELS))
-
-    def test_dendrogram_to_obj_matches_the_recursive_writer(self):
-        rng = random.Random(17)
-        trees = [Leaf("a"), merge_chain(40), canonicalize(merge_chain(40))]
-        for n in [2, 5, 12, 30]:
-            space = random_space(n, SIX_VALUES, rng.randrange(10**9))
-            trees.append(to_dendrogram(space))
-        pair = Merge(Fraction(1), (Leaf("y"), Leaf("x")))
-        trees.append(Merge(Fraction(3, 2), (Leaf("z"), trees[-1], pair)))
-        for tree in trees:
-            assert dumps(dendrogram_to_obj(tree)) == dumps(reference_dendrogram_to_obj(tree))

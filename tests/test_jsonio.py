@@ -7,7 +7,6 @@ from ultrametric import (
     GlueSpec,
     certificate,
     random_space,
-    to_dendrogram,
     two_point_space,
     ugh_distance,
 )
@@ -64,39 +63,12 @@ class TestSpaceFormat:
             jsonio.loads("{not json")
 
 
-class TestDendrogramFormat:
-    def test_leaf(self):
-        assert jsonio.dumps(jsonio.dendrogram_to_obj(jsonio.dendrogram_from_obj({"leaf": "a"}))) == '{"leaf": "a"}'
-
-    def test_roundtrip(self):
-        rng = random.Random(62)
-        for _ in range(40):
-            space = random_space(rng.randint(1, 8), SIX_VALUES, rng.randrange(10**9))
-            tree = to_dendrogram(space)
-            obj = jsonio.dendrogram_to_obj(tree)
-            assert jsonio.dendrogram_from_obj(obj) == tree
-            assert jsonio.dumps(jsonio.dendrogram_to_obj(jsonio.dendrogram_from_obj(obj))) == jsonio.dumps(obj)
-
-    def test_nested_heights_as_strings(self, isosceles):
-        text = jsonio.dumps(jsonio.dendrogram_to_obj(to_dendrogram(isosceles)))
-        assert text == (
-            '{"height": "2", "children": [{"leaf": "c"}, '
-            '{"height": "1", "children": [{"leaf": "a"}, {"leaf": "b"}]}]}'
-        )
-
-    def test_malformed(self):
-        with pytest.raises(InputFormat):
-            jsonio.dendrogram_from_obj({"children": []})
-        with pytest.raises(InputFormat):
-            jsonio.dendrogram_from_obj({"leaf": 3})
-
-
 class TestGlueSpecFormat:
     def test_roundtrip(self):
         x1 = make_space(["a", "x"], {("a", "x"): 1})
         x2 = make_space(["a2", "y"], {("a2", "y"): 2})
         spec = GlueSpec(x1, x2, (("a", "a2"),))
-        obj = jsonio.gluespec_to_obj(spec)
+        obj = {"x1": jsonio.space_to_obj(x1), "x2": jsonio.space_to_obj(x2), "identify": [["a", "a2"]]}
         assert jsonio.gluespec_from_obj(obj) == spec
 
     def test_identify_must_be_pairs(self):

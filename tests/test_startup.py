@@ -26,7 +26,8 @@ MINIMAL = {
 }
 
 # Runs the CLI as ``python -m ultrametric`` does, then prints the modules it
-# left loaded as the last line of stdout.
+# left loaded, and those of the package that define ``verify_certificate``, as
+# the last line of stdout.
 RUN_AND_LIST = """
 import json, runpy, sys
 sys.argv = ["ultrametric", *sys.argv[1:]]
@@ -34,12 +35,17 @@ try:
     runpy.run_module("ultrametric", run_name="__main__", alter_sys=True)
 except SystemExit as exc:
     code = exc.code
-print(json.dumps([code, sorted(sys.modules)]))
+certifying = [
+    name for name, module in sys.modules.items()
+    if name.startswith("ultrametric") and "verify_certificate" in vars(module)
+]
+print(json.dumps([code, sorted(sys.modules), sorted(certifying)]))
 """
 
-# Stdlib modules no verb needs; ``dataclasses`` alone imports ``inspect``,
-# ``ast``, ``dis`` and ``tokenize``.
-HEAVY = {"dataclasses", "inspect"}
+# Stdlib modules no clean job needs: ``dataclasses`` alone imports ``inspect``,
+# ``ast``, ``dis`` and ``tokenize``, and ``argparse`` imports ``gettext``, which
+# imports ``locale`` at its first message lookup.
+HEAVY = {"dataclasses", "inspect", "argparse", "gettext", "locale"}
 
 
 def run_python(args):
@@ -54,10 +60,16 @@ def run_python(args):
     return result.stdout
 
 
-def all_modules_loaded_by(argv):
-    code, modules = json.loads(run_python(["-c", RUN_AND_LIST, *argv]).splitlines()[-1])
+def run_job(argv):
+    code, modules, certifying = json.loads(
+        run_python(["-c", RUN_AND_LIST, *argv]).splitlines()[-1]
+    )
     assert code == 0
-    return set(modules)
+    return set(modules), certifying
+
+
+def all_modules_loaded_by(argv):
+    return run_job(argv)[0]
 
 
 def modules_loaded_by(argv):
@@ -89,6 +101,22 @@ def test_ugh_without_certificate_or_oracle_skips_hyperspace():
 
 
 @pytest.mark.parametrize(
+    "argv, want",
+    [
+        (["ugh", "x_half.json", "x_three_quarters.json"], []),
+        (
+            ["ugh", "x_half.json", "x_three_quarters.json", "--certificate", "{tmp}/cert.json"],
+            ["ultrametric.certificates"],
+        ),
+    ],
+    ids=["ugh", "ugh_certificate"],
+)
+def test_only_ugh_certificate_loads_the_certificate_code(argv, want, tmp_path):
+    argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
+    assert run_job(argv)[1] == want
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["cluster", "--input", "metric.json"],
@@ -115,19 +143,31 @@ def bare_modules():
     return set(run_python(["-c", "import sys; print(*sys.modules)"]).split())
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["validate", "isosceles.json"],
-        ["ugh", "x_half.json", "x_three_quarters.json"],
-        ["ugh", "x_half.json", "x_three_quarters.json", "--certificate", "{tmp}/cert.json"],
-        ["glue", "gluespec.json"],
-        ["gen", "two-point", "--c", "1/2"],
-        ["cluster", "--input", "metric.json"],
-        ["in-uk", "isosceles.json", "--k", "0,1,2"],
+# A clean job of every verb and family.
+CLEAN_JOBS = {
+    "validate": ["validate", "isosceles.json"],
+    "ugh": ["ugh", "x_half.json", "x_three_quarters.json"],
+    "ugh_certificate": [
+        "ugh", "x_half.json", "x_three_quarters.json", "--certificate", "{tmp}/cert.json",
     ],
-    ids=["validate", "ugh", "ugh_certificate", "glue", "gen_two_point", "cluster", "in_uk"],
-)
+    "glue": ["glue", "gluespec.json"],
+    "gen_two_point": ["gen", "two-point", "--c", "1/2"],
+    "cluster": ["cluster", "--input", "metric.json"],
+    "in_uk": ["in-uk", "isosceles.json", "--k", "0,1,2"],
+    "validate_merge": ["validate", "dirty_space.json", "--merge-duplicates"],
+    "spectrum": ["spectrum", "isosceles.json", "-o", "{tmp}/out.json"],
+    "quotient": ["quotient", "isosceles.json", "--t=1"],
+    "hausdorff": ["hausdorff", "isosceles.json", "--a", '["a"]', "--b", '["b"]'],
+    "net": ["net", "isosceles.json", "--eps", "1"],
+    "amalgam": ["amalgam", "pair.json", "single.json", "--s", "1"],
+    "ugh_oracle": ["ugh", "x_half.json", "x_three_quarters.json", "--oracle"],
+    "gen_crowd": ["gen", "crowd", "--space", "pair.json", "--base", "a", "--c", "1/2", "--n", "1"],
+    "gen_cauchy": ["gen", "cauchy", "--depth", "2"],
+    "gen_random": ["gen", "random", "--n", "3", "--k", "0,1", "--seed", "1"],
+}
+
+
+@pytest.mark.parametrize("argv", list(CLEAN_JOBS.values()), ids=list(CLEAN_JOBS))
 def test_verbs_import_no_heavy_stdlib_module(argv, tmp_path, bare_modules):
     argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
     assert not (all_modules_loaded_by(argv) - bare_modules) & HEAVY
