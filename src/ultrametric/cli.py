@@ -22,6 +22,9 @@ from .spaces import closed_quotient, merge_duplicate_points, spectrum, validate_
 
 def _read_text(path: str) -> str:
     if path == "-":
+        # A job started with stdin closed (``<&-``) has no sys.stdin.
+        if sys.stdin is None:
+            raise InputFormat("cannot read -: standard input is closed", path=path)
         return sys.stdin.read()
     try:
         with open(path, "r", encoding="utf-8") as handle:
@@ -55,7 +58,15 @@ def _emit(line: str, out_path: str | None) -> None:
         # A job started with stdout closed (``>&-``) has no sys.stdout.
         if sys.stdout is None:
             raise InvalidParameter("cannot write the result: standard output is closed")
-        sys.stdout.write(line + "\n")
+        try:
+            sys.stdout.write(line + "\n")
+            sys.stdout.flush()
+        except OSError as exc:
+            # The interpreter flushes the same buffer again at exit; send it nowhere.
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            raise InvalidParameter(f"cannot write the result: {exc.strerror}") from exc
         return
     try:
         with open(out_path, "w", encoding="utf-8") as handle:

@@ -11,10 +11,9 @@ Canonical form: at every node the children are sorted by the key
 label-free string built bottom-up (the rooted-tree canonical form of Aho,
 Hopcroft & Ullman).  Ties on all three components mean the subtrees are
 identical as shapes, so any order among them represents the same isometry
-class; for byte-deterministic output the tie is broken by the sorted tuple of
-leaf labels.  Two spaces are isometric iff their canonical encodings are
-equal, and a witness bijection falls out of walking the two canonical trees
-in parallel.
+class; for byte-deterministic output the tie is broken by the lowest leaf
+label.  Two spaces are isometric iff their canonical encodings are equal, and
+then the k-th leaves of the two canonical trees correspond.
 
 Truncation: collapsing every subtree of height ``<= t`` into one point turns
 the tree of a space into the tree of its closed-ball quotient at ``t``, so
@@ -30,14 +29,7 @@ from operator import itemgetter
 
 from .errors import MalformedTree
 from .rationals import as_rational, format_rational
-from .spaces import (
-    ZERO,
-    Record,
-    UltrametricSpace,
-    chain_matrix,
-    merged_spectrum,
-    space_from_ranks,
-)
+from .spaces import ZERO, Record, UltrametricSpace, space_from_chain
 
 
 class Leaf(Record):
@@ -72,20 +64,20 @@ def truncated_canon(
     Every subtree of height ``<= t`` becomes one point: a leaf named by its
     lowest-ranked label, the representative :func:`closed_quotient` keeps.
     With ``t`` None only the leaves are points and ``rank`` is unused.  The key
-    is ``(height, point count, encoding, sorted point labels)``; only the first
-    three components define the isometry class, the label tuple merely fixes
-    the order of shape-identical siblings.  One post-order walk over the nodes
-    above ``t``.
+    is ``(height, point count, encoding, lowest point label)``; only the first
+    three components define the isometry class, the label merely fixes the
+    order of shape-identical siblings, whose label sets are disjoint.  One
+    post-order walk over the nodes above ``t``.
     """
     done: list[tuple[Node, tuple]] = []
     stack: list[tuple[Node, bool]] = [(root, False)]
     while stack:
         node, expanded = stack.pop()
         if isinstance(node, Leaf):
-            done.append((node, (ZERO, 1, "p", (node.label,))))
+            done.append((node, (ZERO, 1, "p", node.label)))
         elif t is not None and node.height <= t:
             label = min(leaf_labels(node), key=rank.__getitem__)
-            done.append((Leaf(label), (ZERO, 1, "p", (label,))))
+            done.append((Leaf(label), (ZERO, 1, "p", label)))
         elif not expanded:
             stack.append((node, True))
             stack.extend((child, False) for child in reversed(node.children))
@@ -95,12 +87,7 @@ def truncated_canon(
             del done[start:]
             keys = [pair[1] for pair in pairs]
             encoding = f"({format_rational(node.height)};{','.join(key[2] for key in keys)})"
-            key = (
-                node.height,
-                sum(key[1] for key in keys),
-                encoding,
-                tuple(sorted(label for key in keys for label in key[3])),
-            )
+            key = (node.height, sum(key[1] for key in keys), encoding, min(key[3] for key in keys))
             done.append((Merge(node.height, tuple(pair[0] for pair in pairs)), key))
     return done[0]
 
@@ -117,18 +104,10 @@ def encoding(node: Node) -> str:
 def leaf_pairing(a: Node, b: Node) -> dict[str, str]:
     """Pair the leaves of two canonical trees with equal encodings, position by position.
 
-    Equal encodings force equal child key sequences, and shape-identical
-    siblings may be paired either way.
+    Equal encodings mean equal shapes with children in the same order, so the
+    k-th leaves correspond; shape-identical siblings may be paired either way.
     """
-    mapping: dict[str, str] = {}
-    stack = [(a, b)]
-    while stack:
-        a, b = stack.pop()
-        if isinstance(a, Leaf):
-            mapping[a.label] = b.label
-        else:
-            stack.extend(reversed(list(zip(a.children, b.children))))
-    return mapping
+    return dict(zip(leaf_labels(a), leaf_labels(b)))
 
 
 def merge_tree(space: UltrametricSpace) -> Node:
@@ -169,9 +148,8 @@ def from_dendrogram(node: Node) -> UltrametricSpace:
     pre-order, each height read once and tested against its parent first.  A
     leaf meets the one before it at the parent of its lowest ancestor (or
     itself) that is not a first child, whose height the walk appends as their
-    gap for :func:`chain_matrix`.  A tree that passes is ultrametric: where
-    x meets y is at or below where z meets x or y, and heights grow toward
-    the root.
+    gap for :func:`space_from_chain`: two leaves meet at the highest of the
+    merges between them.
     """
     order: list[str] = []
     gaps: list[Fraction] = []
@@ -200,16 +178,14 @@ def from_dendrogram(node: Node) -> UltrametricSpace:
         stack.append((first, height, False))
     if len(set(order)) != len(order):
         raise MalformedTree("duplicate leaf labels")
-    values, (_, gap_ranks) = merged_spectrum((ZERO,), gaps)
-    matrix = chain_matrix(gap_ranks, [0] * len(order))
-    return space_from_ranks(order, matrix, values)
+    return space_from_chain(order, gaps)
 
 
 def isometry_witness(x: UltrametricSpace, y: UltrametricSpace) -> dict[str, str] | None:
     """A distance-preserving bijection from x to y, or None.
 
     Compares the canonical encodings of the two merge trees; on a match,
-    pairs leaves by walking the two canonical trees position by position.
+    pairs leaves by their positions in the two canonical trees.
     """
     if len(x) != len(y):
         return None

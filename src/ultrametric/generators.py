@@ -29,6 +29,7 @@ from .spaces import (
     merged_spectrum,
     rank_image,
     remap,
+    space_from_chain,
     space_from_ranks,
     subdominant,
 )
@@ -144,11 +145,9 @@ def cauchy_sequence(depth: int) -> UltrametricSpace:
             max_depth=max_depth,
         )
     points = [Fraction(1, 2**k) for k in range(depth + 1)]
-    labels = [format_rational(p) for p in points]
-    # max(2^-i, 2^-j) = 2^-min(i, j), and 2^-k has rank depth + 1 - k in values.
-    rank = range(depth + 1, 0, -1)
-    matrix = [[*rank[:i], 0, *[rank[i]] * (depth - i)] for i in range(depth + 1)]
-    return space_from_ranks(labels, matrix, [ZERO, *reversed(points)])
+    # With the gap after 2^-k set to 2^-k, max(2^-i, 2^-j) = 2^-min(i, j) is the
+    # largest gap between the two.
+    return space_from_chain([format_rational(p) for p in points], points[:-1])
 
 
 class SpectrumConstraint(Record):
@@ -196,14 +195,14 @@ def in_uk(space: UltrametricSpace, constraint: SpectrumConstraint) -> Membership
 def random_space(n: int, constraint: SpectrumConstraint, seed: int) -> UltrametricSpace:
     """Seeded random space with spectrum inside the constraint.
 
-    Generation goes through a random merge tree whose heights are drawn from
-    the positive allowed values with strictly decreasing levels, so every draw
-    is valid by construction (rejection sampling on matrices would almost
-    never succeed for larger n).  Raises InstanceTooLarge, before building
-    anything, when the ``n^2`` matrix would pass :data:`CELL_BUDGET` cells.
+    Draws a random merge tree with heights from the positive allowed values,
+    strictly decreasing toward the leaves, so every draw is valid by
+    construction (rejection sampling on matrices would almost never succeed
+    for larger n).  The tree is drawn as its chain (:func:`space_from_chain`):
+    a merge's height is the gap between each two of its parts.  Raises
+    InstanceTooLarge, before building anything, when the ``n^2`` matrix would
+    pass :data:`CELL_BUDGET` cells.
     """
-    from .dendrogram import Leaf, Merge, from_dendrogram
-
     if n < 1:
         raise InvalidParameter(f"need n >= 1 points, got {n}")
     _check_cells(n)
@@ -216,21 +215,19 @@ def random_space(n: int, constraint: SpectrumConstraint, seed: int) -> Ultrametr
     labels = [f"x{k}" for k in range(1, n + 1)]
     rng.shuffle(labels)
 
-    def build(points: list[str], heights: list[Fraction]) -> Node:
-        if len(points) == 1:
-            return Leaf(points[0])
+    def gaps(size: int, heights: list[Fraction]) -> list[Fraction]:
+        if size == 1:
+            return []
         h = rng.choice(heights)
         lower = [v for v in heights if v < h]
-        if lower:
-            k = rng.randint(2, len(points))
-        else:
-            k = len(points)
-        cuts = sorted(rng.sample(range(1, len(points)), k - 1))
-        bounds = [0, *cuts, len(points)]
-        parts = [points[bounds[i] : bounds[i + 1]] for i in range(k)]
-        return Merge(h, tuple(build(part, lower) for part in parts))
+        k = rng.randint(2, size) if lower else size
+        bounds = [0, *sorted(rng.sample(range(1, size), k - 1)), size]
+        drawn = gaps(bounds[1], lower)
+        for start, end in zip(bounds[1:], bounds[2:]):
+            drawn += [h, *gaps(end - start, lower)]
+        return drawn
 
-    return from_dendrogram(build(labels, positive))
+    return space_from_chain(labels, gaps(n, positive))
 
 
 # Scaled images of a metric use the lcm of its denominators while that fits

@@ -33,14 +33,15 @@ visit order and join keys, O(n^2) once per space, and already held by a
 validated one).  The tree of the quotient at ``t`` is the merge tree with
 every subtree of height ``<= t`` collapsed into one point, so one post-order
 walk (:func:`ultrametric.dendrogram.truncated_canon`) yields the quotient's
-truncated canonical key ``(height, count, encoding, labels)`` without
+truncated canonical key ``(height, count, encoding, lowest label)`` without
 building a quotient matrix; equal encodings mean isometric quotients.  A
 walk costs the total size of the keys it builds, ``O(n log n)`` on a tree of
 logarithmic depth (``O(n^2)`` on a caterpillar), so a search past the chains
-costs ``O(n log n * log k)``.  At the answer the two truncated canonical
-trees are paired leaf by leaf for the block map, whose blocks are the closed
-balls of :func:`ultrametric.spaces.closed_balls`, named by their
-lowest-index point exactly as :func:`closed_quotient` names them.
+costs ``O(n log n * log k)``.  At the answer the leaves of the two
+truncated canonical trees are paired in leaf order for the block map, whose
+blocks are the closed balls of :func:`ultrametric.spaces.closed_balls`,
+named by their lowest-index point exactly as :func:`closed_quotient` names
+them.
 
 The exhaustive search in :mod:`ultrametric.oracle` double-checks the whole
 scheme on small instances; the acceptance suite treats any disagreement as a

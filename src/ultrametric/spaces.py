@@ -15,7 +15,8 @@ ultrametric by the proof in its docstring.  A hand-built
 module in one form: a point order and the gaps between neighbours,
 ``d = max(gaps between)``, which are Prim's visit order and join keys
 (:func:`chain_order`), computed once per space as ``_chain``; a validated
-space keeps the chain its triangle check used.
+space keeps the chain its triangle check used.  A builder that knows its
+hierarchy hands it over in the same form, to :func:`space_from_chain`.
 """
 
 from __future__ import annotations
@@ -302,6 +303,18 @@ def space_from_ranks(labels, ranks, values) -> UltrametricSpace:
         ranks = remap(ranks, table)
         values = [values[r] for r in used]
     return UltrametricSpace(labels, tuple(values), tuple(map(tuple, ranks)))
+
+
+def space_from_chain(order, gaps) -> UltrametricSpace:
+    """The space on the labels ``order`` with ``d = max(gaps between)``, for
+    positive Fraction ``gaps`` between neighbours in that order.
+
+    Ultrametric: the interval between two of three points lies inside the
+    union of the intervals from each to the third, so its maximum is at most
+    the larger of theirs; positive gaps keep distinct points apart.
+    """
+    values, (_, ranks) = merged_spectrum((ZERO,), gaps)
+    return space_from_ranks(order, chain_matrix(ranks, [0] * len(order)), values)
 
 
 def _check_axioms(labels, ranks, values) -> UltrametricSpace:

@@ -24,7 +24,7 @@ from ultrametric import (
     spectrum_constraint,
     validate_ultrametric,
 )
-from ultrametric import amalgam, certificates, dendrogram, generators, spaces
+from ultrametric import amalgam, certificates, generators, spaces
 from ultrametric.errors import UltrametricError
 from ultrametric.rationals import as_rational
 
@@ -48,7 +48,7 @@ def rechecked_space_from_ranks(labels, ranks, values) -> UltrametricSpace:
 @pytest.fixture(autouse=True)
 def recheck_constructions(monkeypatch):
     """Every space a construction builds in a test goes through the axiom scan."""
-    for module in (spaces, amalgam, generators, certificates, dendrogram):
+    for module in (spaces, amalgam, generators, certificates):
         monkeypatch.setattr(module, "space_from_ranks", rechecked_space_from_ranks)
 
 

@@ -207,7 +207,7 @@ def test_prim_runs_once_per_input(name, want, tmp_path, monkeypatch):
         return chain_order(ranks)
 
     # The autouse recheck scans every constructed space; count the CLI's passes only.
-    for module in (spaces, amalgam, generators, certificates, dendrogram):
+    for module in (spaces, amalgam, generators, certificates):
         monkeypatch.setattr(module, "space_from_ranks", BUILD_SPACE)
     for module in (spaces, dendrogram):
         if hasattr(module, "chain_order"):
@@ -285,6 +285,42 @@ def test_closed_stdout_is_a_diagnostic_in_a_job():
     assert result.returncode == 1
     assert result.stderr.count("\n") == 1
     assert json.loads(result.stderr) == CLOSED_STDOUT
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="the system has no /dev/full")
+def test_full_stdout_is_a_diagnostic_in_a_job():
+    script = 'exec "$0" -m ultrametric validate isosceles.json > /dev/full'
+    result = run_in_golden(["sh", "-c", script, sys.executable])
+    assert result.returncode == 1
+    assert result.stderr.count("\n") == 1
+    assert "Traceback" not in result.stderr and "Exception ignored" not in result.stderr
+    assert json.loads(result.stderr) == {
+        "error": "InvalidParameter",
+        "message": "cannot write the result: No space left on device",
+    }
+
+
+CLOSED_STDIN = {
+    "error": "InputFormat",
+    "message": "cannot read -: standard input is closed",
+    "path": "-",
+}
+
+
+def test_closed_stdin_is_a_diagnostic(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdin", None)
+    assert main(["validate", "-"]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert json.loads(err) == CLOSED_STDIN
+
+
+def test_closed_stdin_is_a_diagnostic_in_a_job():
+    script = 'exec "$0" -m ultrametric validate - <&-'
+    result = run_in_golden(["sh", "-c", script, sys.executable])
+    assert result.returncode == 1
+    assert result.stderr.count("\n") == 1
+    assert json.loads(result.stderr) == CLOSED_STDIN
 
 
 def test_cauchy_depth_beyond_the_int_string_limit_is_a_diagnostic(tmp_path):

@@ -6,8 +6,11 @@ from itertools import combinations
 import pytest
 
 from ultrametric import (
+    Leaf,
+    Merge,
     cauchy_sequence,
     crowd_family,
+    from_dendrogram,
     in_uk,
     random_space,
     single_linkage,
@@ -18,7 +21,7 @@ from ultrametric import (
     ugh_oracle,
     validate_ultrametric,
 )
-from ultrametric import generators
+from ultrametric import generators, spaces
 from ultrametric.errors import (
     BasePointMissing,
     ConstraintTooSmall,
@@ -165,7 +168,7 @@ class TestCauchySequence:
             assert info.value.payload()["max_depth"] == 1447
 
     def test_largest_depth_within_the_cell_budget_is_built(self, monkeypatch):
-        monkeypatch.setattr(generators, "space_from_ranks", lambda labels, m, values: (labels, m))
+        monkeypatch.setattr(spaces, "space_from_ranks", lambda labels, m, values: (labels, m))
         labels, matrix = cauchy_sequence(1447)
         assert 1448**2 <= generators.CELL_BUDGET < 1449**2
         assert (len(labels), len(matrix), {len(row) for row in matrix}) == (1448, 1448, {1448})
@@ -238,6 +241,41 @@ class TestRandomSpace:
                 random_space(n, SIX_VALUES, 1)
             assert info.value.payload()["n"] == n
             assert info.value.payload()["max_n"] == 1448
+
+
+def reference_random_space(n, constraint, seed):
+    """``random_space`` as it was built through a merge tree: the same draws
+    make ``Leaf`` and ``Merge`` nodes, and ``from_dendrogram`` reads them."""
+    rng = random.Random(seed)
+    labels = [f"x{k}" for k in range(1, n + 1)]
+    rng.shuffle(labels)
+
+    def build(points, heights):
+        if len(points) == 1:
+            return Leaf(points[0])
+        h = rng.choice(heights)
+        lower = [v for v in heights if v < h]
+        k = rng.randint(2, len(points)) if lower else len(points)
+        bounds = [0, *sorted(rng.sample(range(1, len(points)), k - 1)), len(points)]
+        return Merge(h, tuple(build(points[a:b], lower) for a, b in zip(bounds, bounds[1:])))
+
+    return from_dendrogram(build(labels, [v for v in constraint.values if v > 0]))
+
+
+def test_random_space_matches_the_merge_tree_it_replaced():
+    """Seeded draws of 1 to 300 points, most of them small, under value sets
+    with one positive value and with many."""
+    rng = random.Random(17)
+    values = [Fraction(k, 16) for k in range(1, 33)]
+    for draw in range(2000):
+        n = rng.choice([1, 2, 3, rng.randint(4, 12), rng.randint(4, 40)])
+        if draw % 100 == 0:
+            n = 300 if draw == 0 else rng.randint(41, 300)
+        positive = rng.sample(values, 1 if draw % 3 == 0 else rng.randint(2, 20))
+        constraint = spectrum_constraint([0, *positive])
+        seed = rng.randrange(10**9)
+        got, want = random_space(n, constraint, seed), reference_random_space(n, constraint, seed)
+        assert (got.labels, got.values, got.ranks) == (want.labels, want.values, want.ranks)
 
 
 def all_paths_minimax(labels, matrix, a, b):

@@ -122,10 +122,11 @@ def test_only_ugh_certificate_loads_the_certificate_code(argv, want, tmp_path):
         ["cluster", "--input", "metric.json"],
         ["in-uk", "isosceles.json", "--k", "0,1,2"],
         ["gen", "crowd", "--space", "pair.json", "--base", "a", "--c", "1/2", "--n", "2"],
+        ["gen", "random", "--n", "5", "--k", "0,1/2,1", "--seed", "3"],
     ],
-    ids=["cluster", "in_uk", "gen_crowd"],
+    ids=["cluster", "in_uk", "gen_crowd", "gen_random"],
 )
-def test_generators_without_random_skip_dendrogram(argv):
+def test_generators_skip_dendrogram(argv):
     loaded = modules_loaded_by(argv)
     assert "ultrametric.generators" in loaded
     assert "ultrametric.dendrogram" not in loaded

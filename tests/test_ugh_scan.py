@@ -16,8 +16,11 @@ from ultrametric import (
     Leaf,
     Merge,
     UghResult,
+    cauchy_sequence,
     certificate,
     closed_quotient,
+    crowd_family,
+    isometry_witness,
     random_space,
     spectrum,
     spectrum_constraint,
@@ -112,6 +115,37 @@ def random_pairs(seed, count, max_n):
         x = random_space(rng.randint(1, max_n), constraint, rng.randrange(10**6))
         y = random_space(rng.randint(1, max_n), constraint, rng.randrange(10**6))
         yield x, y
+
+
+def shuffled_copy(rng, x) -> UltrametricSpace:
+    """An isometric copy of ``x``: its points shuffled and renamed, so the
+    labels sort in another order than the points they stand for."""
+    order = list(range(len(x)))
+    rng.shuffle(order)
+    labels = [f"y{k}" for k in rng.sample(range(10**6), len(x))]
+    return validate_ultrametric(labels, [[x.dist[i][j] for j in order] for i in order])
+
+
+def isometric_pairs(seed):
+    """Seeded isometric pairs whose trees have shape-identical siblings."""
+    rng = random.Random(seed)
+    for _ in range(60):
+        values = ["0", *rng.sample(VALUES[1:], rng.randint(1, 3))]
+        x = random_space(rng.randint(2, 40), spectrum_constraint(values), rng.randrange(10**6))
+        yield x, shuffled_copy(rng, x)
+        base = random_space(rng.randint(1, 8), spectrum_constraint(values), rng.randrange(10**6))
+        crowd = crowd_family(base, rng.choice(base.labels), Fraction(1, 16), rng.randint(5, 12))
+        yield crowd, shuffled_copy(rng, crowd)
+    for depth in (0, 1, 2, 5, 17, 40):
+        x = cauchy_sequence(depth)
+        yield x, shuffled_copy(rng, x)
+
+
+def test_isometry_witness_pairs_as_the_reference_does():
+    for x, y in isometric_pairs(seed=8):
+        witness = isometry_witness(x, y)
+        assert witness is not None
+        assert witness == reference_witness(x, y)
 
 
 def test_scan_matches_linear_scan_on_random_pairs():
