@@ -6,20 +6,22 @@ positive heights; the distance between two points is the height of their
 lowest common ancestor.  This equivalence turns isometry testing into rooted
 tree comparison.
 
-Canonical form: at every node the children are sorted by the key
-``(height, leaf count, canonical encoding)``, where the encoding is a
-label-free string built bottom-up (the rooted-tree canonical form of Aho,
-Hopcroft & Ullman).  Ties on all three components mean the subtrees are
-identical as shapes, so any order among them represents the same isometry
-class; for byte-deterministic output the tie is broken by the lowest leaf
-label.  Two spaces are isometric iff their canonical encodings are equal, and
-then the k-th leaves of the two canonical trees correspond.
+Canonical form: every tree here is built from a chain, points in one order
+with ``d = max(gaps between)`` (Prim's, kept as ``space._chain``), by one
+stack pass (:func:`chain_canon`) that sorts each merge's children as it
+closes the merge, by the key ``(height rank, leaf count, encoding)``; the
+encoding is a label-free string built bottom-up (the rooted-tree canonical
+form of Aho, Hopcroft & Ullman).  Ties on all three mean identical shapes, so
+for byte-deterministic output the lowest leaf label breaks them.  Two spaces
+are isometric iff their canonical encodings are equal, and then the k-th
+leaves of the two canonical trees correspond.
 
-Truncation: collapsing every subtree of height ``<= t`` into one point turns
-the tree of a space into the tree of its closed-ball quotient at ``t``, so
-:func:`truncated_canon` reads the quotient's canonical form off the tree
-without building the quotient.  Every tree walk here is iterative, so the
-depth of a tree is not bounded by the interpreter's recursion limit.
+Truncation: the closed balls of radius ``t`` are the runs of the chain cut at
+the gaps above ``t``, so :func:`quotient_canon` runs the same pass on the
+runs' lowest-index points and the cut gaps.  A pass costs the total length of
+its encodings, ``O(n log n)`` at logarithmic depth and ``O(n^2)`` on a
+caterpillar.  Nothing here recurses, so the depth of a tree is not bounded by
+the interpreter's recursion limit.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from operator import itemgetter
 
 from .errors import MalformedTree
 from .rationals import as_rational, format_rational
-from .spaces import ZERO, Record, UltrametricSpace, space_from_chain
+from .spaces import ZERO, Record, UltrametricSpace, chain_runs, merged_spectrum, space_from_chain
 
 
 class Leaf(Record):
@@ -40,65 +42,93 @@ class Merge(Record):
     height: Fraction
     children: tuple["Node", ...]
 
+    def _astuple(self) -> tuple:
+        """The tree in pre-order, a leaf as its label and a merge as
+        ``(height, child count)``: equality and hash without recursion."""
+        return tuple(
+            node.label if isinstance(node, Leaf) else (node.height, len(node.children))
+            for node in _preorder(self)
+        )
+
+    def __repr__(self) -> str:  # compact, subtrees omitted
+        labels = list(map(str, leaf_labels(self)))
+        shown = ", ".join(labels[:6]) + ("..." if len(labels) > 6 else "")
+        return f"Merge(height {self.height}, {len(labels)} leaves: {shown})"
+
 
 Node = Leaf | Merge
 
 
-def leaf_labels(node: Node) -> tuple[str, ...]:
-    """Leaf labels in tree order."""
-    labels, stack = [], [node]
+def _preorder(node: Node):
+    stack = [node]
     while stack:
         node = stack.pop()
-        if isinstance(node, Leaf):
-            labels.append(node.label)
-        else:
+        yield node
+        if isinstance(node, Merge):
             stack.extend(reversed(node.children))
-    return tuple(labels)
 
 
-def truncated_canon(
-    root: Node, t: Fraction | None = None, rank: dict[str, int] | None = None
-) -> tuple[Node, tuple]:
-    """Canonical form of ``root`` truncated at ``t``, and its sort key.
+def leaf_labels(node: Node) -> tuple[str, ...]:
+    """Leaf labels in tree order."""
+    return tuple(node.label for node in _preorder(node) if isinstance(node, Leaf))
 
-    Every subtree of height ``<= t`` becomes one point: a leaf named by its
-    lowest-ranked label, the representative :func:`closed_quotient` keeps.
-    With ``t`` None only the leaves are points and ``rank`` is unused.  The key
-    is ``(height, point count, encoding, lowest point label)``; only the first
-    three components define the isometry class, the label merely fixes the
-    order of shape-identical siblings, whose label sets are disjoint.  One
-    post-order walk over the nodes above ``t``.
+
+def chain_canon(labels, gaps, values) -> tuple[Node, tuple]:
+    """Canonical merge tree of a chain, and its sort key.
+
+    ``gaps[p]``, a positive rank into ``values``, lies between ``labels[p]``
+    and ``labels[p + 1]``.  A stack holds the open merges, lowest on top: a
+    gap closes every open merge below it and equal gaps join one merge, so no
+    node has a child of its own height.  A closing merge sorts its children by
+    key ``(height rank, point count, encoding, lowest point label)``; the
+    label only orders shape-identical siblings, whose label sets are disjoint.
     """
-    done: list[tuple[Node, tuple]] = []
-    stack: list[tuple[Node, bool]] = [(root, False)]
-    while stack:
-        node, expanded = stack.pop()
-        if isinstance(node, Leaf):
-            done.append((node, (ZERO, 1, "p", node.label)))
-        elif t is not None and node.height <= t:
-            label = min(leaf_labels(node), key=rank.__getitem__)
-            done.append((Leaf(label), (ZERO, 1, "p", label)))
-        elif not expanded:
-            stack.append((node, True))
-            stack.extend((child, False) for child in reversed(node.children))
+
+    def close(rank, parts):
+        nodes, keys = zip(*sorted(parts, key=itemgetter(1)))
+        encoding = f"({format_rational(values[rank])};{','.join(key[2] for key in keys)})"
+        key = (rank, sum(key[1] for key in keys), encoding, min(key[3] for key in keys))
+        return Merge(values[rank], nodes), key
+
+    open_merges: list[tuple[int, list]] = []
+    # A last gap above every rank closes the merges still open.
+    for label, gap in zip(labels, (*gaps, len(values))):
+        part = Leaf(label), (0, 1, "p", label)
+        while open_merges and open_merges[-1][0] < gap:
+            rank, parts = open_merges.pop()
+            part = close(rank, [*parts, part])
+        if open_merges and open_merges[-1][0] == gap:
+            open_merges[-1][1].append(part)
         else:
-            start = len(done) - len(node.children)
-            pairs = sorted(done[start:], key=itemgetter(1))
-            del done[start:]
-            keys = [pair[1] for pair in pairs]
-            encoding = f"({format_rational(node.height)};{','.join(key[2] for key in keys)})"
-            key = (node.height, sum(key[1] for key in keys), encoding, min(key[3] for key in keys))
-            done.append((Merge(node.height, tuple(pair[0] for pair in pairs)), key))
-    return done[0]
+            open_merges.append((gap, [part]))
+    return part
+
+
+def quotient_canon(space: UltrametricSpace, t=0) -> tuple[Node, tuple]:
+    """Canonical merge tree of the closed-ball quotient at ``t``, and its key.
+
+    Each run of :func:`ultrametric.spaces.chain_runs` becomes its lowest-index
+    point, as in :func:`closed_quotient`, with the cut gaps between them.  At
+    ``t = 0`` the runs are single points: the tree of the space.
+    """
+    runs, gaps = chain_runs(space, t)
+    return chain_canon([space.labels[min(run)] for run in runs], gaps, space.values)
+
+
+def _tree_canon(node: Node) -> tuple[Node, tuple]:
+    order, gaps = _tree_chain(node)
+    values, (_, ranks) = merged_spectrum((ZERO,), gaps)
+    return chain_canon(order, ranks, values)
 
 
 def canonicalize(node: Node) -> Node:
-    return truncated_canon(node)[0]
+    """The canonical form of a tree; raises MalformedTree as :func:`from_dendrogram` does."""
+    return _tree_canon(node)[0]
 
 
 def encoding(node: Node) -> str:
     """Label-free canonical encoding; equal encodings == isometric spaces."""
-    return truncated_canon(node)[1][2]
+    return _tree_canon(node)[1][2]
 
 
 def leaf_pairing(a: Node, b: Node) -> dict[str, str]:
@@ -110,33 +140,9 @@ def leaf_pairing(a: Node, b: Node) -> dict[str, str]:
     return dict(zip(leaf_labels(a), leaf_labels(b)))
 
 
-def merge_tree(space: UltrametricSpace) -> Node:
-    """Merge-tree of a space: the Cartesian tree of its chain's gaps.
-
-    One pass along the order keeps a stack of open merges, lowest on top.  A
-    gap closes every open merge below it and equal gaps join one merge, so no
-    node has a child of its own height.
-    """
-    order, gaps = space._chain
-    open_merges: list[tuple[int, list[Node]]] = []
-    node: Node = Leaf(space.labels[order[0]])
-    for gap, i in zip(gaps, order[1:]):
-        while open_merges and open_merges[-1][0] < gap:
-            r, children = open_merges.pop()
-            node = Merge(space.values[r], (*children, node))
-        if open_merges and open_merges[-1][0] == gap:
-            open_merges[-1][1].append(node)
-        else:
-            open_merges.append((gap, [node]))
-        node = Leaf(space.labels[i])
-    for r, children in reversed(open_merges):
-        node = Merge(space.values[r], (*children, node))
-    return node
-
-
 def to_dendrogram(space: UltrametricSpace) -> Node:
     """Merge-tree of a space, in canonical form."""
-    return canonicalize(merge_tree(space))
+    return quotient_canon(space)[0]
 
 
 def from_dendrogram(node: Node) -> UltrametricSpace:
@@ -144,12 +150,18 @@ def from_dendrogram(node: Node) -> UltrametricSpace:
 
     Raises MalformedTree on structural defects: heights not strictly
     decreasing toward the leaves, internal nodes with fewer than two children,
-    nonpositive heights, or duplicate leaf labels.  Nodes are checked in
-    pre-order, each height read once and tested against its parent first.  A
-    leaf meets the one before it at the parent of its lowest ancestor (or
-    itself) that is not a first child, whose height the walk appends as their
-    gap for :func:`space_from_chain`: two leaves meet at the highest of the
-    merges between them.
+    nonpositive heights, or duplicate leaf labels.
+    """
+    return space_from_chain(*_tree_chain(node))
+
+
+def _tree_chain(node: Node) -> tuple[list[str], list[Fraction]]:
+    """A tree's leaf labels in pre-order and the Fraction gaps between them.
+
+    Nodes are checked in pre-order, each height read once and tested against
+    its parent first.  A leaf meets the one before it at the parent of its
+    lowest ancestor (or itself) that is not a first child, whose height is
+    their gap: two leaves meet at the highest of the merges between them.
     """
     order: list[str] = []
     gaps: list[Fraction] = []
@@ -178,7 +190,7 @@ def from_dendrogram(node: Node) -> UltrametricSpace:
         stack.append((first, height, False))
     if len(set(order)) != len(order):
         raise MalformedTree("duplicate leaf labels")
-    return space_from_chain(order, gaps)
+    return order, gaps
 
 
 def isometry_witness(x: UltrametricSpace, y: UltrametricSpace) -> dict[str, str] | None:
@@ -189,7 +201,7 @@ def isometry_witness(x: UltrametricSpace, y: UltrametricSpace) -> dict[str, str]
     """
     if len(x) != len(y):
         return None
-    (tx, kx), (ty, ky) = (truncated_canon(merge_tree(s)) for s in (x, y))
+    (tx, kx), (ty, ky) = quotient_canon(x), quotient_canon(y)
     if kx[2] != ky[2]:
         return None
     return leaf_pairing(tx, ty)

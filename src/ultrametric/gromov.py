@@ -28,20 +28,20 @@ spectra agree above ``t``), so candidates below it are dropped.
 rest and then bisects: an answer at position ``p`` costs ``O(log p)`` tests,
 at most ``O(log k)`` for ``k`` candidates, instead of a linear scan.
 
-Test.  Both merge trees are built in O(n) from each space's chain (Prim's
-visit order and join keys, O(n^2) once per space, and already held by a
-validated one).  The tree of the quotient at ``t`` is the merge tree with
-every subtree of height ``<= t`` collapsed into one point, so one post-order
-walk (:func:`ultrametric.dendrogram.truncated_canon`) yields the quotient's
-truncated canonical key ``(height, count, encoding, lowest label)`` without
-building a quotient matrix; equal encodings mean isometric quotients.  A
-walk costs the total size of the keys it builds, ``O(n log n)`` on a tree of
-logarithmic depth (``O(n^2)`` on a caterpillar), so a search past the chains
-costs ``O(n log n * log k)``.  At the answer the leaves of the two
-truncated canonical trees are paired in leaf order for the block map, whose
-blocks are the closed balls of :func:`ultrametric.spaces.closed_balls`,
-named by their lowest-index point exactly as :func:`closed_quotient` names
-them.
+Test.  Each space's chain (Prim's visit order and join keys, O(n^2) once
+per space, and already held by a validated one) is cut at every gap above
+``t``; its runs are the closed balls, and the runs' lowest-index points with
+the cut gaps between them are the chain of the quotient.  One stack pass over
+that chain (:func:`ultrametric.dendrogram.quotient_canon`) builds the
+quotient's canonical tree and key ``(height rank, count, encoding, lowest
+label)`` without building a quotient matrix; equal encodings mean isometric
+quotients.  A test costs O(n) for the cut plus the total length of the
+encodings, ``O(n log n)`` on a tree of logarithmic depth (``O(n^2)`` on a
+caterpillar), so a search past the chains costs ``O(n log n * log k)``.  At
+the answer the leaves of the two canonical quotient trees are paired in leaf
+order for the block map, whose blocks are the closed balls of
+:func:`ultrametric.spaces.closed_balls`, named by their lowest-index point
+exactly as :func:`closed_quotient` names them.
 
 The exhaustive search in :mod:`ultrametric.oracle` double-checks the whole
 scheme on small instances; the acceptance suite treats any disagreement as a
@@ -52,8 +52,9 @@ a scan does not load; their names are still importable from here.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 
-from .dendrogram import leaf_pairing, merge_tree, truncated_canon
+from .dendrogram import leaf_pairing, quotient_canon
 from .spaces import ZERO, Record, UltrametricSpace, closed_balls
 
 BlockMap = tuple[tuple[tuple[str, ...], tuple[str, ...]], ...]
@@ -75,21 +76,12 @@ class UghResult(Record):
 def ugh_distance(x: UltrametricSpace, y: UltrametricSpace) -> UghResult:
     """Gromov-Hausdorff ultrametric, exact, with a quotient isometry witness.
 
-    Searches the candidate scales on the two merge trees, as the module
-    docstring explains.
+    Searches the candidate scales on the two chains, as the module docstring
+    explains.
     """
-    trees = (merge_tree(x), merge_tree(y))
-    ranks = (x._index, y._index)
     floor = spectrum_agreement(x, y)
     candidates = sorted(t for t in {*x.values, *y.values} if t >= floor)
-    canon: dict[int, tuple] = {}
-
-    def truncated(k: int) -> tuple:
-        if k not in canon:
-            canon[k] = tuple(
-                truncated_canon(tree, candidates[k], rank) for tree, rank in zip(trees, ranks)
-            )
-        return canon[k]
+    truncated = cache(lambda k: tuple(quotient_canon(s, candidates[k]) for s in (x, y)))
 
     def isometric_at(k: int) -> bool:
         (_, kx), (_, ky) = truncated(k)

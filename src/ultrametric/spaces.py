@@ -319,7 +319,8 @@ def space_from_chain(order, gaps) -> UltrametricSpace:
 
 def _check_axioms(labels, ranks, values) -> UltrametricSpace:
     """The space of checked labels and a matrix of ranks into ``values``, or
-    the first axiom it violates.  Clean rows skip the pair loops."""
+    the first axiom it violates.  A matrix equal to its subdominant is
+    accepted at once; the pair and triangle scans run only to name a fault."""
     rows = tuple(map(tuple, ranks))
     zero = bisect_left(values, ZERO)
     n = len(labels)
@@ -333,12 +334,12 @@ def _check_axioms(labels, ranks, values) -> UltrametricSpace:
                 f"d({labels[i]},{labels[i]}) = {text(i, i)}, expected 0",
                 point=labels[i],
             )
-    # With a zero diagonal, a symmetric matrix whose rows hold no negative
-    # value and one zero each passes the pair loop below.
-    clean = rows == tuple(zip(*rows)) and all(
-        row.count(zero) == 1 and min(row) >= zero for row in rows
-    )
-    for i in range(0 if clean else n):
+    space = UltrametricSpace(labels, tuple(values), rows)
+    sub = subdominant(rows, space._chain)
+    # The subdominant is symmetric, and positive gaps keep points apart.
+    if sub == rows and all(gap > zero for gap in space._chain[1]):
+        return space
+    for i in range(n):
         rank_i = rows[i]
         for j in range(i + 1, n):
             r = rank_i[j]
@@ -358,9 +359,7 @@ def _check_axioms(labels, ranks, values) -> UltrametricSpace:
                     f"d({labels[i]},{labels[j]}) = 0 for distinct points",
                     points=[labels[i], labels[j]],
                 )
-    space = UltrametricSpace(labels, tuple(values), rows)
-    sub = subdominant(rows, space._chain)
-    for i in range(0 if sub == rows else n):
+    for i in range(n):
         rank_i = rows[i]
         sub_i = sub[i]
         for j in range(i + 1, n):
@@ -434,18 +433,23 @@ def subspace(space: UltrametricSpace, indices) -> UltrametricSpace:
     return space_from_ranks(labels, ranks, space.values)
 
 
-def closed_balls(space: UltrametricSpace, t) -> list[list[int]]:
-    """Index lists of the closed balls of radius ``t``, ordered by first index.
+def chain_runs(space: UltrametricSpace, t) -> tuple[list[list[int]], list[int]]:
+    """The runs of the space's chain order cut at every gap above ``t`` (rank
+    at least ``bisect_right(values, t)``), and those gaps, in chain order.
 
-    ``d(x,y) <= t`` is an equivalence relation on an ultrametric space, so the
-    balls partition it.  Along the space's chain ``d = max(gaps between)``,
-    so the balls are the runs of its order cut at every gap above ``t``: a
-    gap whose rank is at least ``bisect_right(values, t)``.
+    Along the chain ``d = max(gaps between)``: the runs are the closed balls
+    of radius ``t``, and two runs lie at the largest cut gap between them.
     """
     order, gaps = space._chain
     cut = bisect_right(space.values, t)
     bounds = [0, *(p for p, gap in enumerate(gaps, 1) if gap >= cut), len(order)]
-    return sorted(sorted(order[a:b]) for a, b in zip(bounds, bounds[1:]))
+    return [order[a:b] for a, b in zip(bounds, bounds[1:])], [gap for gap in gaps if gap >= cut]
+
+
+def closed_balls(space: UltrametricSpace, t) -> list[list[int]]:
+    """Index lists of the closed balls of radius ``t`` (:func:`chain_runs`),
+    ordered by first index; ``d <= t`` is an equivalence relation."""
+    return sorted(map(sorted, chain_runs(space, t)[0]))
 
 
 def closed_quotient(space: UltrametricSpace, t) -> QuotientSpace:

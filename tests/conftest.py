@@ -10,12 +10,14 @@ import random
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
+from operator import itemgetter
 
 import pytest
 
 from ultrametric import (
     GlueSpec,
     Leaf,
+    Merge,
     UltrametricSpace,
     cauchy_sequence,
     crowd_family,
@@ -25,8 +27,10 @@ from ultrametric import (
     validate_ultrametric,
 )
 from ultrametric import amalgam, certificates, generators, spaces
+from ultrametric.dendrogram import leaf_labels
 from ultrametric.errors import UltrametricError
-from ultrametric.rationals import as_rational
+from ultrametric.rationals import as_rational, format_rational
+from ultrametric.spaces import ZERO
 
 # Taken at import, so a test that patches ``spaces._check_axioms`` to count
 # calls sees only the library's own.
@@ -148,6 +152,64 @@ def quotient_blocks(root, t: Fraction, rank: dict[str, int]) -> list[tuple[str, 
             stack.extend((child, block) for child in node.children)
     blocks = [tuple(sorted(block, key=rank.__getitem__)) for block in blocks]
     return sorted(blocks, key=lambda block: rank[block[0]])
+
+
+def merge_tree(space: UltrametricSpace):
+    """Merge tree of a space, children in chain order: the Cartesian tree of
+    its chain's gaps, with Fraction heights.
+
+    The stack pass ``dendrogram.chain_canon`` makes, without sorting a
+    merge's children as it closes.  Reference for the library's trees,
+    together with :func:`truncated_canon`.
+    """
+    order, gaps = space._chain
+    open_merges = []
+    node = Leaf(space.labels[order[0]])
+    for gap, i in zip(gaps, order[1:]):
+        while open_merges and open_merges[-1][0] < gap:
+            r, children = open_merges.pop()
+            node = Merge(space.values[r], (*children, node))
+        if open_merges and open_merges[-1][0] == gap:
+            open_merges[-1][1].append(node)
+        else:
+            open_merges.append((gap, [node]))
+        node = Leaf(space.labels[i])
+    for r, children in reversed(open_merges):
+        node = Merge(space.values[r], (*children, node))
+    return node
+
+
+def truncated_canon(root, t: Fraction | None = None, rank: dict[str, int] | None = None):
+    """Canonical form of a tree truncated at ``t``, and its sort key, by a
+    post-order walk that compares Fraction heights.
+
+    Every subtree of height ``<= t`` becomes one point: a leaf named by its
+    lowest-ranked label.  With ``t`` None only the leaves are points.  The key
+    is ``(height, point count, encoding, lowest point label)``.  The walk the
+    library ran on :func:`merge_tree` before ``dendrogram.quotient_canon``
+    read the quotient's chain instead.
+    """
+    done = []
+    stack = [(root, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if isinstance(node, Leaf):
+            done.append((node, (ZERO, 1, "p", node.label)))
+        elif t is not None and node.height <= t:
+            label = min(leaf_labels(node), key=rank.__getitem__)
+            done.append((Leaf(label), (ZERO, 1, "p", label)))
+        elif not expanded:
+            stack.append((node, True))
+            stack.extend((child, False) for child in reversed(node.children))
+        else:
+            start = len(done) - len(node.children)
+            pairs = sorted(done[start:], key=itemgetter(1))
+            del done[start:]
+            keys = [pair[1] for pair in pairs]
+            encoding = f"({format_rational(node.height)};{','.join(key[2] for key in keys)})"
+            key = (node.height, sum(key[1] for key in keys), encoding, min(key[3] for key in keys))
+            done.append((Merge(node.height, tuple(pair[0] for pair in pairs)), key))
+    return done[0]
 
 
 def spellings(value: Fraction) -> list:

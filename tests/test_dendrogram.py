@@ -7,20 +7,32 @@ import pytest
 from ultrametric import (
     Leaf,
     Merge,
+    cauchy_sequence,
+    certificate,
     encoding,
     from_dendrogram,
     isometric,
     isometry_witness,
+    glue,
     random_space,
     spectrum,
+    spectrum_constraint,
     to_dendrogram,
     validate_ultrametric,
 )
-from ultrametric.dendrogram import canonicalize, leaf_labels
+from ultrametric.dendrogram import canonicalize, leaf_labels, quotient_canon
 from ultrametric.errors import MalformedTree
 from ultrametric.oracle import brute_force_isometry
+from ultrametric.spaces import ZERO
 
-from conftest import SIX_VALUES, make_space, shallow_recursion
+from conftest import (
+    SIX_VALUES,
+    make_space,
+    merge_tree,
+    random_glue_spec,
+    shallow_recursion,
+    truncated_canon,
+)
 
 
 def lca_height(node, a, b):
@@ -180,9 +192,9 @@ class TestCanonicalForm:
             assert canonicalize(tree) == tree
 
 
-def merge_chain(levels):
+def merge_chain(levels, bottom="p0"):
     """Caterpillar tree: level ``k`` joins leaf ``p<k>`` to everything below at height ``k``."""
-    node = Leaf("p0")
+    node = Leaf(bottom)
     for k in range(1, levels + 1):
         node = Merge(Fraction(k), (node, Leaf(f"p{k}")))
     return node
@@ -214,3 +226,47 @@ class TestDeepTrees:
         assert space.d("p0", "p300") == 300
         assert space.d("p299", "p300") == 300
         assert witness == {label: label for label in space.labels}
+
+    def test_deepest_cauchy_tree_compares_hashes_and_prints(self):
+        depth = 1447  # the deepest space ``gen cauchy`` builds
+        tree = to_dendrogram(cauchy_sequence(depth))
+        twin, other = merge_chain(depth), merge_chain(depth, bottom="q0")
+        with shallow_recursion():
+            assert tree == canonicalize(tree) and hash(tree) == hash(canonicalize(tree))
+            assert twin == merge_chain(depth) and hash(twin) == hash(merge_chain(depth))
+            assert twin != other and tree != twin
+            text = repr(tree)
+        assert text == "Merge(height 1, 1448 leaves: 1, 1/2, 1/4, 1/8, 1/16, 1/32...)"
+        assert repr(merge_chain(2)) == "Merge(height 2, 3 leaves: p0, p1, p2)"
+
+
+class TestQuotientCanon:
+    """``quotient_canon`` against the post-order walk it replaced:
+    ``truncated_canon`` on ``merge_tree``, at 0 and at every spectral value."""
+
+    @staticmethod
+    def assert_matches_the_tree_walk(space):
+        tree = merge_tree(space)
+        for t in (ZERO, *space.values):
+            node, key = quotient_canon(space, t)
+            want_node, want_key = truncated_canon(tree, t, space._index)
+            assert node == want_node
+            assert (space.values[key[0]], *key[1:]) == want_key
+
+    def test_shuffled_random_glue_and_certificate_spaces(self):
+        rng = random.Random(18)
+        grid = ["1/8", "1/4", "3/8", "1/2", "3/4", "1", "2"]
+        for _ in range(120):
+            constraint = spectrum_constraint(["0", *rng.sample(grid, rng.randint(1, len(grid)))])
+            x, y = (
+                random_space(rng.randint(1, 30), constraint, rng.randrange(10**9)) for _ in "xy"
+            )
+            order = rng.sample(range(len(x)), len(x))
+            labels = [f"s{rng.randrange(100)}.{k}" for k in range(len(x))]
+            shuffled = validate_ultrametric(labels, [[x.dist[i][j] for j in order] for i in order])
+            for space in (shuffled, glue(random_glue_spec(rng)), certificate(x, y).space):
+                self.assert_matches_the_tree_walk(space)
+
+    def test_cauchy_spaces(self):
+        for depth in (0, 1, 2, 3, 17, 400):
+            self.assert_matches_the_tree_walk(cauchy_sequence(depth))

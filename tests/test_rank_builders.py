@@ -37,7 +37,6 @@ from ultrametric.dendrogram import (
     Merge,
     from_dendrogram,
     leaf_labels,
-    merge_tree,
     to_dendrogram,
 )
 from ultrametric.gromov import Certificate
@@ -49,7 +48,14 @@ from ultrametric.spaces import (
     subdominant,
 )
 
-from conftest import SIX_VALUES, deep_and_wide, prim_edges, random_glue_spec, spellings
+from conftest import (
+    SIX_VALUES,
+    deep_and_wide,
+    merge_tree,
+    prim_edges,
+    random_glue_spec,
+    spellings,
+)
 from test_mst_core import reference_single_linkage
 
 GRIDS = [

@@ -35,7 +35,7 @@ from ultrametric import (
     ugh_distance,
     validate_ultrametric,
 )
-from ultrametric.dendrogram import canonicalize, leaf_pairing, truncated_canon
+from ultrametric.dendrogram import canonicalize, leaf_pairing
 from ultrametric.jsonio import space_to_obj
 from ultrametric.rationals import as_rational, format_rational
 from ultrametric.spaces import closed_balls
@@ -47,6 +47,7 @@ from conftest import (
     quotient_blocks,
     random_glue_spec,
     respelled,
+    truncated_canon,
 )
 
 VALUES = ["0", "1/8", "1/4", "3/8", "1/2", "5/8", "3/4", "1", "3/2", "2"]

@@ -1,7 +1,7 @@
 """Differential tests for the tree-native Gromov-Hausdorff scan.
 
-``ugh_distance`` tests candidate scales on two merge trees built once and
-searches the scales by galloping and bisection.  The reference below is the
+``ugh_distance`` tests candidate scales on the canonical quotient trees its
+chains give and searches the scales by galloping and bisection.  The reference below is the
 linear scan it replaced: at every candidate scale it builds both closed-ball
 quotients and tests them for isometry with a recursive canonical form.  Seeded
 pairs must give identical values, scale witnesses and block maps.
@@ -28,11 +28,10 @@ from ultrametric import (
     validate_ultrametric,
     verify_certificate,
 )
-from ultrametric.dendrogram import merge_tree
 from ultrametric.rationals import format_rational
 from ultrametric.spaces import ZERO, UltrametricSpace
 
-from conftest import shallow_recursion
+from conftest import merge_tree, shallow_recursion
 
 VALUES = ["0", "1/8", "1/4", "3/8", "1/2", "5/8", "3/4", "1", "3/2", "2"]
 
