@@ -8,6 +8,7 @@ names a file.
 
 from __future__ import annotations
 
+import gc
 import os
 import sys
 from types import SimpleNamespace
@@ -412,4 +413,14 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
-    raise SystemExit(main(sys.argv[1:]))
+    """``python -m ultrametric``: :func:`main` on ``sys.argv``, then exit.
+
+    Every live object is frozen first, so the collections that run at
+    shutdown skip the modules, classes and code the job loaded (about a
+    tenth of a small job's CPU) and the OS reclaims them; the exit is
+    otherwise normal, with streams flushed and ``atexit`` run.  :func:`main`
+    does not freeze: tests and library callers run it in a process that goes on.
+    """
+    code = main(sys.argv[1:])
+    gc.freeze()
+    raise SystemExit(code)

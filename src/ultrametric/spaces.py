@@ -35,10 +35,11 @@ from .errors import (
     NonSymmetric,
     NonzeroDiagonal,
     TriangleViolation,
+    UltrametricError,
     UnknownLabel,
     ZeroOffDiagonal,
 )
-from .rationals import as_rational, format_rational
+from .rationals import as_rational, format_rational, parse_rational
 
 ZERO = Fraction(0)
 
@@ -133,11 +134,53 @@ def rank_image(matrix, width: int | None = None) -> tuple[list[list[int]], list[
     Returns ``(ranks, values)``: ``values`` holds the sorted distinct values
     with 0 always among them, and ``ranks[i][j]`` is the position of entry
     ``(i, j)`` in it.  Equal values get equal ranks however they are spelled,
-    so ranks compare as the values do.  Each distinct spelling or value is
-    parsed once and numbered by a provisional id, which one sort of the
-    distinct values remaps to its rank.  Entries are read in row-major order
+    so ranks compare as the values do.  Entries are read in row-major order
     and the first bad one raises; with ``width`` given, a row's length is
     checked before its entries are read.
+
+    A matrix of strings that all parse, as JSON input is, takes
+    :func:`_rank_spellings`; any other matrix, and every bad one, is read by
+    :func:`_rank_entries`, so the first bad entry is the one that raises.
+    """
+    return _rank_spellings(matrix, width) or _rank_entries(matrix, width)
+
+
+def _rank_spellings(matrix, width: int | None):
+    """:func:`rank_image` of a matrix of well-formed rational strings, read
+    at C speed, or ``None`` for any other matrix.
+
+    Each distinct spelling is parsed once; one sort of the spellings by value
+    numbers equal values alike by comparing neighbours, so no Fraction is
+    hashed, and each row is read with one ``map`` over the spelling's rank.
+    """
+    try:
+        for row in matrix:
+            if width is not None and len(row) != width:
+                return None
+            # Raises at C speed on an entry that is no string, which the
+            # union would otherwise hash (a Fraction hashes in Python).
+            "".join(row)
+    except TypeError:
+        return None
+    spellings = list({"0"}.union(*matrix))  # "0" puts 0 among the values
+    try:
+        parsed = list(map(parse_rational, spellings))
+    except UltrametricError:
+        return None
+    values = []
+    rank = {}
+    for k in sorted(range(len(parsed)), key=parsed.__getitem__):
+        if not values or parsed[k] != values[-1]:
+            values.append(parsed[k])
+        rank[spellings[k]] = len(values) - 1
+    return [list(map(rank.__getitem__, row)) for row in matrix], values
+
+
+def _rank_entries(matrix, width: int | None) -> tuple[list[list[int]], list[Fraction]]:
+    """:func:`rank_image` entry by entry, for any matrix.
+
+    Each distinct spelling or value is parsed once and numbered by a
+    provisional id, which one sort of the distinct values remaps to its rank.
     """
     # A string is keyed by its spelling, anything else by its reduced value.
     ids: dict = {(0, 1): 0}

@@ -1,8 +1,9 @@
 """Fixed CLI corpus: every verb, plus exit-1 and exit-2 paths.
 
 Each case runs from tests/golden/ and is compared byte-for-byte against
-expected/<name>.out and expected/<name>.err.  Regenerate the expected files
-after an intentional output change with::
+expected/<name>.out and expected/<name>.err (on Python 3.13, one case's
+stderr is compared against another file; see :func:`expected_file`).
+Regenerate the expected files after an intentional output change with::
 
     python tests/cli_corpus.py --write
 
@@ -79,6 +80,23 @@ SKIPPED = (
 )
 
 
+# From Python 3.13 on, argparse wraps the usage line of these cases otherwise;
+# their stderr there is compared against expected/<name>.py313.err.
+USAGE_WRAPPED_313 = {"usage_unknown_verb"}
+
+
+def expected_file(name: str, suffix: str) -> Path:
+    """The file a case's stdout (``"out"``), stderr (``"err"``) or written
+    file (its name) is compared against on this interpreter."""
+    if suffix == "err" and name in USAGE_WRAPPED_313 and sys.version_info >= (3, 13):
+        suffix = "py313.err"
+    return EXPECTED / f"{name}.{suffix}"
+
+
+def expected_text(name: str, suffix: str) -> str:
+    return expected_file(name, suffix).read_text(encoding="utf-8")
+
+
 def run_case(argv: list[str], tmp_dir: Path) -> tuple[int, str, str, dict[str, str]]:
     """Run one corpus command in-process from the golden directory.
 
@@ -119,10 +137,10 @@ def write_expected() -> None:
             code, out, err, written = run_case(argv, Path(tmp))
         if code != want_code:
             raise SystemExit(f"{name}: expected exit {want_code}, got {code}")
-        (EXPECTED / f"{name}.out").write_text(out, encoding="utf-8")
-        (EXPECTED / f"{name}.err").write_text(err, encoding="utf-8")
+        expected_file(name, "out").write_text(out, encoding="utf-8")
+        expected_file(name, "err").write_text(err, encoding="utf-8")
         for file_name, content in written.items():
-            (EXPECTED / f"{name}.{file_name}").write_text(content, encoding="utf-8")
+            expected_file(name, file_name).write_text(content, encoding="utf-8")
         print(f"wrote {name} (exit {code})")
 
 

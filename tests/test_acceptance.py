@@ -31,7 +31,7 @@ from ultrametric import (
     verify_certificate,
 )
 
-from cli_corpus import CASES, EXPECTED, run_case
+from cli_corpus import CASES, expected_text, run_case
 from conftest import SIX_VALUES, make_space, random_glue_spec
 
 FIVE_VALUES = spectrum_constraint(["0", "1/4", "1/2", "3/4", "1"])
@@ -224,11 +224,10 @@ def test_criterion_10_cli_determinism(tmp_path):
             case_dir.mkdir()
             code, out, err, written = run_case(argv, case_dir)
             assert code == want_code, f"{name}: exit {code} != {want_code}"
-            assert out == (EXPECTED / f"{name}.out").read_text(encoding="utf-8"), name
-            assert err == (EXPECTED / f"{name}.err").read_text(encoding="utf-8"), name
+            assert out == expected_text(name, "out"), name
+            assert err == expected_text(name, "err"), name
             for file_name, content in written.items():
-                expected = (EXPECTED / f"{name}.{file_name}").read_text(encoding="utf-8")
-                assert content == expected, f"{name}: {file_name}"
+                assert content == expected_text(name, file_name), f"{name}: {file_name}"
         return f"{len(CASES)} commands byte-identical to golden files"
 
     criterion(10, "CLI corpus is byte-deterministic with the exit-code contract", 5.0, body)

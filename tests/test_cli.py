@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import subprocess
@@ -10,7 +11,7 @@ from ultrametric import amalgam, certificates, dendrogram, generators, jsonio, s
 from ultrametric.cli import main
 from ultrametric.rationals import int_max_str_digits
 
-from cli_corpus import CASES, EXPECTED, GOLDEN, SKIPPED, run_case
+from cli_corpus import CASES, GOLDEN, SKIPPED, expected_text, run_case
 from conftest import BUILD_SPACE, CHECK_AXIOMS, shallow_recursion
 
 CORPUS = [
@@ -27,12 +28,15 @@ CORPUS = [
 
 @pytest.mark.parametrize("name,argv,want_code", CORPUS)
 def test_corpus_matches_golden_bytes(name, argv, want_code, tmp_path):
+    frozen = gc.get_freeze_count()  # not 0 at start on Python 3.12
     code, out, err, written = run_case(argv, tmp_path)
     assert code == want_code
-    assert out == (EXPECTED / f"{name}.out").read_text(encoding="utf-8")
-    assert err == (EXPECTED / f"{name}.err").read_text(encoding="utf-8")
+    assert out == expected_text(name, "out")
+    assert err == expected_text(name, "err")
     for file_name, content in written.items():
-        assert content == (EXPECTED / f"{name}.{file_name}").read_text(encoding="utf-8")
+        assert content == expected_text(name, file_name)
+    # Only the process entry point freezes; main() leaves the caller's collector alone.
+    assert gc.get_freeze_count() == frozen
 
 
 @pytest.mark.parametrize("name,argv,want_code", CORPUS)
@@ -107,19 +111,31 @@ def test_diagnostics_colored_on_tty_without_no_color(monkeypatch, capsys):
     assert capsys.readouterr().err.startswith("\x1b[31merror:\x1b[0m ")
 
 
-def run_in_golden(args):
+def run_in_golden(args, text=True):
     # The child runs from tests/golden, so a relative PYTHONPATH would miss src.
     src = str(Path(__file__).resolve().parents[1] / "src")
     inherited = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, inherited]) if inherited else src)
-    return subprocess.run(args, cwd=GOLDEN, capture_output=True, text=True, env=env)
+    return subprocess.run(args, cwd=GOLDEN, capture_output=True, text=text, env=env)
 
 
 def test_module_entrypoint_subprocess():
     result = run_in_golden([sys.executable, "-m", "ultrametric", "validate", "isosceles.json"])
     assert result.returncode == 0
-    assert result.stdout == (EXPECTED / "validate_ok.out").read_text(encoding="utf-8")
+    assert result.stdout == expected_text("validate_ok", "out")
     assert result.stderr == ""
+
+
+def test_piped_job_writes_the_bytes_main_writes(tmp_path):
+    # Over half a megabyte, many times a pipe's buffer, through a real exit
+    # of the process, which freezes the heap first.
+    argv = ["gen", "random", "--n", "300", "--k", "0,1/4,1/2,1", "--seed", "5"]
+    result = run_in_golden([sys.executable, "-m", "ultrametric", *argv], text=False)
+    code, out, _, _ = run_case(argv, tmp_path)
+    assert result.returncode == code == 0
+    assert result.stderr == b""
+    assert len(result.stdout) > 2**19
+    assert result.stdout == out.encode("utf-8")
 
 
 def test_exit_code_three_on_forced_oracle_mismatch(monkeypatch, capsys):

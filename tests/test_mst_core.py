@@ -42,7 +42,14 @@ from ultrametric.errors import (
 )
 from ultrametric.rationals import as_rational, format_rational
 from ultrametric.generators import SCALE_BITS
-from ultrametric.spaces import UltrametricSpace, _coerce_matrix, block_matrix, rank_image
+from ultrametric.spaces import (
+    UltrametricSpace,
+    _coerce_matrix,
+    _rank_entries,
+    _rank_spellings,
+    block_matrix,
+    rank_image,
+)
 
 from conftest import find_root, respelled, spellings
 
@@ -283,6 +290,52 @@ def test_equal_values_get_equal_ranks_whatever_their_spelling():
     assert values == [0, Fraction(1, 2), 1]
     assert ranks == [[0, 1, 1, 1, 1, 1, 1, 2, 2, 2, 0, 0]]
     assert [values[r] for r in ranks[0][1:7]] == [Fraction(1, 2)] * 6
+
+
+# Spellings in other scripts' digits, which Fraction reads as their values.
+NON_ASCII = {Fraction(3): ["３", "٣"], Fraction(1, 2): ["١/٢", "٠.٥"], Fraction(7, 2): ["٣.٥"]}
+# Entries that no reader accepts.
+UNREADABLE = [True, False, 0.5, [1], ["1/2"], {"1": 1}, None, "x", "1/0", "½", "é", "\ud800", "1_0"]
+
+
+def ranked_matrix(rng: random.Random, kind: str):
+    """A square matrix of rationals spelled as ``kind`` asks, and its width."""
+    n = rng.randint(1, 7)
+    pool = [Fraction(rng.randint(0, 8), rng.choice((1, 2, 4))) for _ in range(4)] + [Fraction(3)]
+    values = [[rng.choice(pool) for _ in range(n)] for _ in range(n)]
+    strings = [[s for s in spellings(v) + NON_ASCII.get(v, []) if type(s) is str] for v in pool]
+    if kind == "mixed":
+        matrix = respelled(rng, values)
+    else:
+        matrix = [[rng.choice(strings[pool.index(v)]) for v in row] for row in values]
+    if kind == "bad":
+        # One or two bad entries, in different rows when there are two.
+        for i in rng.sample(range(n), min(n, rng.randint(1, 2))):
+            matrix[i][rng.randrange(n)] = rng.choice(UNREADABLE)
+    if kind == "short":
+        del matrix[rng.randrange(n)][-1]
+    return matrix, rng.choice((n, None))
+
+
+def rank_outcome(read, matrix, width):
+    try:
+        return read(matrix, width)
+    except (UltrametricError, TypeError) as exc:
+        return type(exc), str(exc)
+
+
+def test_string_matrices_rank_as_the_entry_loop_reads_them():
+    rng = random.Random(19)
+    for _ in range(400):
+        kind = rng.choice(["strings", "mixed", "bad", "short"])
+        matrix, width = ranked_matrix(rng, kind)
+        want = rank_outcome(_rank_entries, matrix, width)
+        assert rank_outcome(rank_image, matrix, width) == want, (kind, matrix, width)
+        fast = _rank_spellings(matrix, width) is not None
+        if kind == "strings":
+            assert fast, matrix
+        if kind == "bad" or (kind == "short" and width is not None):
+            assert not fast, matrix
 
 
 def test_merge_duplicates_reads_every_spelling_of_zero():

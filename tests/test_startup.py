@@ -25,12 +25,14 @@ MINIMAL = {
     "ultrametric.spaces",
 }
 
-# Runs the CLI as ``python -m ultrametric`` does, then prints the modules it
-# left loaded, and those of the package that define ``verify_certificate``, as
-# the last line of stdout.
+# Runs the CLI as ``python -m ultrametric`` does, then prints its exit code,
+# the modules it left loaded, those of the package that define
+# ``verify_certificate`` and how many objects it froze, as the last line of
+# stdout.  (Python 3.12 starts with some objects frozen.)
 RUN_AND_LIST = """
-import json, runpy, sys
+import gc, json, runpy, sys
 sys.argv = ["ultrametric", *sys.argv[1:]]
+frozen = gc.get_freeze_count()
 try:
     runpy.run_module("ultrametric", run_name="__main__", alter_sys=True)
 except SystemExit as exc:
@@ -39,7 +41,7 @@ certifying = [
     name for name, module in sys.modules.items()
     if name.startswith("ultrametric") and "verify_certificate" in vars(module)
 ]
-print(json.dumps([code, sorted(sys.modules), sorted(certifying)]))
+print(json.dumps([code, sorted(sys.modules), sorted(certifying), gc.get_freeze_count() - frozen]))
 """
 
 # Stdlib modules no clean job needs: ``dataclasses`` alone imports ``inspect``,
@@ -60,10 +62,12 @@ def run_python(args):
     return result.stdout
 
 
+def run_listed(argv):
+    return json.loads(run_python(["-c", RUN_AND_LIST, *argv]).splitlines()[-1])
+
+
 def run_job(argv):
-    code, modules, certifying = json.loads(
-        run_python(["-c", RUN_AND_LIST, *argv]).splitlines()[-1]
-    )
+    code, modules, certifying, _ = run_listed(argv)
     assert code == 0
     return set(modules), certifying
 
@@ -136,6 +140,19 @@ def test_glue_skips_gromov_and_generators():
     loaded = modules_loaded_by(["glue", "gluespec.json"])
     assert "ultrametric.amalgam" in loaded
     assert not loaded & {"ultrametric.gromov", "ultrametric.generators"}
+
+
+@pytest.mark.parametrize(
+    "argv, want_code",
+    [(["validate", "isosceles.json"], 0), (["validate", "bad_triangle.json"], 1), (["frobnicate"], 2)],
+    ids=["exit_0", "exit_1", "exit_2"],
+)
+def test_a_job_freezes_its_objects_before_exit(argv, want_code):
+    # Frozen objects are skipped by the collections the interpreter runs at
+    # shutdown, which would otherwise walk everything the job loaded.
+    code, _, _, frozen = run_listed(argv)
+    assert code == want_code
+    assert frozen > 0
 
 
 @pytest.fixture(scope="module")
