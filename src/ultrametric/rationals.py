@@ -35,15 +35,21 @@ def parse_rational(text: str) -> Fraction:
         # The exponent is checked first, because Fraction computes 10**exponent.
         if not limit or not e or abs(int(exponent)) <= limit:
             value = Fraction(text)
-            size = max(abs(value.numerator), value.denominator)
-            # 10**limit has more than 3 * limit bits, so short values skip the power.
-            if not limit or size.bit_length() <= 3 * limit or size < 10**limit:
+            if _fits(value, limit):
                 return value
     except (ValueError, ZeroDivisionError) as exc:
         raise InputFormat(f"not a rational: {text!r}", value=text) from exc
     raise InstanceTooLarge(
         f"rational {text!r} exceeds the {limit}-digit integer limit", value=text, limit=limit
     )
+
+
+def _fits(value: Fraction, limit: int) -> bool:
+    """Whether a value's numerator and denominator have at most ``limit``
+    digits (0 meaning no limit), so that it formats back."""
+    size = max(abs(value.numerator), value.denominator)
+    # 10**limit has more than 3 * limit bits, so short values skip the power.
+    return not limit or size.bit_length() <= 3 * limit or size < 10**limit
 
 
 def format_rational(value: Fraction) -> str:
@@ -57,16 +63,23 @@ def as_rational(value) -> Fraction:
     """Coerce an int, string, or Fraction to an exact Fraction.
 
     Floats (and bools) are rejected: accepting them would silently smuggle
-    rounding into a library whose equality tests must be exact.
+    rounding into a library whose equality tests must be exact.  An int or
+    Fraction is held to :func:`parse_rational`'s size limit, so every
+    accepted value formats back.
     """
     if isinstance(value, bool):
         raise InputFormat("bool is not a rational value")
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
     if isinstance(value, str):
         return parse_rational(value)
+    if isinstance(value, int):
+        value = Fraction(value)
+    if isinstance(value, Fraction):
+        limit = int_max_str_digits()
+        if _fits(value, limit):
+            return value
+        raise InstanceTooLarge(
+            f"rational value exceeds the {limit}-digit integer limit", limit=limit
+        )
     if isinstance(value, float):
         raise InputFormat(
             f"floating point value {value!r} rejected: pass an exact string like '3/4' or '0.75'"

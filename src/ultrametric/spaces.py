@@ -30,6 +30,7 @@ from .errors import (
     DuplicateLabel,
     EmptySpace,
     InputFormat,
+    InstanceTooLarge,
     InvalidParameter,
     NegativeDistance,
     NonSymmetric,
@@ -39,9 +40,11 @@ from .errors import (
     UnknownLabel,
     ZeroOffDiagonal,
 )
-from .rationals import as_rational, format_rational, parse_rational
+from .rationals import as_rational, format_rational, int_max_str_digits, parse_rational
 
 ZERO = Fraction(0)
+# The types whose str() is their canonical spelling.
+_STR_SPELLS = (int, Fraction)
 
 
 class Record:
@@ -138,35 +141,26 @@ def rank_image(matrix, width: int | None = None) -> tuple[list[list[int]], list[
     and the first bad one raises; with ``width`` given, a row's length is
     checked before its entries are read.
 
-    A matrix of strings that all parse, as JSON input is, takes
-    :func:`_rank_spellings`; any other matrix, and every bad one, is read by
-    :func:`_rank_entries`, so the first bad entry is the one that raises.
-    """
-    return _rank_spellings(matrix, width) or _rank_entries(matrix, width)
-
-
-def _rank_spellings(matrix, width: int | None):
-    """:func:`rank_image` of a matrix of well-formed rational strings, read
-    at C speed, or ``None`` for any other matrix.
-
-    Each distinct spelling is parsed once; one sort of the spellings by value
-    numbers equal values alike by comparing neighbours, so no Fraction is
-    hashed, and each row is read with one ``map`` over the spelling's rank.
+    One pass reads a matrix of well-formed rational strings, as JSON input
+    is, at C speed: each distinct spelling is parsed once, one sort of the
+    spellings by value numbers equal values alike by comparing neighbours,
+    so no Fraction is hashed, and each row is read with one ``map``.  Any
+    other matrix is first rewritten by :func:`_canonical_spellings`, which
+    names its first bad entry: an int then costs one ``str`` in C, a
+    Fraction one ``str`` in Python.
     """
     try:
         for row in matrix:
             if width is not None and len(row) != width:
-                return None
+                raise TypeError  # the respelling loop names the row
             # Raises at C speed on an entry that is no string, which the
             # union would otherwise hash (a Fraction hashes in Python).
             "".join(row)
-    except TypeError:
-        return None
-    spellings = list({"0"}.union(*matrix))  # "0" puts 0 among the values
-    try:
+        spellings = list({"0"}.union(*matrix))  # "0" puts 0 among the values
         parsed = list(map(parse_rational, spellings))
-    except UltrametricError:
-        return None
+    except (TypeError, UltrametricError):
+        # Canonical spellings always read, so this recurses once.
+        return rank_image(_canonical_spellings(matrix, width))
     values = []
     rank = {}
     for k in sorted(range(len(parsed)), key=parsed.__getitem__):
@@ -176,35 +170,23 @@ def _rank_spellings(matrix, width: int | None):
     return [list(map(rank.__getitem__, row)) for row in matrix], values
 
 
-def _rank_entries(matrix, width: int | None) -> tuple[list[list[int]], list[Fraction]]:
-    """:func:`rank_image` entry by entry, for any matrix.
-
-    Each distinct spelling or value is parsed once and numbered by a
-    provisional id, which one sort of the distinct values remaps to its rank.
-    """
-    # A string is keyed by its spelling, anything else by its reduced value.
-    ids: dict = {(0, 1): 0}
-    parsed = [ZERO]
-    id_rows = []
+def _canonical_spellings(matrix, width: int | None) -> list[list[str]]:
+    """The matrix in canonical spellings, read as :func:`rank_image` reads
+    it, so the first bad entry or row raises."""
+    spelled = []
     for i, row in enumerate(matrix):
         if width is not None and len(row) != width:
             raise InputFormat(f"matrix row {i} has {len(row)} entries, expected {width}")
-        id_row = []
-        for v in row:
-            if type(v) is str:
-                key = v
-            else:
-                value = v if type(v) is Fraction else as_rational(v)
-                key = (value.numerator, value.denominator)
-            pid = ids.get(key)
-            if pid is None:
-                pid = ids[key] = len(parsed)
-                # A string is parsed here only, so its first bad spelling raises.
-                parsed.append(as_rational(v) if type(v) is str else value)
-            id_row.append(pid)
-        id_rows.append(id_row)
-    values, (rank_of,) = merged_spectrum(parsed)
-    return remap(id_rows, rank_of), values
+        try:
+            spelled.append(
+                [str(v) if type(v) in _STR_SPELLS else format_rational(as_rational(v)) for v in row]
+            )
+        except ValueError:  # str() of a value past the integer string limit
+            limit = int_max_str_digits()
+            raise InstanceTooLarge(
+                f"matrix row {i} exceeds the {limit}-digit integer limit", row=i, limit=limit
+            ) from None
+    return spelled
 
 
 def _check_labels(labels) -> tuple[str, ...]:

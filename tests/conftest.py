@@ -28,7 +28,7 @@ from ultrametric import (
 )
 from ultrametric import amalgam, certificates, generators, spaces
 from ultrametric.dendrogram import leaf_labels
-from ultrametric.errors import UltrametricError
+from ultrametric.errors import InputFormat, UltrametricError
 from ultrametric.rationals import as_rational, format_rational
 from ultrametric.spaces import ZERO
 
@@ -210,6 +210,38 @@ def truncated_canon(root, t: Fraction | None = None, rank: dict[str, int] | None
             key = (node.height, sum(key[1] for key in keys), encoding, min(key[3] for key in keys))
             done.append((Merge(node.height, tuple(pair[0] for pair in pairs)), key))
     return done[0]
+
+
+def rank_entries(matrix, width: int | None) -> tuple[list[list[int]], list[Fraction]]:
+    """``spaces.rank_image`` entry by entry: the loop it ran on every matrix
+    that was not all well-formed strings, kept as its reference.
+
+    Each distinct spelling or value is parsed once and numbered by a
+    provisional id, which one sort of the distinct values remaps to its rank.
+    """
+    # A string is keyed by its spelling, anything else by its reduced value.
+    ids: dict = {(0, 1): 0}
+    parsed = [ZERO]
+    id_rows = []
+    for i, row in enumerate(matrix):
+        if width is not None and len(row) != width:
+            raise InputFormat(f"matrix row {i} has {len(row)} entries, expected {width}")
+        id_row = []
+        for v in row:
+            if type(v) is str:
+                key = v
+            else:
+                value = v if type(v) is Fraction else as_rational(v)
+                key = (value.numerator, value.denominator)
+            pid = ids.get(key)
+            if pid is None:
+                pid = ids[key] = len(parsed)
+                # A string is parsed here only, so its first bad spelling raises.
+                parsed.append(as_rational(v) if type(v) is str else value)
+            id_row.append(pid)
+        id_rows.append(id_row)
+    values, (rank_of,) = spaces.merged_spectrum(parsed)
+    return spaces.remap(id_rows, rank_of), values
 
 
 def spellings(value: Fraction) -> list:

@@ -45,13 +45,11 @@ from ultrametric.generators import SCALE_BITS
 from ultrametric.spaces import (
     UltrametricSpace,
     _coerce_matrix,
-    _rank_entries,
-    _rank_spellings,
     block_matrix,
     rank_image,
 )
 
-from conftest import find_root, respelled, spellings
+from conftest import find_root, rank_entries, respelled, spellings
 
 VALUES = ["0", "1/8", "1/4", "3/8", "1/2", "1"]
 CORRUPTIONS = [Fraction(v) for v in ["1/16", "1/8", "3/16", "1/4", "3/8", "1/2", "3/4", "1", "2"]]
@@ -298,21 +296,27 @@ NON_ASCII = {Fraction(3): ["３", "٣"], Fraction(1, 2): ["١/٢", "٠.٥"], Fra
 UNREADABLE = [True, False, 0.5, [1], ["1/2"], {"1": 1}, None, "x", "1/0", "½", "é", "\ud800", "1_0"]
 
 
-def ranked_matrix(rng: random.Random, kind: str):
-    """A square matrix of rationals spelled as ``kind`` asks, and its width."""
+def ranked_matrix(rng: random.Random, kind: str, fault: str | None):
+    """A square matrix of rationals spelled as ``kind`` asks, with a
+    ``"bad"`` entry or a ``"short"`` row as ``fault`` asks, and its width."""
     n = rng.randint(1, 7)
-    pool = [Fraction(rng.randint(0, 8), rng.choice((1, 2, 4))) for _ in range(4)] + [Fraction(3)]
+    denominators = (1,) if kind == "ints" else (1, 2, 4)
+    pool = [Fraction(rng.randint(0, 8), rng.choice(denominators)) for _ in range(4)] + [Fraction(3)]
     values = [[rng.choice(pool) for _ in range(n)] for _ in range(n)]
     strings = [[s for s in spellings(v) + NON_ASCII.get(v, []) if type(s) is str] for v in pool]
     if kind == "mixed":
         matrix = respelled(rng, values)
+    elif kind == "ints":
+        matrix = [[int(v) for v in row] for row in values]
+    elif kind == "fractions":
+        matrix = values
     else:
         matrix = [[rng.choice(strings[pool.index(v)]) for v in row] for row in values]
-    if kind == "bad":
+    if fault == "bad":
         # One or two bad entries, in different rows when there are two.
         for i in rng.sample(range(n), min(n, rng.randint(1, 2))):
             matrix[i][rng.randrange(n)] = rng.choice(UNREADABLE)
-    if kind == "short":
+    if fault == "short":
         del matrix[rng.randrange(n)][-1]
     return matrix, rng.choice((n, None))
 
@@ -326,16 +330,21 @@ def rank_outcome(read, matrix, width):
 
 def test_string_matrices_rank_as_the_entry_loop_reads_them():
     rng = random.Random(19)
-    for _ in range(400):
-        kind = rng.choice(["strings", "mixed", "bad", "short"])
-        matrix, width = ranked_matrix(rng, kind)
-        want = rank_outcome(_rank_entries, matrix, width)
-        assert rank_outcome(rank_image, matrix, width) == want, (kind, matrix, width)
-        fast = _rank_spellings(matrix, width) is not None
-        if kind == "strings":
-            assert fast, matrix
-        if kind == "bad" or (kind == "short" and width is not None):
-            assert not fast, matrix
+    seen = set()
+    for _ in range(800):
+        kind = rng.choice(["strings", "mixed", "ints", "fractions"])
+        fault = rng.choice([None, "bad", "short"])
+        matrix, width = ranked_matrix(rng, kind, fault)
+        want = rank_outcome(rank_entries, matrix, width)
+        assert rank_outcome(rank_image, matrix, width) == want, (kind, fault, matrix, width)
+        seen.add((kind, fault, isinstance(want[0], type)))
+    # Every kind, clean or faulty, is read, and every fault kind is refused.
+    assert {(kind, fault) for kind, fault, _ in seen} == {
+        (kind, fault)
+        for kind in ["strings", "mixed", "ints", "fractions"]
+        for fault in [None, "bad", "short"]
+    }
+    assert {fault for _, fault, refused in seen if refused} == {"bad", "short"}
 
 
 def test_merge_duplicates_reads_every_spelling_of_zero():

@@ -3,10 +3,12 @@ from fractions import Fraction
 
 import pytest
 
+from ultrametric import closed_quotient, single_linkage, two_point_space, validate_ultrametric
 from ultrametric.errors import InputFormat, InstanceTooLarge
 from ultrametric.rationals import (
     as_rational,
     format_rational,
+    int_max_str_digits,
     parse_rational,
     parse_rational_list,
 )
@@ -90,3 +92,56 @@ def test_parse_rejects_values_beyond_the_int_string_limit():
         assert info.value.payload()["limit"] == limit
     with pytest.raises(InputFormat):
         parse_rational("9" * (limit + 1))
+
+
+def string_limit() -> int:
+    limit = int_max_str_digits()
+    if not limit:
+        pytest.skip("the interpreter sets no integer string limit")
+    return limit
+
+
+def test_as_rational_holds_ints_and_fractions_to_the_int_string_limit():
+    limit = string_limit()
+    widest = 10**limit - 1
+    assert format_rational(as_rational(widest)) == "9" * limit
+    assert format_rational(as_rational(Fraction(-1, widest))) == "-1/" + "9" * limit
+    for value in [10**limit, -(10**limit), Fraction(1, 10**limit), Fraction(10**limit, 3)]:
+        with pytest.raises(InstanceTooLarge) as info:
+            as_rational(value)
+        assert info.value.payload() == {
+            "error": "InstanceTooLarge",
+            "message": f"rational value exceeds the {limit}-digit integer limit",
+            "limit": limit,
+        }
+
+
+@pytest.mark.parametrize("huge", ["int", "fraction"])
+def test_two_point_space_past_the_int_string_limit_is_refused(huge):
+    limit = string_limit()
+    c = 10**limit if huge == "int" else Fraction(1, 10**limit)
+    with pytest.raises(InstanceTooLarge):
+        two_point_space(c)
+
+
+@pytest.mark.parametrize("huge", ["int", "fraction"])
+def test_quotient_scale_past_the_int_string_limit_is_refused(huge):
+    limit = string_limit()
+    t = 10**limit if huge == "int" else Fraction(1, 10**limit)
+    with pytest.raises(InstanceTooLarge):
+        closed_quotient(two_point_space(1), t)
+
+
+@pytest.mark.parametrize("huge", ["int", "fraction"])
+@pytest.mark.parametrize("read", [validate_ultrametric, single_linkage])
+def test_matrix_entries_past_the_int_string_limit_name_their_row(read, huge):
+    limit = string_limit()
+    big = 10**limit if huge == "int" else Fraction(1, 10**limit)
+    with pytest.raises(InstanceTooLarge) as info:
+        read(["a", "b"], [[0, big], [big, 0]])
+    assert info.value.payload() == {
+        "error": "InstanceTooLarge",
+        "message": f"matrix row 0 exceeds the {limit}-digit integer limit",
+        "row": 0,
+        "limit": limit,
+    }
