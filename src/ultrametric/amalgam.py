@@ -23,14 +23,7 @@ from .errors import (
     UnknownLabel,
 )
 from .rationals import as_rational, format_rational
-from .spaces import (
-    Record,
-    UltrametricSpace,
-    block_matrix,
-    merged_spectrum,
-    remap,
-    space_from_ranks,
-)
+from .spaces import Record, UltrametricSpace, join_spaces
 
 
 class GlueSpec(Record):
@@ -87,27 +80,17 @@ def glue_embeddings(spec: GlueSpec) -> tuple[dict[str, str], dict[str, str]]:
 def glue(spec: GlueSpec) -> UltrametricSpace:
     """Amalgamate the two spaces along their identified common part.
 
-    The result is ultrametric: a triangle with two points on one side is
-    bounded through the common part by that side's strong triangle
-    inequality, and the two sides agree on the common part.
+    It is the single linkage (:func:`join_spaces`) of both chains, X2's
+    identified points put on their X1 partners, so it is ultrametric; a
+    minimax path from X1 to X2 crosses A, at ``min over a of max(d1, d2)``.
     """
     _check_spec(spec)
     x1, x2 = spec.x1, spec.x2
-    common = [(x1.index(a), x2.index(b)) for a, b in spec.identify]
-    identified_right = {b for _, b in common}
-    rest2 = [j for j in range(len(x2)) if j not in identified_right]
-
+    at2 = {x2.index(b): x1.index(a) for a, b in spec.identify}
+    rest2 = [j for j in range(len(x2)) if j not in at2]
+    at2.update(zip(rest2, range(len(x1), len(x1) + len(rest2))))
     labels = [f"L:{l}" for l in x1.labels] + [f"R:{x2.labels[j]}" for j in rest2]
-    values, (table1, table2) = merged_spectrum(x1.values, x2.values)
-    ranks1, ranks2 = remap(x1.ranks, table1), remap(x2.ranks, table2)
-    rest = [[ranks2[p][q] for q in rest2] for p in rest2]
-    # Cross rank (x, q) is the min over pairs (a, b) of max(d1(x, a), d2(b, q)).
-    to_common = [[ranks2[q][b] for _, b in common] for q in rest2]
-    cross = [
-        [min(map(max, via, column)) for column in to_common]
-        for via in ([row[a] for a, _ in common] for row in ranks1)
-    ]
-    return space_from_ranks(labels, block_matrix(ranks1, rest, cross), values)
+    return join_spaces(labels, [(x1, range(len(x1))), (x2, at2)], [])
 
 
 def disjoint_amalgam(x: UltrametricSpace, y: UltrametricSpace, s) -> UltrametricSpace:
@@ -116,7 +99,8 @@ def disjoint_amalgam(x: UltrametricSpace, y: UltrametricSpace, s) -> Ultrametric
     ``s`` must be positive and at least both diameters: then every triangle
     with points on both sides has its two longest sides equal to ``s``, and
     any smaller scale would break the strong triangle inequality on a
-    triangle with two points in the wider space.
+    triangle with two points in the wider space.  Built as the single linkage
+    (:func:`join_spaces`) of both chains and one link at ``s``.
     """
     s = as_rational(s)
     required = max(x.diameter(), y.diameter())
@@ -128,10 +112,8 @@ def disjoint_amalgam(x: UltrametricSpace, y: UltrametricSpace, s) -> Ultrametric
             required_minimum=format_rational(required),
         )
     labels = [f"L:{l}" for l in x.labels] + [f"R:{l}" for l in y.labels]
-    values, (table_x, table_y, (rank_s,)) = merged_spectrum(x.values, y.values, (s,))
-    cross = [[rank_s] * len(y) for _ in x.labels]
-    ranks = block_matrix(remap(x.ranks, table_x), remap(y.ranks, table_y), cross)
-    return space_from_ranks(labels, ranks, values)
+    parts = [(x, range(len(x))), (y, range(len(x), len(labels)))]
+    return join_spaces(labels, parts, [(s, 0, len(x))])
 
 
 class ChainGlueResult(Record):

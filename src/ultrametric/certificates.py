@@ -20,10 +20,7 @@ from .spaces import (
     UltrametricSpace,
     _check_axioms,
     _check_labels,
-    block_matrix,
-    merged_spectrum,
-    remap,
-    space_from_ranks,
+    join_spaces,
 )
 
 
@@ -46,11 +43,13 @@ def certificate(
     disjoint union: a point of X sits at exactly t from the points of its
     matched block of Y, and at the (quotient) block distance from everything
     else.  Hausdorff distance between the two images is then exactly t.
-    With ``result = ugh_distance(x, y)`` the space is ultrametric: each cross
+    The space is the single linkage (:func:`join_spaces`) of both chains and
+    a link at ``t`` between the first points of each matched block pair, so
+    it is ultrametric.  With ``result = ugh_distance(x, y)`` each cross
     distance is ``max(t, d_Q)`` for the metric ``d_Q`` of the common quotient
-    at ``t``, which agrees with both sides' metrics above ``t``.  Any other
-    ``result`` gives an unchecked space; :func:`verify_certificate` is the
-    check for it.
+    at ``t``, which agrees with both sides' metrics above ``t``, so no link
+    shortens a distance within a side.  Any other ``result`` gives unchecked
+    embeddings; :func:`verify_certificate` is the check for them.
     """
     if result is None:
         result = ugh_distance(x, y)
@@ -61,25 +60,10 @@ def certificate(
         embed_right = {pairing[a]: a for a in x.labels}
         return Certificate(x, embed_left, embed_right, ZERO)
 
-    x_block_index = {label: k for k, (bx, _) in enumerate(result.block_map) for label in bx}
-    y_block_index = {label: k for k, (_, by) in enumerate(result.block_map) for label in by}
-    values, (table_x, table_y, (rank_t,)) = merged_spectrum(x.values, y.values, (t,))
-    ranks_x, ranks_y = remap(x.ranks, table_x), remap(y.ranks, table_y)
-    # Points of different blocks sit at the block distance, read off X from
-    # the block's first point; points of matched blocks sit at t.
-    x_reps = [x.index(bx[0]) for bx, _ in result.block_map]
-    reach = [x_reps[y_block_index[l]] for l in y.labels]
-    matched: dict[int, list[int]] = {}
-    for j, l in enumerate(y.labels):
-        matched.setdefault(y_block_index[l], []).append(j)
-    cross = []
-    for row, l in zip(ranks_x, x.labels):
-        cross_row = list(map(row.__getitem__, reach))
-        for j in matched.get(x_block_index[l], ()):
-            cross_row[j] = rank_t
-        cross.append(cross_row)
     labels = [f"L:{l}" for l in x.labels] + [f"R:{l}" for l in y.labels]
-    space = space_from_ranks(labels, block_matrix(ranks_x, ranks_y, cross), values)
+    parts = [(x, range(len(x))), (y, range(len(x), len(labels)))]
+    links = [(t, x.index(bx[0]), len(x) + y.index(by[0])) for bx, by in result.block_map]
+    space = join_spaces(labels, parts, links)
     embed_left = {l: f"L:{l}" for l in x.labels}
     embed_right = {l: f"R:{l}" for l in y.labels}
     return Certificate(space, embed_left, embed_right, t)

@@ -25,10 +25,8 @@ from .spaces import (
     ZERO,
     Record,
     UltrametricSpace,
-    block_matrix,
-    merged_spectrum,
+    join_spaces,
     rank_image,
-    remap,
     space_from_chain,
     space_from_ranks,
     subdominant,
@@ -52,10 +50,11 @@ def crowd_family(
     Fresh points sit at distance ``c`` from each other and at
     ``max(d(y, base), c)`` from each original point ``y``; with
     ``0 < c <`` the smallest positive distance of the base space this is an
-    ultrametric extension.  (Taking the plain distance to the base point
-    instead of the max would put fresh points at distance 0 from the base
-    point while keeping them at ``c`` from each other, which no ultrametric
-    allows.)
+    ultrametric extension: the single linkage (:func:`join_spaces`) of the
+    base chain and a link at ``c`` from the base point to each fresh point.
+    (Taking the plain distance to the base point instead of the max would put
+    fresh points at distance 0 from the base point while keeping them at
+    ``c`` from each other, which no ultrametric allows.)
 
     Fresh points are labeled ``"1"``..``"n"``, underscore-prefixed as needed
     to dodge collisions with existing labels.  Raises InstanceTooLarge,
@@ -84,14 +83,9 @@ def crowd_family(
         prefix += "_"
     fresh = [f"{prefix}{k}" for k in range(1, n + 1)]
 
-    base_index = base_space.index(base_point)
-    values, (table, (rank_c,)) = merged_spectrum(base_space.values, (c,))
-    ranks = remap(base_space.ranks, table)
-    # Every spectrum starts with 0, so 0 keeps rank 0.
-    among_fresh = [[0 if k == l else rank_c for l in range(n)] for k in range(n)]
-    reach = [[max(row[base_index], rank_c)] * n for row in ranks]
-    matrix = block_matrix(ranks, among_fresh, reach)
-    return space_from_ranks(list(base_space.labels) + fresh, matrix, values)
+    size, base_index = len(base_space), base_space.index(base_point)
+    links = [(c, base_index, size + k) for k in range(n)]
+    return join_spaces(list(base_space.labels) + fresh, [(base_space, range(size))], links)
 
 
 # Cells of the largest matrix a generator builds.  For ``cauchy_sequence``
@@ -184,7 +178,8 @@ def in_uk(space: UltrametricSpace, constraint: SpectrumConstraint) -> Membership
     """
     allowed = set(constraint.values)
     banned = [v not in allowed for v in space.values]
-    for i, rank_i in enumerate(space.ranks):
+    # ``values`` is exactly the spectrum, so pairs are scanned only to name one.
+    for i, rank_i in enumerate(space.ranks if any(banned) else ()):
         for j in range(i + 1, len(space)):
             if banned[rank_i[j]]:
                 value = space.values[rank_i[j]]

@@ -7,8 +7,7 @@ Fractions satisfying the strong triangle inequality
 ``values``; ranks compare as the distances do, so code that only compares
 reads them.  The axioms are checked where a matrix enters from outside, by
 :func:`validate_ultrametric` (and by ``verify_certificate`` for a
-caller-supplied certificate), and nowhere else.  Constructions on spaces
-assemble ranks over their merged spectrum and hand them to
+caller-supplied certificate), and nowhere else.  Builders hand ranks to
 :func:`space_from_ranks`, which only checks labels: each construction is
 ultrametric by the proof in its docstring.  A hand-built
 :class:`UltrametricSpace` is therefore unchecked.  A hierarchy leaves this
@@ -16,7 +15,9 @@ module in one form: a point order and the gaps between neighbours,
 ``d = max(gaps between)``, which are Prim's visit order and join keys
 (:func:`chain_order`), computed once per space as ``_chain``; a validated
 space keeps the chain its triangle check used.  A builder that knows its
-hierarchy hands it over in the same form, to :func:`space_from_chain`.
+hierarchy hands it over in the same form, to :func:`space_from_chain`, and
+a construction on spaces joins their chains in one spanning forest
+(:func:`join_spaces`), whose chain the result keeps.
 """
 
 from __future__ import annotations
@@ -219,11 +220,6 @@ def merged_spectrum(*spectra) -> tuple[list[Fraction], list[list[int]]]:
     return values, [[position[v] for v in spectrum] for spectrum in spectra]
 
 
-def remap(ranks, table) -> list[list[int]]:
-    """A matrix of ranks rewritten through a rank table."""
-    return [list(map(table.__getitem__, row)) for row in ranks]
-
-
 def chain_order(ranks) -> tuple[list[int], list[int]]:
     """Single linkage's point order and the gaps between neighbours in it.
 
@@ -273,20 +269,25 @@ def chain_matrix(gaps, diagonal) -> list[list]:
     return lower
 
 
-def subdominant(ranks, chain=None) -> tuple[tuple[int, ...], ...]:
-    """Largest ultrametric below a symmetric matrix of ranks (single linkage).
-
-    :func:`chain_matrix` of :func:`chain_order`'s gaps, put back in point
-    order; the diagonal is kept from ``ranks``.  A caller that already holds
-    ``chain_order(ranks)`` passes it as ``chain``.
-    """
-    if len(ranks) == 1:
-        return (tuple(ranks[0]),)
-    order, gaps = chain or chain_order(ranks)
-    rows = chain_matrix(gaps, [ranks[i][i] for i in order])
+def chain_ranks(order, gaps, diagonal) -> tuple[tuple[int, ...], ...]:
+    """:func:`chain_matrix` of a chain over the points ``0..n-1``, in point order."""
+    rows = chain_matrix(gaps, diagonal)
+    if len(rows) == 1:
+        return (tuple(rows[0]),)
     position = sorted(range(len(order)), key=order.__getitem__)
     in_point_order = itemgetter(*position)
     return tuple(in_point_order(rows[p]) for p in position)
+
+
+def subdominant(ranks, chain=None) -> tuple[tuple[int, ...], ...]:
+    """Largest ultrametric below a symmetric matrix of ranks (single linkage).
+
+    :func:`chain_ranks` of :func:`chain_order`; the diagonal is kept from
+    ``ranks``.  A caller that already holds ``chain_order(ranks)`` passes it
+    as ``chain``.
+    """
+    order, gaps = chain or chain_order(ranks)
+    return chain_ranks(order, gaps, [ranks[i][i] for i in order])
 
 
 def block_matrix(a, b, cross) -> list[list]:
@@ -314,9 +315,9 @@ def space_from_ranks(labels, ranks, values) -> UltrametricSpace:
     """The space of a matrix of ranks that is ultrametric by construction.
 
     ``values`` must be sorted, distinct and start with 0, as a merged
-    spectrum does; ``ranks[i][j]`` indexes it.  Builders that combine spaces
-    hand over ranks, so no entry is parsed again, and their proofs stand in
-    for the axiom scan, which runs only in :func:`validate_ultrametric` and
+    spectrum does; ``ranks[i][j]`` indexes it.  Every builder ends here, so
+    no entry is parsed again, and their proofs stand in for the axiom scan,
+    which runs only in :func:`validate_ultrametric` and
     ``verify_certificate``.  The labels are checked as
     :func:`validate_ultrametric` checks them, and values that no entry uses
     are dropped, so the space's values are exactly its spectrum.
@@ -325,7 +326,7 @@ def space_from_ranks(labels, ranks, values) -> UltrametricSpace:
     used = sorted(set().union(*ranks))
     if len(used) < len(values):
         table = dict(zip(used, range(len(used))))
-        ranks = remap(ranks, table)
+        ranks = [list(map(table.__getitem__, row)) for row in ranks]
         values = [values[r] for r in used]
     return UltrametricSpace(labels, tuple(values), tuple(map(tuple, ranks)))
 
@@ -340,6 +341,42 @@ def space_from_chain(order, gaps) -> UltrametricSpace:
     """
     values, (_, ranks) = merged_spectrum((ZERO,), gaps)
     return space_from_ranks(order, chain_matrix(ranks, [0] * len(order)), values)
+
+
+def join_spaces(labels, parts, links) -> UltrametricSpace:
+    """Single linkage of the graph on ``labels`` with the edges of each part
+    ``(space, at)``'s chain, its point ``i`` put at ``at[i]``, and an edge
+    per link ``(value, i, j)``, ``value > 0``; together they connect all.
+
+    That is the single linkage of the graph's minimum spanning forest (Gower
+    & Ross), so Kruskal's algorithm runs over these edges in rank order: each
+    component is a chain, and a join appends the smaller to the larger with
+    the joining rank, at least every gap inside either, between them.  The
+    result is ultrametric, as single linkage is, and keeps the final chain.
+    """
+    values, tables = merged_spectrum(*(s.values for s, _ in parts), [v for v, _, _ in links])
+    edges = [(rank, i, j) for rank, (_, i, j) in zip(tables.pop(), links)]
+    for (space, at), table in zip(parts, tables):
+        order, gaps = space._chain
+        points = [at[p] for p in order]
+        edges += zip(map(table.__getitem__, gaps), points, points[1:])
+    chains = [([p], []) for p in range(len(labels))]
+    for rank, i, j in sorted(edges, key=itemgetter(0)):
+        big, small = chains[i], chains[j]
+        if big is not small:
+            if len(big[0]) < len(small[0]):
+                big, small = small, big
+            big[0].extend(small[0])
+            big[1].extend((rank, *small[1]))
+            for p in small[0]:
+                chains[p] = big
+    order, gaps = chains[0]
+    used = sorted({0, *gaps})  # 0 and the gaps are the distances
+    gaps = list(map({r: k for k, r in enumerate(used)}.__getitem__, gaps))
+    ranks = chain_ranks(order, gaps, [0] * len(order))
+    space = space_from_ranks(labels, ranks, [values[r] for r in used])
+    space.__dict__["_chain"] = order, gaps  # where ``cached_property`` keeps it
+    return space
 
 
 def _check_axioms(labels, ranks, values) -> UltrametricSpace:

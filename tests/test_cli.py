@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from ultrametric import amalgam, certificates, dendrogram, generators, jsonio, spaces, verify_certificate
+from ultrametric import certificates, dendrogram, generators, jsonio, spaces, verify_certificate
 from ultrametric.cli import main
 from ultrametric.rationals import int_max_str_digits
 
@@ -223,7 +223,7 @@ def test_prim_runs_once_per_input(name, want, tmp_path, monkeypatch):
         return chain_order(ranks)
 
     # The autouse recheck scans every constructed space; count the CLI's passes only.
-    for module in (spaces, amalgam, generators, certificates):
+    for module in (spaces, generators):
         monkeypatch.setattr(module, "space_from_ranks", BUILD_SPACE)
     for module in (spaces, dendrogram):
         if hasattr(module, "chain_order"):

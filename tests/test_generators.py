@@ -22,6 +22,8 @@ from ultrametric import (
     validate_ultrametric,
 )
 from ultrametric import generators, spaces
+from ultrametric.generators import Membership
+from ultrametric.spaces import UltrametricSpace
 from ultrametric.errors import (
     BasePointMissing,
     ConstraintTooSmall,
@@ -33,7 +35,7 @@ from ultrametric.errors import (
     ScaleNotBelowMinDistance,
 )
 
-from conftest import SIX_VALUES, make_space
+from conftest import BUILD_SPACE, SIX_VALUES, make_space
 
 
 class TestTwoPointSpace:
@@ -91,7 +93,7 @@ class TestCrowdFamily:
         def unreachable(*args):
             raise AssertionError("a refused instance was partly built")
 
-        monkeypatch.setattr(generators, "merged_spectrum", unreachable)
+        monkeypatch.setattr(generators, "join_spaces", unreachable)
         base = make_space(["x1", "x2"], {("x1", "x2"): 1})
         for n in (1447, 10**12):
             with pytest.raises(InstanceTooLarge) as info:
@@ -100,9 +102,10 @@ class TestCrowdFamily:
             assert info.value.payload()["max_n"] == 1446
 
     def test_largest_n_within_the_cell_budget_is_built(self, monkeypatch):
-        monkeypatch.setattr(generators, "space_from_ranks", lambda labels, m, values: m)
+        # Built without the test suite's axiom scan, which would dominate here.
+        monkeypatch.setattr(spaces, "space_from_ranks", BUILD_SPACE)
         base = make_space(["x1", "x2"], {("x1", "x2"): 1})
-        matrix = crowd_family(base, "x1", "1/4", 1446)
+        matrix = crowd_family(base, "x1", "1/4", 1446).ranks
         assert 1448**2 <= generators.CELL_BUDGET < 1449**2
         assert (len(matrix), {len(row) for row in matrix}) == (1448, {1448})
 
@@ -193,6 +196,31 @@ class TestInUK:
 
     def test_one_point_space_in_any_k(self):
         assert in_uk(validate_ultrametric(["a"], [["0"]]), spectrum_constraint(["0"])).member
+
+    def test_matches_the_full_pair_scan(self):
+        def reference(space, constraint):
+            for i, a in enumerate(space.labels):
+                for b in space.labels[i + 1 :]:
+                    if space.d(a, b) not in constraint.values:
+                        return Membership(False, (a, b, space.d(a, b)))
+            return Membership(True)
+
+        rng = random.Random(53)
+        members = 0
+        for _ in range(200):
+            space = random_space(rng.randint(1, 12), SIX_VALUES, rng.randrange(10**9))
+            kept = rng.sample(SIX_VALUES.values[1:], rng.randint(0, 5))
+            constraint = spectrum_constraint(["0", *kept])
+            got = in_uk(space, constraint)
+            assert got == reference(space, constraint)
+            members += got.member
+        assert 20 <= members <= 180
+
+    def test_a_member_is_decided_by_its_values(self):
+        space = random_space(30, SIX_VALUES, 7)
+        # Rows that no scan may read: membership needs only the values.
+        blind = UltrametricSpace(space.labels, space.values, None)
+        assert in_uk(blind, SIX_VALUES) == Membership(True)
 
     def test_constraint_requires_zero(self):
         with pytest.raises(InvalidParameter):

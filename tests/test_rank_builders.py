@@ -3,9 +3,12 @@
 Each builder is checked against a test-only copy of the Fraction formula it
 replaced, which assembled a matrix of distances and sent it through
 ``validate_ultrametric``: the same labels, ``values`` and ``ranks``, and
-``values`` exactly the distances used (0 among them).  ``verify_certificate``
-is checked against a copy of the label-lookup version on tampered
-certificates: the same error class and payload.
+``values`` exactly the distances used (0 among them).  The spaces that
+``join_spaces`` builds keep its Kruskal chain, and every result read off
+that chain is checked against the same space built by hand, whose chain is
+Prim's.  ``verify_certificate`` is checked against a copy of the
+label-lookup version on tampered certificates: the same error class and
+payload.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ import pytest
 from ultrametric import (
     GlueSpec,
     certificate,
+    chain_glue,
     closed_quotient,
     crowd_family,
     disjoint_amalgam,
@@ -31,6 +35,7 @@ from ultrametric import (
     validate_ultrametric,
     verify_certificate,
 )
+from ultrametric import spaces
 from ultrametric.errors import CertificateInvalid, MalformedTree, UltrametricError
 from ultrametric.dendrogram import (
     Leaf,
@@ -49,6 +54,7 @@ from ultrametric.spaces import (
 )
 
 from conftest import (
+    BUILD_SPACE,
     SIX_VALUES,
     deep_and_wide,
     merge_tree,
@@ -105,6 +111,18 @@ def reference_glue(spec: GlueSpec) -> UltrametricSpace:
         [min(max(row[a], x2.dist[b][q]) for a, b in common) for q in rest2] for row in x1.dist
     ]
     return validate_ultrametric(labels, block_matrix(x1.dist, rest, cross))
+
+
+def reference_chain_glue(chain, identifications) -> UltrametricSpace:
+    """A left fold of :func:`reference_glue`, each link's left labels resolved
+    through the accumulated space."""
+    current = chain[0]
+    last = {l: l for l in current.labels}  # the newest input's labels in ``current``
+    for nxt, pairs in zip(chain[1:], identifications):
+        partner = {b: last[a] for a, b in pairs}
+        current = reference_glue(GlueSpec(current, nxt, [(last[a], b) for a, b in pairs]))
+        last = {b: f"L:{partner[b]}" if b in partner else f"R:{b}" for b in nxt.labels}
+    return current
 
 
 def reference_disjoint_amalgam(x, y, s) -> UltrametricSpace:
@@ -222,6 +240,128 @@ def test_glue_of_spaces_with_different_spectra():
         got = glue(spec)
         assert_exact_spectrum(got)
         assert got == reference_glue(spec)
+
+
+def overlapping_spec(rng, n, left, common, extra) -> GlueSpec:
+    """``x1`` on ``left`` points of a random ``n``-point host, ``x2`` on the
+    last ``common`` of them plus ``extra`` more, relabeled, with the
+    identification list shuffled."""
+    host = fresh(rng, n)
+    labels = list(host.labels)
+    rng.shuffle(labels)
+    x1 = restrict(host, labels[:left])
+    raw = restrict(host, labels[left - common : left + extra])
+    x2 = validate_ultrametric([f"m:{l}" for l in raw.labels], raw.dist)
+    identify = [(l, f"m:{l}") for l in labels[left - common : left]]
+    rng.shuffle(identify)
+    return GlueSpec(x1, x2, identify)
+
+
+def test_glue_matches_the_fraction_formula_on_edge_cases():
+    rng = random.Random(819)
+    shapes = {"shuffled": 0, "one common": 0, "all common": 0, "one point": 0, "two points": 0}
+    for _ in range(300):
+        n = rng.choice([1, 2, rng.randint(3, 12)])
+        left = rng.randint(1, n)
+        shape = rng.choice(["shuffled", "one common", "all common"])
+        common = {"shuffled": rng.randint(1, left), "one common": 1, "all common": left}[shape]
+        extra = 0 if shape == "all common" else rng.randint(0, n - left)
+        spec = overlapping_spec(rng, n, left, common, extra)
+        shapes[shape] += 1
+        for side in (spec.x1, spec.x2):
+            shapes["one point"] += len(side) == 1
+            shapes["two points"] += len(side) == 2
+        got = glue(spec)
+        assert_exact_spectrum(got)
+        assert got == reference_glue(spec)
+        reordered = GlueSpec(spec.x1, spec.x2, rng.sample(spec.identify, len(spec.identify)))
+        assert glue(reordered) == got
+    assert min(shapes.values()) >= 20, shapes
+
+
+def chain_spec(rng, links: int, width: int):
+    """``links + 1`` windows of one random host, each overlapping the next by
+    at least one point, relabeled per window, with their identifications."""
+    host = fresh(rng, rng.randint(1, 12))
+    labels = list(host.labels)
+    rng.shuffle(labels)
+    windows, start = [], 0
+    for _ in range(links + 1):
+        end = min(start + rng.randint(1, width), len(labels))
+        windows.append(labels[start:end])
+        start = rng.randint(start, end - 1)
+    chain = []
+    for k, window in enumerate(windows):
+        raw = restrict(host, window)
+        chain.append(validate_ultrametric([f"{k}:{l}" for l in raw.labels], raw.dist))
+    identifications = []
+    for k, (a, b) in enumerate(zip(windows, windows[1:])):
+        pairs = [(f"{k}:{l}", f"{k + 1}:{l}") for l in a if l in b]
+        rng.shuffle(pairs)
+        identifications.append(pairs)
+    return chain, identifications
+
+
+def test_chain_glue_matches_a_fold_of_the_fraction_formula():
+    rng = random.Random(820)
+    for _ in range(80):
+        chain, identifications = chain_spec(rng, rng.randint(1, 5), rng.randint(1, 6))
+        got = chain_glue(chain, identifications).space
+        assert_exact_spectrum(got)
+        assert got == reference_chain_glue(chain, identifications)
+
+
+def test_chain_glue_runs_prim_on_its_inputs_only(monkeypatch):
+    rng = random.Random(821)
+    chain, identifications = chain_spec(rng, 6, 4)
+    # Hand-built copies hold no chain yet; each glue must keep the one it built.
+    chain = [UltrametricSpace(s.labels, s.values, s.ranks) for s in chain]
+    calls, chain_order = [], spaces.chain_order
+
+    def counted(ranks):
+        calls.append(len(ranks))
+        return chain_order(ranks)
+
+    # The autouse recheck runs Prim on every constructed space; count the library's runs.
+    monkeypatch.setattr(spaces, "space_from_ranks", BUILD_SPACE)
+    monkeypatch.setattr(spaces, "chain_order", counted)
+    glued = chain_glue(chain, identifications).space
+    assert calls == [len(s) for s in chain]
+    assert glued == reference_chain_glue(chain, identifications)
+
+
+def built_spaces(rng: random.Random, count: int):
+    """Seeded outputs of each builder that ends in ``join_spaces``."""
+    for k in range(count):
+        kind = k % 4
+        if kind == 0:
+            yield glue(random_glue_spec(rng, max_side=rng.choice([4, 7, 12])))
+        elif kind == 1:
+            x, y = fresh(rng), fresh(rng)
+            yield disjoint_amalgam(x, y, max(x.diameter(), y.diameter()) * rng.choice([1, 2]))
+        elif kind == 2:
+            base = fresh(rng)
+            c = (base.min_positive_distance() or Fraction(2)) * Fraction(rng.randint(1, 9), 10)
+            yield crowd_family(base, rng.choice(base.labels), c, rng.randint(1, 5))
+        else:
+            x, y = fresh(rng), fresh(rng)
+            yield certificate(x, y).space
+
+
+def test_results_on_built_spaces_do_not_depend_on_the_kept_chain():
+    rng = random.Random(822)
+    for built in built_spaces(rng, 160):
+        copy = UltrametricSpace(built.labels, built.values, built.ranks)
+        # The built space keeps its Kruskal chain; the copy gets Prim's.
+        assert "_chain" in built.__dict__ and "_chain" not in copy.__dict__
+        assert subdominant(built.ranks, built._chain) == built.ranks
+        for t in built.values:
+            assert closed_quotient(built, t) == closed_quotient(copy, t)
+        assert to_dendrogram(built) == to_dendrogram(copy)
+        other = fresh(rng)
+        for pair, twin in (((built, other), (copy, other)), ((other, built), (other, copy))):
+            assert ugh_distance(*pair) == ugh_distance(*twin)
+            assert certificate(*pair) == certificate(*twin)
 
 
 def test_disjoint_amalgam_matches_the_fraction_formula():
