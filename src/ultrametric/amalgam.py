@@ -51,19 +51,26 @@ def _check_spec(spec: GlueSpec) -> None:
             raise DuplicateIdentification(
                 f"point {dup!r} appears twice on the {side} side", label=dup
             )
+    x1, x2 = spec.x1, spec.x2
+    at1, at2 = [], []
     for a, b in spec.identify:
-        spec.x1.index(a)
-        spec.x2.index(b)
-    for a, b in spec.identify:
-        for c, d in spec.identify:
-            if spec.x1.d(a, c) != spec.x2.d(b, d):
-                raise MetricMismatchOnA(
-                    f"common part metrics disagree: d({a},{c}) = "
-                    f"{format_rational(spec.x1.d(a, c))} on the left but "
-                    f"d({b},{d}) = {format_rational(spec.x2.d(b, d))} on the right",
-                    left=[a, c],
-                    right=[b, d],
-                )
+        at1.append(x1.index(a))
+        at2.append(x2.index(b))
+    # X2's ranks go through one table into X1's (-1 for a value X1 lacks).
+    position = {v: r for r, v in enumerate(x1.values)}
+    table = [position.get(v, -1) for v in x2.values]
+    for (a, b), i, j in zip(spec.identify, at1, at2):
+        want = list(map(x1.ranks[i].__getitem__, at1))
+        got = list(map(table.__getitem__, map(x2.ranks[j].__getitem__, at2)))
+        if want != got:
+            c, d = spec.identify[next(k for k, (w, g) in enumerate(zip(want, got)) if w != g)]
+            raise MetricMismatchOnA(
+                f"common part metrics disagree: d({a},{c}) = "
+                f"{format_rational(x1.d(a, c))} on the left but "
+                f"d({b},{d}) = {format_rational(x2.d(b, d))} on the right",
+                left=[a, c],
+                right=[b, d],
+            )
 
 
 def glue_embeddings(spec: GlueSpec) -> tuple[dict[str, str], dict[str, str]]:

@@ -7,7 +7,7 @@ lowest common ancestor.  This equivalence turns isometry testing into rooted
 tree comparison.
 
 Canonical form: every tree here is built from a chain, points in one order
-with ``d = max(gaps between)`` (Prim's, kept as ``space._chain``), by one
+with ``d = max(gaps between)`` (kept as ``space._chain``), by one
 stack pass (:func:`chain_canon`) that sorts each merge's children as it
 closes the merge, by the key ``(height rank, leaf count, encoding)``; the
 encoding is a label-free string built bottom-up (the rooted-tree canonical
@@ -31,7 +31,8 @@ from operator import itemgetter
 
 from .errors import MalformedTree
 from .rationals import as_rational, format_rational
-from .spaces import ZERO, Record, UltrametricSpace, chain_runs, merged_spectrum, space_from_chain
+from .spaces import ZERO, Record, UltrametricSpace, _check_labels, chain_runs, merged_spectrum
+from .spaces import space_from_chain
 
 
 class Leaf(Record):
@@ -116,9 +117,7 @@ def quotient_canon(space: UltrametricSpace, t=0) -> tuple[Node, tuple]:
 
 
 def _tree_canon(node: Node) -> tuple[Node, tuple]:
-    order, gaps = _tree_chain(node)
-    values, (_, ranks) = merged_spectrum((ZERO,), gaps)
-    return chain_canon(order, ranks, values)
+    return chain_canon(*_tree_chain(node))
 
 
 def canonicalize(node: Node) -> Node:
@@ -152,11 +151,13 @@ def from_dendrogram(node: Node) -> UltrametricSpace:
     decreasing toward the leaves, internal nodes with fewer than two children,
     nonpositive heights, or duplicate leaf labels.
     """
-    return space_from_chain(*_tree_chain(node))
+    labels, gaps, values = _tree_chain(node)
+    return space_from_chain(_check_labels(labels), list(range(len(labels))), gaps, values)
 
 
-def _tree_chain(node: Node) -> tuple[list[str], list[Fraction]]:
-    """A tree's leaf labels in pre-order and the Fraction gaps between them.
+def _tree_chain(node: Node) -> tuple[list[str], list[int], list[Fraction]]:
+    """A tree's leaf labels in pre-order, the gaps between them as ranks
+    into ``values``, and ``values``: 0 and the heights, sorted.
 
     Nodes are checked in pre-order, each height read once and tested against
     its parent first.  A leaf meets the one before it at the parent of its
@@ -190,7 +191,8 @@ def _tree_chain(node: Node) -> tuple[list[str], list[Fraction]]:
         stack.append((first, height, False))
     if len(set(order)) != len(order):
         raise MalformedTree("duplicate leaf labels")
-    return order, gaps
+    values, (_, ranks) = merged_spectrum((ZERO,), gaps)
+    return order, ranks, values
 
 
 def isometry_witness(x: UltrametricSpace, y: UltrametricSpace) -> dict[str, str] | None:

@@ -25,11 +25,12 @@ from .spaces import (
     ZERO,
     Record,
     UltrametricSpace,
+    _check_labels,
+    chain_order,
+    chain_ranks,
     join_spaces,
     rank_image,
     space_from_chain,
-    space_from_ranks,
-    subdominant,
 )
 
 
@@ -39,7 +40,7 @@ def two_point_space(c) -> UltrametricSpace:
     c = as_rational(c)
     if c <= 0:
         raise NonpositiveDistance(f"two-point distance must be > 0, got {format_rational(c)}")
-    return space_from_ranks(("p", "q"), ((0, 1), (1, 0)), (ZERO, c))
+    return space_from_chain(("p", "q"), [0, 1], [1], (ZERO, c))
 
 
 def crowd_family(
@@ -139,9 +140,11 @@ def cauchy_sequence(depth: int) -> UltrametricSpace:
             max_depth=max_depth,
         )
     points = [Fraction(1, 2**k) for k in range(depth + 1)]
-    # With the gap after 2^-k set to 2^-k, max(2^-i, 2^-j) = 2^-min(i, j) is the
-    # largest gap between the two.
-    return space_from_chain([format_rational(p) for p in points], points[:-1])
+    # With the gap after 2^-k set to 2^-k, rank depth + 1 - k among the values,
+    # max(2^-i, 2^-j) = 2^-min(i, j) is the largest gap between the two.
+    labels = [format_rational(p) for p in points]
+    gaps = list(range(depth + 1, 1, -1))
+    return space_from_chain(labels, list(range(depth + 1)), gaps, (ZERO, *reversed(points)))
 
 
 class SpectrumConstraint(Record):
@@ -193,15 +196,16 @@ def random_space(n: int, constraint: SpectrumConstraint, seed: int) -> Ultrametr
     Draws a random merge tree with heights from the positive allowed values,
     strictly decreasing toward the leaves, so every draw is valid by
     construction (rejection sampling on matrices would almost never succeed
-    for larger n).  The tree is drawn as its chain (:func:`space_from_chain`):
-    a merge's height is the gap between each two of its parts.  Raises
+    for larger n).  The tree is drawn as its chain (:func:`space_from_chain`),
+    heights as ranks into the allowed values: a merge's height is the gap
+    between each two of its parts.  Raises
     InstanceTooLarge, before building anything, when the ``n^2`` matrix would
     pass :data:`CELL_BUDGET` cells.
     """
     if n < 1:
         raise InvalidParameter(f"need n >= 1 points, got {n}")
     _check_cells(n)
-    positive = [v for v in constraint.values if v > 0]
+    positive = [r for r, v in enumerate(constraint.values) if v > 0]
     if not positive:
         raise ConstraintTooSmall(
             "the allowed value set needs at least one positive value besides 0"
@@ -210,7 +214,7 @@ def random_space(n: int, constraint: SpectrumConstraint, seed: int) -> Ultrametr
     labels = [f"x{k}" for k in range(1, n + 1)]
     rng.shuffle(labels)
 
-    def gaps(size: int, heights: list[Fraction]) -> list[Fraction]:
+    def gaps(size: int, heights: list[int]) -> list[int]:
         if size == 1:
             return []
         h = rng.choice(heights)
@@ -222,7 +226,7 @@ def random_space(n: int, constraint: SpectrumConstraint, seed: int) -> Ultrametr
             drawn += [h, *gaps(end - start, lower)]
         return drawn
 
-    return space_from_chain(labels, gaps(n, positive))
+    return space_from_chain(labels, list(range(n)), gaps(n, positive), constraint.values)
 
 
 # Scaled images of a metric use the lcm of its denominators while that fits
@@ -232,14 +236,15 @@ SCALE_BITS = 64
 
 def single_linkage(labels, matrix) -> UltrametricSpace:
     """Largest ultrametric below a metric: min over paths of the max edge,
-    read off Prim's visit order and join keys (:func:`subdominant`).
+    the chain of Prim's visit order and join keys (:func:`chain_order`).
 
     The input must be a genuine metric (symmetric, zero diagonal, positive
     off-diagonal, ordinary triangle inequality); the output agrees with the
     input wherever the input was already ultrametric.  The diagonal,
     symmetry and positivity checks and the tree run on the integer ranks of
     :func:`rank_image`; the triangle check runs on scaled integers
-    (:func:`_check_triangles`).
+    (:func:`_check_triangles`).  The labels are checked last, so a repeated
+    label is reported only on a genuine metric.
     """
     labels = tuple(str(l) for l in labels)
     n = len(labels)
@@ -268,23 +273,27 @@ def single_linkage(labels, matrix) -> UltrametricSpace:
                     kind="positivity",
                     points=[labels[i], labels[j]],
                 )
-    sub = subdominant(ranks)
-    _check_triangles(labels, ranks, values, sub)
-    return space_from_ranks(labels, sub, values)
+    order, gaps = chain_order(ranks)
+    _check_triangles(labels, ranks, values, chain_ranks(order, gaps, [zero] * n))
+    return space_from_chain(_check_labels(labels), order, gaps, values)
 
 
 def _check_triangles(labels, ranks, values, sub) -> None:
     """Raise at the first ``(i, j, k)`` with ``d(i,j) > d(i,k) + d(k,j)``.
 
-    A pair where ``ranks`` equals its subdominant ``sub`` is clear.  Else
-    each value ``d`` becomes ``floor(d * scale)``.  With ``scale`` the lcm of
-    the denominators the image is exact and a pair ``(i, j)`` is clear when
-    its image is at most every ``image(i,k) + image(k,j)``; with a power of
-    two the image is up to 1 too low, so a pair needs a margin of 1.  Only a
-    pair neither test clears is scanned over ``k`` in Fractions, so the
-    first witness is the one of the full scan.  The image's diagonal holds
-    1, so the terms ``k = i`` and ``k = j`` never block a pair.
+    A pair where ``ranks`` equals its subdominant ``sub`` is clear, so a row
+    equal to its row of ``sub`` is passed over at once.  Else each value
+    ``d`` becomes ``floor(d * scale)``.  With ``scale`` the lcm of the
+    denominators the image is exact and a pair ``(i, j)`` is clear when its
+    image is at most every ``image(i,k) + image(k,j)``; with a power of two
+    the image is up to 1 too low, so a pair needs a margin of 1.  Only a pair
+    neither test clears is scanned over ``k`` in Fractions, so the first
+    witness is the one of the full scan.  The image's diagonal holds 1, so
+    the terms ``k = i`` and ``k = j`` never block a pair.
     """
+    rows = [i for i, (rank_i, sub_i) in enumerate(zip(ranks, sub)) if tuple(rank_i) != sub_i]
+    if not rows:
+        return
     scale, margin = 1, 0
     for v in values:
         scale = lcm(scale, v.denominator)
@@ -296,7 +305,7 @@ def _check_triangles(labels, ranks, values, sub) -> None:
     n = len(labels)
     for i in range(n):
         image[i][i] = 1
-    for i in range(n):
+    for i in rows:
         image_i, rank_i, sub_i = image[i], ranks[i], sub[i]
         for j in range(i + 1, n):
             # d(i,j) = sub(i,j) <= max(d(i,k), d(k,j)) <= d(i,k) + d(k,j)

@@ -7,17 +7,16 @@ Fractions satisfying the strong triangle inequality
 ``values``; ranks compare as the distances do, so code that only compares
 reads them.  The axioms are checked where a matrix enters from outside, by
 :func:`validate_ultrametric` (and by ``verify_certificate`` for a
-caller-supplied certificate), and nowhere else.  Builders hand ranks to
-:func:`space_from_ranks`, which only checks labels: each construction is
-ultrametric by the proof in its docstring.  A hand-built
-:class:`UltrametricSpace` is therefore unchecked.  A hierarchy leaves this
-module in one form: a point order and the gaps between neighbours,
-``d = max(gaps between)``, which are Prim's visit order and join keys
-(:func:`chain_order`), computed once per space as ``_chain``; a validated
-space keeps the chain its triangle check used.  A builder that knows its
-hierarchy hands it over in the same form, to :func:`space_from_chain`, and
-a construction on spaces joins their chains in one spanning forest
-(:func:`join_spaces`), whose chain the result keeps.
+caller-supplied certificate), and nowhere else; labels are checked where
+they enter, as the axioms are.  A hand-built :class:`UltrametricSpace` is
+therefore unchecked.  A hierarchy takes one form here: a point order and the
+gaps between neighbours, ``d = max(gaps between)``, kept as ``_chain``.  A
+validated space keeps Prim's visit order and join keys (:func:`chain_order`),
+which its triangle check used.  Every builder hands its chain to the one
+builder :func:`space_from_chain`, whose proof covers them all: the single
+linkage of a chain is ultrametric.  Constructions on spaces join their
+chains in one spanning forest (:func:`join_spaces`) and subspaces restrict
+the source's chain, so no built space runs Prim again.
 """
 
 from __future__ import annotations
@@ -279,17 +278,6 @@ def chain_ranks(order, gaps, diagonal) -> tuple[tuple[int, ...], ...]:
     return tuple(in_point_order(rows[p]) for p in position)
 
 
-def subdominant(ranks, chain=None) -> tuple[tuple[int, ...], ...]:
-    """Largest ultrametric below a symmetric matrix of ranks (single linkage).
-
-    :func:`chain_ranks` of :func:`chain_order`; the diagonal is kept from
-    ``ranks``.  A caller that already holds ``chain_order(ranks)`` passes it
-    as ``chain``.
-    """
-    order, gaps = chain or chain_order(ranks)
-    return chain_ranks(order, gaps, [ranks[i][i] for i in order])
-
-
 def block_matrix(a, b, cross) -> list[list]:
     """The square matrix ``[[a, cross], [cross^T, b]]`` as fresh rows."""
     top = [[*row_a, *row_c] for row_a, row_c in zip(a, cross)]
@@ -311,36 +299,27 @@ def validate_ultrametric(labels, matrix) -> UltrametricSpace:
     return _check_axioms(*_coerce_matrix(labels, matrix))
 
 
-def space_from_ranks(labels, ranks, values) -> UltrametricSpace:
-    """The space of a matrix of ranks that is ultrametric by construction.
+def space_from_chain(labels, order, gaps, values) -> UltrametricSpace:
+    """The space on ``labels`` with ``d = max(gaps between)`` along ``order``,
+    which lists each index into ``labels`` once; ``gaps[p]``, a positive rank
+    into ``values`` (sorted, distinct, 0 first), lies between ``order[p]``
+    and ``order[p + 1]``.
 
-    ``values`` must be sorted, distinct and start with 0, as a merged
-    spectrum does; ``ranks[i][j]`` indexes it.  Every builder ends here, so
-    no entry is parsed again, and their proofs stand in for the axiom scan,
-    which runs only in :func:`validate_ultrametric` and
-    ``verify_certificate``.  The labels are checked as
-    :func:`validate_ultrametric` checks them, and values that no entry uses
-    are dropped, so the space's values are exactly its spectrum.
+    Every builder ends here, so no entry is parsed again and one proof stands
+    in for the axiom scan: the interval between two of three points lies in
+    the union of the intervals from each to the third, so its largest gap is
+    at most the larger of theirs, and positive gaps keep points apart.  Labels
+    are trusted, checked where they enter.  Unused values are dropped, and
+    the space keeps the chain.
     """
-    labels = _check_labels(labels)
-    used = sorted(set().union(*ranks))
+    used = sorted({0, *gaps})
     if len(used) < len(values):
-        table = dict(zip(used, range(len(used))))
-        ranks = [list(map(table.__getitem__, row)) for row in ranks]
+        gaps = list(map(dict(zip(used, range(len(used)))).__getitem__, gaps))
         values = [values[r] for r in used]
-    return UltrametricSpace(labels, tuple(values), tuple(map(tuple, ranks)))
-
-
-def space_from_chain(order, gaps) -> UltrametricSpace:
-    """The space on the labels ``order`` with ``d = max(gaps between)``, for
-    positive Fraction ``gaps`` between neighbours in that order.
-
-    Ultrametric: the interval between two of three points lies inside the
-    union of the intervals from each to the third, so its maximum is at most
-    the larger of theirs; positive gaps keep distinct points apart.
-    """
-    values, (_, ranks) = merged_spectrum((ZERO,), gaps)
-    return space_from_ranks(order, chain_matrix(ranks, [0] * len(order)), values)
+    ranks = chain_ranks(order, gaps, [0] * len(order))
+    space = UltrametricSpace(tuple(labels), tuple(values), ranks)
+    space.__dict__["_chain"] = order, gaps  # where ``cached_property`` keeps it
+    return space
 
 
 def join_spaces(labels, parts, links) -> UltrametricSpace:
@@ -352,7 +331,7 @@ def join_spaces(labels, parts, links) -> UltrametricSpace:
     & Ross), so Kruskal's algorithm runs over these edges in rank order: each
     component is a chain, and a join appends the smaller to the larger with
     the joining rank, at least every gap inside either, between them.  The
-    result is ultrametric, as single linkage is, and keeps the final chain.
+    final chain goes to :func:`space_from_chain`.
     """
     values, tables = merged_spectrum(*(s.values for s, _ in parts), [v for v, _, _ in links])
     edges = [(rank, i, j) for rank, (_, i, j) in zip(tables.pop(), links)]
@@ -370,13 +349,7 @@ def join_spaces(labels, parts, links) -> UltrametricSpace:
             big[1].extend((rank, *small[1]))
             for p in small[0]:
                 chains[p] = big
-    order, gaps = chains[0]
-    used = sorted({0, *gaps})  # 0 and the gaps are the distances
-    gaps = list(map({r: k for k, r in enumerate(used)}.__getitem__, gaps))
-    ranks = chain_ranks(order, gaps, [0] * len(order))
-    space = space_from_ranks(labels, ranks, [values[r] for r in used])
-    space.__dict__["_chain"] = order, gaps  # where ``cached_property`` keeps it
-    return space
+    return space_from_chain(labels, *chains[0], values)
 
 
 def _check_axioms(labels, ranks, values) -> UltrametricSpace:
@@ -397,7 +370,7 @@ def _check_axioms(labels, ranks, values) -> UltrametricSpace:
                 point=labels[i],
             )
     space = UltrametricSpace(labels, tuple(values), rows)
-    sub = subdominant(rows, space._chain)
+    sub = chain_ranks(*space._chain, [zero] * n)
     # The subdominant is symmetric, and positive gaps keep points apart.
     if sub == rows and all(gap > zero for gap in space._chain[1]):
         return space
@@ -488,11 +461,19 @@ class QuotientSpace(Record):
 
 
 def subspace(space: UltrametricSpace, indices) -> UltrametricSpace:
-    """The induced subspace on the points at ``indices``, in that order; the
-    axioms hold on any subset of the points."""
-    ranks = [[row[j] for j in indices] for row in map(space.ranks.__getitem__, indices)]
-    labels = [space.labels[i] for i in indices]
-    return space_from_ranks(labels, ranks, space.values)
+    """The induced subspace on the points at distinct ``indices``, in that
+    order.  Its chain is the source's restricted to them: between two kept
+    neighbours lies the largest gap skipped since the first, their distance.
+    """
+    at = dict(zip(indices, range(len(indices))))
+    order, gaps, top = [], [], 0
+    for point, gap in zip(space._chain[0], [0, *space._chain[1]]):
+        top = max(top, gap)
+        if point in at:
+            order.append(at[point])
+            gaps.append(top)
+            top = 0
+    return space_from_chain([space.labels[i] for i in indices], order, gaps[1:], space.values)
 
 
 def chain_runs(space: UltrametricSpace, t) -> tuple[list[list[int]], list[int]]:

@@ -26,7 +26,8 @@ from ultrametric import (
     spectrum_constraint,
     validate_ultrametric,
 )
-from ultrametric import generators, spaces
+# Loads every module that imports the builder, so BUILDER_MODULES finds it.
+from ultrametric import dendrogram, generators, spaces  # noqa: F401
 from ultrametric.dendrogram import leaf_labels
 from ultrametric.errors import InputFormat, UltrametricError
 from ultrametric.rationals import as_rational, format_rational
@@ -34,13 +35,16 @@ from ultrametric.spaces import ZERO
 
 # Taken at import, so a test that patches ``spaces._check_axioms`` to count
 # calls sees only the library's own.
-BUILD_SPACE = spaces.space_from_ranks
+BUILD_SPACE = spaces.space_from_chain
 CHECK_AXIOMS = spaces._check_axioms
 
 
-def rechecked_space_from_ranks(labels, ranks, values) -> UltrametricSpace:
-    """``space_from_ranks``, then the axiom scan it leaves to each builder's proof."""
-    space = BUILD_SPACE(labels, ranks, values)
+def rechecked_space_from_chain(labels, order, gaps, values) -> UltrametricSpace:
+    """``space_from_chain``, then the checks it leaves to where data enters:
+    distinct string labels, and the axiom scan its proof stands in for."""
+    space = BUILD_SPACE(labels, order, gaps, values)
+    assert all(type(l) is str for l in space.labels), f"a label is not a string: {space.labels}"
+    assert len(set(space.labels)) == len(space), f"a label repeats: {space.labels}"
     try:
         checked = CHECK_AXIOMS(space.labels, space.ranks, space.values)
     except UltrametricError as exc:
@@ -49,13 +53,20 @@ def rechecked_space_from_ranks(labels, ranks, values) -> UltrametricSpace:
     return space
 
 
+# The library's modules that hold the builder under its name.
+BUILDER_MODULES = [
+    module
+    for name, module in sorted(sys.modules.items())
+    if name.startswith("ultrametric") and getattr(module, "space_from_chain", None) is BUILD_SPACE
+]
+
+
 @pytest.fixture(autouse=True)
 def recheck_constructions(monkeypatch):
-    """Every space a construction builds in a test goes through the axiom scan:
-    ``join_spaces`` and ``space_from_chain`` call ``spaces.space_from_ranks``,
-    the generators' own builders ``generators.space_from_ranks``."""
-    for module in (spaces, generators):
-        monkeypatch.setattr(module, "space_from_ranks", rechecked_space_from_ranks)
+    """Every space a construction builds in a test goes through the checks
+    its builder leaves out, in every module that imports the builder."""
+    for module in BUILDER_MODULES:
+        monkeypatch.setattr(module, "space_from_chain", rechecked_space_from_chain)
 
 
 def make_space(labels, entries) -> UltrametricSpace:

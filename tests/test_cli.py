@@ -7,12 +7,12 @@ from pathlib import Path
 
 import pytest
 
-from ultrametric import certificates, dendrogram, generators, jsonio, spaces, verify_certificate
+from ultrametric import certificates, dendrogram, jsonio, spaces, verify_certificate
 from ultrametric.cli import main
 from ultrametric.rationals import int_max_str_digits
 
 from cli_corpus import CASES, GOLDEN, SKIPPED, expected_text, run_case
-from conftest import BUILD_SPACE, CHECK_AXIOMS, shallow_recursion
+from conftest import BUILD_SPACE, BUILDER_MODULES, CHECK_AXIOMS, shallow_recursion
 
 CORPUS = [
     pytest.param(
@@ -223,8 +223,8 @@ def test_prim_runs_once_per_input(name, want, tmp_path, monkeypatch):
         return chain_order(ranks)
 
     # The autouse recheck scans every constructed space; count the CLI's passes only.
-    for module in (spaces, generators):
-        monkeypatch.setattr(module, "space_from_ranks", BUILD_SPACE)
+    for module in BUILDER_MODULES:
+        monkeypatch.setattr(module, "space_from_chain", BUILD_SPACE)
     for module in (spaces, dendrogram):
         if hasattr(module, "chain_order"):
             monkeypatch.setattr(module, "chain_order", counted)

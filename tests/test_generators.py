@@ -103,7 +103,7 @@ class TestCrowdFamily:
 
     def test_largest_n_within_the_cell_budget_is_built(self, monkeypatch):
         # Built without the test suite's axiom scan, which would dominate here.
-        monkeypatch.setattr(spaces, "space_from_ranks", BUILD_SPACE)
+        monkeypatch.setattr(spaces, "space_from_chain", BUILD_SPACE)
         base = make_space(["x1", "x2"], {("x1", "x2"): 1})
         matrix = crowd_family(base, "x1", "1/4", 1446).ranks
         assert 1448**2 <= generators.CELL_BUDGET < 1449**2
@@ -162,7 +162,7 @@ class TestCauchySequence:
             raise AssertionError("a refused instance was partly built")
 
         monkeypatch.setattr(generators, "Fraction", unreachable)
-        monkeypatch.setattr(generators, "space_from_ranks", unreachable)
+        monkeypatch.setattr(generators, "space_from_chain", unreachable)
         # Both stay below 2127, the integer-limit bound at the lowest limit (640).
         for depth in (1448, 2000):
             with pytest.raises(InstanceTooLarge) as info:
@@ -171,10 +171,11 @@ class TestCauchySequence:
             assert info.value.payload()["max_depth"] == 1447
 
     def test_largest_depth_within_the_cell_budget_is_built(self, monkeypatch):
-        monkeypatch.setattr(spaces, "space_from_ranks", lambda labels, m, values: (labels, m))
-        labels, matrix = cauchy_sequence(1447)
+        # Built without the test suite's axiom scan, which would dominate here.
+        monkeypatch.setattr(generators, "space_from_chain", BUILD_SPACE)
+        space = cauchy_sequence(1447)
         assert 1448**2 <= generators.CELL_BUDGET < 1449**2
-        assert (len(labels), len(matrix), {len(row) for row in matrix}) == (1448, 1448, {1448})
+        assert (len(space), len(space.ranks), {len(row) for row in space.ranks}) == (1448, 1448, {1448})
 
     def test_rows_hold_the_max_of_their_points(self):
         space = cauchy_sequence(12)

@@ -31,6 +31,7 @@ from ultrametric import (
 )
 from ultrametric.dendrogram import canonicalize
 from ultrametric.errors import (
+    DuplicateLabel,
     InputFormat,
     NegativeDistance,
     NotAMetric,
@@ -523,3 +524,30 @@ def test_single_linkage_on_long_distinct_denominators():
     assert isinstance(want[0], tuple)
     text = [[format_rational(v) for v in row] for row in rows]
     assert outcome(single_linkage, labels, text) == want
+
+
+def reference_single_linkage_of_labels(labels, matrix) -> Reference:
+    """:func:`reference_single_linkage`, then the label check, so a repeated
+    label is reported only on a genuine metric."""
+    reference = reference_single_linkage(labels, matrix)
+    for k, label in enumerate(reference.labels):
+        if label in reference.labels[:k]:
+            raise DuplicateLabel(f"label {label!r} appears more than once", label=label)
+    return reference
+
+
+def test_single_linkage_reports_metric_faults_before_repeated_labels():
+    rng = random.Random(2719)
+    seen = set()
+    for _ in range(60):
+        n = rng.randint(3, 10)
+        rows = l1_rational_metric(rng, n, (3, 7))
+        labels = [f"p{k}" for k in range(n)]
+        i, j = rng.sample(range(n), 2)
+        labels[j] = labels[i]
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        for matrix in (rows, planted(rng, rows, rng.choice(pairs), Fraction(1, 21))):
+            want = outcome(reference_single_linkage_of_labels, labels, matrix)
+            assert outcome(single_linkage, labels, respelled(rng, matrix)) == want
+            seen.add(want[1].get("kind", want[0].__name__) if isinstance(want[0], type) else "ok")
+    assert seen == {"DuplicateLabel", "triangle"}, seen

@@ -21,6 +21,7 @@ import pytest
 
 from ultrametric import (
     GlueSpec,
+    cauchy_sequence,
     certificate,
     chain_glue,
     closed_quotient,
@@ -31,12 +32,20 @@ from ultrametric import (
     restrict,
     single_linkage,
     spectrum_constraint,
+    two_point_space,
     ugh_distance,
     validate_ultrametric,
     verify_certificate,
 )
-from ultrametric import spaces
-from ultrametric.errors import CertificateInvalid, MalformedTree, UltrametricError
+from ultrametric import amalgam, spaces
+from ultrametric.errors import (
+    CertificateInvalid,
+    DuplicateIdentification,
+    EmptyCommonPart,
+    MalformedTree,
+    MetricMismatchOnA,
+    UltrametricError,
+)
 from ultrametric.dendrogram import (
     Leaf,
     Merge,
@@ -50,7 +59,8 @@ from ultrametric.spaces import (
     ZERO,
     UltrametricSpace,
     block_matrix,
-    subdominant,
+    chain_order,
+    chain_ranks,
 )
 
 from conftest import (
@@ -323,7 +333,7 @@ def test_chain_glue_runs_prim_on_its_inputs_only(monkeypatch):
         return chain_order(ranks)
 
     # The autouse recheck runs Prim on every constructed space; count the library's runs.
-    monkeypatch.setattr(spaces, "space_from_ranks", BUILD_SPACE)
+    monkeypatch.setattr(spaces, "space_from_chain", BUILD_SPACE)
     monkeypatch.setattr(spaces, "chain_order", counted)
     glued = chain_glue(chain, identifications).space
     assert calls == [len(s) for s in chain]
@@ -354,7 +364,7 @@ def test_results_on_built_spaces_do_not_depend_on_the_kept_chain():
         copy = UltrametricSpace(built.labels, built.values, built.ranks)
         # The built space keeps its Kruskal chain; the copy gets Prim's.
         assert "_chain" in built.__dict__ and "_chain" not in copy.__dict__
-        assert subdominant(built.ranks, built._chain) == built.ranks
+        assert chain_ranks(*built._chain, [0] * len(built)) == built.ranks
         for t in built.values:
             assert closed_quotient(built, t) == closed_quotient(copy, t)
         assert to_dendrogram(built) == to_dendrogram(copy)
@@ -471,6 +481,13 @@ def test_single_linkage_values_are_exactly_its_spectrum():
         got = single_linkage(labels, matrix)
         assert_exact_spectrum(got)
         assert got == validate_ultrametric(*reference_single_linkage(labels, matrix))
+
+
+def subdominant(ranks):
+    """Single linkage of a symmetric matrix of ranks, the diagonal kept: the
+    chain of its Prim tree, filled in as every space fills its own."""
+    order, gaps = chain_order(ranks)
+    return chain_ranks(order, gaps, [ranks[i][i] for i in order])
 
 
 def reference_subdominant(ranks):
@@ -595,3 +612,164 @@ def test_certificate_of_a_space_and_a_point(n):
         cert = certificate(a, b)
         verify_certificate(cert, a, b)
         assert outcome(reference_verify, cert, a, b) == ("ok", None)
+
+
+# Every built space keeps the chain it was built from.
+
+
+def each_builder(rng: random.Random):
+    """(builder name, one seeded output of it) for every construction."""
+    x, y = fresh(rng, rng.randint(2, 9)), fresh(rng, rng.randint(1, 9))
+    points = list(dict.fromkeys((rng.randint(0, 6), rng.randint(0, 6)) for _ in range(8)))
+    line = [[abs(a - c) + abs(b - d) for c, d in points] for a, b in points]
+    c = x.min_positive_distance() * Fraction(rng.randint(1, 9), 10)
+    yield "random_space", x
+    yield "cauchy_sequence", cauchy_sequence(rng.randint(0, 12))
+    yield "two_point_space", two_point_space(Fraction(rng.randint(1, 9), 4))
+    yield "from_dendrogram", from_dendrogram(merge_tree(x))
+    yield "single_linkage", single_linkage([f"p{k}" for k in range(len(points))], line)
+    yield "single_linkage", single_linkage(x.labels, x.dist)
+    for t in x.values:
+        yield "closed_quotient", closed_quotient(x, t).quotient
+    yield "restrict", restrict(x, rng.sample(x.labels, rng.randint(1, len(x))))
+    yield "glue", glue(random_glue_spec(rng))
+    yield "disjoint_amalgam", disjoint_amalgam(x, y, max(x.diameter(), y.diameter()))
+    yield "crowd_family", crowd_family(x, rng.choice(x.labels), c, rng.randint(1, 4))
+    yield "certificate", certificate(x, y).space
+
+
+def test_every_builder_keeps_the_chain_of_its_ranks():
+    rng = random.Random(824)
+    seen = set()
+    for _ in range(40):
+        for name, space in each_builder(rng):
+            seen.add(name)
+            assert "_chain" in space.__dict__, name
+            order, gaps = space._chain
+            n = len(space)
+            assert sorted(order) == list(range(n)) and len(gaps) == n - 1, name
+            assert all(0 < gap < len(space.values) for gap in gaps), name
+            assert chain_ranks(order, gaps, [0] * n) == space.ranks, name
+    assert len(seen) == 11
+
+
+def counted_prim(monkeypatch) -> list[int]:
+    """Sizes of the matrices ``chain_order`` runs on from here on."""
+    calls, chain_order = [], spaces.chain_order
+
+    def counted(ranks):
+        calls.append(len(ranks))
+        return chain_order(ranks)
+
+    monkeypatch.setattr(spaces, "chain_order", counted)
+    return calls
+
+
+def test_ugh_distance_of_generated_spaces_runs_no_prim(monkeypatch):
+    x, y = random_space(40, SIX_VALUES, 1), cauchy_sequence(12)
+    want = ugh_distance(*(UltrametricSpace(s.labels, s.values, s.ranks) for s in (x, y)))
+    calls = counted_prim(monkeypatch)
+    assert ugh_distance(x, y) == want
+    assert calls == []
+
+
+def reference_subspace(space: UltrametricSpace, indices) -> UltrametricSpace:
+    """The row copy ``subspace`` made before it restricted the chain: the
+    induced rank submatrix, values no entry uses dropped."""
+    ranks = [[space.ranks[i][j] for j in indices] for i in indices]
+    used = sorted({r for row in ranks for r in row})
+    table = {r: k for k, r in enumerate(used)}
+    return UltrametricSpace(
+        tuple(space.labels[i] for i in indices),
+        tuple(space.values[r] for r in used),
+        tuple(tuple(table[r] for r in row) for row in ranks),
+    )
+
+
+def test_subspace_matches_the_row_copy():
+    rng = random.Random(825)
+    built = (space for _ in range(20) for _, space in each_builder(rng))
+    seen = {"validated": 0, "built": 0, "hand-built": 0}
+    shapes = {"shuffled": 0, "partial": 0, "one point": 0}
+    for k in range(240):
+        kind = rng.choice(list(seen))
+        if kind == "validated":
+            source = fresh(rng)
+            source = validate_ultrametric(source.labels, source.dist)
+        elif kind == "built":
+            source = next(built, None) or fresh(rng, rng.randint(1, 14))
+        else:
+            source = fresh(rng)
+            source = UltrametricSpace(source.labels, source.values, source.ranks)
+        n = len(source)
+        shape = rng.choice(list(shapes))
+        size = {"shuffled": n, "partial": rng.randint(1, n), "one point": 1}[shape]
+        indices = rng.sample(range(n), size)
+        seen[kind] += 1
+        shapes[shape] += 1
+        got = spaces.subspace(source, indices)
+        assert got == reference_subspace(source, indices)
+        assert chain_ranks(*got._chain, [0] * len(got)) == got.ranks
+    assert min(seen.values()) >= 40 and min(shapes.values()) >= 40, (seen, shapes)
+
+
+def reference_check_spec(spec: GlueSpec) -> None:
+    """The pairwise label-lookup loop ``glue`` checked its spec with before it
+    compared rows of ranks."""
+    if not spec.identify:
+        raise EmptyCommonPart(
+            "identification is empty; glue needs a nonempty common part "
+            "(use disjoint_amalgam for the disjoint case)"
+        )
+    left = [a for a, _ in spec.identify]
+    right = [b for _, b in spec.identify]
+    for side, names in (("left", left), ("right", right)):
+        if len(set(names)) != len(names):
+            dup = next(n for n in names if names.count(n) > 1)
+            raise DuplicateIdentification(
+                f"point {dup!r} appears twice on the {side} side", label=dup
+            )
+    for a, b in spec.identify:
+        spec.x1.index(a)
+        spec.x2.index(b)
+    for a, b in spec.identify:
+        for c, d in spec.identify:
+            if spec.x1.d(a, c) != spec.x2.d(b, d):
+                raise MetricMismatchOnA(
+                    f"common part metrics disagree: d({a},{c}) = "
+                    f"{format_rational(spec.x1.d(a, c))} on the left but "
+                    f"d({b},{d}) = {format_rational(spec.x2.d(b, d))} on the right",
+                    left=[a, c],
+                    right=[b, d],
+                )
+
+
+def planted_specs(rng: random.Random, spec: GlueSpec):
+    """(kind, spec) pairs: the spec, and copies with one fault planted."""
+    x2, identify = spec.x2, list(spec.identify)
+    yield "valid", spec
+    doubled = [[2 * v for v in row] for row in x2.dist]
+    yield "values X1 lacks", GlueSpec(spec.x1, validate_ultrametric(x2.labels, doubled), identify)
+    shuffled = list(x2.labels)
+    rng.shuffle(shuffled)
+    yield "pairs moved", GlueSpec(spec.x1, UltrametricSpace(tuple(shuffled), x2.values, x2.ranks), identify)
+    k = rng.randrange(len(identify))
+    for side in (0, 1):
+        unknown = list(identify)
+        unknown[k] = ("nowhere", unknown[k][1]) if side == 0 else (unknown[k][0], "nowhere")
+        yield "unknown label", GlueSpec(spec.x1, x2, unknown)
+    yield "repeated pair", GlueSpec(spec.x1, x2, [*identify, identify[k]])
+    yield "empty", GlueSpec(spec.x1, x2, [])
+
+
+def test_glue_spec_check_matches_the_pairwise_loop():
+    rng = random.Random(826)
+    errors = {}
+    for _ in range(150):
+        spec = random_glue_spec(rng, max_side=rng.choice([4, 7, 12]))
+        for kind, planted in planted_specs(rng, spec):
+            want = outcome(reference_check_spec, planted)
+            assert outcome(amalgam._check_spec, planted) == want, kind
+            errors.setdefault(want[0], set()).add(kind)
+    assert errors["MetricMismatchOnA"] == {"values X1 lacks", "pairs moved"}
+    assert {"ok", "UnknownLabel", "DuplicateIdentification", "EmptyCommonPart"} <= set(errors)
