@@ -7,8 +7,9 @@ common part is rejected; use :func:`disjoint_amalgam` with an explicit scale
 for that case.
 
 Label policy: the glued space relabels points as ``L:<label>`` / ``R:<label>``,
-identified pairs taking the left label.  This keeps outputs deterministic and
-collision-free.
+identified pairs taking the left label (:func:`glue_embeddings`).  This keeps
+outputs deterministic and collision-free.  Each construction here is one
+:func:`join_spaces` of its inputs' chains, placed by such label maps.
 """
 
 from __future__ import annotations
@@ -43,19 +44,14 @@ def _check_spec(spec: GlueSpec) -> None:
             "identification is empty; glue needs a nonempty common part "
             "(use disjoint_amalgam for the disjoint case)"
         )
-    left = [a for a, _ in spec.identify]
-    right = [b for _, b in spec.identify]
-    for side, names in (("left", left), ("right", right)):
+    for side, names in zip(("left", "right"), zip(*spec.identify)):
         if len(set(names)) != len(names):
             dup = next(n for n in names if names.count(n) > 1)
             raise DuplicateIdentification(
                 f"point {dup!r} appears twice on the {side} side", label=dup
             )
     x1, x2 = spec.x1, spec.x2
-    at1, at2 = [], []
-    for a, b in spec.identify:
-        at1.append(x1.index(a))
-        at2.append(x2.index(b))
+    at1, at2 = zip(*((x1.index(a), x2.index(b)) for a, b in spec.identify))
     # X2's ranks go through one table into X1's (-1 for a value X1 lacks).
     position = {v: r for r, v in enumerate(x1.values)}
     table = [position.get(v, -1) for v in x2.values]
@@ -87,17 +83,14 @@ def glue_embeddings(spec: GlueSpec) -> tuple[dict[str, str], dict[str, str]]:
 def glue(spec: GlueSpec) -> UltrametricSpace:
     """Amalgamate the two spaces along their identified common part.
 
-    It is the single linkage (:func:`join_spaces`) of both chains, X2's
-    identified points put on their X1 partners, so it is ultrametric; a
-    minimax path from X1 to X2 crosses A, at ``min over a of max(d1, d2)``.
+    It is the single linkage (:func:`join_spaces`) of both chains placed by
+    :func:`glue_embeddings`, which puts X2's identified points on their X1
+    partners, so it is ultrametric; a minimax path from X1 to X2 crosses A,
+    at ``min over a of max(d1, d2)``.
     """
     _check_spec(spec)
-    x1, x2 = spec.x1, spec.x2
-    at2 = {x2.index(b): x1.index(a) for a, b in spec.identify}
-    rest2 = [j for j in range(len(x2)) if j not in at2]
-    at2.update(zip(rest2, range(len(x1), len(x1) + len(rest2))))
-    labels = [f"L:{l}" for l in x1.labels] + [f"R:{x2.labels[j]}" for j in rest2]
-    return join_spaces(labels, [(x1, range(len(x1))), (x2, at2)], [])
+    left, right = glue_embeddings(spec)
+    return join_spaces([(spec.x1, left), (spec.x2, right)], [])
 
 
 def disjoint_amalgam(x: UltrametricSpace, y: UltrametricSpace, s) -> UltrametricSpace:
@@ -118,9 +111,8 @@ def disjoint_amalgam(x: UltrametricSpace, y: UltrametricSpace, s) -> Ultrametric
             scale=format_rational(s),
             required_minimum=format_rational(required),
         )
-    labels = [f"L:{l}" for l in x.labels] + [f"R:{l}" for l in y.labels]
-    parts = [(x, range(len(x))), (y, range(len(x), len(labels)))]
-    return join_spaces(labels, parts, [(s, 0, len(x))])
+    left, right = glue_embeddings(GlueSpec(x, y, ()))
+    return join_spaces([(x, left), (y, right)], [(s, left[x.labels[0]], right[y.labels[0]])])
 
 
 class ChainGlueResult(Record):
@@ -131,11 +123,15 @@ class ChainGlueResult(Record):
 
 
 def chain_glue(spaces, identifications) -> ChainGlueResult:
-    """Left fold of :func:`glue` over a chain of spaces.
+    """The union of the sequence that glues ``spaces[1]`` to ``spaces[0]``,
+    the result to ``spaces[2]``, and so on.
 
-    ``identifications[i]`` lists pairs ``(label in spaces[i], label in
-    spaces[i+1])``; the left side is resolved through the accumulated space,
-    so every input embeds isometrically into the result.
+    ``identifications[i]`` pairs labels of ``spaces[i]`` with labels of
+    ``spaces[i+1]``.  Link ``i`` is checked as :func:`glue` checks it, on
+    ``spaces[i]`` under its labels so far, where the earlier links embed it
+    isometrically, so each error is that glue's, with its ``link``.  Each
+    later glue prefixes those labels with ``L:``; so prefixed, they place
+    every input's chain in one :func:`join_spaces`.
     """
     spaces = list(spaces)
     identifications = list(identifications)
@@ -146,25 +142,27 @@ def chain_glue(spaces, identifications) -> ChainGlueResult:
             f"{len(spaces)} spaces need {len(spaces) - 1} identification lists, "
             f"got {len(identifications)}"
         )
-    current = spaces[0]
-    embeddings: list[dict[str, str]] = [{l: l for l in current.labels}]
+    stages = [{l: l for l in spaces[0].labels}]  # each input's labels right after its link
     for link, (nxt, pairs) in enumerate(zip(spaces[1:], identifications)):
         try:
-            resolved = tuple((embeddings[link][a], b) for a, b in pairs)
+            resolved = tuple((stages[link][a], b) for a, b in pairs)
         except KeyError as exc:
             raise UnknownLabel(
                 f"link {link}: point {exc.args[0]!r} is not in space {link} of the chain",
                 label=exc.args[0],
                 link=link,
             ) from None
-        spec = GlueSpec(current, nxt, resolved)
+        held = spaces[link]
+        labels = tuple(map(stages[link].__getitem__, held.labels))
+        spec = GlueSpec(UltrametricSpace(labels, held.values, held.ranks), nxt, resolved)
         try:
-            glued = glue(spec)
+            _check_spec(spec)
         except UltrametricError as exc:
             exc.details["link"] = link
             raise
-        left, right = glue_embeddings(spec)
-        embeddings = [{orig: left[cur] for orig, cur in emb.items()} for emb in embeddings]
-        embeddings.append(right)
-        current = glued
-    return ChainGlueResult(current, tuple(embeddings))
+        stages.append(glue_embeddings(spec)[1])
+    embeddings = tuple(
+        {l: "L:" * (len(identifications) - k) + label for l, label in stage.items()}
+        for k, stage in enumerate(stages)
+    )
+    return ChainGlueResult(join_spaces(list(zip(spaces, embeddings)), []), embeddings)

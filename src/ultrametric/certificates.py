@@ -60,12 +60,10 @@ def certificate(
         embed_right = {pairing[a]: a for a in x.labels}
         return Certificate(x, embed_left, embed_right, ZERO)
 
-    labels = [f"L:{l}" for l in x.labels] + [f"R:{l}" for l in y.labels]
-    parts = [(x, range(len(x))), (y, range(len(x), len(labels)))]
-    links = [(t, x.index(bx[0]), len(x) + y.index(by[0])) for bx, by in result.block_map]
-    space = join_spaces(labels, parts, links)
     embed_left = {l: f"L:{l}" for l in x.labels}
     embed_right = {l: f"R:{l}" for l in y.labels}
+    links = [(t, embed_left[bx[0]], embed_right[by[0]]) for bx, by in result.block_map]
+    space = join_spaces([(x, embed_left), (y, embed_right)], links)
     return Certificate(space, embed_left, embed_right, t)
 
 

@@ -84,9 +84,8 @@ def crowd_family(
         prefix += "_"
     fresh = [f"{prefix}{k}" for k in range(1, n + 1)]
 
-    size, base_index = len(base_space), base_space.index(base_point)
-    links = [(c, base_index, size + k) for k in range(n)]
-    return join_spaces(list(base_space.labels) + fresh, [(base_space, range(size))], links)
+    identity = dict(zip(base_space.labels, base_space.labels))
+    return join_spaces([(base_space, identity)], [(c, base_point, label) for label in fresh])
 
 
 # Cells of the largest matrix a generator builds.  For ``cauchy_sequence``

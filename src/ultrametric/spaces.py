@@ -14,9 +14,9 @@ gaps between neighbours, ``d = max(gaps between)``, kept as ``_chain``.  A
 validated space keeps Prim's visit order and join keys (:func:`chain_order`),
 which its triangle check used.  Every builder hands its chain to the one
 builder :func:`space_from_chain`, whose proof covers them all: the single
-linkage of a chain is ultrametric.  Constructions on spaces join their
-chains in one spanning forest (:func:`join_spaces`) and subspaces restrict
-the source's chain, so no built space runs Prim again.
+linkage of a chain is ultrametric.  Constructions place points by label
+and join their chains in one spanning forest (:func:`join_spaces`), and
+subspaces restrict the source's chain, so no built space runs Prim again.
 """
 
 from __future__ import annotations
@@ -322,10 +322,12 @@ def space_from_chain(labels, order, gaps, values) -> UltrametricSpace:
     return space
 
 
-def join_spaces(labels, parts, links) -> UltrametricSpace:
-    """Single linkage of the graph on ``labels`` with the edges of each part
-    ``(space, at)``'s chain, its point ``i`` put at ``at[i]``, and an edge
-    per link ``(value, i, j)``, ``value > 0``; together they connect all.
+def join_spaces(parts, links) -> UltrametricSpace:
+    """Single linkage of the graph with the edges of each part ``(space,
+    to)``'s chain, its point labelled ``l`` placed at the output label
+    ``to[l]``, and an edge per link ``(value, a, b)`` between output labels,
+    ``value > 0``; together they connect all.  The output points are these
+    labels in order of first appearance, parts (in label order) before links.
 
     That is the single linkage of the graph's minimum spanning forest (Gower
     & Ross), so Kruskal's algorithm runs over these edges in rank order: each
@@ -334,12 +336,15 @@ def join_spaces(labels, parts, links) -> UltrametricSpace:
     final chain goes to :func:`space_from_chain`.
     """
     values, tables = merged_spectrum(*(s.values for s, _ in parts), [v for v, _, _ in links])
-    edges = [(rank, i, j) for rank, (_, i, j) in zip(tables.pop(), links)]
-    for (space, at), table in zip(parts, tables):
+    index, edges = {}, []
+    for (space, to), table in zip(parts, tables):
+        at = [index.setdefault(label, len(index)) for label in map(to.__getitem__, space.labels)]
         order, gaps = space._chain
         points = [at[p] for p in order]
         edges += zip(map(table.__getitem__, gaps), points, points[1:])
-    chains = [([p], []) for p in range(len(labels))]
+    for rank, (_, a, b) in zip(tables[-1], links):
+        edges.append((rank, index.setdefault(a, len(index)), index.setdefault(b, len(index))))
+    chains = [([p], []) for p in range(len(index))]
     for rank, i, j in sorted(edges, key=itemgetter(0)):
         big, small = chains[i], chains[j]
         if big is not small:
@@ -349,7 +354,7 @@ def join_spaces(labels, parts, links) -> UltrametricSpace:
             big[1].extend((rank, *small[1]))
             for p in small[0]:
                 chains[p] = big
-    return space_from_chain(labels, *chains[0], values)
+    return space_from_chain(list(index), *chains[0], values)
 
 
 def _check_axioms(labels, ranks, values) -> UltrametricSpace:

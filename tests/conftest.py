@@ -21,6 +21,7 @@ from ultrametric import (
     UltrametricSpace,
     cauchy_sequence,
     crowd_family,
+    glue,
     random_space,
     restrict,
     spectrum_constraint,
@@ -28,8 +29,9 @@ from ultrametric import (
 )
 # Loads every module that imports the builder, so BUILDER_MODULES finds it.
 from ultrametric import dendrogram, generators, spaces  # noqa: F401
+from ultrametric.amalgam import ChainGlueResult, glue_embeddings
 from ultrametric.dendrogram import leaf_labels
-from ultrametric.errors import InputFormat, UltrametricError
+from ultrametric.errors import EmptyChain, InputFormat, UltrametricError, UnknownLabel
 from ultrametric.rationals import as_rational, format_rational
 from ultrametric.spaces import ZERO
 
@@ -113,6 +115,43 @@ def random_glue_spec(rng: random.Random, max_side: int = 7) -> GlueSpec:
     right = validate_ultrametric([f"m:{l}" for l in right_raw.labels], right_raw.dist)
     identify = tuple((l, f"m:{l}") for l in labels[na - overlap : na])
     return GlueSpec(left, right, identify)
+
+
+def folded_chain_glue(spaces, identifications) -> ChainGlueResult:
+    """``chain_glue`` as a left fold of ``glue``: each link's left labels are
+    resolved through the space glued so far, every earlier embedding is
+    composed with the new glue's left map, and an error gets its ``link``."""
+    spaces = list(spaces)
+    identifications = list(identifications)
+    if not spaces:
+        raise EmptyChain("chain_glue needs at least one space")
+    if len(identifications) != len(spaces) - 1:
+        raise EmptyChain(
+            f"{len(spaces)} spaces need {len(spaces) - 1} identification lists, "
+            f"got {len(identifications)}"
+        )
+    current = spaces[0]
+    embeddings = [{l: l for l in current.labels}]
+    for link, (nxt, pairs) in enumerate(zip(spaces[1:], identifications)):
+        try:
+            resolved = tuple((embeddings[link][a], b) for a, b in pairs)
+        except KeyError as exc:
+            raise UnknownLabel(
+                f"link {link}: point {exc.args[0]!r} is not in space {link} of the chain",
+                label=exc.args[0],
+                link=link,
+            ) from None
+        spec = GlueSpec(current, nxt, resolved)
+        try:
+            glued = glue(spec)
+        except UltrametricError as exc:
+            exc.details["link"] = link
+            raise
+        left, right = glue_embeddings(spec)
+        embeddings = [{orig: left[cur] for orig, cur in emb.items()} for emb in embeddings]
+        embeddings.append(right)
+        current = glued
+    return ChainGlueResult(current, tuple(embeddings))
 
 
 def prim_edges(matrix) -> list[tuple[int, int, object]]:

@@ -14,7 +14,9 @@ payload.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from fractions import Fraction
+from itertools import combinations
 from math import lcm
 
 import pytest
@@ -67,6 +69,7 @@ from conftest import (
     BUILD_SPACE,
     SIX_VALUES,
     deep_and_wide,
+    folded_chain_glue,
     merge_tree,
     prim_edges,
     random_glue_spec,
@@ -340,6 +343,111 @@ def test_chain_glue_runs_prim_on_its_inputs_only(monkeypatch):
     assert glued == reference_chain_glue(chain, identifications)
 
 
+def test_chain_glue_builds_one_space_and_no_glue(monkeypatch):
+    rng = random.Random(823)
+    for links in (1, 2, 6):
+        chain, identifications = chain_spec(rng, links, 4)
+        built = []
+
+        def counted(labels, order, gaps, values):
+            built.append(len(labels))
+            return BUILD_SPACE(labels, order, gaps, values)
+
+        def unreachable(spec):
+            raise AssertionError("chain_glue glued an intermediate space")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(spaces, "space_from_chain", counted)
+            patch.setattr(amalgam, "glue", unreachable)
+            result = chain_glue(chain, identifications)
+        assert built == [len(result.space)]
+        assert result == folded_chain_glue(chain, identifications)
+
+
+# Each planted fault and the outcome it must give (ok or an error class,
+# "right" for a repeat on the right side).
+FAULTS = {
+    "none": "ok",
+    "left repeat": "DuplicateIdentification",
+    "right repeat": "DuplicateIdentification right",
+    "unknown left": "UnknownLabel",
+    "unknown right": "UnknownLabel",
+    "empty list": "EmptyCommonPart",
+    "disagreeing distances": "MetricMismatchOnA",
+    "list count": "EmptyChain",
+}
+
+
+def faulty_chain(rng, fault: str):
+    """A :func:`chain_spec` chain with ``fault`` planted at a random link.
+
+    The chain is redrawn until that link has room for the fault: a left
+    point not yet identified for a repeat on the right, a random pairing
+    whose distances disagree for a disagreement.  An unknown label is a
+    made-up one or a label of another space.
+    """
+    while True:
+        chain, identifications = chain_spec(rng, rng.randint(1, 5), rng.randint(1, 6))
+        link = rng.randrange(len(identifications))
+        x, y, pairs = chain[link], chain[link + 1], identifications[link]
+        free_x = [l for l in x.labels if l not in {a for a, _ in pairs}]
+        free_y = [l for l in y.labels if l not in {b for _, b in pairs}]
+        m = min(len(x), len(y))
+        pairing = list(zip(rng.sample(x.labels, m), rng.sample(y.labels, m)))
+        agrees = all(x.d(a, c) == y.d(b, d) for (a, b), (c, d) in combinations(pairing, 2))
+        if not (fault == "right repeat" and not free_x or fault == "disagreeing distances" and agrees):
+            break
+    k = rng.randrange(len(pairs))
+    a, b = pairs[k]
+
+    def stranger(side):
+        return rng.choice(["nowhere", *(s.labels[0] for s in chain if s is not side)])
+
+    if fault == "left repeat":
+        pairs.insert(rng.randint(0, len(pairs)), (a, rng.choice(free_y or y.labels)))
+    elif fault == "right repeat":
+        pairs.insert(rng.randint(0, len(pairs)), (rng.choice(free_x), b))
+    elif fault == "unknown left":
+        pairs[k] = (stranger(x), b)
+    elif fault == "unknown right":
+        pairs[k] = (a, stranger(y))
+    elif fault == "empty list":
+        pairs.clear()
+    elif fault == "disagreeing distances":
+        identifications[link] = pairing
+    elif fault == "list count":
+        if rng.random() < 0.5:
+            del identifications[rng.randrange(len(identifications))]
+        else:
+            identifications.insert(rng.randint(0, len(identifications)), [(a, b)])
+    return chain, identifications
+
+
+def chain_outcome(glue_chain, chain, identifications):
+    """The space and embeddings (in key order), or the error's class, message
+    and payload."""
+    try:
+        result = glue_chain(chain, identifications)
+    except UltrametricError as exc:
+        return type(exc).__name__, exc.message, exc.payload()
+    return "ok", result.space, [list(e.items()) for e in result.embeddings]
+
+
+def test_chain_glue_matches_the_fold_of_glue_on_planted_faults():
+    rng = random.Random(824)
+    seen = Counter()
+    for k in range(1200):
+        fault = list(FAULTS)[k % len(FAULTS)]
+        chain, identifications = faulty_chain(rng, fault)
+        want = chain_outcome(folded_chain_glue, chain, identifications)
+        assert chain_outcome(chain_glue, chain, identifications) == want, fault
+        if want[0] not in ("ok", "EmptyChain"):
+            assert "link" in want[2], want
+        side = " right" if want[0] != "ok" and "right side" in want[1] else ""
+        seen[fault, want[0] + side] += 1
+    assert all(seen[fault, outcome] >= 100 for fault, outcome in FAULTS.items()), seen
+
+
 def built_spaces(rng: random.Random, count: int):
     """Seeded outputs of each builder that ends in ``join_spaces``."""
     for k in range(count):
@@ -348,7 +456,8 @@ def built_spaces(rng: random.Random, count: int):
             yield glue(random_glue_spec(rng, max_side=rng.choice([4, 7, 12])))
         elif kind == 1:
             x, y = fresh(rng), fresh(rng)
-            yield disjoint_amalgam(x, y, max(x.diameter(), y.diameter()) * rng.choice([1, 2]))
+            s = max(x.diameter(), y.diameter()) * rng.choice([1, 2])
+            yield disjoint_amalgam(x, y, s or 1)  # two one-point spaces need a positive scale
         elif kind == 2:
             base = fresh(rng)
             c = (base.min_positive_distance() or Fraction(2)) * Fraction(rng.randint(1, 9), 10)
@@ -372,6 +481,14 @@ def test_results_on_built_spaces_do_not_depend_on_the_kept_chain():
         for pair, twin in (((built, other), (copy, other)), ((other, built), (other, copy))):
             assert ugh_distance(*pair) == ugh_distance(*twin)
             assert certificate(*pair) == certificate(*twin)
+
+
+def test_built_spaces_drawn_in_a_row_keep_their_chains():
+    for seed in (800, 822):
+        for built in built_spaces(random.Random(seed), 160):
+            order, gaps = built.__dict__["_chain"]
+            assert sorted(order) == list(range(len(built))) and all(gap > 0 for gap in gaps)
+            assert chain_ranks(order, gaps, [0] * len(built)) == built.ranks
 
 
 def test_disjoint_amalgam_matches_the_fraction_formula():
