@@ -1,4 +1,5 @@
-"""Growth-rate bench of the constructions, timed in process.
+"""Growth-rate bench of the constructions, timed in process, and the
+start-up cost of each CLI job.
 
 Usage (from the repository root)::
 
@@ -18,13 +19,29 @@ those two reference runs, so ``scaled`` counts milliseconds per
 reference-second and follows the program, not the host's speed.  A column
 keeps, per layer and size, its best time over the rounds (``ms``,
 ``scaled``) and the median over the rounds (``median_ms``,
-``median_scaled``).  No timing is checked; :func:`check_schema` checks the
-file's form only, of this schema and of the first, which kept the best only.
+``median_scaled``).  With two or more columns, each later column's medians
+are also given as ratios to the first column's (``ratios``), raw and scaled,
+and printed to stderr: a column run shares its reference pair with no other
+column, so a scaled ratio can drift with the host while the raw medians of
+interleaved rounds do not.
+
+The start-up row (``startup``) is the source a CLI job compiles, since a job
+started with ``PYTHONDONTWRITEBYTECODE=1`` compiles every package module it
+imports.  Per package module it gives the AST nodes of its source and the
+median CPU milliseconds of ``compile()`` over the rounds; per clean job of
+every verb (:data:`JOBS`, run from ``tests/golden``), the package modules the
+job leaves loaded and their sums.  That separates the package's share from
+interpreter start-up.
+
+No timing is checked; :func:`check_schema` checks the file's form only, of
+this schema and of the earlier ones (the first kept the best time only, the
+second had no start-up row and no ratios).
 """
 
 from __future__ import annotations
 
 import argparse
+import ast
 import hashlib
 import json
 import math
@@ -38,9 +55,12 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 REFERENCE = ROOT / "perfbench" / "reference.py"
-SCHEMA = "ultrametric-growth/2"
+GOLDEN = ROOT / "tests" / "golden"
+SCHEMA = "ultrametric-growth/3"
 # The first schema's layers, and its entries, which held the best time only.
 SCHEMA_1 = "ultrametric-growth/1"
+# The second schema: this one without the start-up row and the ratios.
+SCHEMA_2 = "ultrametric-growth/2"
 LAYERS_1 = ("glue", "disjoint_amalgam", "crowd_family", "certificate", "chain_glue")
 LAYERS = (
     *LAYERS_1,
@@ -58,6 +78,37 @@ SEEDS = (1, 2)
 # points to n, which the generators' cell budget allows up to n = 724.
 MAX_N = {"glue": 400, "crowd_family": 724}
 CHAIN_PART = 20  # points per space of the chain_glue chain, one shared per link
+# A clean job of every verb and family, on the corpus inputs.
+JOBS = {
+    "validate": ["validate", "isosceles.json"],
+    "validate_merge": ["validate", "dirty_space.json", "--merge-duplicates"],
+    "spectrum": ["spectrum", "isosceles.json"],
+    "quotient": ["quotient", "isosceles.json", "--t", "1"],
+    "hausdorff": ["hausdorff", "isosceles.json", "--a", '["a"]', "--b", '["b"]'],
+    "net": ["net", "isosceles.json", "--eps", "1"],
+    "glue": ["glue", "gluespec.json"],
+    "amalgam": ["amalgam", "pair.json", "single.json", "--s", "1"],
+    "ugh": ["ugh", "x_half.json", "x_three_quarters.json"],
+    "ugh_oracle": ["ugh", "x_half.json", "x_three_quarters.json", "--oracle"],
+    "ugh_certificate": ["ugh", "x_half.json", "x_three_quarters.json", "--certificate", os.devnull],
+    "gen_two_point": ["gen", "two-point", "--c", "1/2"],
+    "gen_crowd": ["gen", "crowd", "--space", "pair.json", "--base", "a", "--c", "1/2", "--n", "1"],
+    "gen_cauchy": ["gen", "cauchy", "--depth", "2"],
+    "gen_random": ["gen", "random", "--n", "3", "--k", "0,1", "--seed", "1"],
+    "cluster": ["cluster", "--input", "metric.json"],
+    "in_uk": ["in-uk", "isosceles.json", "--k", "0,1,2"],
+}
+# Runs the CLI as ``python -m ultrametric`` does, then prints the package
+# modules it left loaded as the last line of stdout.
+LIST_MODULES = """
+import json, runpy, sys
+sys.argv = ["ultrametric", *sys.argv[1:]]
+try:
+    runpy.run_module("ultrametric", run_name="__main__", alter_sys=True)
+except SystemExit:
+    pass
+print(json.dumps(sorted(name for name in sys.modules if name.split(".")[0] == "ultrametric")))
+"""
 
 
 def children_cpu() -> float:
@@ -145,6 +196,61 @@ def measure(sizes: list[int], repeat: int) -> dict:
     return out
 
 
+def compile_times(src: Path, repeat: int) -> dict:
+    """Median CPU milliseconds of ``compile()`` per package module."""
+    import time
+
+    out = {}
+    for path in sorted((src / "ultrametric").glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        times = []
+        for _ in range(repeat):
+            start = time.process_time()
+            compile(text, str(path), "exec")
+            times.append(time.process_time() - start)
+        out[module_name(path)] = statistics.median(times) * 1000
+    return out
+
+
+def module_name(path: Path) -> str:
+    return "ultrametric" if path.stem == "__init__" else f"ultrametric.{path.stem}"
+
+
+def ast_nodes(src: Path) -> dict:
+    """AST nodes of each package module's source."""
+    return {
+        module_name(path): sum(1 for _ in ast.walk(ast.parse(path.read_bytes())))
+        for path in sorted((src / "ultrametric").glob("*.py"))
+    }
+
+
+def job_modules(src: Path) -> dict:
+    """The package modules each of :data:`JOBS` leaves loaded."""
+    env = {**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"}
+    out = {}
+    for job, argv in JOBS.items():
+        proc = subprocess.run(
+            [sys.executable, "-c", LIST_MODULES, *argv], cwd=GOLDEN, env=env, check=True, capture_output=True, text=True
+        )
+        out[job] = json.loads(proc.stdout.splitlines()[-1])
+    return out
+
+
+def startup(src: Path, compile_ms: dict) -> dict:
+    """The start-up row of a column: per module, then per job."""
+    nodes = ast_nodes(src)
+    modules = {name: {"nodes": nodes[name], "compile_ms": round(ms, 3)} for name, ms in compile_ms.items()}
+    jobs = {
+        job: {
+            "modules": loaded,
+            "nodes": sum(nodes[name] for name in loaded),
+            "compile_ms": round(sum(compile_ms[name] for name in loaded), 3),
+        }
+        for job, loaded in job_modules(src).items()
+    }
+    return {"modules": modules, "jobs": jobs}
+
+
 def digest(src: Path) -> str:
     """SHA-256 over the package's sources, by relative path."""
     h = hashlib.sha256()
@@ -154,6 +260,7 @@ def digest(src: Path) -> str:
 
 
 def run_column(src: Path, sizes: list[int], repeat: int) -> dict:
+    """One worker run: ``{"layers": ..., "compile_ms": ...}``."""
     env = {**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"}
     argv = [sys.executable, __file__, "--worker", "--sizes", ",".join(map(str, sizes))]
     proc = subprocess.run([*argv, "--repeat", str(repeat)], env=env, check=True, capture_output=True, text=True)
@@ -170,17 +277,20 @@ def slope(times: dict) -> float | None:
 
 def bench(columns: dict[str, Path], sizes: list[int], repeat: int, rounds: int) -> dict:
     runs = {name: {layer: {} for layer in LAYERS} for name in columns}
+    compiles = {name: {} for name in columns}
     refs = []
     for r in range(rounds):
         names = list(columns) if r % 2 == 0 else list(reversed(columns))
         for name in names:
             before = run_reference()
-            times = run_column(columns[name], sizes, repeat)
+            out = run_column(columns[name], sizes, repeat)
             after = run_reference()
             refs += [before, after]
-            for layer, by_n in times.items():
+            for layer, by_n in out["layers"].items():
                 for n, ms in by_n.items():
                     runs[name][layer].setdefault(n, []).append((ms, ms / ((before + after) / 2)))
+            for module, ms in out["compile_ms"].items():
+                compiles[name].setdefault(module, []).append(ms)
     kept = {
         name: {layer: {n: summary(timed) for n, timed in by_n.items()} for layer, by_n in layers.items()}
         for name, layers in runs.items()
@@ -200,9 +310,30 @@ def bench(columns: dict[str, Path], sizes: list[int], repeat: int, rounds: int) 
                 "digest": digest(src),
                 "times": kept[name],
                 "slopes": {layer: slope({n: e["scaled"] for n, e in by_n.items()}) for layer, by_n in kept[name].items()},
+                "startup": startup(src, {m: statistics.median(ms) for m, ms in compiles[name].items()}),
             }
             for name, src in columns.items()
         },
+        "ratios": ratios(kept),
+    }
+
+
+def ratios(kept: dict) -> dict:
+    """Each later column's medians over the first column's, per layer and size:
+    ``raw`` from ``median_ms``, ``scaled`` from ``median_scaled``."""
+    (_, base), *rest = kept.items()
+    return {
+        name: {
+            layer: {
+                n: {
+                    kind: round(entry[field] / base[layer][n][field], 3) if base[layer][n][field] > 0 else None
+                    for kind, field in (("raw", "median_ms"), ("scaled", "median_scaled"))
+                }
+                for n, entry in by_n.items()
+            }
+            for layer, by_n in layers.items()
+        }
+        for name, layers in rest
     }
 
 
@@ -219,8 +350,8 @@ def summary(timed: list[tuple[float, float]]) -> dict:
 
 def check_schema(doc: dict) -> None:
     """Raise AssertionError unless ``doc`` has the form :func:`bench` writes,
-    or the form of the first schema."""
-    assert doc["schema"] in (SCHEMA, SCHEMA_1)
+    or the form of an earlier schema."""
+    assert doc["schema"] in (SCHEMA, SCHEMA_2, SCHEMA_1)
     layers, fields = (LAYERS, {"ms", "scaled", "median_ms", "median_scaled"})
     if doc["schema"] == SCHEMA_1:
         layers, fields = (LAYERS_1, {"ms", "scaled"})
@@ -238,6 +369,44 @@ def check_schema(doc: dict) -> None:
             for entry in by_n.values():
                 assert set(entry) == fields and all(entry[field] >= 0 for field in fields)
             assert column["slopes"][layer] is None or isinstance(column["slopes"][layer], float)
+    if doc["schema"] != SCHEMA:
+        return
+    for column in doc["columns"].values():
+        modules, jobs = column["startup"]["modules"], column["startup"]["jobs"]
+        assert "ultrametric" in modules and set(jobs) == set(JOBS), sorted(jobs)
+        for entry in modules.values():
+            assert entry["nodes"] > 0 and entry["compile_ms"] >= 0
+        for job, entry in jobs.items():
+            assert {"ultrametric", "ultrametric.cli"} <= set(entry["modules"]) <= set(modules), job
+            assert entry["nodes"] == sum(modules[m]["nodes"] for m in entry["modules"]), job
+            assert entry["compile_ms"] >= 0, job
+    names = list(doc["columns"])
+    assert list(doc["ratios"]) == names[1:]
+    for name, layers in doc["ratios"].items():
+        assert set(layers) == set(LAYERS)
+        for layer, by_n in layers.items():
+            assert set(by_n) == set(doc["columns"][name]["times"][layer]), (name, layer)
+            for entry in by_n.values():
+                assert set(entry) == {"raw", "scaled"}
+
+
+def report(doc: dict) -> str:
+    """The ratios and the start-up sums as text, one line per layer or job."""
+    first, *rest = doc["columns"]
+    lines = []
+    for name in rest:
+        lines.append(f"{first} -> {name}, ratio of medians (raw, scaled):")
+        for layer, by_n in doc["ratios"][name].items():
+            cells = ", ".join(f"n={n} {e['raw']}x/{e['scaled']}x" for n, e in by_n.items())
+            lines.append(f"  {layer}: {cells}")
+    lines.append("start-up, package AST nodes and compile ms per job:")
+    for job in JOBS:
+        cells = ", ".join(
+            f"{name} {c['startup']['jobs'][job]['nodes']} / {c['startup']['jobs'][job]['compile_ms']:.2f}"
+            for name, c in doc["columns"].items()
+        )
+        lines.append(f"  {job}: {cells}")
+    return "\n".join(lines) + "\n"
 
 
 def main(argv=None) -> int:
@@ -251,11 +420,15 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     sizes = [int(n) for n in args.sizes.split(",")]
     if args.worker:
-        print(json.dumps(measure(sizes, args.repeat)))
+        import ultrametric
+
+        src = Path(ultrametric.__file__).resolve().parent.parent
+        print(json.dumps({"layers": measure(sizes, args.repeat), "compile_ms": compile_times(src, args.repeat)}))
         return 0
     columns = dict(spec.split("=", 1) for spec in args.src or ["change=src"])
     doc = bench({name: Path(src).resolve() for name, src in columns.items()}, sizes, args.repeat, args.rounds)
     check_schema(doc)
+    sys.stderr.write(report(doc))
     text = json.dumps(doc, indent=1) + "\n"
     if args.output:
         Path(args.output).write_text(text, encoding="utf-8")

@@ -24,7 +24,7 @@ _HOME = {
     "Merge": "dendrogram",
     "Node": "dendrogram",
     "ORACLE_MAX_POINTS": "oracle",
-    "QuotientSpace": "spaces",
+    "QuotientSpace": "builders",
     "SpectrumConstraint": "generators",
     "UghResult": "gromov",
     "UltrametricError": "errors",
@@ -33,19 +33,19 @@ _HOME = {
     "cauchy_sequence": "generators",
     "certificate": "certificates",
     "chain_glue": "amalgam",
-    "closed_quotient": "spaces",
+    "closed_quotient": "builders",
     "crowd_family": "generators",
     "disjoint_amalgam": "amalgam",
     "encoding": "dendrogram",
     "epsilon_net": "hyperspace",
     "format_rational": "rationals",
-    "from_dendrogram": "dendrogram",
+    "from_dendrogram": "builders",
     "glue": "amalgam",
     "hausdorff_distance": "hyperspace",
     "in_uk": "generators",
     "isometric": "dendrogram",
     "isometry_witness": "dendrogram",
-    "merge_duplicate_points": "spaces",
+    "merge_duplicate_points": "builders",
     "parse_rational": "rationals",
     "random_space": "generators",
     "restrict": "hyperspace",

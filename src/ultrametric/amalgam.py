@@ -14,17 +14,20 @@ outputs deterministic and collision-free.  Each construction here is one
 
 from __future__ import annotations
 
+from .builders import join_spaces
 from .errors import (
     DuplicateIdentification,
     EmptyChain,
     EmptyCommonPart,
+    InputFormat,
     MetricMismatchOnA,
     ScaleTooSmall,
     UltrametricError,
     UnknownLabel,
 )
+from .jsonio import space_from_obj
 from .rationals import as_rational, format_rational
-from .spaces import Record, UltrametricSpace, join_spaces
+from .spaces import Record, UltrametricSpace
 
 
 class GlueSpec(Record):
@@ -36,6 +39,27 @@ class GlueSpec(Record):
 
     def __init__(self, x1, x2, identify):
         super().__init__(x1, x2, tuple((a, b) for a, b in identify))
+
+
+def gluespec_from_obj(obj) -> GlueSpec:
+    """The glue spec ``{"x1": <space>, "x2": <space>, "identify": [["a", "a2"], ...]}``,
+    both spaces validated."""
+    if not isinstance(obj, dict):
+        raise InputFormat("glue spec must be a JSON object")
+    for key in ("x1", "x2", "identify"):
+        if key not in obj:
+            raise InputFormat(f'glue spec needs "{key}"')
+    pairs = obj["identify"]
+    if not isinstance(pairs, list) or not all(
+        isinstance(p, list) and len(p) == 2 and all(isinstance(s, str) for s in p)
+        for p in pairs
+    ):
+        raise InputFormat('"identify" must be a list of [left, right] label pairs')
+    return GlueSpec(
+        space_from_obj(obj["x1"]),
+        space_from_obj(obj["x2"]),
+        tuple((a, b) for a, b in pairs),
+    )
 
 
 def _check_spec(spec: GlueSpec) -> None:

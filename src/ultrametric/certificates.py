@@ -11,17 +11,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import CertificateInvalid
+from .builders import join_spaces
+from .errors import CertificateInvalid, InputFormat
 from .gromov import UghResult, ugh_distance
-from .rationals import format_rational
-from .spaces import (
-    ZERO,
-    Record,
-    UltrametricSpace,
-    _check_axioms,
-    _check_labels,
-    join_spaces,
-)
+from .jsonio import space_from_obj, space_to_obj
+from .rationals import as_rational, format_rational
+from .spaces import ZERO, Record, UltrametricSpace, _check_axioms, _check_labels
 
 
 class Certificate(Record):
@@ -31,6 +26,37 @@ class Certificate(Record):
     embed_left: dict[str, str]
     embed_right: dict[str, str]
     achieved: Fraction
+
+
+def certificate_to_obj(cert: Certificate) -> dict:
+    """The certificate format: ``{"space": <space>, "embed_left": {...},
+    "embed_right": {...}, "achieved": "1/2"}``."""
+    return {
+        "space": space_to_obj(cert.space),
+        "embed_left": dict(cert.embed_left),
+        "embed_right": dict(cert.embed_right),
+        "achieved": format_rational(cert.achieved),
+    }
+
+
+def certificate_from_obj(obj) -> Certificate:
+    if not isinstance(obj, dict):
+        raise InputFormat("certificate must be a JSON object")
+    for key in ("space", "embed_left", "embed_right", "achieved"):
+        if key not in obj:
+            raise InputFormat(f'certificate needs "{key}"')
+    for key in ("embed_left", "embed_right"):
+        mapping = obj[key]
+        if not isinstance(mapping, dict) or not all(
+            isinstance(k, str) and isinstance(v, str) for k, v in mapping.items()
+        ):
+            raise InputFormat(f'"{key}" must map labels to labels')
+    return Certificate(
+        space_from_obj(obj["space"]),
+        dict(obj["embed_left"]),
+        dict(obj["embed_right"]),
+        as_rational(obj["achieved"]),
+    )
 
 
 def certificate(

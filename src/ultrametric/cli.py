@@ -18,7 +18,7 @@ from types import SimpleNamespace
 from . import jsonio
 from .errors import InputFormat, InvalidParameter, OracleMismatch, UltrametricError
 from .rationals import format_rational, parse_rational, parse_rational_list
-from .spaces import closed_quotient, merge_duplicate_points, spectrum, validate_ultrametric
+from .spaces import spectrum, validate_ultrametric
 
 
 def _read_text(path: str) -> str:
@@ -44,6 +44,8 @@ def _load_json(path: str):
 def _load_space(path: str, merge_duplicates: bool = False):
     points, dist = jsonio.raw_space_from_obj(_load_json(path))
     if merge_duplicates:
+        from .builders import merge_duplicate_points
+
         points, dist = merge_duplicate_points(points, dist)
     return validate_ultrametric(points, dist)
 
@@ -296,6 +298,8 @@ def _run(args) -> dict | list:
         return jsonio.rational_list_to_obj(spectrum(space))
 
     if args.verb == "quotient":
+        from .builders import closed_quotient
+
         space = _load_space(args.space)
         q = closed_quotient(space, parse_rational(args.t))
         return jsonio.quotient_to_obj(q)
@@ -315,9 +319,9 @@ def _run(args) -> dict | list:
         return list(net)
 
     if args.verb == "glue":
-        from .amalgam import glue
+        from .amalgam import glue, gluespec_from_obj
 
-        spec = jsonio.gluespec_from_obj(_load_json(args.gluespec))
+        spec = gluespec_from_obj(_load_json(args.gluespec))
         return jsonio.space_to_obj(glue(spec))
 
     if args.verb == "amalgam":
@@ -346,11 +350,11 @@ def _run(args) -> dict | list:
                     oracle=format_rational(oracle_value),
                 )
         if args.certificate:
-            from .certificates import certificate
+            from .certificates import certificate, certificate_to_obj
 
             # Correct by construction for ugh_distance's own result; see certificate.
             cert = certificate(a, b, result)
-            _emit(jsonio.dumps(jsonio.certificate_to_obj(cert)), args.certificate)
+            _emit(jsonio.dumps(certificate_to_obj(cert)), args.certificate)
         return jsonio.ugh_result_to_obj(result)
 
     if args.verb == "gen":
@@ -379,6 +383,8 @@ def _run(args) -> dict | list:
 
         points, dist = jsonio.raw_space_from_obj(_load_json(args.input))
         if args.merge_duplicates:
+            from .builders import merge_duplicate_points
+
             points, dist = merge_duplicate_points(points, dist)
         return jsonio.space_to_obj(single_linkage(points, dist))
 

@@ -29,10 +29,8 @@ from __future__ import annotations
 from fractions import Fraction
 from operator import itemgetter
 
-from .errors import MalformedTree
-from .rationals import as_rational, format_rational
-from .spaces import ZERO, Record, UltrametricSpace, _check_labels, chain_runs, merged_spectrum
-from .spaces import space_from_chain
+from .rationals import format_rational
+from .spaces import Record, UltrametricSpace, chain_runs
 
 
 class Leaf(Record):
@@ -109,19 +107,24 @@ def quotient_canon(space: UltrametricSpace, t=0) -> tuple[Node, tuple]:
     """Canonical merge tree of the closed-ball quotient at ``t``, and its key.
 
     Each run of :func:`ultrametric.spaces.chain_runs` becomes its lowest-index
-    point, as in :func:`closed_quotient`, with the cut gaps between them.  At
-    ``t = 0`` the runs are single points: the tree of the space.
+    point, as in :func:`ultrametric.builders.closed_quotient`, with the cut
+    gaps between them.  At ``t = 0`` the runs are single points: the tree of
+    the space.
     """
     runs, gaps = chain_runs(space, t)
     return chain_canon([space.labels[min(run)] for run in runs], gaps, space.values)
 
 
 def _tree_canon(node: Node) -> tuple[Node, tuple]:
+    # A tree is read, and checked, as the chain of its leaves.
+    from .builders import _tree_chain
+
     return chain_canon(*_tree_chain(node))
 
 
 def canonicalize(node: Node) -> Node:
-    """The canonical form of a tree; raises MalformedTree as :func:`from_dendrogram` does."""
+    """The canonical form of a tree; raises MalformedTree as
+    :func:`ultrametric.builders.from_dendrogram` does."""
     return _tree_canon(node)[0]
 
 
@@ -142,57 +145,6 @@ def leaf_pairing(a: Node, b: Node) -> dict[str, str]:
 def to_dendrogram(space: UltrametricSpace) -> Node:
     """Merge-tree of a space, in canonical form."""
     return quotient_canon(space)[0]
-
-
-def from_dendrogram(node: Node) -> UltrametricSpace:
-    """Space whose distances are lowest-common-ancestor heights.
-
-    Raises MalformedTree on structural defects: heights not strictly
-    decreasing toward the leaves, internal nodes with fewer than two children,
-    nonpositive heights, or duplicate leaf labels.
-    """
-    labels, gaps, values = _tree_chain(node)
-    return space_from_chain(_check_labels(labels), list(range(len(labels))), gaps, values)
-
-
-def _tree_chain(node: Node) -> tuple[list[str], list[int], list[Fraction]]:
-    """A tree's leaf labels in pre-order, the gaps between them as ranks
-    into ``values``, and ``values``: 0 and the heights, sorted.
-
-    Nodes are checked in pre-order, each height read once and tested against
-    its parent first.  A leaf meets the one before it at the parent of its
-    lowest ancestor (or itself) that is not a first child, whose height is
-    their gap: two leaves meet at the highest of the merges between them.
-    """
-    order: list[str] = []
-    gaps: list[Fraction] = []
-    stack: list[tuple[Node, Fraction | None, bool]] = [(node, None, False)]
-    while stack:
-        current, parent, later = stack.pop()
-        leaf = isinstance(current, Leaf)
-        height = ZERO if leaf else as_rational(current.height)
-        if parent is not None:
-            if height >= parent:
-                raise MalformedTree(
-                    f"child height {format_rational(height)} does not "
-                    f"decrease below parent height {format_rational(parent)}"
-                )
-            if later:
-                gaps.append(parent)
-        if leaf:
-            order.append(current.label)
-            continue
-        if height <= 0:
-            raise MalformedTree(f"internal node height {format_rational(height)} is not positive")
-        if len(current.children) < 2:
-            raise MalformedTree("internal node has fewer than two children")
-        first, *rest = current.children
-        stack.extend((child, height, True) for child in reversed(rest))
-        stack.append((first, height, False))
-    if len(set(order)) != len(order):
-        raise MalformedTree("duplicate leaf labels")
-    values, (_, ranks) = merged_spectrum((ZERO,), gaps)
-    return order, ranks, values
 
 
 def isometry_witness(x: UltrametricSpace, y: UltrametricSpace) -> dict[str, str] | None:

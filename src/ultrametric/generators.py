@@ -10,6 +10,7 @@ from fractions import Fraction
 from math import isqrt, lcm
 from operator import add
 
+from .builders import join_spaces, space_from_chain
 from .errors import (
     BasePointMissing,
     ConstraintTooSmall,
@@ -28,9 +29,7 @@ from .spaces import (
     _check_labels,
     chain_order,
     chain_ranks,
-    join_spaces,
     rank_image,
-    space_from_chain,
 )
 
 

@@ -41,7 +41,7 @@ caterpillar), so a search past the chains costs ``O(n log n * log k)``.  At
 the answer the leaves of the two canonical quotient trees are paired in leaf
 order for the block map, whose blocks are the closed balls of
 :func:`ultrametric.spaces.closed_balls`, named by their lowest-index point
-exactly as :func:`closed_quotient` names them.
+exactly as :func:`ultrametric.builders.closed_quotient` names them.
 
 The exhaustive search in :mod:`ultrametric.oracle` double-checks the whole
 scheme on small instances; the acceptance suite treats any disagreement as a

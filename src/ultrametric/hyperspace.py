@@ -10,7 +10,7 @@ from fractions import Fraction
 
 from .errors import DuplicateLabel, EmptySubset, InvalidParameter
 from .rationals import as_rational, format_rational
-from .spaces import UltrametricSpace, closed_balls, subspace
+from .spaces import UltrametricSpace, closed_balls
 
 
 def _subset_indices(space: UltrametricSpace, subset, name: str) -> list[int]:
@@ -37,6 +37,8 @@ def hausdorff_distance(space: UltrametricSpace, a, b) -> Fraction:
 
 def restrict(space: UltrametricSpace, subset) -> UltrametricSpace:
     """Induced subspace on the given points, kept in source label order."""
+    from .builders import subspace
+
     return subspace(space, sorted(_subset_indices(space, subset, "subset")))
 
 

@@ -3,8 +3,13 @@
 Formats (all rational values are canonical strings like ``"0"``, ``"1/2"``):
 
 * space:      ``{"points": ["a", ...], "dist": [["0", "1/2", ...], ...]}``
-* glue spec:  ``{"x1": <space>, "x2": <space>, "identify": [["a","a2"], ...]}``
+* quotient:   a space plus ``"scale"`` and ``"blocks"``
 * subset:     ``["a", "b", ...]``
+* u_GH value: ``{"value": "3/4", "scale_witness": "3/4"}``
+
+The glue spec and certificate formats live beside their records, in
+:mod:`ultrametric.amalgam` and :mod:`ultrametric.certificates`, so a job
+that reads neither does not compile their codecs.
 
 Readers ignore unknown keys so enriched outputs (for example a quotient space
 carrying its ``blocks``) can be piped straight back in; writers always emit
@@ -17,11 +22,10 @@ import json
 
 from .errors import InputFormat
 from .rationals import as_rational, format_rational
-from .spaces import QuotientSpace, UltrametricSpace, validate_ultrametric
+from .spaces import UltrametricSpace, validate_ultrametric
 
-# Glue and certificate types are imported by the functions that build them,
-# so reading a space pulls in neither module; elsewhere they appear only in
-# annotations, which are never evaluated.
+# QuotientSpace and UghResult appear only in annotations, which are never
+# evaluated, so writing them loads neither the builders nor the scan.
 
 
 def dumps(obj) -> str:
@@ -72,27 +76,6 @@ def quotient_to_obj(q: QuotientSpace) -> dict:
     return obj
 
 
-def gluespec_from_obj(obj) -> GlueSpec:
-    from .amalgam import GlueSpec
-
-    if not isinstance(obj, dict):
-        raise InputFormat("glue spec must be a JSON object")
-    for key in ("x1", "x2", "identify"):
-        if key not in obj:
-            raise InputFormat(f'glue spec needs "{key}"')
-    pairs = obj["identify"]
-    if not isinstance(pairs, list) or not all(
-        isinstance(p, list) and len(p) == 2 and all(isinstance(s, str) for s in p)
-        for p in pairs
-    ):
-        raise InputFormat('"identify" must be a list of [left, right] label pairs')
-    return GlueSpec(
-        space_from_obj(obj["x1"]),
-        space_from_obj(obj["x2"]),
-        tuple((a, b) for a, b in pairs),
-    )
-
-
 def subset_from_obj(obj) -> list[str]:
     if not isinstance(obj, list) or not all(isinstance(s, str) for s in obj):
         raise InputFormat("subset must be a JSON array of point labels")
@@ -106,36 +89,15 @@ def ugh_result_to_obj(result: UghResult) -> dict:
     }
 
 
-def certificate_to_obj(cert: Certificate) -> dict:
-    return {
-        "space": space_to_obj(cert.space),
-        "embed_left": dict(cert.embed_left),
-        "embed_right": dict(cert.embed_right),
-        "achieved": format_rational(cert.achieved),
-    }
-
-
-def certificate_from_obj(obj) -> Certificate:
-    from .certificates import Certificate
-
-    if not isinstance(obj, dict):
-        raise InputFormat("certificate must be a JSON object")
-    for key in ("space", "embed_left", "embed_right", "achieved"):
-        if key not in obj:
-            raise InputFormat(f'certificate needs "{key}"')
-    for key in ("embed_left", "embed_right"):
-        mapping = obj[key]
-        if not isinstance(mapping, dict) or not all(
-            isinstance(k, str) and isinstance(v, str) for k, v in mapping.items()
-        ):
-            raise InputFormat(f'"{key}" must map labels to labels')
-    return Certificate(
-        space_from_obj(obj["space"]),
-        dict(obj["embed_left"]),
-        dict(obj["embed_right"]),
-        as_rational(obj["achieved"]),
-    )
-
-
 def rational_list_to_obj(values) -> list[str]:
     return [format_rational(as_rational(v)) for v in values]
+
+
+def __getattr__(name):
+    # perfbench/replay.py, kept unchanged, still reads these two codecs from here.
+    homes = {"gluespec_from_obj": "amalgam", "certificate_to_obj": "certificates"}
+    if name in homes:
+        from importlib import import_module
+
+        return getattr(import_module(f".{homes[name]}", __package__), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

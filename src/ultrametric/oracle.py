@@ -22,7 +22,7 @@ from itertools import permutations
 
 from .errors import InstanceTooLarge
 from .hyperspace import hausdorff_distance
-from .spaces import UltrametricSpace, block_matrix, spectrum, validate_ultrametric
+from .spaces import UltrametricSpace, spectrum, validate_ultrametric
 
 ORACLE_MAX_POINTS = 4
 
@@ -43,6 +43,13 @@ def brute_force_isometry(x: UltrametricSpace, y: UltrametricSpace) -> dict[str, 
         ):
             return {x.labels[i]: y.labels[perm[i]] for i in range(n)}
     return None
+
+
+def block_matrix(a, b, cross) -> list[list]:
+    """The square matrix ``[[a, cross], [cross^T, b]]`` as fresh rows."""
+    top = [[*row_a, *row_c] for row_a, row_c in zip(a, cross)]
+    bottom = [[row_c[j] for row_c in cross] + list(row_b) for j, row_b in enumerate(b)]
+    return top + bottom
 
 
 def _rank_hausdorff(cross: list[list[int]], nx: int, ny: int) -> int:

@@ -12,11 +12,10 @@ they enter, as the axioms are.  A hand-built :class:`UltrametricSpace` is
 therefore unchecked.  A hierarchy takes one form here: a point order and the
 gaps between neighbours, ``d = max(gaps between)``, kept as ``_chain``.  A
 validated space keeps Prim's visit order and join keys (:func:`chain_order`),
-which its triangle check used.  Every builder hands its chain to the one
-builder :func:`space_from_chain`, whose proof covers them all: the single
-linkage of a chain is ultrametric.  Constructions place points by label
-and join their chains in one spanning forest (:func:`join_spaces`), and
-subspaces restrict the source's chain, so no built space runs Prim again.
+which its triangle check used, and its closed balls are runs of that chain
+(:func:`chain_runs`).  This module reads, checks and measures spaces; the
+code that builds one from a chain or from other spaces is in
+:mod:`ultrametric.builders`, which a job that only reads does not load.
 """
 
 from __future__ import annotations
@@ -31,7 +30,6 @@ from .errors import (
     EmptySpace,
     InputFormat,
     InstanceTooLarge,
-    InvalidParameter,
     NegativeDistance,
     NonSymmetric,
     NonzeroDiagonal,
@@ -211,14 +209,6 @@ def _coerce_matrix(labels, matrix) -> tuple[tuple[str, ...], list[list[int]], li
     return (labels, *rank_image(matrix, n))
 
 
-def merged_spectrum(*spectra) -> tuple[list[Fraction], list[list[int]]]:
-    """The sorted union of some value lists, and per list the table taking
-    a rank in it to the rank of the same value in the union."""
-    values = sorted(set().union(*spectra))
-    position = {v: r for r, v in enumerate(values)}
-    return values, [[position[v] for v in spectrum] for spectrum in spectra]
-
-
 def chain_order(ranks) -> tuple[list[int], list[int]]:
     """Single linkage's point order and the gaps between neighbours in it.
 
@@ -278,13 +268,6 @@ def chain_ranks(order, gaps, diagonal) -> tuple[tuple[int, ...], ...]:
     return tuple(in_point_order(rows[p]) for p in position)
 
 
-def block_matrix(a, b, cross) -> list[list]:
-    """The square matrix ``[[a, cross], [cross^T, b]]`` as fresh rows."""
-    top = [[*row_a, *row_c] for row_a, row_c in zip(a, cross)]
-    bottom = [[row_c[j] for row_c in cross] + list(row_b) for j, row_b in enumerate(b)]
-    return top + bottom
-
-
 def validate_ultrametric(labels, matrix) -> UltrametricSpace:
     """Check every axiom and return the validated space.
 
@@ -297,64 +280,6 @@ def validate_ultrametric(labels, matrix) -> UltrametricSpace:
     which the returned space keeps, with the chain of the subdominant.
     """
     return _check_axioms(*_coerce_matrix(labels, matrix))
-
-
-def space_from_chain(labels, order, gaps, values) -> UltrametricSpace:
-    """The space on ``labels`` with ``d = max(gaps between)`` along ``order``,
-    which lists each index into ``labels`` once; ``gaps[p]``, a positive rank
-    into ``values`` (sorted, distinct, 0 first), lies between ``order[p]``
-    and ``order[p + 1]``.
-
-    Every builder ends here, so no entry is parsed again and one proof stands
-    in for the axiom scan: the interval between two of three points lies in
-    the union of the intervals from each to the third, so its largest gap is
-    at most the larger of theirs, and positive gaps keep points apart.  Labels
-    are trusted, checked where they enter.  Unused values are dropped, and
-    the space keeps the chain.
-    """
-    used = sorted({0, *gaps})
-    if len(used) < len(values):
-        gaps = list(map(dict(zip(used, range(len(used)))).__getitem__, gaps))
-        values = [values[r] for r in used]
-    ranks = chain_ranks(order, gaps, [0] * len(order))
-    space = UltrametricSpace(tuple(labels), tuple(values), ranks)
-    space.__dict__["_chain"] = order, gaps  # where ``cached_property`` keeps it
-    return space
-
-
-def join_spaces(parts, links) -> UltrametricSpace:
-    """Single linkage of the graph with the edges of each part ``(space,
-    to)``'s chain, its point labelled ``l`` placed at the output label
-    ``to[l]``, and an edge per link ``(value, a, b)`` between output labels,
-    ``value > 0``; together they connect all.  The output points are these
-    labels in order of first appearance, parts (in label order) before links.
-
-    That is the single linkage of the graph's minimum spanning forest (Gower
-    & Ross), so Kruskal's algorithm runs over these edges in rank order: each
-    component is a chain, and a join appends the smaller to the larger with
-    the joining rank, at least every gap inside either, between them.  The
-    final chain goes to :func:`space_from_chain`.
-    """
-    values, tables = merged_spectrum(*(s.values for s, _ in parts), [v for v, _, _ in links])
-    index, edges = {}, []
-    for (space, to), table in zip(parts, tables):
-        at = [index.setdefault(label, len(index)) for label in map(to.__getitem__, space.labels)]
-        order, gaps = space._chain
-        points = [at[p] for p in order]
-        edges += zip(map(table.__getitem__, gaps), points, points[1:])
-    for rank, (_, a, b) in zip(tables[-1], links):
-        edges.append((rank, index.setdefault(a, len(index)), index.setdefault(b, len(index))))
-    chains = [([p], []) for p in range(len(index))]
-    for rank, i, j in sorted(edges, key=itemgetter(0)):
-        big, small = chains[i], chains[j]
-        if big is not small:
-            if len(big[0]) < len(small[0]):
-                big, small = small, big
-            big[0].extend(small[0])
-            big[1].extend((rank, *small[1]))
-            for p in small[0]:
-                chains[p] = big
-    return space_from_chain(list(index), *chains[0], values)
 
 
 def _check_axioms(labels, ranks, values) -> UltrametricSpace:
@@ -421,64 +346,9 @@ def _check_axioms(labels, ranks, values) -> UltrametricSpace:
     return space
 
 
-def merge_duplicate_points(labels, matrix) -> tuple[list[str], list[list[Fraction]]]:
-    """Collapse groups of points at mutual distance 0, keeping first labels.
-
-    Preprocessing for dirty data: validation rejects zero off-diagonal entries,
-    so callers opt into this merge explicitly.  Groups are the connected
-    components of the d=0 relation read in either direction: the zero-gap
-    runs of :func:`chain_order` on "neither entry is 0".  A run starts when
-    every key left is 1, so at its lowest point, and runs start in index
-    order; distances between groups are read off these first members.
-    """
-    labels, ranks, values = _coerce_matrix(labels, matrix)
-    zero = bisect_left(values, ZERO)
-    apart = [[True] * len(labels) for _ in labels]
-    for i, row in enumerate(ranks):
-        j = -1
-        for _ in range(row.count(zero)):
-            j = row.index(zero, j + 1)
-            apart[i][j] = apart[j][i] = False
-    order, gaps = chain_order(apart)
-    reps = [0, *(point for point, gap in zip(order[1:], gaps) if gap)]
-    merged_labels = [labels[r] for r in reps]
-    merged = [[values[ranks[a][b]] for b in reps] for a in reps]
-    return merged_labels, merged
-
-
 def spectrum(space: UltrametricSpace) -> tuple[Fraction, ...]:
     """Sorted distinct distance values; always starts with 0."""
     return space.values
-
-
-class QuotientSpace(Record):
-    """Closed-ball quotient of a space at a given scale.
-
-    ``blocks[k]`` lists the source labels merged into quotient point ``k``;
-    the quotient reuses each block's first source label.  All quotient
-    distances exceed the scale.
-    """
-
-    source: UltrametricSpace
-    scale: Fraction
-    blocks: tuple[tuple[str, ...], ...]
-    quotient: UltrametricSpace
-
-
-def subspace(space: UltrametricSpace, indices) -> UltrametricSpace:
-    """The induced subspace on the points at distinct ``indices``, in that
-    order.  Its chain is the source's restricted to them: between two kept
-    neighbours lies the largest gap skipped since the first, their distance.
-    """
-    at = dict(zip(indices, range(len(indices))))
-    order, gaps, top = [], [], 0
-    for point, gap in zip(space._chain[0], [0, *space._chain[1]]):
-        top = max(top, gap)
-        if point in at:
-            order.append(at[point])
-            gaps.append(top)
-            top = 0
-    return space_from_chain([space.labels[i] for i in indices], order, gaps[1:], space.values)
 
 
 def chain_runs(space: UltrametricSpace, t) -> tuple[list[list[int]], list[int]]:
@@ -500,16 +370,10 @@ def closed_balls(space: UltrametricSpace, t) -> list[list[int]]:
     return sorted(map(sorted, chain_runs(space, t)[0]))
 
 
-def closed_quotient(space: UltrametricSpace, t) -> QuotientSpace:
-    """Collapse closed balls of radius ``t`` (:func:`closed_balls`).
+def __getattr__(name):
+    # perfbench/replay.py, kept unchanged, still imports these two from here.
+    if name in ("closed_quotient", "merge_duplicate_points"):
+        from . import builders
 
-    Block distances are the (well-defined) source distances between
-    representatives, so the quotient is the :func:`subspace` on each
-    block's first point.
-    """
-    t = as_rational(t)
-    if t < 0:
-        raise InvalidParameter(f"scale must be >= 0, got {format_rational(t)}")
-    balls = closed_balls(space, t)
-    blocks = tuple(tuple(space.labels[j] for j in ball) for ball in balls)
-    return QuotientSpace(space, t, blocks, subspace(space, [ball[0] for ball in balls]))
+        return getattr(builders, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -6,14 +6,17 @@ replay exactly.
 
 from __future__ import annotations
 
+import pkgutil
 import random
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
+from importlib import import_module
 from operator import itemgetter
 
 import pytest
 
+import ultrametric
 from ultrametric import (
     GlueSpec,
     Leaf,
@@ -27,8 +30,7 @@ from ultrametric import (
     spectrum_constraint,
     validate_ultrametric,
 )
-# Loads every module that imports the builder, so BUILDER_MODULES finds it.
-from ultrametric import dendrogram, generators, spaces  # noqa: F401
+from ultrametric import builders, spaces
 from ultrametric.amalgam import ChainGlueResult, glue_embeddings
 from ultrametric.dendrogram import leaf_labels
 from ultrametric.errors import EmptyChain, InputFormat, UltrametricError, UnknownLabel
@@ -37,7 +39,7 @@ from ultrametric.spaces import ZERO
 
 # Taken at import, so a test that patches ``spaces._check_axioms`` to count
 # calls sees only the library's own.
-BUILD_SPACE = spaces.space_from_chain
+BUILD_SPACE = builders.space_from_chain
 CHECK_AXIOMS = spaces._check_axioms
 
 
@@ -55,11 +57,16 @@ def rechecked_space_from_chain(labels, order, gaps, values) -> UltrametricSpace:
     return space
 
 
-# The library's modules that hold the builder under its name.
+# The library's modules that hold the builder under its name: every module
+# is imported, so one that imports the builder at top level is among them.
 BUILDER_MODULES = [
     module
-    for name, module in sorted(sys.modules.items())
-    if name.startswith("ultrametric") and getattr(module, "space_from_chain", None) is BUILD_SPACE
+    for module in (
+        import_module(f"ultrametric.{info.name}")
+        for info in pkgutil.iter_modules(ultrametric.__path__)
+        if info.name != "__main__"
+    )
+    if getattr(module, "space_from_chain", None) is BUILD_SPACE
 ]
 
 
@@ -292,7 +299,7 @@ def rank_entries(matrix, width: int | None) -> tuple[list[list[int]], list[Fract
                 parsed.append(as_rational(v) if type(v) is str else value)
             id_row.append(pid)
         id_rows.append(id_row)
-    values, (rank_of,) = spaces.merged_spectrum(parsed)
+    values, (rank_of,) = builders.merged_spectrum(parsed)
     return [list(map(rank_of.__getitem__, row)) for row in id_rows], values
 
 

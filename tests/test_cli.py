@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from ultrametric import certificates, dendrogram, jsonio, spaces, verify_certificate
+from ultrametric import builders, certificates, jsonio, spaces, verify_certificate
 from ultrametric.cli import main
 from ultrametric.rationals import int_max_str_digits
 
@@ -163,7 +163,7 @@ def test_certificate_file_revalidates(tmp_path):
         tmp_path,
     )
     assert code == 0
-    cert = jsonio.certificate_from_obj(json.loads(written["cert.json"]))
+    cert = certificates.certificate_from_obj(json.loads(written["cert.json"]))
     x, y = (
         jsonio.space_from_obj(json.loads((GOLDEN / name).read_text(encoding="utf-8")))
         for name in ("x_half.json", "x_three_quarters.json")
@@ -225,9 +225,8 @@ def test_prim_runs_once_per_input(name, want, tmp_path, monkeypatch):
     # The autouse recheck scans every constructed space; count the CLI's passes only.
     for module in BUILDER_MODULES:
         monkeypatch.setattr(module, "space_from_chain", BUILD_SPACE)
-    for module in (spaces, dendrogram):
-        if hasattr(module, "chain_order"):
-            monkeypatch.setattr(module, "chain_order", counted)
+    for module in (spaces, builders):
+        monkeypatch.setattr(module, "chain_order", counted)
     argv = {case: argv for case, argv, _ in CASES}[name]
     assert run_case(argv, tmp_path)[0] == 0
     assert len(calls) == want

@@ -21,7 +21,7 @@ from ultrametric import (
     ugh_oracle,
     validate_ultrametric,
 )
-from ultrametric import generators, spaces
+from ultrametric import builders, generators
 from ultrametric.generators import Membership
 from ultrametric.spaces import UltrametricSpace
 from ultrametric.errors import (
@@ -103,7 +103,7 @@ class TestCrowdFamily:
 
     def test_largest_n_within_the_cell_budget_is_built(self, monkeypatch):
         # Built without the test suite's axiom scan, which would dominate here.
-        monkeypatch.setattr(spaces, "space_from_chain", BUILD_SPACE)
+        monkeypatch.setattr(builders, "space_from_chain", BUILD_SPACE)
         base = make_space(["x1", "x2"], {("x1", "x2"): 1})
         matrix = crowd_family(base, "x1", "1/4", 1446).ranks
         assert 1448**2 <= generators.CELL_BUDGET < 1449**2

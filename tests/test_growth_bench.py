@@ -26,6 +26,12 @@ def test_a_tiny_run_writes_the_schema(tmp_path):
     growth.check_schema(doc)
     assert list(doc["columns"]) == ["a", "b"] and doc["sizes"] == [8, 20]
     assert doc["columns"]["a"]["digest"] == doc["columns"]["b"]["digest"]
+    # One source tree: the same modules, nodes and job sums in both columns.
+    a, b = (doc["columns"][name]["startup"] for name in "ab")
+    assert {job: (e["modules"], e["nodes"]) for job, e in a["jobs"].items()} == {
+        job: (e["modules"], e["nodes"]) for job, e in b["jobs"].items()
+    }
+    assert list(doc["ratios"]) == ["b"] and set(doc["ratios"]["b"]) == set(growth.LAYERS)
 
 
 @pytest.mark.parametrize("path", sorted(ROOT.glob("BENCH_*.json")), ids=lambda p: p.name)
@@ -33,9 +39,34 @@ def test_committed_bench_files_have_the_schema(path):
     growth.check_schema(json.loads(path.read_text(encoding="utf-8")))
 
 
-def test_check_schema_refuses_a_missing_layer():
-    doc = growth.bench({"only": ROOT / "src"}, [6], 1, 1)
+@pytest.fixture(scope="module")
+def one_column():
+    """A one-column run at n = 6, as JSON text: each test reads its own copy."""
+    return json.dumps(growth.bench({"only": ROOT / "src"}, [6], 1, 1))
+
+
+def test_check_schema_refuses_a_missing_layer(one_column):
+    doc = json.loads(one_column)
     growth.check_schema(doc)
     del doc["columns"]["only"]["times"]["chain_glue"]
     with pytest.raises(AssertionError):
         growth.check_schema(doc)
+
+
+def test_startup_row_sums_the_modules_each_job_loads(one_column):
+    doc = json.loads(one_column)
+    startup = doc["columns"]["only"]["startup"]
+    nodes = growth.ast_nodes(ROOT / "src")
+    assert set(startup["modules"]) == set(nodes)
+    ugh, validate = startup["jobs"]["ugh"], startup["jobs"]["validate"]
+    assert "ultrametric.gromov" in ugh["modules"] and "ultrametric.gromov" not in validate["modules"]
+    assert ugh["nodes"] == sum(nodes[m] for m in ugh["modules"])
+    for broken in ("nodes", "job"):
+        bad = json.loads(one_column)
+        jobs = bad["columns"]["only"]["startup"]["jobs"]
+        if broken == "nodes":
+            jobs["ugh"]["nodes"] += 1
+        else:
+            del jobs["quotient"]
+        with pytest.raises(AssertionError):
+            growth.check_schema(bad)

@@ -11,6 +11,8 @@ from ultrametric import (
     ugh_distance,
 )
 from ultrametric import jsonio
+from ultrametric.amalgam import gluespec_from_obj
+from ultrametric.certificates import certificate_from_obj, certificate_to_obj
 from ultrametric.errors import InputFormat, TriangleViolation
 
 from conftest import SIX_VALUES, make_space
@@ -69,21 +71,21 @@ class TestGlueSpecFormat:
         x2 = make_space(["a2", "y"], {("a2", "y"): 2})
         spec = GlueSpec(x1, x2, (("a", "a2"),))
         obj = {"x1": jsonio.space_to_obj(x1), "x2": jsonio.space_to_obj(x2), "identify": [["a", "a2"]]}
-        assert jsonio.gluespec_from_obj(obj) == spec
+        assert gluespec_from_obj(obj) == spec
 
     def test_identify_must_be_pairs(self):
         x = jsonio.space_to_obj(make_space(["a", "x"], {("a", "x"): 1}))
         with pytest.raises(InputFormat):
-            jsonio.gluespec_from_obj({"x1": x, "x2": x, "identify": [["a"]]})
+            gluespec_from_obj({"x1": x, "x2": x, "identify": [["a"]]})
         with pytest.raises(InputFormat):
-            jsonio.gluespec_from_obj({"x1": x, "x2": x})
+            gluespec_from_obj({"x1": x, "x2": x})
 
 
 class TestCertificateFormat:
     def test_roundtrip(self):
         xh, x34 = two_point_space("1/2"), two_point_space("3/4")
         cert = certificate(xh, x34, ugh_distance(xh, x34))
-        obj = jsonio.certificate_to_obj(cert)
-        again = jsonio.certificate_from_obj(obj)
+        obj = certificate_to_obj(cert)
+        again = certificate_from_obj(obj)
         assert again == cert
-        assert jsonio.dumps(jsonio.certificate_to_obj(again)) == jsonio.dumps(obj)
+        assert jsonio.dumps(certificate_to_obj(again)) == jsonio.dumps(obj)

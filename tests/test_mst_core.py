@@ -43,12 +43,8 @@ from ultrametric.errors import (
 )
 from ultrametric.rationals import as_rational, format_rational
 from ultrametric.generators import SCALE_BITS
-from ultrametric.spaces import (
-    UltrametricSpace,
-    _coerce_matrix,
-    block_matrix,
-    rank_image,
-)
+from ultrametric.oracle import block_matrix
+from ultrametric.spaces import UltrametricSpace, _coerce_matrix, rank_image
 
 from conftest import find_root, rank_entries, respelled, spellings
 

@@ -39,7 +39,7 @@ from ultrametric import (
     validate_ultrametric,
     verify_certificate,
 )
-from ultrametric import amalgam, spaces
+from ultrametric import amalgam, builders, spaces
 from ultrametric.errors import (
     CertificateInvalid,
     DuplicateIdentification,
@@ -48,22 +48,12 @@ from ultrametric.errors import (
     MetricMismatchOnA,
     UltrametricError,
 )
-from ultrametric.dendrogram import (
-    Leaf,
-    Merge,
-    from_dendrogram,
-    leaf_labels,
-    to_dendrogram,
-)
+from ultrametric.builders import from_dendrogram
+from ultrametric.dendrogram import Leaf, Merge, leaf_labels, to_dendrogram
 from ultrametric.gromov import Certificate
 from ultrametric.rationals import format_rational
-from ultrametric.spaces import (
-    ZERO,
-    UltrametricSpace,
-    block_matrix,
-    chain_order,
-    chain_ranks,
-)
+from ultrametric.oracle import block_matrix
+from ultrametric.spaces import ZERO, UltrametricSpace, chain_order, chain_ranks
 
 from conftest import (
     BUILD_SPACE,
@@ -336,8 +326,9 @@ def test_chain_glue_runs_prim_on_its_inputs_only(monkeypatch):
         return chain_order(ranks)
 
     # The autouse recheck runs Prim on every constructed space; count the library's runs.
-    monkeypatch.setattr(spaces, "space_from_chain", BUILD_SPACE)
-    monkeypatch.setattr(spaces, "chain_order", counted)
+    monkeypatch.setattr(builders, "space_from_chain", BUILD_SPACE)
+    for module in (spaces, builders):
+        monkeypatch.setattr(module, "chain_order", counted)
     glued = chain_glue(chain, identifications).space
     assert calls == [len(s) for s in chain]
     assert glued == reference_chain_glue(chain, identifications)
@@ -357,7 +348,7 @@ def test_chain_glue_builds_one_space_and_no_glue(monkeypatch):
             raise AssertionError("chain_glue glued an intermediate space")
 
         with monkeypatch.context() as patch:
-            patch.setattr(spaces, "space_from_chain", counted)
+            patch.setattr(builders, "space_from_chain", counted)
             patch.setattr(amalgam, "glue", unreachable)
             result = chain_glue(chain, identifications)
         assert built == [len(result.space)]
@@ -778,7 +769,8 @@ def counted_prim(monkeypatch) -> list[int]:
         calls.append(len(ranks))
         return chain_order(ranks)
 
-    monkeypatch.setattr(spaces, "chain_order", counted)
+    for module in (spaces, builders):
+        monkeypatch.setattr(module, "chain_order", counted)
     return calls
 
 
@@ -824,7 +816,7 @@ def test_subspace_matches_the_row_copy():
         indices = rng.sample(range(n), size)
         seen[kind] += 1
         shapes[shape] += 1
-        got = spaces.subspace(source, indices)
+        got = builders.subspace(source, indices)
         assert got == reference_subspace(source, indices)
         assert chain_ranks(*got._chain, [0] * len(got)) == got.ranks
     assert min(seen.values()) >= 40 and min(shapes.values()) >= 40, (seen, shapes)

@@ -10,6 +10,7 @@ from fractions import Fraction
 import pytest
 
 from ultrametric.amalgam import ChainGlueResult, GlueSpec, chain_glue
+from ultrametric.builders import QuotientSpace, closed_quotient
 from ultrametric.dendrogram import Leaf, Merge
 from ultrametric.generators import (
     Membership,
@@ -19,7 +20,7 @@ from ultrametric.generators import (
     two_point_space,
 )
 from ultrametric.gromov import Certificate, UghResult, certificate, ugh_distance
-from ultrametric.spaces import QuotientSpace, UltrametricSpace, closed_quotient
+from ultrametric.spaces import UltrametricSpace
 
 X = two_point_space(1)
 Y = two_point_space(Fraction(1, 2))

@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import ultrametric
+from ultrametric import amalgam, builders, certificates, jsonio, oracle, spaces
 
 from cli_corpus import GOLDEN
 
@@ -81,16 +82,17 @@ def modules_loaded_by(argv):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, extra",
     [
-        ["validate", "isosceles.json"],
-        ["spectrum", "isosceles.json"],
-        ["quotient", "isosceles.json", "--t", "1"],
+        (["validate", "isosceles.json"], set()),
+        (["spectrum", "isosceles.json"], set()),
+        # A quotient is built, from the source's chain.
+        (["quotient", "isosceles.json", "--t", "1"], {"ultrametric.builders"}),
     ],
     ids=["validate", "spectrum", "quotient"],
 )
-def test_space_verbs_load_the_minimal_set(argv):
-    assert modules_loaded_by(argv) == MINIMAL
+def test_space_verbs_load_the_minimal_set(argv, extra):
+    assert modules_loaded_by(argv) == MINIMAL | extra
 
 
 def test_ugh_without_oracle_skips_oracle_amalgam_and_generators():
@@ -189,6 +191,67 @@ CLEAN_JOBS = {
 def test_verbs_import_no_heavy_stdlib_module(argv, tmp_path, bare_modules):
     argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
     assert not (all_modules_loaded_by(argv) - bare_modules) & HEAVY
+
+
+# The jobs that build a space (``in-uk``, ``cluster`` and ``gen`` through
+# ``generators``); the rest only read, check and measure, and skip the builders.
+BUILDING_JOBS = {
+    "quotient",
+    "validate_merge",
+    "cluster",
+    "in_uk",
+    "glue",
+    "amalgam",
+    "gen_two_point",
+    "gen_crowd",
+    "gen_cauchy",
+    "gen_random",
+    "ugh_certificate",
+}
+
+
+@pytest.mark.parametrize("name", list(CLEAN_JOBS))
+def test_only_building_jobs_load_the_builders(name, tmp_path):
+    argv = [arg.replace("{tmp}", str(tmp_path)) for arg in CLEAN_JOBS[name]]
+    assert ("ultrametric.builders" in modules_loaded_by(argv)) == (name in BUILDING_JOBS)
+
+
+# Definitions that left ``spaces`` and ``jsonio`` for the modules that only
+# their verbs load, and the four names the frozen benchmark replay still
+# imports from the old homes.
+MOVED = {
+    spaces: {
+        builders: [
+            "space_from_chain", "merged_spectrum", "join_spaces", "subspace", "QuotientSpace",
+            "closed_quotient", "merge_duplicate_points",
+        ],
+        oracle: ["block_matrix"],
+    },
+    jsonio: {
+        amalgam: ["gluespec_from_obj"],
+        certificates: ["certificate_to_obj", "certificate_from_obj"],
+    },
+}
+FORWARDED = {
+    spaces: {"closed_quotient", "merge_duplicate_points"},
+    jsonio: {"gluespec_from_obj", "certificate_to_obj"},
+}
+
+
+@pytest.mark.parametrize("module", list(MOVED), ids=lambda m: m.__name__)
+def test_old_homes_define_no_moved_name_and_forward_only_four(module):
+    for home, names in MOVED[module].items():
+        for name in names:
+            assert name in vars(home) and name not in vars(module), name
+    # Every name of the new homes that the old one lacks: only the four resolve.
+    for home in MOVED[module]:
+        for name in vars(home):
+            if name not in vars(module) and not name.startswith("__"):
+                forwarded = name in FORWARDED[module]
+                assert hasattr(module, name) == forwarded, name
+                if forwarded:
+                    assert getattr(module, name) is vars(home)[name]
+    assert FORWARDED[module] <= {n for names in MOVED[module].values() for n in names}
 
 
 def test_star_import_binds_every_public_name_to_its_home_object():
