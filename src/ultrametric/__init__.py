@@ -39,17 +39,17 @@ _HOME = {
     "encoding": "dendrogram",
     "epsilon_net": "hyperspace",
     "format_rational": "rationals",
-    "from_dendrogram": "builders",
+    "from_dendrogram": "trees",
     "glue": "amalgam",
     "hausdorff_distance": "hyperspace",
     "in_uk": "generators",
     "isometric": "dendrogram",
     "isometry_witness": "dendrogram",
-    "merge_duplicate_points": "builders",
+    "merge_duplicate_points": "duplicates",
     "parse_rational": "rationals",
     "random_space": "generators",
     "restrict": "hyperspace",
-    "single_linkage": "generators",
+    "single_linkage": "linkage",
     "spectrum": "spaces",
     "spectrum_agreement": "gromov",
     "spectrum_constraint": "generators",

@@ -9,11 +9,13 @@ for that case.
 Label policy: the glued space relabels points as ``L:<label>`` / ``R:<label>``,
 identified pairs taking the left label (:func:`glue_embeddings`).  This keeps
 outputs deterministic and collision-free.  Each construction here is one
-:func:`join_spaces` of its inputs' chains, placed by such label maps.
+:func:`join_spaces` of its inputs' chains, placed by such label maps.  The
+handlers of the ``glue`` and ``amalgam`` verbs live here.
 """
 
 from __future__ import annotations
 
+from . import jsonio
 from .builders import join_spaces
 from .errors import (
     DuplicateIdentification,
@@ -25,8 +27,7 @@ from .errors import (
     UltrametricError,
     UnknownLabel,
 )
-from .jsonio import space_from_obj
-from .rationals import as_rational, format_rational
+from .rationals import as_rational, format_rational, parse_rational
 from .spaces import Record, UltrametricSpace
 
 
@@ -56,8 +57,8 @@ def gluespec_from_obj(obj) -> GlueSpec:
     ):
         raise InputFormat('"identify" must be a list of [left, right] label pairs')
     return GlueSpec(
-        space_from_obj(obj["x1"]),
-        space_from_obj(obj["x2"]),
+        jsonio.space_from_obj(obj["x1"]),
+        jsonio.space_from_obj(obj["x2"]),
         tuple((a, b) for a, b in pairs),
     )
 
@@ -190,3 +191,15 @@ def chain_glue(spaces, identifications) -> ChainGlueResult:
         for k, stage in enumerate(stages)
     )
     return ChainGlueResult(join_spaces(list(zip(spaces, embeddings)), []), embeddings)
+
+
+def cli_glue(args) -> dict:
+    """``ultrametric glue GLUESPEC``."""
+    return jsonio.space_to_obj(glue(gluespec_from_obj(jsonio.load_json(args.gluespec))))
+
+
+def cli_amalgam(args) -> dict:
+    """``ultrametric amalgam SPACE_A SPACE_B --s S``."""
+    a = jsonio.load_space(args.space_a)
+    b = jsonio.load_space(args.space_b)
+    return jsonio.space_to_obj(disjoint_amalgam(a, b, parse_rational(args.s)))

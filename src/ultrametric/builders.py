@@ -4,32 +4,24 @@ Every builder hands its chain (a point order and the gaps between
 neighbours, ``d = max(gaps between)``) to the one builder
 :func:`space_from_chain`, whose proof covers them all: the single linkage of
 a chain is ultrametric.  Constructions place points by label and join their
-chains in one spanning forest (:func:`join_spaces`), subspaces and closed-ball
-quotients restrict the source's chain, and a merge tree is read as the chain
-of its leaves (:func:`from_dendrogram`), so no built space runs Prim again.
-Merging duplicate points, which only ``--merge-duplicates`` runs, lives here
-too.  A job that only reads, checks and measures spaces (``validate``,
-``spectrum``, ``ugh``, ``net``, ``hausdorff``) does not load this module.
+chains in one spanning forest (:func:`join_spaces`), and subspaces and
+closed-ball quotients restrict the source's chain, so no built space runs
+Prim again.  Merge trees are read in :mod:`ultrametric.trees`, single
+linkage in :mod:`ultrametric.linkage`.  The ``quotient`` verb's handler,
+:func:`cli_quotient`, lives here.  A job that only reads, checks and
+measures spaces (``validate``, ``spectrum``, ``ugh``, ``net``,
+``hausdorff``, ``in-uk``) does not load this module.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from fractions import Fraction
 from operator import itemgetter
 
-from .errors import InvalidParameter, MalformedTree
-from .rationals import as_rational, format_rational
-from .spaces import (
-    ZERO,
-    Record,
-    UltrametricSpace,
-    _check_labels,
-    _coerce_matrix,
-    chain_order,
-    chain_ranks,
-    closed_balls,
-)
+from . import jsonio
+from .errors import InvalidParameter
+from .rationals import as_rational, format_rational, parse_rational
+from .spaces import Record, UltrametricSpace, chain_ranks, closed_balls
 
 
 def space_from_chain(labels, order, gaps, values) -> UltrametricSpace:
@@ -143,80 +135,8 @@ def closed_quotient(space: UltrametricSpace, t) -> QuotientSpace:
     return QuotientSpace(space, t, blocks, subspace(space, [ball[0] for ball in balls]))
 
 
-def from_dendrogram(node: Node) -> UltrametricSpace:
-    """Space whose distances are lowest-common-ancestor heights.
-
-    Raises MalformedTree on structural defects: heights not strictly
-    decreasing toward the leaves, internal nodes with fewer than two children,
-    nonpositive heights, or duplicate leaf labels.
-    """
-    labels, gaps, values = _tree_chain(node)
-    return space_from_chain(_check_labels(labels), list(range(len(labels))), gaps, values)
-
-
-def _tree_chain(node: Node) -> tuple[list[str], list[int], list[Fraction]]:
-    """A tree's leaf labels in pre-order, the gaps between them as ranks
-    into ``values``, and ``values``: 0 and the heights, sorted.
-
-    Nodes are checked in pre-order, each height read once and tested against
-    its parent first.  A leaf meets the one before it at the parent of its
-    lowest ancestor (or itself) that is not a first child, whose height is
-    their gap: two leaves meet at the highest of the merges between them.
-    """
-    # A caller holding a tree has loaded the tree code already.
-    from .dendrogram import Leaf
-
-    order: list[str] = []
-    gaps: list[Fraction] = []
-    stack: list[tuple[Node, Fraction | None, bool]] = [(node, None, False)]
-    while stack:
-        current, parent, later = stack.pop()
-        leaf = isinstance(current, Leaf)
-        height = ZERO if leaf else as_rational(current.height)
-        if parent is not None:
-            if height >= parent:
-                raise MalformedTree(
-                    f"child height {format_rational(height)} does not "
-                    f"decrease below parent height {format_rational(parent)}"
-                )
-            if later:
-                gaps.append(parent)
-        if leaf:
-            order.append(current.label)
-            continue
-        if height <= 0:
-            raise MalformedTree(f"internal node height {format_rational(height)} is not positive")
-        if len(current.children) < 2:
-            raise MalformedTree("internal node has fewer than two children")
-        first, *rest = current.children
-        stack.extend((child, height, True) for child in reversed(rest))
-        stack.append((first, height, False))
-    if len(set(order)) != len(order):
-        raise MalformedTree("duplicate leaf labels")
-    values, (_, ranks) = merged_spectrum((ZERO,), gaps)
-    return order, ranks, values
-
-
-def merge_duplicate_points(labels, matrix) -> tuple[list[str], list[list[Fraction]]]:
-    """Collapse groups of points at mutual distance 0, keeping first labels.
-
-    Preprocessing for dirty data: validation rejects zero off-diagonal entries,
-    so callers opt into this merge explicitly.  Groups are the connected
-    components of the d=0 relation read in either direction: the zero-gap
-    runs of :func:`chain_order` on "neither entry is 0".  A run starts when
-    every key left is 1, so at its lowest point, and runs start in index
-    order; distances between groups are read off these first members.
-    """
-    labels, ranks, values = _coerce_matrix(labels, matrix)
-    zero = bisect_left(values, ZERO)
-    apart = [[True] * len(labels) for _ in labels]
-    for i, row in enumerate(ranks):
-        j = -1
-        for _ in range(row.count(zero)):
-            j = row.index(zero, j + 1)
-            apart[i][j] = apart[j][i] = False
-    order, gaps = chain_order(apart)
-    reps = [0, *(point for point, gap in zip(order[1:], gaps) if gap)]
-    merged_labels = [labels[r] for r in reps]
-    merged = [[values[ranks[a][b]] for b in reps] for a in reps]
-    return merged_labels, merged
+def cli_quotient(args) -> dict:
+    """``ultrametric quotient SPACE --t T``."""
+    space = jsonio.load_space(args.space)
+    q = closed_quotient(space, parse_rational(args.t))
+    return jsonio.quotient_to_obj(q)

@@ -4,6 +4,12 @@ Exit codes: 0 success, 1 domain error (structured JSON diagnostic on stderr),
 2 usage error, 3 oracle mismatch under ``ugh --oracle``.  Output is
 byte-deterministic for identical inputs; results go to stdout unless ``-o``
 names a file.
+
+This module reads the arguments (:data:`VERBS`), hands them to the verb's
+handler and writes what it returns, or the diagnostic.  Each handler lives
+beside the code its verb runs (:data:`HANDLERS`), and a job imports only its
+verb's module, so it compiles no other verb's code.  An argument list the
+scan declines goes to the argparse parser in :mod:`ultrametric.usage`.
 """
 
 from __future__ import annotations
@@ -11,71 +17,12 @@ from __future__ import annotations
 import gc
 import os
 import sys
+from importlib import import_module
 from types import SimpleNamespace
 
-# Every verb pays for the imports below, so they are only what all verbs need;
-# each verb's branch in _run imports the rest.
+# Every verb pays for the imports below, so they are only what all verbs need.
 from . import jsonio
-from .errors import InputFormat, InvalidParameter, OracleMismatch, UltrametricError
-from .rationals import format_rational, parse_rational, parse_rational_list
-from .spaces import spectrum, validate_ultrametric
-
-
-def _read_text(path: str) -> str:
-    if path == "-":
-        # A job started with stdin closed (``<&-``) has no sys.stdin.
-        if sys.stdin is None:
-            raise InputFormat("cannot read -: standard input is closed", path=path)
-        return sys.stdin.read()
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            return handle.read()
-    except OSError as exc:
-        raise InputFormat(f"cannot read {path}: {exc.strerror}", path=path) from exc
-    except UnicodeDecodeError as exc:
-        message = f"cannot read {path}: invalid {exc.encoding} at byte {exc.start}"
-        raise InputFormat(message, path=path) from exc
-
-
-def _load_json(path: str):
-    return jsonio.loads(_read_text(path))
-
-
-def _load_space(path: str, merge_duplicates: bool = False):
-    points, dist = jsonio.raw_space_from_obj(_load_json(path))
-    if merge_duplicates:
-        from .builders import merge_duplicate_points
-
-        points, dist = merge_duplicate_points(points, dist)
-    return validate_ultrametric(points, dist)
-
-
-def _load_subset(text: str) -> list[str]:
-    if text.startswith("@"):
-        text = _read_text(text[1:])
-    return jsonio.subset_from_obj(jsonio.loads(text))
-
-
-def _emit(line: str, out_path: str | None) -> None:
-    if not out_path:
-        # A job started with stdout closed (``>&-``) has no sys.stdout.
-        if sys.stdout is None:
-            raise InvalidParameter("cannot write the result: standard output is closed")
-        try:
-            sys.stdout.write(line + "\n")
-            sys.stdout.flush()
-        except OSError as exc:
-            # The interpreter flushes the same buffer again at exit; send it nowhere.
-            devnull = os.open(os.devnull, os.O_WRONLY)
-            os.dup2(devnull, sys.stdout.fileno())
-            os.close(devnull)
-            raise InvalidParameter(f"cannot write the result: {exc.strerror}") from exc
-        return
-    try:
-        with open(out_path, "w", encoding="utf-8") as handle:
-            handle.write(line + "\n")
-    except OSError as exc:
-        raise InvalidParameter(f"cannot write {out_path}: {exc.strerror}", path=out_path) from exc
+from .errors import OracleMismatch, UltrametricError
 
 
 def _diagnose(error: UltrametricError) -> None:
@@ -101,8 +48,9 @@ def _required(flag: str, help: str | None = None, **options):
 
 
 # Each verb's help line and arguments as (flags, add_argument options); ``gen``
-# has a table of families in place of arguments.  The argparse parser is built
-# from this table, and _scan reads a clean job's arguments off it.
+# has a table of families in place of arguments.  The argparse parser
+# (:mod:`ultrametric.usage`) is built from this table, and _scan reads a clean
+# job's arguments off it.
 VERBS = {
     "validate": (
         "check the axioms and emit the canonical space",
@@ -192,30 +140,6 @@ VERBS = {
 }
 
 
-def _add_arguments(parser, spec) -> None:
-    if isinstance(spec, dict):
-        families = parser.add_subparsers(dest="family", required=True)
-        for name, (help, arguments) in spec.items():
-            _add_arguments(families.add_parser(name, help=help), arguments)
-        return
-    for flags, options in spec:
-        parser.add_argument(*flags, **options)
-
-
-def build_parser() -> argparse.ArgumentParser:
-    """The parser of every verb."""
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        prog="ultrametric",
-        description="Exact computations on finite ultrametric spaces.",
-    )
-    verbs = parser.add_subparsers(dest="verb", required=True)
-    for verb, (help, spec) in VERBS.items():
-        _add_arguments(verbs.add_parser(verb, help=help), spec)
-    return parser
-
-
 def _scan(argv: list[str]) -> SimpleNamespace | None:
     """The namespace ``build_parser().parse_args(argv)`` returns, for an argv
     that argparse cannot read any other way; None for anything else.
@@ -282,124 +206,31 @@ def _scan(argv: list[str]) -> SimpleNamespace | None:
     return SimpleNamespace(**found)
 
 
+# Each verb's handler, as (module, function): it takes the parsed arguments and
+# returns the object to print.
+HANDLERS = {
+    "validate": ("jsonio", "cli_validate"),
+    "spectrum": ("jsonio", "cli_spectrum"),
+    "quotient": ("builders", "cli_quotient"),
+    "hausdorff": ("hyperspace", "cli_hausdorff"),
+    "net": ("hyperspace", "cli_net"),
+    "glue": ("amalgam", "cli_glue"),
+    "amalgam": ("amalgam", "cli_amalgam"),
+    "ugh": ("gromov", "cli_ugh"),
+    "gen": ("generators", "cli_gen"),
+    "cluster": ("linkage", "cli_cluster"),
+    "in-uk": ("generators", "cli_in_uk"),
+}
+
+
 def _parse(argv: list[str]):
     """Read a clean job with _scan; argparse reads, or refuses, the rest."""
     args = _scan(argv)
-    return build_parser().parse_args(argv) if args is None else args
+    if args is None:
+        from .usage import build_parser
 
-
-def _run(args) -> dict | list:
-    if args.verb == "validate":
-        space = _load_space(args.space, args.merge_duplicates)
-        return jsonio.space_to_obj(space)
-
-    if args.verb == "spectrum":
-        space = _load_space(args.space)
-        return jsonio.rational_list_to_obj(spectrum(space))
-
-    if args.verb == "quotient":
-        from .builders import closed_quotient
-
-        space = _load_space(args.space)
-        q = closed_quotient(space, parse_rational(args.t))
-        return jsonio.quotient_to_obj(q)
-
-    if args.verb == "hausdorff":
-        from .hyperspace import hausdorff_distance
-
-        space = _load_space(args.space)
-        value = hausdorff_distance(space, _load_subset(args.a), _load_subset(args.b))
-        return {"value": format_rational(value)}
-
-    if args.verb == "net":
-        from .hyperspace import epsilon_net
-
-        space = _load_space(args.space)
-        net = epsilon_net(space, parse_rational(args.eps))
-        return list(net)
-
-    if args.verb == "glue":
-        from .amalgam import glue, gluespec_from_obj
-
-        spec = gluespec_from_obj(_load_json(args.gluespec))
-        return jsonio.space_to_obj(glue(spec))
-
-    if args.verb == "amalgam":
-        from .amalgam import disjoint_amalgam
-
-        a = _load_space(args.space_a)
-        b = _load_space(args.space_b)
-        glued = disjoint_amalgam(a, b, parse_rational(args.s))
-        return jsonio.space_to_obj(glued)
-
-    if args.verb == "ugh":
-        from .gromov import ugh_distance
-
-        a = _load_space(args.space_a)
-        b = _load_space(args.space_b)
-        result = ugh_distance(a, b)
-        if args.oracle:
-            from .oracle import ugh_oracle
-
-            oracle_value = ugh_oracle(a, b)
-            if oracle_value != result.value:
-                raise OracleMismatch(
-                    f"scan reports {format_rational(result.value)} but the exhaustive "
-                    f"oracle reports {format_rational(oracle_value)}",
-                    scan=format_rational(result.value),
-                    oracle=format_rational(oracle_value),
-                )
-        if args.certificate:
-            from .certificates import certificate, certificate_to_obj
-
-            # Correct by construction for ugh_distance's own result; see certificate.
-            cert = certificate(a, b, result)
-            _emit(jsonio.dumps(certificate_to_obj(cert)), args.certificate)
-        return jsonio.ugh_result_to_obj(result)
-
-    if args.verb == "gen":
-        from .generators import (
-            cauchy_sequence,
-            crowd_family,
-            random_space,
-            spectrum_constraint,
-            two_point_space,
-        )
-
-        if args.family == "two-point":
-            space = two_point_space(parse_rational(args.c))
-        elif args.family == "crowd":
-            base = _load_space(args.space)
-            space = crowd_family(base, args.base, parse_rational(args.c), args.n)
-        elif args.family == "cauchy":
-            space = cauchy_sequence(args.depth)
-        else:
-            constraint = spectrum_constraint(parse_rational_list(args.k))
-            space = random_space(args.n, constraint, args.seed)
-        return jsonio.space_to_obj(space)
-
-    if args.verb == "cluster":
-        from .generators import single_linkage
-
-        points, dist = jsonio.raw_space_from_obj(_load_json(args.input))
-        if args.merge_duplicates:
-            from .builders import merge_duplicate_points
-
-            points, dist = merge_duplicate_points(points, dist)
-        return jsonio.space_to_obj(single_linkage(points, dist))
-
-    if args.verb == "in-uk":
-        from .generators import in_uk, spectrum_constraint
-
-        space = _load_space(args.space)
-        constraint = spectrum_constraint(parse_rational_list(args.k))
-        membership = in_uk(space, constraint)
-        if membership.member:
-            return {"member": True}
-        a, b, value = membership.witness
-        return {"member": False, "witness": {"points": [a, b], "value": format_rational(value)}}
-
-    raise AssertionError(f"unhandled verb {args.verb!r}")
+        args = build_parser().parse_args(argv)
+    return args
 
 
 def main(argv=None) -> int:
@@ -407,8 +238,10 @@ def main(argv=None) -> int:
         args = _parse(sys.argv[1:] if argv is None else list(argv))
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
+    module, handler = HANDLERS[args.verb]
     try:
-        _emit(jsonio.dumps(_run(args)), args.output)
+        result = getattr(import_module(f".{module}", __package__), handler)(args)
+        jsonio.emit(jsonio.dumps(result), args.output)
     except OracleMismatch as exc:
         _diagnose(exc)
         return 3
@@ -430,3 +263,12 @@ def entry() -> None:
     code = main(sys.argv[1:])
     gc.freeze()
     raise SystemExit(code)
+
+
+def __getattr__(name):
+    # perfbench/replay.py, kept unchanged, still imports build_parser from here.
+    if name == "build_parser":
+        from .usage import build_parser
+
+        return build_parser
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

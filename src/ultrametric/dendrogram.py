@@ -117,14 +117,14 @@ def quotient_canon(space: UltrametricSpace, t=0) -> tuple[Node, tuple]:
 
 def _tree_canon(node: Node) -> tuple[Node, tuple]:
     # A tree is read, and checked, as the chain of its leaves.
-    from .builders import _tree_chain
+    from .trees import _tree_chain
 
     return chain_canon(*_tree_chain(node))
 
 
 def canonicalize(node: Node) -> Node:
     """The canonical form of a tree; raises MalformedTree as
-    :func:`ultrametric.builders.from_dendrogram` does."""
+    :func:`ultrametric.trees.from_dendrogram` does."""
     return _tree_canon(node)[0]
 
 

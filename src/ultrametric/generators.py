@@ -1,36 +1,35 @@
-"""Constructions: named families, membership in a spectrum class, seeded
-random spaces, and single-linkage ingestion of ordinary metrics.
+"""Named families, membership in a spectrum class, and seeded random spaces.
+
+Each family is built as a chain by :mod:`ultrametric.builders`, which a
+generator imports only when it builds, so an ``in-uk`` job, or a ``gen`` job
+refused before it builds, does not load the builders.  The handlers of the
+``gen`` and ``in-uk`` verbs live here.  Single linkage of a metric
+(``cluster``) is in :mod:`ultrametric.linkage`.
 """
 
 from __future__ import annotations
 
 import random
-from bisect import bisect_left
 from fractions import Fraction
-from math import isqrt, lcm
-from operator import add
+from math import isqrt
 
-from .builders import join_spaces, space_from_chain
+from . import jsonio
 from .errors import (
     BasePointMissing,
     ConstraintTooSmall,
-    InputFormat,
     InstanceTooLarge,
     InvalidParameter,
     NonpositiveDistance,
-    NotAMetric,
     ScaleNotBelowMinDistance,
 )
-from .rationals import as_rational, format_rational, int_max_str_digits
-from .spaces import (
-    ZERO,
-    Record,
-    UltrametricSpace,
-    _check_labels,
-    chain_order,
-    chain_ranks,
-    rank_image,
+from .rationals import (
+    as_rational,
+    format_rational,
+    int_max_str_digits,
+    parse_rational,
+    parse_rational_list,
 )
+from .spaces import ZERO, Record, UltrametricSpace
 
 
 def two_point_space(c) -> UltrametricSpace:
@@ -39,6 +38,8 @@ def two_point_space(c) -> UltrametricSpace:
     c = as_rational(c)
     if c <= 0:
         raise NonpositiveDistance(f"two-point distance must be > 0, got {format_rational(c)}")
+    from .builders import space_from_chain
+
     return space_from_chain(("p", "q"), [0, 1], [1], (ZERO, c))
 
 
@@ -50,8 +51,9 @@ def crowd_family(
     Fresh points sit at distance ``c`` from each other and at
     ``max(d(y, base), c)`` from each original point ``y``; with
     ``0 < c <`` the smallest positive distance of the base space this is an
-    ultrametric extension: the single linkage (:func:`join_spaces`) of the
-    base chain and a link at ``c`` from the base point to each fresh point.
+    ultrametric extension: the single linkage
+    (:func:`ultrametric.builders.join_spaces`) of the base chain and a link
+    at ``c`` from the base point to each fresh point.
     (Taking the plain distance to the base point instead of the max would put
     fresh points at distance 0 from the base point while keeping them at
     ``c`` from each other, which no ultrametric allows.)
@@ -82,6 +84,8 @@ def crowd_family(
     while any(f"{prefix}{k}" in existing for k in range(1, n + 1)):
         prefix += "_"
     fresh = [f"{prefix}{k}" for k in range(1, n + 1)]
+
+    from .builders import join_spaces
 
     identity = dict(zip(base_space.labels, base_space.labels))
     return join_spaces([(base_space, identity)], [(c, base_point, label) for label in fresh])
@@ -142,6 +146,8 @@ def cauchy_sequence(depth: int) -> UltrametricSpace:
     # max(2^-i, 2^-j) = 2^-min(i, j) is the largest gap between the two.
     labels = [format_rational(p) for p in points]
     gaps = list(range(depth + 1, 1, -1))
+    from .builders import space_from_chain
+
     return space_from_chain(labels, list(range(depth + 1)), gaps, (ZERO, *reversed(points)))
 
 
@@ -194,11 +200,11 @@ def random_space(n: int, constraint: SpectrumConstraint, seed: int) -> Ultrametr
     Draws a random merge tree with heights from the positive allowed values,
     strictly decreasing toward the leaves, so every draw is valid by
     construction (rejection sampling on matrices would almost never succeed
-    for larger n).  The tree is drawn as its chain (:func:`space_from_chain`),
-    heights as ranks into the allowed values: a merge's height is the gap
-    between each two of its parts.  Raises
-    InstanceTooLarge, before building anything, when the ``n^2`` matrix would
-    pass :data:`CELL_BUDGET` cells.
+    for larger n).  The tree is drawn as its chain
+    (:func:`ultrametric.builders.space_from_chain`), heights as ranks into
+    the allowed values: a merge's height is the gap between each two of its
+    parts.  Raises InstanceTooLarge, before building anything, when the
+    ``n^2`` matrix would pass :data:`CELL_BUDGET` cells.
     """
     if n < 1:
         raise InvalidParameter(f"need n >= 1 points, got {n}")
@@ -224,96 +230,41 @@ def random_space(n: int, constraint: SpectrumConstraint, seed: int) -> Ultrametr
             drawn += [h, *gaps(end - start, lower)]
         return drawn
 
+    from .builders import space_from_chain
+
     return space_from_chain(labels, list(range(n)), gaps(n, positive), constraint.values)
 
 
-# Scaled images of a metric use the lcm of its denominators while that fits
-# in this many bits, and 2**SCALE_BITS (rounding down) otherwise.
-SCALE_BITS = 64
+def cli_gen(args) -> dict:
+    """``ultrametric gen FAMILY ...``: a space of the named family."""
+    if args.family == "two-point":
+        space = two_point_space(parse_rational(args.c))
+    elif args.family == "crowd":
+        base = jsonio.load_space(args.space)
+        space = crowd_family(base, args.base, parse_rational(args.c), args.n)
+    elif args.family == "cauchy":
+        space = cauchy_sequence(args.depth)
+    else:
+        constraint = spectrum_constraint(parse_rational_list(args.k))
+        space = random_space(args.n, constraint, args.seed)
+    return jsonio.space_to_obj(space)
 
 
-def single_linkage(labels, matrix) -> UltrametricSpace:
-    """Largest ultrametric below a metric: min over paths of the max edge,
-    the chain of Prim's visit order and join keys (:func:`chain_order`).
-
-    The input must be a genuine metric (symmetric, zero diagonal, positive
-    off-diagonal, ordinary triangle inequality); the output agrees with the
-    input wherever the input was already ultrametric.  The diagonal,
-    symmetry and positivity checks and the tree run on the integer ranks of
-    :func:`rank_image`; the triangle check runs on scaled integers
-    (:func:`_check_triangles`).  The labels are checked last, so a repeated
-    label is reported only on a genuine metric.
-    """
-    labels = tuple(str(l) for l in labels)
-    n = len(labels)
-    if n == 0:
-        raise NotAMetric("a metric needs at least one point")
-    if len(matrix) != n or any(len(row) != n for row in matrix):
-        raise InputFormat("metric matrix shape does not match the labels")
-    ranks, values = rank_image(matrix)
-    zero = bisect_left(values, ZERO)
-    for i in range(n):
-        if ranks[i][i] != zero:
-            raise NotAMetric(
-                f"nonzero diagonal at {labels[i]!r}", kind="diagonal", point=labels[i]
-            )
-        for j in range(i + 1, n):
-            if ranks[i][j] != ranks[j][i]:
-                raise NotAMetric(
-                    f"asymmetric at ({labels[i]},{labels[j]})",
-                    kind="symmetry",
-                    points=[labels[i], labels[j]],
-                )
-            if ranks[i][j] <= zero:
-                raise NotAMetric(
-                    f"nonpositive distance at ({labels[i]},{labels[j]}); "
-                    "merge duplicate points first if the data is dirty",
-                    kind="positivity",
-                    points=[labels[i], labels[j]],
-                )
-    order, gaps = chain_order(ranks)
-    _check_triangles(labels, ranks, values, chain_ranks(order, gaps, [zero] * n))
-    return space_from_chain(_check_labels(labels), order, gaps, values)
+def cli_in_uk(args) -> dict:
+    """``ultrametric in-uk SPACE --k VALUES``."""
+    space = jsonio.load_space(args.space)
+    constraint = spectrum_constraint(parse_rational_list(args.k))
+    membership = in_uk(space, constraint)
+    if membership.member:
+        return {"member": True}
+    a, b, value = membership.witness
+    return {"member": False, "witness": {"points": [a, b], "value": format_rational(value)}}
 
 
-def _check_triangles(labels, ranks, values, sub) -> None:
-    """Raise at the first ``(i, j, k)`` with ``d(i,j) > d(i,k) + d(k,j)``.
+def __getattr__(name):
+    # perfbench/replay.py, kept unchanged, still imports single_linkage from here.
+    if name == "single_linkage":
+        from .linkage import single_linkage
 
-    A pair where ``ranks`` equals its subdominant ``sub`` is clear, so a row
-    equal to its row of ``sub`` is passed over at once.  Else each value
-    ``d`` becomes ``floor(d * scale)``.  With ``scale`` the lcm of the
-    denominators the image is exact and a pair ``(i, j)`` is clear when its
-    image is at most every ``image(i,k) + image(k,j)``; with a power of two
-    the image is up to 1 too low, so a pair needs a margin of 1.  Only a pair
-    neither test clears is scanned over ``k`` in Fractions, so the first
-    witness is the one of the full scan.  The image's diagonal holds 1, so
-    the terms ``k = i`` and ``k = j`` never block a pair.
-    """
-    rows = [i for i, (rank_i, sub_i) in enumerate(zip(ranks, sub)) if tuple(rank_i) != sub_i]
-    if not rows:
-        return
-    scale, margin = 1, 0
-    for v in values:
-        scale = lcm(scale, v.denominator)
-        if scale.bit_length() > SCALE_BITS:
-            scale, margin = 1 << SCALE_BITS, 1
-            break
-    scaled = [v.numerator * scale // v.denominator for v in values]
-    image = [list(map(scaled.__getitem__, row)) for row in ranks]
-    n = len(labels)
-    for i in range(n):
-        image[i][i] = 1
-    for i in rows:
-        image_i, rank_i, sub_i = image[i], ranks[i], sub[i]
-        for j in range(i + 1, n):
-            # d(i,j) = sub(i,j) <= max(d(i,k), d(k,j)) <= d(i,k) + d(k,j)
-            if rank_i[j] == sub_i[j] or image_i[j] + margin <= min(map(add, image_i, image[j])):
-                continue
-            dij = values[rank_i[j]]
-            for k in range(n):
-                if k != i and k != j and dij > values[rank_i[k]] + values[ranks[k][j]]:
-                    raise NotAMetric(
-                        f"triangle inequality fails at ({labels[i]},{labels[j]},{labels[k]})",
-                        kind="triangle",
-                        points=[labels[i], labels[j], labels[k]],
-                    )
+        return single_linkage
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -46,7 +46,9 @@ exactly as :func:`ultrametric.builders.closed_quotient` names them.
 The exhaustive search in :mod:`ultrametric.oracle` double-checks the whole
 scheme on small instances; the acceptance suite treats any disagreement as a
 bug in the scan.  Certificates live in :mod:`ultrametric.certificates`, which
-a scan does not load; their names are still importable from here.
+a scan does not load; their names are still importable from here.  The
+``ugh`` verb's handler, :func:`cli_ugh`, lives here, and loads the oracle and
+the certificates only for ``--oracle`` and ``--certificate``.
 """
 
 from __future__ import annotations
@@ -54,6 +56,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache
 
+from . import jsonio
 from .dendrogram import leaf_pairing, quotient_canon
 from .spaces import ZERO, Record, UltrametricSpace, closed_balls
 
@@ -119,6 +122,24 @@ def spectrum_agreement(x: UltrametricSpace, y: UltrametricSpace) -> Fraction:
     it.
     """
     return max(set(x.values) ^ set(y.values), default=ZERO)
+
+
+def cli_ugh(args) -> dict:
+    """``ultrametric ugh SPACE_A SPACE_B [--oracle] [--certificate FILE]``."""
+    a = jsonio.load_space(args.space_a)
+    b = jsonio.load_space(args.space_b)
+    result = ugh_distance(a, b)
+    if args.oracle:
+        from .oracle import cross_check
+
+        cross_check(a, b, result.value)
+    if args.certificate:
+        from .certificates import certificate, certificate_to_obj
+
+        # Correct by construction for ugh_distance's own result; see certificate.
+        cert = certificate(a, b, result)
+        jsonio.emit(jsonio.dumps(certificate_to_obj(cert)), args.certificate)
+    return jsonio.ugh_result_to_obj(result)
 
 
 def __getattr__(name):

@@ -1,15 +1,17 @@
 """Hausdorff distance between point subsets, nets, and subspace extraction.
 
 For finite sets the Hausdorff distance is attained, so the usual infimum over
-neighborhood radii collapses to the exact max-min formula used here.
+neighborhood radii collapses to the exact max-min formula used here.  The
+handlers of the ``hausdorff`` and ``net`` verbs live here.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
+from . import jsonio
 from .errors import DuplicateLabel, EmptySubset, InvalidParameter
-from .rationals import as_rational, format_rational
+from .rationals import as_rational, format_rational, parse_rational
 from .spaces import UltrametricSpace, closed_balls
 
 
@@ -55,3 +57,16 @@ def epsilon_net(space: UltrametricSpace, eps) -> tuple[str, ...]:
     if eps <= 0:
         raise InvalidParameter(f"eps must be > 0, got {format_rational(eps)}")
     return tuple(space.labels[ball[0]] for ball in closed_balls(space, eps))
+
+
+def cli_hausdorff(args) -> dict:
+    """``ultrametric hausdorff SPACE --a SUBSET --b SUBSET``."""
+    space = jsonio.load_space(args.space)
+    value = hausdorff_distance(space, jsonio.load_subset(args.a), jsonio.load_subset(args.b))
+    return {"value": format_rational(value)}
+
+
+def cli_net(args) -> list[str]:
+    """``ultrametric net SPACE --eps EPS``."""
+    space = jsonio.load_space(args.space)
+    return list(epsilon_net(space, parse_rational(args.eps)))

@@ -14,15 +14,22 @@ that reads neither does not compile their codecs.
 Readers ignore unknown keys so enriched outputs (for example a quotient space
 carrying its ``blocks``) can be piped straight back in; writers always emit
 the canonical key order shown above.
+
+The CLI's file helpers (:func:`read_text`, :func:`load_space`, :func:`emit`
+and the rest) live here, so the verb handlers, each beside the code its verb
+runs, never import :mod:`ultrametric.cli`.  The handlers of ``validate`` and
+``spectrum``, which run nothing else, live here too.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import sys
 
-from .errors import InputFormat
+from .errors import InputFormat, InvalidParameter
 from .rationals import as_rational, format_rational
-from .spaces import UltrametricSpace, validate_ultrametric
+from .spaces import UltrametricSpace, spectrum, validate_ultrametric
 
 # QuotientSpace and UghResult appear only in annotations, which are never
 # evaluated, so writing them loads neither the builders nor the scan.
@@ -91,6 +98,82 @@ def ugh_result_to_obj(result: UghResult) -> dict:
 
 def rational_list_to_obj(values) -> list[str]:
     return [format_rational(as_rational(v)) for v in values]
+
+
+def read_text(path: str) -> str:
+    """The text of the file at ``path``, or of standard input for ``-``."""
+    if path == "-":
+        # A job started with stdin closed (``<&-``) has no sys.stdin.
+        if sys.stdin is None:
+            raise InputFormat("cannot read -: standard input is closed", path=path)
+        return sys.stdin.read()
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return handle.read()
+    except OSError as exc:
+        raise InputFormat(f"cannot read {path}: {exc.strerror}", path=path) from exc
+    except UnicodeDecodeError as exc:
+        message = f"cannot read {path}: invalid {exc.encoding} at byte {exc.start}"
+        raise InputFormat(message, path=path) from exc
+
+
+def load_json(path: str):
+    return loads(read_text(path))
+
+
+def load_matrix(path: str, merge_duplicates: bool = False) -> tuple[list[str], list[list]]:
+    """The labels and raw matrix of the space file at ``path``, with points
+    at distance 0 merged when asked."""
+    points, dist = raw_space_from_obj(load_json(path))
+    if merge_duplicates:
+        from .duplicates import merge_duplicate_points
+
+        return merge_duplicate_points(points, dist)
+    return points, dist
+
+
+def load_space(path: str, merge_duplicates: bool = False) -> UltrametricSpace:
+    return validate_ultrametric(*load_matrix(path, merge_duplicates))
+
+
+def load_subset(text: str) -> list[str]:
+    """A subset given as JSON text, or as ``@file``."""
+    if text.startswith("@"):
+        text = read_text(text[1:])
+    return subset_from_obj(loads(text))
+
+
+def emit(line: str, out_path: str | None) -> None:
+    """Write one line to the file ``out_path``, or to standard output."""
+    if not out_path:
+        # A job started with stdout closed (``>&-``) has no sys.stdout.
+        if sys.stdout is None:
+            raise InvalidParameter("cannot write the result: standard output is closed")
+        try:
+            sys.stdout.write(line + "\n")
+            sys.stdout.flush()
+        except OSError as exc:
+            # The interpreter flushes the same buffer again at exit; send it nowhere.
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            raise InvalidParameter(f"cannot write the result: {exc.strerror}") from exc
+        return
+    try:
+        with open(out_path, "w", encoding="utf-8") as handle:
+            handle.write(line + "\n")
+    except OSError as exc:
+        raise InvalidParameter(f"cannot write {out_path}: {exc.strerror}", path=out_path) from exc
+
+
+def cli_validate(args) -> dict:
+    """``ultrametric validate SPACE [--merge-duplicates]``."""
+    return space_to_obj(load_space(args.space, args.merge_duplicates))
+
+
+def cli_spectrum(args) -> list[str]:
+    """``ultrametric spectrum SPACE``."""
+    return rational_list_to_obj(spectrum(load_space(args.space)))
 
 
 def __getattr__(name):

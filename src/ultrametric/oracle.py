@@ -20,8 +20,9 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import permutations
 
-from .errors import InstanceTooLarge
+from .errors import InstanceTooLarge, OracleMismatch
 from .hyperspace import hausdorff_distance
+from .rationals import format_rational
 from .spaces import UltrametricSpace, spectrum, validate_ultrametric
 
 ORACLE_MAX_POINTS = 4
@@ -138,8 +139,23 @@ def ugh_oracle(x: UltrametricSpace, y: UltrametricSpace) -> Fraction:
 
     search(0, -1)
     labels = [f"L:{l}" for l in x.labels] + [f"R:{l}" for l in y.labels]
-    cross = [[values[r] for r in row] for row in best_cross]
-    joint = validate_ultrametric(labels, block_matrix(x.dist, y.dist, cross))
+    # Spelled as a JSON input is, so validation reads it as it reads a file.
+    text = [format_rational(v) for v in values]
+    joint_ranks = block_matrix(rx, ry, best_cross)
+    joint = validate_ultrametric(labels, [[text[r] for r in row] for row in joint_ranks])
     achieved = hausdorff_distance(joint, labels[:nx], labels[nx:])
     assert achieved == values[best_rank], "rank search and exact Hausdorff disagree"
     return achieved
+
+
+def cross_check(x: UltrametricSpace, y: UltrametricSpace, value: Fraction) -> None:
+    """Raise OracleMismatch unless :func:`ugh_oracle` agrees with the scan's
+    ``value`` (``ugh --oracle``)."""
+    oracle_value = ugh_oracle(x, y)
+    if oracle_value != value:
+        raise OracleMismatch(
+            f"scan reports {format_rational(value)} but the exhaustive "
+            f"oracle reports {format_rational(oracle_value)}",
+            scan=format_rational(value),
+            oracle=format_rational(oracle_value),
+        )

@@ -13,9 +13,12 @@ therefore unchecked.  A hierarchy takes one form here: a point order and the
 gaps between neighbours, ``d = max(gaps between)``, kept as ``_chain``.  A
 validated space keeps Prim's visit order and join keys (:func:`chain_order`),
 which its triangle check used, and its closed balls are runs of that chain
-(:func:`chain_runs`).  This module reads, checks and measures spaces; the
-code that builds one from a chain or from other spaces is in
-:mod:`ultrametric.builders`, which a job that only reads does not load.
+(:func:`chain_runs`).  This module reads, checks and measures spaces, and
+holds what a job whose input reads and checks runs.  The code that builds a
+space from a chain or from other spaces is in :mod:`ultrametric.builders`,
+which a job that only reads does not load; the code that names a rejected
+matrix's fault, or respells entries that are not canonical strings, is in
+:mod:`ultrametric.faults`, which only such a matrix loads.
 """
 
 from __future__ import annotations
@@ -25,24 +28,10 @@ from fractions import Fraction
 from functools import cached_property
 from operator import itemgetter
 
-from .errors import (
-    DuplicateLabel,
-    EmptySpace,
-    InputFormat,
-    InstanceTooLarge,
-    NegativeDistance,
-    NonSymmetric,
-    NonzeroDiagonal,
-    TriangleViolation,
-    UltrametricError,
-    UnknownLabel,
-    ZeroOffDiagonal,
-)
-from .rationals import as_rational, format_rational, int_max_str_digits, parse_rational
+from .errors import DuplicateLabel, EmptySpace, InputFormat, UltrametricError, UnknownLabel
+from .rationals import parse_rational
 
 ZERO = Fraction(0)
-# The types whose str() is their canonical spelling.
-_STR_SPELLS = (int, Fraction)
 
 
 class Record:
@@ -143,9 +132,10 @@ def rank_image(matrix, width: int | None = None) -> tuple[list[list[int]], list[
     is, at C speed: each distinct spelling is parsed once, one sort of the
     spellings by value numbers equal values alike by comparing neighbours,
     so no Fraction is hashed, and each row is read with one ``map``.  Any
-    other matrix is first rewritten by :func:`_canonical_spellings`, which
-    names its first bad entry: an int then costs one ``str`` in C, a
-    Fraction one ``str`` in Python.
+    other matrix is first rewritten by
+    :func:`ultrametric.faults._canonical_spellings`, which names its first
+    bad entry: an int then costs one ``str`` in C, a Fraction one ``str`` in
+    Python.
     """
     try:
         for row in matrix:
@@ -157,6 +147,8 @@ def rank_image(matrix, width: int | None = None) -> tuple[list[list[int]], list[
         spellings = list({"0"}.union(*matrix))  # "0" puts 0 among the values
         parsed = list(map(parse_rational, spellings))
     except (TypeError, UltrametricError):
+        from .faults import _canonical_spellings
+
         # Canonical spellings always read, so this recurses once.
         return rank_image(_canonical_spellings(matrix, width))
     values = []
@@ -166,25 +158,6 @@ def rank_image(matrix, width: int | None = None) -> tuple[list[list[int]], list[
             values.append(parsed[k])
         rank[spellings[k]] = len(values) - 1
     return [list(map(rank.__getitem__, row)) for row in matrix], values
-
-
-def _canonical_spellings(matrix, width: int | None) -> list[list[str]]:
-    """The matrix in canonical spellings, read as :func:`rank_image` reads
-    it, so the first bad entry or row raises."""
-    spelled = []
-    for i, row in enumerate(matrix):
-        if width is not None and len(row) != width:
-            raise InputFormat(f"matrix row {i} has {len(row)} entries, expected {width}")
-        try:
-            spelled.append(
-                [str(v) if type(v) in _STR_SPELLS else format_rational(as_rational(v)) for v in row]
-            )
-        except ValueError:  # str() of a value past the integer string limit
-            limit = int_max_str_digits()
-            raise InstanceTooLarge(
-                f"matrix row {i} exceeds the {limit}-digit integer limit", row=i, limit=limit
-            ) from None
-    return spelled
 
 
 def _check_labels(labels) -> tuple[str, ...]:
@@ -259,10 +232,11 @@ def chain_matrix(gaps, diagonal) -> list[list]:
 
 
 def chain_ranks(order, gaps, diagonal) -> tuple[tuple[int, ...], ...]:
-    """:func:`chain_matrix` of a chain over the points ``0..n-1``, in point order."""
+    """:func:`chain_matrix` of a chain over the points ``0..n-1``, in point
+    order; a chain in the order ``0..n-1`` is in point order already."""
     rows = chain_matrix(gaps, diagonal)
-    if len(rows) == 1:
-        return (tuple(rows[0]),)
+    if list(order) == list(range(len(order))):
+        return tuple(map(tuple, rows))
     position = sorted(range(len(order)), key=order.__getitem__)
     in_point_order = itemgetter(*position)
     return tuple(in_point_order(rows[p]) for p in position)
@@ -284,66 +258,22 @@ def validate_ultrametric(labels, matrix) -> UltrametricSpace:
 
 def _check_axioms(labels, ranks, values) -> UltrametricSpace:
     """The space of checked labels and a matrix of ranks into ``values``, or
-    the first axiom it violates.  A matrix equal to its subdominant is
-    accepted at once; the pair and triangle scans run only to name a fault."""
+    the first axiom it violates.  A matrix with a zero diagonal that equals
+    its subdominant is accepted at once; only another loads the scans of
+    :func:`ultrametric.faults.first_fault`, which name its fault."""
     rows = tuple(map(tuple, ranks))
     zero = bisect_left(values, ZERO)
     n = len(labels)
-
-    def text(i, j):
-        return format_rational(values[rows[i][j]])
-
-    for i in range(n):
-        if rows[i][i] != zero:
-            raise NonzeroDiagonal(
-                f"d({labels[i]},{labels[i]}) = {text(i, i)}, expected 0",
-                point=labels[i],
-            )
     space = UltrametricSpace(labels, tuple(values), rows)
-    sub = chain_ranks(*space._chain, [zero] * n)
-    # The subdominant is symmetric, and positive gaps keep points apart.
-    if sub == rows and all(gap > zero for gap in space._chain[1]):
-        return space
-    for i in range(n):
-        rank_i = rows[i]
-        for j in range(i + 1, n):
-            r = rank_i[j]
-            if r != rows[j][i]:
-                raise NonSymmetric(
-                    f"d({labels[i]},{labels[j]}) = {text(i, j)} but "
-                    f"d({labels[j]},{labels[i]}) = {text(j, i)}",
-                    points=[labels[i], labels[j]],
-                )
-            if r < zero:
-                raise NegativeDistance(
-                    f"d({labels[i]},{labels[j]}) = {text(i, j)} < 0",
-                    points=[labels[i], labels[j]],
-                )
-            if r == zero:
-                raise ZeroOffDiagonal(
-                    f"d({labels[i]},{labels[j]}) = 0 for distinct points",
-                    points=[labels[i], labels[j]],
-                )
-    for i in range(n):
-        rank_i = rows[i]
-        sub_i = sub[i]
-        for j in range(i + 1, n):
-            dij = rank_i[j]
-            # A violating k forces dij > max(d(i,k), d(k,j)) >= sub(i,j).
-            if dij == sub_i[j]:
-                continue
-            rank_j = rows[j]
-            for k in range(n):
-                if k == i or k == j:
-                    continue
-                if dij > rank_i[k] and dij > rank_j[k]:
-                    raise TriangleViolation(
-                        f"d({labels[i]},{labels[j]}) = {text(i, j)} > "
-                        f"max(d({labels[i]},{labels[k]}), d({labels[k]},{labels[j]})) = "
-                        f"max({text(i, k)}, {text(j, k)})",
-                        points=[labels[i], labels[j], labels[k]],
-                    )
-    return space
+    sub = None
+    if all(rows[i][i] == zero for i in range(n)):
+        sub = chain_ranks(*space._chain, [zero] * n)
+        # The subdominant is symmetric, and positive gaps keep points apart.
+        if sub == rows and all(gap > zero for gap in space._chain[1]):
+            return space
+    from .faults import first_fault
+
+    raise first_fault(labels, rows, values, sub)
 
 
 def spectrum(space: UltrametricSpace) -> tuple[Fraction, ...]:
@@ -372,8 +302,9 @@ def closed_balls(space: UltrametricSpace, t) -> list[list[int]]:
 
 def __getattr__(name):
     # perfbench/replay.py, kept unchanged, still imports these two from here.
-    if name in ("closed_quotient", "merge_duplicate_points"):
-        from . import builders
+    homes = {"closed_quotient": "builders", "merge_duplicate_points": "duplicates"}
+    if name in homes:
+        from importlib import import_module
 
-        return getattr(builders, name)
+        return getattr(import_module(f".{homes[name]}", __package__), name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

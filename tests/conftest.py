@@ -57,17 +57,23 @@ def rechecked_space_from_chain(labels, order, gaps, values) -> UltrametricSpace:
     return space
 
 
-# The library's modules that hold the builder under its name: every module
-# is imported, so one that imports the builder at top level is among them.
-BUILDER_MODULES = [
-    module
-    for module in (
-        import_module(f"ultrametric.{info.name}")
-        for info in pkgutil.iter_modules(ultrametric.__path__)
-        if info.name != "__main__"
-    )
-    if getattr(module, "space_from_chain", None) is BUILD_SPACE
-]
+def modules_holding(name: str, obj) -> list:
+    """The library's modules that hold ``obj`` under ``name``: every module
+    is imported, so one that imports it at top level is among them."""
+    return [
+        module
+        for module in (
+            import_module(f"ultrametric.{info.name}")
+            for info in pkgutil.iter_modules(ultrametric.__path__)
+            if info.name != "__main__"
+        )
+        if getattr(module, name, None) is obj
+    ]
+
+
+BUILDER_MODULES = modules_holding("space_from_chain", BUILD_SPACE)
+# Where a test patches Prim's pass to count it.
+PRIM_MODULES = modules_holding("chain_order", spaces.chain_order)
 
 
 @pytest.fixture(autouse=True)

@@ -7,12 +7,12 @@ from pathlib import Path
 
 import pytest
 
-from ultrametric import builders, certificates, jsonio, spaces, verify_certificate
+from ultrametric import certificates, jsonio, spaces, verify_certificate
 from ultrametric.cli import main
 from ultrametric.rationals import int_max_str_digits
 
 from cli_corpus import CASES, GOLDEN, SKIPPED, expected_text, run_case
-from conftest import BUILD_SPACE, BUILDER_MODULES, CHECK_AXIOMS, shallow_recursion
+from conftest import BUILD_SPACE, BUILDER_MODULES, CHECK_AXIOMS, PRIM_MODULES, shallow_recursion
 
 CORPUS = [
     pytest.param(
@@ -225,7 +225,7 @@ def test_prim_runs_once_per_input(name, want, tmp_path, monkeypatch):
     # The autouse recheck scans every constructed space; count the CLI's passes only.
     for module in BUILDER_MODULES:
         monkeypatch.setattr(module, "space_from_chain", BUILD_SPACE)
-    for module in (spaces, builders):
+    for module in PRIM_MODULES:
         monkeypatch.setattr(module, "chain_order", counted)
     argv = {case: argv for case, argv, _ in CASES}[name]
     assert run_case(argv, tmp_path)[0] == 0

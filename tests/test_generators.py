@@ -93,7 +93,7 @@ class TestCrowdFamily:
         def unreachable(*args):
             raise AssertionError("a refused instance was partly built")
 
-        monkeypatch.setattr(generators, "join_spaces", unreachable)
+        monkeypatch.setattr(builders, "join_spaces", unreachable)
         base = make_space(["x1", "x2"], {("x1", "x2"): 1})
         for n in (1447, 10**12):
             with pytest.raises(InstanceTooLarge) as info:
@@ -162,7 +162,7 @@ class TestCauchySequence:
             raise AssertionError("a refused instance was partly built")
 
         monkeypatch.setattr(generators, "Fraction", unreachable)
-        monkeypatch.setattr(generators, "space_from_chain", unreachable)
+        monkeypatch.setattr(builders, "space_from_chain", unreachable)
         # Both stay below 2127, the integer-limit bound at the lowest limit (640).
         for depth in (1448, 2000):
             with pytest.raises(InstanceTooLarge) as info:
@@ -172,7 +172,7 @@ class TestCauchySequence:
 
     def test_largest_depth_within_the_cell_budget_is_built(self, monkeypatch):
         # Built without the test suite's axiom scan, which would dominate here.
-        monkeypatch.setattr(generators, "space_from_chain", BUILD_SPACE)
+        monkeypatch.setattr(builders, "space_from_chain", BUILD_SPACE)
         space = cauchy_sequence(1447)
         assert 1448**2 <= generators.CELL_BUDGET < 1449**2
         assert (len(space), len(space.ranks), {len(row) for row in space.ranks}) == (1448, 1448, {1448})

@@ -42,7 +42,7 @@ from ultrametric.errors import (
     ZeroOffDiagonal,
 )
 from ultrametric.rationals import as_rational, format_rational
-from ultrametric.generators import SCALE_BITS
+from ultrametric.linkage import SCALE_BITS
 from ultrametric.oracle import block_matrix
 from ultrametric.spaces import UltrametricSpace, _coerce_matrix, rank_image
 
@@ -357,7 +357,7 @@ def test_merge_duplicates_reads_every_spelling_of_zero():
 
 def reference_merge_duplicates(labels, matrix):
     """Union-find over every pair with a 0 entry in either direction; each
-    group keeps its lowest index."""
+    group keeps its lowest index, and distances are canonical spellings."""
     labels, ranks, values = _coerce_matrix(labels, matrix)
     zero = bisect_left(values, Fraction(0))
     n = len(labels)
@@ -369,7 +369,7 @@ def reference_merge_duplicates(labels, matrix):
                 if ri != rj:
                     group_of[max(ri, rj)] = min(ri, rj)
     reps = sorted({find_root(group_of, i) for i in range(n)})
-    return [labels[r] for r in reps], [[values[ranks[a][b]] for b in reps] for a in reps]
+    return [labels[r] for r in reps], [[format_rational(values[ranks[a][b]]) for b in reps] for a in reps]
 
 
 DIRTY = ["1/4", "1/2", "1", "2", "-1"]
@@ -410,8 +410,8 @@ def merged_outcome(merge, labels, matrix):
 def test_merge_duplicates_matches_the_union_find_on_dirty_matrices():
     # d(a,b) = -1 faces d(b,a) = 0, so a and b merge; min(-1, 0) != 0 would miss it.
     labels, matrix = ["a", "b", "c"], [["0", "-1", "1"], ["0", "0", "1"], ["1", "1", "0"]]
-    assert merge_duplicate_points(labels, matrix) == (["a", "c"], [[0, 1], [1, 0]])
-    assert reference_merge_duplicates(labels, matrix) == (["a", "c"], [[0, 1], [1, 0]])
+    assert merge_duplicate_points(labels, matrix) == (["a", "c"], [["0", "1"], ["1", "0"]])
+    assert reference_merge_duplicates(labels, matrix) == (["a", "c"], [["0", "1"], ["1", "0"]])
     rng = random.Random(20261018)
     seen = dict.fromkeys(["one-sided zero", "nontransitive", "negative facing zero", "error"], 0)
     for _ in range(800):

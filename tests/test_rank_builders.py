@@ -48,15 +48,16 @@ from ultrametric.errors import (
     MetricMismatchOnA,
     UltrametricError,
 )
-from ultrametric.builders import from_dendrogram
+from ultrametric.trees import from_dendrogram
 from ultrametric.dendrogram import Leaf, Merge, leaf_labels, to_dendrogram
 from ultrametric.gromov import Certificate
 from ultrametric.rationals import format_rational
 from ultrametric.oracle import block_matrix
-from ultrametric.spaces import ZERO, UltrametricSpace, chain_order, chain_ranks
+from ultrametric.spaces import ZERO, UltrametricSpace, chain_matrix, chain_order, chain_ranks
 
 from conftest import (
     BUILD_SPACE,
+    PRIM_MODULES,
     SIX_VALUES,
     deep_and_wide,
     folded_chain_glue,
@@ -327,7 +328,7 @@ def test_chain_glue_runs_prim_on_its_inputs_only(monkeypatch):
 
     # The autouse recheck runs Prim on every constructed space; count the library's runs.
     monkeypatch.setattr(builders, "space_from_chain", BUILD_SPACE)
-    for module in (spaces, builders):
+    for module in PRIM_MODULES:
         monkeypatch.setattr(module, "chain_order", counted)
     glued = chain_glue(chain, identifications).space
     assert calls == [len(s) for s in chain]
@@ -480,6 +481,35 @@ def test_built_spaces_drawn_in_a_row_keep_their_chains():
             order, gaps = built.__dict__["_chain"]
             assert sorted(order) == list(range(len(built))) and all(gap > 0 for gap in gaps)
             assert chain_ranks(order, gaps, [0] * len(built)) == built.ranks
+
+
+def permuted_chain_ranks(order, gaps, diagonal):
+    """:func:`chain_ranks` as it was before it skipped the identity: the rows
+    and columns of :func:`chain_matrix` always permuted to point order."""
+    rows = chain_matrix(gaps, diagonal)
+    position = sorted(range(len(order)), key=order.__getitem__)
+    return tuple(tuple(rows[p][q] for q in position) for p in position)
+
+
+def test_chain_ranks_matches_the_permuted_path_on_identity_and_other_orders():
+    rng = random.Random(826)
+    seen = {"identity": 0, "permuted": 0}
+    for n in [1, 2] * 30 + [rng.randint(3, 40) for _ in range(300)]:
+        order = list(range(n))
+        if rng.random() < 0.5:
+            rng.shuffle(order)
+        gaps = [rng.randint(1, 6) for _ in range(n - 1)]
+        diagonal = [rng.choice([0, 0, 1]) for _ in range(n)]
+        got = chain_ranks(order, gaps, diagonal)
+        assert got == permuted_chain_ranks(order, gaps, diagonal)
+        assert type(got) is tuple and all(type(row) is tuple for row in got)
+        seen["identity" if order == sorted(order) else "permuted"] += 1
+    assert min(seen.values()) > 100, seen
+    # Built spaces whose chain is in point order take the skip.
+    for space in (random_space(30, SIX_VALUES, 826), two_point_space(1), cauchy_sequence(9)):
+        order, gaps = space._chain
+        assert order == list(range(len(space)))
+        assert space.ranks == permuted_chain_ranks(order, gaps, [0] * len(space))
 
 
 def test_disjoint_amalgam_matches_the_fraction_formula():
@@ -769,7 +799,7 @@ def counted_prim(monkeypatch) -> list[int]:
         calls.append(len(ranks))
         return chain_order(ranks)
 
-    for module in (spaces, builders):
+    for module in PRIM_MODULES:
         monkeypatch.setattr(module, "chain_order", counted)
     return calls
 

@@ -1,21 +1,38 @@
 """Start-up cost: a CLI job imports only the modules its verb reaches.
 
-Each check runs a fresh interpreter, since this test process has long since
-imported every module of the package.
+One table, :data:`MODULES`, gives the package modules each clean job loads,
+and the rules below read it.  One test checks the table by running each job
+in a fresh interpreter, since this test process has long since imported
+every module of the package.
 """
 
 import json
 import os
 import subprocess
 import sys
+from importlib import import_module
 from pathlib import Path
 
 import pytest
 
 import ultrametric
-from ultrametric import amalgam, builders, certificates, jsonio, oracle, spaces
+from ultrametric import (
+    amalgam,
+    builders,
+    certificates,
+    cli,
+    duplicates,
+    faults,
+    generators,
+    jsonio,
+    linkage,
+    oracle,
+    spaces,
+    trees,
+    usage,
+)
 
-from cli_corpus import GOLDEN
+from cli_corpus import EXPECTED, GOLDEN
 
 MINIMAL = {
     "ultrametric",
@@ -51,116 +68,35 @@ print(json.dumps([code, sorted(sys.modules), sorted(certifying), gc.get_freeze_c
 HEAVY = {"dataclasses", "inspect", "argparse", "gettext", "locale"}
 
 
-def run_python(args):
+def run_python(args, cwd=GOLDEN):
+    """Stdout and stderr of a fresh interpreter that exits 0."""
     # The child runs from tests/golden, so a relative PYTHONPATH would miss src.
     src = str(Path(__file__).resolve().parents[1] / "src")
     inherited = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, inherited]) if inherited else src)
     result = subprocess.run(
-        [sys.executable, *args], cwd=GOLDEN, capture_output=True, text=True, env=env
+        [sys.executable, *args], cwd=cwd, capture_output=True, text=True, env=env
     )
     assert result.returncode == 0, result.stderr
-    return result.stdout
+    return result.stdout, result.stderr
 
 
-def run_listed(argv):
-    return json.loads(run_python(["-c", RUN_AND_LIST, *argv]).splitlines()[-1])
+def run_listed(argv, cwd=GOLDEN):
+    """The job's exit code, modules, certifying modules and frozen count, and
+    what it wrote to stdout and stderr."""
+    out, err = run_python(["-c", RUN_AND_LIST, *argv], cwd)
+    *printed, listed = out.splitlines(keepends=True)
+    return json.loads(listed), "".join(printed), err
+
+
+def package(modules) -> set[str]:
+    return {m for m in modules if m.startswith("ultrametric")}
 
 
 def run_job(argv):
-    code, modules, certifying, _ = run_listed(argv)
+    (code, modules, certifying, _), _, _ = run_listed(argv)
     assert code == 0
     return set(modules), certifying
-
-
-def all_modules_loaded_by(argv):
-    return run_job(argv)[0]
-
-
-def modules_loaded_by(argv):
-    return {m for m in all_modules_loaded_by(argv) if m.startswith("ultrametric")}
-
-
-@pytest.mark.parametrize(
-    "argv, extra",
-    [
-        (["validate", "isosceles.json"], set()),
-        (["spectrum", "isosceles.json"], set()),
-        # A quotient is built, from the source's chain.
-        (["quotient", "isosceles.json", "--t", "1"], {"ultrametric.builders"}),
-    ],
-    ids=["validate", "spectrum", "quotient"],
-)
-def test_space_verbs_load_the_minimal_set(argv, extra):
-    assert modules_loaded_by(argv) == MINIMAL | extra
-
-
-def test_ugh_without_oracle_skips_oracle_amalgam_and_generators():
-    loaded = modules_loaded_by(["ugh", "x_half.json", "x_three_quarters.json"])
-    assert "ultrametric.gromov" in loaded
-    assert not loaded & {"ultrametric.oracle", "ultrametric.amalgam", "ultrametric.generators"}
-
-
-def test_ugh_without_certificate_or_oracle_skips_hyperspace():
-    loaded = modules_loaded_by(["ugh", "x_half.json", "x_three_quarters.json"])
-    assert "ultrametric.hyperspace" not in loaded
-
-
-@pytest.mark.parametrize(
-    "argv, want",
-    [
-        (["ugh", "x_half.json", "x_three_quarters.json"], []),
-        (
-            ["ugh", "x_half.json", "x_three_quarters.json", "--certificate", "{tmp}/cert.json"],
-            ["ultrametric.certificates"],
-        ),
-    ],
-    ids=["ugh", "ugh_certificate"],
-)
-def test_only_ugh_certificate_loads_the_certificate_code(argv, want, tmp_path):
-    argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
-    assert run_job(argv)[1] == want
-
-
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["cluster", "--input", "metric.json"],
-        ["in-uk", "isosceles.json", "--k", "0,1,2"],
-        ["gen", "crowd", "--space", "pair.json", "--base", "a", "--c", "1/2", "--n", "2"],
-        ["gen", "random", "--n", "5", "--k", "0,1/2,1", "--seed", "3"],
-    ],
-    ids=["cluster", "in_uk", "gen_crowd", "gen_random"],
-)
-def test_generators_skip_dendrogram(argv):
-    loaded = modules_loaded_by(argv)
-    assert "ultrametric.generators" in loaded
-    assert "ultrametric.dendrogram" not in loaded
-
-
-def test_glue_skips_gromov_and_generators():
-    loaded = modules_loaded_by(["glue", "gluespec.json"])
-    assert "ultrametric.amalgam" in loaded
-    assert not loaded & {"ultrametric.gromov", "ultrametric.generators"}
-
-
-@pytest.mark.parametrize(
-    "argv, want_code",
-    [(["validate", "isosceles.json"], 0), (["validate", "bad_triangle.json"], 1), (["frobnicate"], 2)],
-    ids=["exit_0", "exit_1", "exit_2"],
-)
-def test_a_job_freezes_its_objects_before_exit(argv, want_code):
-    # Frozen objects are skipped by the collections the interpreter runs at
-    # shutdown, which would otherwise walk everything the job loaded.
-    code, _, _, frozen = run_listed(argv)
-    assert code == want_code
-    assert frozen > 0
-
-
-@pytest.fixture(scope="module")
-def bare_modules():
-    """Modules a bare interpreter loads, which are not charged to a job."""
-    return set(run_python(["-c", "import sys; print(*sys.modules)"]).split())
 
 
 # A clean job of every verb and family.
@@ -184,22 +120,158 @@ CLEAN_JOBS = {
     "gen_crowd": ["gen", "crowd", "--space", "pair.json", "--base", "a", "--c", "1/2", "--n", "1"],
     "gen_cauchy": ["gen", "cauchy", "--depth", "2"],
     "gen_random": ["gen", "random", "--n", "3", "--k", "0,1", "--seed", "1"],
+    "cluster_merge": ["cluster", "--input", "dirty_metric.json", "--merge-duplicates"],
 }
 
 
-@pytest.mark.parametrize("argv", list(CLEAN_JOBS.values()), ids=list(CLEAN_JOBS))
-def test_verbs_import_no_heavy_stdlib_module(argv, tmp_path, bare_modules):
+def loads(*names: str) -> set[str]:
+    return MINIMAL | {f"ultrametric.{name}" for name in names}
+
+
+# The package modules each clean job loads: MINIMAL, its verb's handler
+# module (``cli.HANDLERS``) and what that handler runs.
+MODULES = {
+    "validate": loads(),
+    "spectrum": loads(),
+    "validate_merge": loads("duplicates"),
+    "quotient": loads("builders"),
+    "hausdorff": loads("hyperspace"),
+    "net": loads("hyperspace"),
+    "glue": loads("amalgam", "builders"),
+    "amalgam": loads("amalgam", "builders"),
+    "ugh": loads("dendrogram", "gromov"),
+    "ugh_oracle": loads("dendrogram", "gromov", "hyperspace", "oracle"),
+    "ugh_certificate": loads("builders", "certificates", "dendrogram", "gromov"),
+    "gen_two_point": loads("builders", "generators"),
+    "gen_crowd": loads("builders", "generators"),
+    "gen_cauchy": loads("builders", "generators"),
+    "gen_random": loads("builders", "generators"),
+    "cluster": loads("builders", "linkage"),
+    "cluster_merge": loads("builders", "duplicates", "linkage"),
+    "in_uk": loads("generators"),
+}
+
+
+@pytest.fixture(scope="module")
+def loaded(tmp_path_factory):
+    """Every module each clean job leaves loaded, one fresh run per job."""
+    tmp = str(tmp_path_factory.mktemp("jobs"))
+    return {
+        name: run_job([arg.replace("{tmp}", tmp) for arg in argv])[0]
+        for name, argv in CLEAN_JOBS.items()
+    }
+
+
+def test_the_table_covers_every_clean_job_and_verb():
+    assert set(MODULES) == set(CLEAN_JOBS)
+    assert {argv[0] for argv in CLEAN_JOBS.values()} == set(cli.HANDLERS) == set(cli.VERBS)
+    # The handlers left cli.py, and no copy of them stayed.
+    assert not hasattr(cli, "_run")
+
+
+@pytest.mark.parametrize("name", list(CLEAN_JOBS))
+def test_each_clean_job_loads_exactly_its_modules(name, loaded):
+    assert package(loaded[name]) == MODULES[name]
+
+
+@pytest.mark.parametrize("name", list(CLEAN_JOBS))
+def test_each_job_loads_its_verbs_handler_module(name):
+    module, handler = cli.HANDLERS[CLEAN_JOBS[name][0]]
+    assert f"ultrametric.{module}" in MODULES[name]
+    assert callable(vars(import_module(f"ultrametric.{module}"))[handler])
+
+
+@pytest.mark.parametrize(
+    "name, extra",
+    [
+        ("validate", set()),
+        ("spectrum", set()),
+        # A quotient is built, from the source's chain.
+        ("quotient", {"ultrametric.builders"}),
+    ],
+    ids=["validate", "spectrum", "quotient"],
+)
+def test_space_verbs_load_the_minimal_set(name, extra):
+    assert MODULES[name] == MINIMAL | extra
+
+
+def test_ugh_without_oracle_skips_oracle_amalgam_and_generators():
+    assert "ultrametric.gromov" in MODULES["ugh"]
+    skipped = {"ultrametric.oracle", "ultrametric.amalgam", "ultrametric.generators"}
+    assert not MODULES["ugh"] & skipped
+
+
+def test_ugh_without_certificate_or_oracle_skips_hyperspace():
+    assert "ultrametric.hyperspace" not in MODULES["ugh"]
+
+
+@pytest.mark.parametrize(
+    "argv, want",
+    [
+        (["ugh", "x_half.json", "x_three_quarters.json"], []),
+        (
+            ["ugh", "x_half.json", "x_three_quarters.json", "--certificate", "{tmp}/cert.json"],
+            ["ultrametric.certificates"],
+        ),
+    ],
+    ids=["ugh", "ugh_certificate"],
+)
+def test_only_ugh_certificate_loads_the_certificate_code(argv, want, tmp_path):
     argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
-    assert not (all_modules_loaded_by(argv) - bare_modules) & HEAVY
+    assert run_job(argv)[1] == want
 
 
-# The jobs that build a space (``in-uk``, ``cluster`` and ``gen`` through
-# ``generators``); the rest only read, check and measure, and skip the builders.
+@pytest.mark.parametrize("name", ["cluster", "in_uk", "gen_crowd", "gen_random"])
+def test_generators_skip_dendrogram(name):
+    home = cli.HANDLERS[CLEAN_JOBS[name][0]][0]
+    assert f"ultrametric.{home}" in MODULES[name]
+    assert "ultrametric.dendrogram" not in MODULES[name]
+
+
+def test_cluster_loads_single_linkage_but_not_the_family_generators():
+    assert "ultrametric.linkage" in MODULES["cluster"]
+    assert "ultrametric.generators" not in MODULES["cluster"]
+    linking = {name for name, modules in MODULES.items() if "ultrametric.linkage" in modules}
+    assert linking == {"cluster", "cluster_merge"}
+
+
+def test_glue_skips_gromov_and_generators():
+    assert "ultrametric.amalgam" in MODULES["glue"]
+    assert not MODULES["glue"] & {"ultrametric.gromov", "ultrametric.generators"}
+
+
+@pytest.mark.parametrize("name", list(CLEAN_JOBS))
+def test_verbs_import_no_heavy_stdlib_module(name, loaded, bare_modules):
+    assert not (loaded[name] - bare_modules) & HEAVY
+
+
+@pytest.fixture(scope="module")
+def bare_modules():
+    """Modules a bare interpreter loads, which are not charged to a job."""
+    return set(run_python(["-c", "import sys; print(*sys.modules)"])[0].split())
+
+
+@pytest.mark.parametrize(
+    "argv, want_code",
+    [(["validate", "isosceles.json"], 0), (["validate", "bad_triangle.json"], 1), (["frobnicate"], 2)],
+    ids=["exit_0", "exit_1", "exit_2"],
+)
+def test_a_job_freezes_its_objects_before_exit(argv, want_code):
+    # Frozen objects are skipped by the collections the interpreter runs at
+    # shutdown, which would otherwise walk everything the job loaded.
+    (code, _, _, frozen), _, _ = run_listed(argv)
+    assert code == want_code
+    assert frozen > 0
+
+
+# The jobs that build a space (``quotient``, ``glue``, ``amalgam``, ``gen``,
+# ``cluster`` and ``ugh --certificate``); the rest only read, check and
+# measure, and skip the builders.  ``in-uk`` and a merge of duplicates
+# build nothing.
 BUILDING_JOBS = {
     "quotient",
-    "validate_merge",
     "cluster",
-    "in_uk",
+    "cluster_merge",
     "glue",
     "amalgam",
     "gen_two_point",
@@ -211,30 +283,89 @@ BUILDING_JOBS = {
 
 
 @pytest.mark.parametrize("name", list(CLEAN_JOBS))
-def test_only_building_jobs_load_the_builders(name, tmp_path):
-    argv = [arg.replace("{tmp}", str(tmp_path)) for arg in CLEAN_JOBS[name]]
-    assert ("ultrametric.builders" in modules_loaded_by(argv)) == (name in BUILDING_JOBS)
+def test_only_building_jobs_load_the_builders(name):
+    assert ("ultrametric.builders" in MODULES[name]) == (name in BUILDING_JOBS)
 
 
-# Definitions that left ``spaces`` and ``jsonio`` for the modules that only
-# their verbs load, and the four names the frozen benchmark replay still
-# imports from the old homes.
+def test_in_uk_loads_no_builders():
+    assert MODULES["in_uk"] == loads("generators")
+
+
+def test_only_merge_jobs_load_the_merge_code():
+    merging = {name for name, argv in CLEAN_JOBS.items() if "--merge-duplicates" in argv}
+    assert merging == {"validate_merge", "cluster_merge"}
+    loading = {name for name, modules in MODULES.items() if "ultrametric.duplicates" in modules}
+    assert loading == merging
+
+
+def test_no_clean_job_loads_the_fault_module():
+    assert not any("ultrametric.faults" in modules for modules in MODULES.values())
+
+
+ISOSCELES_INTS = {"points": ["a", "b", "c"], "dist": [[0, 1, 2], [1, 0, 2], [2, 2, 0]]}
+BAD_TRIANGLE_INTS = {"points": ["a", "b", "c"], "dist": [[0, 1, 3], [1, 0, 2], [3, 2, 0]]}
+
+
+@pytest.mark.parametrize(
+    "argv, files, code, expected",
+    [
+        (["validate", "bad_triangle.json"], {}, 1, "validate_triangle"),
+        (["validate", "ints.json"], {"ints.json": ISOSCELES_INTS}, 0, "validate_ok"),
+        (["validate", "ints.json"], {"ints.json": BAD_TRIANGLE_INTS}, 1, "validate_triangle"),
+        (["validate", "huge_exponent.json"], {}, 1, "validate_huge_exponent"),
+    ],
+    ids=["rejected", "json_integers", "json_integers_rejected", "unparsed_entry"],
+)
+def test_rejected_and_integer_matrices_load_the_fault_module(argv, files, code, expected, tmp_path):
+    # A golden input is read from its directory; a written one from tmp_path.
+    cwd = tmp_path if files else GOLDEN
+    for name, obj in files.items():
+        (tmp_path / name).write_text(json.dumps(obj), encoding="utf-8")
+    (got_code, modules, _, _), out, err = run_listed(argv, cwd)
+    assert got_code == code
+    assert "ultrametric.faults" in modules
+    assert "ultrametric.builders" not in modules
+    # The same bytes as the corpus case on the same matrix.
+    assert out == (EXPECTED / f"{expected}.out").read_text(encoding="utf-8")
+    assert err == (EXPECTED / f"{expected}.err").read_text(encoding="utf-8")
+
+
+# Definitions that left a module for one that only their verbs load, by old
+# home and new, and the names the frozen benchmark replay still imports from
+# the old homes, which they forward.  ``cli._run`` is gone: each verb's
+# handler lives in its ``cli.HANDLERS`` module.
 MOVED = {
     spaces: {
         builders: [
             "space_from_chain", "merged_spectrum", "join_spaces", "subspace", "QuotientSpace",
-            "closed_quotient", "merge_duplicate_points",
+            "closed_quotient",
         ],
+        duplicates: ["merge_duplicate_points"],
+        faults: ["_canonical_spellings", "_STR_SPELLS"],
         oracle: ["block_matrix"],
     },
     jsonio: {
         amalgam: ["gluespec_from_obj"],
         certificates: ["certificate_to_obj", "certificate_from_obj"],
     },
+    builders: {
+        duplicates: ["merge_duplicate_points"],
+        trees: ["from_dendrogram", "_tree_chain"],
+    },
+    generators: {
+        linkage: ["single_linkage", "_check_triangles", "SCALE_BITS"],
+    },
+    cli: {
+        jsonio: ["read_text", "load_json", "load_space", "load_subset", "emit"],
+        usage: ["build_parser", "_add_arguments"],
+    },
 }
 FORWARDED = {
     spaces: {"closed_quotient", "merge_duplicate_points"},
     jsonio: {"gluespec_from_obj", "certificate_to_obj"},
+    builders: set(),
+    generators: {"single_linkage"},
+    cli: {"build_parser"},
 }
 
 
@@ -243,7 +374,7 @@ def test_old_homes_define_no_moved_name_and_forward_only_four(module):
     for home, names in MOVED[module].items():
         for name in names:
             assert name in vars(home) and name not in vars(module), name
-    # Every name of the new homes that the old one lacks: only the four resolve.
+    # Every name of the new homes that the old one lacks: only the forwarded resolve.
     for home in MOVED[module]:
         for name in vars(home):
             if name not in vars(module) and not name.startswith("__"):
@@ -274,7 +405,7 @@ print(json.dumps([
     if getattr(m, name, ns[name]) is not ns[name]
 ]))
 """
-    assert json.loads(run_python(["-c", script])) == []
+    assert json.loads(run_python(["-c", script])[0]) == []
 
 
 def test_unknown_attribute_is_an_attribute_error():
@@ -284,4 +415,4 @@ def test_unknown_attribute_is_an_attribute_error():
 
 def test_dir_lists_every_public_name():
     script = "import json, ultrametric; print(json.dumps(dir(ultrametric)))"
-    assert set(ultrametric.__all__) <= set(json.loads(run_python(["-c", script])))
+    assert set(ultrametric.__all__) <= set(json.loads(run_python(["-c", script])[0]))
