@@ -64,13 +64,22 @@ _HOME = {
 __all__ = list(_HOME)
 
 
-def __getattr__(name):
-    try:
-        home = _HOME[name]
-    except KeyError:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
-    value = globals()[name] = getattr(import_module(f".{home}", __name__), name)
-    return value
+def _forward(module, homes):
+    """A PEP 562 ``__getattr__`` for ``module`` that imports each name of ``homes``
+    from the sibling module the table gives; only the package binds the name."""
+
+    def __getattr__(name):
+        if name not in homes:
+            raise AttributeError(f"module {module!r} has no attribute {name!r}")
+        value = getattr(import_module(f".{homes[name]}", __name__), name)
+        if module == __name__:
+            globals()[name] = value
+        return value
+
+    return __getattr__
+
+
+__getattr__ = _forward(__name__, _HOME)
 
 
 def __dir__():

@@ -21,7 +21,7 @@ from importlib import import_module
 from types import SimpleNamespace
 
 # Every verb pays for the imports below, so they are only what all verbs need.
-from . import jsonio
+from . import _forward, jsonio
 from .errors import OracleMismatch, UltrametricError
 
 
@@ -265,10 +265,5 @@ def entry() -> None:
     raise SystemExit(code)
 
 
-def __getattr__(name):
-    # perfbench/replay.py, kept unchanged, still imports build_parser from here.
-    if name == "build_parser":
-        from .usage import build_parser
-
-        return build_parser
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+# perfbench/replay.py, kept unchanged, still imports build_parser from here.
+__getattr__ = _forward(__name__, {"build_parser": "usage"})

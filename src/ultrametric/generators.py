@@ -13,7 +13,7 @@ import random
 from fractions import Fraction
 from math import isqrt
 
-from . import jsonio
+from . import _forward, jsonio
 from .errors import (
     BasePointMissing,
     ConstraintTooSmall,
@@ -261,10 +261,5 @@ def cli_in_uk(args) -> dict:
     return {"member": False, "witness": {"points": [a, b], "value": format_rational(value)}}
 
 
-def __getattr__(name):
-    # perfbench/replay.py, kept unchanged, still imports single_linkage from here.
-    if name == "single_linkage":
-        from .linkage import single_linkage
-
-        return single_linkage
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+# perfbench/replay.py, kept unchanged, still imports single_linkage from here.
+__getattr__ = _forward(__name__, {"single_linkage": "linkage"})

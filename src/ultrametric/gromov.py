@@ -48,7 +48,9 @@ scheme on small instances; the acceptance suite treats any disagreement as a
 bug in the scan.  Certificates live in :mod:`ultrametric.certificates`, which
 a scan does not load; their names are still importable from here.  The
 ``ugh`` verb's handler, :func:`cli_ugh`, lives here, and loads the oracle and
-the certificates only for ``--oracle`` and ``--certificate``.
+the certificates only for ``--oracle`` and ``--certificate``.  The u_GH value
+format it writes, ``{"value": "3/4", "scale_witness": "3/4"}``, is here too
+(:func:`ugh_result_to_obj`).
 """
 
 from __future__ import annotations
@@ -56,8 +58,9 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache
 
-from . import jsonio
+from . import _forward, jsonio
 from .dendrogram import leaf_pairing, quotient_canon
+from .rationals import format_rational
 from .spaces import ZERO, Record, UltrametricSpace, closed_balls
 
 BlockMap = tuple[tuple[tuple[str, ...], tuple[str, ...]], ...]
@@ -124,6 +127,13 @@ def spectrum_agreement(x: UltrametricSpace, y: UltrametricSpace) -> Fraction:
     return max(set(x.values) ^ set(y.values), default=ZERO)
 
 
+def ugh_result_to_obj(result: UghResult) -> dict:
+    return {
+        "value": format_rational(result.value),
+        "scale_witness": format_rational(result.scale_witness),
+    }
+
+
 def cli_ugh(args) -> dict:
     """``ultrametric ugh SPACE_A SPACE_B [--oracle] [--certificate FILE]``."""
     a = jsonio.load_space(args.space_a)
@@ -139,12 +149,9 @@ def cli_ugh(args) -> dict:
         # Correct by construction for ugh_distance's own result; see certificate.
         cert = certificate(a, b, result)
         jsonio.emit(jsonio.dumps(certificate_to_obj(cert)), args.certificate)
-    return jsonio.ugh_result_to_obj(result)
+    return ugh_result_to_obj(result)
 
 
-def __getattr__(name):
-    if name in ("Certificate", "certificate", "verify_certificate"):
-        from . import certificates
-
-        return getattr(certificates, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+__getattr__ = _forward(
+    __name__, dict.fromkeys(("Certificate", "certificate", "verify_certificate"), "certificates")
+)

@@ -2,14 +2,13 @@
 
 Formats (all rational values are canonical strings like ``"0"``, ``"1/2"``):
 
-* space:      ``{"points": ["a", ...], "dist": [["0", "1/2", ...], ...]}``
-* quotient:   a space plus ``"scale"`` and ``"blocks"``
-* subset:     ``["a", "b", ...]``
-* u_GH value: ``{"value": "3/4", "scale_witness": "3/4"}``
+* space:         ``{"points": ["a", ...], "dist": [["0", "1/2", ...], ...]}``
+* rational list: ``["0", "1/2", ...]``
 
-The glue spec and certificate formats live beside their records, in
-:mod:`ultrametric.amalgam` and :mod:`ultrametric.certificates`, so a job
-that reads neither does not compile their codecs.
+The other formats live beside their records and verbs, so a job of another
+verb does not compile their codecs: quotient (:mod:`~ultrametric.builders`),
+subset (:mod:`~ultrametric.hyperspace`), u_GH value (:mod:`~ultrametric.gromov`),
+glue spec (:mod:`~ultrametric.amalgam`), certificate (:mod:`~ultrametric.certificates`).
 
 Readers ignore unknown keys so enriched outputs (for example a quotient space
 carrying its ``blocks``) can be piped straight back in; writers always emit
@@ -27,12 +26,10 @@ import json
 import os
 import sys
 
+from . import _forward
 from .errors import InputFormat, InvalidParameter
-from .rationals import as_rational, format_rational
+from .rationals import format_rational
 from .spaces import UltrametricSpace, spectrum, validate_ultrametric
-
-# QuotientSpace and UghResult appear only in annotations, which are never
-# evaluated, so writing them loads neither the builders nor the scan.
 
 
 def dumps(obj) -> str:
@@ -76,28 +73,8 @@ def space_to_obj(space: UltrametricSpace) -> dict:
     }
 
 
-def quotient_to_obj(q: QuotientSpace) -> dict:
-    obj = space_to_obj(q.quotient)
-    obj["scale"] = format_rational(q.scale)
-    obj["blocks"] = [list(block) for block in q.blocks]
-    return obj
-
-
-def subset_from_obj(obj) -> list[str]:
-    if not isinstance(obj, list) or not all(isinstance(s, str) for s in obj):
-        raise InputFormat("subset must be a JSON array of point labels")
-    return list(obj)
-
-
-def ugh_result_to_obj(result: UghResult) -> dict:
-    return {
-        "value": format_rational(result.value),
-        "scale_witness": format_rational(result.scale_witness),
-    }
-
-
 def rational_list_to_obj(values) -> list[str]:
-    return [format_rational(as_rational(v)) for v in values]
+    return [format_rational(v) for v in values]
 
 
 def read_text(path: str) -> str:
@@ -136,13 +113,6 @@ def load_space(path: str, merge_duplicates: bool = False) -> UltrametricSpace:
     return validate_ultrametric(*load_matrix(path, merge_duplicates))
 
 
-def load_subset(text: str) -> list[str]:
-    """A subset given as JSON text, or as ``@file``."""
-    if text.startswith("@"):
-        text = read_text(text[1:])
-    return subset_from_obj(loads(text))
-
-
 def emit(line: str, out_path: str | None) -> None:
     """Write one line to the file ``out_path``, or to standard output."""
     if not out_path:
@@ -176,11 +146,13 @@ def cli_spectrum(args) -> list[str]:
     return rational_list_to_obj(spectrum(load_space(args.space)))
 
 
-def __getattr__(name):
-    # perfbench/replay.py, kept unchanged, still reads these two codecs from here.
-    homes = {"gluespec_from_obj": "amalgam", "certificate_to_obj": "certificates"}
-    if name in homes:
-        from importlib import import_module
-
-        return getattr(import_module(f".{homes[name]}", __package__), name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+# perfbench/replay.py and smoke.py, kept unchanged, still read these codecs here.
+__getattr__ = _forward(
+    __name__,
+    {
+        "certificate_to_obj": "certificates",
+        "quotient_to_obj": "builders",
+        "subset_from_obj": "hyperspace",
+        "ugh_result_to_obj": "gromov",
+    },
+)

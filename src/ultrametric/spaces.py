@@ -28,6 +28,7 @@ from fractions import Fraction
 from functools import cached_property
 from operator import itemgetter
 
+from . import _forward
 from .errors import DuplicateLabel, EmptySpace, InputFormat, UltrametricError, UnknownLabel
 from .rationals import parse_rational
 
@@ -300,11 +301,7 @@ def closed_balls(space: UltrametricSpace, t) -> list[list[int]]:
     return sorted(map(sorted, chain_runs(space, t)[0]))
 
 
-def __getattr__(name):
-    # perfbench/replay.py, kept unchanged, still imports these two from here.
-    homes = {"closed_quotient": "builders", "merge_duplicate_points": "duplicates"}
-    if name in homes:
-        from importlib import import_module
-
-        return getattr(import_module(f".{homes[name]}", __package__), name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+# perfbench/replay.py, kept unchanged, still imports these two from here.
+__getattr__ = _forward(
+    __name__, {"closed_quotient": "builders", "merge_duplicate_points": "duplicates"}
+)

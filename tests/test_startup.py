@@ -6,8 +6,10 @@ in a fresh interpreter, since this test process has long since imported
 every module of the package.
 """
 
+import ast
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from importlib import import_module
@@ -24,6 +26,8 @@ from ultrametric import (
     duplicates,
     faults,
     generators,
+    gromov,
+    hyperspace,
     jsonio,
     linkage,
     oracle,
@@ -33,6 +37,9 @@ from ultrametric import (
 )
 
 from cli_corpus import EXPECTED, GOLDEN
+from test_bench_imports import SCRIPTS, used_names
+
+SRC = Path(ultrametric.__file__).resolve().parent
 
 MINIMAL = {
     "ultrametric",
@@ -347,6 +354,9 @@ MOVED = {
     jsonio: {
         amalgam: ["gluespec_from_obj"],
         certificates: ["certificate_to_obj", "certificate_from_obj"],
+        builders: ["quotient_to_obj"],
+        gromov: ["ugh_result_to_obj"],
+        hyperspace: ["subset_from_obj", "load_subset"],
     },
     builders: {
         duplicates: ["merge_duplicate_points"],
@@ -356,13 +366,14 @@ MOVED = {
         linkage: ["single_linkage", "_check_triangles", "SCALE_BITS"],
     },
     cli: {
-        jsonio: ["read_text", "load_json", "load_space", "load_subset", "emit"],
+        jsonio: ["read_text", "load_json", "load_space", "emit"],
+        hyperspace: ["load_subset"],
         usage: ["build_parser", "_add_arguments"],
     },
 }
 FORWARDED = {
     spaces: {"closed_quotient", "merge_duplicate_points"},
-    jsonio: {"gluespec_from_obj", "certificate_to_obj"},
+    jsonio: {"certificate_to_obj", "quotient_to_obj", "subset_from_obj", "ugh_result_to_obj"},
     builders: set(),
     generators: {"single_linkage"},
     cli: {"build_parser"},
@@ -383,6 +394,41 @@ def test_old_homes_define_no_moved_name_and_forward_only_four(module):
                 if forwarded:
                     assert getattr(module, name) is vars(home)[name]
     assert FORWARDED[module] <= {n for names in MOVED[module].values() for n in names}
+
+
+def test_one_helper_writes_every_forward():
+    # Each module's PEP 562 __getattr__ is a table given to ultrametric._forward.
+    defining = [
+        (path.name, node.lineno)
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_bytes()))
+        if isinstance(node, ast.FunctionDef) and node.name == "__getattr__"
+    ]
+    assert [name for name, _ in defining] == ["__init__.py"], defining
+
+
+def test_modules_forward_exactly_the_names_the_benchmark_scripts_read():
+    # A name a script takes from a module that no longer defines it must be
+    # forwarded, and nothing else is; gromov also keeps its documented
+    # certificate names, of which the scripts read two.
+    modules = [
+        import_module(f"ultrametric.{info.name}")
+        for info in pkgutil.iter_modules(ultrametric.__path__)
+        if info.name != "__main__"
+    ]
+    names = {name for module in modules for name in vars(module) if not name.startswith("__")}
+    read = {used for path in SCRIPTS for used in used_names(path)}
+    forwarding = [module for module in modules if "__getattr__" in vars(module)]
+    assert {module.__name__ for module in forwarding} == {
+        f"ultrametric.{name}" for name in ("cli", "generators", "gromov", "jsonio", "spaces")
+    }
+    for module in forwarding:
+        own = set(vars(module))
+        forwarded = {name for name in names - own if hasattr(module, name)}
+        wanted = {name for home, name in read if home == module.__name__} - own
+        if module is gromov:
+            wanted.add("Certificate")
+        assert forwarded == wanted, module.__name__
 
 
 def test_star_import_binds_every_public_name_to_its_home_object():
