@@ -1,5 +1,5 @@
 """Growth-rate bench of the constructions, timed in process, and the
-start-up cost of each CLI job.
+start-up cost and CPU time of each CLI job.
 
 Usage (from the repository root)::
 
@@ -33,9 +33,17 @@ every verb (:data:`JOBS`, run from ``tests/golden``), the package modules the
 job leaves loaded and their sums.  That separates the package's share from
 interpreter start-up.
 
+The CLI rows (``cli``) time whole processes, started from ``tests/golden``
+with ``PYTHONDONTWRITEBYTECODE=1`` inside the column run's reference pair:
+each of :data:`JOBS` as ``python -m ultrametric`` (``jobs``), and the bare
+interpreter as ``python -c pass`` and ``python -S -c pass`` (``bare``), so
+the host's ``site`` start-up shows apart from the program's.  Each keeps
+the child CPU milliseconds of its best round and the median over the
+rounds, raw and scaled, as the layers do.
+
 No timing is checked; :func:`check_schema` checks the file's form only, of
 this schema and of the earlier ones (the first kept the best time only, the
-second had no start-up row and no ratios).
+second had no start-up row and no ratios, the third no CLI rows).
 """
 
 from __future__ import annotations
@@ -56,11 +64,13 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 REFERENCE = ROOT / "perfbench" / "reference.py"
 GOLDEN = ROOT / "tests" / "golden"
-SCHEMA = "ultrametric-growth/3"
+SCHEMA = "ultrametric-growth/4"
 # The first schema's layers, and its entries, which held the best time only.
 SCHEMA_1 = "ultrametric-growth/1"
-# The second schema: this one without the start-up row and the ratios.
+# The second schema: the third without the start-up row and the ratios.
 SCHEMA_2 = "ultrametric-growth/2"
+# The third schema: this one without the CLI rows.
+SCHEMA_3 = "ultrametric-growth/3"
 LAYERS_1 = ("glue", "disjoint_amalgam", "crowd_family", "certificate", "chain_glue")
 LAYERS = (
     *LAYERS_1,
@@ -98,11 +108,16 @@ JOBS = {
     "cluster": ["cluster", "--input", "metric.json"],
     "in_uk": ["in-uk", "isosceles.json", "--k", "0,1,2"],
 }
+# The bare-interpreter rows: start-up and exit with and without ``site``.
+BARE = {"python -c pass": ["-c", "pass"], "python -S -c pass": ["-S", "-c", "pass"]}
 # Runs the CLI as ``python -m ultrametric`` does, then prints the package
-# modules it left loaded as the last line of stdout.
+# modules it left loaded as the last line of stdout.  The job's ``os._exit``
+# raises SystemExit instead, so the child goes on to print; a source tree
+# whose job exits normally raises it anyway.
 LIST_MODULES = """
-import json, runpy, sys
+import json, os, runpy, sys
 sys.argv = ["ultrametric", *sys.argv[1:]]
+os._exit = sys.exit
 try:
     runpy.run_module("ultrametric", run_name="__main__", alter_sys=True)
 except SystemExit:
@@ -259,6 +274,19 @@ def digest(src: Path) -> str:
     return h.hexdigest()
 
 
+def run_cli(src: Path) -> dict:
+    """Child CPU milliseconds of each of :data:`JOBS` as ``python -m
+    ultrametric``, then of each :data:`BARE` command."""
+    env = {**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"}
+    commands = {**{job: ["-m", "ultrametric", *argv] for job, argv in JOBS.items()}, **BARE}
+    out = {}
+    for name, args in commands.items():
+        cpu = children_cpu()
+        subprocess.run([sys.executable, *args], cwd=GOLDEN, env=env, check=True, capture_output=True)
+        out[name] = (children_cpu() - cpu) * 1000
+    return out
+
+
 def run_column(src: Path, sizes: list[int], repeat: int) -> dict:
     """One worker run: ``{"layers": ..., "compile_ms": ...}``."""
     env = {**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"}
@@ -278,14 +306,18 @@ def slope(times: dict) -> float | None:
 def bench(columns: dict[str, Path], sizes: list[int], repeat: int, rounds: int) -> dict:
     runs = {name: {layer: {} for layer in LAYERS} for name in columns}
     compiles = {name: {} for name in columns}
+    cli = {name: {} for name in columns}
     refs = []
     for r in range(rounds):
         names = list(columns) if r % 2 == 0 else list(reversed(columns))
         for name in names:
             before = run_reference()
             out = run_column(columns[name], sizes, repeat)
+            jobs = run_cli(columns[name])
             after = run_reference()
             refs += [before, after]
+            for job, ms in jobs.items():
+                cli[name].setdefault(job, []).append((ms, ms / ((before + after) / 2)))
             for layer, by_n in out["layers"].items():
                 for n, ms in by_n.items():
                     runs[name][layer].setdefault(n, []).append((ms, ms / ((before + after) / 2)))
@@ -311,6 +343,10 @@ def bench(columns: dict[str, Path], sizes: list[int], repeat: int, rounds: int) 
                 "times": kept[name],
                 "slopes": {layer: slope({n: e["scaled"] for n, e in by_n.items()}) for layer, by_n in kept[name].items()},
                 "startup": startup(src, {m: statistics.median(ms) for m, ms in compiles[name].items()}),
+                "cli": {
+                    "jobs": {job: summary(cli[name][job]) for job in JOBS},
+                    "bare": {command: summary(cli[name][command]) for command in BARE},
+                },
             }
             for name, src in columns.items()
         },
@@ -337,6 +373,9 @@ def ratios(kept: dict) -> dict:
     }
 
 
+FIELDS = {"ms", "scaled", "median_ms", "median_scaled"}
+
+
 def summary(timed: list[tuple[float, float]]) -> dict:
     """The round with the best scaled time, and the medians over the rounds."""
     ms, scaled = min(timed, key=lambda pair: pair[1])
@@ -351,8 +390,8 @@ def summary(timed: list[tuple[float, float]]) -> dict:
 def check_schema(doc: dict) -> None:
     """Raise AssertionError unless ``doc`` has the form :func:`bench` writes,
     or the form of an earlier schema."""
-    assert doc["schema"] in (SCHEMA, SCHEMA_2, SCHEMA_1)
-    layers, fields = (LAYERS, {"ms", "scaled", "median_ms", "median_scaled"})
+    assert doc["schema"] in (SCHEMA, SCHEMA_3, SCHEMA_2, SCHEMA_1)
+    layers, fields = (LAYERS, FIELDS)
     if doc["schema"] == SCHEMA_1:
         layers, fields = (LAYERS_1, {"ms", "scaled"})
     assert isinstance(doc["python"], str) and isinstance(doc["cpus"], int)
@@ -369,9 +408,15 @@ def check_schema(doc: dict) -> None:
             for entry in by_n.values():
                 assert set(entry) == fields and all(entry[field] >= 0 for field in fields)
             assert column["slopes"][layer] is None or isinstance(column["slopes"][layer], float)
-    if doc["schema"] != SCHEMA:
+    if doc["schema"] in (SCHEMA_2, SCHEMA_1):
         return
     for column in doc["columns"].values():
+        if doc["schema"] == SCHEMA:
+            rows = column["cli"]
+            assert set(rows) == {"jobs", "bare"}
+            assert set(rows["jobs"]) == set(JOBS) and set(rows["bare"]) == set(BARE)
+            for entry in (*rows["jobs"].values(), *rows["bare"].values()):
+                assert set(entry) == FIELDS and all(entry[field] >= 0 for field in FIELDS)
         modules, jobs = column["startup"]["modules"], column["startup"]["jobs"]
         assert "ultrametric" in modules and set(jobs) == set(JOBS), sorted(jobs)
         for entry in modules.values():
@@ -403,6 +448,14 @@ def report(doc: dict) -> str:
     for job in JOBS:
         cells = ", ".join(
             f"{name} {c['startup']['jobs'][job]['nodes']} / {c['startup']['jobs'][job]['compile_ms']:.2f}"
+            for name, c in doc["columns"].items()
+        )
+        lines.append(f"  {job}: {cells}")
+    lines.append("CLI, median child CPU ms per job (raw / scaled):")
+    for job in (*JOBS, *BARE):
+        kind = "jobs" if job in JOBS else "bare"
+        cells = ", ".join(
+            f"{name} {c['cli'][kind][job]['median_ms']:.1f} / {c['cli'][kind][job]['median_scaled']:.1f}"
             for name, c in doc["columns"].items()
         )
         lines.append(f"  {job}: {cells}")

@@ -10,11 +10,13 @@ handler and writes what it returns, or the diagnostic.  Each handler lives
 beside the code its verb runs (:data:`HANDLERS`), and a job imports only its
 verb's module, so it compiles no other verb's code.  An argument list the
 scan declines goes to the argparse parser in :mod:`ultrametric.usage`.
+A job (:func:`entry`) leaves through ``os._exit`` once its ``atexit``
+handlers ran and its streams are flushed, so it skips interpreter teardown.
 """
 
 from __future__ import annotations
 
-import gc
+import atexit
 import os
 import sys
 from importlib import import_module
@@ -254,15 +256,26 @@ def main(argv=None) -> int:
 def entry() -> None:
     """``python -m ultrametric``: :func:`main` on ``sys.argv``, then exit.
 
-    Every live object is frozen first, so the collections that run at
-    shutdown skip the modules, classes and code the job loaded (about a
-    tenth of a small job's CPU) and the OS reclaims them; the exit is
-    otherwise normal, with streams flushed and ``atexit`` run.  :func:`main`
-    does not freeze: tests and library callers run it in a process that goes on.
+    The interpreter's exit without its teardown: the ``atexit`` handlers run
+    (emptying their registry), then stdout and stderr are flushed, in that
+    order so a handler's output is written too, and ``os._exit`` leaves the
+    modules and objects the job loaded to the OS.  A failed flush of stdout
+    is reported as :func:`ultrametric.jsonio.emit` reports a failed write,
+    with exit code 1.  The CLI starts no thread, so none is left to join.
+    :func:`main` does not exit: tests and library callers run it in a
+    process that goes on.
     """
     code = main(sys.argv[1:])
-    gc.freeze()
-    raise SystemExit(code)
+    atexit._run_exitfuncs()
+    if sys.stdout is not None:
+        try:
+            sys.stdout.flush()
+        except OSError as exc:
+            _diagnose(jsonio.unwritable(exc))
+            code = 1
+    if sys.stderr is not None:
+        sys.stderr.flush()
+    os._exit(code)
 
 
 # perfbench/replay.py, kept unchanged, still imports build_parser from here.

@@ -123,17 +123,25 @@ def emit(line: str, out_path: str | None) -> None:
             sys.stdout.write(line + "\n")
             sys.stdout.flush()
         except OSError as exc:
-            # The interpreter flushes the same buffer again at exit; send it nowhere.
-            devnull = os.open(os.devnull, os.O_WRONLY)
-            os.dup2(devnull, sys.stdout.fileno())
-            os.close(devnull)
-            raise InvalidParameter(f"cannot write the result: {exc.strerror}") from exc
+            raise unwritable(exc) from exc
         return
     try:
         with open(out_path, "w", encoding="utf-8") as handle:
             handle.write(line + "\n")
     except OSError as exc:
         raise InvalidParameter(f"cannot write {out_path}: {exc.strerror}", path=out_path) from exc
+
+
+def unwritable(exc: OSError) -> InvalidParameter:
+    """The diagnostic of standard output failing with ``exc``.
+
+    Standard output is pointed at ``/dev/null`` first: the bytes left in its
+    buffer are flushed again on the way out, and would fail again.
+    """
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, sys.stdout.fileno())
+    os.close(devnull)
+    return InvalidParameter(f"cannot write the result: {exc.strerror}")
 
 
 def cli_validate(args) -> dict:

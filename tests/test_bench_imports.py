@@ -1,8 +1,9 @@
 """The benchmark scripts import only names the library still defines.
 
 ``perfbench/`` is frozen: its files may not change when the library moves a
-definition, so the library keeps the names they use resolvable (``spaces``
-and ``jsonio`` forward four moved names).  This reads every ``from
+definition, so the library keeps the names they use resolvable (``spaces``,
+``jsonio``, ``generators``, ``cli`` and ``gromov`` forward eleven moved
+names).  This reads every ``from
 ultrametric... import ...`` statement and every ``jsonio.<name>`` use in the
 benchmark and growth-bench scripts, and checks that each name resolves to
 the object its home module defines.

@@ -35,7 +35,7 @@ def test_corpus_matches_golden_bytes(name, argv, want_code, tmp_path):
     assert err == expected_text(name, "err")
     for file_name, content in written.items():
         assert content == expected_text(name, file_name)
-    # Only the process entry point freezes; main() leaves the caller's collector alone.
+    # main() leaves the caller's collector alone.
     assert gc.get_freeze_count() == frozen
 
 
@@ -111,11 +111,16 @@ def test_diagnostics_colored_on_tty_without_no_color(monkeypatch, capsys):
     assert capsys.readouterr().err.startswith("\x1b[31merror:\x1b[0m ")
 
 
-def run_in_golden(args, text=True):
+def run_in_golden(args, text=True, buffered=False, path=()):
     # The child runs from tests/golden, so a relative PYTHONPATH would miss src.
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    inherited = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, inherited]) if inherited else src)
+    # ``buffered`` unsets PYTHONUNBUFFERED, so a piped stdout is block-buffered
+    # as it is by default; ``path`` goes on PYTHONPATH before src.
+    paths = [*map(str, path), str(Path(__file__).resolve().parents[1] / "src")]
+    if os.environ.get("PYTHONPATH"):
+        paths.append(os.environ["PYTHONPATH"])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+    if buffered:
+        env.pop("PYTHONUNBUFFERED", None)
     return subprocess.run(args, cwd=GOLDEN, capture_output=True, text=text, env=env)
 
 
@@ -128,7 +133,7 @@ def test_module_entrypoint_subprocess():
 
 def test_piped_job_writes_the_bytes_main_writes(tmp_path):
     # Over half a megabyte, many times a pipe's buffer, through a real exit
-    # of the process, which freezes the heap first.
+    # of the process, which flushes stdout and leaves through os._exit.
     argv = ["gen", "random", "--n", "300", "--k", "0,1/4,1/2,1", "--seed", "5"]
     result = run_in_golden([sys.executable, "-m", "ultrametric", *argv], text=False)
     code, out, _, _ = run_case(argv, tmp_path)
@@ -136,6 +141,40 @@ def test_piped_job_writes_the_bytes_main_writes(tmp_path):
     assert result.stderr == b""
     assert len(result.stdout) > 2**19
     assert result.stdout == out.encode("utf-8")
+
+
+def test_an_exit_handlers_line_arrives_through_a_pipe(tmp_path):
+    # The job runs the atexit handlers before it flushes and leaves through
+    # os._exit, so a line a handler prints into the buffer is written too.
+    (tmp_path / "sitecustomize.py").write_text(
+        "import atexit\natexit.register(print, 'handler ran')\n", encoding="utf-8"
+    )
+    argv = [sys.executable, "-m", "ultrametric", "validate", "isosceles.json"]
+    result = run_in_golden(argv, buffered=True, path=[tmp_path])
+    assert result.returncode == 0
+    assert result.stdout == expected_text("validate_ok", "out") + "handler ran\n"
+    assert result.stderr == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["spectrum", "isosceles.json", "-o", "{tmp}/out.json"],
+        ["ugh", "x_half.json", "x_three_quarters.json", "--certificate", "{tmp}/cert.json"],
+    ],
+    ids=["output", "certificate"],
+)
+def test_a_jobs_files_are_the_files_main_writes(argv, tmp_path):
+    (tmp_path / "job").mkdir()
+    (tmp_path / "main").mkdir()
+    job = [arg.replace("{tmp}", str(tmp_path / "job")) for arg in argv]
+    result = run_in_golden([sys.executable, "-m", "ultrametric", *job], buffered=True)
+    code, out, err, written = run_case(argv, tmp_path / "main")
+    assert result.returncode == code == 0
+    assert (result.stdout, result.stderr) == (out, err)
+    assert written and written == {
+        path.name: path.read_text(encoding="utf-8") for path in (tmp_path / "job").iterdir()
+    }
 
 
 def test_exit_code_three_on_forced_oracle_mismatch(monkeypatch, capsys):
@@ -309,6 +348,20 @@ def test_full_stdout_is_a_diagnostic_in_a_job():
     assert result.returncode == 1
     assert result.stderr.count("\n") == 1
     assert "Traceback" not in result.stderr and "Exception ignored" not in result.stderr
+    assert json.loads(result.stderr) == {
+        "error": "InvalidParameter",
+        "message": "cannot write the result: No space left on device",
+    }
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="the system has no /dev/full")
+def test_help_into_a_full_disk_is_a_diagnostic_in_a_job():
+    # Block-buffered, the help is still in stdout's buffer when main() returns,
+    # so the job's exit flush is the write that fails.
+    script = 'exec "$0" -m ultrametric --help > /dev/full'
+    result = run_in_golden(["sh", "-c", script, sys.executable], buffered=True)
+    assert result.returncode == 1
+    assert result.stderr.count("\n") == 1
     assert json.loads(result.stderr) == {
         "error": "InvalidParameter",
         "message": "cannot write the result: No space left on device",

@@ -4,7 +4,6 @@ its schema.  No timing is checked: runners are shared."""
 from __future__ import annotations
 
 import json
-import subprocess
 import sys
 from pathlib import Path
 
@@ -17,11 +16,14 @@ sys.path.insert(0, str(SCRIPT.parent))
 import growth  # noqa: E402
 
 
-def test_a_tiny_run_writes_the_schema(tmp_path):
+def test_a_tiny_run_writes_the_schema(tmp_path, monkeypatch, capsys):
+    # Two jobs keep the CLI rows of four column runs cheap; the one-column
+    # run below times every job.
+    monkeypatch.setattr(growth, "JOBS", {job: growth.JOBS[job] for job in ("validate", "ugh")})
     out = tmp_path / "bench.json"
     argv = ["--sizes", "8,20", "--repeat", "1", "--rounds", "2", "-o", str(out)]
     argv += ["--src", f"a={ROOT / 'src'}", "--src", f"b={ROOT / 'src'}"]
-    subprocess.run([sys.executable, str(SCRIPT), *argv], check=True, capture_output=True)
+    assert growth.main(argv) == 0
     doc = json.loads(out.read_text(encoding="utf-8"))
     growth.check_schema(doc)
     assert list(doc["columns"]) == ["a", "b"] and doc["sizes"] == [8, 20]
@@ -32,6 +34,7 @@ def test_a_tiny_run_writes_the_schema(tmp_path):
         job: (e["modules"], e["nodes"]) for job, e in b["jobs"].items()
     }
     assert list(doc["ratios"]) == ["b"] and set(doc["ratios"]["b"]) == set(growth.LAYERS)
+    assert "  python -S -c pass: a " in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("path", sorted(ROOT.glob("BENCH_*.json")), ids=lambda p: p.name)
@@ -51,6 +54,19 @@ def test_check_schema_refuses_a_missing_layer(one_column):
     del doc["columns"]["only"]["times"]["chain_glue"]
     with pytest.raises(AssertionError):
         growth.check_schema(doc)
+
+
+def test_cli_rows_time_every_job_and_the_bare_interpreter(one_column):
+    doc = json.loads(one_column)
+    rows = doc["columns"]["only"]["cli"]
+    assert set(rows["jobs"]) == set(growth.JOBS)
+    assert set(rows["bare"]) == {"python -c pass", "python -S -c pass"}
+    assert all(entry["median_ms"] > 0 for entry in (*rows["jobs"].values(), *rows["bare"].values()))
+    for kind in ("jobs", "bare"):
+        bad = json.loads(one_column)
+        bad["columns"]["only"]["cli"][kind].popitem()
+        with pytest.raises(AssertionError):
+            growth.check_schema(bad)
 
 
 def test_startup_row_sums_the_modules_each_job_loads(one_column):

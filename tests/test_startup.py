@@ -50,14 +50,21 @@ MINIMAL = {
     "ultrametric.spaces",
 }
 
-# Runs the CLI as ``python -m ultrametric`` does, then prints its exit code,
-# the modules it left loaded, those of the package that define
-# ``verify_certificate`` and how many objects it froze, as the last line of
-# stdout.  (Python 3.12 starts with some objects frozen.)
+# Runs the CLI as ``python -m ultrametric`` does, with ``os._exit`` recording
+# its code and raising SystemExit so the child goes on, then prints its exit
+# code, the modules it left loaded, those of the package that define
+# ``verify_certificate``, how often an ``atexit`` handler registered before
+# the job ran, the handlers left registered and the codes given to
+# ``os._exit``, as the last line of stdout.
 RUN_AND_LIST = """
-import gc, json, runpy, sys
+import atexit, json, os, runpy, sys
 sys.argv = ["ultrametric", *sys.argv[1:]]
-frozen = gc.get_freeze_count()
+ran, exits = [], []
+atexit.register(ran.append, True)
+def hard_exit(code):
+    exits.append(code)
+    sys.exit(code)
+os._exit = hard_exit
 try:
     runpy.run_module("ultrametric", run_name="__main__", alter_sys=True)
 except SystemExit as exc:
@@ -66,7 +73,7 @@ certifying = [
     name for name, module in sys.modules.items()
     if name.startswith("ultrametric") and "verify_certificate" in vars(module)
 ]
-print(json.dumps([code, sorted(sys.modules), sorted(certifying), gc.get_freeze_count() - frozen]))
+print(json.dumps([code, sorted(sys.modules), sorted(certifying), len(ran), atexit._ncallbacks(), exits]))
 """
 
 # Stdlib modules no clean job needs: ``dataclasses`` alone imports ``inspect``,
@@ -89,8 +96,8 @@ def run_python(args, cwd=GOLDEN):
 
 
 def run_listed(argv, cwd=GOLDEN):
-    """The job's exit code, modules, certifying modules and frozen count, and
-    what it wrote to stdout and stderr."""
+    """The job's exit code, modules, certifying modules, handler runs, handlers
+    left and ``os._exit`` codes, and what it wrote to stdout and stderr."""
     out, err = run_python(["-c", RUN_AND_LIST, *argv], cwd)
     *printed, listed = out.splitlines(keepends=True)
     return json.loads(listed), "".join(printed), err
@@ -101,7 +108,7 @@ def package(modules) -> set[str]:
 
 
 def run_job(argv):
-    (code, modules, certifying, _), _, _ = run_listed(argv)
+    (code, modules, certifying, *_), _, _ = run_listed(argv)
     assert code == 0
     return set(modules), certifying
 
@@ -263,12 +270,12 @@ def bare_modules():
     [(["validate", "isosceles.json"], 0), (["validate", "bad_triangle.json"], 1), (["frobnicate"], 2)],
     ids=["exit_0", "exit_1", "exit_2"],
 )
-def test_a_job_freezes_its_objects_before_exit(argv, want_code):
-    # Frozen objects are skipped by the collections the interpreter runs at
-    # shutdown, which would otherwise walk everything the job loaded.
-    (code, _, _, frozen), _, _ = run_listed(argv)
+def test_a_job_runs_its_exit_handlers_once_then_ends_in_os_exit(argv, want_code):
+    # The handler ran once and the registry is empty, so the interpreter's
+    # own shutdown, which os._exit skips, would not run it again.
+    (code, _, _, ran, left, exits), _, _ = run_listed(argv)
     assert code == want_code
-    assert frozen > 0
+    assert (ran, left, exits) == (1, 0, [want_code])
 
 
 # The jobs that build a space (``quotient``, ``glue``, ``amalgam``, ``gen``,
@@ -328,7 +335,7 @@ def test_rejected_and_integer_matrices_load_the_fault_module(argv, files, code, 
     cwd = tmp_path if files else GOLDEN
     for name, obj in files.items():
         (tmp_path / name).write_text(json.dumps(obj), encoding="utf-8")
-    (got_code, modules, _, _), out, err = run_listed(argv, cwd)
+    (got_code, modules, *_), out, err = run_listed(argv, cwd)
     assert got_code == code
     assert "ultrametric.faults" in modules
     assert "ultrametric.builders" not in modules
