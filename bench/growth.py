@@ -37,9 +37,10 @@ The CLI rows (``cli``) time whole processes, started from ``tests/golden``
 with ``PYTHONDONTWRITEBYTECODE=1`` inside the column run's reference pair:
 each of :data:`JOBS` as ``python -m ultrametric`` (``jobs``), and the bare
 interpreter as ``python -c pass`` and ``python -S -c pass`` (``bare``), so
-the host's ``site`` start-up shows apart from the program's.  Each keeps
-the child CPU milliseconds of its best round and the median over the
-rounds, raw and scaled, as the layers do.
+the host's ``site`` start-up shows apart from the program's.  A round's
+time of a row is the median child CPU milliseconds of :data:`CLI_RUNS`
+passes over every row, and each row keeps its best round and the median
+over the rounds, raw and scaled, as the layers do.
 
 No timing is checked; :func:`check_schema` checks the file's form only, of
 this schema and of the earlier ones (the first kept the best time only, the
@@ -110,6 +111,8 @@ JOBS = {
 }
 # The bare-interpreter rows: start-up and exit with and without ``site``.
 BARE = {"python -c pass": ["-c", "pass"], "python -S -c pass": ["-S", "-c", "pass"]}
+# Runs of each CLI row per column run; the median is that round's time.
+CLI_RUNS = 3
 # Runs the CLI as ``python -m ultrametric`` does, then prints the package
 # modules it left loaded as the last line of stdout.  The job's ``os._exit``
 # raises SystemExit instead, so the child goes on to print; a source tree
@@ -276,15 +279,17 @@ def digest(src: Path) -> str:
 
 def run_cli(src: Path) -> dict:
     """Child CPU milliseconds of each of :data:`JOBS` as ``python -m
-    ultrametric``, then of each :data:`BARE` command."""
+    ultrametric`` and of each :data:`BARE` command: the median of
+    :data:`CLI_RUNS` passes over all of them."""
     env = {**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"}
     commands = {**{job: ["-m", "ultrametric", *argv] for job, argv in JOBS.items()}, **BARE}
-    out = {}
-    for name, args in commands.items():
-        cpu = children_cpu()
-        subprocess.run([sys.executable, *args], cwd=GOLDEN, env=env, check=True, capture_output=True)
-        out[name] = (children_cpu() - cpu) * 1000
-    return out
+    runs = {name: [] for name in commands}
+    for _ in range(CLI_RUNS):
+        for name, args in commands.items():
+            cpu = children_cpu()
+            subprocess.run([sys.executable, *args], cwd=GOLDEN, env=env, check=True, capture_output=True)
+            runs[name].append((children_cpu() - cpu) * 1000)
+    return {name: statistics.median(ms) for name, ms in runs.items()}
 
 
 def run_column(src: Path, sizes: list[int], repeat: int) -> dict:

@@ -7,9 +7,10 @@ names a file.
 
 This module reads the arguments (:data:`VERBS`), hands them to the verb's
 handler and writes what it returns, or the diagnostic.  Each handler lives
-beside the code its verb runs (:data:`HANDLERS`), and a job imports only its
-verb's module, so it compiles no other verb's code.  An argument list the
-scan declines goes to the argparse parser in :mod:`ultrametric.usage`.
+beside the code its verb runs, in the module its :data:`VERBS` entry names,
+and a job imports only that module, so it compiles no other verb's code.  An
+argument list the scan declines goes to the argparse parser in
+:mod:`ultrametric.usage`.
 A job (:func:`entry`) leaves through ``os._exit`` once its ``atexit``
 handlers ran and its streams are flushed, so it skips interpreter teardown.
 """
@@ -28,10 +29,15 @@ from .errors import OracleMismatch, UltrametricError
 
 
 def _diagnose(error: UltrametricError) -> None:
-    prefix = ""
-    if sys.stderr.isatty() and not os.environ.get("NO_COLOR"):
-        prefix = "\x1b[31merror:\x1b[0m "
-    sys.stderr.write(prefix + jsonio.dumps(error.payload()) + "\n")
+    """Write the error's diagnostic line to stderr, if stderr takes it: with
+    nowhere left to report to, the job keeps its exit code."""
+    line = jsonio.dumps(error.payload()) + "\n"
+    try:
+        if sys.stderr.isatty() and not os.environ.get("NO_COLOR"):
+            line = "\x1b[31merror:\x1b[0m " + line
+        sys.stderr.write(line)
+    except (AttributeError, OSError):  # stderr is None, closed or full
+        pass
 
 
 _OUTPUT = (("-o", "--output"), {"metavar": "FILE", "help": "write the result to FILE"})
@@ -49,21 +55,26 @@ def _required(flag: str, help: str | None = None, **options):
     return ((flag,), {"required": True, "help": help, **options})
 
 
-# Each verb's help line and arguments as (flags, add_argument options); ``gen``
-# has a table of families in place of arguments.  The argparse parser
+# Each verb's handler module, help line and arguments as (flags, add_argument
+# options); ``gen`` has a table of families in place of arguments.  The
+# handler is the module's ``cli_<verb>``, with ``-`` written as ``_``: it takes
+# the parsed arguments and returns the object to print.  The argparse parser
 # (:mod:`ultrametric.usage`) is built from this table, and _scan reads a clean
 # job's arguments off it.
 VERBS = {
     "validate": (
+        "jsonio",
         "check the axioms and emit the canonical space",
         [_SPACE, _merge_duplicates("validating"), _OUTPUT],
     ),
-    "spectrum": ("sorted distinct distance values", [_SPACE, _OUTPUT]),
+    "spectrum": ("jsonio", "sorted distinct distance values", [_SPACE, _OUTPUT]),
     "quotient": (
+        "builders",
         "closed-ball quotient at a scale",
         [_SPACE, _required("--t", "scale (rational, >= 0)"), _OUTPUT],
     ),
     "hausdorff": (
+        "hyperspace",
         "Hausdorff distance between two subsets",
         [
             _SPACE,
@@ -73,11 +84,17 @@ VERBS = {
         ],
     ),
     "net": (
+        "hyperspace",
         "greedy epsilon-net (covering, separated)",
         [_SPACE, _required("--eps", "radius (rational, > 0)"), _OUTPUT],
     ),
-    "glue": ("amalgamate two spaces along a common part", [(("gluespec",), {}), _OUTPUT]),
+    "glue": (
+        "amalgam",
+        "amalgamate two spaces along a common part",
+        [(("gluespec",), {}), _OUTPUT],
+    ),
     "amalgam": (
+        "amalgam",
         "disjoint union at a fixed cross distance",
         [
             (("space_a",), {}),
@@ -87,6 +104,7 @@ VERBS = {
         ],
     ),
     "ugh": (
+        "gromov",
         "Gromov-Hausdorff ultrametric between two spaces",
         [
             (("space_a",), {}),
@@ -103,6 +121,7 @@ VERBS = {
         ],
     ),
     "gen": (
+        "generators",
         "generate a named family",
         {
             "two-point": ("two points at a given distance", [_required("--c"), _OUTPUT]),
@@ -132,10 +151,12 @@ VERBS = {
         },
     ),
     "cluster": (
+        "linkage",
         "single-linkage ultrametric of a metric",
         [_required("--input", "metric matrix file"), _merge_duplicates("clustering"), _OUTPUT],
     ),
     "in-uk": (
+        "generators",
         "is the spectrum inside an allowed value set",
         [_SPACE, _required("--k", 'allowed values, e.g. "0,1/4,1/2,1"'), _OUTPUT],
     ),
@@ -147,17 +168,17 @@ def _scan(argv: list[str]) -> SimpleNamespace | None:
     that argparse cannot read any other way; None for anything else.
 
     Read: the verb (and ``gen``'s family), then the verb's flags, each at most
-    once, exact or as a unique ``--`` prefix among them and ``--help``, with
-    ``--flag=value`` or the value as the next argument, converted by the
-    flag's ``type``; exactly the verb's positionals and every required flag.
-    Declined, for argparse to answer with its own help, usage and error
-    bytes: any other argument starting with ``-`` (``-``, ``--``, ``-h``,
-    ``-ox``, ``-o=x``, negative numbers), a value starting with ``-``, ``=``
-    on a switch and a failed conversion.
+    once and spelled exactly as in :data:`VERBS`, with the value as the next
+    argument, converted by the flag's ``type``; exactly the verb's
+    positionals and every required flag.  Declined, for argparse to answer
+    with its own namespace or its own help, usage and error bytes: any other
+    argument starting with ``-`` (abbreviations, ``--flag=value``, ``-``,
+    ``--``, ``-h``, ``--help``, ``-ox``, negative numbers), a value starting
+    with ``-`` and a failed conversion.
     """
     if not argv or argv[0] not in VERBS:
         return None
-    found, (_, spec), tokens = {"verb": argv[0]}, VERBS[argv[0]], argv[1:]
+    found, (_, _, spec), tokens = {"verb": argv[0]}, VERBS[argv[0]], argv[1:]
     if isinstance(spec, dict):
         if not tokens or tokens[0] not in spec:
             return None
@@ -167,35 +188,26 @@ def _scan(argv: list[str]) -> SimpleNamespace | None:
         if not names[0].startswith("-"):
             positionals.append(names[0])
             continue
-        dest = next((n for n in names if n.startswith("--")), names[0])
-        dest = dest.lstrip("-").replace("-", "_")
+        dest = names[-1].lstrip("-").replace("-", "_")  # the long name is last
         flags.update(dict.fromkeys(names, (dest, options)))
         found[dest] = False if options.get("action") == "store_true" else None
         if options.get("required"):
             required.add(dest)
-    longs = [flag for flag in flags if flag.startswith("--")] + ["--help"]
     seen, rest, tokens = set(), [], iter(tokens)
     for token in tokens:
         if not token.startswith("-"):
             rest.append(token)
             continue
-        flag, equals, value = token.partition("=")
-        if flag not in flags and flag.startswith("--"):
-            matches = [long for long in longs if long.startswith(flag)]
-            flag = matches[0] if len(matches) == 1 else None
-        if flag not in flags or (equals and not token.startswith("--")):
+        if token not in flags:
             return None
-        dest, options = flags[flag]
+        dest, options = flags[token]
         if dest in seen:
             return None
         seen.add(dest)
         if options.get("action") == "store_true":
-            if equals:
-                return None
             found[dest] = True
             continue
-        if not equals:
-            value = next(tokens, "-")
+        value = next(tokens, "-")
         if value.startswith("-"):
             return None
         try:
@@ -206,23 +218,6 @@ def _scan(argv: list[str]) -> SimpleNamespace | None:
         return None
     found.update(zip(positionals, rest))
     return SimpleNamespace(**found)
-
-
-# Each verb's handler, as (module, function): it takes the parsed arguments and
-# returns the object to print.
-HANDLERS = {
-    "validate": ("jsonio", "cli_validate"),
-    "spectrum": ("jsonio", "cli_spectrum"),
-    "quotient": ("builders", "cli_quotient"),
-    "hausdorff": ("hyperspace", "cli_hausdorff"),
-    "net": ("hyperspace", "cli_net"),
-    "glue": ("amalgam", "cli_glue"),
-    "amalgam": ("amalgam", "cli_amalgam"),
-    "ugh": ("gromov", "cli_ugh"),
-    "gen": ("generators", "cli_gen"),
-    "cluster": ("linkage", "cli_cluster"),
-    "in-uk": ("generators", "cli_in_uk"),
-}
 
 
 def _parse(argv: list[str]):
@@ -240,9 +235,9 @@ def main(argv=None) -> int:
         args = _parse(sys.argv[1:] if argv is None else list(argv))
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    module, handler = HANDLERS[args.verb]
+    module = import_module(f".{VERBS[args.verb][0]}", __package__)
     try:
-        result = getattr(import_module(f".{module}", __package__), handler)(args)
+        result = getattr(module, "cli_" + args.verb.replace("-", "_"))(args)
         jsonio.emit(jsonio.dumps(result), args.output)
     except OracleMismatch as exc:
         _diagnose(exc)
@@ -261,7 +256,8 @@ def entry() -> None:
     order so a handler's output is written too, and ``os._exit`` leaves the
     modules and objects the job loaded to the OS.  A failed flush of stdout
     is reported as :func:`ultrametric.jsonio.emit` reports a failed write,
-    with exit code 1.  The CLI starts no thread, so none is left to join.
+    with exit code 1; a missing stderr or a failed flush of it changes
+    nothing.  The CLI starts no thread, so none is left to join.
     :func:`main` does not exit: tests and library callers run it in a
     process that goes on.
     """
@@ -273,8 +269,10 @@ def entry() -> None:
         except OSError as exc:
             _diagnose(jsonio.unwritable(exc))
             code = 1
-    if sys.stderr is not None:
+    try:
         sys.stderr.flush()
+    except (AttributeError, OSError):  # as in _diagnose
+        pass
     os._exit(code)
 
 

@@ -23,7 +23,7 @@ from itertools import permutations
 from .errors import InstanceTooLarge, OracleMismatch
 from .hyperspace import hausdorff_distance
 from .rationals import format_rational
-from .spaces import UltrametricSpace, spectrum, validate_ultrametric
+from .spaces import UltrametricSpace, _check_axioms, spectrum
 
 ORACLE_MAX_POINTS = 4
 
@@ -93,27 +93,10 @@ def ugh_oracle(x: UltrametricSpace, y: UltrametricSpace) -> Fraction:
         # Triangles with two X points share a column, those with two Y points
         # share a row; intra-space triangles hold already, so checking against
         # previously assigned cells in this row and column covers every axiom.
-        for k in range(nx):
-            s = cross[k][j]
-            if s < 0 or k == i:
-                continue
-            m = rx[i][k]
-            if m > r and m > s:
-                return False
-            if r > m and r > s:
-                return False
-            if s > m and s > r:
-                return False
-        for k in range(ny):
-            s = cross[i][k]
-            if s < 0 or k == j:
-                continue
-            m = ry[j][k]
-            if m > r and m > s:
-                return False
-            if r > m and r > s:
-                return False
-            if s > m and s > r:
+        # Cell (i, j) itself is unassigned (-1) and skipped like the others.
+        column = [row[j] for row in cross]
+        for m, s in [*zip(rx[i], column), *zip(ry[j], cross[i])]:
+            if s >= 0 and (m > r and m > s or r > m and r > s or s > m and s > r):
                 return False
         return True
 
@@ -139,10 +122,7 @@ def ugh_oracle(x: UltrametricSpace, y: UltrametricSpace) -> Fraction:
 
     search(0, -1)
     labels = [f"L:{l}" for l in x.labels] + [f"R:{l}" for l in y.labels]
-    # Spelled as a JSON input is, so validation reads it as it reads a file.
-    text = [format_rational(v) for v in values]
-    joint_ranks = block_matrix(rx, ry, best_cross)
-    joint = validate_ultrametric(labels, [[text[r] for r in row] for row in joint_ranks])
+    joint = _check_axioms(labels, block_matrix(rx, ry, best_cross), values)
     achieved = hausdorff_distance(joint, labels[:nx], labels[nx:])
     assert achieved == values[best_rank], "rank search and exact Hausdorff disagree"
     return achieved

@@ -1,10 +1,12 @@
 """The full argparse parser of the CLI.
 
 :func:`ultrametric.cli._scan` reads a clean job's arguments off
-:data:`ultrametric.cli.VERBS`.  Every other argument list (help, usage
-errors and the forms the scan declines) goes to :func:`build_parser`, built
-from the same table, so help, usage and error bytes are argparse's own.
-Only such a job loads this module and ``argparse``.
+:data:`ultrametric.cli.VERBS`, each flag spelled exactly, with its value as
+the next argument.  Every other argument list (help, usage errors,
+abbreviated flags, ``--flag=value`` and the other forms the scan declines)
+goes to :func:`build_parser`, built from the same table, so what it reads
+and its help, usage and error bytes are argparse's own.  Only such a job
+loads this module and ``argparse``.
 """
 
 from __future__ import annotations
@@ -31,6 +33,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact computations on finite ultrametric spaces.",
     )
     verbs = parser.add_subparsers(dest="verb", required=True)
-    for verb, (help, spec) in VERBS.items():
+    for verb, (_, help, spec) in VERBS.items():
         _add_arguments(verbs.add_parser(verb, help=help), spec)
     return parser

@@ -368,6 +368,30 @@ def test_help_into_a_full_disk_is_a_diagnostic_in_a_job():
     }
 
 
+# Full, closed (stderr is None) and open for reading only (writes fail).
+@pytest.mark.parametrize(
+    "stderr", ["2>/dev/full", "2>&-", "2</dev/null"], ids=["full", "closed", "read_only"]
+)
+@pytest.mark.parametrize(
+    "argv, code", [("validate bad_triangle.json", 1), ("frobnicate", 2)], ids=["domain", "usage"]
+)
+def test_an_unwritable_stderr_keeps_the_exit_code(argv, code, stderr):
+    # With stderr unwritable the diagnostic has nowhere to go; the job
+    # still exits as it would have, not with the interpreter's 120.  (With
+    # stderr closed, argparse prints its usage line to stdout.)
+    if stderr == "2>/dev/full" and not os.path.exists("/dev/full"):
+        pytest.skip("the system has no /dev/full")
+    script = f'exec "$0" -m ultrametric {argv} {stderr}'
+    result = run_in_golden(["sh", "-c", script, sys.executable], buffered=True)
+    assert result.returncode == code
+    assert "Traceback" not in result.stdout
+
+
+def test_a_missing_stderr_keeps_the_exit_code(monkeypatch):
+    monkeypatch.setattr(sys, "stderr", None)
+    assert main(["validate", str(GOLDEN / "bad_triangle.json")]) == 1
+
+
 CLOSED_STDIN = {
     "error": "InputFormat",
     "message": "cannot read -: standard input is closed",

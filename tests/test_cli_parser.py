@@ -64,9 +64,9 @@ def test_verb_parser_matches_full_parser(argv, tmp_path, monkeypatch):
     "argv",
     [
         ["validate", "isosceles.json"],
-        ["quotient", "isosceles.json", "--t=1"],
+        ["quotient", "isosceles.json", "--t", "1"],
         ["gen", "random", "--n", "5", "--k", "0,1/2,1", "--seed", "3"],
-        ["ugh", "x_half.json", "x_three_quarters.json", "--cert", "{tmp}/cert.json"],
+        ["ugh", "x_half.json", "x_three_quarters.json", "--certificate", "{tmp}/cert.json"],
     ],
     ids=["validate", "quotient", "gen_random", "ugh_certificate"],
 )
@@ -79,6 +79,20 @@ def test_a_clean_job_builds_only_its_verb_parser(argv, tmp_path, monkeypatch):
     assert (code, err) == (0, "")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["quotient", "isosceles.json", "--t=1"],
+        ["validate", "dirty_space.json", "--merge"],
+        ["validate", "dirty_space.json", "--merge-duplicates=1"],
+        ["ugh", "x_half.json", "x_three_quarters.json", "--cert", "cert.json"],
+        ["gen", "random", "--n", "5", "--k=0,1", "--seed", "3"],
+    ],
+    ids=["t_equals", "merge_prefix", "switch_equals", "certificate_prefix", "k_equals"],
+)
+def test_the_scan_leaves_other_spellings_to_argparse(argv):
+    assert cli._scan(argv) is None
+
 
 # Arguments the mutations below draw from: hostile options, and values that
 # argparse reads as options, as negative numbers or as ints of another spelling.
@@ -89,7 +103,8 @@ INTS = ["3", " 7", "+7", "7_0", "٣", "x", "-1", "1.0"]
 
 def job(rng, verb, family, arguments):
     """A random argv for one verb: its positionals, and its flags in any
-    spelling, order and value, some optional ones left out."""
+    order and value, some optional ones left out, most spelled exactly and
+    some abbreviated or as ``--flag=value``."""
     units = []
     for names, options in arguments:
         if not names[0].startswith("-"):
@@ -98,13 +113,13 @@ def job(rng, verb, family, arguments):
         if not options.get("required") and rng.random() < 0.5:
             continue
         flag = rng.choice(names)
-        if flag.startswith("--") and rng.random() < 0.3:
+        if flag.startswith("--") and rng.random() < 0.05:
             flag = flag[: rng.randint(3, len(flag))]  # unique, ambiguous or --help's
         if options.get("action") == "store_true":
             units.append([flag])
             continue
         value = rng.choice(INTS if options.get("type") else VALUES)
-        units.append([f"{flag}={value}"] if rng.random() < 0.3 else [flag, value])
+        units.append([f"{flag}={value}"] if rng.random() < 0.05 else [flag, value])
     rng.shuffle(units)
     return [verb, *([family] if family else []), *(arg for unit in units for arg in unit)]
 
@@ -133,28 +148,37 @@ def test_scan_reads_every_argv_it_accepts_as_argparse_does():
     rng = random.Random(16)
     verbs = [
         (verb, family, arguments)
-        for verb, (_, spec) in cli.VERBS.items()
+        for verb, (_, _, spec) in cli.VERBS.items()
         for family, (_, arguments) in (
             spec.items() if isinstance(spec, dict) else [(None, (None, spec))]
         )
     ]
-    accepted, declined = [], 0
+    accepted, declined = [], []
     for _ in range(12000):
         argv = mutated(rng, job(rng, *rng.choice(verbs)))
         args = cli._scan(argv)
         if args is None:
-            declined += 1
+            declined.append(argv)
             continue
         with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
             want = parser.parse_args(argv)
         assert vars(args) == vars(want), argv
         accepted.append(argv)
-    assert len(accepted) > 2000 and declined > 5000
+    assert len(accepted) > 2000 and len(declined) > 5000
     assert {(argv[0], argv[1] if argv[0] == "gen" else None) for argv in accepted} == {
         (verb, family) for verb, family, _ in verbs
     }
-    spellings = {arg for argv in accepted for arg in argv}
-    exact = {flag for _, _, arguments in verbs for names, _ in arguments for flag in names}
-    assert {" 7", "+7", "7_0", "٣"} <= spellings
-    assert any(arg.startswith("--") and "=" in arg for arg in spellings)
-    assert any(arg.startswith("--") and "=" not in arg for arg in spellings - exact)
+    assert {" 7", "+7", "7_0", "٣"} <= {arg for argv in accepted for arg in argv}
+    # Every option an accepted argv holds is one of its verb's flags, spelled
+    # exactly; the declined hold abbreviated flags and ``--flag=value`` tokens.
+    flags = {
+        (verb, family): {flag for names, _ in arguments for flag in names}
+        for verb, family, arguments in verbs
+    }
+    for argv in accepted:
+        own = flags[argv[0], argv[1] if argv[0] == "gen" else None]
+        assert all(arg in own for arg in argv if arg.startswith("-")), argv
+    every = set().union(*flags.values())
+    others = {arg for argv in declined for arg in argv if arg.startswith("--")} - every
+    assert any("=" in arg for arg in others)
+    assert any(flag.startswith(arg) for arg in others for flag in every)

@@ -17,9 +17,10 @@ import growth  # noqa: E402
 
 
 def test_a_tiny_run_writes_the_schema(tmp_path, monkeypatch, capsys):
-    # Two jobs keep the CLI rows of four column runs cheap; the one-column
-    # run below times every job.
+    # Two jobs, each run once per column run, keep the CLI rows of four column
+    # runs cheap; the one-column run below times every job.
     monkeypatch.setattr(growth, "JOBS", {job: growth.JOBS[job] for job in ("validate", "ugh")})
+    monkeypatch.setattr(growth, "CLI_RUNS", 1)
     out = tmp_path / "bench.json"
     argv = ["--sizes", "8,20", "--repeat", "1", "--rounds", "2", "-o", str(out)]
     argv += ["--src", f"a={ROOT / 'src'}", "--src", f"b={ROOT / 'src'}"]
@@ -44,8 +45,30 @@ def test_committed_bench_files_have_the_schema(path):
 
 @pytest.fixture(scope="module")
 def one_column():
-    """A one-column run at n = 6, as JSON text: each test reads its own copy."""
-    return json.dumps(growth.bench({"only": ROOT / "src"}, [6], 1, 1))
+    """A one-column run at n = 6, each CLI row run once, as JSON text: each
+    test reads its own copy."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(growth, "CLI_RUNS", 1)
+        return json.dumps(growth.bench({"only": ROOT / "src"}, [6], 1, 1))
+
+
+def test_each_cli_row_is_the_median_of_three_passes(monkeypatch):
+    # Each pass over the rows charges every command a fake CPU time: 9 ms,
+    # then 2 ms, then 1 ms, so the median differs from the first, last, best
+    # and mean.
+    monkeypatch.setattr(growth, "JOBS", {"validate": growth.JOBS["validate"]})
+    rows = [["-m", "ultrametric", *growth.JOBS["validate"]], *growth.BARE.values()]
+    started, spent = [], [0.0]
+
+    def run(argv, **_):
+        started.append(argv[1:])
+        spent[0] += (0.009, 0.002, 0.001)[(len(started) - 1) // len(rows)]
+
+    monkeypatch.setattr(growth.subprocess, "run", run)
+    monkeypatch.setattr(growth, "children_cpu", lambda: spent[0])
+    times = growth.run_cli(ROOT / "src")
+    assert growth.CLI_RUNS == 3 and started == rows * 3
+    assert times == pytest.approx(dict.fromkeys(["validate", *growth.BARE], 2.0))
 
 
 def test_check_schema_refuses_a_missing_layer(one_column):

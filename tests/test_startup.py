@@ -126,7 +126,7 @@ CLEAN_JOBS = {
     "in_uk": ["in-uk", "isosceles.json", "--k", "0,1,2"],
     "validate_merge": ["validate", "dirty_space.json", "--merge-duplicates"],
     "spectrum": ["spectrum", "isosceles.json", "-o", "{tmp}/out.json"],
-    "quotient": ["quotient", "isosceles.json", "--t=1"],
+    "quotient": ["quotient", "isosceles.json", "--t", "1"],
     "hausdorff": ["hausdorff", "isosceles.json", "--a", '["a"]', "--b", '["b"]'],
     "net": ["net", "isosceles.json", "--eps", "1"],
     "amalgam": ["amalgam", "pair.json", "single.json", "--s", "1"],
@@ -143,7 +143,7 @@ def loads(*names: str) -> set[str]:
 
 
 # The package modules each clean job loads: MINIMAL, its verb's handler
-# module (``cli.HANDLERS``) and what that handler runs.
+# module (named first in its ``cli.VERBS`` entry) and what that handler runs.
 MODULES = {
     "validate": loads(),
     "spectrum": loads(),
@@ -176,11 +176,16 @@ def loaded(tmp_path_factory):
     }
 
 
+def handler_module(name: str) -> str:
+    """The module of the clean job's verb handler, as ``cli.VERBS`` names it."""
+    return cli.VERBS[CLEAN_JOBS[name][0]][0]
+
+
 def test_the_table_covers_every_clean_job_and_verb():
     assert set(MODULES) == set(CLEAN_JOBS)
-    assert {argv[0] for argv in CLEAN_JOBS.values()} == set(cli.HANDLERS) == set(cli.VERBS)
-    # The handlers left cli.py, and no copy of them stayed.
-    assert not hasattr(cli, "_run")
+    assert {argv[0] for argv in CLEAN_JOBS.values()} == set(cli.VERBS)
+    # The handlers left cli.py, no copy of them stayed, and one table names them.
+    assert not hasattr(cli, "_run") and not hasattr(cli, "HANDLERS")
 
 
 @pytest.mark.parametrize("name", list(CLEAN_JOBS))
@@ -190,8 +195,9 @@ def test_each_clean_job_loads_exactly_its_modules(name, loaded):
 
 @pytest.mark.parametrize("name", list(CLEAN_JOBS))
 def test_each_job_loads_its_verbs_handler_module(name):
-    module, handler = cli.HANDLERS[CLEAN_JOBS[name][0]]
+    module = handler_module(name)
     assert f"ultrametric.{module}" in MODULES[name]
+    handler = "cli_" + CLEAN_JOBS[name][0].replace("-", "_")
     assert callable(vars(import_module(f"ultrametric.{module}"))[handler])
 
 
@@ -237,8 +243,7 @@ def test_only_ugh_certificate_loads_the_certificate_code(argv, want, tmp_path):
 
 @pytest.mark.parametrize("name", ["cluster", "in_uk", "gen_crowd", "gen_random"])
 def test_generators_skip_dendrogram(name):
-    home = cli.HANDLERS[CLEAN_JOBS[name][0]][0]
-    assert f"ultrametric.{home}" in MODULES[name]
+    assert f"ultrametric.{handler_module(name)}" in MODULES[name]
     assert "ultrametric.dendrogram" not in MODULES[name]
 
 
@@ -347,7 +352,7 @@ def test_rejected_and_integer_matrices_load_the_fault_module(argv, files, code, 
 # Definitions that left a module for one that only their verbs load, by old
 # home and new, and the names the frozen benchmark replay still imports from
 # the old homes, which they forward.  ``cli._run`` is gone: each verb's
-# handler lives in its ``cli.HANDLERS`` module.
+# handler lives in the module its ``cli.VERBS`` entry names.
 MOVED = {
     spaces: {
         builders: [
