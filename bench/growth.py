@@ -40,11 +40,18 @@ interpreter as ``python -c pass`` and ``python -S -c pass`` (``bare``), so
 the host's ``site`` start-up shows apart from the program's.  A round's
 time of a row is the median child CPU milliseconds of :data:`CLI_RUNS`
 passes over every row, and each row keeps its best round and the median
-over the rounds, raw and scaled, as the layers do.
+over the rounds, raw and scaled, as the layers do.  In each pass every job
+also runs right next to a ``python -c pass``, the two alternating which goes
+first, and the job's time minus that bare run's is the pass's program
+share: the two see the same host, so the share drifts far less than either
+time.  A job row keeps the median of the per-round median shares
+(``share_ms``) and their interquartile range (``share_iqr_ms``), so a
+change smaller than that spread cannot be told from the host.
 
 No timing is checked; :func:`check_schema` checks the file's form only, of
 this schema and of the earlier ones (the first kept the best time only, the
-second had no start-up row and no ratios, the third no CLI rows).
+second had no start-up row and no ratios, the third no CLI rows, the fourth
+no program shares).
 """
 
 from __future__ import annotations
@@ -65,13 +72,15 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 REFERENCE = ROOT / "perfbench" / "reference.py"
 GOLDEN = ROOT / "tests" / "golden"
-SCHEMA = "ultrametric-growth/4"
+SCHEMA = "ultrametric-growth/5"
 # The first schema's layers, and its entries, which held the best time only.
 SCHEMA_1 = "ultrametric-growth/1"
 # The second schema: the third without the start-up row and the ratios.
 SCHEMA_2 = "ultrametric-growth/2"
-# The third schema: this one without the CLI rows.
+# The third schema: the fourth without the CLI rows.
 SCHEMA_3 = "ultrametric-growth/3"
+# The fourth schema: this one without the program shares of the CLI jobs.
+SCHEMA_4 = "ultrametric-growth/4"
 LAYERS_1 = ("glue", "disjoint_amalgam", "crowd_family", "certificate", "chain_glue")
 LAYERS = (
     *LAYERS_1,
@@ -113,6 +122,8 @@ JOBS = {
 BARE = {"python -c pass": ["-c", "pass"], "python -S -c pass": ["-S", "-c", "pass"]}
 # Runs of each CLI row per column run; the median is that round's time.
 CLI_RUNS = 3
+# The bare run paired with each job run, whose time the job's share leaves out.
+PAIRED = BARE["python -c pass"]
 # Runs the CLI as ``python -m ultrametric`` does, then prints the package
 # modules it left loaded as the last line of stdout.  The job's ``os._exit``
 # raises SystemExit instead, so the child goes on to print; a source tree
@@ -277,19 +288,36 @@ def digest(src: Path) -> str:
     return h.hexdigest()
 
 
-def run_cli(src: Path) -> dict:
+def run_cli(src: Path) -> tuple[dict, dict]:
     """Child CPU milliseconds of each of :data:`JOBS` as ``python -m
-    ultrametric`` and of each :data:`BARE` command: the median of
-    :data:`CLI_RUNS` passes over all of them."""
+    ultrametric`` and of each :data:`BARE` command, and each job's program
+    share: the medians of :data:`CLI_RUNS` passes over all of them.
+
+    In a pass each job runs next to a :data:`PAIRED` bare run, the job first
+    at even turns and the bare run first at odd ones, counting the turns over
+    every job of every pass; its share is its time minus that bare run's."""
     env = {**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"}
-    commands = {**{job: ["-m", "ultrametric", *argv] for job, argv in JOBS.items()}, **BARE}
-    runs = {name: [] for name in commands}
-    for _ in range(CLI_RUNS):
-        for name, args in commands.items():
-            cpu = children_cpu()
-            subprocess.run([sys.executable, *args], cwd=GOLDEN, env=env, check=True, capture_output=True)
-            runs[name].append((children_cpu() - cpu) * 1000)
-    return {name: statistics.median(ms) for name, ms in runs.items()}
+    jobs = {job: ["-m", "ultrametric", *argv] for job, argv in JOBS.items()}
+    runs = {name: [] for name in (*jobs, *BARE)}
+    shares = {job: [] for job in jobs}
+
+    def cpu_ms(args):
+        cpu = children_cpu()
+        subprocess.run([sys.executable, *args], cwd=GOLDEN, env=env, check=True, capture_output=True)
+        return (children_cpu() - cpu) * 1000
+
+    for p in range(CLI_RUNS):
+        for turn, (job, args) in enumerate(jobs.items(), p * len(jobs)):
+            if turn % 2:
+                bare, ms = cpu_ms(PAIRED), cpu_ms(args)
+            else:
+                ms, bare = cpu_ms(args), cpu_ms(PAIRED)
+            runs[job].append(ms)
+            shares[job].append(ms - bare)
+        for name, args in BARE.items():
+            runs[name].append(cpu_ms(args))
+    median = {name: statistics.median(ms) for name, ms in runs.items()}
+    return median, {job: statistics.median(ms) for job, ms in shares.items()}
 
 
 def run_column(src: Path, sizes: list[int], repeat: int) -> dict:
@@ -312,17 +340,20 @@ def bench(columns: dict[str, Path], sizes: list[int], repeat: int, rounds: int) 
     runs = {name: {layer: {} for layer in LAYERS} for name in columns}
     compiles = {name: {} for name in columns}
     cli = {name: {} for name in columns}
+    shares = {name: {job: [] for job in JOBS} for name in columns}
     refs = []
     for r in range(rounds):
         names = list(columns) if r % 2 == 0 else list(reversed(columns))
         for name in names:
             before = run_reference()
             out = run_column(columns[name], sizes, repeat)
-            jobs = run_cli(columns[name])
+            jobs, share = run_cli(columns[name])
             after = run_reference()
             refs += [before, after]
             for job, ms in jobs.items():
                 cli[name].setdefault(job, []).append((ms, ms / ((before + after) / 2)))
+            for job, ms in share.items():
+                shares[name][job].append(ms)
             for layer, by_n in out["layers"].items():
                 for n, ms in by_n.items():
                     runs[name][layer].setdefault(n, []).append((ms, ms / ((before + after) / 2)))
@@ -349,7 +380,7 @@ def bench(columns: dict[str, Path], sizes: list[int], repeat: int, rounds: int) 
                 "slopes": {layer: slope({n: e["scaled"] for n, e in by_n.items()}) for layer, by_n in kept[name].items()},
                 "startup": startup(src, {m: statistics.median(ms) for m, ms in compiles[name].items()}),
                 "cli": {
-                    "jobs": {job: summary(cli[name][job]) for job in JOBS},
+                    "jobs": {job: {**summary(cli[name][job]), **spread(shares[name][job])} for job in JOBS},
                     "bare": {command: summary(cli[name][command]) for command in BARE},
                 },
             }
@@ -392,10 +423,20 @@ def summary(timed: list[tuple[float, float]]) -> dict:
     }
 
 
+SHARE_FIELDS = {"share_ms", "share_iqr_ms"}
+
+
+def spread(shares: list[float]) -> dict:
+    """The median of a job's per-round program shares, and their
+    interquartile range (0 over one round)."""
+    q1, _, q3 = statistics.quantiles(shares, method="inclusive") if len(shares) > 1 else shares * 3
+    return {"share_ms": round(statistics.median(shares), 3), "share_iqr_ms": round(q3 - q1, 3)}
+
+
 def check_schema(doc: dict) -> None:
     """Raise AssertionError unless ``doc`` has the form :func:`bench` writes,
     or the form of an earlier schema."""
-    assert doc["schema"] in (SCHEMA, SCHEMA_3, SCHEMA_2, SCHEMA_1)
+    assert doc["schema"] in (SCHEMA, SCHEMA_4, SCHEMA_3, SCHEMA_2, SCHEMA_1)
     layers, fields = (LAYERS, FIELDS)
     if doc["schema"] == SCHEMA_1:
         layers, fields = (LAYERS_1, {"ms", "scaled"})
@@ -416,11 +457,15 @@ def check_schema(doc: dict) -> None:
     if doc["schema"] in (SCHEMA_2, SCHEMA_1):
         return
     for column in doc["columns"].values():
-        if doc["schema"] == SCHEMA:
+        if doc["schema"] in (SCHEMA, SCHEMA_4):
             rows = column["cli"]
             assert set(rows) == {"jobs", "bare"}
             assert set(rows["jobs"]) == set(JOBS) and set(rows["bare"]) == set(BARE)
-            for entry in (*rows["jobs"].values(), *rows["bare"].values()):
+            shared = SHARE_FIELDS if doc["schema"] == SCHEMA else set()
+            for entry in rows["jobs"].values():
+                assert set(entry) == FIELDS | shared and all(entry[field] >= 0 for field in FIELDS)
+                assert not shared or (isinstance(entry["share_ms"], float) and entry["share_iqr_ms"] >= 0)
+            for entry in rows["bare"].values():
                 assert set(entry) == FIELDS and all(entry[field] >= 0 for field in FIELDS)
         modules, jobs = column["startup"]["modules"], column["startup"]["jobs"]
         assert "ultrametric" in modules and set(jobs) == set(JOBS), sorted(jobs)
@@ -461,6 +506,13 @@ def report(doc: dict) -> str:
         kind = "jobs" if job in JOBS else "bare"
         cells = ", ".join(
             f"{name} {c['cli'][kind][job]['median_ms']:.1f} / {c['cli'][kind][job]['median_scaled']:.1f}"
+            for name, c in doc["columns"].items()
+        )
+        lines.append(f"  {job}: {cells}")
+    lines.append("CLI, program share per job: median ms over the rounds (IQR):")
+    for job in JOBS:
+        cells = ", ".join(
+            f"{name} {c['cli']['jobs'][job]['share_ms']:.1f} ({c['cli']['jobs'][job]['share_iqr_ms']:.1f})"
             for name, c in doc["columns"].items()
         )
         lines.append(f"  {job}: {cells}")

@@ -13,8 +13,6 @@ outputs deterministic and collision-free.  Each construction here is one
 handlers of the ``glue`` and ``amalgam`` verbs live here.
 """
 
-from __future__ import annotations
-
 from . import jsonio
 from .builders import join_spaces
 from .errors import (

@@ -14,8 +14,6 @@ that only reads, checks and measures spaces (``validate``, ``spectrum``,
 ``ugh``, ``net``, ``hausdorff``, ``in-uk``) does not load this module.
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
 from operator import itemgetter
 

@@ -7,8 +7,6 @@ any certificate from scratch.  Only ``ugh --certificate`` and library
 callers need this code, so a u_GH scan does not load it.
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
 
 from .builders import join_spaces

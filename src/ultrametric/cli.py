@@ -15,8 +15,6 @@ A job (:func:`entry`) leaves through ``os._exit`` once its ``atexit``
 handlers ran and its streams are flushed, so it skips interpreter teardown.
 """
 
-from __future__ import annotations
-
 import atexit
 import os
 import sys
@@ -221,12 +219,19 @@ def _scan(argv: list[str]) -> SimpleNamespace | None:
 
 
 def _parse(argv: list[str]):
-    """Read a clean job with _scan; argparse reads, or refuses, the rest."""
+    """Read a clean job with _scan; argparse reads, or refuses, the rest.
+
+    With stderr closed, argparse would print a usage error's usage line to
+    stdout, so the parser then runs with stderr sent to a discarded sink."""
     args = _scan(argv)
     if args is None:
+        from contextlib import nullcontext, redirect_stderr
+        from io import StringIO
+
         from .usage import build_parser
 
-        args = build_parser().parse_args(argv)
+        with redirect_stderr(StringIO()) if sys.stderr is None else nullcontext():
+            args = build_parser().parse_args(argv)
     return args
 
 

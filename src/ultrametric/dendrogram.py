@@ -24,8 +24,6 @@ caterpillar.  Nothing here recurses, so the depth of a tree is not bounded by
 the interpreter's recursion limit.
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
 from operator import itemgetter
 

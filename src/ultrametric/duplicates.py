@@ -6,8 +6,6 @@ opts into this merge explicitly.  Only a ``--merge-duplicates`` job loads
 this module.
 """
 
-from __future__ import annotations
-
 from bisect import bisect_left
 
 from .rationals import format_rational

@@ -5,8 +5,6 @@ Every error carries a stable machine-readable ``code`` (the class name) and a
 diagnostics and tests can assert on exact failure causes.
 """
 
-from __future__ import annotations
-
 
 class UltrametricError(Exception):
     """Base class for all domain errors raised by this package."""

@@ -9,8 +9,6 @@ name a rejected matrix's first violated axiom with its witness.  A job whose
 input reads and checks does not load this module.
 """
 
-from __future__ import annotations
-
 from bisect import bisect_left
 from fractions import Fraction
 

@@ -7,8 +7,6 @@ refused before it builds, does not load the builders.  The handlers of the
 (``cluster``) is in :mod:`ultrametric.linkage`.
 """
 
-from __future__ import annotations
-
 import random
 from fractions import Fraction
 from math import isqrt

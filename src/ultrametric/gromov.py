@@ -53,8 +53,7 @@ format it writes, ``{"value": "3/4", "scale_witness": "3/4"}``, is here too
 (:func:`ugh_result_to_obj`).
 """
 
-from __future__ import annotations
-
+from bisect import bisect_left
 from fractions import Fraction
 from functools import cache
 
@@ -98,13 +97,7 @@ def ugh_distance(x: UltrametricSpace, y: UltrametricSpace) -> UghResult:
     lo, hi, probe = 0, len(candidates) - 1, 0
     while probe < hi and not isometric_at(probe):
         lo, probe = probe + 1, 2 * probe + 1
-    hi = min(hi, probe)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if isometric_at(mid):
-            hi = mid
-        else:
-            lo = mid + 1
+    hi = bisect_left(range(len(candidates)), True, lo, min(hi, probe), key=isometric_at)
     t = candidates[hi]
     (qx, _), (qy, _) = truncated(hi)
     witness = leaf_pairing(qx, qy)

@@ -6,8 +6,6 @@ handlers of the ``hausdorff`` and ``net`` verbs live here, and the subset
 reader :func:`load_subset`: ``["a", "b", ...]`` as JSON text or ``@file``.
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
 
 from . import jsonio

@@ -20,8 +20,6 @@ runs, never import :mod:`ultrametric.cli`.  The handlers of ``validate`` and
 ``spectrum``, which run nothing else, live here too.
 """
 
-from __future__ import annotations
-
 import json
 import os
 import sys

@@ -6,8 +6,6 @@ keys.  Its handler, :func:`cli_cluster`, lives here, so a ``cluster`` job
 loads neither the family generators nor the other verbs' code.
 """
 
-from __future__ import annotations
-
 from bisect import bisect_left
 from math import lcm
 from operator import add

@@ -15,8 +15,6 @@ The winning assignment is converted back and re-verified against the real
 axiom checker and the real Hausdorff routine before the value is returned.
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
 from itertools import permutations
 

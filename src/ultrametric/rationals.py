@@ -6,8 +6,6 @@ is no floating point anywhere.  This module owns the textual boundary: parsing
 canonical reduced form (``"3/4"``, ``"2"``, ``"0"``).
 """
 
-from __future__ import annotations
-
 import sys
 from fractions import Fraction
 

@@ -21,8 +21,6 @@ matrix's fault, or respells entries that are not canonical strings, is in
 :mod:`ultrametric.faults`, which only such a matrix loads.
 """
 
-from __future__ import annotations
-
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from functools import cached_property

@@ -7,8 +7,6 @@ it is read, and the chain goes to the one builder
 this module.
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
 
 from .builders import merged_spectrum, space_from_chain

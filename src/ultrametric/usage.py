@@ -9,8 +9,6 @@ and its help, usage and error bytes are argparse's own.  Only such a job
 loads this module and ``argparse``.
 """
 
-from __future__ import annotations
-
 import argparse
 
 from .cli import VERBS

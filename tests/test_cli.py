@@ -377,19 +377,21 @@ def test_help_into_a_full_disk_is_a_diagnostic_in_a_job():
 )
 def test_an_unwritable_stderr_keeps_the_exit_code(argv, code, stderr):
     # With stderr unwritable the diagnostic has nowhere to go; the job
-    # still exits as it would have, not with the interpreter's 120.  (With
-    # stderr closed, argparse prints its usage line to stdout.)
+    # still exits as it would have, not with the interpreter's 120, and
+    # writes nothing to stdout in its place.
     if stderr == "2>/dev/full" and not os.path.exists("/dev/full"):
         pytest.skip("the system has no /dev/full")
     script = f'exec "$0" -m ultrametric {argv} {stderr}'
     result = run_in_golden(["sh", "-c", script, sys.executable], buffered=True)
     assert result.returncode == code
-    assert "Traceback" not in result.stdout
+    assert result.stdout == ""
 
 
-def test_a_missing_stderr_keeps_the_exit_code(monkeypatch):
+def test_a_missing_stderr_keeps_the_exit_code(monkeypatch, capsys):
     monkeypatch.setattr(sys, "stderr", None)
-    assert main(["validate", str(GOLDEN / "bad_triangle.json")]) == 1
+    for argv, code in [(["validate", str(GOLDEN / "bad_triangle.json")], 1), (["frobnicate"], 2)]:
+        assert main(argv) == code
+        assert capsys.readouterr().out == ""
 
 
 CLOSED_STDIN = {

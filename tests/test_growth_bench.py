@@ -35,7 +35,9 @@ def test_a_tiny_run_writes_the_schema(tmp_path, monkeypatch, capsys):
         job: (e["modules"], e["nodes"]) for job, e in b["jobs"].items()
     }
     assert list(doc["ratios"]) == ["b"] and set(doc["ratios"]["b"]) == set(growth.LAYERS)
-    assert "  python -S -c pass: a " in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "  python -S -c pass: a " in err
+    assert "program share per job" in err and "  ugh: a " in err.split("program share")[1]
 
 
 @pytest.mark.parametrize("path", sorted(ROOT.glob("BENCH_*.json")), ids=lambda p: p.name)
@@ -53,22 +55,34 @@ def one_column():
 
 
 def test_each_cli_row_is_the_median_of_three_passes(monkeypatch):
-    # Each pass over the rows charges every command a fake CPU time: 9 ms,
-    # then 2 ms, then 1 ms, so the median differs from the first, last, best
-    # and mean.
+    # Each pass charges every command a fake CPU time: 9 ms, then 2 ms, then
+    # 1 ms, and a job 1, then 3, then 8 ms more, its share of that pass.  So
+    # each median differs from the first, last, best and mean.
     monkeypatch.setattr(growth, "JOBS", {"validate": growth.JOBS["validate"]})
-    rows = [["-m", "ultrametric", *growth.JOBS["validate"]], *growth.BARE.values()]
+    job = ["-m", "ultrametric", *growth.JOBS["validate"]]
+    paired = growth.BARE["python -c pass"]
+    per_pass = 2 + len(growth.BARE)
     started, spent = [], [0.0]
 
     def run(argv, **_):
         started.append(argv[1:])
-        spent[0] += (0.009, 0.002, 0.001)[(len(started) - 1) // len(rows)]
+        k = (len(started) - 1) // per_pass
+        spent[0] += (0.009, 0.002, 0.001)[k] + (argv[1:] == job) * (0.001, 0.003, 0.008)[k]
 
     monkeypatch.setattr(growth.subprocess, "run", run)
     monkeypatch.setattr(growth, "children_cpu", lambda: spent[0])
-    times = growth.run_cli(ROOT / "src")
-    assert growth.CLI_RUNS == 3 and started == rows * 3
-    assert times == pytest.approx(dict.fromkeys(["validate", *growth.BARE], 2.0))
+    times, shares = growth.run_cli(ROOT / "src")
+    # The job and its paired bare run alternate which goes first, pass by pass.
+    bare = list(growth.BARE.values())
+    assert growth.CLI_RUNS == 3
+    assert started == [job, paired, *bare, paired, job, *bare, job, paired, *bare]
+    assert times == pytest.approx({"validate": 9.0, **dict.fromkeys(growth.BARE, 2.0)})
+    assert shares == pytest.approx({"validate": 3.0})
+
+
+def test_a_job_row_keeps_the_median_share_and_its_spread():
+    assert growth.spread([4.0]) == {"share_ms": 4.0, "share_iqr_ms": 0.0}
+    assert growth.spread([1.0, 2.0, 4.0, 9.0, 30.0]) == {"share_ms": 4.0, "share_iqr_ms": 7.0}
 
 
 def test_check_schema_refuses_a_missing_layer(one_column):
@@ -85,6 +99,7 @@ def test_cli_rows_time_every_job_and_the_bare_interpreter(one_column):
     assert set(rows["jobs"]) == set(growth.JOBS)
     assert set(rows["bare"]) == {"python -c pass", "python -S -c pass"}
     assert all(entry["median_ms"] > 0 for entry in (*rows["jobs"].values(), *rows["bare"].values()))
+    assert all(set(entry) == growth.FIELDS | growth.SHARE_FIELDS for entry in rows["jobs"].values())
     for kind in ("jobs", "bare"):
         bad = json.loads(one_column)
         bad["columns"]["only"]["cli"][kind].popitem()

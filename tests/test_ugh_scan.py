@@ -10,6 +10,7 @@ pairs must give identical values, scale witnesses and block maps.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 from ultrametric import (
@@ -20,14 +21,17 @@ from ultrametric import (
     certificate,
     closed_quotient,
     crowd_family,
+    gromov,
     isometry_witness,
     random_space,
     spectrum,
+    spectrum_agreement,
     spectrum_constraint,
     ugh_distance,
     validate_ultrametric,
     verify_certificate,
 )
+from ultrametric.dendrogram import quotient_canon
 from ultrametric.rationals import format_rational
 from ultrametric.spaces import ZERO, UltrametricSpace
 
@@ -199,3 +203,33 @@ def test_scan_on_a_caterpillar_deeper_than_the_recursion_limit():
     assert same.value == 0
     assert same.block_map[0] == (("x0",), ("y0",))
     assert apart.value == heights[-1]
+
+
+def test_the_search_tests_logarithmically_many_scales_each_once_per_space(monkeypatch):
+    """An answer at position p among the candidates at or above
+    spectrum_agreement costs at most 2 * bit_length(p + 1) tested scales (the
+    gallop, then the bisection below its first isometric probe), and each is
+    canonicalized once per space: truncated's cache holds the answer's trees."""
+    calls = []
+
+    def spy(space, t):
+        calls.append((id(space), t))
+        return quotient_canon(space, t)
+
+    monkeypatch.setattr(gromov, "quotient_canon", spy)
+    rng = random.Random(31)
+    sixty_fourths = [Fraction(k, 64) for k in range(1, 65)]
+    pairs = []
+    for _ in range(300):
+        values = sorted(rng.sample(sixty_fourths, rng.randint(1, 63)))
+        constraint = spectrum_constraint(["0", *map(format_rational, values)])
+        pairs.append([random_space(rng.randint(1, 60), constraint, rng.randrange(10**6)) for _ in "xy"])
+    pairs += [(cauchy_sequence(d), cauchy_sequence(d - 1)) for d in range(1, 40)]
+    for x, y in pairs:
+        calls.clear()
+        value = ugh_distance(x, y).value
+        floor = spectrum_agreement(x, y)
+        p = sorted(t for t in {*x.values, *y.values} if t >= floor).index(value)
+        scales = {t for _, t in calls}
+        assert Counter(calls) == Counter((id(s), t) for t in scales for s in (x, y))
+        assert len(scales) <= 2 * (p + 1).bit_length()
