@@ -72,15 +72,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 REFERENCE = ROOT / "perfbench" / "reference.py"
 GOLDEN = ROOT / "tests" / "golden"
-SCHEMA = "ultrametric-growth/5"
-# The first schema's layers, and its entries, which held the best time only.
-SCHEMA_1 = "ultrametric-growth/1"
-# The second schema: the third without the start-up row and the ratios.
-SCHEMA_2 = "ultrametric-growth/2"
-# The third schema: the fourth without the CLI rows.
-SCHEMA_3 = "ultrametric-growth/3"
-# The fourth schema: this one without the program shares of the CLI jobs.
-SCHEMA_4 = "ultrametric-growth/4"
+VERSION = 5
+SCHEMA = f"ultrametric-growth/{VERSION}"
+# The first schema's layers, whose entries held the best time only.
 LAYERS_1 = ("glue", "disjoint_amalgam", "crowd_family", "certificate", "chain_glue")
 LAYERS = (
     *LAYERS_1,
@@ -253,9 +247,15 @@ def ast_nodes(src: Path) -> dict:
     }
 
 
+def column_env(src: Path) -> dict:
+    """The environment of a child that imports the package from ``src`` and
+    compiles it from source."""
+    return {**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"}
+
+
 def job_modules(src: Path) -> dict:
     """The package modules each of :data:`JOBS` leaves loaded."""
-    env = {**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"}
+    env = column_env(src)
     out = {}
     for job, argv in JOBS.items():
         proc = subprocess.run(
@@ -296,7 +296,7 @@ def run_cli(src: Path) -> tuple[dict, dict]:
     In a pass each job runs next to a :data:`PAIRED` bare run, the job first
     at even turns and the bare run first at odd ones, counting the turns over
     every job of every pass; its share is its time minus that bare run's."""
-    env = {**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"}
+    env = column_env(src)
     jobs = {job: ["-m", "ultrametric", *argv] for job, argv in JOBS.items()}
     runs = {name: [] for name in (*jobs, *BARE)}
     shares = {job: [] for job in jobs}
@@ -322,7 +322,7 @@ def run_cli(src: Path) -> tuple[dict, dict]:
 
 def run_column(src: Path, sizes: list[int], repeat: int) -> dict:
     """One worker run: ``{"layers": ..., "compile_ms": ...}``."""
-    env = {**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"}
+    env = column_env(src)
     argv = [sys.executable, __file__, "--worker", "--sizes", ",".join(map(str, sizes))]
     proc = subprocess.run([*argv, "--repeat", str(repeat)], env=env, check=True, capture_output=True, text=True)
     return json.loads(proc.stdout)
@@ -436,9 +436,10 @@ def spread(shares: list[float]) -> dict:
 def check_schema(doc: dict) -> None:
     """Raise AssertionError unless ``doc`` has the form :func:`bench` writes,
     or the form of an earlier schema."""
-    assert doc["schema"] in (SCHEMA, SCHEMA_4, SCHEMA_3, SCHEMA_2, SCHEMA_1)
+    version = {f"ultrametric-growth/{v}": v for v in range(1, VERSION + 1)}.get(doc["schema"])
+    assert version, doc["schema"]
     layers, fields = (LAYERS, FIELDS)
-    if doc["schema"] == SCHEMA_1:
+    if version == 1:
         layers, fields = (LAYERS_1, {"ms", "scaled"})
     assert isinstance(doc["python"], str) and isinstance(doc["cpus"], int)
     sizes = doc["sizes"]
@@ -454,14 +455,14 @@ def check_schema(doc: dict) -> None:
             for entry in by_n.values():
                 assert set(entry) == fields and all(entry[field] >= 0 for field in fields)
             assert column["slopes"][layer] is None or isinstance(column["slopes"][layer], float)
-    if doc["schema"] in (SCHEMA_2, SCHEMA_1):
+    if version <= 2:
         return
     for column in doc["columns"].values():
-        if doc["schema"] in (SCHEMA, SCHEMA_4):
+        if version >= 4:
             rows = column["cli"]
             assert set(rows) == {"jobs", "bare"}
             assert set(rows["jobs"]) == set(JOBS) and set(rows["bare"]) == set(BARE)
-            shared = SHARE_FIELDS if doc["schema"] == SCHEMA else set()
+            shared = SHARE_FIELDS if version >= 5 else set()
             for entry in rows["jobs"].values():
                 assert set(entry) == FIELDS | shared and all(entry[field] >= 0 for field in FIELDS)
                 assert not shared or (isinstance(entry["share_ms"], float) and entry["share_iqr_ms"] >= 0)

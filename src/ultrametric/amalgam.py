@@ -14,7 +14,7 @@ handlers of the ``glue`` and ``amalgam`` verbs live here.
 """
 
 from . import jsonio
-from .builders import join_spaces
+from .builders import join_spaces, merged_spectrum
 from .errors import (
     DuplicateIdentification,
     EmptyChain,
@@ -54,11 +54,20 @@ def gluespec_from_obj(obj) -> GlueSpec:
         for p in pairs
     ):
         raise InputFormat('"identify" must be a list of [left, right] label pairs')
-    return GlueSpec(
-        jsonio.space_from_obj(obj["x1"]),
-        jsonio.space_from_obj(obj["x2"]),
-        tuple((a, b) for a, b in pairs),
-    )
+    return GlueSpec(jsonio.space_from_obj(obj["x1"]), jsonio.space_from_obj(obj["x2"]), pairs)
+
+
+def first_distortion(x: UltrametricSpace, xs, y: UltrametricSpace, ys) -> tuple[int, int] | None:
+    """The first pair ``(p, q)``, row by row, whose distance the map ``xs[k] ->
+    ys[k]`` of point indices from ``x`` to ``y`` changes, or None for an isometry.
+    Both sides' ranks go through their tables into the merged spectrum."""
+    _, (tx, ty) = merged_spectrum(x.values, y.values)
+    for p, (i, j) in enumerate(zip(xs, ys)):
+        row_x, row_y = x.ranks[i], y.ranks[j]
+        want = [tx[row_x[k]] for k in xs]
+        got = [ty[row_y[k]] for k in ys]
+        if want != got:
+            return p, [w == g for w, g in zip(want, got)].index(False)
 
 
 def _check_spec(spec: GlueSpec) -> None:
@@ -75,21 +84,16 @@ def _check_spec(spec: GlueSpec) -> None:
             )
     x1, x2 = spec.x1, spec.x2
     at1, at2 = zip(*((x1.index(a), x2.index(b)) for a, b in spec.identify))
-    # X2's ranks go through one table into X1's (-1 for a value X1 lacks).
-    position = {v: r for r, v in enumerate(x1.values)}
-    table = [position.get(v, -1) for v in x2.values]
-    for (a, b), i, j in zip(spec.identify, at1, at2):
-        want = list(map(x1.ranks[i].__getitem__, at1))
-        got = list(map(table.__getitem__, map(x2.ranks[j].__getitem__, at2)))
-        if want != got:
-            c, d = spec.identify[next(k for k, (w, g) in enumerate(zip(want, got)) if w != g)]
-            raise MetricMismatchOnA(
-                f"common part metrics disagree: d({a},{c}) = "
-                f"{format_rational(x1.d(a, c))} on the left but "
-                f"d({b},{d}) = {format_rational(x2.d(b, d))} on the right",
-                left=[a, c],
-                right=[b, d],
-            )
+    bad = first_distortion(x1, at1, x2, at2)
+    if bad:
+        (a, b), (c, d) = map(spec.identify.__getitem__, bad)
+        raise MetricMismatchOnA(
+            f"common part metrics disagree: d({a},{c}) = "
+            f"{format_rational(x1.d(a, c))} on the left but "
+            f"d({b},{d}) = {format_rational(x2.d(b, d))} on the right",
+            left=[a, c],
+            right=[b, d],
+        )
 
 
 def glue_embeddings(spec: GlueSpec) -> tuple[dict[str, str], dict[str, str]]:

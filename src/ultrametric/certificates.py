@@ -99,21 +99,19 @@ def verify_certificate(
     Checks: the ambient space is a well-formed record satisfying the
     ultrametric axioms, both embeddings are injective and
     distance-preserving, and the Hausdorff distance between the images
-    equals the claimed value.  Distances are compared as ranks of the
-    ambient space, each source value looked up once.
+    equals the claimed value.
     """
     from .hyperspace import hausdorff_distance
 
     space = cert.space
     _check_record(space)
     _check_axioms(_check_labels(space.labels), space.ranks, space.values)
-    position = {v: r for r, v in enumerate(space.values)}
     for name, source, embed in (("left", x, cert.embed_left), ("right", y, cert.embed_right)):
         if sorted(embed) != sorted(source.labels):
             raise CertificateInvalid(f"{name} embedding is not defined on every point")
         if len(set(embed.values())) != len(embed):
             raise CertificateInvalid(f"{name} embedding is not injective")
-        _check_isometric(name, source, embed, space, position)
+        _check_isometric(name, source, embed, space)
     image_left = [cert.embed_left[l] for l in x.labels]
     image_right = [cert.embed_right[l] for l in y.labels]
     achieved = hausdorff_distance(space, image_left, image_right)
@@ -141,23 +139,21 @@ def _check_record(space: UltrametricSpace) -> None:
         )
 
 
-def _check_isometric(name, source, embed, space, position) -> None:
+def _check_isometric(name, source, embed, space) -> None:
     """Raise at the first pair, row by row, whose distance the embedding changes.
 
-    Source ranks go through one table into the ambient space's ranks (-1 for
-    a value it lacks).  An image missing from the space raises UnknownLabel
-    where a pair scan first looks it up, in row 0.
+    The images found so far go through
+    :func:`ultrametric.amalgam.first_distortion`.  An image missing from the
+    space raises UnknownLabel where a pair scan first looks it up, in row 0:
+    after a distortion in row 0, before one below it.
     """
-    table = [position.get(v, -1) for v in source.values]
+    from .amalgam import first_distortion
+
     images = list(map(space._index.get, map(embed.__getitem__, source.labels)))
     known = images.index(None) if None in images else len(images)
-    rows = len(images) if known == len(images) else min(known, 1)
-    for i in range(rows):
-        want = list(map(table.__getitem__, source.ranks[i][:known]))
-        got = list(map(space.ranks[images[i]].__getitem__, images[:known]))
-        if want != got:
-            a = source.labels[i]
-            b = source.labels[next(j for j, (w, g) in enumerate(zip(want, got)) if w != g)]
-            raise CertificateInvalid(f"{name} embedding distorts d({a},{b})", points=[a, b])
+    bad = first_distortion(source, range(known), space, images[:known])
+    if bad and (bad[0] == 0 or known == len(images)):
+        a, b = map(source.labels.__getitem__, bad)
+        raise CertificateInvalid(f"{name} embedding distorts d({a},{b})", points=[a, b])
     if known < len(images):
         space.index(embed[source.labels[known]])

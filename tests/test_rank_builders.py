@@ -689,6 +689,24 @@ def tampered(rng: random.Random, cert: Certificate):
         yield "distorted, then unknown", Certificate(
             with_space(labels=labels).space, unknown_last, right, t
         )
+    # The pair scan meets the unknown image in row 0, before a distortion below
+    # it: point b takes the image of a later point u as far from the first
+    # point, some point c between them tells b from u, and u's image goes.
+    first, *rest = left
+
+    def d(a, b):
+        return space.d(left[a], left[b])
+
+    for k, u in enumerate(rest):
+        between = rest[:k]
+        twins = [
+            b for b in between
+            if d(first, b) == d(first, u) and any(d(b, c) != d(u, c) for c in between if c != b)
+        ]
+        if twins:
+            unknown_u = with_embedding("left", {**left, twins[0]: left[u], u: "nowhere"})
+            yield "distorted below row 0, then unknown", unknown_u
+            break
     for side, embed in (("left", left), ("right", right)):
         keys = list(embed)
         if len(keys) > 1:
@@ -734,6 +752,11 @@ def test_tampered_certificates_raise_what_the_label_scan_raised():
         "wrong value", "swapped embeddings", "distorted pair", "non-injective left",
         "unknown image left", "asymmetric", "broken axiom", "distorted, then unknown",
         "positive diagonal", "rank out of range", "values without 0",
+        "distorted below row 0, then unknown",
+    }
+    # A scan over every row of the known images would raise CertificateInvalid.
+    assert {error for kind, error, _ in kinds if kind == "distorted below row 0, then unknown"} == {
+        "UnknownLabel"
     }
     assert {error for _, error, _ in kinds} >= {
         "CertificateInvalid", "UnknownLabel", "NonSymmetric", "TriangleViolation", "ok",
