@@ -8,9 +8,10 @@ names a file.
 This module reads the arguments (:data:`VERBS`), hands them to the verb's
 handler and writes what it returns, or the diagnostic.  Each handler lives
 beside the code its verb runs, in the module its :data:`VERBS` entry names,
-and a job imports only that module, so it compiles no other verb's code.  An
-argument list the scan declines goes to the argparse parser in
-:mod:`ultrametric.usage`.
+and a job imports only that module, so it compiles no other verb's code.  A
+clean job's arguments are read by :func:`_scan`; every other argument list
+goes to :func:`build_parser`, built from the same table, and only such a job
+imports ``argparse``.
 A job (:func:`entry`) leaves through ``os._exit`` once its ``atexit``
 handlers ran and its streams are flushed, so it skips interpreter teardown.
 """
@@ -22,7 +23,7 @@ from importlib import import_module
 from types import SimpleNamespace
 
 # Every verb pays for the imports below, so they are only what all verbs need.
-from . import _forward, jsonio
+from . import jsonio
 from .errors import OracleMismatch, UltrametricError
 
 
@@ -56,9 +57,9 @@ def _required(flag: str, help: str | None = None, **options):
 # Each verb's handler module, help line and arguments as (flags, add_argument
 # options); ``gen`` has a table of families in place of arguments.  The
 # handler is the module's ``cli_<verb>``, with ``-`` written as ``_``: it takes
-# the parsed arguments and returns the object to print.  The argparse parser
-# (:mod:`ultrametric.usage`) is built from this table, and _scan reads a clean
-# job's arguments off it.
+# the parsed arguments and returns the object to print.  build_parser builds
+# the argparse parser from this table, and _scan reads a clean job's arguments
+# off it.
 VERBS = {
     "validate": (
         "jsonio",
@@ -161,6 +162,30 @@ VERBS = {
 }
 
 
+def _add_arguments(parser, spec) -> None:
+    if isinstance(spec, dict):
+        families = parser.add_subparsers(dest="family", required=True)
+        for name, (help, arguments) in spec.items():
+            _add_arguments(families.add_parser(name, help=help), arguments)
+        return
+    for flags, options in spec:
+        parser.add_argument(*flags, **options)
+
+
+def build_parser():
+    """The argparse parser of every verb."""
+    import argparse
+
+    parser = argparse.ArgumentParser(
+        prog="ultrametric",
+        description="Exact computations on finite ultrametric spaces.",
+    )
+    verbs = parser.add_subparsers(dest="verb", required=True)
+    for verb, (_, help, spec) in VERBS.items():
+        _add_arguments(verbs.add_parser(verb, help=help), spec)
+    return parser
+
+
 def _scan(argv: list[str]) -> SimpleNamespace | None:
     """The namespace ``build_parser().parse_args(argv)`` returns, for an argv
     that argparse cannot read any other way; None for anything else.
@@ -228,8 +253,6 @@ def _parse(argv: list[str]):
         from contextlib import nullcontext, redirect_stderr
         from io import StringIO
 
-        from .usage import build_parser
-
         with redirect_stderr(StringIO()) if sys.stderr is None else nullcontext():
             args = build_parser().parse_args(argv)
     return args
@@ -279,7 +302,3 @@ def entry() -> None:
     except (AttributeError, OSError):  # as in _diagnose
         pass
     os._exit(code)
-
-
-# perfbench/replay.py, kept unchanged, still imports build_parser from here.
-__getattr__ = _forward(__name__, {"build_parser": "usage"})

@@ -44,7 +44,8 @@ def loads(text: str):
 
 
 def raw_space_from_obj(obj) -> tuple[list[str], list[list]]:
-    """Pull labels and the raw (unvalidated) matrix out of a space object."""
+    """Pull labels and the raw (unvalidated) matrix out of a space object:
+    the object's own lists, not copies."""
     if not isinstance(obj, dict):
         raise InputFormat("space must be a JSON object")
     if "points" not in obj or "dist" not in obj:
@@ -55,7 +56,7 @@ def raw_space_from_obj(obj) -> tuple[list[str], list[list]]:
         raise InputFormat('"points" must be a list of strings')
     if not isinstance(dist, list) or not all(isinstance(row, list) for row in dist):
         raise InputFormat('"dist" must be a list of rows')
-    return list(points), [list(row) for row in dist]
+    return points, dist
 
 
 def space_from_obj(obj) -> UltrametricSpace:

@@ -2,11 +2,10 @@
 
 ``perfbench/`` is frozen: its files may not change when the library moves a
 definition, so the library keeps the names they use resolvable (``spaces``,
-``jsonio``, ``generators``, ``cli`` and ``gromov`` forward eleven moved
-names).  This reads every ``from
-ultrametric... import ...`` statement and every ``jsonio.<name>`` use in the
-benchmark and growth-bench scripts, and checks that each name resolves to
-the object its home module defines.
+``jsonio``, ``generators`` and ``gromov`` forward ten moved names).  This
+reads every ``from ultrametric... import ...`` statement and every
+``jsonio.<name>`` use in the benchmark and growth-bench scripts, and checks
+that each name resolves to the object its home module defines.
 """
 
 from __future__ import annotations

@@ -304,6 +304,26 @@ def test_bad_allowed_values_are_named(k, message, tmp_path):
 
 
 @pytest.mark.parametrize(
+    "argv, files, error, message",
+    [
+        (["glue", "{tmp}/spec.json"], {"spec.json": "[]"}, "InputFormat",
+         "glue spec must be a JSON object"),
+        (["hausdorff", "isosceles.json", "--a", "[1]", "--b", '["a"]'], {}, "InputFormat",
+         "subset must be a JSON array of point labels"),
+        (["cluster", "--input", "{tmp}/empty.json"], {"empty.json": '{"points": [], "dist": []}'},
+         "NotAMetric", "a metric needs at least one point"),
+    ],
+    ids=["glue_spec_not_an_object", "subset_not_labels", "cluster_no_points"],
+)
+def test_malformed_inputs_are_named(argv, files, error, message, tmp_path):
+    for name, text in files.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    code, out, err, _ = run_case(argv, tmp_path)
+    assert (code, out, err.count("\n")) == (1, "", 1)
+    assert json.loads(err) == {"error": error, "message": message}
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["spectrum", "isosceles.json", "-o", "{tmp}/missing/out.json"],

@@ -1,7 +1,7 @@
 """The argv reader answers exactly as the full argparse parser does.
 
 ``main`` reads a clean job's arguments with ``cli._scan`` and hands anything
-else to ``usage.build_parser()``.  The first tests run the same argument lists
+else to ``cli.build_parser()``.  The first tests run the same argument lists
 through ``main`` twice, once as shipped and once with parsing forced through
 ``build_parser()``, and compare exit code, stdout, stderr and written files;
 the last compares the two namespaces on seeded, mutated argument lists.
@@ -13,7 +13,7 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
-from ultrametric import cli, usage
+from ultrametric import cli
 
 from cli_corpus import run_case
 
@@ -48,7 +48,7 @@ CASES = {
 
 
 def full_parse(argv):
-    return usage.build_parser().parse_args(argv)
+    return cli.build_parser().parse_args(argv)
 
 
 @pytest.mark.parametrize("argv", list(CASES.values()), ids=list(CASES))
@@ -74,7 +74,7 @@ def test_a_clean_job_builds_only_its_verb_parser(argv, tmp_path, monkeypatch):
     def unreachable():
         raise AssertionError("the full parser was built")
 
-    monkeypatch.setattr(usage, "build_parser", unreachable)
+    monkeypatch.setattr(cli, "build_parser", unreachable)
     code, _, err, _ = run_case(argv, tmp_path)
     assert (code, err) == (0, "")
 
@@ -144,7 +144,7 @@ def mutated(rng, argv):
 
 
 def test_scan_reads_every_argv_it_accepts_as_argparse_does():
-    parser = usage.build_parser()
+    parser = cli.build_parser()
     rng = random.Random(16)
     verbs = [
         (verb, family, arguments)

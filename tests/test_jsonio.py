@@ -54,6 +54,10 @@ class TestSpaceFormat:
             jsonio.space_from_obj({"points": ["a"]})
         with pytest.raises(InputFormat):
             jsonio.space_from_obj(["a"])
+        with pytest.raises(InputFormat, match='"points" must be a list of strings'):
+            jsonio.space_from_obj({"points": ["a", 1], "dist": [["0", "1"], ["1", "0"]]})
+        with pytest.raises(InputFormat, match='"dist" must be a list of rows'):
+            jsonio.space_from_obj({"points": ["a"], "dist": ["0"]})
         with pytest.raises(TriangleViolation):
             jsonio.space_from_obj(
                 {
@@ -89,3 +93,13 @@ class TestCertificateFormat:
         again = certificate_from_obj(obj)
         assert again == cert
         assert jsonio.dumps(certificate_to_obj(again)) == jsonio.dumps(obj)
+
+    def test_rejects_bad_shapes(self):
+        xh, x34 = two_point_space("1/2"), two_point_space("3/4")
+        obj = certificate_to_obj(certificate(xh, x34, ugh_distance(xh, x34)))
+        with pytest.raises(InputFormat, match="certificate must be a JSON object"):
+            certificate_from_obj([obj])
+        with pytest.raises(InputFormat, match='certificate needs "achieved"'):
+            certificate_from_obj({k: v for k, v in obj.items() if k != "achieved"})
+        with pytest.raises(InputFormat, match='"embed_right" must map labels to labels'):
+            certificate_from_obj({**obj, "embed_right": {"p": 0}})

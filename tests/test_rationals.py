@@ -35,6 +35,11 @@ def test_parse_rejects(text):
         parse_rational(text)
 
 
+def test_parse_rejects_a_non_string():
+    with pytest.raises(InputFormat, match="expected a rational string, got int"):
+        parse_rational(5)
+
+
 @pytest.mark.parametrize("text", ["1_0", "1_0/3", "1.5_0"])
 def test_digit_separators_are_refused_on_every_python(text):
     # Fraction reads "1_0" as 10 from Python 3.11 on, and refuses it on 3.10.

@@ -33,7 +33,6 @@ from ultrametric import (
     oracle,
     spaces,
     trees,
-    usage,
 )
 
 from cli_corpus import EXPECTED, GOLDEN
@@ -382,7 +381,6 @@ MOVED = {
     cli: {
         jsonio: ["read_text", "load_json", "load_space", "emit"],
         hyperspace: ["load_subset"],
-        usage: ["build_parser", "_add_arguments"],
     },
 }
 FORWARDED = {
@@ -390,7 +388,7 @@ FORWARDED = {
     jsonio: {"certificate_to_obj", "quotient_to_obj", "subset_from_obj", "ugh_result_to_obj"},
     builders: set(),
     generators: {"single_linkage"},
-    cli: {"build_parser"},
+    cli: set(),
 }
 
 
@@ -434,7 +432,7 @@ def test_modules_forward_exactly_the_names_the_benchmark_scripts_read():
     read = {used for path in SCRIPTS for used in used_names(path)}
     forwarding = [module for module in modules if "__getattr__" in vars(module)]
     assert {module.__name__ for module in forwarding} == {
-        f"ultrametric.{name}" for name in ("cli", "generators", "gromov", "jsonio", "spaces")
+        f"ultrametric.{name}" for name in ("generators", "gromov", "jsonio", "spaces")
     }
     for module in forwarding:
         own = set(vars(module))
