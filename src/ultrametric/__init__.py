@@ -39,13 +39,13 @@ _HOME = {
     "encoding": "dendrogram",
     "epsilon_net": "hyperspace",
     "format_rational": "rationals",
-    "from_dendrogram": "trees",
+    "from_dendrogram": "dendrogram",
     "glue": "amalgam",
     "hausdorff_distance": "hyperspace",
     "in_uk": "generators",
     "isometric": "dendrogram",
     "isometry_witness": "dendrogram",
-    "merge_duplicate_points": "duplicates",
+    "merge_duplicate_points": "spaces",
     "parse_rational": "rationals",
     "random_space": "generators",
     "restrict": "hyperspace",

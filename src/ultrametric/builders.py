@@ -6,7 +6,7 @@ neighbours, ``d = max(gaps between)``) to the one builder
 a chain is ultrametric.  Constructions place points by label and join their
 chains in one spanning forest (:func:`join_spaces`), and subspaces and
 closed-ball quotients restrict the source's chain, so no built space runs
-Prim again.  Merge trees are read in :mod:`ultrametric.trees`, single
+Prim again.  Merge trees are read in :mod:`ultrametric.dendrogram`, single
 linkage in :mod:`ultrametric.linkage`.  The ``quotient`` verb's handler,
 :func:`cli_quotient`, lives here, with the quotient format it writes
 (:func:`quotient_to_obj`): a space plus ``"scale"`` and ``"blocks"``.  A job

@@ -22,13 +22,20 @@ runs' lowest-index points and the cut gaps.  A pass costs the total length of
 its encodings, ``O(n log n)`` at logarithmic depth and ``O(n^2)`` on a
 caterpillar.  Nothing here recurses, so the depth of a tree is not bounded by
 the interpreter's recursion limit.
+
+Reading a tree: :func:`from_dendrogram`, and the canonical forms of a tree
+a caller built, read it as the chain of its leaves (:func:`_tree_chain`),
+checked as it is read; :func:`ultrametric.builders.space_from_chain` builds
+the space.  Both functions import from :mod:`ultrametric.builders` when they
+run, so the ``ugh`` job, which only compares spaces, does not load it.
 """
 
 from fractions import Fraction
 from operator import itemgetter
 
-from .rationals import format_rational
-from .spaces import Record, UltrametricSpace, chain_runs
+from .errors import MalformedTree
+from .rationals import as_rational, format_rational
+from .spaces import ZERO, Record, UltrametricSpace, _check_labels, chain_runs
 
 
 class Leaf(Record):
@@ -115,14 +122,12 @@ def quotient_canon(space: UltrametricSpace, t=0) -> tuple[Node, tuple]:
 
 def _tree_canon(node: Node) -> tuple[Node, tuple]:
     # A tree is read, and checked, as the chain of its leaves.
-    from .trees import _tree_chain
-
     return chain_canon(*_tree_chain(node))
 
 
 def canonicalize(node: Node) -> Node:
     """The canonical form of a tree; raises MalformedTree as
-    :func:`ultrametric.trees.from_dendrogram` does."""
+    :func:`from_dendrogram` does."""
     return _tree_canon(node)[0]
 
 
@@ -161,3 +166,58 @@ def isometry_witness(x: UltrametricSpace, y: UltrametricSpace) -> dict[str, str]
 
 def isometric(x: UltrametricSpace, y: UltrametricSpace) -> bool:
     return isometry_witness(x, y) is not None
+
+
+def from_dendrogram(node: Node) -> UltrametricSpace:
+    """Space whose distances are lowest-common-ancestor heights.
+
+    Raises MalformedTree on structural defects: heights not strictly
+    decreasing toward the leaves, internal nodes with fewer than two children,
+    nonpositive heights, or duplicate leaf labels.
+    """
+    from .builders import space_from_chain
+
+    labels, gaps, values = _tree_chain(node)
+    return space_from_chain(_check_labels(labels), list(range(len(labels))), gaps, values)
+
+
+def _tree_chain(node: Node) -> tuple[list[str], list[int], list[Fraction]]:
+    """A tree's leaf labels in pre-order, the gaps between them as ranks
+    into ``values``, and ``values``: 0 and the heights, sorted.
+
+    Nodes are checked in pre-order, each height read once and tested against
+    its parent first.  A leaf meets the one before it at the parent of its
+    lowest ancestor (or itself) that is not a first child, whose height is
+    their gap: two leaves meet at the highest of the merges between them.
+    """
+    from .builders import merged_spectrum
+
+    order: list[str] = []
+    gaps: list[Fraction] = []
+    stack: list[tuple[Node, Fraction | None, bool]] = [(node, None, False)]
+    while stack:
+        current, parent, later = stack.pop()
+        leaf = isinstance(current, Leaf)
+        height = ZERO if leaf else as_rational(current.height)
+        if parent is not None:
+            if height >= parent:
+                raise MalformedTree(
+                    f"child height {format_rational(height)} does not "
+                    f"decrease below parent height {format_rational(parent)}"
+                )
+            if later:
+                gaps.append(parent)
+        if leaf:
+            order.append(current.label)
+            continue
+        if height <= 0:
+            raise MalformedTree(f"internal node height {format_rational(height)} is not positive")
+        if len(current.children) < 2:
+            raise MalformedTree("internal node has fewer than two children")
+        first, *rest = current.children
+        stack.extend((child, height, True) for child in reversed(rest))
+        stack.append((first, height, False))
+    if len(set(order)) != len(order):
+        raise MalformedTree("duplicate leaf labels")
+    values, (_, ranks) = merged_spectrum((ZERO,), gaps)
+    return order, ranks, values

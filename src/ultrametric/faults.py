@@ -23,7 +23,6 @@ from .errors import (
     ZeroOffDiagonal,
 )
 from .rationals import as_rational, format_rational, int_max_str_digits
-from .spaces import ZERO
 
 # The types whose str() is their canonical spelling.
 _STR_SPELLS = (int, Fraction)
@@ -60,7 +59,7 @@ def first_fault(labels, rows, values, sub) -> UltrametricError:
     a triangle witness.  A matrix with a zero diagonal that is not its own
     subdominant, or has a gap at most 0 in its chain, always has a fault.
     """
-    zero = bisect_left(values, ZERO)
+    zero = bisect_left(values, 0)
     n = len(labels)
 
     def text(i, j):

@@ -27,7 +27,7 @@ import sys
 from . import _forward
 from .errors import InputFormat, InvalidParameter
 from .rationals import format_rational
-from .spaces import UltrametricSpace, spectrum, validate_ultrametric
+from .spaces import UltrametricSpace, merge_duplicate_points, spectrum, validate_ultrametric
 
 
 def dumps(obj) -> str:
@@ -102,8 +102,6 @@ def load_matrix(path: str, merge_duplicates: bool = False) -> tuple[list[str], l
     at distance 0 merged when asked."""
     points, dist = raw_space_from_obj(load_json(path))
     if merge_duplicates:
-        from .duplicates import merge_duplicate_points
-
         return merge_duplicate_points(points, dist)
     return points, dist
 

@@ -14,7 +14,10 @@ gaps between neighbours, ``d = max(gaps between)``, kept as ``_chain``.  A
 validated space keeps Prim's visit order and join keys (:func:`chain_order`),
 which its triangle check used, and its closed balls are runs of that chain
 (:func:`chain_runs`).  This module reads, checks and measures spaces, and
-holds what a job whose input reads and checks runs.  The code that builds a
+holds what a job whose input reads and checks runs, with the merge of points
+at distance 0 that ``--merge-duplicates`` asks for
+(:func:`merge_duplicate_points`): it reads a matrix as validation does and
+groups points with :func:`chain_order`.  The code that builds a
 space from a chain or from other spaces is in :mod:`ultrametric.builders`,
 which a job that only reads does not load; the code that names a rejected
 matrix's fault, or respells entries that are not canonical strings, is in
@@ -28,7 +31,7 @@ from operator import itemgetter
 
 from . import _forward
 from .errors import DuplicateLabel, EmptySpace, InputFormat, UltrametricError, UnknownLabel
-from .rationals import parse_rational
+from .rationals import format_rational, parse_rational
 
 ZERO = Fraction(0)
 
@@ -208,6 +211,32 @@ def chain_order(ranks) -> tuple[list[int], list[int]]:
     return order, [weight[p] for p in order[1:]]
 
 
+def merge_duplicate_points(labels, matrix) -> tuple[list[str], list[list[str]]]:
+    """Collapse groups of points at mutual distance 0, keeping first labels.
+
+    Groups are the connected components of the d=0 relation read in either
+    direction: the zero-gap runs of :func:`chain_order` on "neither entry is
+    0".  A run starts when every key left is 1, so at its lowest point, and
+    runs start in index order; distances between groups are read off these
+    first members, in canonical spellings, so the merged matrix reads as a
+    JSON input does.
+    """
+    labels, ranks, values = _coerce_matrix(labels, matrix)
+    zero = bisect_left(values, ZERO)
+    apart = [[True] * len(labels) for _ in labels]
+    for i, row in enumerate(ranks):
+        j = -1
+        for _ in range(row.count(zero)):
+            j = row.index(zero, j + 1)
+            apart[i][j] = apart[j][i] = False
+    order, gaps = chain_order(apart)
+    reps = [0, *(point for point, gap in zip(order[1:], gaps) if gap)]
+    merged_labels = [labels[r] for r in reps]
+    text = [format_rational(v) for v in values]
+    merged = [[text[ranks[a][b]] for b in reps] for a in reps]
+    return merged_labels, merged
+
+
 def chain_matrix(gaps, diagonal) -> list[list]:
     """The symmetric matrix with ``diagonal[p]`` at ``(p, p)`` and
     ``max(gaps[p:q])`` at ``(p, q)``, ``p < q``.
@@ -299,7 +328,5 @@ def closed_balls(space: UltrametricSpace, t) -> list[list[int]]:
     return sorted(map(sorted, chain_runs(space, t)[0]))
 
 
-# perfbench/replay.py, kept unchanged, still imports these two from here.
-__getattr__ = _forward(
-    __name__, {"closed_quotient": "builders", "merge_duplicate_points": "duplicates"}
-)
+# perfbench/replay.py, kept unchanged, still imports this from here.
+__getattr__ = _forward(__name__, {"closed_quotient": "builders"})

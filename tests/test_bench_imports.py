@@ -2,7 +2,7 @@
 
 ``perfbench/`` is frozen: its files may not change when the library moves a
 definition, so the library keeps the names they use resolvable (``spaces``,
-``jsonio``, ``generators`` and ``gromov`` forward ten moved names).  This
+``jsonio``, ``generators`` and ``gromov`` forward nine moved names).  This
 reads every ``from ultrametric... import ...`` statement and every
 ``jsonio.<name>`` use in the benchmark and growth-bench scripts, and checks
 that each name resolves to the object its home module defines.

@@ -48,8 +48,7 @@ from ultrametric.errors import (
     MetricMismatchOnA,
     UltrametricError,
 )
-from ultrametric.trees import from_dendrogram
-from ultrametric.dendrogram import Leaf, Merge, leaf_labels, to_dendrogram
+from ultrametric.dendrogram import Leaf, Merge, from_dendrogram, leaf_labels, to_dendrogram
 from ultrametric.gromov import Certificate
 from ultrametric.rationals import format_rational
 from ultrametric.oracle import block_matrix

@@ -23,7 +23,7 @@ from ultrametric import (
     builders,
     certificates,
     cli,
-    duplicates,
+    dendrogram,
     faults,
     generators,
     gromov,
@@ -32,7 +32,6 @@ from ultrametric import (
     linkage,
     oracle,
     spaces,
-    trees,
 )
 
 from cli_corpus import EXPECTED, GOLDEN
@@ -148,7 +147,7 @@ def loads(*names: str) -> set[str]:
 MODULES = {
     "validate": loads(),
     "spectrum": loads(),
-    "validate_merge": loads("duplicates"),
+    "validate_merge": loads(),
     "quotient": loads("builders"),
     "hausdorff": loads("hyperspace"),
     "net": loads("hyperspace"),
@@ -162,7 +161,7 @@ MODULES = {
     "gen_cauchy": loads("builders", "generators"),
     "gen_random": loads("builders", "generators"),
     "cluster": loads("builders", "linkage"),
-    "cluster_merge": loads("builders", "duplicates", "linkage"),
+    "cluster_merge": loads("builders", "linkage"),
     "in_uk": loads("generators"),
 }
 
@@ -311,13 +310,6 @@ def test_in_uk_loads_no_builders():
     assert MODULES["in_uk"] == loads("generators")
 
 
-def test_only_merge_jobs_load_the_merge_code():
-    merging = {name for name, argv in CLEAN_JOBS.items() if "--merge-duplicates" in argv}
-    assert merging == {"validate_merge", "cluster_merge"}
-    loading = {name for name, modules in MODULES.items() if "ultrametric.duplicates" in modules}
-    assert loading == merging
-
-
 def test_no_clean_job_loads_the_fault_module():
     assert not any("ultrametric.faults" in modules for modules in MODULES.values())
 
@@ -360,7 +352,6 @@ MOVED = {
             "space_from_chain", "merged_spectrum", "join_spaces", "subspace", "QuotientSpace",
             "closed_quotient",
         ],
-        duplicates: ["merge_duplicate_points"],
         faults: ["_canonical_spellings", "_STR_SPELLS"],
         oracle: ["block_matrix"],
     },
@@ -372,8 +363,8 @@ MOVED = {
         hyperspace: ["subset_from_obj", "load_subset"],
     },
     builders: {
-        duplicates: ["merge_duplicate_points"],
-        trees: ["from_dendrogram", "_tree_chain"],
+        spaces: ["merge_duplicate_points"],
+        dendrogram: ["from_dendrogram", "_tree_chain"],
     },
     generators: {
         linkage: ["single_linkage", "_check_triangles", "SCALE_BITS"],
@@ -384,7 +375,7 @@ MOVED = {
     },
 }
 FORWARDED = {
-    spaces: {"closed_quotient", "merge_duplicate_points"},
+    spaces: {"closed_quotient"},
     jsonio: {"certificate_to_obj", "quotient_to_obj", "subset_from_obj", "ugh_result_to_obj"},
     builders: set(),
     generators: {"single_linkage"},
@@ -406,6 +397,34 @@ def test_old_homes_define_no_moved_name_and_forward_only_four(module):
                 if forwarded:
                     assert getattr(module, name) is vars(home)[name]
     assert FORWARDED[module] <= {n for names in MOVED[module].values() for n in names}
+
+
+def imported_modules(path: Path) -> set[str]:
+    """The package modules that the relative imports of the module at
+    ``path`` name, at top level or inside a function; ``from . import x``
+    names ``x`` when it is a module and the package's ``__init__`` if not."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_bytes())):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if node.module:
+                names.add(node.module)
+            else:
+                names |= {
+                    alias.name if (SRC / f"{alias.name}.py").exists() else "__init__"
+                    for alias in node.names
+                }
+    return names
+
+
+def test_only_certificates_and_gromov_import_each_other():
+    # The ugh verb's handler, in gromov, writes a certificate when asked, and
+    # a certificate built without a given u_GH result runs gromov's scan; no
+    # other two modules import each other.
+    imports = {path.stem: imported_modules(path) for path in SRC.glob("*.py")}
+    mutual = {
+        tuple(sorted((a, b))) for a, names in imports.items() for b in names if a in imports[b]
+    }
+    assert mutual == {("certificates", "gromov")}
 
 
 def test_one_helper_writes_every_forward():
