@@ -11,7 +11,8 @@ beside the code its verb runs, in the module its :data:`VERBS` entry names,
 and a job imports only that module, so it compiles no other verb's code.  A
 clean job's arguments are read by :func:`_scan`; every other argument list
 goes to :func:`build_parser`, built from the same table, and only such a job
-imports ``argparse``.
+imports ``argparse``.  Every verb also takes ``-o/--output``, which both
+readers add after the arguments the table lists.
 A job (:func:`entry`) leaves through ``os._exit`` once its ``atexit``
 handlers ran and its streams are flushed, so it skips interpreter teardown.
 """
@@ -41,6 +42,7 @@ def _diagnose(error: UltrametricError) -> None:
 
 _OUTPUT = (("-o", "--output"), {"metavar": "FILE", "help": "write the result to FILE"})
 _SPACE = (("space",), {})
+_SPACES = [(("space_a",), {}), (("space_b",), {})]
 
 
 def _merge_duplicates(before: str):
@@ -54,23 +56,27 @@ def _required(flag: str, help: str | None = None, **options):
     return ((flag,), {"required": True, "help": help, **options})
 
 
+_K = _required("--k", 'allowed values, e.g. "0,1/4,1/2,1"')
+
+
 # Each verb's handler module, help line and arguments as (flags, add_argument
 # options); ``gen`` has a table of families in place of arguments.  The
 # handler is the module's ``cli_<verb>``, with ``-`` written as ``_``: it takes
 # the parsed arguments and returns the object to print.  build_parser builds
 # the argparse parser from this table, and _scan reads a clean job's arguments
-# off it.
+# off it; both add ``-o/--output`` (:data:`_OUTPUT`) after every verb's and
+# family's arguments, so the table does not list it.
 VERBS = {
     "validate": (
         "jsonio",
         "check the axioms and emit the canonical space",
-        [_SPACE, _merge_duplicates("validating"), _OUTPUT],
+        [_SPACE, _merge_duplicates("validating")],
     ),
-    "spectrum": ("jsonio", "sorted distinct distance values", [_SPACE, _OUTPUT]),
+    "spectrum": ("jsonio", "sorted distinct distance values", [_SPACE]),
     "quotient": (
         "builders",
         "closed-ball quotient at a scale",
-        [_SPACE, _required("--t", "scale (rational, >= 0)"), _OUTPUT],
+        [_SPACE, _required("--t", "scale (rational, >= 0)")],
     ),
     "hausdorff": (
         "hyperspace",
@@ -79,35 +85,24 @@ VERBS = {
             _SPACE,
             _required("--a", "subset as JSON array or @file"),
             _required("--b", "subset as JSON array or @file"),
-            _OUTPUT,
         ],
     ),
     "net": (
         "hyperspace",
         "greedy epsilon-net (covering, separated)",
-        [_SPACE, _required("--eps", "radius (rational, > 0)"), _OUTPUT],
+        [_SPACE, _required("--eps", "radius (rational, > 0)")],
     ),
-    "glue": (
-        "amalgam",
-        "amalgamate two spaces along a common part",
-        [(("gluespec",), {}), _OUTPUT],
-    ),
+    "glue": ("amalgam", "amalgamate two spaces along a common part", [(("gluespec",), {})]),
     "amalgam": (
         "amalgam",
         "disjoint union at a fixed cross distance",
-        [
-            (("space_a",), {}),
-            (("space_b",), {}),
-            _required("--s", "cross distance (>= both diameters)"),
-            _OUTPUT,
-        ],
+        [*_SPACES, _required("--s", "cross distance (>= both diameters)")],
     ),
     "ugh": (
         "gromov",
         "Gromov-Hausdorff ultrametric between two spaces",
         [
-            (("space_a",), {}),
-            (("space_b",), {}),
+            *_SPACES,
             (("--certificate",), {"metavar": "FILE", "help": "write an embedding certificate"}),
             (
                 ("--oracle",),
@@ -116,14 +111,13 @@ VERBS = {
                     "help": "cross-check against the exhaustive oracle (small spaces only)",
                 },
             ),
-            _OUTPUT,
         ],
     ),
     "gen": (
         "generators",
         "generate a named family",
         {
-            "two-point": ("two points at a given distance", [_required("--c"), _OUTPUT]),
+            "two-point": ("two points at a given distance", [_required("--c")]),
             "crowd": (
                 "adjoin n points crowded at scale c",
                 [
@@ -131,34 +125,21 @@ VERBS = {
                     _required("--base"),
                     _required("--c"),
                     _required("--n", type=int),
-                    _OUTPUT,
                 ],
             ),
-            "cauchy": (
-                "powers of 1/2 under the max metric",
-                [_required("--depth", type=int), _OUTPUT],
-            ),
+            "cauchy": ("powers of 1/2 under the max metric", [_required("--depth", type=int)]),
             "random": (
                 "seeded random space with a fixed value set",
-                [
-                    _required("--n", type=int),
-                    _required("--k", 'allowed values, e.g. "0,1/4,1/2,1"'),
-                    _required("--seed", type=int),
-                    _OUTPUT,
-                ],
+                [_required("--n", type=int), _K, _required("--seed", type=int)],
             ),
         },
     ),
     "cluster": (
         "linkage",
         "single-linkage ultrametric of a metric",
-        [_required("--input", "metric matrix file"), _merge_duplicates("clustering"), _OUTPUT],
+        [_required("--input", "metric matrix file"), _merge_duplicates("clustering")],
     ),
-    "in-uk": (
-        "generators",
-        "is the spectrum inside an allowed value set",
-        [_SPACE, _required("--k", 'allowed values, e.g. "0,1/4,1/2,1"'), _OUTPUT],
-    ),
+    "in-uk": ("generators", "is the spectrum inside an allowed value set", [_SPACE, _K]),
 }
 
 
@@ -168,7 +149,7 @@ def _add_arguments(parser, spec) -> None:
         for name, (help, arguments) in spec.items():
             _add_arguments(families.add_parser(name, help=help), arguments)
         return
-    for flags, options in spec:
+    for flags, options in (*spec, _OUTPUT):
         parser.add_argument(*flags, **options)
 
 
@@ -207,7 +188,7 @@ def _scan(argv: list[str]) -> SimpleNamespace | None:
             return None
         found["family"], (_, spec), tokens = tokens[0], spec[tokens[0]], tokens[1:]
     flags, positionals, required = {}, [], set()
-    for names, options in spec:
+    for names, options in (*spec, _OUTPUT):
         if not names[0].startswith("-"):
             positionals.append(names[0])
             continue

@@ -62,13 +62,15 @@ def test_every_emitted_space_revalidates(tmp_path):
 
 
 def test_output_file_flag(tmp_path):
-    target = tmp_path / "result.json"
-    code, out, err, _ = run_case(
-        ["spectrum", "isosceles.json", "-o", str(target)], tmp_path
-    )
-    assert code == 0
-    assert out == ""
-    assert target.read_text(encoding="utf-8") == '["0", "1", "2"]\n'
+    # Every verb and family takes -o, and writes there what it prints otherwise.
+    cases = [(name, argv) for name, argv, code in CASES if code == 0 and name not in SKIPPED]
+    assert len(cases) == 20
+    for name, argv in cases:
+        (tmp_path / name).mkdir()
+        target = tmp_path / name / "result.json"
+        code, out, err, _ = run_case([*argv, "-o", str(target)], tmp_path / name)
+        assert (code, out, err) == (0, "", ""), name
+        assert target.read_text(encoding="utf-8") == expected_text(name, "out"), name
 
 
 def test_reads_stdin_dash(monkeypatch, capsys):

@@ -143,11 +143,17 @@ def mutated(rng, argv):
     return argv
 
 
+def leaf(argv):
+    """The verb of a drawn argv, and its family if the verb is ``gen``."""
+    return argv[0], argv[1] if argv[0] == "gen" else None
+
+
 def test_scan_reads_every_argv_it_accepts_as_argparse_does():
     parser = cli.build_parser()
     rng = random.Random(16)
+    # Each verb's and family's arguments, with the -o both readers add to them.
     verbs = [
-        (verb, family, arguments)
+        (verb, family, (*arguments, cli._OUTPUT))
         for verb, (_, _, spec) in cli.VERBS.items()
         for family, (_, arguments) in (
             spec.items() if isinstance(spec, dict) else [(None, (None, spec))]
@@ -165,9 +171,10 @@ def test_scan_reads_every_argv_it_accepts_as_argparse_does():
         assert vars(args) == vars(want), argv
         accepted.append(argv)
     assert len(accepted) > 2000 and len(declined) > 5000
-    assert {(argv[0], argv[1] if argv[0] == "gen" else None) for argv in accepted} == {
-        (verb, family) for verb, family, _ in verbs
-    }
+    leaves = {(verb, family) for verb, family, _ in verbs}
+    assert {leaf(argv) for argv in accepted} == leaves
+    # The shared tail is drawn too: every leaf accepts -o in one of its spellings.
+    assert {leaf(argv) for argv in accepted if {"-o", "--output"} & set(argv)} == leaves
     assert {" 7", "+7", "7_0", "٣"} <= {arg for argv in accepted for arg in argv}
     # Every option an accepted argv holds is one of its verb's flags, spelled
     # exactly; the declined hold abbreviated flags and ``--flag=value`` tokens.
@@ -176,7 +183,7 @@ def test_scan_reads_every_argv_it_accepts_as_argparse_does():
         for verb, family, arguments in verbs
     }
     for argv in accepted:
-        own = flags[argv[0], argv[1] if argv[0] == "gen" else None]
+        own = flags[leaf(argv)]
         assert all(arg in own for arg in argv if arg.startswith("-")), argv
     every = set().union(*flags.values())
     others = {arg for argv in declined for arg in argv if arg.startswith("--")} - every

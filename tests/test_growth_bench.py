@@ -9,6 +9,8 @@ from pathlib import Path
 
 import pytest
 
+from ultrametric import cli
+
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPT = ROOT / "bench" / "growth.py"
 sys.path.insert(0, str(SCRIPT.parent))
@@ -91,6 +93,17 @@ def test_check_schema_refuses_a_missing_layer(one_column):
     del doc["columns"]["only"]["times"]["chain_glue"]
     with pytest.raises(AssertionError):
         growth.check_schema(doc)
+
+
+def test_jobs_hold_a_clean_job_of_every_verb_and_family():
+    leaves = {
+        (verb, family)
+        for verb, (_, _, spec) in cli.VERBS.items()
+        for family in (spec if isinstance(spec, dict) else [None])
+    }
+    assert len(leaves) == 14
+    jobs = {(argv[0], argv[1] if argv[0] == "gen" else None) for argv in growth.JOBS.values()}
+    assert jobs == leaves
 
 
 def test_cli_rows_time_every_job_and_the_bare_interpreter(one_column):

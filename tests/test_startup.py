@@ -184,6 +184,7 @@ def handler_module(name: str) -> str:
 def test_the_table_covers_every_clean_job_and_verb():
     assert set(MODULES) == set(CLEAN_JOBS)
     assert {argv[0] for argv in CLEAN_JOBS.values()} == set(cli.VERBS)
+    assert {argv[1] for argv in CLEAN_JOBS.values() if argv[0] == "gen"} == set(cli.VERBS["gen"][2])
     # The handlers left cli.py, no copy of them stayed, and one table names them.
     assert not hasattr(cli, "_run") and not hasattr(cli, "HANDLERS")
 
@@ -414,6 +415,25 @@ def imported_modules(path: Path) -> set[str]:
                     for alias in node.names
                 }
     return names
+
+
+def test_every_top_level_name_has_one_home():
+    # A def, class or assigned name left in two modules by a move would let
+    # the copies drift apart; only the forwards' __getattr__ repeats.
+    homes = {}
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_bytes()).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = {node.name}
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+            else:
+                continue
+            for name in names:
+                homes.setdefault(name, set()).add(path.stem)
+    repeated = {name: homes[name] for name in homes if len(homes[name]) > 1}
+    assert set(repeated) == {"__getattr__"}, repeated
 
 
 def test_only_certificates_and_gromov_import_each_other():
