@@ -197,7 +197,8 @@ def chain_glue(spaces, identifications) -> ChainGlueResult:
 
 def cli_glue(args) -> dict:
     """``ultrametric glue GLUESPEC``."""
-    return jsonio.space_to_obj(glue(gluespec_from_obj(jsonio.load_json(args.gluespec))))
+    spec = gluespec_from_obj(jsonio.loads(jsonio.read_text(args.gluespec)))
+    return jsonio.space_to_obj(glue(spec))
 
 
 def cli_amalgam(args) -> dict:

@@ -37,9 +37,8 @@ def space_from_chain(labels, order, gaps, values) -> UltrametricSpace:
     the space keeps the chain.
     """
     used = sorted({0, *gaps})
-    if len(used) < len(values):
-        gaps = list(map(dict(zip(used, range(len(used)))).__getitem__, gaps))
-        values = [values[r] for r in used]
+    gaps = list(map(dict(zip(used, range(len(used)))).__getitem__, gaps))
+    values = [values[r] for r in used]
     ranks = chain_ranks(order, gaps, [0] * len(order))
     space = UltrametricSpace(tuple(labels), tuple(values), ranks)
     space.__dict__["_chain"] = order, gaps  # where ``cached_property`` keeps it
@@ -108,12 +107,11 @@ def subspace(space: UltrametricSpace, indices) -> UltrametricSpace:
 class QuotientSpace(Record):
     """Closed-ball quotient of a space at a given scale.
 
-    ``blocks[k]`` lists the source labels merged into quotient point ``k``;
-    the quotient reuses each block's first source label.  All quotient
-    distances exceed the scale.
+    ``blocks[k]`` lists the labels of the quotiented space merged into
+    quotient point ``k``; the quotient reuses each block's first label.  All
+    quotient distances exceed the scale.
     """
 
-    source: UltrametricSpace
     scale: Fraction
     blocks: tuple[tuple[str, ...], ...]
     quotient: UltrametricSpace
@@ -131,7 +129,7 @@ def closed_quotient(space: UltrametricSpace, t) -> QuotientSpace:
         raise InvalidParameter(f"scale must be >= 0, got {format_rational(t)}")
     balls = closed_balls(space, t)
     blocks = tuple(tuple(space.labels[j] for j in ball) for ball in balls)
-    return QuotientSpace(space, t, blocks, subspace(space, [ball[0] for ball in balls]))
+    return QuotientSpace(t, blocks, subspace(space, [ball[0] for ball in balls]))
 
 
 def quotient_to_obj(q: QuotientSpace) -> dict:

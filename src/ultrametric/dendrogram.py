@@ -120,20 +120,16 @@ def quotient_canon(space: UltrametricSpace, t=0) -> tuple[Node, tuple]:
     return chain_canon([space.labels[min(run)] for run in runs], gaps, space.values)
 
 
-def _tree_canon(node: Node) -> tuple[Node, tuple]:
-    # A tree is read, and checked, as the chain of its leaves.
-    return chain_canon(*_tree_chain(node))
-
-
 def canonicalize(node: Node) -> Node:
     """The canonical form of a tree; raises MalformedTree as
-    :func:`from_dendrogram` does."""
-    return _tree_canon(node)[0]
+    :func:`from_dendrogram` does.  A tree is read, and checked, as the chain
+    of its leaves."""
+    return chain_canon(*_tree_chain(node))[0]
 
 
 def encoding(node: Node) -> str:
     """Label-free canonical encoding; equal encodings == isometric spaces."""
-    return _tree_canon(node)[1][2]
+    return chain_canon(*_tree_chain(node))[1][2]
 
 
 def leaf_pairing(a: Node, b: Node) -> dict[str, str]:

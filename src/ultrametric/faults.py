@@ -54,10 +54,10 @@ def first_fault(labels, rows, values, sub) -> UltrametricError:
 
     The scan order is the diagonal, then each pair ``i < j`` for symmetry,
     negativity and a zero off the diagonal, then the strong triangle over
-    ascending index triples.  ``sub`` is the matrix's subdominant (None when
-    the diagonal is not zero), and only a pair where the two differ can have
-    a triangle witness.  A matrix with a zero diagonal that is not its own
-    subdominant, or has a gap at most 0 in its chain, always has a fault.
+    ascending index triples.  ``sub`` is the matrix's subdominant, with a
+    zero diagonal, and only a pair where the two differ can have a triangle
+    witness.  A matrix that is not its own subdominant, or has a gap at most
+    0 in its chain, always has a fault.
     """
     zero = bisect_left(values, 0)
     n = len(labels)

@@ -46,10 +46,11 @@ exactly as :func:`ultrametric.builders.closed_quotient` names them.
 The exhaustive search in :mod:`ultrametric.oracle` double-checks the whole
 scheme on small instances; the acceptance suite treats any disagreement as a
 bug in the scan.  Certificates live in :mod:`ultrametric.certificates`, which
-a scan does not load; their names are still importable from here.  The
-``ugh`` verb's handler, :func:`cli_ugh`, lives here, and loads the oracle and
-the certificates only for ``--oracle`` and ``--certificate``.  The u_GH value
-format it writes, ``{"value": "3/4", "scale_witness": "3/4"}``, is here too
+a scan does not load; ``certificate`` and ``verify_certificate`` are still
+importable from here.  The ``ugh`` verb's handler, :func:`cli_ugh`, lives
+here, and loads the oracle and the certificates only for ``--oracle`` and
+``--certificate``.  The u_GH value format it writes, ``{"value": "3/4",
+"scale_witness": "3/4"}`` (the value under both keys), is here too
 (:func:`ugh_result_to_obj`).
 """
 
@@ -68,13 +69,12 @@ BlockMap = tuple[tuple[tuple[str, ...], tuple[str, ...]], ...]
 class UghResult(Record):
     """Distance value plus the constructive evidence the scan produced.
 
-    ``scale_witness`` is the minimal scale with isometric closed quotients
-    (equal to ``value``); ``block_map`` pairs each block of X's quotient with
-    its image block in Y's quotient.
+    ``value`` is the minimal scale with isometric closed quotients;
+    ``block_map`` pairs each block of X's quotient with its image block in
+    Y's quotient.
     """
 
     value: Fraction
-    scale_witness: Fraction
     block_map: BlockMap
 
 
@@ -106,7 +106,7 @@ def ugh_distance(x: UltrametricSpace, y: UltrametricSpace) -> UghResult:
     )
     y_block_of = {block[0]: block for block in y_blocks}
     block_map = tuple((block, y_block_of[witness[block[0]]]) for block in x_blocks)
-    return UghResult(t, t, block_map)
+    return UghResult(t, block_map)
 
 
 def spectrum_agreement(x: UltrametricSpace, y: UltrametricSpace) -> Fraction:
@@ -121,10 +121,9 @@ def spectrum_agreement(x: UltrametricSpace, y: UltrametricSpace) -> Fraction:
 
 
 def ugh_result_to_obj(result: UghResult) -> dict:
-    return {
-        "value": format_rational(result.value),
-        "scale_witness": format_rational(result.scale_witness),
-    }
+    """The value, written under both keys of the u_GH value format."""
+    value = format_rational(result.value)
+    return {"value": value, "scale_witness": value}
 
 
 def cli_ugh(args) -> dict:
@@ -145,6 +144,7 @@ def cli_ugh(args) -> dict:
     return ugh_result_to_obj(result)
 
 
+# perfbench/replay.py, kept unchanged, still imports these from here.
 __getattr__ = _forward(
-    __name__, dict.fromkeys(("Certificate", "certificate", "verify_certificate"), "certificates")
+    __name__, dict.fromkeys(("certificate", "verify_certificate"), "certificates")
 )

@@ -93,14 +93,10 @@ def read_text(path: str) -> str:
         raise InputFormat(message, path=path) from exc
 
 
-def load_json(path: str):
-    return loads(read_text(path))
-
-
 def load_matrix(path: str, merge_duplicates: bool = False) -> tuple[list[str], list[list]]:
     """The labels and raw matrix of the space file at ``path``, with points
     at distance 0 merged when asked."""
-    points, dist = raw_space_from_obj(load_json(path))
+    points, dist = raw_space_from_obj(loads(read_text(path)))
     if merge_duplicates:
         return merge_duplicate_points(points, dist)
     return points, dist

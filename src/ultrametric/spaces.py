@@ -286,19 +286,18 @@ def validate_ultrametric(labels, matrix) -> UltrametricSpace:
 
 def _check_axioms(labels, ranks, values) -> UltrametricSpace:
     """The space of checked labels and a matrix of ranks into ``values``, or
-    the first axiom it violates.  A matrix with a zero diagonal that equals
-    its subdominant is accepted at once; only another loads the scans of
+    the first axiom it violates.  One compare decides: a matrix that equals
+    its subdominant, whose diagonal is the zero rank, and has only positive
+    gaps in its chain is accepted; only another loads the scans of
     :func:`ultrametric.faults.first_fault`, which name its fault."""
     rows = tuple(map(tuple, ranks))
     zero = bisect_left(values, ZERO)
-    n = len(labels)
     space = UltrametricSpace(labels, tuple(values), rows)
-    sub = None
-    if all(rows[i][i] == zero for i in range(n)):
-        sub = chain_ranks(*space._chain, [zero] * n)
-        # The subdominant is symmetric, and positive gaps keep points apart.
-        if sub == rows and all(gap > zero for gap in space._chain[1]):
-            return space
+    sub = chain_ranks(*space._chain, [zero] * len(labels))
+    # The subdominant is symmetric with a zero diagonal, and positive gaps
+    # keep points apart.
+    if sub == rows and all(gap > zero for gap in space._chain[1]):
+        return space
     from .faults import first_fault
 
     raise first_fault(labels, rows, values, sub)

@@ -109,8 +109,11 @@ class TestFromDendrogram:
             )
         with pytest.raises(MalformedTree):  # single child
             from_dendrogram(Merge(Fraction(1), (Leaf("a"),)))
-        with pytest.raises(MalformedTree):  # nonpositive height
-            from_dendrogram(Merge(Fraction(0), (Leaf("a"), Leaf("b"))))
+        # A height-0 merge is named before its children, as the root and below it.
+        zero = Merge(Fraction(0), (Leaf("a"), Leaf("b")))
+        for tree in (zero, Merge(Fraction(1), (zero, Leaf("c")))):
+            with pytest.raises(MalformedTree, match="^internal node height 0 is not positive$"):
+                from_dendrogram(tree)
         with pytest.raises(MalformedTree):  # duplicate leaf labels
             from_dendrogram(Merge(Fraction(1), (Leaf("a"), Leaf("a"))))
 

@@ -74,9 +74,14 @@ class TestCrowdFamily:
             assert space.d(a, b) == Fraction(1, 8)
 
     def test_label_collision_is_dodged(self):
-        base = make_space(["1", "2"], {("1", "2"): 1})
-        space = crowd_family(base, "1", "1/2", 2)
-        assert set(space.labels) == {"1", "2", "_1", "_2"}
+        # Only a taken label among "1".."n" calls for a prefix.
+        for base_labels, n, labels in (
+            (["1", "2"], 2, ("1", "2", "_1", "_2")),
+            (["1", "x"], 1, ("1", "x", "_1")),
+            (["2", "x"], 1, ("2", "x", "1")),
+        ):
+            base = make_space(base_labels, {tuple(base_labels): 1})
+            assert crowd_family(base, base_labels[0], "1/2", n).labels == labels
 
     def test_errors(self):
         base = make_space(["x1", "x2"], {("x1", "x2"): 1})

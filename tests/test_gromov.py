@@ -19,6 +19,7 @@ from ultrametric import (
 )
 from ultrametric.errors import CertificateInvalid, InstanceTooLarge
 from ultrametric.oracle import brute_force_isometry
+from ultrametric.spaces import UltrametricSpace
 
 from conftest import SIX_VALUES
 
@@ -30,7 +31,6 @@ class TestUghDistance:
         relabeled = validate_ultrametric(["u", "v", "w"], isosceles.dist)
         result = ugh_distance(isosceles, relabeled)
         assert result.value == 0
-        assert result.scale_witness == 0
 
     def test_point_against_two_point_space(self):
         for c in (Fraction(1, 2), Fraction(2), Fraction(7, 3)):
@@ -196,6 +196,17 @@ class TestCertificate:
         swapped = type(cert)(cert.space, cert.embed_right, cert.embed_left, cert.achieved)
         with pytest.raises(CertificateInvalid):
             verify_certificate(swapped, xh, x34)
+        # values[k] repeated, at 0 and at the top; ranks past it move up one,
+        # so every rank stays in range and no distance changes.
+        space = cert.space
+        for k in (0, len(space.values) - 1):
+            values = (*space.values[: k + 1], *space.values[k:])
+            ranks = tuple(tuple(r + (r > k) for r in row) for row in space.ranks)
+            repeated = UltrametricSpace(space.labels, values, ranks)
+            assert repeated.dist == space.dist
+            tampered = type(cert)(repeated, cert.embed_left, cert.embed_right, cert.achieved)
+            with pytest.raises(CertificateInvalid, match="values rising strictly from 0"):
+                verify_certificate(tampered, xh, x34)
 
 
 def test_brute_force_isometry_finds_word_for_word_witness(isosceles):

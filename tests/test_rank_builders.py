@@ -49,7 +49,7 @@ from ultrametric.errors import (
     UltrametricError,
 )
 from ultrametric.dendrogram import Leaf, Merge, from_dendrogram, leaf_labels, to_dendrogram
-from ultrametric.gromov import Certificate
+from ultrametric.certificates import Certificate
 from ultrametric.rationals import format_rational
 from ultrametric.oracle import block_matrix
 from ultrametric.spaces import ZERO, UltrametricSpace, chain_matrix, chain_order, chain_ranks

@@ -160,7 +160,7 @@ def reference_ugh(x: Plain, y: Plain) -> UghResult:
             witness = leaf_pairing(qx, qy)
             x_blocks, y_blocks = (quotient_blocks(tree, t, r) for tree, r in zip(trees, ranks))
             y_block_of = {block[0]: block for block in y_blocks}
-            return UghResult(t, t, tuple((b, y_block_of[witness[b[0]]]) for b in x_blocks))
+            return UghResult(t, tuple((b, y_block_of[witness[b[0]]]) for b in x_blocks))
     raise AssertionError("unreachable")
 
 

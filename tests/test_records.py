@@ -11,6 +11,7 @@ import pytest
 
 from ultrametric.amalgam import ChainGlueResult, GlueSpec, chain_glue
 from ultrametric.builders import QuotientSpace, closed_quotient
+from ultrametric.certificates import Certificate
 from ultrametric.dendrogram import Leaf, Merge
 from ultrametric.generators import (
     Membership,
@@ -19,7 +20,7 @@ from ultrametric.generators import (
     spectrum_constraint,
     two_point_space,
 )
-from ultrametric.gromov import Certificate, UghResult, certificate, ugh_distance
+from ultrametric.gromov import UghResult, certificate, ugh_distance
 from ultrametric.spaces import UltrametricSpace
 
 X = two_point_space(1)
@@ -28,10 +29,10 @@ Y = two_point_space(Fraction(1, 2))
 # Class, the fields of the dataclass it replaces, and one instance.
 RECORDS = [
     (UltrametricSpace, ("labels", "values", "ranks"), X),
-    (QuotientSpace, ("source", "scale", "blocks", "quotient"), closed_quotient(X, 0)),
+    (QuotientSpace, ("scale", "blocks", "quotient"), closed_quotient(X, 0)),
     (Leaf, ("label",), Leaf("a")),
     (Merge, ("height", "children"), Merge(Fraction(1), (Leaf("a"), Leaf("b")))),
-    (UghResult, ("value", "scale_witness", "block_map"), ugh_distance(X, Y)),
+    (UghResult, ("value", "block_map"), ugh_distance(X, Y)),
     (Certificate, ("space", "embed_left", "embed_right", "achieved"), certificate(X, Y)),
     (GlueSpec, ("x1", "x2", "identify"), GlueSpec(X, Y, (("p", "q"),))),
     (ChainGlueResult, ("space", "embeddings"), chain_glue([X, Y], [[("p", "q")]])),

@@ -371,7 +371,7 @@ MOVED = {
         linkage: ["single_linkage", "_check_triangles", "SCALE_BITS"],
     },
     cli: {
-        jsonio: ["read_text", "load_json", "load_space", "emit"],
+        jsonio: ["read_text", "load_space", "emit"],
         hyperspace: ["load_subset"],
     },
 }
@@ -460,8 +460,7 @@ def test_one_helper_writes_every_forward():
 
 def test_modules_forward_exactly_the_names_the_benchmark_scripts_read():
     # A name a script takes from a module that no longer defines it must be
-    # forwarded, and nothing else is; gromov also keeps its documented
-    # certificate names, of which the scripts read two.
+    # forwarded, and nothing else is.
     modules = [
         import_module(f"ultrametric.{info.name}")
         for info in pkgutil.iter_modules(ultrametric.__path__)
@@ -477,8 +476,6 @@ def test_modules_forward_exactly_the_names_the_benchmark_scripts_read():
         own = set(vars(module))
         forwarded = {name for name in names - own if hasattr(module, name)}
         wanted = {name for home, name in read if home == module.__name__} - own
-        if module is gromov:
-            wanted.add("Certificate")
         assert forwarded == wanted, module.__name__
 
 

@@ -79,7 +79,7 @@ def reference_ugh(x, y) -> UghResult:
         if witness is None:
             continue
         y_block_of = {block[0]: block for block in qy.blocks}
-        return UghResult(t, t, tuple((block, y_block_of[witness[block[0]]]) for block in qx.blocks))
+        return UghResult(t, tuple((block, y_block_of[witness[block[0]]]) for block in qx.blocks))
     raise AssertionError("unreachable")
 
 
