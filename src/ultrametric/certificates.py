@@ -4,14 +4,14 @@
 isometry at it; :func:`certificate` turns that result into an explicit
 common space on the disjoint union, and :func:`verify_certificate` checks
 any certificate from scratch.  Only ``ugh --certificate`` and library
-callers need this code, so a u_GH scan does not load it.
+callers need this code, so a u_GH scan does not load it, and it imports
+nothing from :mod:`ultrametric.gromov`: the caller hands in the scan's result.
 """
 
 from fractions import Fraction
 
 from .builders import join_spaces
 from .errors import CertificateInvalid, InputFormat
-from .gromov import UghResult, ugh_distance
 from .jsonio import space_from_obj, space_to_obj
 from .rationals import as_rational, format_rational
 from .spaces import ZERO, Record, UltrametricSpace, _check_axioms, _check_labels
@@ -57,10 +57,9 @@ def certificate_from_obj(obj) -> Certificate:
     )
 
 
-def certificate(
-    x: UltrametricSpace, y: UltrametricSpace, result: UghResult | None = None
-) -> Certificate:
-    """Common ultrametric space attaining the computed distance.
+def certificate(x: UltrametricSpace, y: UltrametricSpace, result) -> Certificate:
+    """Common ultrametric space attaining the distance ``result``, the
+    :class:`ultrametric.gromov.UghResult` of ``ugh_distance(x, y)``.
 
     At scale 0 the spaces are isometric and the certificate is X itself with
     both embeddings onto it.  At scale t > 0 the certificate lives on the
@@ -69,14 +68,12 @@ def certificate(
     else.  Hausdorff distance between the two images is then exactly t.
     The space is the single linkage (:func:`join_spaces`) of both chains and
     a link at ``t`` between the first points of each matched block pair, so
-    it is ultrametric.  With ``result = ugh_distance(x, y)`` each cross
-    distance is ``max(t, d_Q)`` for the metric ``d_Q`` of the common quotient
-    at ``t``, which agrees with both sides' metrics above ``t``, so no link
-    shortens a distance within a side.  Any other ``result`` gives unchecked
-    embeddings; :func:`verify_certificate` is the check for them.
+    it is ultrametric.  Each cross distance is ``max(t, d_Q)`` for the metric
+    ``d_Q`` of the common quotient at ``t``, which agrees with both sides'
+    metrics above ``t``, so no link shortens a distance within a side.  Any
+    other ``result`` gives unchecked embeddings; :func:`verify_certificate`
+    is the check for them.
     """
-    if result is None:
-        result = ugh_distance(x, y)
     t = result.value
     if t == 0:
         pairing = {bx[0]: by[0] for bx, by in result.block_map}
@@ -99,7 +96,8 @@ def verify_certificate(
     Checks: the ambient space is a well-formed record satisfying the
     ultrametric axioms, both embeddings are injective and
     distance-preserving, and the Hausdorff distance between the images
-    equals the claimed value.
+    equals the claimed value, read by :func:`as_rational`, which refuses a
+    float with InputFormat.
     """
     from .hyperspace import hausdorff_distance
 
@@ -115,23 +113,25 @@ def verify_certificate(
     image_left = [cert.embed_left[l] for l in x.labels]
     image_right = [cert.embed_right[l] for l in y.labels]
     achieved = hausdorff_distance(space, image_left, image_right)
-    if achieved != cert.achieved:
+    claimed = as_rational(cert.achieved)
+    if achieved != claimed:
         raise CertificateInvalid(
-            f"claimed Hausdorff distance {format_rational(cert.achieved)} but images "
+            f"claimed Hausdorff distance {format_rational(claimed)} but images "
             f"realize {format_rational(achieved)}",
         )
 
 
 def _check_record(space: UltrametricSpace) -> None:
-    """Raise unless ``ranks`` is a square matrix of positions in ``values``
-    and ``values`` rise strictly from 0, as the axiom scan reads them."""
+    """Raise unless ``ranks`` is a square matrix of int positions in
+    ``values`` and ``values`` rise strictly from 0, as the axiom scan reads
+    them.  A float rank equals an int but cannot index."""
     values, ranks, n = space.values, space.ranks, len(space.labels)
     if (
         not values
         or values[0] != 0
         or any(a >= b for a, b in zip(values, values[1:]))
         or len(ranks) != n
-        or any(len(row) != n for row in ranks)
+        or any(len(row) != n or set(map(type, row)) - {int} for row in ranks)
         or not set().union(*ranks) <= set(range(len(values)))
     ):
         raise CertificateInvalid(

@@ -60,7 +60,7 @@ def single_linkage(labels, matrix) -> UltrametricSpace:
                     points=[labels[i], labels[j]],
                 )
     order, gaps = chain_order(ranks)
-    _check_triangles(labels, ranks, values, chain_ranks(order, gaps, [zero] * n))
+    _check_triangles(labels, ranks, values, chain_ranks(order, gaps, zero))
     return space_from_chain(_check_labels(labels), order, gaps, values)
 
 

@@ -237,16 +237,19 @@ def merge_duplicate_points(labels, matrix) -> tuple[list[str], list[list[str]]]:
     return merged_labels, merged
 
 
-def chain_matrix(gaps, diagonal) -> list[list]:
-    """The symmetric matrix with ``diagonal[p]`` at ``(p, p)`` and
-    ``max(gaps[p:q])`` at ``(p, q)``, ``p < q``.
+def chain_ranks(order, gaps, zero) -> tuple[tuple[int, ...], ...]:
+    """The matrix of a chain over the points ``0..n-1``, in point order:
+    ``zero`` on the diagonal and ``max(gaps[p:q])`` between the points at
+    chain positions ``p < q``.
 
     Joins neighbouring runs in increasing gap order, writing each row of the
     right run as one slice over the left run, then mirrors the lower triangle:
     column ``p`` is read before row ``p`` changes, from rows not changed yet.
+    A chain in the order ``0..n-1`` is in point order already.
     """
-    lower = [[d] * len(diagonal) for d in diagonal]
-    first = list(range(len(diagonal)))  # at each run's last position, its first
+    n = len(order)
+    lower = [[zero] * n for _ in range(n)]
+    first = list(range(n))  # at each run's last position, its first
     last = first[:]  # at each run's first position, its last
     for k in sorted(range(len(gaps)), key=gaps.__getitem__):
         start, end = first[k], last[k + 1]
@@ -256,18 +259,11 @@ def chain_matrix(gaps, diagonal) -> list[list]:
         first[end], last[start] = start, end
     for p, column in enumerate(zip(*lower)):
         lower[p][p + 1 :] = column[p + 1 :]
-    return lower
-
-
-def chain_ranks(order, gaps, diagonal) -> tuple[tuple[int, ...], ...]:
-    """:func:`chain_matrix` of a chain over the points ``0..n-1``, in point
-    order; a chain in the order ``0..n-1`` is in point order already."""
-    rows = chain_matrix(gaps, diagonal)
-    if list(order) == list(range(len(order))):
-        return tuple(map(tuple, rows))
-    position = sorted(range(len(order)), key=order.__getitem__)
+    if list(order) == list(range(n)):
+        return tuple(map(tuple, lower))
+    position = sorted(range(n), key=order.__getitem__)
     in_point_order = itemgetter(*position)
-    return tuple(in_point_order(rows[p]) for p in position)
+    return tuple(in_point_order(lower[p]) for p in position)
 
 
 def validate_ultrametric(labels, matrix) -> UltrametricSpace:
@@ -293,7 +289,7 @@ def _check_axioms(labels, ranks, values) -> UltrametricSpace:
     rows = tuple(map(tuple, ranks))
     zero = bisect_left(values, ZERO)
     space = UltrametricSpace(labels, tuple(values), rows)
-    sub = chain_ranks(*space._chain, [zero] * len(labels))
+    sub = chain_ranks(*space._chain, zero)
     # The subdominant is symmetric with a zero diagonal, and positive gaps
     # keep points apart.
     if sub == rows and all(gap > zero for gap in space._chain[1]):

@@ -1,0 +1,219 @@
+"""The CLI contract, checked on seeded edits of the golden inputs.
+
+Each case copies the golden inputs to a scratch directory, makes one to three
+JSON-level edits to one input of a command of the golden corpus
+(``cli_corpus.CASES``) and runs the command in process through
+:func:`ultrametric.cli.main`.  An edit deletes, duplicates or truncates an
+entry, or replaces it with ``"1/0"``, ``"2/4"``, ``1.5``, ``null``, a lone
+surrogate or a 5,000-digit number.  Whatever the edit, no exception escapes,
+the exit code is 0, 1, 2 or 3, an exit 0 writes nothing to stderr and an
+exit 1 nothing to stdout and one JSON line to stderr naming an error class of
+:mod:`ultrametric.errors`, and a space that ``validate`` writes validates
+back to the same bytes.  Edits that keep an input valid (every distance
+respelled with its numerator and denominator doubled, the points relabelled,
+the points permuted) must give the bytes the golden corpus predicts.  A
+finding here becomes a named case of the golden corpus.
+"""
+
+from __future__ import annotations
+
+import io
+import json
+import os
+import random
+from contextlib import redirect_stderr, redirect_stdout
+from copy import deepcopy
+from fractions import Fraction
+
+from ultrametric import errors
+from ultrametric.cli import main
+
+from cli_corpus import CASES, GOLDEN, expected_text
+
+INPUTS = {}
+for path in sorted(GOLDEN.glob("*.json")):
+    try:
+        INPUTS[path.name] = json.loads(path.read_bytes())
+    except ValueError:  # not_utf8.json is no JSON text
+        pass
+
+# Corpus commands that read an input, with the inputs they read.  The crowd
+# past the cell budget is left out: an edit that shrinks its base space can
+# bring it under the budget, and building 1448 points is not a contract check.
+EDITED = [
+    (name, argv, [arg for arg in dict.fromkeys(argv) if arg in INPUTS])
+    for name, argv, _ in CASES
+    if name != "gen_crowd_too_large" and any(arg in INPUTS for arg in argv)
+]
+
+ERRORS = {
+    name
+    for name, value in vars(errors).items()
+    if isinstance(value, type) and issubclass(value, errors.UltrametricError)
+}
+
+DIGITS = "\x00digits"  # stands for a 5,000-digit number, which json.dumps refuses to write
+REPLACEMENTS = ["1/0", "2/4", 1.5, None, "\ud800", DIGITS]
+
+
+def to_text(obj) -> str:
+    return json.dumps(obj).replace(json.dumps(DIGITS), "7" * 5000)
+
+
+def entries(obj, path=()):
+    """The paths to every entry of every list and object below ``obj``."""
+    if isinstance(obj, dict):
+        items = obj.items()
+    else:
+        items = enumerate(obj) if isinstance(obj, list) else ()
+    for key, value in items:
+        yield (*path, key)
+        yield from entries(value, (*path, key))
+
+
+def truncated(value):
+    if isinstance(value, (str, list)):
+        return value[: len(value) // 2]
+    if isinstance(value, dict):
+        return dict(list(value.items())[: len(value) // 2])
+    return None
+
+
+def edit(rng: random.Random, obj) -> str:
+    """Make one seeded edit in place; returns what it did."""
+    paths = list(entries(obj))
+    if not paths:
+        return "nothing to edit"
+    *path, key = rng.choice(paths)
+    parent = obj
+    for step in path:
+        parent = parent[step]
+    kind = rng.choice(["delete", "duplicate", "truncate", "replace"])
+    if kind == "delete":
+        del parent[key]
+    elif kind == "duplicate" and isinstance(parent, list):
+        parent.insert(key, deepcopy(parent[key]))
+    elif kind == "duplicate":  # an object's value copied over another key's
+        parent[rng.choice(list(parent))] = deepcopy(parent[key])
+    elif kind == "truncate":
+        parent[key] = truncated(parent[key])
+    else:
+        parent[key] = rng.choice(REPLACEMENTS)
+    return f"{kind} {[*path, key]}"
+
+
+def run(argv: list[str], directory) -> tuple[int, str, str]:
+    cwd = os.getcwd()
+    out, err = io.StringIO(), io.StringIO()
+    os.chdir(directory)
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main([arg.replace("{tmp}", str(directory)) for arg in argv])
+    finally:
+        os.chdir(cwd)
+    return code, out.getvalue(), err.getvalue()
+
+
+def check_contract(argv: list[str], directory, why: str) -> tuple[int, str, str]:
+    code, out, err = run(argv, directory)
+    assert code in (0, 1, 2, 3), why
+    if code == 0:
+        assert err == "", why
+    if code == 1:
+        assert out == "", why
+        lines = err.splitlines(keepends=True)
+        assert len(lines) == 1 and lines[0].endswith("\n"), why
+        assert json.loads(lines[0])["error"] in ERRORS, why
+    if code == 0 and argv[0] == "validate":
+        (directory / "revalidate.json").write_text(out, encoding="utf-8")
+        assert run(["validate", "revalidate.json"], directory) == (0, out, ""), why
+    return code, out, err
+
+
+def scratch_copy(tmp_path):
+    for path in GOLDEN.glob("*.json"):
+        (tmp_path / path.name).write_bytes(path.read_bytes())
+    return tmp_path
+
+
+def test_edited_inputs_keep_the_cli_contract(tmp_path):
+    directory = scratch_copy(tmp_path)
+    rng = random.Random(37)
+    codes = dict.fromkeys(range(4), 0)
+    for round_ in range(2000 // len(EDITED) + 1):
+        for name, argv, inputs in EDITED:
+            target = rng.choice(inputs)
+            obj = deepcopy(INPUTS[target])
+            done = [edit(rng, obj) for _ in range(rng.randint(1, 3))]
+            text = to_text(obj)
+            (directory / target).write_text(text, encoding="utf-8")
+            why = f"{name} round {round_}: {target} after {done}: {text[:300]}"
+            codes[check_contract(argv, directory, why)[0]] += 1
+            (directory / target).write_bytes((GOLDEN / target).read_bytes())
+    assert sum(codes.values()) >= 2000
+    # The edits reach both the accepting and the refusing paths; the one
+    # corpus command missing a flag exits 2 whatever its input.
+    assert codes[0] > 20 and codes[1] > 1500, codes
+
+
+def respelled(obj):
+    """Every distance ``p/q`` written as ``2p/2q``, labels left alone."""
+    if isinstance(obj, dict):
+        return {k: respelled(v) if k != "dist" else double(v) for k, v in obj.items()}
+    return obj
+
+
+def double(matrix):
+    def spell(entry):
+        value = Fraction(entry)
+        return f"{2 * value.numerator}/{2 * value.denominator}"
+
+    return [list(map(spell, row)) for row in matrix]
+
+
+def relabelled(space, names):
+    return {**space, "points": [names[p] for p in space["points"]]}
+
+
+def permuted(space, order):
+    dist = space["dist"]
+    return {
+        **space,
+        "points": [space["points"][i] for i in order],
+        "dist": [[dist[i][j] for j in order] for i in order],
+    }
+
+
+# Verbs whose output does not name or order the points of their inputs.
+POINT_FREE = {"spectrum", "ugh"}
+
+
+def test_valid_edits_give_the_predicted_bytes(tmp_path):
+    directory = scratch_copy(tmp_path)
+    rng = random.Random(3701)
+    checked = 0
+    for name, argv, inputs in EDITED:
+        want = expected_text(name, "out")
+        if not want:
+            continue  # refused by the golden corpus
+        for target in inputs:
+            obj = INPUTS[target]
+            variants = [(respelled(obj), None)]
+            if argv[0] in POINT_FREE or argv == ["validate", target]:
+                points = obj["points"]
+                for _ in range(3):
+                    names = dict(zip(points, (f"{rng.randrange(10**6)}:{p}" for p in points)))
+                    order = rng.sample(range(len(points)), len(points))
+                    variants.append((relabelled(obj, names), lambda s, n=names: relabelled(s, n)))
+                    variants.append((permuted(obj, order), lambda s, o=order: permuted(s, o)))
+            for variant, transform in variants:
+                (directory / target).write_text(to_text(variant), encoding="utf-8")
+                got = check_contract(argv, directory, f"{name}: {variant}")
+                predicted = want
+                if argv[0] == "validate" and transform:
+                    # validate writes the points in input order, under their labels.
+                    predicted = json.dumps(transform(json.loads(want))) + "\n"
+                assert got == (0, predicted, ""), f"{name}: {variant}"
+                checked += 1
+            (directory / target).write_bytes((GOLDEN / target).read_bytes())
+    assert checked > 50, checked

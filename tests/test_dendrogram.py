@@ -18,6 +18,7 @@ from ultrametric import (
     spectrum,
     spectrum_constraint,
     to_dendrogram,
+    ugh_distance,
     validate_ultrametric,
 )
 from ultrametric.dendrogram import canonicalize, leaf_labels, quotient_canon
@@ -267,7 +268,8 @@ class TestQuotientCanon:
             order = rng.sample(range(len(x)), len(x))
             labels = [f"s{rng.randrange(100)}.{k}" for k in range(len(x))]
             shuffled = validate_ultrametric(labels, [[x.dist[i][j] for j in order] for i in order])
-            for space in (shuffled, glue(random_glue_spec(rng)), certificate(x, y).space):
+            cert = certificate(x, y, ugh_distance(x, y))
+            for space in (shuffled, glue(random_glue_spec(rng)), cert.space):
                 self.assert_matches_the_tree_walk(space)
 
     def test_cauchy_spaces(self):

@@ -17,7 +17,7 @@ from ultrametric import (
     validate_ultrametric,
     verify_certificate,
 )
-from ultrametric.errors import CertificateInvalid, InstanceTooLarge
+from ultrametric.errors import CertificateInvalid, InputFormat, InstanceTooLarge
 from ultrametric.oracle import brute_force_isometry
 from ultrametric.spaces import UltrametricSpace
 
@@ -156,14 +156,14 @@ class TestSpectrumAgreement:
 class TestCertificate:
     def test_isometric_pair_gives_zero_certificate(self, isosceles):
         relabeled = validate_ultrametric(["u", "v", "w"], isosceles.dist)
-        cert = certificate(isosceles, relabeled)
+        cert = certificate(isosceles, relabeled, ugh_distance(isosceles, relabeled))
         assert cert.achieved == 0
         assert cert.space == isosceles
         verify_certificate(cert, isosceles, relabeled)
 
     def test_two_point_family_certificate(self):
         xh, x34 = two_point_space("1/2"), two_point_space("3/4")
-        cert = certificate(xh, x34)
+        cert = certificate(xh, x34, ugh_distance(xh, x34))
         assert cert.achieved == Fraction(3, 4)
         verify_certificate(cert, xh, x34)
         image_left = [cert.embed_left[l] for l in xh.labels]
@@ -172,7 +172,7 @@ class TestCertificate:
 
     def test_point_vs_two_point_certificate(self):
         xc = two_point_space("5/8")
-        cert = certificate(ONE_POINT, xc)
+        cert = certificate(ONE_POINT, xc, ugh_distance(ONE_POINT, xc))
         assert len(cert.space) == 3
         assert cert.achieved == Fraction(5, 8)
         verify_certificate(cert, ONE_POINT, xc)
@@ -189,7 +189,7 @@ class TestCertificate:
 
     def test_verify_rejects_tampering(self):
         xh, x34 = two_point_space("1/2"), two_point_space("3/4")
-        cert = certificate(xh, x34)
+        cert = certificate(xh, x34, ugh_distance(xh, x34))
         wrong = type(cert)(cert.space, cert.embed_left, cert.embed_right, Fraction(1))
         with pytest.raises(CertificateInvalid):
             verify_certificate(wrong, xh, x34)
@@ -207,6 +207,17 @@ class TestCertificate:
             tampered = type(cert)(repeated, cert.embed_left, cert.embed_right, cert.achieved)
             with pytest.raises(CertificateInvalid, match="values rising strictly from 0"):
                 verify_certificate(tampered, xh, x34)
+        # A float rank equals an int but cannot index; a float claim is refused
+        # as everywhere else, even one equal to the true value.
+        ranks = tuple(tuple(float(r) if r == 1 else r for r in row) for row in space.ranks)
+        floats = UltrametricSpace(space.labels, space.values, ranks)
+        floats = type(cert)(floats, cert.embed_left, cert.embed_right, cert.achieved)
+        with pytest.raises(CertificateInvalid, match="values rising strictly from 0"):
+            verify_certificate(floats, xh, x34)
+        for achieved in (0.25, 0.75):
+            claim = type(cert)(space, cert.embed_left, cert.embed_right, achieved)
+            with pytest.raises(InputFormat, match="floating point"):
+                verify_certificate(claim, xh, x34)
 
 
 def test_brute_force_isometry_finds_word_for_word_witness(isosceles):

@@ -52,7 +52,7 @@ from ultrametric.dendrogram import Leaf, Merge, from_dendrogram, leaf_labels, to
 from ultrametric.certificates import Certificate
 from ultrametric.rationals import format_rational
 from ultrametric.oracle import block_matrix
-from ultrametric.spaces import ZERO, UltrametricSpace, chain_matrix, chain_order, chain_ranks
+from ultrametric.spaces import ZERO, UltrametricSpace, chain_order, chain_ranks
 
 from conftest import (
     BUILD_SPACE,
@@ -455,7 +455,7 @@ def built_spaces(rng: random.Random, count: int):
             yield crowd_family(base, rng.choice(base.labels), c, rng.randint(1, 5))
         else:
             x, y = fresh(rng), fresh(rng)
-            yield certificate(x, y).space
+            yield certificate(x, y, ugh_distance(x, y)).space
 
 
 def test_results_on_built_spaces_do_not_depend_on_the_kept_chain():
@@ -464,14 +464,14 @@ def test_results_on_built_spaces_do_not_depend_on_the_kept_chain():
         copy = UltrametricSpace(built.labels, built.values, built.ranks)
         # The built space keeps its Kruskal chain; the copy gets Prim's.
         assert "_chain" in built.__dict__ and "_chain" not in copy.__dict__
-        assert chain_ranks(*built._chain, [0] * len(built)) == built.ranks
+        assert chain_ranks(*built._chain, 0) == built.ranks
         for t in built.values:
             assert closed_quotient(built, t) == closed_quotient(copy, t)
         assert to_dendrogram(built) == to_dendrogram(copy)
         other = fresh(rng)
         for pair, twin in (((built, other), (copy, other)), ((other, built), (other, copy))):
             assert ugh_distance(*pair) == ugh_distance(*twin)
-            assert certificate(*pair) == certificate(*twin)
+            assert certificate(*pair, ugh_distance(*pair)) == certificate(*twin, ugh_distance(*twin))
 
 
 def test_built_spaces_drawn_in_a_row_keep_their_chains():
@@ -479,13 +479,13 @@ def test_built_spaces_drawn_in_a_row_keep_their_chains():
         for built in built_spaces(random.Random(seed), 160):
             order, gaps = built.__dict__["_chain"]
             assert sorted(order) == list(range(len(built))) and all(gap > 0 for gap in gaps)
-            assert chain_ranks(order, gaps, [0] * len(built)) == built.ranks
+            assert chain_ranks(order, gaps, 0) == built.ranks
 
 
-def permuted_chain_ranks(order, gaps, diagonal):
+def permuted_chain_ranks(order, gaps, zero):
     """:func:`chain_ranks` as it was before it skipped the identity: the rows
-    and columns of :func:`chain_matrix` always permuted to point order."""
-    rows = chain_matrix(gaps, diagonal)
+    and columns of the chain-order matrix always permuted to point order."""
+    rows = chain_ranks(range(len(order)), gaps, zero)
     position = sorted(range(len(order)), key=order.__getitem__)
     return tuple(tuple(rows[p][q] for q in position) for p in position)
 
@@ -498,9 +498,9 @@ def test_chain_ranks_matches_the_permuted_path_on_identity_and_other_orders():
         if rng.random() < 0.5:
             rng.shuffle(order)
         gaps = [rng.randint(1, 6) for _ in range(n - 1)]
-        diagonal = [rng.choice([0, 0, 1]) for _ in range(n)]
-        got = chain_ranks(order, gaps, diagonal)
-        assert got == permuted_chain_ranks(order, gaps, diagonal)
+        zero = rng.choice([0, 1])
+        got = chain_ranks(order, gaps, zero)
+        assert got == permuted_chain_ranks(order, gaps, zero)
         assert type(got) is tuple and all(type(row) is tuple for row in got)
         seen["identity" if order == sorted(order) else "permuted"] += 1
     assert min(seen.values()) > 100, seen
@@ -508,7 +508,7 @@ def test_chain_ranks_matches_the_permuted_path_on_identity_and_other_orders():
     for space in (random_space(30, SIX_VALUES, 826), two_point_space(1), cauchy_sequence(9)):
         order, gaps = space._chain
         assert order == list(range(len(space)))
-        assert space.ranks == permuted_chain_ranks(order, gaps, [0] * len(space))
+        assert space.ranks == permuted_chain_ranks(order, gaps, 0)
 
 
 def test_disjoint_amalgam_matches_the_fraction_formula():
@@ -621,10 +621,10 @@ def test_single_linkage_values_are_exactly_its_spectrum():
 
 
 def subdominant(ranks):
-    """Single linkage of a symmetric matrix of ranks, the diagonal kept: the
-    chain of its Prim tree, filled in as every space fills its own."""
+    """Single linkage of a symmetric matrix of ranks with one diagonal rank,
+    kept: the chain of its Prim tree, filled in as every space fills its own."""
     order, gaps = chain_order(ranks)
-    return chain_ranks(order, gaps, [ranks[i][i] for i in order])
+    return chain_ranks(order, gaps, ranks[0][0])
 
 
 def reference_subdominant(ranks):
@@ -643,7 +643,8 @@ def test_subdominant_matches_the_row_copying_fill():
     rng = random.Random(816)
     for _ in range(600):
         n = rng.randint(1, 12)
-        rows = [[rng.randint(0, 1)] * n for _ in range(n)]  # any diagonal is kept
+        zero = rng.randint(0, 1)  # one diagonal rank, kept
+        rows = [[zero] * n for _ in range(n)]
         for i in range(n):
             for j in range(i + 1, n):
                 rows[i][j] = rows[j][i] = rng.randint(2, rng.choice([3, 6, 40]))
@@ -769,7 +770,7 @@ def test_certificate_of_a_space_and_a_point(n):
     rng = random.Random(n)
     x, point = fresh(rng, n), validate_ultrametric(["o"], [["0"]])
     for a, b in ((x, point), (point, x)):
-        cert = certificate(a, b)
+        cert = certificate(a, b, ugh_distance(a, b))
         verify_certificate(cert, a, b)
         assert outcome(reference_verify, cert, a, b) == ("ok", None)
 
@@ -795,7 +796,7 @@ def each_builder(rng: random.Random):
     yield "glue", glue(random_glue_spec(rng))
     yield "disjoint_amalgam", disjoint_amalgam(x, y, max(x.diameter(), y.diameter()))
     yield "crowd_family", crowd_family(x, rng.choice(x.labels), c, rng.randint(1, 4))
-    yield "certificate", certificate(x, y).space
+    yield "certificate", certificate(x, y, ugh_distance(x, y)).space
 
 
 def test_every_builder_keeps_the_chain_of_its_ranks():
@@ -809,7 +810,7 @@ def test_every_builder_keeps_the_chain_of_its_ranks():
             n = len(space)
             assert sorted(order) == list(range(n)) and len(gaps) == n - 1, name
             assert all(0 < gap < len(space.values) for gap in gaps), name
-            assert chain_ranks(order, gaps, [0] * n) == space.ranks, name
+            assert chain_ranks(order, gaps, 0) == space.ranks, name
     assert len(seen) == 11
 
 
@@ -870,7 +871,7 @@ def test_subspace_matches_the_row_copy():
         shapes[shape] += 1
         got = builders.subspace(source, indices)
         assert got == reference_subspace(source, indices)
-        assert chain_ranks(*got._chain, [0] * len(got)) == got.ranks
+        assert chain_ranks(*got._chain, 0) == got.ranks
     assert min(seen.values()) >= 40 and min(shapes.values()) >= 40, (seen, shapes)
 
 

@@ -215,7 +215,7 @@ def constructed_spaces(seed: int, count: int):
         c = (x.min_positive_distance() or Fraction(2)) / rng.choice([2, 3])
         yield crowd_family(x, rng.choice(x.labels), c, rng.randint(1, 4))
         yield glue(random_glue_spec(rng))
-        yield certificate(x, y).space
+        yield certificate(x, y, ugh_distance(x, y)).space
 
 
 def test_closed_balls_are_the_tree_blocks_and_the_brute_force_classes():

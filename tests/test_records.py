@@ -33,7 +33,7 @@ RECORDS = [
     (Leaf, ("label",), Leaf("a")),
     (Merge, ("height", "children"), Merge(Fraction(1), (Leaf("a"), Leaf("b")))),
     (UghResult, ("value", "block_map"), ugh_distance(X, Y)),
-    (Certificate, ("space", "embed_left", "embed_right", "achieved"), certificate(X, Y)),
+    (Certificate, ("space", "embed_left", "embed_right", "achieved"), certificate(X, Y, ugh_distance(X, Y))),
     (GlueSpec, ("x1", "x2", "identify"), GlueSpec(X, Y, (("p", "q"),))),
     (ChainGlueResult, ("space", "embeddings"), chain_glue([X, Y], [[("p", "q")]])),
     (SpectrumConstraint, ("values",), spectrum_constraint([0, 1])),

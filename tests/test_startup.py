@@ -436,15 +436,14 @@ def test_every_top_level_name_has_one_home():
     assert set(repeated) == {"__getattr__"}, repeated
 
 
-def test_only_certificates_and_gromov_import_each_other():
+def test_no_two_modules_import_each_other():
     # The ugh verb's handler, in gromov, writes a certificate when asked, and
-    # a certificate built without a given u_GH result runs gromov's scan; no
-    # other two modules import each other.
+    # takes nothing back: a certificate is built from the result it is given.
     imports = {path.stem: imported_modules(path) for path in SRC.glob("*.py")}
     mutual = {
         tuple(sorted((a, b))) for a, names in imports.items() for b in names if a in imports[b]
     }
-    assert mutual == {("certificates", "gromov")}
+    assert mutual == set()
 
 
 def test_one_helper_writes_every_forward():

@@ -187,7 +187,7 @@ def test_certificates_of_scanned_pairs_verify():
     pairs = list(random_pairs(seed=7, count=20, max_n=10))
     pairs.append(swapped_caterpillars(random.Random(7), 6))
     for x, y in pairs:
-        verify_certificate(certificate(x, y), x, y)
+        verify_certificate(certificate(x, y, ugh_distance(x, y)), x, y)
 
 
 def test_scan_on_a_caterpillar_deeper_than_the_recursion_limit():
