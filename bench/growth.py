@@ -31,7 +31,8 @@ imports.  Per package module it gives the AST nodes of its source and the
 median CPU milliseconds of ``compile()`` over the rounds; per clean job of
 every verb (:data:`JOBS`, run from ``tests/golden``), the package modules the
 job leaves loaded and their sums.  That separates the package's share from
-interpreter start-up.
+interpreter start-up.  The printed report gives each later column's job sum
+of nodes also as its difference from the first column's.
 
 The CLI rows (``cli``) time whole processes, started from ``tests/golden``
 with ``PYTHONDONTWRITEBYTECODE=1`` inside the column run's reference pair:
@@ -495,11 +496,13 @@ def report(doc: dict) -> str:
         for layer, by_n in doc["ratios"][name].items():
             cells = ", ".join(f"n={n} {e['raw']}x/{e['scaled']}x" for n, e in by_n.items())
             lines.append(f"  {layer}: {cells}")
-    lines.append("start-up, package AST nodes and compile ms per job:")
+    lines.append("start-up, package AST nodes and compile ms per job (nodes from the first column):")
     for job in JOBS:
+        rows = [(name, c["startup"]["jobs"][job]) for name, c in doc["columns"].items()]
+        base = rows[0][1]["nodes"]
         cells = ", ".join(
-            f"{name} {c['startup']['jobs'][job]['nodes']} / {c['startup']['jobs'][job]['compile_ms']:.2f}"
-            for name, c in doc["columns"].items()
+            f"{name} {e['nodes']} / {e['compile_ms']:.2f}" + (f" ({e['nodes'] - base:+d})" if k else "")
+            for k, (name, e) in enumerate(rows)
         )
         lines.append(f"  {job}: {cells}")
     lines.append("CLI, median child CPU ms per job (raw / scaled):")

@@ -8,10 +8,10 @@ chains in one spanning forest (:func:`join_spaces`), and subspaces and
 closed-ball quotients restrict the source's chain, so no built space runs
 Prim again.  Merge trees are read in :mod:`ultrametric.dendrogram`, single
 linkage in :mod:`ultrametric.linkage`.  The ``quotient`` verb's handler,
-:func:`cli_quotient`, lives here, with the quotient format it writes
-(:func:`quotient_to_obj`): a space plus ``"scale"`` and ``"blocks"``.  A job
-that only reads, checks and measures spaces (``validate``, ``spectrum``,
-``ugh``, ``net``, ``hausdorff``, ``in-uk``) does not load this module.
+:func:`cli_quotient`, lives here; the quotient format it writes is
+:func:`ultrametric.jsonio.quotient_to_obj`.  A job that only reads, checks
+and measures spaces (``validate``, ``spectrum``, ``ugh``, ``net``,
+``hausdorff``, ``in-uk``) does not load this module.
 """
 
 from fractions import Fraction
@@ -132,14 +132,7 @@ def closed_quotient(space: UltrametricSpace, t) -> QuotientSpace:
     return QuotientSpace(t, blocks, subspace(space, [ball[0] for ball in balls]))
 
 
-def quotient_to_obj(q: QuotientSpace) -> dict:
-    obj = jsonio.space_to_obj(q.quotient)
-    obj["scale"] = format_rational(q.scale)
-    obj["blocks"] = [list(block) for block in q.blocks]
-    return obj
-
-
 def cli_quotient(args) -> dict:
     """``ultrametric quotient SPACE --t T``."""
     space = jsonio.load_space(args.space)
-    return quotient_to_obj(closed_quotient(space, parse_rational(args.t)))
+    return jsonio.quotient_to_obj(closed_quotient(space, parse_rational(args.t)))

@@ -6,13 +6,15 @@ common space on the disjoint union, and :func:`verify_certificate` checks
 any certificate from scratch.  Only ``ugh --certificate`` and library
 callers need this code, so a u_GH scan does not load it, and it imports
 nothing from :mod:`ultrametric.gromov`: the caller hands in the scan's result.
+The format is written by :func:`ultrametric.jsonio.certificate_to_obj` and
+read by :func:`certificate_from_obj`.
 """
 
 from fractions import Fraction
 
 from .builders import join_spaces
 from .errors import CertificateInvalid, InputFormat
-from .jsonio import space_from_obj, space_to_obj
+from .jsonio import space_from_obj
 from .rationals import as_rational, format_rational
 from .spaces import ZERO, Record, UltrametricSpace, _check_axioms, _check_labels
 
@@ -24,17 +26,6 @@ class Certificate(Record):
     embed_left: dict[str, str]
     embed_right: dict[str, str]
     achieved: Fraction
-
-
-def certificate_to_obj(cert: Certificate) -> dict:
-    """The certificate format: ``{"space": <space>, "embed_left": {...},
-    "embed_right": {...}, "achieved": "1/2"}``."""
-    return {
-        "space": space_to_obj(cert.space),
-        "embed_left": dict(cert.embed_left),
-        "embed_right": dict(cert.embed_right),
-        "achieved": format_rational(cert.achieved),
-    }
 
 
 def certificate_from_obj(obj) -> Certificate:
@@ -123,11 +114,12 @@ def verify_certificate(
 
 def _check_record(space: UltrametricSpace) -> None:
     """Raise unless ``ranks`` is a square matrix of int positions in
-    ``values`` and ``values`` rise strictly from 0, as the axiom scan reads
+    ``values``, Fractions rising strictly from 0, as the axiom scan reads
     them.  A float rank equals an int but cannot index."""
     values, ranks, n = space.values, space.ranks, len(space.labels)
     if (
         not values
+        or set(map(type, values)) - {Fraction}
         or values[0] != 0
         or any(a >= b for a, b in zip(values, values[1:]))
         or len(ranks) != n

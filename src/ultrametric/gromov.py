@@ -49,9 +49,9 @@ bug in the scan.  Certificates live in :mod:`ultrametric.certificates`, which
 a scan does not load; ``certificate`` and ``verify_certificate`` are still
 importable from here.  The ``ugh`` verb's handler, :func:`cli_ugh`, lives
 here, and loads the oracle and the certificates only for ``--oracle`` and
-``--certificate``.  The u_GH value format it writes, ``{"value": "3/4",
-"scale_witness": "3/4"}`` (the value under both keys), is here too
-(:func:`ugh_result_to_obj`).
+``--certificate``.  The u_GH value and certificate formats it writes are
+:func:`ultrametric.jsonio.ugh_result_to_obj` and
+:func:`ultrametric.jsonio.certificate_to_obj`.
 """
 
 from bisect import bisect_left
@@ -60,7 +60,6 @@ from functools import cache
 
 from . import _forward, jsonio
 from .dendrogram import leaf_pairing, quotient_canon
-from .rationals import format_rational
 from .spaces import ZERO, Record, UltrametricSpace, closed_balls
 
 BlockMap = tuple[tuple[tuple[str, ...], tuple[str, ...]], ...]
@@ -120,12 +119,6 @@ def spectrum_agreement(x: UltrametricSpace, y: UltrametricSpace) -> Fraction:
     return max(set(x.values) ^ set(y.values), default=ZERO)
 
 
-def ugh_result_to_obj(result: UghResult) -> dict:
-    """The value, written under both keys of the u_GH value format."""
-    value = format_rational(result.value)
-    return {"value": value, "scale_witness": value}
-
-
 def cli_ugh(args) -> dict:
     """``ultrametric ugh SPACE_A SPACE_B [--oracle] [--certificate FILE]``."""
     a = jsonio.load_space(args.space_a)
@@ -136,12 +129,12 @@ def cli_ugh(args) -> dict:
 
         cross_check(a, b, result.value)
     if args.certificate:
-        from .certificates import certificate, certificate_to_obj
+        from .certificates import certificate
 
         # Correct by construction for ugh_distance's own result; see certificate.
         cert = certificate(a, b, result)
-        jsonio.emit(jsonio.dumps(certificate_to_obj(cert)), args.certificate)
-    return ugh_result_to_obj(result)
+        jsonio.emit(jsonio.dumps(jsonio.certificate_to_obj(cert)), args.certificate)
+    return jsonio.ugh_result_to_obj(result)
 
 
 # perfbench/replay.py, kept unchanged, still imports these from here.

@@ -2,14 +2,14 @@
 
 For finite sets the Hausdorff distance is attained, so the usual infimum over
 neighborhood radii collapses to the exact max-min formula used here.  The
-handlers of the ``hausdorff`` and ``net`` verbs live here, and the subset
-reader :func:`load_subset`: ``["a", "b", ...]`` as JSON text or ``@file``.
+handlers of the ``hausdorff`` and ``net`` verbs live here; ``hausdorff``
+reads its subsets with :func:`ultrametric.jsonio.load_subset`.
 """
 
 from fractions import Fraction
 
 from . import jsonio
-from .errors import DuplicateLabel, EmptySubset, InputFormat, InvalidParameter
+from .errors import DuplicateLabel, EmptySubset, InvalidParameter
 from .rationals import as_rational, format_rational, parse_rational
 from .spaces import UltrametricSpace, closed_balls
 
@@ -58,23 +58,10 @@ def epsilon_net(space: UltrametricSpace, eps) -> tuple[str, ...]:
     return tuple(space.labels[ball[0]] for ball in closed_balls(space, eps))
 
 
-def subset_from_obj(obj) -> list[str]:
-    if not isinstance(obj, list) or not all(isinstance(s, str) for s in obj):
-        raise InputFormat("subset must be a JSON array of point labels")
-    return list(obj)
-
-
-def load_subset(text: str) -> list[str]:
-    """A subset given as JSON text, or as ``@file``."""
-    if text.startswith("@"):
-        text = jsonio.read_text(text[1:])
-    return subset_from_obj(jsonio.loads(text))
-
-
 def cli_hausdorff(args) -> dict:
     """``ultrametric hausdorff SPACE --a SUBSET --b SUBSET``."""
     space = jsonio.load_space(args.space)
-    value = hausdorff_distance(space, load_subset(args.a), load_subset(args.b))
+    value = hausdorff_distance(space, jsonio.load_subset(args.a), jsonio.load_subset(args.b))
     return {"value": format_rational(value)}
 
 

@@ -3,20 +3,25 @@
 Formats (all rational values are canonical strings like ``"0"``, ``"1/2"``):
 
 * space:         ``{"points": ["a", ...], "dist": [["0", "1/2", ...], ...]}``
+* quotient:      a space plus ``"scale": "1/2"``, ``"blocks": [["a", ...], ...]``
+* u_GH value:    ``{"value": "3/4", "scale_witness": "3/4"}`` (the same value)
+* certificate:   ``{"space": <space>, "embed_left": {...}, "embed_right":
+  {...}, "achieved": "1/2"}``
+* subset:        ``["a", "b", ...]``
 * rational list: ``["0", "1/2", ...]``
 
-The other formats live beside their records and verbs, so a job of another
-verb does not compile their codecs: quotient (:mod:`~ultrametric.builders`),
-subset (:mod:`~ultrametric.hyperspace`), u_GH value (:mod:`~ultrametric.gromov`),
-glue spec (:mod:`~ultrametric.amalgam`), certificate (:mod:`~ultrametric.certificates`).
+Every writer of a record the CLI prints lives here.  The glue-spec and
+certificate readers build records of modules that import this one, so they
+live beside them, in :mod:`ultrametric.amalgam` and :mod:`ultrametric.certificates`.
 
 Readers ignore unknown keys so enriched outputs (for example a quotient space
 carrying its ``blocks``) can be piped straight back in; writers always emit
 the canonical key order shown above.
 
-The CLI's file helpers (:func:`read_text`, :func:`load_space`, :func:`emit`
-and the rest) live here, so the verb handlers, each beside the code its verb
-runs, never import :mod:`ultrametric.cli`.  The handlers of ``validate`` and
+The CLI's file helpers (:func:`read_text`, :func:`load_space`,
+:func:`load_subset`, :func:`emit` and the rest) live here, so the verb
+handlers, each beside the code its verb runs, never import
+:mod:`ultrametric.cli`.  The handlers of ``validate`` and
 ``spectrum``, which run nothing else, live here too.
 """
 
@@ -24,7 +29,6 @@ import json
 import os
 import sys
 
-from . import _forward
 from .errors import InputFormat, InvalidParameter
 from .rationals import format_rational
 from .spaces import UltrametricSpace, merge_duplicate_points, spectrum, validate_ultrametric
@@ -72,6 +76,31 @@ def space_to_obj(space: UltrametricSpace) -> dict:
     }
 
 
+def quotient_to_obj(q) -> dict:
+    """The quotient format of a :class:`ultrametric.builders.QuotientSpace`."""
+    obj = space_to_obj(q.quotient)
+    obj["scale"] = format_rational(q.scale)
+    obj["blocks"] = [list(block) for block in q.blocks]
+    return obj
+
+
+def ugh_result_to_obj(result) -> dict:
+    """The u_GH value format of a :class:`ultrametric.gromov.UghResult`: its
+    value, written under both keys."""
+    value = format_rational(result.value)
+    return {"value": value, "scale_witness": value}
+
+
+def certificate_to_obj(cert) -> dict:
+    """The certificate format of a :class:`ultrametric.certificates.Certificate`."""
+    return {
+        "space": space_to_obj(cert.space),
+        "embed_left": dict(cert.embed_left),
+        "embed_right": dict(cert.embed_right),
+        "achieved": format_rational(cert.achieved),
+    }
+
+
 def rational_list_to_obj(values) -> list[str]:
     return [format_rational(v) for v in values]
 
@@ -104,6 +133,19 @@ def load_matrix(path: str, merge_duplicates: bool = False) -> tuple[list[str], l
 
 def load_space(path: str, merge_duplicates: bool = False) -> UltrametricSpace:
     return validate_ultrametric(*load_matrix(path, merge_duplicates))
+
+
+def subset_from_obj(obj) -> list[str]:
+    if not isinstance(obj, list) or not all(isinstance(s, str) for s in obj):
+        raise InputFormat("subset must be a JSON array of point labels")
+    return list(obj)
+
+
+def load_subset(text: str) -> list[str]:
+    """A subset given as JSON text, or as ``@file``."""
+    if text.startswith("@"):
+        text = read_text(text[1:])
+    return subset_from_obj(loads(text))
 
 
 def emit(line: str, out_path: str | None) -> None:
@@ -146,14 +188,3 @@ def cli_spectrum(args) -> list[str]:
     """``ultrametric spectrum SPACE``."""
     return rational_list_to_obj(spectrum(load_space(args.space)))
 
-
-# perfbench/replay.py and smoke.py, kept unchanged, still read these codecs here.
-__getattr__ = _forward(
-    __name__,
-    {
-        "certificate_to_obj": "certificates",
-        "quotient_to_obj": "builders",
-        "subset_from_obj": "hyperspace",
-        "ugh_result_to_obj": "gromov",
-    },
-)

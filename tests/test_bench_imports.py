@@ -2,10 +2,10 @@
 
 ``perfbench/`` is frozen: its files may not change when the library moves a
 definition, so the library keeps the names they use resolvable (``spaces``,
-``jsonio``, ``generators`` and ``gromov`` forward nine moved names).  This
-reads every ``from ultrametric... import ...`` statement and every
-``jsonio.<name>`` use in the benchmark and growth-bench scripts, and checks
-that each name resolves to the object its home module defines.
+``generators`` and ``gromov`` forward four moved names).  This reads every
+``from ultrametric... import ...`` statement and every ``jsonio.<name>`` use
+in the benchmark and growth-bench scripts, and checks that each name resolves
+to the object its home module defines.
 """
 
 from __future__ import annotations
@@ -64,6 +64,7 @@ def test_the_replay_uses_the_forwarded_names():
     used = set(used_names(ROOT / "perfbench" / "replay.py"))
     assert {
         ("ultrametric.spaces", "closed_quotient"),
-        ("ultrametric.spaces", "merge_duplicate_points"),
-        ("ultrametric.jsonio", "certificate_to_obj"),
+        ("ultrametric.generators", "single_linkage"),
+        ("ultrametric.gromov", "certificate"),
+        ("ultrametric.gromov", "verify_certificate"),
     } <= used

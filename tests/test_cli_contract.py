@@ -11,8 +11,12 @@ exit 1 nothing to stdout and one JSON line to stderr naming an error class of
 :mod:`ultrametric.errors`, and a space that ``validate`` writes validates
 back to the same bytes.  Edits that keep an input valid (every distance
 respelled with its numerator and denominator doubled, the points relabelled,
-the points permuted) must give the bytes the golden corpus predicts.  A
-finding here becomes a named case of the golden corpus.
+the points permuted and, under ``--merge-duplicates``, a copy of a point
+appended under a fresh label) must give the bytes the golden corpus predicts.
+Seeded damage to the corpus argument lists (a token dropped, a flag
+duplicated, two neighbours swapped, ``--`` or ``-h`` inserted, a flag given a
+value starting with ``-``) keeps the same contract, and an exit 2 writes
+nothing to stdout.  A finding here becomes a named case of the golden corpus.
 """
 
 from __future__ import annotations
@@ -124,7 +128,7 @@ def check_contract(argv: list[str], directory, why: str) -> tuple[int, str, str]
         lines = err.splitlines(keepends=True)
         assert len(lines) == 1 and lines[0].endswith("\n"), why
         assert json.loads(lines[0])["error"] in ERRORS, why
-    if code == 0 and argv[0] == "validate":
+    if code == 0 and argv[0] == "validate" and not out.startswith("usage: "):  # not -h's help
         (directory / "revalidate.json").write_text(out, encoding="utf-8")
         assert run(["validate", "revalidate.json"], directory) == (0, out, ""), why
     return code, out, err
@@ -184,15 +188,30 @@ def permuted(space, order):
     }
 
 
+def duplicated(space, p, label):
+    """``space`` with a copy of its point ``p`` appended under ``label``: the
+    copy's row and column are the point's, with ``"0"`` between the two."""
+    dist = space["dist"]
+    return {
+        **space,
+        "points": [*space["points"], label],
+        "dist": [*([*row, row[p]] for row in dist), [*dist[p], "0"]],
+    }
+
+
 # Verbs whose output does not name or order the points of their inputs.
 POINT_FREE = {"spectrum", "ugh"}
+
+# A merge of duplicates on an input that has none, compared against the
+# bytes of the corpus case without the flag.
+MERGED_CLEAN = ("validate_ok", ["validate", "isosceles.json", "--merge-duplicates"], ["isosceles.json"])
 
 
 def test_valid_edits_give_the_predicted_bytes(tmp_path):
     directory = scratch_copy(tmp_path)
     rng = random.Random(3701)
     checked = 0
-    for name, argv, inputs in EDITED:
+    for name, argv, inputs in [*EDITED, MERGED_CLEAN]:
         want = expected_text(name, "out")
         if not want:
             continue  # refused by the golden corpus
@@ -206,6 +225,12 @@ def test_valid_edits_give_the_predicted_bytes(tmp_path):
                     order = rng.sample(range(len(points)), len(points))
                     variants.append((relabelled(obj, names), lambda s, n=names: relabelled(s, n)))
                     variants.append((permuted(obj, order), lambda s, o=order: permuted(s, o)))
+            if "--merge-duplicates" in argv:
+                # The merge keeps the first label of each point, so the copy goes.
+                points = obj["points"]
+                for _ in range(3):
+                    label = f"{rng.randrange(10**6)}:copy"
+                    variants.append((duplicated(obj, rng.randrange(len(points)), label), None))
             for variant, transform in variants:
                 (directory / target).write_text(to_text(variant), encoding="utf-8")
                 got = check_contract(argv, directory, f"{name}: {variant}")
@@ -217,3 +242,51 @@ def test_valid_edits_give_the_predicted_bytes(tmp_path):
                 checked += 1
             (directory / target).write_bytes((GOLDEN / target).read_bytes())
     assert checked > 50, checked
+
+
+FLAG_VALUES = ["-1", "-1/2", "-", "-x", "--"]
+
+
+def damaged(rng: random.Random, argv: list[str]) -> list[str]:
+    """``argv`` after one seeded edit of its tokens."""
+    argv = list(argv)
+    flags = [i for i, token in enumerate(argv) if token.startswith("-")]
+    valued = [i for i in flags if i + 1 < len(argv) and not argv[i + 1].startswith("-")]
+    kinds = ["drop", "insert"] + ["swap"] * (len(argv) > 1)
+    kinds += ["duplicate"] * bool(flags) + ["value"] * bool(valued)
+    kind = rng.choice(kinds)
+    if kind == "drop":
+        del argv[rng.randrange(len(argv))]
+    elif kind == "insert":
+        argv.insert(rng.randint(0, len(argv)), rng.choice(["--", "-h"]))
+    elif kind == "swap":
+        i = rng.randrange(len(argv) - 1)
+        argv[i], argv[i + 1] = argv[i + 1], argv[i]
+    elif kind == "duplicate":  # the flag, with the token after it, again at the end
+        i = rng.choice(flags)
+        argv += argv[i : i + 2]
+    else:
+        argv[rng.choice(valued) + 1] = rng.choice(FLAG_VALUES)
+    return argv
+
+
+def test_damaged_arguments_keep_the_cli_contract(tmp_path, monkeypatch):
+    directory = scratch_copy(tmp_path)
+    monkeypatch.setattr("sys.stdin", io.StringIO())  # read by a file named -
+    rng = random.Random(4021)
+    codes = dict.fromkeys(range(4), 0)
+    for round_ in range(8):
+        for name, argv, _ in CASES:
+            edited = argv
+            for _ in range(rng.randint(1, 2)):
+                edited = damaged(rng, edited)
+            why = f"{name} round {round_}: {edited}"
+            code, out, _ = check_contract(edited, directory, why)
+            if code == 2:
+                assert out == "", why
+            if code == 0:  # an output may have been written over an input
+                scratch_copy(directory)
+            codes[code] += 1
+    assert sum(codes.values()) >= 250
+    # The damage reaches the parser's refusals, the handlers' and clean runs.
+    assert min(codes[0], codes[1], codes[2]) > 20, codes

@@ -214,6 +214,13 @@ class TestCertificate:
         floats = type(cert)(floats, cert.embed_left, cert.embed_right, cert.achieved)
         with pytest.raises(CertificateInvalid, match="values rising strictly from 0"):
             verify_certificate(floats, xh, x34)
+        # So is a value of another type than Fraction, even one equal to it.
+        for values in ((0.0, 0.5, 0.75), (0, *space.values[1:])):
+            assert values == space.values
+            other = UltrametricSpace(space.labels, values, space.ranks)
+            other = type(cert)(other, cert.embed_left, cert.embed_right, cert.achieved)
+            with pytest.raises(CertificateInvalid, match="values rising strictly from 0"):
+                verify_certificate(other, xh, x34)
         for achieved in (0.25, 0.75):
             claim = type(cert)(space, cert.embed_left, cert.embed_right, achieved)
             with pytest.raises(InputFormat, match="floating point"):

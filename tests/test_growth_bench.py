@@ -39,6 +39,10 @@ def test_a_tiny_run_writes_the_schema(tmp_path, monkeypatch, capsys):
     assert list(doc["ratios"]) == ["b"] and set(doc["ratios"]["b"]) == set(growth.LAYERS)
     err = capsys.readouterr().err
     assert "  python -S -c pass: a " in err
+    # The same tree twice: each job's nodes differ by nothing.
+    startup = err.split("start-up, ")[1].split("CLI, ")[0].splitlines()[1:]
+    assert [line.split(":")[0].strip() for line in startup] == ["validate", "ugh"]
+    assert all(line.endswith(" (+0)") and ", b " in line for line in startup), startup
     assert "program share per job" in err and "  ugh: a " in err.split("program share")[1]
 
 

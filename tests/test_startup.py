@@ -343,10 +343,11 @@ def test_rejected_and_integer_matrices_load_the_fault_module(argv, files, code, 
     assert err == (EXPECTED / f"{expected}.err").read_text(encoding="utf-8")
 
 
-# Definitions that left a module for one that only their verbs load, by old
-# home and new, and the names the frozen benchmark replay still imports from
-# the old homes, which they forward.  ``cli._run`` is gone: each verb's
-# handler lives in the module its ``cli.VERBS`` entry names.
+# Definitions that left a module, by old home and new, and the names the
+# frozen benchmark replay still imports from the old homes, which they
+# forward.  ``cli._run`` is gone: each verb's handler lives in the module its
+# ``cli.VERBS`` entry names.  The writers and the subset reader went back to
+# ``jsonio``, which holds every record format but two readers.
 MOVED = {
     spaces: {
         builders: [
@@ -358,27 +359,36 @@ MOVED = {
     },
     jsonio: {
         amalgam: ["gluespec_from_obj"],
-        certificates: ["certificate_to_obj", "certificate_from_obj"],
-        builders: ["quotient_to_obj"],
-        gromov: ["ugh_result_to_obj"],
-        hyperspace: ["subset_from_obj", "load_subset"],
+        certificates: ["certificate_from_obj"],
     },
     builders: {
         spaces: ["merge_duplicate_points"],
         dendrogram: ["from_dendrogram", "_tree_chain"],
+        jsonio: ["quotient_to_obj"],
+    },
+    gromov: {
+        jsonio: ["ugh_result_to_obj"],
+    },
+    hyperspace: {
+        jsonio: ["subset_from_obj", "load_subset"],
+    },
+    certificates: {
+        jsonio: ["certificate_to_obj"],
     },
     generators: {
         linkage: ["single_linkage", "_check_triangles", "SCALE_BITS"],
     },
     cli: {
-        jsonio: ["read_text", "load_space", "emit"],
-        hyperspace: ["load_subset"],
+        jsonio: ["read_text", "load_space", "load_subset", "emit"],
     },
 }
 FORWARDED = {
     spaces: {"closed_quotient"},
-    jsonio: {"certificate_to_obj", "quotient_to_obj", "subset_from_obj", "ugh_result_to_obj"},
+    jsonio: set(),
     builders: set(),
+    gromov: set(),
+    hyperspace: set(),
+    certificates: set(),
     generators: {"single_linkage"},
     cli: set(),
 }
@@ -469,7 +479,7 @@ def test_modules_forward_exactly_the_names_the_benchmark_scripts_read():
     read = {used for path in SCRIPTS for used in used_names(path)}
     forwarding = [module for module in modules if "__getattr__" in vars(module)]
     assert {module.__name__ for module in forwarding} == {
-        f"ultrametric.{name}" for name in ("generators", "gromov", "jsonio", "spaces")
+        f"ultrametric.{name}" for name in ("generators", "gromov", "spaces")
     }
     for module in forwarding:
         own = set(vars(module))
