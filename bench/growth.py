@@ -12,7 +12,11 @@ inputs, then times each of :data:`LAYERS` at each size, in CPU milliseconds,
 best of ``--repeat`` calls: the constructions on spaces, the generators, the
 closed quotient at scale 0 and at the middle value of the spectrum,
 ``restrict`` to every other point, ``single_linkage`` of an ultrametric
-string matrix, and ``ugh_distance`` of two freshly generated spaces.  The
+string matrix, ``ugh_distance`` of two freshly generated spaces, and the
+three steps of a ``validate`` job on a space's JSON text: ``jsonio.loads``
+(``read``), ``validate_ultrametric`` accepting the matrix read (``validate``)
+and ``jsonio.dumps(jsonio.space_to_obj(...))`` of the space it returns
+(``write``).  The
 fixed reference job ``perfbench/reference.py`` runs before and after every
 run, and each time is also given scaled: divided by the mean CPU seconds of
 those two reference runs, so ``scaled`` counts milliseconds per
@@ -52,7 +56,7 @@ change smaller than that spread cannot be told from the host.
 No timing is checked; :func:`check_schema` checks the file's form only, of
 this schema and of the earlier ones (the first kept the best time only, the
 second had no start-up row and no ratios, the third no CLI rows, the fourth
-no program shares).
+no program shares, the fifth no read, validate and write rows).
 """
 
 from __future__ import annotations
@@ -73,11 +77,12 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 REFERENCE = ROOT / "perfbench" / "reference.py"
 GOLDEN = ROOT / "tests" / "golden"
-VERSION = 5
+VERSION = 6
 SCHEMA = f"ultrametric-growth/{VERSION}"
 # The first schema's layers, whose entries held the best time only.
 LAYERS_1 = ("glue", "disjoint_amalgam", "crowd_family", "certificate", "chain_glue")
-LAYERS = (
+# The layers of schemas 2 to 5.
+LAYERS_5 = (
     *LAYERS_1,
     "random_space",
     "cauchy_sequence",
@@ -87,6 +92,7 @@ LAYERS = (
     "single_linkage",
     "ugh_distance_fresh",
 )
+LAYERS = (*LAYERS_5, "read", "validate", "write")
 SEEDS = (1, 2)
 # Glue's cross loop was cubic before it became a spanning forest: 30 s at
 # n = 800, so no column times it above 400 points.  crowd_family adds n
@@ -169,6 +175,7 @@ def measure(sizes: list[int], repeat: int) -> dict:
         ugh_distance,
         validate_ultrametric,
     )
+    from ultrametric import jsonio
     from ultrametric.rationals import format_rational
 
     grid = spectrum_constraint([Fraction(k, 64) for k in range(65)])
@@ -217,6 +224,13 @@ def measure(sizes: list[int], repeat: int) -> dict:
             return [random_space(n, grid, seed) for seed in SEEDS]
 
         out["ugh_distance_fresh"][n] = best(ugh_distance, fresh)
+        written = jsonio.dumps(jsonio.space_to_obj(x))
+        out["read"][n] = best(lambda: jsonio.loads(written))
+        points, dist = jsonio.raw_space_from_obj(jsonio.loads(written))
+        out["validate"][n] = best(lambda: validate_ultrametric(points, dist))
+        out["write"][n] = best(
+            lambda space: jsonio.dumps(jsonio.space_to_obj(space)), lambda: (validate_ultrametric(points, dist),)
+        )
     return out
 
 
@@ -439,7 +453,7 @@ def check_schema(doc: dict) -> None:
     or the form of an earlier schema."""
     version = {f"ultrametric-growth/{v}": v for v in range(1, VERSION + 1)}.get(doc["schema"])
     assert version, doc["schema"]
-    layers, fields = (LAYERS, FIELDS)
+    layers, fields = (LAYERS if version >= 6 else LAYERS_5, FIELDS)
     if version == 1:
         layers, fields = (LAYERS_1, {"ms", "scaled"})
     assert isinstance(doc["python"], str) and isinstance(doc["cpus"], int)
@@ -479,9 +493,9 @@ def check_schema(doc: dict) -> None:
             assert entry["compile_ms"] >= 0, job
     names = list(doc["columns"])
     assert list(doc["ratios"]) == names[1:]
-    for name, layers in doc["ratios"].items():
-        assert set(layers) == set(LAYERS)
-        for layer, by_n in layers.items():
+    for name, ratio in doc["ratios"].items():
+        assert set(ratio) == set(layers)
+        for layer, by_n in ratio.items():
             assert set(by_n) == set(doc["columns"][name]["times"][layer]), (name, layer)
             for entry in by_n.values():
                 assert set(entry) == {"raw", "scaled"}

@@ -25,7 +25,7 @@ from .errors import (
     UltrametricError,
     UnknownLabel,
 )
-from .rationals import as_rational, format_rational, parse_rational
+from .rationals import as_rational, format_rational
 from .spaces import Record, UltrametricSpace
 
 
@@ -205,4 +205,4 @@ def cli_amalgam(args) -> dict:
     """``ultrametric amalgam SPACE_A SPACE_B --s S``."""
     a = jsonio.load_space(args.space_a)
     b = jsonio.load_space(args.space_b)
-    return jsonio.space_to_obj(disjoint_amalgam(a, b, parse_rational(args.s)))
+    return jsonio.space_to_obj(disjoint_amalgam(a, b, args.s))

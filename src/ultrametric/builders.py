@@ -19,7 +19,7 @@ from operator import itemgetter
 
 from . import jsonio
 from .errors import InvalidParameter
-from .rationals import as_rational, format_rational, parse_rational
+from .rationals import as_rational, format_rational
 from .spaces import Record, UltrametricSpace, chain_ranks, closed_balls
 
 
@@ -135,4 +135,4 @@ def closed_quotient(space: UltrametricSpace, t) -> QuotientSpace:
 def cli_quotient(args) -> dict:
     """``ultrametric quotient SPACE --t T``."""
     space = jsonio.load_space(args.space)
-    return jsonio.quotient_to_obj(closed_quotient(space, parse_rational(args.t)))
+    return jsonio.quotient_to_obj(closed_quotient(space, args.t))

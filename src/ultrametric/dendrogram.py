@@ -23,11 +23,12 @@ its encodings, ``O(n log n)`` at logarithmic depth and ``O(n^2)`` on a
 caterpillar.  Nothing here recurses, so the depth of a tree is not bounded by
 the interpreter's recursion limit.
 
-Reading a tree: :func:`from_dendrogram`, and the canonical forms of a tree
-a caller built, read it as the chain of its leaves (:func:`_tree_chain`),
-checked as it is read; :func:`ultrametric.builders.space_from_chain` builds
-the space.  Both functions import from :mod:`ultrametric.builders` when they
-run, so the ``ugh`` job, which only compares spaces, does not load it.
+Reading a tree: :func:`from_dendrogram` and :func:`encoding` read a tree a
+caller built as the chain of its leaves (:func:`_tree_chain`), checked as it
+is read; :func:`ultrametric.builders.space_from_chain` builds the space.  The
+canonical form of such a tree is ``to_dendrogram(from_dendrogram(tree))``.
+Both functions import from :mod:`ultrametric.builders` when they run, so the
+``ugh`` job, which only compares spaces, does not load it.
 """
 
 from fractions import Fraction
@@ -118,13 +119,6 @@ def quotient_canon(space: UltrametricSpace, t=0) -> tuple[Node, tuple]:
     """
     runs, gaps = chain_runs(space, t)
     return chain_canon([space.labels[min(run)] for run in runs], gaps, space.values)
-
-
-def canonicalize(node: Node) -> Node:
-    """The canonical form of a tree; raises MalformedTree as
-    :func:`from_dendrogram` does.  A tree is read, and checked, as the chain
-    of its leaves."""
-    return chain_canon(*_tree_chain(node))[0]
 
 
 def encoding(node: Node) -> str:

@@ -20,13 +20,7 @@ from .errors import (
     NonpositiveDistance,
     ScaleNotBelowMinDistance,
 )
-from .rationals import (
-    as_rational,
-    format_rational,
-    int_max_str_digits,
-    parse_rational,
-    parse_rational_list,
-)
+from .rationals import as_rational, format_rational, int_max_str_digits, parse_rational_list
 from .spaces import ZERO, Record, UltrametricSpace
 
 
@@ -57,16 +51,18 @@ def crowd_family(
     ``c`` from each other, which no ultrametric allows.)
 
     Fresh points are labeled ``"1"``..``"n"``, underscore-prefixed as needed
-    to dodge collisions with existing labels.  Raises InstanceTooLarge,
-    before building anything, when the ``(|base| + n)^2`` matrix would pass
+    to dodge collisions with existing labels.  ``c`` is read first
+    (:func:`as_rational`, which takes rational text), so a bad ``c`` is named
+    before any other fault.  Raises InstanceTooLarge, before building
+    anything, when the ``(|base| + n)^2`` matrix would pass
     :data:`CELL_BUDGET` cells.
     """
+    c = as_rational(c)
     if base_point not in base_space.labels:
         raise BasePointMissing(f"base point {base_point!r} is not in the space", label=base_point)
     if n < 1:
         raise InvalidParameter(f"family index must be >= 1, got {n}")
     _check_cells(n, len(base_space))
-    c = as_rational(c)
     if c <= 0:
         raise NonpositiveDistance(f"crowd scale must be > 0, got {format_rational(c)}")
     min_positive = base_space.min_positive_distance()
@@ -236,10 +232,10 @@ def random_space(n: int, constraint: SpectrumConstraint, seed: int) -> Ultrametr
 def cli_gen(args) -> dict:
     """``ultrametric gen FAMILY ...``: a space of the named family."""
     if args.family == "two-point":
-        space = two_point_space(parse_rational(args.c))
+        space = two_point_space(args.c)
     elif args.family == "crowd":
         base = jsonio.load_space(args.space)
-        space = crowd_family(base, args.base, parse_rational(args.c), args.n)
+        space = crowd_family(base, args.base, args.c, args.n)
     elif args.family == "cauchy":
         space = cauchy_sequence(args.depth)
     else:

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 from . import jsonio
 from .errors import DuplicateLabel, EmptySubset, InvalidParameter
-from .rationals import as_rational, format_rational, parse_rational
+from .rationals import as_rational, format_rational
 from .spaces import UltrametricSpace, closed_balls
 
 
@@ -68,4 +68,4 @@ def cli_hausdorff(args) -> dict:
 def cli_net(args) -> list[str]:
     """``ultrametric net SPACE --eps EPS``."""
     space = jsonio.load_space(args.space)
-    return list(epsilon_net(space, parse_rational(args.eps)))
+    return list(epsilon_net(space, args.eps))

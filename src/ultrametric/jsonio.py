@@ -21,7 +21,9 @@ the canonical key order shown above.
 The CLI's file helpers (:func:`read_text`, :func:`load_space`,
 :func:`load_subset`, :func:`emit` and the rest) live here, so the verb
 handlers, each beside the code its verb runs, never import
-:mod:`ultrametric.cli`.  The handlers of ``validate`` and
+:mod:`ultrametric.cli`.  :func:`load_space` takes a path only; the
+``--merge-duplicates`` of ``validate`` and ``cluster`` goes to
+:func:`load_matrix`, the one reader that merges.  The handlers of ``validate`` and
 ``spectrum``, which run nothing else, live here too.
 """
 
@@ -131,8 +133,8 @@ def load_matrix(path: str, merge_duplicates: bool = False) -> tuple[list[str], l
     return points, dist
 
 
-def load_space(path: str, merge_duplicates: bool = False) -> UltrametricSpace:
-    return validate_ultrametric(*load_matrix(path, merge_duplicates))
+def load_space(path: str) -> UltrametricSpace:
+    return validate_ultrametric(*load_matrix(path))
 
 
 def subset_from_obj(obj) -> list[str]:
@@ -181,7 +183,7 @@ def unwritable(exc: OSError) -> InvalidParameter:
 
 def cli_validate(args) -> dict:
     """``ultrametric validate SPACE [--merge-duplicates]``."""
-    return space_to_obj(load_space(args.space, args.merge_duplicates))
+    return space_to_obj(validate_ultrametric(*load_matrix(args.space, args.merge_duplicates)))
 
 
 def cli_spectrum(args) -> list[str]:

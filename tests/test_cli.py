@@ -305,6 +305,15 @@ def test_bad_allowed_values_are_named(k, message, tmp_path):
     assert json.loads(err) == {"error": "InvalidParameter", "message": message}
 
 
+@pytest.mark.parametrize("n", ["1", "0"])
+def test_a_bad_crowd_scale_is_named_before_the_base_point_and_n(n, tmp_path):
+    # The handler hands the text of --c to crowd_family, which reads it first.
+    argv = ["gen", "crowd", "--space", "pair.json", "--base", "zz", "--c", "abc", "--n", n]
+    code, out, err, _ = run_case(argv, tmp_path)
+    assert (code, out, err.count("\n")) == (1, "", 1)
+    assert json.loads(err) == {"error": "InputFormat", "message": "not a rational: 'abc'", "value": "abc"}
+
+
 @pytest.mark.parametrize(
     "argv, files, error, message",
     [

@@ -16,7 +16,11 @@ appended under a fresh label) must give the bytes the golden corpus predicts.
 Seeded damage to the corpus argument lists (a token dropped, a flag
 duplicated, two neighbours swapped, ``--`` or ``-h`` inserted, a flag given a
 value starting with ``-``) keeps the same contract, and an exit 2 writes
-nothing to stdout.  A finding here becomes a named case of the golden corpus.
+nothing to stdout, and so does seeded damage to the bytes of every golden
+input (a byte dropped, duplicated or with one bit flipped; ``\x00``, ``\xff``
+or a UTF-8 byte order mark inserted; a multi-byte character cut short,
+inside the text or at its end).  A finding here becomes a named case of the
+golden corpus.
 """
 
 from __future__ import annotations
@@ -34,21 +38,28 @@ from ultrametric.cli import main
 
 from cli_corpus import CASES, GOLDEN, expected_text
 
+BYTES = {path.name: path.read_bytes() for path in sorted(GOLDEN.glob("*.json"))}
 INPUTS = {}
-for path in sorted(GOLDEN.glob("*.json")):
+for name, data in BYTES.items():
     try:
-        INPUTS[path.name] = json.loads(path.read_bytes())
+        INPUTS[name] = json.loads(data)
     except ValueError:  # not_utf8.json is no JSON text
         pass
 
-# Corpus commands that read an input, with the inputs they read.  The crowd
-# past the cell budget is left out: an edit that shrinks its base space can
-# bring it under the budget, and building 1448 points is not a contract check.
-EDITED = [
-    (name, argv, [arg for arg in dict.fromkeys(argv) if arg in INPUTS])
-    for name, argv, _ in CASES
-    if name != "gen_crowd_too_large" and any(arg in INPUTS for arg in argv)
-]
+
+def reading(files) -> list:
+    """Corpus commands that read one of ``files``, with those they read.  The
+    crowd past the cell budget is left out: an edit that shrinks its base
+    space can bring it under the budget, and building 1448 points is not a
+    contract check."""
+    return [
+        (name, argv, [arg for arg in dict.fromkeys(argv) if arg in files])
+        for name, argv, _ in CASES
+        if name != "gen_crowd_too_large" and any(arg in files for arg in argv)
+    ]
+
+
+EDITED = reading(INPUTS)
 
 ERRORS = {
     name
@@ -290,3 +301,46 @@ def test_damaged_arguments_keep_the_cli_contract(tmp_path, monkeypatch):
     assert sum(codes.values()) >= 250
     # The damage reaches the parser's refusals, the handlers' and clean runs.
     assert min(codes[0], codes[1], codes[2]) > 20, codes
+
+
+BOM = "\ufeff".encode()
+WIDE = [char.encode() for char in ("\u00e9", "\u20ac", "\U0001d11e")]  # 2, 3 and 4 bytes
+
+
+def damaged_bytes(rng: random.Random, data: bytes) -> tuple[bytes, str]:
+    """``data`` after one seeded byte edit, and what the edit did."""
+    i = rng.randrange(len(data))
+    kind = rng.choice(["drop", "duplicate", "flip", "insert", "cut"])
+    if kind == "drop":
+        return data[:i] + data[i + 1 :], f"drop byte {i}"
+    if kind == "duplicate":
+        return data[: i + 1] + data[i:], f"duplicate byte {i}"
+    if kind == "flip":
+        bit = 1 << rng.randrange(8)
+        return data[:i] + bytes([data[i] ^ bit]) + data[i + 1 :], f"flip bit {bit:#x} of byte {i}"
+    if kind == "insert":
+        extra, i = rng.choice([b"\x00", b"\xff", BOM]), rng.choice([0, i])
+        return data[:i] + extra + data[i:], f"insert {extra!r} at {i}"
+    # The first bytes of a multi-byte character, then the rest of the text or its end.
+    char = rng.choice(WIDE)
+    head, rest = char[: rng.randrange(1, len(char))], rng.choice([data[i:], b""])
+    return data[:i] + head + rest, f"cut {char!r} to {head!r} at {i}, {len(rest)} bytes after"
+
+
+def test_damaged_bytes_keep_the_cli_contract(tmp_path):
+    directory = scratch_copy(tmp_path)
+    rng = random.Random(3901)
+    commands = reading(BYTES)
+    codes = dict.fromkeys(range(4), 0)
+    for round_ in range(80):
+        for name, argv, inputs in commands:
+            target = rng.choice(inputs)
+            data, done = damaged_bytes(rng, BYTES[target])
+            (directory / target).write_bytes(data)
+            why = f"{name} round {round_}: {target} after {done}: {data[:300]!r}"
+            codes[check_contract(argv, directory, why)[0]] += 1
+            (directory / target).write_bytes(BYTES[target])
+    assert sum(codes.values()) >= 2000
+    # Most damage is refused; a flipped or repeated digit can keep an input
+    # valid, and the one corpus command missing a flag exits 2 whatever its input.
+    assert codes[0] > 50 and codes[1] > 1500, codes

@@ -93,6 +93,10 @@ class TestCrowdFamily:
             crowd_family(base, "x1", 1, 1)
         with pytest.raises(NonpositiveDistance):
             crowd_family(base, "x1", 0, 1)
+        # c is read first: bad text is named before a missing base point or a bad n.
+        for n in (1, 0):
+            with pytest.raises(InputFormat, match="not a rational: 'abc'"):
+                crowd_family(base, "zz", "abc", n)
 
     def test_n_beyond_the_cell_budget_is_refused_before_building(self, monkeypatch):
         def unreachable(*args):

@@ -99,6 +99,23 @@ def test_check_schema_refuses_a_missing_layer(one_column):
         growth.check_schema(doc)
 
 
+def test_schema_6_adds_the_read_validate_and_write_rows(one_column):
+    doc = json.loads(one_column)
+    assert doc["schema"] == "ultrametric-growth/6"
+    times = doc["columns"]["only"]["times"]
+    assert all(times[layer]["6"]["median_ms"] > 0 for layer in ("read", "validate", "write"))
+    # A schema-5 file has none of them, and a schema-6 file has all three.
+    doc["schema"] = "ultrametric-growth/5"
+    with pytest.raises(AssertionError):
+        growth.check_schema(doc)
+    for layer in ("read", "validate", "write"):
+        del times[layer], doc["columns"]["only"]["slopes"][layer]
+    growth.check_schema(doc)
+    doc["schema"] = "ultrametric-growth/6"
+    with pytest.raises(AssertionError):
+        growth.check_schema(doc)
+
+
 def test_jobs_hold_a_clean_job_of_every_verb_and_family():
     leaves = {
         (verb, family)

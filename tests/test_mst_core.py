@@ -21,6 +21,7 @@ from ultrametric import (
     Merge,
     cauchy_sequence,
     closed_quotient,
+    from_dendrogram,
     merge_duplicate_points,
     random_space,
     single_linkage,
@@ -29,7 +30,6 @@ from ultrametric import (
     to_dendrogram,
     validate_ultrametric,
 )
-from ultrametric.dendrogram import canonicalize
 from ultrametric.errors import (
     DuplicateLabel,
     InputFormat,
@@ -168,7 +168,7 @@ def reference_dendrogram(space: UltrametricSpace):
                     used[b] = True
             merged.append((Merge(t, tuple(group)) if len(group) > 1 else node_a, rep_a))
         clusters = merged
-    return canonicalize(clusters[0][0])
+    return to_dendrogram(from_dendrogram(clusters[0][0]))
 
 
 def outcome(validate, labels, matrix):

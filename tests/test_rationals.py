@@ -3,7 +3,15 @@ from fractions import Fraction
 
 import pytest
 
-from ultrametric import closed_quotient, single_linkage, two_point_space, validate_ultrametric
+from ultrametric import (
+    closed_quotient,
+    crowd_family,
+    disjoint_amalgam,
+    epsilon_net,
+    single_linkage,
+    two_point_space,
+    validate_ultrametric,
+)
 from ultrametric.errors import InputFormat, InstanceTooLarge
 from ultrametric.rationals import (
     as_rational,
@@ -70,6 +78,21 @@ def test_as_rational_rejects_inexact_types():
         as_rational(0.75)
     with pytest.raises(InputFormat):
         as_rational(True)
+
+
+def test_constructions_read_rational_text_as_the_equal_fraction(isosceles):
+    # Each reads its one rational with as_rational, so the CLI hands over the
+    # argument text as typed.
+    pair = two_point_space(1)
+    single = validate_ultrametric(["s"], [["0"]])
+    for build, text, value in (
+        (lambda v: closed_quotient(isosceles, v), "2/2", Fraction(1)),
+        (lambda v: epsilon_net(isosceles, v), "1.0", Fraction(1)),
+        (lambda v: disjoint_amalgam(pair, single, v), "4/2", Fraction(2)),
+        (two_point_space, "0.75", Fraction(3, 4)),
+        (lambda v: crowd_family(pair, "p", v, 2), "2/8", Fraction(1, 4)),
+    ):
+        assert build(text) == build(value), text
 
 
 def test_parse_rational_list():

@@ -208,8 +208,9 @@ def test_scan_on_a_caterpillar_deeper_than_the_recursion_limit():
 def test_the_search_tests_logarithmically_many_scales_each_once_per_space(monkeypatch):
     """An answer at position p among the candidates at or above
     spectrum_agreement costs at most 2 * bit_length(p + 1) tested scales (the
-    gallop, then the bisection below its first isometric probe), and each is
-    canonicalized once per space: truncated's cache holds the answer's trees."""
+    gallop, then the bisection below its first isometric probe), and each
+    space's canonical tree at a scale is built once: truncated's cache holds
+    the answer's trees."""
     calls = []
 
     def spy(space, t):
