@@ -22,12 +22,15 @@ run, and each time is also given scaled: divided by the mean CPU seconds of
 those two reference runs, so ``scaled`` counts milliseconds per
 reference-second and follows the program, not the host's speed.  A column
 keeps, per layer and size, its best time over the rounds (``ms``,
-``scaled``) and the median over the rounds (``median_ms``,
-``median_scaled``).  With two or more columns, each later column's medians
-are also given as ratios to the first column's (``ratios``), raw and scaled,
-and printed to stderr: a column run shares its reference pair with no other
+``scaled``), the median over the rounds (``median_ms``, ``median_scaled``)
+and their interquartile range (``iqr_ms``, ``iqr_scaled``; 0 over one
+round).  With two or more columns, each later column's medians are also
+given as ratios to the first column's (``ratios``), raw and scaled, and
+printed to stderr: a column run shares its reference pair with no other
 column, so a scaled ratio can drift with the host while the raw medians of
-interleaved rounds do not.
+interleaved rounds do not.  Each printed ratio stands beside the first
+column's interquartile range over its median, raw and scaled; a ratio nearer
+1 than that cannot be told from the host.
 
 The start-up row (``startup``) is the source a CLI job compiles, since a job
 started with ``PYTHONDONTWRITEBYTECODE=1`` compiles every package module it
@@ -44,19 +47,20 @@ each of :data:`JOBS` as ``python -m ultrametric`` (``jobs``), and the bare
 interpreter as ``python -c pass`` and ``python -S -c pass`` (``bare``), so
 the host's ``site`` start-up shows apart from the program's.  A round's
 time of a row is the median child CPU milliseconds of :data:`CLI_RUNS`
-passes over every row, and each row keeps its best round and the median
-over the rounds, raw and scaled, as the layers do.  In each pass every job
-also runs right next to a ``python -c pass``, the two alternating which goes
-first, and the job's time minus that bare run's is the pass's program
-share: the two see the same host, so the share drifts far less than either
-time.  A job row keeps the median of the per-round median shares
-(``share_ms``) and their interquartile range (``share_iqr_ms``), so a
+passes over every row, and each row keeps its best round, the median over
+the rounds and their interquartile range, raw and scaled, as the layers do.
+In each pass every job also runs right next to a ``python -c pass``, the two
+alternating which goes first, and the job's time minus that bare run's is
+the pass's program share: the two see the same host, so the share drifts far
+less than either time.  A job row keeps the median of the per-round median
+shares (``share_ms``) and their interquartile range (``share_iqr_ms``), so a
 change smaller than that spread cannot be told from the host.
 
 No timing is checked; :func:`check_schema` checks the file's form only, of
 this schema and of the earlier ones (the first kept the best time only, the
 second had no start-up row and no ratios, the third no CLI rows, the fourth
-no program shares, the fifth no read, validate and write rows).
+no program shares, the fifth no read, validate and write rows, and the sixth
+kept an interquartile range of the program shares only).
 """
 
 from __future__ import annotations
@@ -77,7 +81,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 REFERENCE = ROOT / "perfbench" / "reference.py"
 GOLDEN = ROOT / "tests" / "golden"
-VERSION = 6
+VERSION = 7
 SCHEMA = f"ultrametric-growth/{VERSION}"
 # The first schema's layers, whose entries held the best time only.
 LAYERS_1 = ("glue", "disjoint_amalgam", "crowd_family", "certificate", "chain_glue")
@@ -425,16 +429,28 @@ def ratios(kept: dict) -> dict:
 
 
 FIELDS = {"ms", "scaled", "median_ms", "median_scaled"}
+# The fields a row gained in schema 7.
+IQR_FIELDS = {"iqr_ms", "iqr_scaled"}
+
+
+def iqr(values: list[float]) -> float:
+    """The interquartile range of ``values``, 0 over one value."""
+    q1, _, q3 = statistics.quantiles(values, method="inclusive") if len(values) > 1 else values * 3
+    return round(q3 - q1, 3)
 
 
 def summary(timed: list[tuple[float, float]]) -> dict:
-    """The round with the best scaled time, and the medians over the rounds."""
+    """The round with the best scaled time, and the medians over the rounds
+    and their interquartile ranges."""
     ms, scaled = min(timed, key=lambda pair: pair[1])
+    raw, scales = [pair[0] for pair in timed], [pair[1] for pair in timed]
     return {
         "ms": round(ms, 3),
         "scaled": round(scaled, 3),
-        "median_ms": round(statistics.median(pair[0] for pair in timed), 3),
-        "median_scaled": round(statistics.median(pair[1] for pair in timed), 3),
+        "median_ms": round(statistics.median(raw), 3),
+        "median_scaled": round(statistics.median(scales), 3),
+        "iqr_ms": iqr(raw),
+        "iqr_scaled": iqr(scales),
     }
 
 
@@ -444,8 +460,7 @@ SHARE_FIELDS = {"share_ms", "share_iqr_ms"}
 def spread(shares: list[float]) -> dict:
     """The median of a job's per-round program shares, and their
     interquartile range (0 over one round)."""
-    q1, _, q3 = statistics.quantiles(shares, method="inclusive") if len(shares) > 1 else shares * 3
-    return {"share_ms": round(statistics.median(shares), 3), "share_iqr_ms": round(q3 - q1, 3)}
+    return {"share_ms": round(statistics.median(shares), 3), "share_iqr_ms": iqr(shares)}
 
 
 def check_schema(doc: dict) -> None:
@@ -453,7 +468,7 @@ def check_schema(doc: dict) -> None:
     or the form of an earlier schema."""
     version = {f"ultrametric-growth/{v}": v for v in range(1, VERSION + 1)}.get(doc["schema"])
     assert version, doc["schema"]
-    layers, fields = (LAYERS if version >= 6 else LAYERS_5, FIELDS)
+    layers, fields = (LAYERS if version >= 6 else LAYERS_5, FIELDS | IQR_FIELDS if version >= 7 else FIELDS)
     if version == 1:
         layers, fields = (LAYERS_1, {"ms", "scaled"})
     assert isinstance(doc["python"], str) and isinstance(doc["cpus"], int)
@@ -479,10 +494,10 @@ def check_schema(doc: dict) -> None:
             assert set(rows["jobs"]) == set(JOBS) and set(rows["bare"]) == set(BARE)
             shared = SHARE_FIELDS if version >= 5 else set()
             for entry in rows["jobs"].values():
-                assert set(entry) == FIELDS | shared and all(entry[field] >= 0 for field in FIELDS)
+                assert set(entry) == fields | shared and all(entry[field] >= 0 for field in fields)
                 assert not shared or (isinstance(entry["share_ms"], float) and entry["share_iqr_ms"] >= 0)
             for entry in rows["bare"].values():
-                assert set(entry) == FIELDS and all(entry[field] >= 0 for field in FIELDS)
+                assert set(entry) == fields and all(entry[field] >= 0 for field in fields)
         modules, jobs = column["startup"]["modules"], column["startup"]["jobs"]
         assert "ultrametric" in modules and set(jobs) == set(JOBS), sorted(jobs)
         for entry in modules.values():
@@ -505,10 +520,13 @@ def report(doc: dict) -> str:
     """The ratios and the start-up sums as text, one line per layer or job."""
     first, *rest = doc["columns"]
     lines = []
+    base = doc["columns"][first]["times"]
     for name in rest:
-        lines.append(f"{first} -> {name}, ratio of medians (raw, scaled):")
+        lines.append(f"{first} -> {name}, ratio of medians (raw, scaled) [{first}'s IQR over its median]:")
         for layer, by_n in doc["ratios"][name].items():
-            cells = ", ".join(f"n={n} {e['raw']}x/{e['scaled']}x" for n, e in by_n.items())
+            cells = ", ".join(
+                f"n={n} {e['raw']}x/{e['scaled']}x [{relative_iqr(base[layer][n])}]" for n, e in by_n.items()
+            )
             lines.append(f"  {layer}: {cells}")
     lines.append("start-up, package AST nodes and compile ms per job (nodes from the first column):")
     for job in JOBS:
@@ -535,6 +553,14 @@ def report(doc: dict) -> str:
         )
         lines.append(f"  {job}: {cells}")
     return "\n".join(lines) + "\n"
+
+
+def relative_iqr(entry: dict) -> str:
+    """A layer entry's interquartile ranges over its medians, raw and scaled."""
+    return "/".join(
+        f"{entry[iqr_field] / entry[field]:.3f}" if entry[field] > 0 else "-"
+        for iqr_field, field in (("iqr_ms", "median_ms"), ("iqr_scaled", "median_scaled"))
+    )
 
 
 def main(argv=None) -> int:

@@ -20,7 +20,7 @@ from .errors import (
     NonpositiveDistance,
     ScaleNotBelowMinDistance,
 )
-from .rationals import as_rational, format_rational, int_max_str_digits, parse_rational_list
+from .rationals import as_rational, format_rational, parse_rational_list
 from .spaces import ZERO, Record, UltrametricSpace
 
 
@@ -112,21 +112,12 @@ def cauchy_sequence(depth: int) -> UltrametricSpace:
     Consecutive members of this family form a Cauchy sequence under the
     Gromov-Hausdorff ultrametric.  It is ultrametric because
     ``max(x, y) <= max(x, y, z) = max(max(x, z), max(z, y))``.  Raises
-    InstanceTooLarge, before building anything, when ``2^depth`` has more
-    digits than the interpreter's integer string limit, since ``2^-depth``
-    could not be written out, or when the ``(depth+1)^2`` matrix exceeds
-    :data:`CELL_BUDGET` cells.
+    InstanceTooLarge, before building anything, when the ``(depth+1)^2``
+    matrix exceeds :data:`CELL_BUDGET` cells; the labels then stay within any
+    integer string limit (``2^1447`` has 436 digits; a set limit is >= 640).
     """
     if depth < 0:
         raise InvalidParameter(f"depth must be >= 0, got {depth}")
-    limit = int_max_str_digits()
-    # 2^depth has more than ``limit`` digits iff 2^depth >= 10^limit.
-    if limit and depth >= (10**limit).bit_length():
-        raise InstanceTooLarge(
-            f"depth {depth} puts 2^-{depth} beyond the {limit}-digit integer limit",
-            depth=depth,
-            limit=limit,
-        )
     max_depth = isqrt(CELL_BUDGET) - 1
     if depth > max_depth:
         raise InstanceTooLarge(

@@ -19,26 +19,28 @@ def parse_rational(text: str) -> Fraction:
     """Parse ``"p/q"``, an integer string, or a finite decimal string, exactly.
 
     Numerators and denominators may not exceed the interpreter's integer
-    string limit (0 meaning none), so every accepted value formats back.
+    string limit (0 meaning none), so every accepted value formats back, and
+    an exponent may not exceed it, or 4300 (the default) with no limit.
     Digit separators (``"1_0"``) are refused on every Python version.
     """
     if not isinstance(text, str):
         raise InputFormat(f"expected a rational string, got {type(text).__name__}")
     limit = int_max_str_digits()
+    bound = limit or 4300
     _, e, exponent = text.lower().rpartition("e")
     try:
         # Fraction reads the digit separator in "1_0" from Python 3.11 on only.
         if "_" in text:
             raise ValueError(text)
         # The exponent is checked first, because Fraction computes 10**exponent.
-        if not limit or not e or abs(int(exponent)) <= limit:
+        if not e or abs(int(exponent)) <= bound:
             value = Fraction(text)
             if _fits(value, limit):
                 return value
     except (ValueError, ZeroDivisionError) as exc:
         raise InputFormat(f"not a rational: {text!r}", value=text) from exc
     raise InstanceTooLarge(
-        f"rational {text!r} exceeds the {limit}-digit integer limit", value=text, limit=limit
+        f"rational {text!r} exceeds the {bound}-digit integer limit", value=text, limit=bound
     )
 
 

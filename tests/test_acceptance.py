@@ -42,7 +42,7 @@ def criterion(number: int, description: str, budget: float, body) -> None:
     start = time.perf_counter()
     try:
         detail = body()
-    except BaseException:
+    except Exception:
         print(f"\n[FAIL] criterion {number}: {description}")
         raise
     elapsed = time.perf_counter() - start

@@ -11,19 +11,10 @@ from ultrametric import certificates, jsonio, spaces, verify_certificate
 from ultrametric.cli import main
 from ultrametric.rationals import int_max_str_digits
 
-from cli_corpus import CASES, GOLDEN, SKIPPED, expected_text, run_case
+from cli_corpus import CASES, GOLDEN, expected_text, run_case
 from conftest import BUILD_SPACE, BUILDER_MODULES, CHECK_AXIOMS, PRIM_MODULES, shallow_recursion
 
-CORPUS = [
-    pytest.param(
-        *case,
-        id=case[0],
-        marks=pytest.mark.skipif(
-            case[0] in SKIPPED, reason="the expected bytes need the 4300-digit integer string limit"
-        ),
-    )
-    for case in CASES
-]
+CORPUS = [pytest.param(*case, id=case[0]) for case in CASES]
 
 
 @pytest.mark.parametrize("name,argv,want_code", CORPUS)
@@ -63,7 +54,7 @@ def test_every_emitted_space_revalidates(tmp_path):
 
 def test_output_file_flag(tmp_path):
     # Every verb and family takes -o, and writes there what it prints otherwise.
-    cases = [(name, argv) for name, argv, code in CASES if code == 0 and name not in SKIPPED]
+    cases = [(name, argv) for name, argv, code in CASES if code == 0]
     assert len(cases) == 20
     for name, argv in cases:
         (tmp_path / name).mkdir()
@@ -448,11 +439,12 @@ def test_closed_stdin_is_a_diagnostic_in_a_job():
     assert json.loads(result.stderr) == CLOSED_STDIN
 
 
-def test_cauchy_depth_beyond_the_int_string_limit_is_a_diagnostic(tmp_path):
+def test_cauchy_depth_beyond_the_cell_budget_is_a_diagnostic(tmp_path):
     code, out, err, written = run_case(["gen", "cauchy", "--depth", "1000000000"], tmp_path)
     assert (code, out, written) == (1, "", {})
     assert err.count("\n") == 1
     assert json.loads(err)["error"] == "InstanceTooLarge"
+    assert json.loads(err)["max_depth"] == 1447
 
 
 def test_ugh_on_a_caterpillar_deeper_than_the_recursion_limit(tmp_path):

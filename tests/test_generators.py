@@ -1,5 +1,4 @@
 import random
-import sys
 from fractions import Fraction
 from itertools import combinations
 
@@ -153,27 +152,14 @@ class TestCauchySequence:
         with pytest.raises(InvalidParameter):
             cauchy_sequence(-1)
 
-    def test_depth_beyond_the_int_string_limit_is_refused_before_building(self):
-        limit = sys.get_int_max_str_digits()
-        if not limit:
-            pytest.skip("the interpreter sets no integer string limit")
-        bound = (10**limit).bit_length()
-        # 2^-(bound - 1) still formats; 2^-bound would not.
-        assert len(str(2 ** (bound - 1))) == limit
-        for depth in (bound, 10**12):
-            with pytest.raises(InstanceTooLarge) as info:
-                cauchy_sequence(depth)
-            assert info.value.payload()["depth"] == depth
-            assert info.value.payload()["limit"] == limit
-
     def test_depth_beyond_the_cell_budget_is_refused_before_building(self, monkeypatch):
         def unreachable(*args):
             raise AssertionError("a refused instance was partly built")
 
         monkeypatch.setattr(generators, "Fraction", unreachable)
         monkeypatch.setattr(builders, "space_from_chain", unreachable)
-        # Both stay below 2127, the integer-limit bound at the lowest limit (640).
-        for depth in (1448, 2000):
+        # 14285 is the least depth whose 2^depth passes the default 4300 digits.
+        for depth in (1448, 2000, 14285, 10**12):
             with pytest.raises(InstanceTooLarge) as info:
                 cauchy_sequence(depth)
             assert info.value.payload()["depth"] == depth

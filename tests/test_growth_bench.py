@@ -44,6 +44,9 @@ def test_a_tiny_run_writes_the_schema(tmp_path, monkeypatch, capsys):
     assert [line.split(":")[0].strip() for line in startup] == ["validate", "ugh"]
     assert all(line.endswith(" (+0)") and ", b " in line for line in startup), startup
     assert "program share per job" in err and "  ugh: a " in err.split("program share")[1]
+    # Each ratio is printed beside the first column's spread over its median.
+    ratio = err.split("a -> b, ")[1].splitlines()[1]
+    assert ratio.startswith("  glue: n=8 ") and ratio.count(" [") == 2, ratio
 
 
 @pytest.mark.parametrize("path", sorted(ROOT.glob("BENCH_*.json")), ids=lambda p: p.name)
@@ -91,6 +94,20 @@ def test_a_job_row_keeps_the_median_share_and_its_spread():
     assert growth.spread([1.0, 2.0, 4.0, 9.0, 30.0]) == {"share_ms": 4.0, "share_iqr_ms": 7.0}
 
 
+def test_a_row_keeps_the_spread_of_its_rounds():
+    # Scaled times are half the raw ones, and the best round is the fastest.
+    assert growth.summary([(6.0, 3.0)]) == {
+        "ms": 6.0, "scaled": 3.0, "median_ms": 6.0, "median_scaled": 3.0, "iqr_ms": 0.0, "iqr_scaled": 0.0,
+    }
+    timed = [(ms, ms / 2) for ms in (9.0, 30.0, 1.0, 4.0, 2.0)]
+    assert growth.summary(timed) == {
+        "ms": 1.0, "scaled": 0.5, "median_ms": 4.0, "median_scaled": 2.0, "iqr_ms": 7.0, "iqr_scaled": 3.5,
+    }
+    assert growth.relative_iqr(growth.summary(timed)) == "1.750/1.750"
+    unmeasured = {"median_ms": 0.0, "iqr_ms": 0.0, "median_scaled": 1.0, "iqr_scaled": 0.5}
+    assert growth.relative_iqr(unmeasured) == "-/0.500"
+
+
 def test_check_schema_refuses_a_missing_layer(one_column):
     doc = json.loads(one_column)
     growth.check_schema(doc)
@@ -99,9 +116,33 @@ def test_check_schema_refuses_a_missing_layer(one_column):
         growth.check_schema(doc)
 
 
-def test_schema_6_adds_the_read_validate_and_write_rows(one_column):
+def without_spreads(doc: dict) -> dict:
+    """``doc`` as schema 6 wrote it: no row keeps the IQR of its times."""
+    column = doc["columns"]["only"]
+    rows = [entry for by_n in column["times"].values() for entry in by_n.values()]
+    for entry in [*rows, *column["cli"]["jobs"].values(), *column["cli"]["bare"].values()]:
+        for field in growth.IQR_FIELDS:
+            del entry[field]
+    doc["schema"] = "ultrametric-growth/6"
+    return doc
+
+
+def test_schema_7_adds_the_spread_of_every_row(one_column):
     doc = json.loads(one_column)
-    assert doc["schema"] == "ultrametric-growth/6"
+    assert doc["schema"] == "ultrametric-growth/7"
+    column = doc["columns"]["only"]
+    # One round: every spread is 0.
+    assert column["times"]["glue"]["6"]["iqr_ms"] == column["cli"]["jobs"]["ugh"]["iqr_scaled"] == 0
+    # A schema-6 file has no spreads, and a schema-7 file has them on every row.
+    doc = without_spreads(doc)
+    growth.check_schema(doc)
+    doc["schema"] = "ultrametric-growth/7"
+    with pytest.raises(AssertionError):
+        growth.check_schema(doc)
+
+
+def test_schema_6_adds_the_read_validate_and_write_rows(one_column):
+    doc = without_spreads(json.loads(one_column))
     times = doc["columns"]["only"]["times"]
     assert all(times[layer]["6"]["median_ms"] > 0 for layer in ("read", "validate", "write"))
     # A schema-5 file has none of them, and a schema-6 file has all three.
@@ -133,7 +174,8 @@ def test_cli_rows_time_every_job_and_the_bare_interpreter(one_column):
     assert set(rows["jobs"]) == set(growth.JOBS)
     assert set(rows["bare"]) == {"python -c pass", "python -S -c pass"}
     assert all(entry["median_ms"] > 0 for entry in (*rows["jobs"].values(), *rows["bare"].values()))
-    assert all(set(entry) == growth.FIELDS | growth.SHARE_FIELDS for entry in rows["jobs"].values())
+    fields = growth.FIELDS | growth.IQR_FIELDS | growth.SHARE_FIELDS
+    assert all(set(entry) == fields for entry in rows["jobs"].values())
     for kind in ("jobs", "bare"):
         bad = json.loads(one_column)
         bad["columns"]["only"]["cli"][kind].popitem()

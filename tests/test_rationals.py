@@ -122,6 +122,22 @@ def test_parse_rejects_values_beyond_the_int_string_limit():
         parse_rational("9" * (limit + 1))
 
 
+def test_exponents_keep_the_default_bound_with_the_int_string_limit_off():
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("the interpreter has no integer string limit to switch off")
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        # Without the bound, Fraction would compute 10**999999999.
+        for text in ["1e999999999", "1e4301"]:
+            with pytest.raises(InstanceTooLarge) as info:
+                parse_rational(text)
+            assert info.value.payload()["limit"] == 4300
+        assert parse_rational("1e4300") == 10**4300
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
 def string_limit() -> int:
     limit = int_max_str_digits()
     if not limit:

@@ -34,7 +34,7 @@ from ultrametric import (
     spaces,
 )
 
-from cli_corpus import EXPECTED, GOLDEN
+from cli_corpus import GOLDEN, expected_text
 from test_bench_imports import SCRIPTS, used_names
 
 SRC = Path(ultrametric.__file__).resolve().parent
@@ -339,8 +339,8 @@ def test_rejected_and_integer_matrices_load_the_fault_module(argv, files, code, 
     assert "ultrametric.faults" in modules
     assert "ultrametric.builders" not in modules
     # The same bytes as the corpus case on the same matrix.
-    assert out == (EXPECTED / f"{expected}.out").read_text(encoding="utf-8")
-    assert err == (EXPECTED / f"{expected}.err").read_text(encoding="utf-8")
+    assert out == expected_text(expected, "out")
+    assert err == expected_text(expected, "err")
 
 
 # Definitions that left a module, by old home and new, and the names the
