@@ -14,7 +14,6 @@ from fractions import Fraction
 
 from .errors import (
     InputFormat,
-    InstanceTooLarge,
     NegativeDistance,
     NonSymmetric,
     NonzeroDiagonal,
@@ -22,7 +21,7 @@ from .errors import (
     UltrametricError,
     ZeroOffDiagonal,
 )
-from .rationals import as_rational, format_rational, int_max_str_digits
+from .rationals import as_rational, digits_bounded, format_rational, too_large
 
 # The types whose str() is their canonical spelling.
 _STR_SPELLS = (int, Fraction)
@@ -33,18 +32,16 @@ def _canonical_spellings(matrix, width: int | None) -> list[list[str]]:
     :func:`ultrametric.spaces.rank_image` reads it, so the first bad entry or
     row raises."""
     spelled = []
-    for i, row in enumerate(matrix):
-        if width is not None and len(row) != width:
-            raise InputFormat(f"matrix row {i} has {len(row)} entries, expected {width}")
-        try:
-            spelled.append(
-                [str(v) if type(v) in _STR_SPELLS else format_rational(as_rational(v)) for v in row]
-            )
-        except ValueError:  # str() of a value past the integer string limit
-            limit = int_max_str_digits()
-            raise InstanceTooLarge(
-                f"matrix row {i} exceeds the {limit}-digit integer limit", row=i, limit=limit
-            ) from None
+    with digits_bounded():  # so str() of an int or Fraction past the bound raises
+        for i, row in enumerate(matrix):
+            if width is not None and len(row) != width:
+                raise InputFormat(f"matrix row {i} has {len(row)} entries, expected {width}")
+            try:
+                spelled.append(
+                    [str(v) if type(v) in _STR_SPELLS else format_rational(as_rational(v)) for v in row]
+                )
+            except ValueError:  # str() of a value past the digit bound
+                raise too_large(f"matrix row {i}", row=i) from None
     return spelled
 
 

@@ -32,7 +32,7 @@ import os
 import sys
 
 from .errors import InputFormat, InvalidParameter
-from .rationals import format_rational
+from .rationals import digits_bounded, format_rational, too_large
 from .spaces import UltrametricSpace, merge_duplicate_points, spectrum, validate_ultrametric
 
 
@@ -42,11 +42,14 @@ def dumps(obj) -> str:
 
 
 def loads(text: str):
-    # A JSONDecodeError is a ValueError, and so is an integer past the digit limit.
+    """Parse JSON text; an integer literal past the digit bound is refused unread."""
     try:
-        return json.loads(text)
-    except (ValueError, RecursionError) as exc:
+        with digits_bounded():
+            return json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise InputFormat(f"invalid JSON: {exc}") from exc
+    except ValueError:  # an integer literal past the digit bound
+        raise too_large("a JSON integer") from None
 
 
 def raw_space_from_obj(obj) -> tuple[list[str], list[list]]:

@@ -21,7 +21,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 from ultrametric.cli import main
-from ultrametric.rationals import int_max_str_digits
+from ultrametric.rationals import digit_bound
 
 GOLDEN = Path(__file__).parent / "golden"
 EXPECTED = GOLDEN / "expected"
@@ -72,9 +72,10 @@ CASES = [
     ("usage_missing_flag", ["quotient", "isosceles.json"], 2),
 ]
 
-# The stderr of these cases names the interpreter's integer string limit, or
-# 4300 when there is none, so under any other limit it is not compared.
-SKIPPED = {"validate_huge_exponent"} if int_max_str_digits() not in (0, 4300) else set()
+# The stderr of these cases names the digit bound, which is 4300 unless the
+# interpreter's integer string limit is lower, so under such a limit it is
+# not compared.
+SKIPPED = {"validate_huge_exponent"} if digit_bound() != 4300 else set()
 
 
 # From Python 3.13 on, argparse wraps the usage line of these cases otherwise;
@@ -96,7 +97,7 @@ def expected_text(name: str, suffix: str) -> str:
     if suffix == "err" and name in SKIPPED:
         import pytest
 
-        pytest.skip(f"{name}: the expected stderr needs the 4300-digit integer string limit")
+        pytest.skip(f"{name}: the expected stderr needs the 4300-digit bound")
     return expected_file(name, suffix).read_text(encoding="utf-8")
 
 
@@ -134,7 +135,7 @@ def write_expected() -> None:
     EXPECTED.mkdir(exist_ok=True)
     for name, argv, want_code in CASES:
         if name in SKIPPED:
-            print(f"skipped {name}: the integer string limit is neither 0 nor 4300")
+            print(f"skipped {name}: the integer string limit sets a digit bound below 4300")
             continue
         with tempfile.TemporaryDirectory() as tmp:
             code, out, err, written = run_case(argv, Path(tmp))

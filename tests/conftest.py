@@ -326,6 +326,27 @@ def respelled(rng: random.Random, matrix):
     return [[rng.choice(spellings(as_rational(v))) for v in row] for row in matrix]
 
 
+@pytest.fixture
+def digit_limits():
+    """Iterating sets the interpreter's integer string limit to each of 0
+    (none), 640 (the least it takes), 4300 (the default) and 5000 in turn,
+    and yields the digit bound the library must apply under it; the old
+    limit comes back after the test."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("the interpreter has no integer string limit")
+    saved = sys.get_int_max_str_digits()
+
+    def each():
+        for limit in (0, 640, 4300, 5000):
+            sys.set_int_max_str_digits(limit)
+            yield min(limit or 4300, 4300)
+
+    try:
+        yield each()
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
 @contextmanager
 def shallow_recursion(headroom: int = 100):
     """Lower the recursion limit to the current stack depth plus ``headroom``.

@@ -9,7 +9,6 @@ import pytest
 
 from ultrametric import certificates, jsonio, spaces, verify_certificate
 from ultrametric.cli import main
-from ultrametric.rationals import int_max_str_digits
 
 from cli_corpus import CASES, GOLDEN, expected_text, run_case
 from conftest import BUILD_SPACE, BUILDER_MODULES, CHECK_AXIOMS, PRIM_MODULES, shallow_recursion
@@ -272,15 +271,38 @@ def test_deeply_nested_json_is_an_input_error(tmp_path, capsys):
     assert json.loads(capsys.readouterr().err)["error"] == "InputFormat"
 
 
-@pytest.mark.skipif(not int_max_str_digits(), reason="the interpreter has no integer string limit")
-def test_json_integer_beyond_the_int_string_limit_is_an_input_error(tmp_path, capsys):
+def test_json_integer_beyond_the_digit_bound_is_too_large(tmp_path, capsys, digit_limits):
     big = tmp_path / "bigint.json"
-    digits = "1" * (int_max_str_digits() + 1)
-    big.write_text('{"points": ["a", "b"], "dist": [[0, ' + digits + "], [" + digits + ", 0]]}")
-    assert main(["validate", str(big)]) == 1
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1
-    assert json.loads(err)["error"] == "InputFormat"
+    for bound in digit_limits:
+        digits = "1" * (bound + 1)
+        big.write_text('{"points": ["a", "b"], "dist": [[0, ' + digits + "], [" + digits + ", 0]]}")
+        assert main(["validate", str(big)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert json.loads(err) == {
+            "error": "InstanceTooLarge",
+            "message": f"a JSON integer exceeds the {bound}-digit integer limit",
+            "limit": bound,
+        }
+
+
+@pytest.mark.parametrize("limit", [0, 640, 4300, 5000])
+@pytest.mark.parametrize(
+    "entry",
+    ["1" * 400_000, '"1/' + "1" * 400_000 + '"', '"1e' + "9" * 5000 + '"'],
+    ids=["integer", "fraction", "exponent"],
+)
+def test_a_number_past_the_digit_bound_is_one_diagnostic_at_every_limit(
+    entry, limit, tmp_path, monkeypatch
+):
+    # In a fresh interpreter, which reads its integer string limit at start-up.
+    huge = tmp_path / "huge.json"
+    huge.write_text('{"points": ["a", "b"], "dist": [["0", ' + entry + "], [" + entry + ', "0"]]}')
+    monkeypatch.setenv("PYTHONINTMAXSTRDIGITS", str(limit))
+    result = run_in_golden([sys.executable, "-m", "ultrametric", "validate", str(huge)])
+    assert (result.returncode, result.stdout, result.stderr.count("\n")) == (1, "", 1)
+    err = json.loads(result.stderr)
+    assert (err["error"], err["limit"]) == ("InstanceTooLarge", min(limit or 4300, 4300))
 
 
 @pytest.mark.parametrize(

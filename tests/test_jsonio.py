@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -13,7 +14,7 @@ from ultrametric import (
 from ultrametric import jsonio
 from ultrametric.amalgam import gluespec_from_obj
 from ultrametric.certificates import certificate_from_obj
-from ultrametric.errors import InputFormat, TriangleViolation
+from ultrametric.errors import InputFormat, InstanceTooLarge, TriangleViolation
 
 from conftest import SIX_VALUES, make_space
 
@@ -67,6 +68,17 @@ class TestSpaceFormat:
             )
         with pytest.raises(InputFormat):
             jsonio.loads("{not json")
+
+    def test_an_integer_past_the_digit_bound_is_refused_and_the_limit_restored(
+        self, digit_limits
+    ):
+        for bound in digit_limits:
+            limit = sys.get_int_max_str_digits()
+            assert jsonio.loads("[" + "1" * bound + "]") == [int("1" * bound)]
+            with pytest.raises(InstanceTooLarge) as info:
+                jsonio.loads("[" + "1" * 400_000 + "]")
+            assert info.value.payload()["limit"] == bound
+            assert sys.get_int_max_str_digits() == limit
 
 
 class TestGlueSpecFormat:

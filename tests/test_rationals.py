@@ -1,4 +1,3 @@
-import sys
 from fractions import Fraction
 
 import pytest
@@ -12,14 +11,9 @@ from ultrametric import (
     two_point_space,
     validate_ultrametric,
 )
+from ultrametric import rationals
 from ultrametric.errors import InputFormat, InstanceTooLarge
-from ultrametric.rationals import (
-    as_rational,
-    format_rational,
-    int_max_str_digits,
-    parse_rational,
-    parse_rational_list,
-)
+from ultrametric.rationals import as_rational, format_rational, parse_rational, parse_rational_list
 
 
 @pytest.mark.parametrize(
@@ -106,86 +100,73 @@ def test_parse_rational_list():
         parse_rational_list("")
 
 
-def test_parse_rejects_values_beyond_the_int_string_limit():
-    limit = sys.get_int_max_str_digits()
-    if not limit:
-        pytest.skip("the interpreter sets no integer string limit")
-    assert format_rational(parse_rational(f"1e{limit - 1}")) == "1" + "0" * (limit - 1)
-    assert parse_rational(f"1e-{limit - 1}").denominator == 10 ** (limit - 1)
-    # The exponent is rejected before Fraction would compute 10**999999999.
-    too_large = ["1e400000", "1e999999999", "1e-999999999", f"1e{limit}"]
-    for text in too_large + ["0." + "0" * (limit - 1) + "1"]:
-        with pytest.raises(InstanceTooLarge) as info:
-            parse_rational(text)
-        assert info.value.payload()["limit"] == limit
-    with pytest.raises(InputFormat):
-        parse_rational("9" * (limit + 1))
-
-
-def test_exponents_keep_the_default_bound_with_the_int_string_limit_off():
-    if not hasattr(sys, "set_int_max_str_digits"):
-        pytest.skip("the interpreter has no integer string limit to switch off")
-    saved = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
-        # Without the bound, Fraction would compute 10**999999999.
-        for text in ["1e999999999", "1e4301"]:
+def test_parse_rejects_values_beyond_the_int_string_limit(digit_limits):
+    for bound in digit_limits:
+        assert format_rational(parse_rational("9" * bound)) == "9" * bound
+        assert format_rational(parse_rational(f"1e{bound - 1}")) == "1" + "0" * (bound - 1)
+        assert parse_rational(f"1e-{bound - 1}").denominator == 10 ** (bound - 1)
+        # The exponent is rejected before Fraction would compute 10**999999999.
+        too_large = ["1e400000", "1e999999999", "1e-999999999", f"1e{bound}"]
+        too_long = ["0." + "0" * (bound - 1) + "1", "9" * (bound + 1)]
+        for text in too_large + too_long:
             with pytest.raises(InstanceTooLarge) as info:
                 parse_rational(text)
-            assert info.value.payload()["limit"] == 4300
-        assert parse_rational("1e4300") == 10**4300
-    finally:
-        sys.set_int_max_str_digits(saved)
+            assert info.value.payload()["limit"] == bound
 
 
-def string_limit() -> int:
-    limit = int_max_str_digits()
-    if not limit:
-        pytest.skip("the interpreter sets no integer string limit")
-    return limit
+def test_the_digit_bound_is_checked_before_any_parse(digit_limits, monkeypatch):
+    def unread(*args):
+        raise AssertionError(f"Fraction read {args!r:.40}")
+
+    monkeypatch.setattr(rationals, "Fraction", unread)
+    for bound in digit_limits:
+        for text in ["1" * (bound + 1), "1/" + "1" * (bound + 1), "1e" + "9" * (bound + 1)]:
+            with pytest.raises(InstanceTooLarge) as info:
+                parse_rational(text)
+            assert info.value.payload()["limit"] == bound
 
 
-def test_as_rational_holds_ints_and_fractions_to_the_int_string_limit():
-    limit = string_limit()
-    widest = 10**limit - 1
-    assert format_rational(as_rational(widest)) == "9" * limit
-    assert format_rational(as_rational(Fraction(-1, widest))) == "-1/" + "9" * limit
-    for value in [10**limit, -(10**limit), Fraction(1, 10**limit), Fraction(10**limit, 3)]:
-        with pytest.raises(InstanceTooLarge) as info:
-            as_rational(value)
-        assert info.value.payload() == {
-            "error": "InstanceTooLarge",
-            "message": f"rational value exceeds the {limit}-digit integer limit",
-            "limit": limit,
-        }
-
-
-@pytest.mark.parametrize("huge", ["int", "fraction"])
-def test_two_point_space_past_the_int_string_limit_is_refused(huge):
-    limit = string_limit()
-    c = 10**limit if huge == "int" else Fraction(1, 10**limit)
-    with pytest.raises(InstanceTooLarge):
-        two_point_space(c)
+def test_as_rational_holds_ints_and_fractions_to_the_int_string_limit(digit_limits):
+    for bound in digit_limits:
+        widest = 10**bound - 1
+        assert format_rational(as_rational(widest)) == "9" * bound
+        assert format_rational(as_rational(Fraction(-1, widest))) == "-1/" + "9" * bound
+        for value in [10**bound, -(10**bound), Fraction(1, 10**bound), Fraction(10**bound, 3)]:
+            with pytest.raises(InstanceTooLarge) as info:
+                as_rational(value)
+            assert info.value.payload() == {
+                "error": "InstanceTooLarge",
+                "message": f"rational value exceeds the {bound}-digit integer limit",
+                "limit": bound,
+            }
 
 
 @pytest.mark.parametrize("huge", ["int", "fraction"])
-def test_quotient_scale_past_the_int_string_limit_is_refused(huge):
-    limit = string_limit()
-    t = 10**limit if huge == "int" else Fraction(1, 10**limit)
-    with pytest.raises(InstanceTooLarge):
-        closed_quotient(two_point_space(1), t)
+def test_two_point_space_past_the_int_string_limit_is_refused(huge, digit_limits):
+    for bound in digit_limits:
+        c = 10**bound if huge == "int" else Fraction(1, 10**bound)
+        with pytest.raises(InstanceTooLarge):
+            two_point_space(c)
+
+
+@pytest.mark.parametrize("huge", ["int", "fraction"])
+def test_quotient_scale_past_the_int_string_limit_is_refused(huge, digit_limits):
+    for bound in digit_limits:
+        t = 10**bound if huge == "int" else Fraction(1, 10**bound)
+        with pytest.raises(InstanceTooLarge):
+            closed_quotient(two_point_space(1), t)
 
 
 @pytest.mark.parametrize("huge", ["int", "fraction"])
 @pytest.mark.parametrize("read", [validate_ultrametric, single_linkage])
-def test_matrix_entries_past_the_int_string_limit_name_their_row(read, huge):
-    limit = string_limit()
-    big = 10**limit if huge == "int" else Fraction(1, 10**limit)
-    with pytest.raises(InstanceTooLarge) as info:
-        read(["a", "b"], [[0, big], [big, 0]])
-    assert info.value.payload() == {
-        "error": "InstanceTooLarge",
-        "message": f"matrix row 0 exceeds the {limit}-digit integer limit",
-        "row": 0,
-        "limit": limit,
-    }
+def test_matrix_entries_past_the_int_string_limit_name_their_row(read, huge, digit_limits):
+    for bound in digit_limits:
+        big = 10**bound if huge == "int" else Fraction(1, 10**bound)
+        with pytest.raises(InstanceTooLarge) as info:
+            read(["a", "b"], [[0, big], [big, 0]])
+        assert info.value.payload() == {
+            "error": "InstanceTooLarge",
+            "message": f"matrix row 0 exceeds the {bound}-digit integer limit",
+            "row": 0,
+            "limit": bound,
+        }
