@@ -4,9 +4,9 @@
 rational strings at C speed and accepts an ultrametric at once, by comparing
 it with its subdominant.  What runs only when it cannot lives here: the
 respelling of a matrix with an entry that is not a string (a JSON integer,
-say) or does not parse, which names the first bad entry, and the scans that
-name a rejected matrix's first violated axiom with its witness.  A job whose
-input reads and checks does not load this module.
+say) or does not parse, which names the first bad row or entry, and the
+scans that name a rejected matrix's first violated axiom with its witness.
+A job whose input reads and checks does not load this module.
 """
 
 from bisect import bisect_left
@@ -27,15 +27,18 @@ from .rationals import as_rational, digits_bounded, format_rational, too_large
 _STR_SPELLS = (int, Fraction)
 
 
-def _canonical_spellings(matrix, width: int | None) -> list[list[str]]:
-    """The matrix in canonical spellings, read as
-    :func:`ultrametric.spaces.rank_image` reads it, so the first bad entry or
-    row raises."""
+def _canonical_spellings(matrix) -> list[list[str]]:
+    """The square matrix in canonical spellings, read as
+    :func:`ultrametric.spaces.rank_image` reads it: a row that is not a list
+    or tuple as long as the matrix, or the first bad entry, raises."""
+    n = len(matrix)
     spelled = []
     with digits_bounded():  # so str() of an int or Fraction past the bound raises
         for i, row in enumerate(matrix):
-            if width is not None and len(row) != width:
-                raise InputFormat(f"matrix row {i} has {len(row)} entries, expected {width}")
+            if not isinstance(row, (list, tuple)):
+                raise InputFormat(f"matrix row {i} is not a list")
+            if len(row) != n:
+                raise InputFormat(f"matrix row {i} has {len(row)} entries, expected {n}")
             try:
                 spelled.append(
                     [str(v) if type(v) in _STR_SPELLS else format_rational(as_rational(v)) for v in row]

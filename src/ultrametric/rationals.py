@@ -64,8 +64,15 @@ def parse_rational(text: str) -> Fraction:
             if _fits(value, bound):
                 return value
     except (ValueError, ZeroDivisionError) as exc:
-        raise InputFormat(f"not a rational: {text!r}", value=text) from exc
-    raise too_large(f"rational {text!r}", value=text)
+        raise InputFormat(f"not a rational: {_quoted(text)!r}", value=_quoted(text)) from exc
+    raise too_large(f"rational {_quoted(text)!r}", value=_quoted(text))
+
+
+def _quoted(text: str) -> str:
+    """A refused spelling as its diagnostic quotes it: past 32 characters,
+    its first 32 and ``"…"``, so that a diagnostic line, which quotes it
+    twice with each character escaped in at most 12 bytes, stays under 1 KB."""
+    return text if len(text) <= 32 else text[:32] + "…"
 
 
 def _fits(value: Fraction, bound: int) -> bool:

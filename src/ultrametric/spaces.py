@@ -120,15 +120,15 @@ class UltrametricSpace(Record):
         return f"UltrametricSpace({len(self)} points: {', '.join(self.labels[:6])}{'...' if len(self) > 6 else ''})"
 
 
-def rank_image(matrix, width: int | None = None) -> tuple[list[list[int]], list[Fraction]]:
-    """A matrix as integer ranks of its exact values.
+def rank_image(matrix) -> tuple[list[list[int]], list[Fraction]]:
+    """A square matrix as integer ranks of its exact values.
 
     Returns ``(ranks, values)``: ``values`` holds the sorted distinct values
     with 0 always among them, and ``ranks[i][j]`` is the position of entry
     ``(i, j)`` in it.  Equal values get equal ranks however they are spelled,
-    so ranks compare as the values do.  Entries are read in row-major order
-    and the first bad one raises; with ``width`` given, a row's length is
-    checked before its entries are read.
+    so ranks compare as the values do.  Each row must be a list or tuple as
+    long as the matrix; rows are read in order, a row's length before its
+    entries, and the first bad row or entry raises.
 
     One pass reads a matrix of well-formed rational strings, as JSON input
     is, at C speed: each distinct spelling is parsed once, one sort of the
@@ -136,23 +136,22 @@ def rank_image(matrix, width: int | None = None) -> tuple[list[list[int]], list[
     so no Fraction is hashed, and each row is read with one ``map``.  Any
     other matrix is first rewritten by
     :func:`ultrametric.faults._canonical_spellings`, which names its first
-    bad entry: an int then costs one ``str`` in C, a Fraction one ``str`` in
-    Python.
+    bad row or entry: an int then costs one ``str`` in C, a Fraction one
+    ``str`` in Python.
     """
     try:
         for row in matrix:
-            if width is not None and len(row) != width:
-                raise TypeError  # the respelling loop names the row
-            # Raises at C speed on an entry that is no string, which the
-            # union would otherwise hash (a Fraction hashes in Python).
-            "".join(row)
+            # One guard per row; its first entry keeps a Fraction matrix out
+            # of the union, which would hash each Fraction in Python.
+            if not isinstance(row, (list, tuple)) or len(row) != len(matrix) or type(row[0]) is not str:
+                raise TypeError  # respelled below, which names a bad row
         spellings = list({"0"}.union(*matrix))  # "0" puts 0 among the values
         parsed = list(map(parse_rational, spellings))
     except (TypeError, UltrametricError):
         from .faults import _canonical_spellings
 
         # Canonical spellings always read, so this recurses once.
-        return rank_image(_canonical_spellings(matrix, width))
+        return rank_image(_canonical_spellings(matrix))
     values = []
     rank = {}
     for k in sorted(range(len(parsed)), key=parsed.__getitem__):
@@ -181,7 +180,7 @@ def _coerce_matrix(labels, matrix) -> tuple[tuple[str, ...], list[list[int]], li
     n = len(labels)
     if len(matrix) != n:
         raise InputFormat(f"matrix has {len(matrix)} rows for {n} labels")
-    return (labels, *rank_image(matrix, n))
+    return (labels, *rank_image(matrix))
 
 
 def chain_order(ranks) -> tuple[list[int], list[int]]:

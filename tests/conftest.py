@@ -277,9 +277,10 @@ def truncated_canon(root, t: Fraction | None = None, rank: dict[str, int] | None
     return done[0]
 
 
-def rank_entries(matrix, width: int | None) -> tuple[list[list[int]], list[Fraction]]:
+def rank_entries(matrix) -> tuple[list[list[int]], list[Fraction]]:
     """``spaces.rank_image`` entry by entry: the loop it ran on every matrix
-    that was not all well-formed strings, kept as its reference.
+    that was not all well-formed strings, kept as its reference.  Each row
+    must be a list or tuple as long as the matrix.
 
     Each distinct spelling or value is parsed once and numbered by a
     provisional id, which one sort of the distinct values remaps to its rank.
@@ -289,8 +290,10 @@ def rank_entries(matrix, width: int | None) -> tuple[list[list[int]], list[Fract
     parsed = [ZERO]
     id_rows = []
     for i, row in enumerate(matrix):
-        if width is not None and len(row) != width:
-            raise InputFormat(f"matrix row {i} has {len(row)} entries, expected {width}")
+        if not isinstance(row, (list, tuple)):
+            raise InputFormat(f"matrix row {i} is not a list")
+        if len(row) != len(matrix):
+            raise InputFormat(f"matrix row {i} has {len(row)} entries, expected {len(matrix)}")
         id_row = []
         for v in row:
             if type(v) is str:

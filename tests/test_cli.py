@@ -9,6 +9,7 @@ import pytest
 
 from ultrametric import certificates, jsonio, spaces, verify_certificate
 from ultrametric.cli import main
+from ultrametric.rationals import digit_bound
 
 from cli_corpus import CASES, GOLDEN, expected_text, run_case
 from conftest import BUILD_SPACE, BUILDER_MODULES, CHECK_AXIOMS, PRIM_MODULES, shallow_recursion
@@ -103,17 +104,18 @@ def test_diagnostics_colored_on_tty_without_no_color(monkeypatch, capsys):
     assert capsys.readouterr().err.startswith("\x1b[31merror:\x1b[0m ")
 
 
-def run_in_golden(args, text=True, buffered=False, path=()):
+def run_in_golden(args, text=True, buffered=False, path=(), stdout=subprocess.PIPE):
     # The child runs from tests/golden, so a relative PYTHONPATH would miss src.
     # ``buffered`` unsets PYTHONUNBUFFERED, so a piped stdout is block-buffered
-    # as it is by default; ``path`` goes on PYTHONPATH before src.
+    # as it is by default; ``path`` goes on PYTHONPATH before src; stdout is
+    # captured unless ``stdout`` names another file descriptor.
     paths = [*map(str, path), str(Path(__file__).resolve().parents[1] / "src")]
     if os.environ.get("PYTHONPATH"):
         paths.append(os.environ["PYTHONPATH"])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
     if buffered:
         env.pop("PYTHONUNBUFFERED", None)
-    return subprocess.run(args, cwd=GOLDEN, capture_output=True, text=text, env=env)
+    return subprocess.run(args, cwd=GOLDEN, stdout=stdout, stderr=subprocess.PIPE, text=text, env=env)
 
 
 def test_module_entrypoint_subprocess():
@@ -306,6 +308,26 @@ def test_a_number_past_the_digit_bound_is_one_diagnostic_at_every_limit(
 
 
 @pytest.mark.parametrize(
+    "entry, error, message",
+    [
+        ("1/" + "1" * 400_000, "InstanceTooLarge", "rational {0!r} exceeds the {1}-digit integer limit"),
+        ("x" * 100_000, "InputFormat", "not a rational: {0!r}"),
+    ],
+    ids=["fraction", "letters"],
+)
+def test_a_long_refused_spelling_is_quoted_by_its_first_characters(entry, error, message, tmp_path, capsys):
+    long = tmp_path / "long.json"
+    long.write_text(json.dumps({"points": ["a", "b"], "dist": [["0", entry], [entry, "0"]]}))
+    assert main(["validate", str(long)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and len(err.encode()) < 1024
+    payload = json.loads(err)
+    shown = entry[:32] + "…"
+    assert payload["value"] == shown and payload["message"] == message.format(shown, digit_bound())
+    assert payload["error"] == error
+
+
+@pytest.mark.parametrize(
     "k, message",
     [
         ("0,-1,1", "allowed values must be nonnegative"),
@@ -383,6 +405,23 @@ def test_closed_stdout_is_a_diagnostic_in_a_job():
     assert result.returncode == 1
     assert result.stderr.count("\n") == 1
     assert json.loads(result.stderr) == CLOSED_STDOUT
+
+
+def test_a_closed_pipe_is_a_diagnostic_in_a_job():
+    # The job writes its result into a pipe that nothing reads any more.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        args = [sys.executable, "-m", "ultrametric", "validate", "isosceles.json"]
+        result = run_in_golden(args, stdout=write_end)
+    finally:
+        os.close(write_end)
+    assert result.returncode == 1
+    assert result.stderr.count("\n") == 1 and "Traceback" not in result.stderr
+    assert json.loads(result.stderr) == {
+        "error": "InvalidParameter",
+        "message": "cannot write the result: Broken pipe",
+    }
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="the system has no /dev/full")

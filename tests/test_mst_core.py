@@ -16,6 +16,8 @@ from bisect import bisect_left
 from collections import namedtuple
 from fractions import Fraction
 
+import pytest
+
 from ultrametric import (
     Leaf,
     Merge,
@@ -281,21 +283,27 @@ def test_validation_matches_the_cubic_scan_on_mixed_spellings():
 
 def test_equal_values_get_equal_ranks_whatever_their_spelling():
     half = ["1/2", "0.5", "2/4", Fraction(1, 2), "0.50", "5e-1"]
-    ranks, values = rank_image([[0, *half, "1", 1, Fraction(2, 2), "-0", "0/7"]])
-    assert values == [0, Fraction(1, 2), 1]
-    assert ranks == [[0, 1, 1, 1, 1, 1, 1, 2, 2, 2, 0, 0]]
-    assert [values[r] for r in ranks[0][1:7]] == [Fraction(1, 2)] * 6
+    row = [0, *half, "1", 1, Fraction(2, 2), "-0", "0/7"]
+    for first in (0, "0"):  # the respelling loop, and the one pass
+        ranks, values = rank_image([[first, *row[1:]]] * len(row))
+        assert values == [0, Fraction(1, 2), 1]
+        assert ranks == [[0, 1, 1, 1, 1, 1, 1, 2, 2, 2, 0, 0]] * len(row)
+        assert [values[r] for r in ranks[0][1:7]] == [Fraction(1, 2)] * 6
 
 
 # Spellings in other scripts' digits, which Fraction reads as their values.
 NON_ASCII = {Fraction(3): ["３", "٣"], Fraction(1, 2): ["١/٢", "٠.٥"], Fraction(7, 2): ["٣.٥"]}
 # Entries that no reader accepts.
 UNREADABLE = [True, False, 0.5, [1], ["1/2"], {"1": 1}, None, "x", "1/0", "½", "é", "\ud800", "1_0"]
+KINDS = ["strings", "mixed", "ints", "fractions"]
+# A bad entry, a short row, rows that are not lists (a string or dict as
+# long as the matrix, which iterate as strings) and a tuple row, which reads.
+FAULTS = [None, "bad", "short", "str row", "dict row", "tuple row"]
 
 
 def ranked_matrix(rng: random.Random, kind: str, fault: str | None):
-    """A square matrix of rationals spelled as ``kind`` asks, with a
-    ``"bad"`` entry or a ``"short"`` row as ``fault`` asks, and its width."""
+    """A square matrix of rationals spelled as ``kind`` asks, with the fault
+    of :data:`FAULTS` that ``fault`` names."""
     n = rng.randint(1, 7)
     denominators = (1,) if kind == "ints" else (1, 2, 4)
     pool = [Fraction(rng.randint(0, 8), rng.choice(denominators)) for _ in range(4)] + [Fraction(3)]
@@ -313,14 +321,21 @@ def ranked_matrix(rng: random.Random, kind: str, fault: str | None):
         # One or two bad entries, in different rows when there are two.
         for i in rng.sample(range(n), min(n, rng.randint(1, 2))):
             matrix[i][rng.randrange(n)] = rng.choice(UNREADABLE)
+    i = rng.randrange(n)
     if fault == "short":
-        del matrix[rng.randrange(n)][-1]
-    return matrix, rng.choice((n, None))
+        del matrix[i][-1]
+    elif fault == "str row":
+        matrix[i] = "".join(rng.choice("0123") for _ in range(n))
+    elif fault == "dict row":
+        matrix[i] = dict.fromkeys(map(str, range(n)))
+    elif fault == "tuple row":
+        matrix[i] = tuple(matrix[i])
+    return matrix
 
 
-def rank_outcome(read, matrix, width):
+def rank_outcome(read, matrix):
     try:
-        return read(matrix, width)
+        return read(matrix)
     except (UltrametricError, TypeError) as exc:
         return type(exc), str(exc)
 
@@ -328,20 +343,45 @@ def rank_outcome(read, matrix, width):
 def test_string_matrices_rank_as_the_entry_loop_reads_them():
     rng = random.Random(19)
     seen = set()
-    for _ in range(800):
-        kind = rng.choice(["strings", "mixed", "ints", "fractions"])
-        fault = rng.choice([None, "bad", "short"])
-        matrix, width = ranked_matrix(rng, kind, fault)
-        want = rank_outcome(rank_entries, matrix, width)
-        assert rank_outcome(rank_image, matrix, width) == want, (kind, fault, matrix, width)
+    for _ in range(1200):
+        kind, fault = rng.choice(KINDS), rng.choice(FAULTS)
+        matrix = ranked_matrix(rng, kind, fault)
+        want = rank_outcome(rank_entries, matrix)
+        assert rank_outcome(rank_image, matrix) == want, (kind, fault, matrix)
         seen.add((kind, fault, isinstance(want[0], type)))
-    # Every kind, clean or faulty, is read, and every fault kind is refused.
-    assert {(kind, fault) for kind, fault, _ in seen} == {
-        (kind, fault)
-        for kind in ["strings", "mixed", "ints", "fractions"]
-        for fault in [None, "bad", "short"]
-    }
-    assert {fault for _, fault, refused in seen if refused} == {"bad", "short"}
+    # Every kind, clean or faulty, is read, and every fault but a tuple row
+    # is refused, always.
+    assert {(kind, fault) for kind, fault, _ in seen} == {(k, f) for k in KINDS for f in FAULTS}
+    assert {fault for _, fault, refused in seen if refused} == {"bad", "short", "str row", "dict row"}
+    assert {fault for _, fault, refused in seen if not refused} == {None, "tuple row"}
+
+
+class Unhashed(Fraction):
+    """A Fraction that must not be hashed."""
+
+    def __hash__(self):
+        raise AssertionError("a matrix entry was hashed")
+
+
+def test_a_fraction_matrix_is_read_without_hashing_an_entry():
+    # Only rows that each begin with a string go to the set union of
+    # spellings, where a Fraction would hash in Python.
+    for rows in ([[Unhashed(0), Unhashed(1)], [Unhashed(1), Unhashed(0)]], [["0", "1"], [Unhashed(1), "0"]]):
+        assert rank_image(rows) == ([[0, 1], [1, 0]], [0, 1])
+
+
+def test_a_row_that_is_not_a_list_is_an_input_error():
+    labels = ["a", "b"]
+    for reader in (validate_ultrametric, single_linkage, merge_duplicate_points):
+        # A string, dict or range row has the right length and iterates,
+        # but is not a row.
+        for bad in ("01", {"0": 0, "1": 1}, range(2)):
+            with pytest.raises(InputFormat, match="^matrix row 1 is not a list$"):
+                reader(labels, [["0", "1"], bad])
+        # The same rows as lists or tuples, of strings, ints or Fractions, read.
+        want = reader(labels, [["0", "1"], ["1", "0"]])
+        for rows in ([["0", "1"], ("1", "0")], [(0, 1), [1, 0]], [[Fraction(0), 1], (1, Fraction(0))]):
+            assert reader(labels, rows) == want
 
 
 def test_merge_duplicates_reads_every_spelling_of_zero():
