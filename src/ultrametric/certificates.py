@@ -88,7 +88,7 @@ def verify_certificate(
     ultrametric axioms, both embeddings are injective and
     distance-preserving, and the Hausdorff distance between the images
     equals the claimed value, read by :func:`as_rational`, which refuses a
-    float with InputFormat.
+    float with InputFormat.  An unknown image is named before any distortion.
     """
     from .hyperspace import hausdorff_distance
 
@@ -134,18 +134,14 @@ def _check_record(space: UltrametricSpace) -> None:
 def _check_isometric(name, source, embed, space) -> None:
     """Raise at the first pair, row by row, whose distance the embedding changes.
 
-    The images found so far go through
-    :func:`ultrametric.amalgam.first_distortion`.  An image missing from the
-    space raises UnknownLabel where a pair scan first looks it up, in row 0:
-    after a distortion in row 0, before one below it.
+    Every image is looked up first, so UnknownLabel names the first one
+    missing; then one :func:`ultrametric.amalgam.first_distortion` compares
+    the pairs, as glue's common-part check does.
     """
     from .amalgam import first_distortion
 
-    images = list(map(space._index.get, map(embed.__getitem__, source.labels)))
-    known = images.index(None) if None in images else len(images)
-    bad = first_distortion(source, range(known), space, images[:known])
-    if bad and (bad[0] == 0 or known == len(images)):
+    images = [space.index(embed[label]) for label in source.labels]
+    bad = first_distortion(source, range(len(images)), space, images)
+    if bad:
         a, b = map(source.labels.__getitem__, bad)
         raise CertificateInvalid(f"{name} embedding distorts d({a},{b})", points=[a, b])
-    if known < len(images):
-        space.index(embed[source.labels[known]])

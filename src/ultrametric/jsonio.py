@@ -53,8 +53,8 @@ def loads(text: str):
 
 
 def raw_space_from_obj(obj) -> tuple[list[str], list[list]]:
-    """Pull labels and the raw (unvalidated) matrix out of a space object:
-    the object's own lists, not copies."""
+    """Labels and the raw matrix of a space object, its own lists: each row
+    is judged when :func:`ultrametric.spaces.rank_image` reads it."""
     if not isinstance(obj, dict):
         raise InputFormat("space must be a JSON object")
     if "points" not in obj or "dist" not in obj:
@@ -63,7 +63,7 @@ def raw_space_from_obj(obj) -> tuple[list[str], list[list]]:
     dist = obj["dist"]
     if not isinstance(points, list) or not all(isinstance(p, str) for p in points):
         raise InputFormat('"points" must be a list of strings')
-    if not isinstance(dist, list) or not all(isinstance(row, list) for row in dist):
+    if not isinstance(dist, list):
         raise InputFormat('"dist" must be a list of rows')
     return points, dist
 

@@ -26,9 +26,9 @@ def single_linkage(labels, matrix) -> UltrametricSpace:
 
     The input must be a genuine metric (symmetric, zero diagonal, positive
     off-diagonal, ordinary triangle inequality); the output agrees with the
-    input wherever the input was already ultrametric.  The diagonal,
-    symmetry and positivity checks and the tree run on the integer ranks of
-    :func:`rank_image`; the triangle check runs on scaled integers
+    input wherever the input was already ultrametric.  :func:`rank_image`
+    judges each row; the diagonal, symmetry and positivity checks and the
+    tree run on its integer ranks, the triangle check on scaled integers
     (:func:`_check_triangles`).  The labels are checked last, so a repeated
     label is reported only on a genuine metric.
     """
@@ -36,7 +36,7 @@ def single_linkage(labels, matrix) -> UltrametricSpace:
     n = len(labels)
     if n == 0:
         raise NotAMetric("a metric needs at least one point")
-    if len(matrix) != n or any(len(row) != n for row in matrix):
+    if len(matrix) != n:
         raise InputFormat("metric matrix shape does not match the labels")
     ranks, values = rank_image(matrix)
     zero = bisect_left(values, ZERO)

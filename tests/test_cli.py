@@ -369,6 +369,20 @@ def test_malformed_inputs_are_named(argv, files, error, message, tmp_path):
     assert json.loads(err) == {"error": error, "message": message}
 
 
+@pytest.mark.parametrize("verb", [["validate"], ["cluster", "--input"]], ids=["validate", "cluster"])
+@pytest.mark.parametrize(
+    "row, message",
+    [("5", "matrix row 1 is not a list"), ('["1"]', "matrix row 1 has 1 entries, expected 2")],
+    ids=["not_a_list", "short"],
+)
+def test_a_bad_row_gets_the_readers_message_from_every_verb(verb, row, message, tmp_path):
+    space = '{"points": ["a", "b"], "dist": [["0", "1"], ' + row + "]}"
+    (tmp_path / "rows.json").write_text(space, encoding="utf-8")
+    code, out, err, _ = run_case([*verb, "{tmp}/rows.json"], tmp_path)
+    assert (code, out, err.count("\n")) == (1, "", 1)
+    assert json.loads(err) == {"error": "InputFormat", "message": message}
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -498,6 +512,33 @@ def test_closed_stdin_is_a_diagnostic_in_a_job():
     assert result.returncode == 1
     assert result.stderr.count("\n") == 1
     assert json.loads(result.stderr) == CLOSED_STDIN
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        ("validate isosceles.json", 1),
+        ("validate isosceles.json -o {out}", 0),
+        ("validate bad_triangle.json", 1),
+        ("validate -", 1),
+        ("nosuchverb", 2),
+    ],
+    ids=["stdout", "output_file", "domain", "stdin", "usage"],
+)
+def test_all_three_streams_closed_keep_the_exit_code(argv, code, tmp_path, monkeypatch):
+    # With no standard stream open, the file -o names opens on fd 0 and still
+    # gets the result; a job that fails writes no file.
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    out = tmp_path / "out.json"
+    golden = sorted(os.listdir(GOLDEN))
+    script = f'exec "$0" -m ultrametric {argv.format(out=out)} <&- >&- 2>&-'
+    result = run_in_golden(["sh", "-c", script, sys.executable])
+    assert result.returncode == code
+    assert sorted(os.listdir(GOLDEN)) == golden
+    if code == 0:
+        assert out.read_text(encoding="utf-8") == expected_text("validate_ok", "out")
+    else:
+        assert os.listdir(tmp_path) == []
 
 
 def test_cauchy_depth_beyond_the_cell_budget_is_a_diagnostic(tmp_path):

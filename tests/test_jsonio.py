@@ -58,6 +58,8 @@ class TestSpaceFormat:
         with pytest.raises(InputFormat, match='"points" must be a list of strings'):
             jsonio.space_from_obj({"points": ["a", 1], "dist": [["0", "1"], ["1", "0"]]})
         with pytest.raises(InputFormat, match='"dist" must be a list of rows'):
+            jsonio.space_from_obj({"points": ["a"], "dist": "0"})
+        with pytest.raises(InputFormat, match="^matrix row 0 is not a list$"):
             jsonio.space_from_obj({"points": ["a"], "dist": ["0"]})
         with pytest.raises(TriangleViolation):
             jsonio.space_from_obj(

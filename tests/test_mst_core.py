@@ -120,9 +120,10 @@ def reference_single_linkage(labels, matrix) -> Reference:
     n = len(labels)
     if n == 0:
         raise NotAMetric("a metric needs at least one point")
-    if len(matrix) != n or any(len(row) != n for row in matrix):
+    if len(matrix) != n:
         raise InputFormat("metric matrix shape does not match the labels")
-    rows = [[as_rational(v) for v in row] for row in matrix]
+    ranks, values = rank_entries(matrix)
+    rows = [[values[r] for r in row] for row in ranks]
     for i in range(n):
         if rows[i][i] != 0:
             raise NotAMetric(
@@ -375,8 +376,12 @@ def test_a_row_that_is_not_a_list_is_an_input_error():
     for reader in (validate_ultrametric, single_linkage, merge_duplicate_points):
         # A string, dict or range row has the right length and iterates,
         # but is not a row.
-        for bad in ("01", {"0": 0, "1": 1}, range(2)):
+        # A number or None has no length at all.
+        for bad in ("01", {"0": 0, "1": 1}, range(2), 5, None):
             with pytest.raises(InputFormat, match="^matrix row 1 is not a list$"):
+                reader(labels, [["0", "1"], bad])
+        for bad in (["1"], ["1", "0", "2"]):
+            with pytest.raises(InputFormat, match=f"^matrix row 1 has {len(bad)} entries, expected 2$"):
                 reader(labels, [["0", "1"], bad])
         # The same rows as lists or tuples, of strings, ints or Fractions, read.
         want = reader(labels, [["0", "1"], ["1", "0"]])
