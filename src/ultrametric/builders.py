@@ -39,7 +39,7 @@ def space_from_chain(labels, order, gaps, values) -> UltrametricSpace:
     used = sorted({0, *gaps})
     gaps = list(map(dict(zip(used, range(len(used)))).__getitem__, gaps))
     values = [values[r] for r in used]
-    ranks = chain_ranks(order, gaps, 0)
+    ranks = chain_ranks(order, gaps)
     space = UltrametricSpace(tuple(labels), tuple(values), ranks)
     space.__dict__["_chain"] = order, gaps  # where ``cached_property`` keeps it
     return space

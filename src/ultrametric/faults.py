@@ -54,10 +54,11 @@ def first_fault(labels, rows, values, sub) -> UltrametricError:
 
     The scan order is the diagonal, then each pair ``i < j`` for symmetry,
     negativity and a zero off the diagonal, then the strong triangle over
-    ascending index triples.  ``sub`` is the matrix's subdominant, with a
-    zero diagonal, and only a pair where the two differ can have a triangle
-    witness.  A matrix that is not its own subdominant, or has a gap at most
-    0 in its chain, always has a fault.
+    ascending index triples.  Only the triangle scan reads ``sub``, the
+    matrix's subdominant with rank 0 on its diagonal: only a pair where the
+    two differ can have a witness, and no value is negative there.  A matrix
+    with a negative value, or other than its subdominant, or with a gap at
+    most 0 in its chain, always has a fault.
     """
     zero = bisect_left(values, 0)
     n = len(labels)

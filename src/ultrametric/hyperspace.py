@@ -9,12 +9,14 @@ reads its subsets with :func:`ultrametric.jsonio.load_subset`.
 from fractions import Fraction
 
 from . import jsonio
-from .errors import DuplicateLabel, EmptySubset, InvalidParameter
+from .errors import DuplicateLabel, EmptySubset, InputFormat, InvalidParameter
 from .rationals import as_rational, format_rational
 from .spaces import UltrametricSpace, closed_balls
 
 
 def _subset_indices(space: UltrametricSpace, subset, name: str) -> list[int]:
+    if isinstance(subset, str):
+        raise InputFormat(f"subset {name} must be a list of labels, not a string")
     labels = list(subset)
     if not labels:
         raise EmptySubset(f"subset {name} is empty")

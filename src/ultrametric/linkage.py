@@ -12,8 +12,8 @@ from operator import add
 
 from . import jsonio
 from .builders import space_from_chain
-from .errors import InputFormat, NotAMetric
-from .spaces import ZERO, UltrametricSpace, _check_labels, chain_order, chain_ranks, rank_image
+from .errors import NotAMetric
+from .spaces import ZERO, UltrametricSpace, _coerce_matrix, chain_order, chain_ranks
 
 # Scaled images of a metric use the lcm of its denominators while that fits
 # in this many bits, and 2**SCALE_BITS (rounding down) otherwise.
@@ -26,19 +26,14 @@ def single_linkage(labels, matrix) -> UltrametricSpace:
 
     The input must be a genuine metric (symmetric, zero diagonal, positive
     off-diagonal, ordinary triangle inequality); the output agrees with the
-    input wherever the input was already ultrametric.  :func:`rank_image`
-    judges each row; the diagonal, symmetry and positivity checks and the
-    tree run on its integer ranks, the triangle check on scaled integers
-    (:func:`_check_triangles`).  The labels are checked last, so a repeated
-    label is reported only on a genuine metric.
+    input wherever the input was already ultrametric.  The matrix is read as
+    ``validate`` reads it (:func:`ultrametric.spaces._coerce_matrix`), so a
+    repeated label is named before any metric fault.  The diagonal, symmetry
+    and positivity checks and the tree run on its integer ranks, the
+    triangle check on scaled integers (:func:`_check_triangles`).
     """
-    labels = tuple(str(l) for l in labels)
+    labels, ranks, values = _coerce_matrix(labels, matrix)
     n = len(labels)
-    if n == 0:
-        raise NotAMetric("a metric needs at least one point")
-    if len(matrix) != n:
-        raise InputFormat("metric matrix shape does not match the labels")
-    ranks, values = rank_image(matrix)
     zero = bisect_left(values, ZERO)
     for i in range(n):
         if ranks[i][i] != zero:
@@ -60,8 +55,9 @@ def single_linkage(labels, matrix) -> UltrametricSpace:
                     points=[labels[i], labels[j]],
                 )
     order, gaps = chain_order(ranks)
-    _check_triangles(labels, ranks, values, chain_ranks(order, gaps, zero))
-    return space_from_chain(_check_labels(labels), order, gaps, values)
+    # Once the checks pass no value is negative: ``zero`` is 0, the fill's diagonal.
+    _check_triangles(labels, ranks, values, chain_ranks(order, gaps))
+    return space_from_chain(labels, order, gaps, values)
 
 
 def _check_triangles(labels, ranks, values, sub) -> None:

@@ -162,7 +162,9 @@ def rank_image(matrix) -> tuple[list[list[int]], list[Fraction]]:
 
 
 def _check_labels(labels) -> tuple[str, ...]:
-    """Labels as strings; raises on an empty or repeated one."""
+    """Labels as strings; raises on a string, or an empty or repeated label."""
+    if isinstance(labels, str):
+        raise InputFormat("labels must be a list, not a string")
     labels = tuple(str(l) for l in labels)
     if not labels:
         raise EmptySpace("a space needs at least one point")
@@ -236,9 +238,9 @@ def merge_duplicate_points(labels, matrix) -> tuple[list[str], list[list[str]]]:
     return merged_labels, merged
 
 
-def chain_ranks(order, gaps, zero) -> tuple[tuple[int, ...], ...]:
+def chain_ranks(order, gaps) -> tuple[tuple[int, ...], ...]:
     """The matrix of a chain over the points ``0..n-1``, in point order:
-    ``zero`` on the diagonal and ``max(gaps[p:q])`` between the points at
+    rank 0 on the diagonal and ``max(gaps[p:q])`` between the points at
     chain positions ``p < q``.
 
     Joins neighbouring runs in increasing gap order, writing each row of the
@@ -247,7 +249,7 @@ def chain_ranks(order, gaps, zero) -> tuple[tuple[int, ...], ...]:
     A chain in the order ``0..n-1`` is in point order already.
     """
     n = len(order)
-    lower = [[zero] * n for _ in range(n)]
+    lower = [[0] * n for _ in range(n)]
     first = list(range(n))  # at each run's last position, its first
     last = first[:]  # at each run's first position, its last
     for k in sorted(range(len(gaps)), key=gaps.__getitem__):
@@ -281,17 +283,16 @@ def validate_ultrametric(labels, matrix) -> UltrametricSpace:
 
 def _check_axioms(labels, ranks, values) -> UltrametricSpace:
     """The space of checked labels and a matrix of ranks into ``values``, or
-    the first axiom it violates.  One compare decides: a matrix that equals
-    its subdominant, whose diagonal is the zero rank, and has only positive
-    gaps in its chain is accepted; only another loads the scans of
-    :func:`ultrametric.faults.first_fault`, which name its fault."""
+    the first axiom it violates.  One compare decides: a matrix with no
+    negative value that equals its subdominant, rank 0 on the diagonal, and
+    has only positive gaps in its chain is accepted; only another loads the
+    scans of :func:`ultrametric.faults.first_fault`, which name its fault."""
     rows = tuple(map(tuple, ranks))
-    zero = bisect_left(values, ZERO)
     space = UltrametricSpace(labels, tuple(values), rows)
-    sub = chain_ranks(*space._chain, zero)
+    sub = chain_ranks(*space._chain)
     # The subdominant is symmetric with a zero diagonal, and positive gaps
     # keep points apart.
-    if sub == rows and all(gap > zero for gap in space._chain[1]):
+    if values[0] == 0 and sub == rows and all(space._chain[1]):
         return space
     from .faults import first_fault
 

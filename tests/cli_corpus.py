@@ -56,6 +56,7 @@ CASES = [
     ("cluster", ["cluster", "--input", "metric.json"], 0),
     ("cluster_merge", ["cluster", "--input", "dirty_metric.json", "--merge-duplicates"], 0),
     ("cluster_dirty_rejected", ["cluster", "--input", "dirty_metric.json"], 1),
+    ("cluster_repeated_label", ["cluster", "--input", "repeated_label.json"], 1),
     ("in_uk_true", ["in-uk", "isosceles.json", "--k", "0,1,2"], 0),
     ("in_uk_false", ["in-uk", "x_half.json", "--k", "0,1/4"], 0),
     ("validate_huge_exponent", ["validate", "huge_exponent.json"], 1),

@@ -357,7 +357,7 @@ def test_a_bad_crowd_scale_is_named_before_the_base_point_and_n(n, tmp_path):
         (["hausdorff", "isosceles.json", "--a", "[1]", "--b", '["a"]'], {}, "InputFormat",
          "subset must be a JSON array of point labels"),
         (["cluster", "--input", "{tmp}/empty.json"], {"empty.json": '{"points": [], "dist": []}'},
-         "NotAMetric", "a metric needs at least one point"),
+         "EmptySpace", "a space needs at least one point"),
     ],
     ids=["glue_spec_not_an_object", "subset_not_labels", "cluster_no_points"],
 )
@@ -367,6 +367,28 @@ def test_malformed_inputs_are_named(argv, files, error, message, tmp_path):
     code, out, err, _ = run_case(argv, tmp_path)
     assert (code, out, err.count("\n")) == (1, "", 1)
     assert json.loads(err) == {"error": error, "message": message}
+
+
+@pytest.mark.parametrize(
+    "space, error",
+    [
+        ('{"points": ["a", "a", "c"], "dist": [["0", "1", "5"], ["1", "0", "1"], ["5", "1", "0"]]}',
+         {"error": "DuplicateLabel", "message": "label 'a' appears more than once", "label": "a"}),
+        ('{"points": [], "dist": []}', {"error": "EmptySpace", "message": "a space needs at least one point"}),
+        ('{"points": ["a", "b"], "dist": [["0", "1"], ["1", "0"], ["1", "1"]]}',
+         {"error": "InputFormat", "message": "matrix has 3 rows for 2 labels"}),
+    ],
+    ids=["repeated_label", "no_points", "extra_row"],
+)
+def test_cluster_reads_a_matrix_as_validate_does(space, error, tmp_path):
+    (tmp_path / "space.json").write_text(space, encoding="utf-8")
+    path = "{tmp}/space.json"
+    errs = set()
+    for argv in (["validate", path], ["cluster", "--input", path], ["cluster", "--input", path, "--merge-duplicates"]):
+        code, out, err, _ = run_case(argv, tmp_path)
+        assert (code, out, err.count("\n")) == (1, "", 1), argv
+        errs.add(err)
+    assert len(errs) == 1 and json.loads(errs.pop()) == error
 
 
 @pytest.mark.parametrize("verb", [["validate"], ["cluster", "--input"]], ids=["validate", "cluster"])

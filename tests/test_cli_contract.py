@@ -263,7 +263,7 @@ def damaged(rng: random.Random, argv: list[str]) -> list[str]:
     argv = list(argv)
     flags = [i for i, token in enumerate(argv) if token.startswith("-")]
     valued = [i for i in flags if i + 1 < len(argv) and not argv[i + 1].startswith("-")]
-    kinds = ["drop", "insert"] + ["swap"] * (len(argv) > 1)
+    kinds = ["drop"] * bool(argv) + ["insert"] + ["swap"] * (len(argv) > 1)
     kinds += ["duplicate"] * bool(flags) + ["value"] * bool(valued)
     kind = rng.choice(kinds)
     if kind == "drop":

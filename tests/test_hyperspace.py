@@ -11,7 +11,7 @@ from ultrametric import (
     restrict,
     spectrum,
 )
-from ultrametric.errors import DuplicateLabel, EmptySubset, InvalidParameter, UnknownLabel
+from ultrametric.errors import DuplicateLabel, EmptySubset, InputFormat, InvalidParameter, UnknownLabel
 
 from conftest import SIX_VALUES, make_space
 
@@ -49,6 +49,14 @@ class TestHausdorff:
             hausdorff_distance(isosceles, ["z"], ["a"])
         with pytest.raises(DuplicateLabel):
             hausdorff_distance(isosceles, ["a", "a"], ["b"])
+
+    def test_a_string_is_not_a_subset(self):
+        space = make_space(["a", "b", "ab"], {("a", "b"): 2, ("a", "ab"): 2, ("b", "ab"): 1})
+        with pytest.raises(InputFormat, match="subset A must be a list of labels, not a string"):
+            hausdorff_distance(space, "ab", ["ab"])
+        with pytest.raises(InputFormat, match="subset B must be a list of labels, not a string"):
+            hausdorff_distance(space, ["ab"], "ab")
+        assert hausdorff_distance(space, ("a", "b"), ["ab"]) == 2
 
     def test_matches_neighborhood_oracle_and_lands_in_spectrum(self):
         rng = random.Random(21)
@@ -96,6 +104,12 @@ class TestRestrict:
     def test_empty(self, isosceles):
         with pytest.raises(EmptySubset):
             restrict(isosceles, [])
+
+    def test_a_string_is_not_a_subset(self):
+        space = make_space(["a", "b", "ab"], {("a", "b"): 2, ("a", "ab"): 2, ("b", "ab"): 1})
+        with pytest.raises(InputFormat, match="must be a list of labels, not a string"):
+            restrict(space, "ab")
+        assert restrict(space, ("ab",)).labels == ("ab",)
 
 
 class TestEpsilonNet:

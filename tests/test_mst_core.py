@@ -34,6 +34,7 @@ from ultrametric import (
 )
 from ultrametric.errors import (
     DuplicateLabel,
+    EmptySpace,
     InputFormat,
     NegativeDistance,
     NotAMetric,
@@ -115,13 +116,17 @@ def reference_closure(rows):
 
 
 def reference_single_linkage(labels, matrix) -> Reference:
-    """The Fraction metric check (every triple), then the minimax closure."""
+    """The labels and the row count, then the Fraction metric check (every
+    triple), then the minimax closure."""
     labels = tuple(str(l) for l in labels)
     n = len(labels)
     if n == 0:
-        raise NotAMetric("a metric needs at least one point")
+        raise EmptySpace("a space needs at least one point")
+    for k, label in enumerate(labels):
+        if label in labels[:k]:
+            raise DuplicateLabel(f"label {label!r} appears more than once", label=label)
     if len(matrix) != n:
-        raise InputFormat("metric matrix shape does not match the labels")
+        raise InputFormat(f"matrix has {len(matrix)} rows for {n} labels")
     ranks, values = rank_entries(matrix)
     rows = [[values[r] for r in row] for row in ranks]
     for i in range(n):
@@ -567,28 +572,22 @@ def test_single_linkage_on_long_distinct_denominators():
     assert outcome(single_linkage, labels, text) == want
 
 
-def reference_single_linkage_of_labels(labels, matrix) -> Reference:
-    """:func:`reference_single_linkage`, then the label check, so a repeated
-    label is reported only on a genuine metric."""
-    reference = reference_single_linkage(labels, matrix)
-    for k, label in enumerate(reference.labels):
-        if label in reference.labels[:k]:
-            raise DuplicateLabel(f"label {label!r} appears more than once", label=label)
-    return reference
-
-
-def test_single_linkage_reports_metric_faults_before_repeated_labels():
+def test_single_linkage_reports_repeated_labels_before_metric_faults():
     rng = random.Random(2719)
     seen = set()
     for _ in range(60):
         n = rng.randint(3, 10)
         rows = l1_rational_metric(rng, n, (3, 7))
-        labels = [f"p{k}" for k in range(n)]
+        distinct = [f"p{k}" for k in range(n)]
+        labels = distinct[:]
         i, j = rng.sample(range(n), 2)
         labels[j] = labels[i]
         pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
         for matrix in (rows, planted(rng, rows, rng.choice(pairs), Fraction(1, 21))):
-            want = outcome(reference_single_linkage_of_labels, labels, matrix)
+            want = outcome(reference_single_linkage, labels, matrix)
+            assert want[0] is DuplicateLabel
             assert outcome(single_linkage, labels, respelled(rng, matrix)) == want
-            seen.add(want[1].get("kind", want[0].__name__) if isinstance(want[0], type) else "ok")
-    assert seen == {"DuplicateLabel", "triangle"}, seen
+            # What the same matrix gives under distinct labels.
+            unique = outcome(single_linkage, distinct, matrix)
+            seen.add(unique[1]["kind"] if isinstance(unique[0], type) else "ok")
+    assert seen == {"ok", "triangle"}, seen

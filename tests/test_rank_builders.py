@@ -466,7 +466,7 @@ def test_results_on_built_spaces_do_not_depend_on_the_kept_chain():
         copy = UltrametricSpace(built.labels, built.values, built.ranks)
         # The built space keeps its Kruskal chain; the copy gets Prim's.
         assert "_chain" in built.__dict__ and "_chain" not in copy.__dict__
-        assert chain_ranks(*built._chain, 0) == built.ranks
+        assert chain_ranks(*built._chain) == built.ranks
         for t in built.values:
             assert closed_quotient(built, t) == closed_quotient(copy, t)
         assert to_dendrogram(built) == to_dendrogram(copy)
@@ -481,13 +481,13 @@ def test_built_spaces_drawn_in_a_row_keep_their_chains():
         for built in built_spaces(random.Random(seed), 160):
             order, gaps = built.__dict__["_chain"]
             assert sorted(order) == list(range(len(built))) and all(gap > 0 for gap in gaps)
-            assert chain_ranks(order, gaps, 0) == built.ranks
+            assert chain_ranks(order, gaps) == built.ranks
 
 
-def permuted_chain_ranks(order, gaps, zero):
+def permuted_chain_ranks(order, gaps):
     """:func:`chain_ranks` as it was before it skipped the identity: the rows
     and columns of the chain-order matrix always permuted to point order."""
-    rows = chain_ranks(range(len(order)), gaps, zero)
+    rows = chain_ranks(range(len(order)), gaps)
     position = sorted(range(len(order)), key=order.__getitem__)
     return tuple(tuple(rows[p][q] for q in position) for p in position)
 
@@ -500,9 +500,8 @@ def test_chain_ranks_matches_the_permuted_path_on_identity_and_other_orders():
         if rng.random() < 0.5:
             rng.shuffle(order)
         gaps = [rng.randint(1, 6) for _ in range(n - 1)]
-        zero = rng.choice([0, 1])
-        got = chain_ranks(order, gaps, zero)
-        assert got == permuted_chain_ranks(order, gaps, zero)
+        got = chain_ranks(order, gaps)
+        assert got == permuted_chain_ranks(order, gaps)
         assert type(got) is tuple and all(type(row) is tuple for row in got)
         seen["identity" if order == sorted(order) else "permuted"] += 1
     assert min(seen.values()) > 100, seen
@@ -510,7 +509,7 @@ def test_chain_ranks_matches_the_permuted_path_on_identity_and_other_orders():
     for space in (random_space(30, SIX_VALUES, 826), two_point_space(1), cauchy_sequence(9)):
         order, gaps = space._chain
         assert order == list(range(len(space)))
-        assert space.ranks == permuted_chain_ranks(order, gaps, 0)
+        assert space.ranks == permuted_chain_ranks(order, gaps)
 
 
 def test_disjoint_amalgam_matches_the_fraction_formula():
@@ -623,10 +622,9 @@ def test_single_linkage_values_are_exactly_its_spectrum():
 
 
 def subdominant(ranks):
-    """Single linkage of a symmetric matrix of ranks with one diagonal rank,
-    kept: the chain of its Prim tree, filled in as every space fills its own."""
-    order, gaps = chain_order(ranks)
-    return chain_ranks(order, gaps, ranks[0][0])
+    """Single linkage of a symmetric matrix of ranks with a zero diagonal: the
+    chain of its Prim tree, filled in as every space fills its own."""
+    return chain_ranks(*chain_order(ranks))
 
 
 def reference_subdominant(ranks):
@@ -645,8 +643,7 @@ def test_subdominant_matches_the_row_copying_fill():
     rng = random.Random(816)
     for _ in range(600):
         n = rng.randint(1, 12)
-        zero = rng.randint(0, 1)  # one diagonal rank, kept
-        rows = [[zero] * n for _ in range(n)]
+        rows = [[0] * n for _ in range(n)]
         for i in range(n):
             for j in range(i + 1, n):
                 rows[i][j] = rows[j][i] = rng.randint(2, rng.choice([3, 6, 40]))
@@ -810,7 +807,7 @@ def test_every_builder_keeps_the_chain_of_its_ranks():
             n = len(space)
             assert sorted(order) == list(range(n)) and len(gaps) == n - 1, name
             assert all(0 < gap < len(space.values) for gap in gaps), name
-            assert chain_ranks(order, gaps, 0) == space.ranks, name
+            assert chain_ranks(order, gaps) == space.ranks, name
     assert len(seen) == 11
 
 
@@ -871,7 +868,7 @@ def test_subspace_matches_the_row_copy():
         shapes[shape] += 1
         got = builders.subspace(source, indices)
         assert got == reference_subspace(source, indices)
-        assert chain_ranks(*got._chain, 0) == got.ranks
+        assert chain_ranks(*got._chain) == got.ranks
     assert min(seen.values()) >= 40 and min(shapes.values()) >= 40, (seen, shapes)
 
 

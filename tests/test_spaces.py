@@ -8,6 +8,7 @@ from ultrametric import (
     isometric,
     merge_duplicate_points,
     random_space,
+    single_linkage,
     spectrum,
     validate_ultrametric,
 )
@@ -62,6 +63,29 @@ class TestValidate:
             validate_ultrametric(["a", "b"], [["0", "1"]])
         with pytest.raises(UnknownLabel):
             make_space("ab", {("a", "b"): 1}).index("z")
+
+    @pytest.mark.parametrize(
+        "matrix, error",
+        [
+            ([["-1"]], NonzeroDiagonal),
+            ([["-1", "0"], ["0", "-1"]], NonzeroDiagonal),
+            ([["0", "-1"], ["-1", "0"]], NegativeDistance),
+        ],
+        ids=["one_point", "diagonal", "off_diagonal"],
+    )
+    def test_a_negative_value_is_rejected(self, matrix, error):
+        # The first two equal their own subdominant in ranks, -1 being rank 0.
+        with pytest.raises(error):
+            validate_ultrametric(["a", "b"][: len(matrix)], matrix)
+
+
+@pytest.mark.parametrize("read", [validate_ultrametric, single_linkage, merge_duplicate_points])
+def test_a_string_is_not_read_as_labels(read):
+    matrix = [["0", "1"], ["1", "0"]]
+    with pytest.raises(InputFormat, match="labels must be a list, not a string"):
+        read("ab", matrix)
+    for labels in (["a", "b"], ("a", "b")):
+        read(labels, matrix)
 
 
 class TestSpectrum:
