@@ -6,15 +6,15 @@ cross distance is ``min over a in A of max(d1(x1,a), d2(a,x2))``.  The empty
 common part is rejected; use :func:`disjoint_amalgam` with an explicit scale
 for that case.
 
-Label policy: the glued space relabels points as ``L:<label>`` / ``R:<label>``,
-identified pairs taking the left label (:func:`glue_embeddings`).  This keeps
-outputs deterministic and collision-free.  Each construction here is one
+Label policy: :func:`builders.side_by_side` labels points ``L:<label>`` /
+``R:<label>``, identified pairs taking the left label.  This keeps outputs
+deterministic and collision-free.  Each construction here is one
 :func:`join_spaces` of its inputs' chains, placed by such label maps.  The
 handlers of the ``glue`` and ``amalgam`` verbs live here.
 """
 
 from . import jsonio
-from .builders import join_spaces, merged_spectrum
+from .builders import join_spaces, merged_spectrum, side_by_side
 from .errors import (
     DuplicateIdentification,
     EmptyChain,
@@ -96,27 +96,16 @@ def _check_spec(spec: GlueSpec) -> None:
         )
 
 
-def glue_embeddings(spec: GlueSpec) -> tuple[dict[str, str], dict[str, str]]:
-    """Label maps from each input space into the glued space."""
-    right_to_left = {b: a for a, b in spec.identify}
-    left = {a: f"L:{a}" for a in spec.x1.labels}
-    right = {
-        b: f"L:{right_to_left[b]}" if b in right_to_left else f"R:{b}"
-        for b in spec.x2.labels
-    }
-    return left, right
-
-
 def glue(spec: GlueSpec) -> UltrametricSpace:
     """Amalgamate the two spaces along their identified common part.
 
     It is the single linkage (:func:`join_spaces`) of both chains placed by
-    :func:`glue_embeddings`, which puts X2's identified points on their X1
+    :func:`side_by_side`, which puts X2's identified points on their X1
     partners, so it is ultrametric; a minimax path from X1 to X2 crosses A,
     at ``min over a of max(d1, d2)``.
     """
     _check_spec(spec)
-    left, right = glue_embeddings(spec)
+    left, right = side_by_side(spec.x1, spec.x2, spec.identify)
     return join_spaces([(spec.x1, left), (spec.x2, right)], [])
 
 
@@ -138,7 +127,7 @@ def disjoint_amalgam(x: UltrametricSpace, y: UltrametricSpace, s) -> Ultrametric
             scale=format_rational(s),
             required_minimum=format_rational(required),
         )
-    left, right = glue_embeddings(GlueSpec(x, y, ()))
+    left, right = side_by_side(x, y)
     return join_spaces([(x, left), (y, right)], [(s, left[x.labels[0]], right[y.labels[0]])])
 
 
@@ -187,8 +176,8 @@ def chain_glue(spaces, identifications) -> ChainGlueResult:
         except UltrametricError as exc:
             exc.details["link"] = link
             raise
-        stages.append(glue_embeddings(spec)[1])
-    embeddings = tuple(
+        stages.append(side_by_side(spec.x1, nxt, resolved)[1])
+    embeddings = tuple(  # each later link's left map (side_by_side) adds L:
         {l: "L:" * (len(identifications) - k) + label for l, label in stage.items()}
         for k, stage in enumerate(stages)
     )

@@ -3,15 +3,15 @@
 Every builder hands its chain (a point order and the gaps between
 neighbours, ``d = max(gaps between)``) to the one builder
 :func:`space_from_chain`, whose proof covers them all: the single linkage of
-a chain is ultrametric.  Constructions place points by label and join their
-chains in one spanning forest (:func:`join_spaces`), and subspaces and
-closed-ball quotients restrict the source's chain, so no built space runs
-Prim again.  Merge trees are read in :mod:`ultrametric.dendrogram`, single
-linkage in :mod:`ultrametric.linkage`.  The ``quotient`` verb's handler,
-:func:`cli_quotient`, lives here; the quotient format it writes is
-:func:`ultrametric.jsonio.quotient_to_obj`.  A job that only reads, checks
-and measures spaces (``validate``, ``spectrum``, ``ugh``, ``net``,
-``hausdorff``, ``in-uk``) does not load this module.
+a chain is ultrametric.  Constructions place points by label, two spaces
+side by side by :func:`side_by_side`, and join their chains in one spanning
+forest (:func:`join_spaces`); subspaces and closed-ball quotients restrict
+the source's chain, so no built space runs Prim again.  Merge trees are read
+in :mod:`ultrametric.dendrogram`, single linkage in :mod:`ultrametric.linkage`.
+The ``quotient`` verb's handler, :func:`cli_quotient`, lives here; the
+quotient format it writes is :func:`ultrametric.jsonio.quotient_to_obj`.  A
+job that only reads, checks and measures spaces (``validate``, ``spectrum``,
+``ugh``, ``net``, ``hausdorff``, ``in-uk``) does not load this module.
 """
 
 from fractions import Fraction
@@ -51,6 +51,16 @@ def merged_spectrum(*spectra) -> tuple[list[Fraction], list[list[int]]]:
     values = sorted(set().union(*spectra))
     position = {v: r for r, v in enumerate(values)}
     return values, [[position[v] for v in spectrum] for spectrum in spectra]
+
+
+def side_by_side(x: UltrametricSpace, y: UltrametricSpace, identify=()):
+    """The label maps placing ``x`` and ``y`` in one space: ``L:<label>`` for
+    ``x``, ``R:<label>`` for ``y``, and each ``b`` of a pair ``(a, b)`` in
+    ``identify`` on its partner's ``L:<a>``."""
+    partner = {b: a for a, b in identify}
+    left = {a: f"L:{a}" for a in x.labels}
+    right = {b: f"L:{partner[b]}" if b in partner else f"R:{b}" for b in y.labels}
+    return left, right
 
 
 def join_spaces(parts, links) -> UltrametricSpace:

@@ -12,7 +12,7 @@ read by :func:`certificate_from_obj`.
 
 from fractions import Fraction
 
-from .builders import join_spaces
+from .builders import join_spaces, side_by_side
 from .errors import CertificateInvalid, InputFormat
 from .jsonio import space_from_obj
 from .rationals import as_rational, format_rational
@@ -72,8 +72,7 @@ def certificate(x: UltrametricSpace, y: UltrametricSpace, result) -> Certificate
         embed_right = {pairing[a]: a for a in x.labels}
         return Certificate(x, embed_left, embed_right, ZERO)
 
-    embed_left = {l: f"L:{l}" for l in x.labels}
-    embed_right = {l: f"R:{l}" for l in y.labels}
+    embed_left, embed_right = side_by_side(x, y)
     links = [(t, embed_left[bx[0]], embed_right[by[0]]) for bx, by in result.block_map]
     space = join_spaces([(x, embed_left), (y, embed_right)], links)
     return Certificate(space, embed_left, embed_right, t)

@@ -16,21 +16,21 @@ from .spaces import UltrametricSpace, closed_balls
 
 def _subset_indices(space: UltrametricSpace, subset, name: str) -> list[int]:
     if isinstance(subset, str):
-        raise InputFormat(f"subset {name} must be a list of labels, not a string")
+        raise InputFormat(f"{name} must be a list of labels, not a string")
     labels = list(subset)
     if not labels:
-        raise EmptySubset(f"subset {name} is empty")
+        raise EmptySubset(f"{name} is empty")
     indices = [space.index(label) for label in labels]
     if len(set(indices)) != len(indices):
         dup = next(l for l in labels if labels.count(l) > 1)
-        raise DuplicateLabel(f"subset {name} repeats point {dup!r}", label=dup)
+        raise DuplicateLabel(f"{name} repeats point {dup!r}", label=dup)
     return indices
 
 
 def hausdorff_distance(space: UltrametricSpace, a, b) -> Fraction:
     """max(max_{x in a} min_{y in b} d(x,y), max_{y in b} min_{x in a} d(x,y)), on ranks."""
-    ia = _subset_indices(space, a, "A")
-    ib = _subset_indices(space, b, "B")
+    ia = _subset_indices(space, a, "subset A")
+    ib = _subset_indices(space, b, "subset B")
     ranks = space.ranks
     # The matrix is symmetric, so both directions read rows.
     forward = max(min(map(ranks[i].__getitem__, ib)) for i in ia)
@@ -42,7 +42,7 @@ def restrict(space: UltrametricSpace, subset) -> UltrametricSpace:
     """Induced subspace on the given points, kept in source label order."""
     from .builders import subspace
 
-    return subspace(space, sorted(_subset_indices(space, subset, "subset")))
+    return subspace(space, sorted(_subset_indices(space, subset, "the subset")))
 
 
 def epsilon_net(space: UltrametricSpace, eps) -> tuple[str, ...]:

@@ -31,7 +31,7 @@ from ultrametric import (
     validate_ultrametric,
 )
 from ultrametric import builders, spaces
-from ultrametric.amalgam import ChainGlueResult, glue_embeddings
+from ultrametric.amalgam import ChainGlueResult
 from ultrametric.dendrogram import leaf_labels
 from ultrametric.errors import EmptyChain, InputFormat, UltrametricError, UnknownLabel
 from ultrametric.rationals import as_rational, format_rational
@@ -160,7 +160,7 @@ def folded_chain_glue(spaces, identifications) -> ChainGlueResult:
         except UltrametricError as exc:
             exc.details["link"] = link
             raise
-        left, right = glue_embeddings(spec)
+        left, right = builders.side_by_side(current, nxt, resolved)
         embeddings = [{orig: left[cur] for orig, cur in emb.items()} for emb in embeddings]
         embeddings.append(right)
         current = glued

@@ -13,7 +13,7 @@ from ultrametric import (
     restrict,
     validate_ultrametric,
 )
-from ultrametric.amalgam import glue_embeddings
+from ultrametric.builders import side_by_side
 from ultrametric.errors import (
     DuplicateIdentification,
     EmptyChain,
@@ -77,7 +77,7 @@ class TestGlue:
         for _ in range(100):
             spec = random_glue_spec(rng)
             glued = glue(spec)
-            left, right = glue_embeddings(spec)
+            left, right = side_by_side(spec.x1, spec.x2, spec.identify)
             for space, embedding in ((spec.x1, left), (spec.x2, right)):
                 for a in space.labels:
                     for b in space.labels:
@@ -88,7 +88,7 @@ class TestGlue:
         for _ in range(100):
             spec = random_glue_spec(rng)
             glued = glue(spec)
-            left, right = glue_embeddings(spec)
+            left, right = side_by_side(spec.x1, spec.x2, spec.identify)
             right_only = [b for b in spec.x2.labels if right[b].startswith("R:")]
             for x1 in spec.x1.labels:
                 for x2 in right_only:
@@ -104,7 +104,7 @@ class TestGlue:
         for _ in range(50):
             spec = random_glue_spec(rng)
             glued = glue(spec)
-            left, right = glue_embeddings(spec)
+            left, right = side_by_side(spec.x1, spec.x2, spec.identify)
             part1 = sorted({left[a] for a in spec.x1.labels})
             part2 = sorted({right[b] for b in spec.x2.labels})
             cross = [

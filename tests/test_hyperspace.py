@@ -102,12 +102,12 @@ class TestRestrict:
         assert sub.d("a", "c") == 2
 
     def test_empty(self, isosceles):
-        with pytest.raises(EmptySubset):
+        with pytest.raises(EmptySubset, match="^the subset is empty$"):
             restrict(isosceles, [])
 
     def test_a_string_is_not_a_subset(self):
         space = make_space(["a", "b", "ab"], {("a", "b"): 2, ("a", "ab"): 2, ("b", "ab"): 1})
-        with pytest.raises(InputFormat, match="must be a list of labels, not a string"):
+        with pytest.raises(InputFormat, match="^the subset must be a list of labels, not a string$"):
             restrict(space, "ab")
         assert restrict(space, ("ab",)).labels == ("ab",)
 
