@@ -39,7 +39,13 @@ median CPU milliseconds of ``compile()`` over the rounds; per clean job of
 every verb (:data:`JOBS`, run from ``tests/golden``), the package modules the
 job leaves loaded and their sums.  That separates the package's share from
 interpreter start-up.  The printed report gives each later column's job sum
-of nodes also as its difference from the first column's.
+of nodes also as its difference from the first column's.  Its compile times
+are warm: the median of repeated ``compile()`` calls in one process.  A job
+compiles each module once, cold, so the row understates a job's compile
+cost: on a ``ugh`` job (Python 3.11.7, 2 vCPUs, shared host) the warm sum
+was 7.8-9.5 ms against 9.6-16.1 ms timed cold at ``importlib``'s
+``SourceLoader.source_to_code``, 1.2-1.9x.  The CLI rows' program share
+below includes the cold compile, so it is the figure a job pays.
 
 The CLI rows (``cli``) time whole processes, started from ``tests/golden``
 with ``PYTHONDONTWRITEBYTECODE=1`` inside the column run's reference pair:

@@ -43,18 +43,13 @@ class GlueSpec(Record):
 def gluespec_from_obj(obj) -> GlueSpec:
     """The glue spec ``{"x1": <space>, "x2": <space>, "identify": [["a", "a2"], ...]}``,
     both spaces validated."""
-    if not isinstance(obj, dict):
-        raise InputFormat("glue spec must be a JSON object")
-    for key in ("x1", "x2", "identify"):
-        if key not in obj:
-            raise InputFormat(f'glue spec needs "{key}"')
-    pairs = obj["identify"]
+    x1, x2, pairs = jsonio.members(obj, "glue spec", ("x1", "x2", "identify"))
     if not isinstance(pairs, list) or not all(
         isinstance(p, list) and len(p) == 2 and all(isinstance(s, str) for s in p)
         for p in pairs
     ):
         raise InputFormat('"identify" must be a list of [left, right] label pairs')
-    return GlueSpec(jsonio.space_from_obj(obj["x1"]), jsonio.space_from_obj(obj["x2"]), pairs)
+    return GlueSpec(jsonio.space_from_obj(x1), jsonio.space_from_obj(x2), pairs)
 
 
 def first_distortion(x: UltrametricSpace, xs, y: UltrametricSpace, ys) -> tuple[int, int] | None:

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .builders import join_spaces, side_by_side
 from .errors import CertificateInvalid, InputFormat
-from .jsonio import space_from_obj
+from .jsonio import members, space_from_obj
 from .rationals import as_rational, format_rational
 from .spaces import ZERO, Record, UltrametricSpace, _check_axioms, _check_labels
 
@@ -29,23 +29,14 @@ class Certificate(Record):
 
 
 def certificate_from_obj(obj) -> Certificate:
-    if not isinstance(obj, dict):
-        raise InputFormat("certificate must be a JSON object")
-    for key in ("space", "embed_left", "embed_right", "achieved"):
-        if key not in obj:
-            raise InputFormat(f'certificate needs "{key}"')
-    for key in ("embed_left", "embed_right"):
-        mapping = obj[key]
+    keys = ("space", "embed_left", "embed_right", "achieved")
+    space, left, right, achieved = members(obj, "certificate", keys)
+    for key, mapping in (("embed_left", left), ("embed_right", right)):
         if not isinstance(mapping, dict) or not all(
             isinstance(k, str) and isinstance(v, str) for k, v in mapping.items()
         ):
             raise InputFormat(f'"{key}" must map labels to labels')
-    return Certificate(
-        space_from_obj(obj["space"]),
-        dict(obj["embed_left"]),
-        dict(obj["embed_right"]),
-        as_rational(obj["achieved"]),
-    )
+    return Certificate(space_from_obj(space), dict(left), dict(right), as_rational(achieved))
 
 
 def certificate(x: UltrametricSpace, y: UltrametricSpace, result) -> Certificate:

@@ -13,6 +13,8 @@ Formats (all rational values are canonical strings like ``"0"``, ``"1/2"``):
 Every writer of a record the CLI prints lives here.  The glue-spec and
 certificate readers build records of modules that import this one, so they
 live beside them, in :mod:`ultrametric.amalgam` and :mod:`ultrametric.certificates`.
+Every reader of a record object (space, glue spec, certificate) checks that it
+is a JSON object holding its keys with :func:`members`, the one such check.
 
 Readers ignore unknown keys so enriched outputs (for example a quotient space
 carrying its ``blocks``) can be piped straight back in; writers always emit
@@ -52,15 +54,21 @@ def loads(text: str):
         raise too_large("a JSON integer") from None
 
 
+def members(obj, what: str, keys: tuple[str, ...]) -> list:
+    """The values under ``keys`` of the record ``obj``, in that order, once it
+    is known to be a JSON object holding them all; ``what`` names it in errors."""
+    if not isinstance(obj, dict):
+        raise InputFormat(f"{what} must be a JSON object")
+    for key in keys:
+        if key not in obj:
+            raise InputFormat(f'{what} needs "{key}"')
+    return [obj[key] for key in keys]
+
+
 def raw_space_from_obj(obj) -> tuple[list[str], list[list]]:
     """Labels and the raw matrix of a space object, its own lists: each row
     is judged when :func:`ultrametric.spaces.rank_image` reads it."""
-    if not isinstance(obj, dict):
-        raise InputFormat("space must be a JSON object")
-    if "points" not in obj or "dist" not in obj:
-        raise InputFormat('space object needs "points" and "dist"')
-    points = obj["points"]
-    dist = obj["dist"]
+    points, dist = members(obj, "space", ("points", "dist"))
     if not isinstance(points, list) or not all(isinstance(p, str) for p in points):
         raise InputFormat('"points" must be a list of strings')
     if not isinstance(dist, list):

@@ -358,8 +358,10 @@ def test_a_bad_crowd_scale_is_named_before_the_base_point_and_n(n, tmp_path):
          "subset must be a JSON array of point labels"),
         (["cluster", "--input", "{tmp}/empty.json"], {"empty.json": '{"points": [], "dist": []}'},
          "EmptySpace", "a space needs at least one point"),
+        (["validate", "{tmp}/space.json"], {"space.json": '{"points": ["a"]}'}, "InputFormat",
+         'space needs "dist"'),
     ],
-    ids=["glue_spec_not_an_object", "subset_not_labels", "cluster_no_points"],
+    ids=["glue_spec_not_an_object", "subset_not_labels", "cluster_no_points", "space_missing_dist"],
 )
 def test_malformed_inputs_are_named(argv, files, error, message, tmp_path):
     for name, text in files.items():

@@ -51,8 +51,10 @@ class TestSpaceFormat:
     def test_rejects_floats_and_bad_shapes(self):
         with pytest.raises(InputFormat):
             jsonio.space_from_obj({"points": ["a", "b"], "dist": [[0, 0.5], [0.5, 0]]})
-        with pytest.raises(InputFormat):
+        with pytest.raises(InputFormat, match='^space needs "dist"$'):
             jsonio.space_from_obj({"points": ["a"]})
+        with pytest.raises(InputFormat, match='^space needs "points"$'):
+            jsonio.space_from_obj({"dist": [["0"]]})
         with pytest.raises(InputFormat):
             jsonio.space_from_obj(["a"])
         with pytest.raises(InputFormat, match='"points" must be a list of strings'):
