@@ -1,79 +1,79 @@
-"""Growth-rate bench of the constructions, timed in process, and the
-start-up cost and CPU time of each CLI job.
+"""Growth-rate bench of the constructions, timed in process in same-moment
+pairs, and the start-up cost and CPU time of each CLI job.
 
 Usage (from the repository root)::
 
-    python3 bench/growth.py --src change=src --src parent=../parent/src -o BENCH.json
+    python3 bench/growth.py --src parent=../parent/src --src change=src -o BENCH.json
 
-Each ``--src NAME=DIR`` is one column: a library source tree, imported from
-``DIR`` by a fresh interpreter.  Every round runs each column once, in
-alternating order, so the columns see the same host.  A run builds seeded
-inputs, then times each of :data:`LAYERS` at each size, in CPU milliseconds,
-best of ``--repeat`` calls: the constructions on spaces, the generators, the
+Each ``--src NAME=DIR`` is one column: the library source tree in ``DIR``,
+imported into this one process as its own package ``growth_column_<k>``, so
+its relative imports and lazy names resolve inside that tree.  At each size
+every column builds seeded inputs with its own package, and the bench times
+each of :data:`LAYERS` in CPU milliseconds, best of ``--repeat`` calls, each
+after a garbage collection: the constructions on spaces, the generators, the
 closed quotient at scale 0 and at the middle value of the spectrum,
 ``restrict`` to every other point, ``single_linkage`` of an ultrametric
 string matrix, ``ugh_distance`` of two freshly generated spaces, and the
 three steps of a ``validate`` job on a space's JSON text: ``jsonio.loads``
-(``read``), ``validate_ultrametric`` accepting the matrix read (``validate``)
-and ``jsonio.dumps(jsonio.space_to_obj(...))`` of the space it returns
-(``write``).  The
-fixed reference job ``perfbench/reference.py`` runs before and after every
-run, and each time is also given scaled: divided by the mean CPU seconds of
-those two reference runs, so ``scaled`` counts milliseconds per
-reference-second and follows the program, not the host's speed.  A column
-keeps, per layer and size, its best time over the rounds (``ms``,
-``scaled``), the median over the rounds (``median_ms``, ``median_scaled``)
-and their interquartile range (``iqr_ms``, ``iqr_scaled``; 0 over one
-round).  With two or more columns, each later column's medians are also
-given as ratios to the first column's (``ratios``), raw and scaled, and
-printed to stderr: a column run shares its reference pair with no other
-column, so a scaled ratio can drift with the host while the raw medians of
-interleaved rounds do not.  Each printed ratio stands beside the first
-column's interquartile range over its median, raw and scaled; a ratio nearer
-1 than that cannot be told from the host.
+(``read``), ``validate_ultrametric`` accepting the matrix read
+(``validate``) and ``jsonio.dumps(jsonio.space_to_obj(...))`` of the space
+it returns (``write``).  Library calls only: a CLI job ends in ``os._exit``.
+
+A round times a layer for every column back to back, then the next layer;
+the first column rotates round by round, and ``--rounds`` counts the rounds.
+The two times of a pair share the host's moment and the process, so their
+ratio leaves out the host's drift and the bias a process's layout gives its
+timings.  A column keeps, per layer and size, the best time over the rounds
+(``ms``), the median (``median_ms``) and their interquartile range
+(``iqr_ms``, 0 over one round); ``slopes`` come from the medians.  With two
+or more columns, ``ratios`` holds each later column's median and
+interquartile range of its same-round ratios to the first column, per layer
+and size, as printed to stderr: a median nearer 1 than its IQR cannot be
+told from the host.
 
 The start-up row (``startup``) is the source a CLI job compiles, since a job
 started with ``PYTHONDONTWRITEBYTECODE=1`` compiles every package module it
-imports.  Per package module it gives the AST nodes of its source and the
-median CPU milliseconds of ``compile()`` over the rounds; per clean job of
-every verb (:data:`JOBS`, run from ``tests/golden``), the package modules the
-job leaves loaded and their sums.  That separates the package's share from
-interpreter start-up.  The printed report gives each later column's job sum
-of nodes also as its difference from the first column's.  Its compile times
-are warm: the median of repeated ``compile()`` calls in one process.  A job
-compiles each module once, cold, so the row understates a job's compile
-cost: on a ``ugh`` job (Python 3.11.7, 2 vCPUs, shared host) the warm sum
-was 7.8-9.5 ms against 9.6-16.1 ms timed cold at ``importlib``'s
-``SourceLoader.source_to_code``, 1.2-1.9x.  The CLI rows' program share
-below includes the cold compile, so it is the figure a job pays.
+imports.  Per package module it gives the AST nodes and the median over the
+rounds of the best ``compile()`` time, timed in pairs as the layers are; per
+clean job of every verb (:data:`JOBS`, run from ``tests/golden``), the
+package modules the job leaves loaded, their nodes and the median of their
+per-round compile sums, whose same-round ratios ``compile_ratios`` gives as
+``ratios`` does.  These compiles are warm; a job compiles each module once,
+cold, which on a ``ugh`` job (Python 3.11.7, 2 vCPUs, shared host) took
+9.6-16.1 ms at ``importlib``'s ``SourceLoader.source_to_code`` against a warm
+sum of 7.8-9.5 ms.  The CLI rows' program share includes the cold compile.
 
-The CLI rows (``cli``) time whole processes, started from ``tests/golden``
-with ``PYTHONDONTWRITEBYTECODE=1`` inside the column run's reference pair:
-each of :data:`JOBS` as ``python -m ultrametric`` (``jobs``), and the bare
-interpreter as ``python -c pass`` and ``python -S -c pass`` (``bare``), so
-the host's ``site`` start-up shows apart from the program's.  A round's
-time of a row is the median child CPU milliseconds of :data:`CLI_RUNS`
-passes over every row, and each row keeps its best round, the median over
-the rounds and their interquartile range, raw and scaled, as the layers do.
-In each pass every job also runs right next to a ``python -c pass``, the two
-alternating which goes first, and the job's time minus that bare run's is
-the pass's program share: the two see the same host, so the share drifts far
-less than either time.  A job row keeps the median of the per-round median
-shares (``share_ms``) and their interquartile range (``share_iqr_ms``), so a
-change smaller than that spread cannot be told from the host.
+The CLI rows (``cli``) time whole processes, since a job is a process: each
+round runs every column's rows in turn, the first column rotating, from
+``tests/golden`` with ``PYTHONDONTWRITEBYTECODE=1``.  They are each of
+:data:`JOBS` as ``python -m ultrametric`` (``jobs``), and ``python -c pass``
+and ``python -S -c pass`` (``bare``), so the host's ``site`` start-up shows
+apart from the program's.  A round's time of a row is the median child CPU
+milliseconds of :data:`CLI_RUNS` passes, kept over the rounds as a layer's
+times are.  In each pass every job also runs right next to a ``python -c
+pass``, the two alternating which goes first, and the job's time minus that
+bare run's is the pass's program share; a job row keeps the median of the
+per-round shares (``share_ms``) and their interquartile range
+(``share_iqr_ms``).
 
 No timing is checked; :func:`check_schema` checks the file's form only, of
-this schema and of the earlier ones (the first kept the best time only, the
-second had no start-up row and no ratios, the third no CLI rows, the fourth
-no program shares, the fifth no read, validate and write rows, and the sixth
-kept an interquartile range of the program shares only).
+this schema and of the earlier ones.  Up to the seventh, each column ran in
+its own interpreter between two runs of a reference job (``reference_cpu_s``)
+and each time was also given scaled by their mean (``scaled``,
+``median_scaled``, ``iqr_scaled``), with ratios of unpaired medians, raw and
+scaled: two copies of one tree read 0.76-1.16x that way.  The first schema
+kept the best time only, the second had no start-up row and no ratios, the
+third no CLI rows, the fourth no program shares, the fifth no read, validate
+and write rows, and the sixth kept an interquartile range of the program
+shares only.
 """
-
 from __future__ import annotations
 
 import argparse
 import ast
+import gc
 import hashlib
+import importlib.util
 import json
 import math
 import os
@@ -82,12 +82,14 @@ import resource
 import statistics
 import subprocess
 import sys
+import time
+from fractions import Fraction
+from importlib import import_module
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-REFERENCE = ROOT / "perfbench" / "reference.py"
 GOLDEN = ROOT / "tests" / "golden"
-VERSION = 7
+VERSION = 8
 SCHEMA = f"ultrametric-growth/{VERSION}"
 # The first schema's layers, whose entries held the best time only.
 LAYERS_1 = ("glue", "disjoint_amalgam", "crowd_family", "certificate", "chain_glue")
@@ -131,7 +133,7 @@ JOBS = {
 }
 # The bare-interpreter rows: start-up and exit with and without ``site``.
 BARE = {"python -c pass": ["-c", "pass"], "python -S -c pass": ["-S", "-c", "pass"]}
-# Runs of each CLI row per column run; the median is that round's time.
+# Runs of each CLI row per column and round; the median is that round's time.
 CLI_RUNS = 3
 # The bare run paired with each job run, whose time the job's share leaves out.
 PAIRED = BARE["python -c pass"]
@@ -156,108 +158,108 @@ def children_cpu() -> float:
     return usage.ru_utime + usage.ru_stime
 
 
-def run_reference() -> float:
-    """CPU seconds of one run of the reference job."""
-    cpu = children_cpu()
-    subprocess.run([sys.executable, str(REFERENCE)], check=True, capture_output=True)
-    return children_cpu() - cpu
-
-
-def measure(sizes: list[int], repeat: int) -> dict:
-    """Best CPU milliseconds per layer and size; runs in the column's interpreter."""
-    import gc
-    import time
-    from fractions import Fraction
-
-    from ultrametric import (
-        GlueSpec,
-        cauchy_sequence,
-        certificate,
-        chain_glue,
-        closed_quotient,
-        crowd_family,
-        disjoint_amalgam,
-        glue,
-        random_space,
-        restrict,
-        single_linkage,
-        spectrum_constraint,
-        ugh_distance,
-        validate_ultrametric,
+def load(name: str, src: Path):
+    """The package of ``src`` imported as ``name``, after any earlier package
+    of that name and its submodules are dropped from ``sys.modules``."""
+    for key in [key for key in sys.modules if key == name or key.startswith(name + ".")]:
+        del sys.modules[key]
+    package = src / "ultrametric"
+    spec = importlib.util.spec_from_file_location(
+        name, package / "__init__.py", submodule_search_locations=[str(package)]
     )
-    from ultrametric import jsonio
-    from ultrametric.rationals import format_rational
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
 
-    grid = spectrum_constraint([Fraction(k, 64) for k in range(65)])
+
+def cases(package: str, n: int) -> dict:
+    """``(call, inputs)`` per layer at size ``n``: the layer is
+    ``call(*inputs())``.  The seeded inputs are built and validated by the
+    column's own ``package``, like a CLI input, so each space holds its chain
+    before timing."""
+    lib, jsonio = import_module(package), import_module(f"{package}.jsonio")
+    grid = lib.spectrum_constraint([Fraction(k, 64) for k in range(65)])
 
     def read(space, prefix=""):
-        # Validated like a CLI input, so each space holds its chain before timing.
-        return validate_ultrametric([prefix + l for l in space.labels], space.dist)
+        return lib.validate_ultrametric([prefix + l for l in space.labels], space.dist)
 
-    def best(call, inputs=tuple) -> float:
-        """Best time of ``call(*inputs())``, the inputs made untimed per call."""
-        times = []
-        for _ in range(repeat):
-            args = inputs()
-            gc.collect()
-            start = time.process_time()
-            call(*args)
-            times.append(time.process_time() - start)
-        return min(times) * 1000
-
-    out = {layer: {} for layer in LAYERS}
-    for n in sizes:
-        x, y = (read(random_space(n, grid, seed)) for seed in SEEDS)
-        twin = read(x, "m:")
-        result = ugh_distance(x, y)
-        part = min(CHAIN_PART, n)
-        chain = [read(random_space(part, grid, k), f"{k}:") for k in range(max(1, n // part) + 1)]
-        links = [[(a.labels[-1], b.labels[0])] for a, b in zip(chain, chain[1:])]
-        if n <= MAX_N["glue"]:
-            spec = GlueSpec(x, twin, [(l, "m:" + l) for l in x.labels[: max(1, n // 2)]])
-            out["glue"][n] = best(lambda: glue(spec))
-        out["disjoint_amalgam"][n] = best(lambda: disjoint_amalgam(x, y, 1))
-        if n <= MAX_N["crowd_family"]:
-            out["crowd_family"][n] = best(lambda: crowd_family(x, x.labels[0], Fraction(1, 128), n))
-        out["certificate"][n] = best(lambda: certificate(x, y, result))
-        out["chain_glue"][n] = best(lambda: chain_glue(chain, links))
-        out["random_space"][n] = best(lambda: random_space(n, grid, SEEDS[0]))
-        out["cauchy_sequence"][n] = best(lambda: cauchy_sequence(n - 1))
-        out["closed_quotient_t0"][n] = best(lambda: closed_quotient(x, 0))
-        middle = x.values[len(x.values) // 2]
-        out["closed_quotient_mid"][n] = best(lambda: closed_quotient(x, middle))
-        out["restrict"][n] = best(lambda: restrict(x, x.labels[::2]))
-        text = [[format_rational(v) for v in row] for row in x.dist]
-        out["single_linkage"][n] = best(lambda: single_linkage(x.labels, text))
-
-        def fresh():  # new spaces per call, so no call reuses a chain another found
-            return [random_space(n, grid, seed) for seed in SEEDS]
-
-        out["ugh_distance_fresh"][n] = best(ugh_distance, fresh)
-        written = jsonio.dumps(jsonio.space_to_obj(x))
-        out["read"][n] = best(lambda: jsonio.loads(written))
-        points, dist = jsonio.raw_space_from_obj(jsonio.loads(written))
-        out["validate"][n] = best(lambda: validate_ultrametric(points, dist))
-        out["write"][n] = best(
-            lambda space: jsonio.dumps(jsonio.space_to_obj(space)), lambda: (validate_ultrametric(points, dist),)
-        )
-    return out
+    x, y = (read(lib.random_space(n, grid, seed)) for seed in SEEDS)
+    twin = read(x, "m:")
+    result = lib.ugh_distance(x, y)
+    part = min(CHAIN_PART, n)
+    chain = [read(lib.random_space(part, grid, k), f"{k}:") for k in range(max(1, n // part) + 1)]
+    links = [[(a.labels[-1], b.labels[0])] for a, b in zip(chain, chain[1:])]
+    spec = lib.GlueSpec(x, twin, [(l, "m:" + l) for l in x.labels[: max(1, n // 2)]])
+    middle = x.values[len(x.values) // 2]
+    text = [[lib.format_rational(v) for v in row] for row in x.dist]
+    written = jsonio.dumps(jsonio.space_to_obj(x))
+    points, dist = jsonio.raw_space_from_obj(jsonio.loads(written))
+    calls = {
+        "glue": lambda: lib.glue(spec),
+        "disjoint_amalgam": lambda: lib.disjoint_amalgam(x, y, 1),
+        "crowd_family": lambda: lib.crowd_family(x, x.labels[0], Fraction(1, 128), n),
+        "certificate": lambda: lib.certificate(x, y, result),
+        "chain_glue": lambda: lib.chain_glue(chain, links),
+        "random_space": lambda: lib.random_space(n, grid, SEEDS[0]),
+        "cauchy_sequence": lambda: lib.cauchy_sequence(n - 1),
+        "closed_quotient_t0": lambda: lib.closed_quotient(x, 0),
+        "closed_quotient_mid": lambda: lib.closed_quotient(x, middle),
+        "restrict": lambda: lib.restrict(x, x.labels[::2]),
+        "single_linkage": lambda: lib.single_linkage(x.labels, text),
+        "read": lambda: jsonio.loads(written),
+        "validate": lambda: lib.validate_ultrametric(points, dist),
+    }
+    out = {layer: (call, tuple) for layer, call in calls.items()}
+    # New spaces per call, so no call reuses a chain another found.
+    out["ugh_distance_fresh"] = (lib.ugh_distance, lambda: [lib.random_space(n, grid, seed) for seed in SEEDS])
+    out["write"] = (
+        lambda space: jsonio.dumps(jsonio.space_to_obj(space)),
+        lambda: (lib.validate_ultrametric(points, dist),),
+    )
+    return {layer: out[layer] for layer in LAYERS if n <= MAX_N.get(layer, n)}
 
 
-def compile_times(src: Path, repeat: int) -> dict:
-    """Median CPU milliseconds of ``compile()`` per package module."""
-    import time
+def compile_cases(src: Path) -> dict:
+    """``(call, inputs)`` per package module: ``compile()`` of its source."""
+    return {
+        module_name(path): (compile, lambda args=(path.read_text(encoding="utf-8"), str(path), "exec"): args)
+        for path in sorted((src / "ultrametric").glob("*.py"))
+    }
 
-    out = {}
-    for path in sorted((src / "ultrametric").glob("*.py")):
-        text = path.read_text(encoding="utf-8")
-        times = []
-        for _ in range(repeat):
-            start = time.process_time()
-            compile(text, str(path), "exec")
-            times.append(time.process_time() - start)
-        out[module_name(path)] = statistics.median(times) * 1000
-    return out
+
+def best(call, inputs, repeat: int) -> float:
+    """Best CPU milliseconds of ``call(*inputs())`` over ``repeat`` calls, the
+    inputs made untimed and the garbage collected before each call."""
+    times = []
+    for _ in range(repeat):
+        args = inputs()
+        gc.collect()
+        start = time.process_time()
+        call(*args)
+        times.append(time.process_time() - start)
+    return min(times) * 1000
+
+
+def rotated(names: list, r: int) -> list:
+    """``names`` in round ``r``'s order: the first column rotates."""
+    k = r % len(names)
+    return names[k:] + names[:k]
+
+
+def pair_rounds(by_column: dict, rounds: int, repeat: int) -> dict:
+    """Each column's :func:`best` time of each of its cases, per round.  A
+    round times each case for every column that has it back to back, in
+    :func:`rotated` order, before the next case."""
+    names = list(by_column)
+    keys = dict.fromkeys(key for by_key in by_column.values() for key in by_key)
+    times = {name: {key: [] for key in by_key} for name, by_key in by_column.items()}
+    for r in range(rounds):
+        for key in keys:
+            for name in rotated(names, r):
+                if key in by_column[name]:
+                    times[name][key].append(best(*by_column[name][key], repeat))
+    return times
 
 
 def module_name(path: Path) -> str:
@@ -290,19 +292,24 @@ def job_modules(src: Path) -> dict:
     return out
 
 
-def startup(src: Path, compile_ms: dict) -> dict:
-    """The start-up row of a column: per module, then per job."""
+def startup(src: Path, compiled: dict, jobs: dict) -> dict:
+    """The start-up row of a column, from its per-round module compile times
+    and each job's per-round compile sums ``jobs``."""
     nodes = ast_nodes(src)
-    modules = {name: {"nodes": nodes[name], "compile_ms": round(ms, 3)} for name, ms in compile_ms.items()}
-    jobs = {
-        job: {
-            "modules": loaded,
-            "nodes": sum(nodes[name] for name in loaded),
-            "compile_ms": round(sum(compile_ms[name] for name in loaded), 3),
-        }
-        for job, loaded in job_modules(src).items()
+    return {
+        "modules": {
+            name: {"nodes": nodes[name], "compile_ms": round(statistics.median(ms), 3)}
+            for name, ms in compiled.items()
+        },
+        "jobs": {
+            job: {
+                "modules": loaded,
+                "nodes": sum(nodes[name] for name in loaded),
+                "compile_ms": round(statistics.median(ms), 3),
+            }
+            for job, (loaded, ms) in jobs.items()
+        },
     }
-    return {"modules": modules, "jobs": jobs}
 
 
 def digest(src: Path) -> str:
@@ -345,12 +352,20 @@ def run_cli(src: Path) -> tuple[dict, dict]:
     return median, {job: statistics.median(ms) for job, ms in shares.items()}
 
 
-def run_column(src: Path, sizes: list[int], repeat: int) -> dict:
-    """One worker run: ``{"layers": ..., "compile_ms": ...}``."""
-    env = column_env(src)
-    argv = [sys.executable, __file__, "--worker", "--sizes", ",".join(map(str, sizes))]
-    proc = subprocess.run([*argv, "--repeat", str(repeat)], env=env, check=True, capture_output=True, text=True)
-    return json.loads(proc.stdout)
+def cli_rounds(columns: dict[str, Path], rounds: int) -> dict:
+    """The CLI rows of each column: every round runs :func:`run_cli` for each
+    column in :func:`rotated` order."""
+    runs = {name: [] for name in columns}
+    for r in range(rounds):
+        for name in rotated(list(columns), r):
+            runs[name].append(run_cli(columns[name]))
+    return {
+        name: {
+            "jobs": {job: {**summary([t[job] for t, _ in done]), **spread([s[job] for _, s in done])} for job in JOBS},
+            "bare": {command: summary([t[command] for t, _ in done]) for command in BARE},
+        }
+        for name, done in runs.items()
+    }
 
 
 def slope(times: dict) -> float | None:
@@ -362,32 +377,26 @@ def slope(times: dict) -> float | None:
 
 
 def bench(columns: dict[str, Path], sizes: list[int], repeat: int, rounds: int) -> dict:
-    runs = {name: {layer: {} for layer in LAYERS} for name in columns}
-    compiles = {name: {} for name in columns}
-    cli = {name: {} for name in columns}
-    shares = {name: {job: [] for job in JOBS} for name in columns}
-    refs = []
-    for r in range(rounds):
-        names = list(columns) if r % 2 == 0 else list(reversed(columns))
-        for name in names:
-            before = run_reference()
-            out = run_column(columns[name], sizes, repeat)
-            jobs, share = run_cli(columns[name])
-            after = run_reference()
-            refs += [before, after]
-            for job, ms in jobs.items():
-                cli[name].setdefault(job, []).append((ms, ms / ((before + after) / 2)))
-            for job, ms in share.items():
-                shares[name][job].append(ms)
-            for layer, by_n in out["layers"].items():
-                for n, ms in by_n.items():
-                    runs[name][layer].setdefault(n, []).append((ms, ms / ((before + after) / 2)))
-            for module, ms in out["compile_ms"].items():
-                compiles[name].setdefault(module, []).append(ms)
-    kept = {
-        name: {layer: {n: summary(timed) for n, timed in by_n.items()} for layer, by_n in layers.items()}
-        for name, layers in runs.items()
+    packages = {name: load(f"growth_column_{k}", src).__name__ for k, (name, src) in enumerate(columns.items())}
+    timed = {
+        n: pair_rounds({name: cases(package, n) for name, package in packages.items()}, rounds, repeat) for n in sizes
     }
+    # Per column, layer and size, the time of each round.
+    layers = {
+        name: {layer: {n: timed[n][name][layer] for n in sizes if layer in timed[n][name]} for layer in LAYERS}
+        for name in columns
+    }
+    compiled = pair_rounds({name: compile_cases(src) for name, src in columns.items()}, rounds, repeat)
+    # Per column and job, its modules and their compile sum in each round.
+    jobs = {
+        name: {
+            job: (loaded, [sum(ms) for ms in zip(*(compiled[name][module] for module in loaded))])
+            for job, loaded in job_modules(src).items()
+        }
+        for name, src in columns.items()
+    }
+    cli = cli_rounds(columns, rounds)
+    first, *rest = columns
     return {
         "schema": SCHEMA,
         "python": platform.python_version(),
@@ -397,46 +406,37 @@ def bench(columns: dict[str, Path], sizes: list[int], repeat: int, rounds: int) 
         "repeat": repeat,
         "rounds": rounds,
         "seeds": list(SEEDS),
-        "reference_cpu_s": [round(ref, 4) for ref in refs],
         "columns": {
             name: {
                 "digest": digest(src),
-                "times": kept[name],
-                "slopes": {layer: slope({n: e["scaled"] for n, e in by_n.items()}) for layer, by_n in kept[name].items()},
-                "startup": startup(src, {m: statistics.median(ms) for m, ms in compiles[name].items()}),
-                "cli": {
-                    "jobs": {job: {**summary(cli[name][job]), **spread(shares[name][job])} for job in JOBS},
-                    "bare": {command: summary(cli[name][command]) for command in BARE},
+                "times": {layer: {n: summary(ms) for n, ms in by_n.items()} for layer, by_n in layers[name].items()},
+                "slopes": {
+                    layer: slope({n: statistics.median(ms) for n, ms in by_n.items()})
+                    for layer, by_n in layers[name].items()
                 },
+                "startup": startup(src, compiled[name], jobs[name]),
+                "cli": cli[name],
             }
             for name, src in columns.items()
         },
-        "ratios": ratios(kept),
-    }
-
-
-def ratios(kept: dict) -> dict:
-    """Each later column's medians over the first column's, per layer and size:
-    ``raw`` from ``median_ms``, ``scaled`` from ``median_scaled``."""
-    (_, base), *rest = kept.items()
-    return {
-        name: {
-            layer: {
-                n: {
-                    kind: round(entry[field] / base[layer][n][field], 3) if base[layer][n][field] > 0 else None
-                    for kind, field in (("raw", "median_ms"), ("scaled", "median_scaled"))
-                }
-                for n, entry in by_n.items()
+        "ratios": {
+            name: {
+                layer: {n: paired(layers[first][layer][n], ms) for n, ms in by_n.items()}
+                for layer, by_n in layers[name].items()
             }
-            for layer, by_n in layers.items()
-        }
-        for name, layers in rest
+            for name in rest
+        },
+        "compile_ratios": {
+            name: {job: paired(jobs[first][job][1], jobs[name][job][1]) for job in JOBS} for name in rest
+        },
     }
 
 
-FIELDS = {"ms", "scaled", "median_ms", "median_scaled"}
-# The fields a row gained in schema 7.
-IQR_FIELDS = {"iqr_ms", "iqr_scaled"}
+def paired(base: list[float], other: list[float]) -> dict:
+    """The median and interquartile range of the same-round ratios
+    ``other / base``."""
+    quotients = [b / a for a, b in zip(base, other)]
+    return {"median": round(statistics.median(quotients), 3), "iqr": iqr(quotients)}
 
 
 def iqr(values: list[float]) -> float:
@@ -445,19 +445,12 @@ def iqr(values: list[float]) -> float:
     return round(q3 - q1, 3)
 
 
-def summary(timed: list[tuple[float, float]]) -> dict:
-    """The round with the best scaled time, and the medians over the rounds
-    and their interquartile ranges."""
-    ms, scaled = min(timed, key=lambda pair: pair[1])
-    raw, scales = [pair[0] for pair in timed], [pair[1] for pair in timed]
-    return {
-        "ms": round(ms, 3),
-        "scaled": round(scaled, 3),
-        "median_ms": round(statistics.median(raw), 3),
-        "median_scaled": round(statistics.median(scales), 3),
-        "iqr_ms": iqr(raw),
-        "iqr_scaled": iqr(scales),
-    }
+FIELDS = {"ms", "median_ms", "iqr_ms"}
+
+
+def summary(times: list[float]) -> dict:
+    """The best time over the rounds, their median and interquartile range."""
+    return {"ms": round(min(times), 3), "median_ms": round(statistics.median(times), 3), "iqr_ms": iqr(times)}
 
 
 SHARE_FIELDS = {"share_ms", "share_iqr_ms"}
@@ -469,19 +462,23 @@ def spread(shares: list[float]) -> dict:
     return {"share_ms": round(statistics.median(shares), 3), "share_iqr_ms": iqr(shares)}
 
 
+RATIO_FIELDS = {"median", "iqr"}
+
+
 def check_schema(doc: dict) -> None:
     """Raise AssertionError unless ``doc`` has the form :func:`bench` writes,
     or the form of an earlier schema."""
     version = {f"ultrametric-growth/{v}": v for v in range(1, VERSION + 1)}.get(doc["schema"])
     assert version, doc["schema"]
-    layers, fields = (LAYERS if version >= 6 else LAYERS_5, FIELDS | IQR_FIELDS if version >= 7 else FIELDS)
-    if version == 1:
-        layers, fields = (LAYERS_1, {"ms", "scaled"})
+    layers = LAYERS_1 if version == 1 else LAYERS_5 if version <= 5 else LAYERS
+    fields = {"ms"} if version == 1 else {"ms", "median_ms"} if version < 7 else FIELDS
     assert isinstance(doc["python"], str) and isinstance(doc["cpus"], int)
     sizes = doc["sizes"]
     assert sizes and all(isinstance(n, int) and n > 0 for n in sizes)
-    assert doc["repeat"] >= 1 and doc["rounds"] >= 1 and doc["seeds"] == list(SEEDS)
-    assert len(doc["reference_cpu_s"]) == 2 * doc["rounds"] * len(doc["columns"]) > 0
+    assert doc["repeat"] >= 1 and doc["rounds"] >= 1 and doc["seeds"] == list(SEEDS) and doc["columns"]
+    if version < VERSION:  # each time also scaled by its column run's reference pair
+        fields = fields | {field.replace("ms", "scaled") for field in fields}
+        assert len(doc["reference_cpu_s"]) == 2 * doc["rounds"] * len(doc["columns"])
     for column in doc["columns"].values():
         assert len(column["digest"]) == 64
         assert set(column["times"]) == set(column["slopes"]) == set(layers)
@@ -513,43 +510,41 @@ def check_schema(doc: dict) -> None:
             assert entry["nodes"] == sum(modules[m]["nodes"] for m in entry["modules"]), job
             assert entry["compile_ms"] >= 0, job
     names = list(doc["columns"])
+    kinds = RATIO_FIELDS if version == VERSION else {"raw", "scaled"}
     assert list(doc["ratios"]) == names[1:]
     for name, ratio in doc["ratios"].items():
         assert set(ratio) == set(layers)
         for layer, by_n in ratio.items():
             assert set(by_n) == set(doc["columns"][name]["times"][layer]), (name, layer)
-            for entry in by_n.values():
-                assert set(entry) == {"raw", "scaled"}
+            assert all(set(entry) == kinds for entry in by_n.values()), (name, layer)
+    if version == VERSION:
+        assert list(doc["compile_ratios"]) == names[1:]
+        for ratio in doc["compile_ratios"].values():
+            assert set(ratio) == set(JOBS) and all(set(entry) == RATIO_FIELDS for entry in ratio.values())
 
 
 def report(doc: dict) -> str:
     """The ratios and the start-up sums as text, one line per layer or job."""
     first, *rest = doc["columns"]
     lines = []
-    base = doc["columns"][first]["times"]
     for name in rest:
-        lines.append(f"{first} -> {name}, ratio of medians (raw, scaled) [{first}'s IQR over its median]:")
+        lines.append(f"{first} -> {name}, median of the same-round ratios (their IQR):")
         for layer, by_n in doc["ratios"][name].items():
-            cells = ", ".join(
-                f"n={n} {e['raw']}x/{e['scaled']}x [{relative_iqr(base[layer][n])}]" for n, e in by_n.items()
-            )
-            lines.append(f"  {layer}: {cells}")
-    lines.append("start-up, package AST nodes and compile ms per job (nodes from the first column):")
+            lines.append(f"  {layer}: " + ", ".join(f"n={n} {ratio_text(e)}" for n, e in by_n.items()))
+    lines.append(f"start-up, package AST nodes / compile ms per job (against {first}: nodes, paired compile ratio):")
     for job in JOBS:
-        rows = [(name, c["startup"]["jobs"][job]) for name, c in doc["columns"].items()]
-        base = rows[0][1]["nodes"]
+        entries = {name: c["startup"]["jobs"][job] for name, c in doc["columns"].items()}
+        base = entries[first]["nodes"]
         cells = ", ".join(
-            f"{name} {e['nodes']} / {e['compile_ms']:.2f}" + (f" ({e['nodes'] - base:+d})" if k else "")
-            for k, (name, e) in enumerate(rows)
+            f"{name} {e['nodes']} / {e['compile_ms']:.2f}"
+            + (f" ({e['nodes'] - base:+d}, {ratio_text(doc['compile_ratios'][name][job])})" if name != first else "")
+            for name, e in entries.items()
         )
         lines.append(f"  {job}: {cells}")
-    lines.append("CLI, median child CPU ms per job (raw / scaled):")
+    lines.append("CLI, median child CPU ms per job:")
     for job in (*JOBS, *BARE):
         kind = "jobs" if job in JOBS else "bare"
-        cells = ", ".join(
-            f"{name} {c['cli'][kind][job]['median_ms']:.1f} / {c['cli'][kind][job]['median_scaled']:.1f}"
-            for name, c in doc["columns"].items()
-        )
+        cells = ", ".join(f"{name} {c['cli'][kind][job]['median_ms']:.1f}" for name, c in doc["columns"].items())
         lines.append(f"  {job}: {cells}")
     lines.append("CLI, program share per job: median ms over the rounds (IQR):")
     for job in JOBS:
@@ -561,30 +556,19 @@ def report(doc: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def relative_iqr(entry: dict) -> str:
-    """A layer entry's interquartile ranges over its medians, raw and scaled."""
-    return "/".join(
-        f"{entry[iqr_field] / entry[field]:.3f}" if entry[field] > 0 else "-"
-        for iqr_field, field in (("iqr_ms", "median_ms"), ("iqr_scaled", "median_scaled"))
-    )
+def ratio_text(entry: dict) -> str:
+    return f"{entry['median']:.3f}x ({entry['iqr']:.3f})"
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", action="append", default=[], metavar="NAME=DIR", help="a column (default change=src)")
     parser.add_argument("--sizes", default="100,200,400", help="comma-separated point counts")
-    parser.add_argument("--repeat", type=int, default=3, help="calls per layer and size, best kept")
-    parser.add_argument("--rounds", type=int, default=3, help="runs per column, interleaved")
+    parser.add_argument("--repeat", type=int, default=3, help="calls per layer, size and column, best kept")
+    parser.add_argument("--rounds", type=int, default=3, help="rounds of same-moment pairs")
     parser.add_argument("-o", "--output", help="write the JSON here (default stdout)")
-    parser.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     sizes = [int(n) for n in args.sizes.split(",")]
-    if args.worker:
-        import ultrametric
-
-        src = Path(ultrametric.__file__).resolve().parent.parent
-        print(json.dumps({"layers": measure(sizes, args.repeat), "compile_ms": compile_times(src, args.repeat)}))
-        return 0
     columns = dict(spec.split("=", 1) for spec in args.src or ["change=src"])
     doc = bench({name: Path(src).resolve() for name, src in columns.items()}, sizes, args.repeat, args.rounds)
     check_schema(doc)

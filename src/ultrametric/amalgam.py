@@ -26,7 +26,7 @@ from .errors import (
     UnknownLabel,
 )
 from .rationals import as_rational, format_rational
-from .spaces import Record, UltrametricSpace
+from .spaces import Record, UltrametricSpace, first_repeat
 
 
 class GlueSpec(Record):
@@ -72,8 +72,7 @@ def _check_spec(spec: GlueSpec) -> None:
             "(use disjoint_amalgam for the disjoint case)"
         )
     for side, names in zip(("left", "right"), zip(*spec.identify)):
-        if len(set(names)) != len(names):
-            dup = next(n for n in names if names.count(n) > 1)
+        if (dup := first_repeat(names)) is not None:
             raise DuplicateIdentification(
                 f"point {dup!r} appears twice on the {side} side", label=dup
             )

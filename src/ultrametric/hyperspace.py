@@ -11,7 +11,7 @@ from fractions import Fraction
 from . import jsonio
 from .errors import DuplicateLabel, EmptySubset, InputFormat, InvalidParameter
 from .rationals import as_rational, format_rational
-from .spaces import UltrametricSpace, closed_balls
+from .spaces import UltrametricSpace, closed_balls, first_repeat
 
 
 def _subset_indices(space: UltrametricSpace, subset, name: str) -> list[int]:
@@ -21,8 +21,7 @@ def _subset_indices(space: UltrametricSpace, subset, name: str) -> list[int]:
     if not labels:
         raise EmptySubset(f"{name} is empty")
     indices = [space.index(label) for label in labels]
-    if len(set(indices)) != len(indices):
-        dup = next(l for l in labels if labels.count(l) > 1)
+    if (dup := first_repeat(labels)) is not None:
         raise DuplicateLabel(f"{name} repeats point {dup!r}", label=dup)
     return indices
 

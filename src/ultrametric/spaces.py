@@ -168,12 +168,19 @@ def _check_labels(labels) -> tuple[str, ...]:
     labels = tuple(str(l) for l in labels)
     if not labels:
         raise EmptySpace("a space needs at least one point")
+    if (dup := first_repeat(labels)) is not None:
+        raise DuplicateLabel(f"label {dup!r} appears more than once", label=dup)
+    return labels
+
+
+def first_repeat(labels):
+    """The first label met a second time, or None.  Every reader names it
+    when it refuses a repeated label."""
     seen = set()
     for label in labels:
         if label in seen:
-            raise DuplicateLabel(f"label {label!r} appears more than once", label=label)
+            return label
         seen.add(label)
-    return labels
 
 
 def _coerce_matrix(labels, matrix) -> tuple[tuple[str, ...], list[list[int]], list[Fraction]]:

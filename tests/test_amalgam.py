@@ -54,6 +54,9 @@ class TestGlue:
             glue(GlueSpec(x1, x2, ()))
         with pytest.raises(DuplicateIdentification):
             glue(GlueSpec(x1, x2, (("a", "a"), ("a", "y"))))
+        # The first label met a second time is named, as validate names one.
+        with pytest.raises(DuplicateIdentification, match="^point 'a' appears twice on the left side$"):
+            glue(GlueSpec(x1, x2, (("x", "y"), ("a", "a"), ("a", "y"), ("x", "a"))))
         with pytest.raises(UnknownLabel):
             glue(GlueSpec(x1, x2, (("zz", "a"),)))
         with pytest.raises(MetricMismatchOnA):

@@ -4,8 +4,9 @@
 definition, so the library keeps the names they use resolvable (``spaces``,
 ``generators`` and ``gromov`` forward four moved names).  This reads every
 ``from ultrametric... import ...`` statement and every ``jsonio.<name>`` use
-in the benchmark and growth-bench scripts, and checks that each name resolves
-to the object its home module defines.
+in the benchmark and growth-bench scripts, and each ``lib.<name>`` use, by
+which the growth bench reaches a column's package, and checks that each name
+resolves to the object its home module defines.
 """
 
 from __future__ import annotations
@@ -30,12 +31,11 @@ def used_names(path: Path) -> list[tuple[str, str]]:
         if isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
             if node.module.split(".")[0] == "ultrametric":
                 used += [(node.module, alias.name) for alias in node.names]
-        elif (
-            isinstance(node, ast.Attribute)
-            and isinstance(node.value, ast.Name)
-            and node.value.id == "jsonio"
-        ):
-            used.append(("ultrametric.jsonio", node.attr))
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            # The growth bench reaches each column's package as ``lib``.
+            module = {"jsonio": "ultrametric.jsonio", "lib": "ultrametric"}.get(node.value.id)
+            if module:
+                used.append((module, node.attr))
     return used
 
 
@@ -58,6 +58,11 @@ def test_every_library_name_a_script_uses_resolves_to_its_home(path):
             continue
         home = home_of(module, name, obj)
         assert vars(import_module(home)).get(name) is obj, (module, name, home)
+
+
+def test_the_growth_bench_names_are_read():
+    used = set(used_names(ROOT / "bench" / "growth.py"))
+    assert {("ultrametric", "glue"), ("ultrametric", "restrict"), ("ultrametric.jsonio", "loads")} <= used
 
 
 def test_the_replay_uses_the_forwarded_names():

@@ -1,10 +1,12 @@
 """The growth bench runs at tiny sizes and writes, and has committed, files of
-its schema.  No timing is checked: runners are shared."""
+its schema.  No timing bound is checked: runners are shared."""
 
 from __future__ import annotations
 
 import json
+import shutil
 import sys
+from importlib import import_module
 from pathlib import Path
 
 import pytest
@@ -19,8 +21,8 @@ import growth  # noqa: E402
 
 
 def test_a_tiny_run_writes_the_schema(tmp_path, monkeypatch, capsys):
-    # Two jobs, each run once per column run, keep the CLI rows of four column
-    # runs cheap; the one-column run below times every job.
+    # Two jobs, each run once per column and round, keep the CLI rows of four
+    # column runs cheap; the one-column run below times every job.
     monkeypatch.setattr(growth, "JOBS", {job: growth.JOBS[job] for job in ("validate", "ugh")})
     monkeypatch.setattr(growth, "CLI_RUNS", 1)
     out = tmp_path / "bench.json"
@@ -37,16 +39,95 @@ def test_a_tiny_run_writes_the_schema(tmp_path, monkeypatch, capsys):
         job: (e["modules"], e["nodes"]) for job, e in b["jobs"].items()
     }
     assert list(doc["ratios"]) == ["b"] and set(doc["ratios"]["b"]) == set(growth.LAYERS)
+    assert list(doc["compile_ratios"]) == ["b"] and set(doc["compile_ratios"]["b"]) == {"validate", "ugh"}
     err = capsys.readouterr().err
     assert "  python -S -c pass: a " in err
-    # The same tree twice: each job's nodes differ by nothing.
+    # The same tree twice: each job's nodes differ by nothing, and the paired
+    # compile ratio stands beside the difference.
     startup = err.split("start-up, ")[1].split("CLI, ")[0].splitlines()[1:]
     assert [line.split(":")[0].strip() for line in startup] == ["validate", "ugh"]
-    assert all(line.endswith(" (+0)") and ", b " in line for line in startup), startup
+    assert all(", b " in line and " (+0, " in line and line.endswith(")") for line in startup), startup
     assert "program share per job" in err and "  ugh: a " in err.split("program share")[1]
-    # Each ratio is printed beside the first column's spread over its median.
+    # Each size's paired median is printed with its IQR.
     ratio = err.split("a -> b, ")[1].splitlines()[1]
-    assert ratio.startswith("  glue: n=8 ") and ratio.count(" [") == 2, ratio
+    assert ratio.startswith("  glue: n=8 ") and ratio.count("x (") == 2, ratio
+
+
+def test_each_round_pairs_the_columns_and_rotates_the_first(monkeypatch):
+    # Scripted best-of times per column, round by round, for every layer: the
+    # second column's same-round ratios are 1.5, 0.5, 1 and 2.
+    script = {"growth_column_0": [2.0, 4.0, 8.0, 1.0], "growth_column_1": [3.0, 2.0, 8.0, 2.0]}
+    calls = []
+
+    def best(call, inputs, repeat):
+        if not isinstance(call, tuple):  # a module's compile()
+            return 1.0
+        calls.append(call)
+        return script[call[0]][calls.count(call) - 1]
+
+    def cases(package, n):  # each call is a tag naming its column's package
+        return {layer: ((package, layer), tuple) for layer in ("glue", "restrict")}
+
+    monkeypatch.setattr(growth, "best", best)
+    monkeypatch.setattr(growth, "cases", cases)
+    monkeypatch.setattr(growth, "JOBS", {"validate": growth.JOBS["validate"]})
+    rows = dict.fromkeys([*growth.JOBS, *growth.BARE], 1.0)
+    monkeypatch.setattr(growth, "run_cli", lambda src: (rows, {"validate": 1.0}))
+    doc = growth.bench({"a": ROOT / "src", "b": ROOT / "src"}, [8], 1, 4)
+    # A layer is timed for both columns back to back, before the next layer,
+    # and the column timed first alternates round by round.
+    first, second = "growth_column_0", "growth_column_1"
+    assert [column for column, layer in calls if layer == "glue"] == [first, second, second, first] * 2
+    assert [layer for _, layer in calls[:4]] == ["glue", "glue", "restrict", "restrict"]
+    # The ratios are the median and IQR of the same-round quotients, not the
+    # quotient of the columns' medians, 2.5 / 3.
+    assert doc["ratios"]["b"]["glue"] == {8: {"median": 1.25, "iqr": 0.75}}
+    assert doc["columns"]["a"]["times"]["glue"] == {8: {"ms": 1.0, "median_ms": 3.0, "iqr_ms": 3.25}}
+    assert doc["columns"]["b"]["times"]["glue"] == {8: {"ms": 2.0, "median_ms": 2.5, "iqr_ms": 2.25}}
+    assert doc["compile_ratios"] == {"b": {"validate": {"median": 1.0, "iqr": 0.0}}}
+
+
+@pytest.fixture
+def unload():
+    """Drops the packages a test loads under ``growth_test_column``."""
+    yield "growth_test_column"
+    for key in [key for key in sys.modules if key.split(".")[0] == "growth_test_column"]:
+        del sys.modules[key]
+
+
+def test_a_column_loads_as_its_own_package(tmp_path, unload):
+    name = unload
+    lib = growth.load(name, ROOT / "src")
+    assert lib.closed_quotient is import_module(f"{name}.builders").closed_quotient
+    # The names the frozen replay takes from their old homes resolve inside
+    # the same tree.
+    for module, attr, home in (
+        ("spaces", "closed_quotient", "builders"),
+        ("gromov", "certificate", "certificates"),
+        ("generators", "single_linkage", "linkage"),
+    ):
+        assert getattr(import_module(f"{name}.{module}"), attr) is getattr(import_module(f"{name}.{home}"), attr)
+    first = {key: module for key, module in sys.modules.items() if key.split(".")[0] == name}
+    copy = tmp_path / "src"
+    shutil.copytree(ROOT / "src", copy, ignore=shutil.ignore_patterns("__pycache__"))
+    growth.load(name, copy)
+    second = {key: import_module(key) for key in first}
+    assert not {id(module) for module in first.values()} & {id(module) for module in second.values()}
+    assert all(Path(module.__file__).is_relative_to(copy) for module in second.values())
+
+
+def test_a_loop_planted_in_one_layer_shows_in_its_paired_ratio(tmp_path, monkeypatch):
+    copy = tmp_path / "src"
+    shutil.copytree(ROOT / "src", copy, ignore=shutil.ignore_patterns("__pycache__"))
+    hyperspace = copy / "ultrametric" / "hyperspace.py"
+    # A CPU loop, not a sleep: the layers are timed in CPU time.
+    planted = "\n\n_restrict = restrict\n\n\ndef restrict(space, subset):\n"
+    planted += "    sum(range(100_000))\n    return _restrict(space, subset)\n"
+    hyperspace.write_text(hyperspace.read_text(encoding="utf-8") + planted, encoding="utf-8")
+    monkeypatch.setattr(growth, "JOBS", {"validate": growth.JOBS["validate"]})
+    monkeypatch.setattr(growth, "CLI_RUNS", 1)
+    doc = growth.bench({"clean": ROOT / "src", "planted": copy}, [20], 1, 3)
+    assert doc["ratios"]["planted"]["restrict"][20]["median"] > 2, doc["ratios"]["planted"]["restrict"]
 
 
 @pytest.mark.parametrize("path", sorted(ROOT.glob("BENCH_*.json")), ids=lambda p: p.name)
@@ -95,17 +176,10 @@ def test_a_job_row_keeps_the_median_share_and_its_spread():
 
 
 def test_a_row_keeps_the_spread_of_its_rounds():
-    # Scaled times are half the raw ones, and the best round is the fastest.
-    assert growth.summary([(6.0, 3.0)]) == {
-        "ms": 6.0, "scaled": 3.0, "median_ms": 6.0, "median_scaled": 3.0, "iqr_ms": 0.0, "iqr_scaled": 0.0,
-    }
-    timed = [(ms, ms / 2) for ms in (9.0, 30.0, 1.0, 4.0, 2.0)]
-    assert growth.summary(timed) == {
-        "ms": 1.0, "scaled": 0.5, "median_ms": 4.0, "median_scaled": 2.0, "iqr_ms": 7.0, "iqr_scaled": 3.5,
-    }
-    assert growth.relative_iqr(growth.summary(timed)) == "1.750/1.750"
-    unmeasured = {"median_ms": 0.0, "iqr_ms": 0.0, "median_scaled": 1.0, "iqr_scaled": 0.5}
-    assert growth.relative_iqr(unmeasured) == "-/0.500"
+    # The best round is the fastest; one round has no spread.
+    assert growth.summary([6.0]) == {"ms": 6.0, "median_ms": 6.0, "iqr_ms": 0.0}
+    assert growth.summary([9.0, 30.0, 1.0, 4.0, 2.0]) == {"ms": 1.0, "median_ms": 4.0, "iqr_ms": 7.0}
+    assert growth.paired([2.0], [3.0]) == {"median": 1.5, "iqr": 0.0}
 
 
 def test_check_schema_refuses_a_missing_layer(one_column):
@@ -116,41 +190,59 @@ def test_check_schema_refuses_a_missing_layer(one_column):
         growth.check_schema(doc)
 
 
+def test_schema_8_drops_every_scaled_time(one_column):
+    doc = json.loads(one_column)
+    assert doc["schema"] == "ultrametric-growth/8"
+    assert "scaled" not in one_column and "reference_cpu_s" not in doc
+    column = doc["columns"]["only"]
+    assert all(column["times"][layer]["6"]["median_ms"] > 0 for layer in ("read", "validate", "write"))
+    # One round: every spread is 0.
+    assert column["times"]["glue"]["6"]["iqr_ms"] == column["cli"]["jobs"]["ugh"]["iqr_ms"] == 0
+    for row in (column["times"]["glue"]["6"], column["cli"]["jobs"]["ugh"], column["cli"]["bare"]["python -c pass"]):
+        row["scaled"] = row["ms"]
+        with pytest.raises(AssertionError):
+            growth.check_schema(doc)
+        del row["scaled"]
+    growth.check_schema(doc)
+
+
+def committed_schema_7() -> dict:
+    doc = json.loads((ROOT / "BENCH_43.json").read_text(encoding="utf-8"))
+    assert doc["schema"] == "ultrametric-growth/7"
+    return doc
+
+
 def without_spreads(doc: dict) -> dict:
     """``doc`` as schema 6 wrote it: no row keeps the IQR of its times."""
-    column = doc["columns"]["only"]
-    rows = [entry for by_n in column["times"].values() for entry in by_n.values()]
-    for entry in [*rows, *column["cli"]["jobs"].values(), *column["cli"]["bare"].values()]:
-        for field in growth.IQR_FIELDS:
-            del entry[field]
+    for column in doc["columns"].values():
+        rows = [entry for by_n in column["times"].values() for entry in by_n.values()]
+        for entry in [*rows, *column["cli"]["jobs"].values(), *column["cli"]["bare"].values()]:
+            del entry["iqr_ms"], entry["iqr_scaled"]
     doc["schema"] = "ultrametric-growth/6"
     return doc
 
 
-def test_schema_7_adds_the_spread_of_every_row(one_column):
-    doc = json.loads(one_column)
-    assert doc["schema"] == "ultrametric-growth/7"
-    column = doc["columns"]["only"]
-    # One round: every spread is 0.
-    assert column["times"]["glue"]["6"]["iqr_ms"] == column["cli"]["jobs"]["ugh"]["iqr_scaled"] == 0
+def test_schema_7_adds_the_spread_of_every_row():
     # A schema-6 file has no spreads, and a schema-7 file has them on every row.
-    doc = without_spreads(doc)
+    doc = without_spreads(committed_schema_7())
     growth.check_schema(doc)
     doc["schema"] = "ultrametric-growth/7"
     with pytest.raises(AssertionError):
         growth.check_schema(doc)
 
 
-def test_schema_6_adds_the_read_validate_and_write_rows(one_column):
-    doc = without_spreads(json.loads(one_column))
-    times = doc["columns"]["only"]["times"]
-    assert all(times[layer]["6"]["median_ms"] > 0 for layer in ("read", "validate", "write"))
+def test_schema_6_adds_the_read_validate_and_write_rows():
+    doc = without_spreads(committed_schema_7())
     # A schema-5 file has none of them, and a schema-6 file has all three.
     doc["schema"] = "ultrametric-growth/5"
     with pytest.raises(AssertionError):
         growth.check_schema(doc)
-    for layer in ("read", "validate", "write"):
-        del times[layer], doc["columns"]["only"]["slopes"][layer]
+    for column in doc["columns"].values():
+        for layer in ("read", "validate", "write"):
+            del column["times"][layer], column["slopes"][layer]
+    for ratio in doc["ratios"].values():
+        for layer in ("read", "validate", "write"):
+            del ratio[layer]
     growth.check_schema(doc)
     doc["schema"] = "ultrametric-growth/6"
     with pytest.raises(AssertionError):
@@ -174,8 +266,7 @@ def test_cli_rows_time_every_job_and_the_bare_interpreter(one_column):
     assert set(rows["jobs"]) == set(growth.JOBS)
     assert set(rows["bare"]) == {"python -c pass", "python -S -c pass"}
     assert all(entry["median_ms"] > 0 for entry in (*rows["jobs"].values(), *rows["bare"].values()))
-    fields = growth.FIELDS | growth.IQR_FIELDS | growth.SHARE_FIELDS
-    assert all(set(entry) == fields for entry in rows["jobs"].values())
+    assert all(set(entry) == growth.FIELDS | growth.SHARE_FIELDS for entry in rows["jobs"].values())
     for kind in ("jobs", "bare"):
         bad = json.loads(one_column)
         bad["columns"]["only"]["cli"][kind].popitem()

@@ -49,6 +49,10 @@ class TestHausdorff:
             hausdorff_distance(isosceles, ["z"], ["a"])
         with pytest.raises(DuplicateLabel):
             hausdorff_distance(isosceles, ["a", "a"], ["b"])
+        # The first label met a second time is named, as validate names one.
+        with pytest.raises(DuplicateLabel, match="^subset A repeats point 'a'$") as caught:
+            hausdorff_distance(isosceles, ["c", "a", "a", "c"], ["b"])
+        assert caught.value.details["label"] == "a"
 
     def test_a_string_is_not_a_subset(self):
         space = make_space(["a", "b", "ab"], {("a", "b"): 2, ("a", "ab"): 2, ("b", "ab"): 1})

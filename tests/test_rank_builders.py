@@ -884,7 +884,7 @@ def reference_check_spec(spec: GlueSpec) -> None:
     right = [b for _, b in spec.identify]
     for side, names in (("left", left), ("right", right)):
         if len(set(names)) != len(names):
-            dup = next(n for n in names if names.count(n) > 1)
+            dup = next(n for k, n in enumerate(names) if n in names[:k])
             raise DuplicateIdentification(
                 f"point {dup!r} appears twice on the {side} side", label=dup
             )
