@@ -1,5 +1,5 @@
-"""Growth-rate bench of the constructions, timed in process in same-moment
-pairs, and the start-up cost and CPU time of each CLI job.
+"""Growth-rate bench of the constructions and of each CLI job, timed in
+same-moment pairs, and the start-up cost of each job.
 
 Usage (from the repository root)::
 
@@ -13,11 +13,15 @@ each of :data:`LAYERS` in CPU milliseconds, best of ``--repeat`` calls, each
 after a garbage collection: the constructions on spaces, the generators, the
 closed quotient at scale 0 and at the middle value of the spectrum,
 ``restrict`` to every other point, ``single_linkage`` of an ultrametric
-string matrix, ``ugh_distance`` of two freshly generated spaces, and the
-three steps of a ``validate`` job on a space's JSON text: ``jsonio.loads``
+string matrix, ``ugh_distance`` of two freshly generated spaces, the three
+steps of a ``validate`` job on a space's JSON text: ``jsonio.loads``
 (``read``), ``validate_ultrametric`` accepting the matrix read
 (``validate``) and ``jsonio.dumps(jsonio.space_to_obj(...))`` of the space
-it returns (``write``).  Library calls only: a CLI job ends in ``os._exit``.
+it returns (``write``), and ``single_linkage`` of a collinear metric
+(``single_linkage_collinear``): seeded distinct positions ``k/3`` on a line,
+nearly every distance its own spelling and only neighbours cleared by the
+subdominant, so the row shows both the matrix reader's sort and the triangle
+scan.  Library calls only: a CLI job ends in ``os._exit``.
 
 A round times a layer for every column back to back, then the next layer;
 the first column rotates round by round, and ``--rounds`` counts the rounds.
@@ -29,7 +33,12 @@ timings.  A column keeps, per layer and size, the best time over the rounds
 or more columns, ``ratios`` holds each later column's median and
 interquartile range of its same-round ratios to the first column, per layer
 and size, as printed to stderr: a median nearer 1 than its IQR cannot be
-told from the host.
+told from the host.  One timer serves every row: :func:`best` reads the CPU
+time of this process and of its waited-for children, so a layer, which
+starts no child, is timed as before, and a process is timed whole.  The
+bench's own CPU to start and wait for a child (0.36 ms median against
+36.2 ms for a ``python -c pass`` child, 20 runs) is paid by both columns of
+a pair.
 
 The start-up row (``startup``) is the source a CLI job compiles, since a job
 started with ``PYTHONDONTWRITEBYTECODE=1`` compiles every package module it
@@ -41,31 +50,34 @@ per-round compile sums, whose same-round ratios ``compile_ratios`` gives as
 ``ratios`` does.  These compiles are warm; a job compiles each module once,
 cold, which on a ``ugh`` job (Python 3.11.7, 2 vCPUs, shared host) took
 9.6-16.1 ms at ``importlib``'s ``SourceLoader.source_to_code`` against a warm
-sum of 7.8-9.5 ms.  The CLI rows' program share includes the cold compile.
+sum of 7.8-9.5 ms.  The CLI rows include the cold compile.
 
-The CLI rows (``cli``) time whole processes, since a job is a process: each
-round runs every column's rows in turn, the first column rotating, from
-``tests/golden`` with ``PYTHONDONTWRITEBYTECODE=1``.  They are each of
-:data:`JOBS` as ``python -m ultrametric`` (``jobs``), and ``python -c pass``
-and ``python -S -c pass`` (``bare``), so the host's ``site`` start-up shows
-apart from the program's.  A round's time of a row is the median child CPU
-milliseconds of :data:`CLI_RUNS` passes, kept over the rounds as a layer's
-times are.  In each pass every job also runs right next to a ``python -c
-pass``, the two alternating which goes first, and the job's time minus that
-bare run's is the pass's program share; a job row keeps the median of the
-per-round shares (``share_ms``) and their interquartile range
-(``share_iqr_ms``).
+The CLI rows (``cli``) are paired as the layers are: each of :data:`JOBS` as
+``python -m ultrametric`` (``jobs``), and ``python -c pass`` and ``python -S
+-c pass`` (``bare``), so the host's ``site`` start-up shows apart from the
+program's, each run from ``tests/golden`` with ``PYTHONDONTWRITEBYTECODE=1``
+for every column back to back.  They keep a layer's fields, and
+``cli_ratios`` gives their same-round ratios as ``ratios`` does.  A job is a
+process of some 45 ms, so about 1 ms is the floor of what a run resolves: at
+n = 100, 11 rounds, best of 3 (Python 3.11.7, 2 vCPUs, shared host), a CPU
+loop of 5.3 ms planted in ``validate``'s handler read 1.139x (IQR 0.073) on
+``validate``, and one of 1.0 ms read 1.023x (IQR 0.019), while the jobs that
+do not run it read 0.992-1.014x.
 
 No timing is checked; :func:`check_schema` checks the file's form only, of
 this schema and of the earlier ones.  Up to the seventh, each column ran in
 its own interpreter between two runs of a reference job (``reference_cpu_s``)
 and each time was also given scaled by their mean (``scaled``,
 ``median_scaled``, ``iqr_scaled``), with ratios of unpaired medians, raw and
-scaled: two copies of one tree read 0.76-1.16x that way.  The first schema
-kept the best time only, the second had no start-up row and no ratios, the
-third no CLI rows, the fourth no program shares, the fifth no read, validate
-and write rows, and the sixth kept an interquartile range of the program
-shares only.
+scaled: two copies of one tree read 0.76-1.16x that way.  Up to the eighth,
+each round ran one column's CLI rows after the other's, a row's time the
+median of three passes, and each job row kept its program share: the median
+over the rounds of its time minus a ``python -c pass`` run beside it
+(``share_ms``), and their interquartile range (``share_iqr_ms``).  The first
+schema kept the best time only, the second had no start-up row and no
+ratios, the third no CLI rows, the fourth no program shares, the fifth no
+read, validate and write rows, the sixth kept an interquartile range of the
+program shares only, and the eighth had no collinear row.
 """
 from __future__ import annotations
 
@@ -78,6 +90,7 @@ import json
 import math
 import os
 import platform
+import random
 import resource
 import statistics
 import subprocess
@@ -89,7 +102,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
-VERSION = 8
+VERSION = 9
 SCHEMA = f"ultrametric-growth/{VERSION}"
 # The first schema's layers, whose entries held the best time only.
 LAYERS_1 = ("glue", "disjoint_amalgam", "crowd_family", "certificate", "chain_glue")
@@ -104,12 +117,15 @@ LAYERS_5 = (
     "single_linkage",
     "ugh_distance_fresh",
 )
-LAYERS = (*LAYERS_5, "read", "validate", "write")
+# The layers of schemas 6 to 8.
+LAYERS_8 = (*LAYERS_5, "read", "validate", "write")
+LAYERS = (*LAYERS_8, "single_linkage_collinear")
 SEEDS = (1, 2)
 # Glue's cross loop was cubic before it became a spanning forest: 30 s at
 # n = 800, so no column times it above 400 points.  crowd_family adds n
-# points to n, which the generators' cell budget allows up to n = 724.
-MAX_N = {"glue": 400, "crowd_family": 724}
+# points to n, which the generators' cell budget allows up to n = 724.  A
+# collinear single linkage grows as n^2.7, 2.4 s at n = 400.
+MAX_N = {"glue": 400, "crowd_family": 724, "single_linkage_collinear": 400}
 CHAIN_PART = 20  # points per space of the chain_glue chain, one shared per link
 # A clean job of every verb and family, on the corpus inputs.
 JOBS = {
@@ -133,10 +149,6 @@ JOBS = {
 }
 # The bare-interpreter rows: start-up and exit with and without ``site``.
 BARE = {"python -c pass": ["-c", "pass"], "python -S -c pass": ["-S", "-c", "pass"]}
-# Runs of each CLI row per column and round; the median is that round's time.
-CLI_RUNS = 3
-# The bare run paired with each job run, whose time the job's share leaves out.
-PAIRED = BARE["python -c pass"]
 # Runs the CLI as ``python -m ultrametric`` does, then prints the package
 # modules it left loaded as the last line of stdout.  The job's ``os._exit``
 # raises SystemExit instead, so the child goes on to print; a source tree
@@ -193,6 +205,8 @@ def cases(package: str, n: int) -> dict:
     spec = lib.GlueSpec(x, twin, [(l, "m:" + l) for l in x.labels[: max(1, n // 2)]])
     middle = x.values[len(x.values) // 2]
     text = [[lib.format_rational(v) for v in row] for row in x.dist]
+    line = random.Random(SEEDS[0]).sample(range(10**6), n)
+    collinear = [[f"{abs(a - b)}/3" for b in line] for a in line]
     written = jsonio.dumps(jsonio.space_to_obj(x))
     points, dist = jsonio.raw_space_from_obj(jsonio.loads(written))
     calls = {
@@ -207,6 +221,7 @@ def cases(package: str, n: int) -> dict:
         "closed_quotient_mid": lambda: lib.closed_quotient(x, middle),
         "restrict": lambda: lib.restrict(x, x.labels[::2]),
         "single_linkage": lambda: lib.single_linkage(x.labels, text),
+        "single_linkage_collinear": lambda: lib.single_linkage(x.labels, collinear),
         "read": lambda: jsonio.loads(written),
         "validate": lambda: lib.validate_ultrametric(points, dist),
     }
@@ -228,16 +243,30 @@ def compile_cases(src: Path) -> dict:
     }
 
 
+def cli_cases(src: Path) -> dict:
+    """``(call, inputs)`` per CLI row: each of :data:`JOBS` as ``python -m
+    ultrametric`` and each :data:`BARE` command, run from ``tests/golden``
+    under :func:`column_env`."""
+    env = column_env(src)
+
+    def run(*args):
+        subprocess.run([sys.executable, *args], cwd=GOLDEN, env=env, check=True, capture_output=True)
+
+    rows = {**{job: ["-m", "ultrametric", *argv] for job, argv in JOBS.items()}, **BARE}
+    return {row: (run, lambda args=tuple(args): args) for row, args in rows.items()}
+
+
 def best(call, inputs, repeat: int) -> float:
-    """Best CPU milliseconds of ``call(*inputs())`` over ``repeat`` calls, the
-    inputs made untimed and the garbage collected before each call."""
+    """Best CPU milliseconds of ``call(*inputs())``, this process's and its
+    waited-for children's, over ``repeat`` calls, the inputs made untimed and
+    the garbage collected before each call."""
     times = []
     for _ in range(repeat):
         args = inputs()
         gc.collect()
-        start = time.process_time()
+        start = time.process_time() + children_cpu()
         call(*args)
-        times.append(time.process_time() - start)
+        times.append(time.process_time() + children_cpu() - start)
     return min(times) * 1000
 
 
@@ -320,54 +349,6 @@ def digest(src: Path) -> str:
     return h.hexdigest()
 
 
-def run_cli(src: Path) -> tuple[dict, dict]:
-    """Child CPU milliseconds of each of :data:`JOBS` as ``python -m
-    ultrametric`` and of each :data:`BARE` command, and each job's program
-    share: the medians of :data:`CLI_RUNS` passes over all of them.
-
-    In a pass each job runs next to a :data:`PAIRED` bare run, the job first
-    at even turns and the bare run first at odd ones, counting the turns over
-    every job of every pass; its share is its time minus that bare run's."""
-    env = column_env(src)
-    jobs = {job: ["-m", "ultrametric", *argv] for job, argv in JOBS.items()}
-    runs = {name: [] for name in (*jobs, *BARE)}
-    shares = {job: [] for job in jobs}
-
-    def cpu_ms(args):
-        cpu = children_cpu()
-        subprocess.run([sys.executable, *args], cwd=GOLDEN, env=env, check=True, capture_output=True)
-        return (children_cpu() - cpu) * 1000
-
-    for p in range(CLI_RUNS):
-        for turn, (job, args) in enumerate(jobs.items(), p * len(jobs)):
-            if turn % 2:
-                bare, ms = cpu_ms(PAIRED), cpu_ms(args)
-            else:
-                ms, bare = cpu_ms(args), cpu_ms(PAIRED)
-            runs[job].append(ms)
-            shares[job].append(ms - bare)
-        for name, args in BARE.items():
-            runs[name].append(cpu_ms(args))
-    median = {name: statistics.median(ms) for name, ms in runs.items()}
-    return median, {job: statistics.median(ms) for job, ms in shares.items()}
-
-
-def cli_rounds(columns: dict[str, Path], rounds: int) -> dict:
-    """The CLI rows of each column: every round runs :func:`run_cli` for each
-    column in :func:`rotated` order."""
-    runs = {name: [] for name in columns}
-    for r in range(rounds):
-        for name in rotated(list(columns), r):
-            runs[name].append(run_cli(columns[name]))
-    return {
-        name: {
-            "jobs": {job: {**summary([t[job] for t, _ in done]), **spread([s[job] for _, s in done])} for job in JOBS},
-            "bare": {command: summary([t[command] for t, _ in done]) for command in BARE},
-        }
-        for name, done in runs.items()
-    }
-
-
 def slope(times: dict) -> float | None:
     """Log-log slope between the two largest sizes, or None below two sizes."""
     if len(times) < 2:
@@ -395,7 +376,7 @@ def bench(columns: dict[str, Path], sizes: list[int], repeat: int, rounds: int) 
         }
         for name, src in columns.items()
     }
-    cli = cli_rounds(columns, rounds)
+    cli = pair_rounds({name: cli_cases(src) for name, src in columns.items()}, rounds, repeat)
     first, *rest = columns
     return {
         "schema": SCHEMA,
@@ -415,7 +396,10 @@ def bench(columns: dict[str, Path], sizes: list[int], repeat: int, rounds: int) 
                     for layer, by_n in layers[name].items()
                 },
                 "startup": startup(src, compiled[name], jobs[name]),
-                "cli": cli[name],
+                "cli": {
+                    "jobs": {job: summary(cli[name][job]) for job in JOBS},
+                    "bare": {command: summary(cli[name][command]) for command in BARE},
+                },
             }
             for name, src in columns.items()
         },
@@ -429,6 +413,7 @@ def bench(columns: dict[str, Path], sizes: list[int], repeat: int, rounds: int) 
         "compile_ratios": {
             name: {job: paired(jobs[first][job][1], jobs[name][job][1]) for job in JOBS} for name in rest
         },
+        "cli_ratios": {name: {row: paired(cli[first][row], ms) for row, ms in cli[name].items()} for name in rest},
     }
 
 
@@ -453,13 +438,8 @@ def summary(times: list[float]) -> dict:
     return {"ms": round(min(times), 3), "median_ms": round(statistics.median(times), 3), "iqr_ms": iqr(times)}
 
 
+# The program share of a job row in schemas 5 to 8.
 SHARE_FIELDS = {"share_ms", "share_iqr_ms"}
-
-
-def spread(shares: list[float]) -> dict:
-    """The median of a job's per-round program shares, and their
-    interquartile range (0 over one round)."""
-    return {"share_ms": round(statistics.median(shares), 3), "share_iqr_ms": iqr(shares)}
 
 
 RATIO_FIELDS = {"median", "iqr"}
@@ -470,13 +450,13 @@ def check_schema(doc: dict) -> None:
     or the form of an earlier schema."""
     version = {f"ultrametric-growth/{v}": v for v in range(1, VERSION + 1)}.get(doc["schema"])
     assert version, doc["schema"]
-    layers = LAYERS_1 if version == 1 else LAYERS_5 if version <= 5 else LAYERS
+    layers = LAYERS_1 if version == 1 else LAYERS_5 if version <= 5 else LAYERS_8 if version <= 8 else LAYERS
     fields = {"ms"} if version == 1 else {"ms", "median_ms"} if version < 7 else FIELDS
     assert isinstance(doc["python"], str) and isinstance(doc["cpus"], int)
     sizes = doc["sizes"]
     assert sizes and all(isinstance(n, int) and n > 0 for n in sizes)
     assert doc["repeat"] >= 1 and doc["rounds"] >= 1 and doc["seeds"] == list(SEEDS) and doc["columns"]
-    if version < VERSION:  # each time also scaled by its column run's reference pair
+    if version < 8:  # each time also scaled by its column run's reference pair
         fields = fields | {field.replace("ms", "scaled") for field in fields}
         assert len(doc["reference_cpu_s"]) == 2 * doc["rounds"] * len(doc["columns"])
     for column in doc["columns"].values():
@@ -495,7 +475,7 @@ def check_schema(doc: dict) -> None:
             rows = column["cli"]
             assert set(rows) == {"jobs", "bare"}
             assert set(rows["jobs"]) == set(JOBS) and set(rows["bare"]) == set(BARE)
-            shared = SHARE_FIELDS if version >= 5 else set()
+            shared = SHARE_FIELDS if 5 <= version <= 8 else set()
             for entry in rows["jobs"].values():
                 assert set(entry) == fields | shared and all(entry[field] >= 0 for field in fields)
                 assert not shared or (isinstance(entry["share_ms"], float) and entry["share_iqr_ms"] >= 0)
@@ -510,21 +490,23 @@ def check_schema(doc: dict) -> None:
             assert entry["nodes"] == sum(modules[m]["nodes"] for m in entry["modules"]), job
             assert entry["compile_ms"] >= 0, job
     names = list(doc["columns"])
-    kinds = RATIO_FIELDS if version == VERSION else {"raw", "scaled"}
+    kinds = RATIO_FIELDS if version >= 8 else {"raw", "scaled"}
     assert list(doc["ratios"]) == names[1:]
     for name, ratio in doc["ratios"].items():
         assert set(ratio) == set(layers)
         for layer, by_n in ratio.items():
             assert set(by_n) == set(doc["columns"][name]["times"][layer]), (name, layer)
             assert all(set(entry) == kinds for entry in by_n.values()), (name, layer)
-    if version == VERSION:
-        assert list(doc["compile_ratios"]) == names[1:]
-        for ratio in doc["compile_ratios"].values():
-            assert set(ratio) == set(JOBS) and all(set(entry) == RATIO_FIELDS for entry in ratio.values())
+    for key, rows, since in (("compile_ratios", set(JOBS), 8), ("cli_ratios", {*JOBS, *BARE}, 9)):
+        if version >= since:
+            assert list(doc[key]) == names[1:], key
+            for ratio in doc[key].values():
+                assert set(ratio) == rows and all(set(entry) == RATIO_FIELDS for entry in ratio.values()), key
 
 
 def report(doc: dict) -> str:
-    """The ratios and the start-up sums as text, one line per layer or job."""
+    """The ratios, the start-up sums and the CLI rows as text, one line per
+    layer, job or command."""
     first, *rest = doc["columns"]
     lines = []
     for name in rest:
@@ -541,18 +523,15 @@ def report(doc: dict) -> str:
             for name, e in entries.items()
         )
         lines.append(f"  {job}: {cells}")
-    lines.append("CLI, median child CPU ms per job:")
-    for job in (*JOBS, *BARE):
-        kind = "jobs" if job in JOBS else "bare"
-        cells = ", ".join(f"{name} {c['cli'][kind][job]['median_ms']:.1f}" for name, c in doc["columns"].items())
-        lines.append(f"  {job}: {cells}")
-    lines.append("CLI, program share per job: median ms over the rounds (IQR):")
-    for job in JOBS:
+    lines.append(f"CLI, median CPU ms per row (against {first}: paired ratio):")
+    for row in (*JOBS, *BARE):
+        kind = "jobs" if row in JOBS else "bare"
         cells = ", ".join(
-            f"{name} {c['cli']['jobs'][job]['share_ms']:.1f} ({c['cli']['jobs'][job]['share_iqr_ms']:.1f})"
+            f"{name} {c['cli'][kind][row]['median_ms']:.1f}"
+            + (f" ({ratio_text(doc['cli_ratios'][name][row])})" if name != first else "")
             for name, c in doc["columns"].items()
         )
-        lines.append(f"  {job}: {cells}")
+        lines.append(f"  {row}: {cells}")
     return "\n".join(lines) + "\n"
 
 
@@ -564,7 +543,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", action="append", default=[], metavar="NAME=DIR", help="a column (default change=src)")
     parser.add_argument("--sizes", default="100,200,400", help="comma-separated point counts")
-    parser.add_argument("--repeat", type=int, default=3, help="calls per layer, size and column, best kept")
+    parser.add_argument("--repeat", type=int, default=3, help="calls per row, size and column, best kept")
     parser.add_argument("--rounds", type=int, default=3, help="rounds of same-moment pairs")
     parser.add_argument("-o", "--output", help="write the JSON here (default stdout)")
     args = parser.parse_args(argv)

@@ -21,10 +21,9 @@ import growth  # noqa: E402
 
 
 def test_a_tiny_run_writes_the_schema(tmp_path, monkeypatch, capsys):
-    # Two jobs, each run once per column and round, keep the CLI rows of four
-    # column runs cheap; the one-column run below times every job.
+    # Two jobs, each run once per column and round, keep the CLI rows of two
+    # columns cheap; the one-column run below times every job.
     monkeypatch.setattr(growth, "JOBS", {job: growth.JOBS[job] for job in ("validate", "ugh")})
-    monkeypatch.setattr(growth, "CLI_RUNS", 1)
     out = tmp_path / "bench.json"
     argv = ["--sizes", "8,20", "--repeat", "1", "--rounds", "2", "-o", str(out)]
     argv += ["--src", f"a={ROOT / 'src'}", "--src", f"b={ROOT / 'src'}"]
@@ -47,7 +46,15 @@ def test_a_tiny_run_writes_the_schema(tmp_path, monkeypatch, capsys):
     startup = err.split("start-up, ")[1].split("CLI, ")[0].splitlines()[1:]
     assert [line.split(":")[0].strip() for line in startup] == ["validate", "ugh"]
     assert all(", b " in line and " (+0, " in line and line.endswith(")") for line in startup), startup
-    assert "program share per job" in err and "  ugh: a " in err.split("program share")[1]
+    # Each CLI row's paired ratio stands beside its medians.
+    cli_rows = err.split("CLI, ")[1].splitlines()[1:]
+    assert [line.split(":")[0].strip() for line in cli_rows] == ["validate", "ugh", *growth.BARE]
+    assert all(line.startswith(f"  {row}: a ") for row, line in zip(["validate", "ugh", *growth.BARE], cli_rows))
+    assert all(", b " in line and line.endswith(")") and line.count("x (") == 1 for line in cli_rows), cli_rows
+    assert list(doc["cli_ratios"]) == ["b"] and set(doc["cli_ratios"]["b"]) == {"validate", "ugh", *growth.BARE}
+    del doc["cli_ratios"]["b"]["ugh"]
+    with pytest.raises(AssertionError):
+        growth.check_schema(doc)
     # Each size's paired median is printed with its IQR.
     ratio = err.split("a -> b, ")[1].splitlines()[1]
     assert ratio.startswith("  glue: n=8 ") and ratio.count("x (") == 2, ratio
@@ -60,7 +67,7 @@ def test_each_round_pairs_the_columns_and_rotates_the_first(monkeypatch):
     calls = []
 
     def best(call, inputs, repeat):
-        if not isinstance(call, tuple):  # a module's compile()
+        if not isinstance(call, tuple):  # a module's compile() or a CLI row
             return 1.0
         calls.append(call)
         return script[call[0]][calls.count(call) - 1]
@@ -71,8 +78,6 @@ def test_each_round_pairs_the_columns_and_rotates_the_first(monkeypatch):
     monkeypatch.setattr(growth, "best", best)
     monkeypatch.setattr(growth, "cases", cases)
     monkeypatch.setattr(growth, "JOBS", {"validate": growth.JOBS["validate"]})
-    rows = dict.fromkeys([*growth.JOBS, *growth.BARE], 1.0)
-    monkeypatch.setattr(growth, "run_cli", lambda src: (rows, {"validate": 1.0}))
     doc = growth.bench({"a": ROOT / "src", "b": ROOT / "src"}, [8], 1, 4)
     # A layer is timed for both columns back to back, before the next layer,
     # and the column timed first alternates round by round.
@@ -85,6 +90,38 @@ def test_each_round_pairs_the_columns_and_rotates_the_first(monkeypatch):
     assert doc["columns"]["a"]["times"]["glue"] == {8: {"ms": 1.0, "median_ms": 3.0, "iqr_ms": 3.25}}
     assert doc["columns"]["b"]["times"]["glue"] == {8: {"ms": 2.0, "median_ms": 2.5, "iqr_ms": 2.25}}
     assert doc["compile_ratios"] == {"b": {"validate": {"median": 1.0, "iqr": 0.0}}}
+
+
+def test_each_cli_row_runs_for_both_columns_back_to_back(tmp_path, monkeypatch):
+    # Fake processes, each charging the children's CPU a scripted time per
+    # column and round: the second column's same-round ratios are 1.5, 0.5,
+    # 1 and 2, as for the layers above.
+    copy = tmp_path / "src"
+    shutil.copytree(ROOT / "src", copy, ignore=shutil.ignore_patterns("__pycache__"))
+    column = {str(ROOT / "src"): "a", str(copy): "b"}
+    script = {"a": [2.0, 4.0, 8.0, 1.0], "b": [3.0, 2.0, 8.0, 2.0]}
+    started, spent = [], [0.0]
+
+    def run(argv, *, env, **_):
+        started.append((column[env["PYTHONPATH"]], argv[1:]))
+        spent[0] += script[started[-1][0]][started.count(started[-1]) - 1]
+
+    monkeypatch.setattr(growth.subprocess, "run", run)
+    monkeypatch.setattr(growth, "children_cpu", lambda: spent[0])
+    monkeypatch.setattr(growth, "cases", lambda package, n: {})
+    monkeypatch.setattr(growth, "JOBS", {"validate": growth.JOBS["validate"]})
+    monkeypatch.setattr(growth, "job_modules", lambda src: {"validate": ["ultrametric", "ultrametric.cli"]})
+    doc = growth.bench({"a": ROOT / "src", "b": copy}, [8], 1, 4)
+    # A row runs for both columns back to back, before the next row, and the
+    # column that runs first alternates round by round.
+    rows = [["-m", "ultrametric", *growth.JOBS["validate"]], *growth.BARE.values()]
+    assert started == [(name, argv) for pair in ("ab", "ba") * 2 for argv in rows for name in pair]
+    # The CLI ratios are the median and IQR of the same-round quotients, not
+    # the quotient of the columns' medians, 2.5 / 3.
+    assert doc["cli_ratios"] == {"b": dict.fromkeys(["validate", *growth.BARE], {"median": 1.25, "iqr": 0.75})}
+    # The bench's own CPU adds a few microseconds to each scripted time.
+    want = {"ms": 1000.0, "median_ms": 3000.0, "iqr_ms": 3250.0}
+    assert doc["columns"]["a"]["cli"]["jobs"]["validate"] == pytest.approx(want, abs=1)
 
 
 @pytest.fixture
@@ -125,9 +162,21 @@ def test_a_loop_planted_in_one_layer_shows_in_its_paired_ratio(tmp_path, monkeyp
     planted += "    sum(range(100_000))\n    return _restrict(space, subset)\n"
     hyperspace.write_text(hyperspace.read_text(encoding="utf-8") + planted, encoding="utf-8")
     monkeypatch.setattr(growth, "JOBS", {"validate": growth.JOBS["validate"]})
-    monkeypatch.setattr(growth, "CLI_RUNS", 1)
     doc = growth.bench({"clean": ROOT / "src", "planted": copy}, [20], 1, 3)
     assert doc["ratios"]["planted"]["restrict"][20]["median"] > 2, doc["ratios"]["planted"]["restrict"]
+
+
+def test_a_loop_planted_in_one_job_shows_in_its_paired_cli_ratio(tmp_path, monkeypatch):
+    copy = tmp_path / "src"
+    shutil.copytree(ROOT / "src", copy, ignore=shutil.ignore_patterns("__pycache__"))
+    jsonio = copy / "ultrametric" / "jsonio.py"
+    # About 55 ms of CPU on a job of about 45 ms; the ugh job does not run it.
+    planted = "\n\n_cli_validate = cli_validate\n\n\ndef cli_validate(args):\n"
+    planted += "    sum(range(3_000_000))\n    return _cli_validate(args)\n"
+    jsonio.write_text(jsonio.read_text(encoding="utf-8") + planted, encoding="utf-8")
+    monkeypatch.setattr(growth, "JOBS", {job: growth.JOBS[job] for job in ("validate", "ugh")})
+    ratios = growth.bench({"clean": ROOT / "src", "planted": copy}, [6], 1, 3)["cli_ratios"]["planted"]
+    assert ratios["validate"]["median"] > 1.5 and ratios["ugh"]["median"] < 1.5, ratios
 
 
 @pytest.mark.parametrize("path", sorted(ROOT.glob("BENCH_*.json")), ids=lambda p: p.name)
@@ -139,40 +188,7 @@ def test_committed_bench_files_have_the_schema(path):
 def one_column():
     """A one-column run at n = 6, each CLI row run once, as JSON text: each
     test reads its own copy."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(growth, "CLI_RUNS", 1)
-        return json.dumps(growth.bench({"only": ROOT / "src"}, [6], 1, 1))
-
-
-def test_each_cli_row_is_the_median_of_three_passes(monkeypatch):
-    # Each pass charges every command a fake CPU time: 9 ms, then 2 ms, then
-    # 1 ms, and a job 1, then 3, then 8 ms more, its share of that pass.  So
-    # each median differs from the first, last, best and mean.
-    monkeypatch.setattr(growth, "JOBS", {"validate": growth.JOBS["validate"]})
-    job = ["-m", "ultrametric", *growth.JOBS["validate"]]
-    paired = growth.BARE["python -c pass"]
-    per_pass = 2 + len(growth.BARE)
-    started, spent = [], [0.0]
-
-    def run(argv, **_):
-        started.append(argv[1:])
-        k = (len(started) - 1) // per_pass
-        spent[0] += (0.009, 0.002, 0.001)[k] + (argv[1:] == job) * (0.001, 0.003, 0.008)[k]
-
-    monkeypatch.setattr(growth.subprocess, "run", run)
-    monkeypatch.setattr(growth, "children_cpu", lambda: spent[0])
-    times, shares = growth.run_cli(ROOT / "src")
-    # The job and its paired bare run alternate which goes first, pass by pass.
-    bare = list(growth.BARE.values())
-    assert growth.CLI_RUNS == 3
-    assert started == [job, paired, *bare, paired, job, *bare, job, paired, *bare]
-    assert times == pytest.approx({"validate": 9.0, **dict.fromkeys(growth.BARE, 2.0)})
-    assert shares == pytest.approx({"validate": 3.0})
-
-
-def test_a_job_row_keeps_the_median_share_and_its_spread():
-    assert growth.spread([4.0]) == {"share_ms": 4.0, "share_iqr_ms": 0.0}
-    assert growth.spread([1.0, 2.0, 4.0, 9.0, 30.0]) == {"share_ms": 4.0, "share_iqr_ms": 7.0}
+    return json.dumps(growth.bench({"only": ROOT / "src"}, [6], 1, 1))
 
 
 def test_a_row_keeps_the_spread_of_its_rounds():
@@ -190,20 +206,38 @@ def test_check_schema_refuses_a_missing_layer(one_column):
         growth.check_schema(doc)
 
 
-def test_schema_8_drops_every_scaled_time(one_column):
+def test_schema_9_pairs_the_cli_rows(one_column):
     doc = json.loads(one_column)
-    assert doc["schema"] == "ultrametric-growth/8"
-    assert "scaled" not in one_column and "reference_cpu_s" not in doc
+    assert doc["schema"] == "ultrametric-growth/9" and doc["cli_ratios"] == {}
+    assert "scaled" not in one_column and "reference_cpu_s" not in doc and "share" not in one_column
     column = doc["columns"]["only"]
-    assert all(column["times"][layer]["6"]["median_ms"] > 0 for layer in ("read", "validate", "write"))
+    rows = ("read", "validate", "write", "single_linkage_collinear")
+    assert all(column["times"][layer]["6"]["median_ms"] > 0 for layer in rows)
     # One round: every spread is 0.
     assert column["times"]["glue"]["6"]["iqr_ms"] == column["cli"]["jobs"]["ugh"]["iqr_ms"] == 0
-    for row in (column["times"]["glue"]["6"], column["cli"]["jobs"]["ugh"], column["cli"]["bare"]["python -c pass"]):
-        row["scaled"] = row["ms"]
+    # Neither a scaled time nor a program share is a schema-9 field.
+    jobs = column["cli"]["jobs"]
+    for row, field in (
+        (column["times"]["glue"]["6"], "scaled"),
+        (jobs["ugh"], "scaled"),
+        (column["cli"]["bare"]["python -c pass"], "scaled"),
+        (jobs["ugh"], "share_ms"),
+    ):
+        row[field] = row["ms"]
         with pytest.raises(AssertionError):
             growth.check_schema(doc)
-        del row["scaled"]
+        del row[field]
     growth.check_schema(doc)
+    # As schema 8 wrote it: a program share on each job, no collinear row and
+    # no CLI ratios.
+    for entry in jobs.values():
+        entry.update(share_ms=1.0, share_iqr_ms=0.0)
+    del column["times"]["single_linkage_collinear"], column["slopes"]["single_linkage_collinear"], doc["cli_ratios"]
+    doc["schema"] = "ultrametric-growth/8"
+    growth.check_schema(doc)
+    doc["schema"] = "ultrametric-growth/9"
+    with pytest.raises(AssertionError):
+        growth.check_schema(doc)
 
 
 def committed_schema_7() -> dict:
@@ -266,7 +300,7 @@ def test_cli_rows_time_every_job_and_the_bare_interpreter(one_column):
     assert set(rows["jobs"]) == set(growth.JOBS)
     assert set(rows["bare"]) == {"python -c pass", "python -S -c pass"}
     assert all(entry["median_ms"] > 0 for entry in (*rows["jobs"].values(), *rows["bare"].values()))
-    assert all(set(entry) == growth.FIELDS | growth.SHARE_FIELDS for entry in rows["jobs"].values())
+    assert all(set(entry) == growth.FIELDS for entry in (*rows["jobs"].values(), *rows["bare"].values()))
     for kind in ("jobs", "bare"):
         bad = json.loads(one_column)
         bad["columns"]["only"]["cli"][kind].popitem()
