@@ -35,10 +35,10 @@ interquartile range of its same-round ratios to the first column, per layer
 and size, as printed to stderr: a median nearer 1 than its IQR cannot be
 told from the host.  One timer serves every row: :func:`best` reads the CPU
 time of this process and of its waited-for children, so a layer, which
-starts no child, is timed as before, and a process is timed whole.  The
-bench's own CPU to start and wait for a child (0.36 ms median against
-36.2 ms for a ``python -c pass`` child, 20 runs) is paid by both columns of
-a pair.
+starts no child, is timed in this process alone, and a process is timed
+whole.  The bench's own CPU to start and wait for a child (0.36 ms median
+against 36.2 ms for a ``python -c pass`` child, 20 runs) is paid by both
+columns of a pair.
 
 The start-up row (``startup``) is the source a CLI job compiles, since a job
 started with ``PYTHONDONTWRITEBYTECODE=1`` compiles every package module it
@@ -64,20 +64,9 @@ loop of 5.3 ms planted in ``validate``'s handler read 1.139x (IQR 0.073) on
 ``validate``, and one of 1.0 ms read 1.023x (IQR 0.019), while the jobs that
 do not run it read 0.992-1.014x.
 
-No timing is checked; :func:`check_schema` checks the file's form only, of
-this schema and of the earlier ones.  Up to the seventh, each column ran in
-its own interpreter between two runs of a reference job (``reference_cpu_s``)
-and each time was also given scaled by their mean (``scaled``,
-``median_scaled``, ``iqr_scaled``), with ratios of unpaired medians, raw and
-scaled: two copies of one tree read 0.76-1.16x that way.  Up to the eighth,
-each round ran one column's CLI rows after the other's, a row's time the
-median of three passes, and each job row kept its program share: the median
-over the rounds of its time minus a ``python -c pass`` run beside it
-(``share_ms``), and their interquartile range (``share_iqr_ms``).  The first
-schema kept the best time only, the second had no start-up row and no
-ratios, the third no CLI rows, the fourth no program shares, the fifth no
-read, validate and write rows, the sixth kept an interquartile range of the
-program shares only, and the eighth had no collinear row.
+No timing is checked.  :func:`check_schema` checks the form of a file of
+this schema, ``ultrametric-growth/9``, and refuses any other; the committed
+files of earlier schemas are pinned by their SHA-256 digests in the tests.
 """
 from __future__ import annotations
 
@@ -102,13 +91,13 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
-VERSION = 9
-SCHEMA = f"ultrametric-growth/{VERSION}"
-# The first schema's layers, whose entries held the best time only.
-LAYERS_1 = ("glue", "disjoint_amalgam", "crowd_family", "certificate", "chain_glue")
-# The layers of schemas 2 to 5.
-LAYERS_5 = (
-    *LAYERS_1,
+SCHEMA = "ultrametric-growth/9"
+LAYERS = (
+    "glue",
+    "disjoint_amalgam",
+    "crowd_family",
+    "certificate",
+    "chain_glue",
     "random_space",
     "cauchy_sequence",
     "closed_quotient_t0",
@@ -116,10 +105,11 @@ LAYERS_5 = (
     "restrict",
     "single_linkage",
     "ugh_distance_fresh",
+    "read",
+    "validate",
+    "write",
+    "single_linkage_collinear",
 )
-# The layers of schemas 6 to 8.
-LAYERS_8 = (*LAYERS_5, "read", "validate", "write")
-LAYERS = (*LAYERS_8, "single_linkage_collinear")
 SEEDS = (1, 2)
 # Glue's cross loop was cubic before it became a spanning forest: 30 s at
 # n = 800, so no column times it above 400 points.  crowd_family adds n
@@ -438,49 +428,29 @@ def summary(times: list[float]) -> dict:
     return {"ms": round(min(times), 3), "median_ms": round(statistics.median(times), 3), "iqr_ms": iqr(times)}
 
 
-# The program share of a job row in schemas 5 to 8.
-SHARE_FIELDS = {"share_ms", "share_iqr_ms"}
-
-
 RATIO_FIELDS = {"median", "iqr"}
 
 
 def check_schema(doc: dict) -> None:
-    """Raise AssertionError unless ``doc`` has the form :func:`bench` writes,
-    or the form of an earlier schema."""
-    version = {f"ultrametric-growth/{v}": v for v in range(1, VERSION + 1)}.get(doc["schema"])
-    assert version, doc["schema"]
-    layers = LAYERS_1 if version == 1 else LAYERS_5 if version <= 5 else LAYERS_8 if version <= 8 else LAYERS
-    fields = {"ms"} if version == 1 else {"ms", "median_ms"} if version < 7 else FIELDS
+    """Raise AssertionError unless ``doc`` has the form :func:`bench` writes."""
+    assert doc["schema"] == SCHEMA, doc["schema"]
     assert isinstance(doc["python"], str) and isinstance(doc["cpus"], int)
     sizes = doc["sizes"]
     assert sizes and all(isinstance(n, int) and n > 0 for n in sizes)
     assert doc["repeat"] >= 1 and doc["rounds"] >= 1 and doc["seeds"] == list(SEEDS) and doc["columns"]
-    if version < 8:  # each time also scaled by its column run's reference pair
-        fields = fields | {field.replace("ms", "scaled") for field in fields}
-        assert len(doc["reference_cpu_s"]) == 2 * doc["rounds"] * len(doc["columns"])
     for column in doc["columns"].values():
         assert len(column["digest"]) == 64
-        assert set(column["times"]) == set(column["slopes"]) == set(layers)
+        assert set(column["times"]) == set(column["slopes"]) == set(LAYERS)
         for layer, by_n in column["times"].items():
             want = [n for n in sizes if n <= MAX_N.get(layer, n)]
             assert sorted(map(int, by_n)) == want, (layer, sorted(by_n))
-            for entry in by_n.values():
-                assert set(entry) == fields and all(entry[field] >= 0 for field in fields)
             assert column["slopes"][layer] is None or isinstance(column["slopes"][layer], float)
-    if version <= 2:
-        return
-    for column in doc["columns"].values():
-        if version >= 4:
-            rows = column["cli"]
-            assert set(rows) == {"jobs", "bare"}
-            assert set(rows["jobs"]) == set(JOBS) and set(rows["bare"]) == set(BARE)
-            shared = SHARE_FIELDS if 5 <= version <= 8 else set()
-            for entry in rows["jobs"].values():
-                assert set(entry) == fields | shared and all(entry[field] >= 0 for field in fields)
-                assert not shared or (isinstance(entry["share_ms"], float) and entry["share_iqr_ms"] >= 0)
-            for entry in rows["bare"].values():
-                assert set(entry) == fields and all(entry[field] >= 0 for field in fields)
+        rows = column["cli"]
+        assert set(rows) == {"jobs", "bare"}
+        assert set(rows["jobs"]) == set(JOBS) and set(rows["bare"]) == set(BARE)
+        times = [entry for by_n in column["times"].values() for entry in by_n.values()]
+        for entry in [*times, *rows["jobs"].values(), *rows["bare"].values()]:
+            assert set(entry) == FIELDS and all(entry[field] >= 0 for field in FIELDS)
         modules, jobs = column["startup"]["modules"], column["startup"]["jobs"]
         assert "ultrametric" in modules and set(jobs) == set(JOBS), sorted(jobs)
         for entry in modules.values():
@@ -490,18 +460,16 @@ def check_schema(doc: dict) -> None:
             assert entry["nodes"] == sum(modules[m]["nodes"] for m in entry["modules"]), job
             assert entry["compile_ms"] >= 0, job
     names = list(doc["columns"])
-    kinds = RATIO_FIELDS if version >= 8 else {"raw", "scaled"}
     assert list(doc["ratios"]) == names[1:]
     for name, ratio in doc["ratios"].items():
-        assert set(ratio) == set(layers)
+        assert set(ratio) == set(LAYERS)
         for layer, by_n in ratio.items():
             assert set(by_n) == set(doc["columns"][name]["times"][layer]), (name, layer)
-            assert all(set(entry) == kinds for entry in by_n.values()), (name, layer)
-    for key, rows, since in (("compile_ratios", set(JOBS), 8), ("cli_ratios", {*JOBS, *BARE}, 9)):
-        if version >= since:
-            assert list(doc[key]) == names[1:], key
-            for ratio in doc[key].values():
-                assert set(ratio) == rows and all(set(entry) == RATIO_FIELDS for entry in ratio.values()), key
+            assert all(set(entry) == RATIO_FIELDS for entry in by_n.values()), (name, layer)
+    for key, rows in (("compile_ratios", set(JOBS)), ("cli_ratios", {*JOBS, *BARE})):
+        assert list(doc[key]) == names[1:], key
+        for ratio in doc[key].values():
+            assert set(ratio) == rows and all(set(entry) == RATIO_FIELDS for entry in ratio.values()), key
 
 
 def report(doc: dict) -> str:
@@ -523,13 +491,14 @@ def report(doc: dict) -> str:
             for name, e in entries.items()
         )
         lines.append(f"  {job}: {cells}")
-    lines.append(f"CLI, median CPU ms per row (against {first}: paired ratio):")
+    lines.append(f"CLI, median CPU ms per row and its IQR (against {first}: paired ratio):")
     for row in (*JOBS, *BARE):
         kind = "jobs" if row in JOBS else "bare"
+        entries = {name: c["cli"][kind][row] for name, c in doc["columns"].items()}
         cells = ", ".join(
-            f"{name} {c['cli'][kind][row]['median_ms']:.1f}"
-            + (f" ({ratio_text(doc['cli_ratios'][name][row])})" if name != first else "")
-            for name, c in doc["columns"].items()
+            f"{name} {e['median_ms']:.1f} ms (IQR {e['iqr_ms']:.1f})"
+            + (f" paired {ratio_text(doc['cli_ratios'][name][row])}" if name != first else "")
+            for name, e in entries.items()
         )
         lines.append(f"  {row}: {cells}")
     return "\n".join(lines) + "\n"
@@ -539,17 +508,37 @@ def ratio_text(entry: dict) -> str:
     return f"{entry['median']:.3f}x ({entry['iqr']:.3f})"
 
 
+def count(text: str) -> int:
+    """``text`` as an integer of at least 1, for argparse."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{text!r} is below 1")
+    return value
+
+
+def counts(text: str) -> list[int]:
+    return [count(n) for n in text.split(",")]
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", action="append", default=[], metavar="NAME=DIR", help="a column (default change=src)")
-    parser.add_argument("--sizes", default="100,200,400", help="comma-separated point counts")
-    parser.add_argument("--repeat", type=int, default=3, help="calls per row, size and column, best kept")
-    parser.add_argument("--rounds", type=int, default=3, help="rounds of same-moment pairs")
+    parser.add_argument("--sizes", type=counts, default="100,200,400", help="comma-separated point counts")
+    parser.add_argument("--repeat", type=count, default=3, help="calls per row, size and column, best kept")
+    parser.add_argument("--rounds", type=count, default=3, help="rounds of same-moment pairs")
     parser.add_argument("-o", "--output", help="write the JSON here (default stdout)")
     args = parser.parse_args(argv)
-    sizes = [int(n) for n in args.sizes.split(",")]
-    columns = dict(spec.split("=", 1) for spec in args.src or ["change=src"])
-    doc = bench({name: Path(src).resolve() for name, src in columns.items()}, sizes, args.repeat, args.rounds)
+    columns = {}
+    for spec in args.src or ["change=src"]:
+        name, _, src = spec.partition("=")
+        if not (name and src):
+            parser.error(f"--src wants NAME=DIR, got {spec!r}")
+        if name in columns:
+            parser.error(f"--src names column {name!r} twice")
+        columns[name] = Path(src).resolve()
+        if not (columns[name] / "ultrametric" / "__init__.py").is_file():
+            parser.error(f"--src {spec!r}: no ultrametric package in {columns[name]}")
+    doc = bench(columns, args.sizes, args.repeat, args.rounds)
     check_schema(doc)
     sys.stderr.write(report(doc))
     text = json.dumps(doc, indent=1) + "\n"

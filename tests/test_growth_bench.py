@@ -1,8 +1,12 @@
 """The growth bench runs at tiny sizes and writes, and has committed, files of
-its schema.  No timing bound is checked: runners are shared."""
+its schema; the committed files of older schemas keep their bytes.  No timing
+bound is checked: runners are shared."""
 
 from __future__ import annotations
 
+import contextlib
+import hashlib
+import io
 import json
 import shutil
 import sys
@@ -19,45 +23,94 @@ sys.path.insert(0, str(SCRIPT.parent))
 
 import growth  # noqa: E402
 
+# The committed files of the earlier schemas, which check_schema no longer
+# reads, by the SHA-256 digest of their bytes.
+PINNED = {
+    "BENCH_22.json": "548c3ae045dc18327c26ba982c3610affff72d9311898322958a31e191a37d10",
+    "BENCH_23.json": "0c4eddba4bce83394f422d4bb712795b5e5aa4adf16e4a73e097e928dc508f5f",
+    "BENCH_24.json": "4bd1f958f2a6a0477af32abed1232705d8a7ca093d987e7d71638150dd3edb9e",
+    "BENCH_25.json": "5e1a1e7873029aa92b1feed3f63d8c950f4e5c509fcc23d000338519656e880d",
+    "BENCH_26.json": "2756618ddb8e90e598cdbf8a22f359148220ff2d618cad8f76dbdc6280b1a0ef",
+    "BENCH_28.json": "def6057ecfeded617229f65e40d46000d11181770c98766bc26962a7c4599097",
+    "BENCH_39.json": "46a9131e6ccd9a3a2c4307a80e42832bc23354ebbec537148fc49d639f3044b8",
+    "BENCH_43.json": "15a6d98fd79d2a60b337f5d97fa0c6c1d4e16417258f2564e58973ed7fee2eb7",
+}
+# The jobs of the paired run below, each run once per column and round to
+# keep its CLI rows cheap; the one-column run further down times every job.
+TWO_JOBS = ("validate", "ugh")
 
-def test_a_tiny_run_writes_the_schema(tmp_path, monkeypatch, capsys):
-    # Two jobs, each run once per column and round, keep the CLI rows of two
-    # columns cheap; the one-column run below times every job.
-    monkeypatch.setattr(growth, "JOBS", {job: growth.JOBS[job] for job in ("validate", "ugh")})
-    out = tmp_path / "bench.json"
-    argv = ["--sizes", "8,20", "--repeat", "1", "--rounds", "2", "-o", str(out)]
-    argv += ["--src", f"a={ROOT / 'src'}", "--src", f"b={ROOT / 'src'}"]
-    assert growth.main(argv) == 0
-    doc = json.loads(out.read_text(encoding="utf-8"))
+
+def plant(path: Path, name: str, params: str, steps: int) -> None:
+    """Wrap the function ``name`` of ``path`` so that each call first runs a
+    CPU loop of ``steps`` steps, not a sleep: every row is timed in CPU time."""
+    code = f"\n\n_{name} = {name}\n\n\ndef {name}({params}):\n    sum(range({steps}))\n    return _{name}({params})\n"
+    path.write_text(path.read_text(encoding="utf-8") + code, encoding="utf-8")
+
+
+@pytest.fixture(scope="module")
+def planted(tmp_path_factory):
+    """One paired run of :data:`TWO_JOBS` at n = 6 and 20, three rounds, best
+    of one: the clean tree against a copy with a loop planted in the
+    ``restrict`` layer and one in the ``validate`` job's handler.  Gives the
+    copy, the JSON text, so that each test reads its own copy, and the report
+    written to stderr."""
+    copy = tmp_path_factory.mktemp("planted") / "src"
+    shutil.copytree(ROOT / "src", copy, ignore=shutil.ignore_patterns("__pycache__"))
+    plant(copy / "ultrametric" / "hyperspace.py", "restrict", "space, subset", 100_000)
+    # About 55 ms of CPU on a job of about 45 ms; the ugh job does not run it.
+    plant(copy / "ultrametric" / "jsonio.py", "cli_validate", "args", 3_000_000)
+    out = copy.parent / "bench.json"
+    argv = ["--sizes", "6,20", "--repeat", "1", "--rounds", "3", "-o", str(out)]
+    argv += ["--src", f"clean={ROOT / 'src'}", "--src", f"planted={copy}"]
+    err = io.StringIO()
+    with pytest.MonkeyPatch.context() as patch, contextlib.redirect_stderr(err):
+        patch.setattr(growth, "JOBS", {job: growth.JOBS[job] for job in TWO_JOBS})
+        assert growth.main(argv) == 0
+    return copy, out.read_text(encoding="utf-8"), err.getvalue()
+
+
+def test_a_tiny_run_writes_the_schema(planted, monkeypatch):
+    copy, text, err = planted
+    monkeypatch.setattr(growth, "JOBS", {job: growth.JOBS[job] for job in TWO_JOBS})
+    doc = json.loads(text)
     growth.check_schema(doc)
-    assert list(doc["columns"]) == ["a", "b"] and doc["sizes"] == [8, 20]
-    assert doc["columns"]["a"]["digest"] == doc["columns"]["b"]["digest"]
-    # One source tree: the same modules, nodes and job sums in both columns.
-    a, b = (doc["columns"][name]["startup"] for name in "ab")
-    assert {job: (e["modules"], e["nodes"]) for job, e in a["jobs"].items()} == {
-        job: (e["modules"], e["nodes"]) for job, e in b["jobs"].items()
-    }
-    assert list(doc["ratios"]) == ["b"] and set(doc["ratios"]["b"]) == set(growth.LAYERS)
-    assert list(doc["compile_ratios"]) == ["b"] and set(doc["compile_ratios"]["b"]) == {"validate", "ugh"}
-    err = capsys.readouterr().err
-    assert "  python -S -c pass: a " in err
-    # The same tree twice: each job's nodes differ by nothing, and the paired
-    # compile ratio stands beside the difference.
+    assert list(doc["columns"]) == ["clean", "planted"] and doc["sizes"] == [6, 20]
+    clean, other = doc["columns"]["clean"], doc["columns"]["planted"]
+    assert clean["digest"] == growth.digest(ROOT / "src") != other["digest"]
+    # The copy loads the same modules per job, and each job's nodes differ by
+    # the planted modules' own difference.
+    a, b = clean["startup"]["jobs"], other["startup"]["jobs"]
+    assert {job: e["modules"] for job, e in a.items()} == {job: e["modules"] for job, e in b.items()}
+    nodes, more = growth.ast_nodes(ROOT / "src"), growth.ast_nodes(copy)
+    added = {job: sum(more[m] - nodes[m] for m in e["modules"]) for job, e in a.items()}
+    assert {job: b[job]["nodes"] - e["nodes"] for job, e in a.items()} == added and added["validate"] > 0
+    assert list(doc["ratios"]) == ["planted"] and set(doc["ratios"]["planted"]) == set(growth.LAYERS)
+    assert list(doc["compile_ratios"]) == ["planted"] and set(doc["compile_ratios"]["planted"]) == set(TWO_JOBS)
+    assert "  python -S -c pass: clean " in err
+    # The paired compile ratio stands beside each job's node difference.
     startup = err.split("start-up, ")[1].split("CLI, ")[0].splitlines()[1:]
-    assert [line.split(":")[0].strip() for line in startup] == ["validate", "ugh"]
-    assert all(", b " in line and " (+0, " in line and line.endswith(")") for line in startup), startup
-    # Each CLI row's paired ratio stands beside its medians.
+    assert [line.split(":")[0].strip() for line in startup] == list(TWO_JOBS)
+    assert all(
+        ", planted " in line and f" ({added[job]:+d}, " in line and line.endswith(")")
+        for job, line in zip(TWO_JOBS, startup)
+    ), startup
+    # Each CLI row prints each column's median and IQR, and the paired ratio.
     cli_rows = err.split("CLI, ")[1].splitlines()[1:]
-    assert [line.split(":")[0].strip() for line in cli_rows] == ["validate", "ugh", *growth.BARE]
-    assert all(line.startswith(f"  {row}: a ") for row, line in zip(["validate", "ugh", *growth.BARE], cli_rows))
-    assert all(", b " in line and line.endswith(")") and line.count("x (") == 1 for line in cli_rows), cli_rows
-    assert list(doc["cli_ratios"]) == ["b"] and set(doc["cli_ratios"]["b"]) == {"validate", "ugh", *growth.BARE}
-    del doc["cli_ratios"]["b"]["ugh"]
+    rows = [*TWO_JOBS, *growth.BARE]
+    assert [line.split(":")[0].strip() for line in cli_rows] == rows
+    for row, line in zip(rows, cli_rows):
+        kind = "jobs" if row in TWO_JOBS else "bare"
+        entries = {name: c["cli"][kind][row] for name, c in doc["columns"].items()}
+        cell = {name: f"{e['median_ms']:.1f} ms (IQR {e['iqr_ms']:.1f})" for name, e in entries.items()}
+        ratio = growth.ratio_text(doc["cli_ratios"]["planted"][row])
+        assert line == f"  {row}: clean {cell['clean']}, planted {cell['planted']} paired {ratio}"
+    assert list(doc["cli_ratios"]) == ["planted"] and set(doc["cli_ratios"]["planted"]) == set(rows)
+    del doc["cli_ratios"]["planted"]["ugh"]
     with pytest.raises(AssertionError):
         growth.check_schema(doc)
     # Each size's paired median is printed with its IQR.
-    ratio = err.split("a -> b, ")[1].splitlines()[1]
-    assert ratio.startswith("  glue: n=8 ") and ratio.count("x (") == 2, ratio
+    ratio = err.split("clean -> planted, ")[1].splitlines()[1]
+    assert ratio.startswith("  glue: n=6 ") and ratio.count("x (") == 2, ratio
 
 
 def test_each_round_pairs_the_columns_and_rotates_the_first(monkeypatch):
@@ -153,35 +206,42 @@ def test_a_column_loads_as_its_own_package(tmp_path, unload):
     assert all(Path(module.__file__).is_relative_to(copy) for module in second.values())
 
 
-def test_a_loop_planted_in_one_layer_shows_in_its_paired_ratio(tmp_path, monkeypatch):
-    copy = tmp_path / "src"
-    shutil.copytree(ROOT / "src", copy, ignore=shutil.ignore_patterns("__pycache__"))
-    hyperspace = copy / "ultrametric" / "hyperspace.py"
-    # A CPU loop, not a sleep: the layers are timed in CPU time.
-    planted = "\n\n_restrict = restrict\n\n\ndef restrict(space, subset):\n"
-    planted += "    sum(range(100_000))\n    return _restrict(space, subset)\n"
-    hyperspace.write_text(hyperspace.read_text(encoding="utf-8") + planted, encoding="utf-8")
-    monkeypatch.setattr(growth, "JOBS", {"validate": growth.JOBS["validate"]})
-    doc = growth.bench({"clean": ROOT / "src", "planted": copy}, [20], 1, 3)
-    assert doc["ratios"]["planted"]["restrict"][20]["median"] > 2, doc["ratios"]["planted"]["restrict"]
+def test_a_loop_planted_in_one_layer_shows_in_its_paired_ratio(planted):
+    ratios = json.loads(planted[1])["ratios"]["planted"]["restrict"]
+    assert ratios["20"]["median"] > 2, ratios
 
 
-def test_a_loop_planted_in_one_job_shows_in_its_paired_cli_ratio(tmp_path, monkeypatch):
-    copy = tmp_path / "src"
-    shutil.copytree(ROOT / "src", copy, ignore=shutil.ignore_patterns("__pycache__"))
-    jsonio = copy / "ultrametric" / "jsonio.py"
-    # About 55 ms of CPU on a job of about 45 ms; the ugh job does not run it.
-    planted = "\n\n_cli_validate = cli_validate\n\n\ndef cli_validate(args):\n"
-    planted += "    sum(range(3_000_000))\n    return _cli_validate(args)\n"
-    jsonio.write_text(jsonio.read_text(encoding="utf-8") + planted, encoding="utf-8")
-    monkeypatch.setattr(growth, "JOBS", {job: growth.JOBS[job] for job in ("validate", "ugh")})
-    ratios = growth.bench({"clean": ROOT / "src", "planted": copy}, [6], 1, 3)["cli_ratios"]["planted"]
+def test_a_loop_planted_in_one_job_shows_in_its_paired_cli_ratio(planted):
+    ratios = json.loads(planted[1])["cli_ratios"]["planted"]
     assert ratios["validate"]["median"] > 1.5 and ratios["ugh"]["median"] < 1.5, ratios
 
 
-@pytest.mark.parametrize("path", sorted(ROOT.glob("BENCH_*.json")), ids=lambda p: p.name)
-def test_committed_bench_files_have_the_schema(path):
-    growth.check_schema(json.loads(path.read_text(encoding="utf-8")))
+@pytest.mark.parametrize("name", sorted({path.name for path in ROOT.glob("BENCH_*.json")} | set(PINNED)))
+def test_committed_bench_files_have_the_schema(name):
+    data = (ROOT / name).read_bytes()
+    if name in PINNED:
+        assert hashlib.sha256(data).hexdigest() == PINNED[name], name
+    else:
+        growth.check_schema(json.loads(data))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--src", "src"],
+        ["--src", f"a={ROOT / 'src'}", "--src", f"a={ROOT / 'src'}"],
+        ["--src", f"a={ROOT / 'tests'}"],
+        ["--sizes", "0"],
+        ["--repeat", "0"],
+        ["--rounds", "0"],
+    ],
+    ids=["src-without-name", "column-named-twice", "dir-without-package", "size-0", "repeat-0", "rounds-0"],
+)
+def test_bad_arguments_end_in_a_usage_error_before_any_tree_loads(argv, monkeypatch, capsys):
+    monkeypatch.setattr(growth, "bench", lambda *_: pytest.fail("the bench started"))
+    with pytest.raises(SystemExit) as raised:
+        growth.main(argv)
+    assert raised.value.code == 2 and "error: " in capsys.readouterr().err
 
 
 @pytest.fixture(scope="module")
@@ -228,57 +288,8 @@ def test_schema_9_pairs_the_cli_rows(one_column):
             growth.check_schema(doc)
         del row[field]
     growth.check_schema(doc)
-    # As schema 8 wrote it: a program share on each job, no collinear row and
-    # no CLI ratios.
-    for entry in jobs.values():
-        entry.update(share_ms=1.0, share_iqr_ms=0.0)
-    del column["times"]["single_linkage_collinear"], column["slopes"]["single_linkage_collinear"], doc["cli_ratios"]
+    # Only this schema is read.
     doc["schema"] = "ultrametric-growth/8"
-    growth.check_schema(doc)
-    doc["schema"] = "ultrametric-growth/9"
-    with pytest.raises(AssertionError):
-        growth.check_schema(doc)
-
-
-def committed_schema_7() -> dict:
-    doc = json.loads((ROOT / "BENCH_43.json").read_text(encoding="utf-8"))
-    assert doc["schema"] == "ultrametric-growth/7"
-    return doc
-
-
-def without_spreads(doc: dict) -> dict:
-    """``doc`` as schema 6 wrote it: no row keeps the IQR of its times."""
-    for column in doc["columns"].values():
-        rows = [entry for by_n in column["times"].values() for entry in by_n.values()]
-        for entry in [*rows, *column["cli"]["jobs"].values(), *column["cli"]["bare"].values()]:
-            del entry["iqr_ms"], entry["iqr_scaled"]
-    doc["schema"] = "ultrametric-growth/6"
-    return doc
-
-
-def test_schema_7_adds_the_spread_of_every_row():
-    # A schema-6 file has no spreads, and a schema-7 file has them on every row.
-    doc = without_spreads(committed_schema_7())
-    growth.check_schema(doc)
-    doc["schema"] = "ultrametric-growth/7"
-    with pytest.raises(AssertionError):
-        growth.check_schema(doc)
-
-
-def test_schema_6_adds_the_read_validate_and_write_rows():
-    doc = without_spreads(committed_schema_7())
-    # A schema-5 file has none of them, and a schema-6 file has all three.
-    doc["schema"] = "ultrametric-growth/5"
-    with pytest.raises(AssertionError):
-        growth.check_schema(doc)
-    for column in doc["columns"].values():
-        for layer in ("read", "validate", "write"):
-            del column["times"][layer], column["slopes"][layer]
-    for ratio in doc["ratios"].values():
-        for layer in ("read", "validate", "write"):
-            del ratio[layer]
-    growth.check_schema(doc)
-    doc["schema"] = "ultrametric-growth/6"
     with pytest.raises(AssertionError):
         growth.check_schema(doc)
 
