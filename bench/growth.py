@@ -1,5 +1,5 @@
 """Growth-rate bench of the constructions and of each CLI job, timed in
-same-moment pairs, and the start-up cost of each job.
+same-moment pairs.
 
 Usage (from the repository root)::
 
@@ -40,38 +40,28 @@ whole.  The bench's own CPU to start and wait for a child (0.36 ms median
 against 36.2 ms for a ``python -c pass`` child, 20 runs) is paid by both
 columns of a pair.
 
-The start-up row (``startup``) is the source a CLI job compiles, since a job
-started with ``PYTHONDONTWRITEBYTECODE=1`` compiles every package module it
-imports.  Per package module it gives the AST nodes and the median over the
-rounds of the best ``compile()`` time, timed in pairs as the layers are; per
-clean job of every verb (:data:`JOBS`, run from ``tests/golden``), the
-package modules the job leaves loaded, their nodes and the median of their
-per-round compile sums, whose same-round ratios ``compile_ratios`` gives as
-``ratios`` does.  These compiles are warm; a job compiles each module once,
-cold, which on a ``ugh`` job (Python 3.11.7, 2 vCPUs, shared host) took
-9.6-16.1 ms at ``importlib``'s ``SourceLoader.source_to_code`` against a warm
-sum of 7.8-9.5 ms.  The CLI rows include the cold compile.
-
-The CLI rows (``cli``) are paired as the layers are: each of :data:`JOBS` as
-``python -m ultrametric`` (``jobs``), and ``python -c pass`` and ``python -S
--c pass`` (``bare``), so the host's ``site`` start-up shows apart from the
-program's, each run from ``tests/golden`` with ``PYTHONDONTWRITEBYTECODE=1``
-for every column back to back.  They keep a layer's fields, and
-``cli_ratios`` gives their same-round ratios as ``ratios`` does.  A job is a
-process of some 45 ms, so about 1 ms is the floor of what a run resolves: at
-n = 100, 11 rounds, best of 3 (Python 3.11.7, 2 vCPUs, shared host), a CPU
-loop of 5.3 ms planted in ``validate``'s handler read 1.139x (IQR 0.073) on
-``validate``, and one of 1.0 ms read 1.023x (IQR 0.019), while the jobs that
-do not run it read 0.992-1.014x.
+The CLI rows (``cli``) are paired as the layers are: each clean job of every
+verb in :data:`JOBS` as ``python -m ultrametric`` (``jobs``), and ``python -c
+pass`` and ``python -S -c pass`` (``bare``), so the host's ``site`` start-up
+shows apart from the program's, each run from ``tests/golden`` with
+``PYTHONDONTWRITEBYTECODE=1`` for every column back to back.  So a job
+compiles each package module it imports once, cold, and its row includes that
+compile: 9.6-16.1 ms at ``importlib``'s ``SourceLoader.source_to_code`` on a
+``ugh`` job (Python 3.11.7, 2 vCPUs, shared host).  The rows keep a layer's
+fields, and ``cli_ratios`` gives their same-round ratios as ``ratios`` does.
+A job is a process of some 45 ms, so about 1 ms is the floor of what a run
+resolves: at n = 100, 11 rounds, best of 3 (Python 3.11.7, 2 vCPUs, shared
+host), a CPU loop of 5.3 ms planted in ``validate``'s handler read 1.139x (IQR
+0.073) on ``validate``, and one of 1.0 ms read 1.023x (IQR 0.019), while the
+jobs that do not run it read 0.992-1.014x.
 
 No timing is checked.  :func:`check_schema` checks the form of a file of
-this schema, ``ultrametric-growth/9``, and refuses any other; the committed
+this schema, ``ultrametric-growth/10``, and refuses any other; the committed
 files of earlier schemas are pinned by their SHA-256 digests in the tests.
 """
 from __future__ import annotations
 
 import argparse
-import ast
 import gc
 import hashlib
 import importlib.util
@@ -91,7 +81,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
-SCHEMA = "ultrametric-growth/9"
+SCHEMA = "ultrametric-growth/10"
 LAYERS = (
     "glue",
     "disjoint_amalgam",
@@ -139,20 +129,6 @@ JOBS = {
 }
 # The bare-interpreter rows: start-up and exit with and without ``site``.
 BARE = {"python -c pass": ["-c", "pass"], "python -S -c pass": ["-S", "-c", "pass"]}
-# Runs the CLI as ``python -m ultrametric`` does, then prints the package
-# modules it left loaded as the last line of stdout.  The job's ``os._exit``
-# raises SystemExit instead, so the child goes on to print; a source tree
-# whose job exits normally raises it anyway.
-LIST_MODULES = """
-import json, os, runpy, sys
-sys.argv = ["ultrametric", *sys.argv[1:]]
-os._exit = sys.exit
-try:
-    runpy.run_module("ultrametric", run_name="__main__", alter_sys=True)
-except SystemExit:
-    pass
-print(json.dumps(sorted(name for name in sys.modules if name.split(".")[0] == "ultrametric")))
-"""
 
 
 def children_cpu() -> float:
@@ -225,14 +201,6 @@ def cases(package: str, n: int) -> dict:
     return {layer: out[layer] for layer in LAYERS if n <= MAX_N.get(layer, n)}
 
 
-def compile_cases(src: Path) -> dict:
-    """``(call, inputs)`` per package module: ``compile()`` of its source."""
-    return {
-        module_name(path): (compile, lambda args=(path.read_text(encoding="utf-8"), str(path), "exec"): args)
-        for path in sorted((src / "ultrametric").glob("*.py"))
-    }
-
-
 def cli_cases(src: Path) -> dict:
     """``(call, inputs)`` per CLI row: each of :data:`JOBS` as ``python -m
     ultrametric`` and each :data:`BARE` command, run from ``tests/golden``
@@ -281,54 +249,10 @@ def pair_rounds(by_column: dict, rounds: int, repeat: int) -> dict:
     return times
 
 
-def module_name(path: Path) -> str:
-    return "ultrametric" if path.stem == "__init__" else f"ultrametric.{path.stem}"
-
-
-def ast_nodes(src: Path) -> dict:
-    """AST nodes of each package module's source."""
-    return {
-        module_name(path): sum(1 for _ in ast.walk(ast.parse(path.read_bytes())))
-        for path in sorted((src / "ultrametric").glob("*.py"))
-    }
-
-
 def column_env(src: Path) -> dict:
     """The environment of a child that imports the package from ``src`` and
     compiles it from source."""
     return {**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"}
-
-
-def job_modules(src: Path) -> dict:
-    """The package modules each of :data:`JOBS` leaves loaded."""
-    env = column_env(src)
-    out = {}
-    for job, argv in JOBS.items():
-        proc = subprocess.run(
-            [sys.executable, "-c", LIST_MODULES, *argv], cwd=GOLDEN, env=env, check=True, capture_output=True, text=True
-        )
-        out[job] = json.loads(proc.stdout.splitlines()[-1])
-    return out
-
-
-def startup(src: Path, compiled: dict, jobs: dict) -> dict:
-    """The start-up row of a column, from its per-round module compile times
-    and each job's per-round compile sums ``jobs``."""
-    nodes = ast_nodes(src)
-    return {
-        "modules": {
-            name: {"nodes": nodes[name], "compile_ms": round(statistics.median(ms), 3)}
-            for name, ms in compiled.items()
-        },
-        "jobs": {
-            job: {
-                "modules": loaded,
-                "nodes": sum(nodes[name] for name in loaded),
-                "compile_ms": round(statistics.median(ms), 3),
-            }
-            for job, (loaded, ms) in jobs.items()
-        },
-    }
 
 
 def digest(src: Path) -> str:
@@ -357,15 +281,6 @@ def bench(columns: dict[str, Path], sizes: list[int], repeat: int, rounds: int) 
         name: {layer: {n: timed[n][name][layer] for n in sizes if layer in timed[n][name]} for layer in LAYERS}
         for name in columns
     }
-    compiled = pair_rounds({name: compile_cases(src) for name, src in columns.items()}, rounds, repeat)
-    # Per column and job, its modules and their compile sum in each round.
-    jobs = {
-        name: {
-            job: (loaded, [sum(ms) for ms in zip(*(compiled[name][module] for module in loaded))])
-            for job, loaded in job_modules(src).items()
-        }
-        for name, src in columns.items()
-    }
     cli = pair_rounds({name: cli_cases(src) for name, src in columns.items()}, rounds, repeat)
     first, *rest = columns
     return {
@@ -385,7 +300,6 @@ def bench(columns: dict[str, Path], sizes: list[int], repeat: int, rounds: int) 
                     layer: slope({n: statistics.median(ms) for n, ms in by_n.items()})
                     for layer, by_n in layers[name].items()
                 },
-                "startup": startup(src, compiled[name], jobs[name]),
                 "cli": {
                     "jobs": {job: summary(cli[name][job]) for job in JOBS},
                     "bare": {command: summary(cli[name][command]) for command in BARE},
@@ -399,9 +313,6 @@ def bench(columns: dict[str, Path], sizes: list[int], repeat: int, rounds: int) 
                 for layer, by_n in layers[name].items()
             }
             for name in rest
-        },
-        "compile_ratios": {
-            name: {job: paired(jobs[first][job][1], jobs[name][job][1]) for job in JOBS} for name in rest
         },
         "cli_ratios": {name: {row: paired(cli[first][row], ms) for row, ms in cli[name].items()} for name in rest},
     }
@@ -429,16 +340,19 @@ def summary(times: list[float]) -> dict:
 
 
 RATIO_FIELDS = {"median", "iqr"}
+KEYS = {"schema", "python", "machine", "cpus", "sizes", "repeat", "rounds", "seeds", "columns", "ratios", "cli_ratios"}
 
 
 def check_schema(doc: dict) -> None:
     """Raise AssertionError unless ``doc`` has the form :func:`bench` writes."""
     assert doc["schema"] == SCHEMA, doc["schema"]
+    assert set(doc) == KEYS, sorted(doc)
     assert isinstance(doc["python"], str) and isinstance(doc["cpus"], int)
     sizes = doc["sizes"]
     assert sizes and all(isinstance(n, int) and n > 0 for n in sizes)
     assert doc["repeat"] >= 1 and doc["rounds"] >= 1 and doc["seeds"] == list(SEEDS) and doc["columns"]
     for column in doc["columns"].values():
+        assert set(column) == {"digest", "times", "slopes", "cli"}, sorted(column)
         assert len(column["digest"]) == 64
         assert set(column["times"]) == set(column["slopes"]) == set(LAYERS)
         for layer, by_n in column["times"].items():
@@ -451,14 +365,6 @@ def check_schema(doc: dict) -> None:
         times = [entry for by_n in column["times"].values() for entry in by_n.values()]
         for entry in [*times, *rows["jobs"].values(), *rows["bare"].values()]:
             assert set(entry) == FIELDS and all(entry[field] >= 0 for field in FIELDS)
-        modules, jobs = column["startup"]["modules"], column["startup"]["jobs"]
-        assert "ultrametric" in modules and set(jobs) == set(JOBS), sorted(jobs)
-        for entry in modules.values():
-            assert entry["nodes"] > 0 and entry["compile_ms"] >= 0
-        for job, entry in jobs.items():
-            assert {"ultrametric", "ultrametric.cli"} <= set(entry["modules"]) <= set(modules), job
-            assert entry["nodes"] == sum(modules[m]["nodes"] for m in entry["modules"]), job
-            assert entry["compile_ms"] >= 0, job
     names = list(doc["columns"])
     assert list(doc["ratios"]) == names[1:]
     for name, ratio in doc["ratios"].items():
@@ -466,31 +372,20 @@ def check_schema(doc: dict) -> None:
         for layer, by_n in ratio.items():
             assert set(by_n) == set(doc["columns"][name]["times"][layer]), (name, layer)
             assert all(set(entry) == RATIO_FIELDS for entry in by_n.values()), (name, layer)
-    for key, rows in (("compile_ratios", set(JOBS)), ("cli_ratios", {*JOBS, *BARE})):
-        assert list(doc[key]) == names[1:], key
-        for ratio in doc[key].values():
-            assert set(ratio) == rows and all(set(entry) == RATIO_FIELDS for entry in ratio.values()), key
+    assert list(doc["cli_ratios"]) == names[1:]
+    for ratio in doc["cli_ratios"].values():
+        assert set(ratio) == {*JOBS, *BARE} and all(set(entry) == RATIO_FIELDS for entry in ratio.values())
 
 
 def report(doc: dict) -> str:
-    """The ratios, the start-up sums and the CLI rows as text, one line per
-    layer, job or command."""
+    """The ratios and the CLI rows as text, one line per layer, job or
+    command."""
     first, *rest = doc["columns"]
     lines = []
     for name in rest:
         lines.append(f"{first} -> {name}, median of the same-round ratios (their IQR):")
         for layer, by_n in doc["ratios"][name].items():
             lines.append(f"  {layer}: " + ", ".join(f"n={n} {ratio_text(e)}" for n, e in by_n.items()))
-    lines.append(f"start-up, package AST nodes / compile ms per job (against {first}: nodes, paired compile ratio):")
-    for job in JOBS:
-        entries = {name: c["startup"]["jobs"][job] for name, c in doc["columns"].items()}
-        base = entries[first]["nodes"]
-        cells = ", ".join(
-            f"{name} {e['nodes']} / {e['compile_ms']:.2f}"
-            + (f" ({e['nodes'] - base:+d}, {ratio_text(doc['compile_ratios'][name][job])})" if name != first else "")
-            for name, e in entries.items()
-        )
-        lines.append(f"  {job}: {cells}")
     lines.append(f"CLI, median CPU ms per row and its IQR (against {first}: paired ratio):")
     for row in (*JOBS, *BARE):
         kind = "jobs" if row in JOBS else "bare"
@@ -528,6 +423,8 @@ def main(argv=None) -> int:
     parser.add_argument("--rounds", type=count, default=3, help="rounds of same-moment pairs")
     parser.add_argument("-o", "--output", help="write the JSON here (default stdout)")
     args = parser.parse_args(argv)
+    if args.sizes != sorted(set(args.sizes)):
+        parser.error(f"--sizes must rise without a repeat, got {args.sizes}")
     columns = {}
     for spec in args.src or ["change=src"]:
         name, _, src = spec.partition("=")

@@ -34,6 +34,7 @@ PINNED = {
     "BENCH_28.json": "def6057ecfeded617229f65e40d46000d11181770c98766bc26962a7c4599097",
     "BENCH_39.json": "46a9131e6ccd9a3a2c4307a80e42832bc23354ebbec537148fc49d639f3044b8",
     "BENCH_43.json": "15a6d98fd79d2a60b337f5d97fa0c6c1d4e16417258f2564e58973ed7fee2eb7",
+    "BENCH_50.json": "6bb58debabd5301fabc519f73668b75e7b53471e6e772d051b9f4cbbaf993e9f",
 }
 # The jobs of the paired run below, each run once per column and round to
 # keep its CLI rows cheap; the one-column run further down times every job.
@@ -52,8 +53,8 @@ def planted(tmp_path_factory):
     """One paired run of :data:`TWO_JOBS` at n = 6 and 20, three rounds, best
     of one: the clean tree against a copy with a loop planted in the
     ``restrict`` layer and one in the ``validate`` job's handler.  Gives the
-    copy, the JSON text, so that each test reads its own copy, and the report
-    written to stderr."""
+    JSON text, so that each test reads its own copy, and the report written
+    to stderr."""
     copy = tmp_path_factory.mktemp("planted") / "src"
     shutil.copytree(ROOT / "src", copy, ignore=shutil.ignore_patterns("__pycache__"))
     plant(copy / "ultrametric" / "hyperspace.py", "restrict", "space, subset", 100_000)
@@ -66,34 +67,18 @@ def planted(tmp_path_factory):
     with pytest.MonkeyPatch.context() as patch, contextlib.redirect_stderr(err):
         patch.setattr(growth, "JOBS", {job: growth.JOBS[job] for job in TWO_JOBS})
         assert growth.main(argv) == 0
-    return copy, out.read_text(encoding="utf-8"), err.getvalue()
+    return out.read_text(encoding="utf-8"), err.getvalue()
 
 
 def test_a_tiny_run_writes_the_schema(planted, monkeypatch):
-    copy, text, err = planted
+    text, err = planted
     monkeypatch.setattr(growth, "JOBS", {job: growth.JOBS[job] for job in TWO_JOBS})
     doc = json.loads(text)
     growth.check_schema(doc)
     assert list(doc["columns"]) == ["clean", "planted"] and doc["sizes"] == [6, 20]
     clean, other = doc["columns"]["clean"], doc["columns"]["planted"]
     assert clean["digest"] == growth.digest(ROOT / "src") != other["digest"]
-    # The copy loads the same modules per job, and each job's nodes differ by
-    # the planted modules' own difference.
-    a, b = clean["startup"]["jobs"], other["startup"]["jobs"]
-    assert {job: e["modules"] for job, e in a.items()} == {job: e["modules"] for job, e in b.items()}
-    nodes, more = growth.ast_nodes(ROOT / "src"), growth.ast_nodes(copy)
-    added = {job: sum(more[m] - nodes[m] for m in e["modules"]) for job, e in a.items()}
-    assert {job: b[job]["nodes"] - e["nodes"] for job, e in a.items()} == added and added["validate"] > 0
     assert list(doc["ratios"]) == ["planted"] and set(doc["ratios"]["planted"]) == set(growth.LAYERS)
-    assert list(doc["compile_ratios"]) == ["planted"] and set(doc["compile_ratios"]["planted"]) == set(TWO_JOBS)
-    assert "  python -S -c pass: clean " in err
-    # The paired compile ratio stands beside each job's node difference.
-    startup = err.split("start-up, ")[1].split("CLI, ")[0].splitlines()[1:]
-    assert [line.split(":")[0].strip() for line in startup] == list(TWO_JOBS)
-    assert all(
-        ", planted " in line and f" ({added[job]:+d}, " in line and line.endswith(")")
-        for job, line in zip(TWO_JOBS, startup)
-    ), startup
     # Each CLI row prints each column's median and IQR, and the paired ratio.
     cli_rows = err.split("CLI, ")[1].splitlines()[1:]
     rows = [*TWO_JOBS, *growth.BARE]
@@ -120,7 +105,7 @@ def test_each_round_pairs_the_columns_and_rotates_the_first(monkeypatch):
     calls = []
 
     def best(call, inputs, repeat):
-        if not isinstance(call, tuple):  # a module's compile() or a CLI row
+        if not isinstance(call, tuple):  # a CLI row
             return 1.0
         calls.append(call)
         return script[call[0]][calls.count(call) - 1]
@@ -142,7 +127,6 @@ def test_each_round_pairs_the_columns_and_rotates_the_first(monkeypatch):
     assert doc["ratios"]["b"]["glue"] == {8: {"median": 1.25, "iqr": 0.75}}
     assert doc["columns"]["a"]["times"]["glue"] == {8: {"ms": 1.0, "median_ms": 3.0, "iqr_ms": 3.25}}
     assert doc["columns"]["b"]["times"]["glue"] == {8: {"ms": 2.0, "median_ms": 2.5, "iqr_ms": 2.25}}
-    assert doc["compile_ratios"] == {"b": {"validate": {"median": 1.0, "iqr": 0.0}}}
 
 
 def test_each_cli_row_runs_for_both_columns_back_to_back(tmp_path, monkeypatch):
@@ -163,7 +147,6 @@ def test_each_cli_row_runs_for_both_columns_back_to_back(tmp_path, monkeypatch):
     monkeypatch.setattr(growth, "children_cpu", lambda: spent[0])
     monkeypatch.setattr(growth, "cases", lambda package, n: {})
     monkeypatch.setattr(growth, "JOBS", {"validate": growth.JOBS["validate"]})
-    monkeypatch.setattr(growth, "job_modules", lambda src: {"validate": ["ultrametric", "ultrametric.cli"]})
     doc = growth.bench({"a": ROOT / "src", "b": copy}, [8], 1, 4)
     # A row runs for both columns back to back, before the next row, and the
     # column that runs first alternates round by round.
@@ -207,12 +190,12 @@ def test_a_column_loads_as_its_own_package(tmp_path, unload):
 
 
 def test_a_loop_planted_in_one_layer_shows_in_its_paired_ratio(planted):
-    ratios = json.loads(planted[1])["ratios"]["planted"]["restrict"]
+    ratios = json.loads(planted[0])["ratios"]["planted"]["restrict"]
     assert ratios["20"]["median"] > 2, ratios
 
 
 def test_a_loop_planted_in_one_job_shows_in_its_paired_cli_ratio(planted):
-    ratios = json.loads(planted[1])["cli_ratios"]["planted"]
+    ratios = json.loads(planted[0])["cli_ratios"]["planted"]
     assert ratios["validate"]["median"] > 1.5 and ratios["ugh"]["median"] < 1.5, ratios
 
 
@@ -234,8 +217,19 @@ def test_committed_bench_files_have_the_schema(name):
         ["--sizes", "0"],
         ["--repeat", "0"],
         ["--rounds", "0"],
+        ["--sizes", "6,6"],
+        ["--sizes", "8,6"],
     ],
-    ids=["src-without-name", "column-named-twice", "dir-without-package", "size-0", "repeat-0", "rounds-0"],
+    ids=[
+        "src-without-name",
+        "column-named-twice",
+        "dir-without-package",
+        "size-0",
+        "repeat-0",
+        "rounds-0",
+        "size-repeated",
+        "size-falling",
+    ],
 )
 def test_bad_arguments_end_in_a_usage_error_before_any_tree_loads(argv, monkeypatch, capsys):
     monkeypatch.setattr(growth, "bench", lambda *_: pytest.fail("the bench started"))
@@ -266,32 +260,36 @@ def test_check_schema_refuses_a_missing_layer(one_column):
         growth.check_schema(doc)
 
 
-def test_schema_9_pairs_the_cli_rows(one_column):
+def test_schema_10_drops_the_start_up_row(one_column):
     doc = json.loads(one_column)
-    assert doc["schema"] == "ultrametric-growth/9" and doc["cli_ratios"] == {}
-    assert "scaled" not in one_column and "reference_cpu_s" not in doc and "share" not in one_column
+    assert doc["schema"] == "ultrametric-growth/10" and doc["cli_ratios"] == {}
+    assert "scaled" not in one_column and "share" not in one_column and "compile" not in one_column
     column = doc["columns"]["only"]
     rows = ("read", "validate", "write", "single_linkage_collinear")
     assert all(column["times"][layer]["6"]["median_ms"] > 0 for layer in rows)
     # One round: every spread is 0.
     assert column["times"]["glue"]["6"]["iqr_ms"] == column["cli"]["jobs"]["ugh"]["iqr_ms"] == 0
-    # Neither a scaled time nor a program share is a schema-9 field.
+    # No scaled time, program share, start-up row or compile ratio is a
+    # schema-10 field.
     jobs = column["cli"]["jobs"]
     for row, field in (
         (column["times"]["glue"]["6"], "scaled"),
         (jobs["ugh"], "scaled"),
         (column["cli"]["bare"]["python -c pass"], "scaled"),
         (jobs["ugh"], "share_ms"),
+        (column, "startup"),
+        (doc, "compile_ratios"),
     ):
-        row[field] = row["ms"]
+        row[field] = {}
         with pytest.raises(AssertionError):
             growth.check_schema(doc)
         del row[field]
     growth.check_schema(doc)
     # Only this schema is read.
-    doc["schema"] = "ultrametric-growth/8"
-    with pytest.raises(AssertionError):
-        growth.check_schema(doc)
+    for old in ("ultrametric-growth/9", "ultrametric-growth/8"):
+        doc["schema"] = old
+        with pytest.raises(AssertionError):
+            growth.check_schema(doc)
 
 
 def test_jobs_hold_a_clean_job_of_every_verb_and_family():
@@ -318,21 +316,3 @@ def test_cli_rows_time_every_job_and_the_bare_interpreter(one_column):
         with pytest.raises(AssertionError):
             growth.check_schema(bad)
 
-
-def test_startup_row_sums_the_modules_each_job_loads(one_column):
-    doc = json.loads(one_column)
-    startup = doc["columns"]["only"]["startup"]
-    nodes = growth.ast_nodes(ROOT / "src")
-    assert set(startup["modules"]) == set(nodes)
-    ugh, validate = startup["jobs"]["ugh"], startup["jobs"]["validate"]
-    assert "ultrametric.gromov" in ugh["modules"] and "ultrametric.gromov" not in validate["modules"]
-    assert ugh["nodes"] == sum(nodes[m] for m in ugh["modules"])
-    for broken in ("nodes", "job"):
-        bad = json.loads(one_column)
-        jobs = bad["columns"]["only"]["startup"]["jobs"]
-        if broken == "nodes":
-            jobs["ugh"]["nodes"] += 1
-        else:
-            del jobs["quotient"]
-        with pytest.raises(AssertionError):
-            growth.check_schema(bad)
