@@ -44,7 +44,8 @@ The CLI rows (``cli``) are paired as the layers are: each clean job of every
 verb in :data:`JOBS` as ``python -m ultrametric`` (``jobs``), and ``python -c
 pass`` and ``python -S -c pass`` (``bare``), so the host's ``site`` start-up
 shows apart from the program's, each run from ``tests/golden`` with
-``PYTHONDONTWRITEBYTECODE=1`` for every column back to back.  So a job
+``PYTHONDONTWRITEBYTECODE=1`` for every column back to back.  :data:`JOBS` is
+the one table of clean jobs; ``tests/test_startup.py`` runs it too.  So a job
 compiles each package module it imports once, cold, and its row includes that
 compile: 9.6-16.1 ms at ``importlib``'s ``SourceLoader.source_to_code`` on a
 ``ugh`` job (Python 3.11.7, 2 vCPUs, shared host).  The rows keep a layer's
@@ -107,11 +108,12 @@ SEEDS = (1, 2)
 # collinear single linkage grows as n^2.7, 2.4 s at n = 400.
 MAX_N = {"glue": 400, "crowd_family": 724, "single_linkage_collinear": 400}
 CHAIN_PART = 20  # points per space of the chain_glue chain, one shared per link
-# A clean job of every verb and family, on the corpus inputs.
+# The one table of clean jobs, which tests/test_startup.py runs too: a job of
+# every verb and family, on the corpus inputs, each file written to os.devnull.
 JOBS = {
     "validate": ["validate", "isosceles.json"],
     "validate_merge": ["validate", "dirty_space.json", "--merge-duplicates"],
-    "spectrum": ["spectrum", "isosceles.json"],
+    "spectrum": ["spectrum", "isosceles.json", "-o", os.devnull],
     "quotient": ["quotient", "isosceles.json", "--t", "1"],
     "hausdorff": ["hausdorff", "isosceles.json", "--a", '["a"]', "--b", '["b"]'],
     "net": ["net", "isosceles.json", "--eps", "1"],
@@ -125,6 +127,7 @@ JOBS = {
     "gen_cauchy": ["gen", "cauchy", "--depth", "2"],
     "gen_random": ["gen", "random", "--n", "3", "--k", "0,1", "--seed", "1"],
     "cluster": ["cluster", "--input", "metric.json"],
+    "cluster_merge": ["cluster", "--input", "dirty_metric.json", "--merge-duplicates"],
     "in_uk": ["in-uk", "isosceles.json", "--k", "0,1,2"],
 }
 # The bare-interpreter rows: start-up and exit with and without ``site``.

@@ -6,13 +6,16 @@ replay exactly.
 
 from __future__ import annotations
 
+import os
 import pkgutil
 import random
+import subprocess
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
 from importlib import import_module
 from operator import itemgetter
+from pathlib import Path
 
 import pytest
 
@@ -36,6 +39,12 @@ from ultrametric.dendrogram import leaf_labels
 from ultrametric.errors import EmptyChain, InputFormat, UltrametricError, UnknownLabel
 from ultrametric.rationals import as_rational, format_rational
 from ultrametric.spaces import ZERO
+
+from cli_corpus import GOLDEN
+
+ROOT = Path(__file__).resolve().parent.parent
+# bench/ on the path, so that tests ``import growth``, the growth bench.
+sys.path.insert(0, str(ROOT / "bench"))
 
 # Taken at import, so a test that patches ``spaces._check_axioms`` to count
 # calls sees only the library's own.
@@ -366,3 +375,18 @@ def shallow_recursion(headroom: int = 100):
         yield
     finally:
         sys.setrecursionlimit(limit)
+
+
+def run_child(args, cwd=GOLDEN, path=(), buffered=False, **options):
+    """``subprocess.run(args, **options)`` from ``cwd``, ``tests/golden``
+    unless named, with ``path`` and then ``src`` first on PYTHONPATH: from
+    there a relative PYTHONPATH would miss ``src``.  ``buffered`` unsets
+    PYTHONUNBUFFERED, so a piped stdout is block-buffered as it is by
+    default."""
+    paths = [*map(str, path), str(ROOT / "src")]
+    if os.environ.get("PYTHONPATH"):
+        paths.append(os.environ["PYTHONPATH"])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+    if buffered:
+        env.pop("PYTHONUNBUFFERED", None)
+    return subprocess.run(args, cwd=cwd, env=env, **options)

@@ -3,7 +3,6 @@ import json
 import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
@@ -12,7 +11,7 @@ from ultrametric.cli import main
 from ultrametric.rationals import digit_bound
 
 from cli_corpus import CASES, GOLDEN, expected_text, run_case
-from conftest import BUILD_SPACE, BUILDER_MODULES, CHECK_AXIOMS, PRIM_MODULES, shallow_recursion
+from conftest import BUILD_SPACE, BUILDER_MODULES, CHECK_AXIOMS, PRIM_MODULES, run_child, shallow_recursion
 
 CORPUS = [pytest.param(*case, id=case[0]) for case in CASES]
 
@@ -105,17 +104,8 @@ def test_diagnostics_colored_on_tty_without_no_color(monkeypatch, capsys):
 
 
 def run_in_golden(args, text=True, buffered=False, path=(), stdout=subprocess.PIPE):
-    # The child runs from tests/golden, so a relative PYTHONPATH would miss src.
-    # ``buffered`` unsets PYTHONUNBUFFERED, so a piped stdout is block-buffered
-    # as it is by default; ``path`` goes on PYTHONPATH before src; stdout is
-    # captured unless ``stdout`` names another file descriptor.
-    paths = [*map(str, path), str(Path(__file__).resolve().parents[1] / "src")]
-    if os.environ.get("PYTHONPATH"):
-        paths.append(os.environ["PYTHONPATH"])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
-    if buffered:
-        env.pop("PYTHONUNBUFFERED", None)
-    return subprocess.run(args, cwd=GOLDEN, stdout=stdout, stderr=subprocess.PIPE, text=text, env=env)
+    # stdout is captured unless ``stdout`` names another file descriptor.
+    return run_child(args, path=path, buffered=buffered, stdout=stdout, stderr=subprocess.PIPE, text=text)
 
 
 def test_module_entrypoint_subprocess():

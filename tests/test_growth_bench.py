@@ -15,13 +15,9 @@ from pathlib import Path
 
 import pytest
 
-from ultrametric import cli
+import growth
 
 ROOT = Path(__file__).resolve().parent.parent
-SCRIPT = ROOT / "bench" / "growth.py"
-sys.path.insert(0, str(SCRIPT.parent))
-
-import growth  # noqa: E402
 
 # The committed files of the earlier schemas, which check_schema no longer
 # reads, by the SHA-256 digest of their bytes.
@@ -37,8 +33,8 @@ PINNED = {
     "BENCH_50.json": "6bb58debabd5301fabc519f73668b75e7b53471e6e772d051b9f4cbbaf993e9f",
 }
 # The jobs of the paired run below, each run once per column and round to
-# keep its CLI rows cheap; the one-column run further down times every job.
-TWO_JOBS = ("validate", "ugh")
+# keep its CLI rows cheap; tests/test_startup.py runs every job.
+TWO_JOBS = {job: growth.JOBS[job] for job in ("validate", "ugh")}
 
 
 def plant(path: Path, name: str, params: str, steps: int) -> None:
@@ -58,21 +54,21 @@ def planted(tmp_path_factory):
     copy = tmp_path_factory.mktemp("planted") / "src"
     shutil.copytree(ROOT / "src", copy, ignore=shutil.ignore_patterns("__pycache__"))
     plant(copy / "ultrametric" / "hyperspace.py", "restrict", "space, subset", 100_000)
-    # About 55 ms of CPU on a job of about 45 ms; the ugh job does not run it.
-    plant(copy / "ultrametric" / "jsonio.py", "cli_validate", "args", 3_000_000)
+    # About 110 ms of CPU on a job of about 60 ms; the ugh job does not run it.
+    plant(copy / "ultrametric" / "jsonio.py", "cli_validate", "args", 6_000_000)
     out = copy.parent / "bench.json"
     argv = ["--sizes", "6,20", "--repeat", "1", "--rounds", "3", "-o", str(out)]
     argv += ["--src", f"clean={ROOT / 'src'}", "--src", f"planted={copy}"]
     err = io.StringIO()
     with pytest.MonkeyPatch.context() as patch, contextlib.redirect_stderr(err):
-        patch.setattr(growth, "JOBS", {job: growth.JOBS[job] for job in TWO_JOBS})
+        patch.setattr(growth, "JOBS", TWO_JOBS)
         assert growth.main(argv) == 0
     return out.read_text(encoding="utf-8"), err.getvalue()
 
 
 def test_a_tiny_run_writes_the_schema(planted, monkeypatch):
     text, err = planted
-    monkeypatch.setattr(growth, "JOBS", {job: growth.JOBS[job] for job in TWO_JOBS})
+    monkeypatch.setattr(growth, "JOBS", TWO_JOBS)
     doc = json.loads(text)
     growth.check_schema(doc)
     assert list(doc["columns"]) == ["clean", "planted"] and doc["sizes"] == [6, 20]
@@ -90,6 +86,15 @@ def test_a_tiny_run_writes_the_schema(planted, monkeypatch):
         ratio = growth.ratio_text(doc["cli_ratios"]["planted"][row])
         assert line == f"  {row}: clean {cell['clean']}, planted {cell['planted']} paired {ratio}"
     assert list(doc["cli_ratios"]) == ["planted"] and set(doc["cli_ratios"]["planted"]) == set(rows)
+    for column in doc["columns"].values():
+        assert set(column["cli"]["bare"]) == {"python -c pass", "python -S -c pass"}
+        entries = [*column["cli"]["jobs"].values(), *column["cli"]["bare"].values()]
+        assert all(set(entry) == growth.FIELDS and entry["median_ms"] > 0 for entry in entries)
+    for kind in ("jobs", "bare"):
+        bad = json.loads(text)
+        bad["columns"]["planted"]["cli"][kind].popitem()
+        with pytest.raises(AssertionError):
+            growth.check_schema(bad)
     del doc["cli_ratios"]["planted"]["ugh"]
     with pytest.raises(AssertionError):
         growth.check_schema(doc)
@@ -238,13 +243,6 @@ def test_bad_arguments_end_in_a_usage_error_before_any_tree_loads(argv, monkeypa
     assert raised.value.code == 2 and "error: " in capsys.readouterr().err
 
 
-@pytest.fixture(scope="module")
-def one_column():
-    """A one-column run at n = 6, each CLI row run once, as JSON text: each
-    test reads its own copy."""
-    return json.dumps(growth.bench({"only": ROOT / "src"}, [6], 1, 1))
-
-
 def test_a_row_keeps_the_spread_of_its_rounds():
     # The best round is the fastest; one round has no spread.
     assert growth.summary([6.0]) == {"ms": 6.0, "median_ms": 6.0, "iqr_ms": 0.0}
@@ -252,23 +250,24 @@ def test_a_row_keeps_the_spread_of_its_rounds():
     assert growth.paired([2.0], [3.0]) == {"median": 1.5, "iqr": 0.0}
 
 
-def test_check_schema_refuses_a_missing_layer(one_column):
-    doc = json.loads(one_column)
+def test_check_schema_refuses_a_missing_layer(planted, monkeypatch):
+    monkeypatch.setattr(growth, "JOBS", TWO_JOBS)
+    doc = json.loads(planted[0])
     growth.check_schema(doc)
-    del doc["columns"]["only"]["times"]["chain_glue"]
+    del doc["columns"]["planted"]["times"]["chain_glue"]
     with pytest.raises(AssertionError):
         growth.check_schema(doc)
 
 
-def test_schema_10_drops_the_start_up_row(one_column):
-    doc = json.loads(one_column)
-    assert doc["schema"] == "ultrametric-growth/10" and doc["cli_ratios"] == {}
-    assert "scaled" not in one_column and "share" not in one_column and "compile" not in one_column
-    column = doc["columns"]["only"]
+def test_schema_10_drops_the_start_up_row(planted, monkeypatch):
+    monkeypatch.setattr(growth, "JOBS", TWO_JOBS)
+    text = planted[0]
+    doc = json.loads(text)
+    assert doc["schema"] == "ultrametric-growth/10"
+    assert "scaled" not in text and "share" not in text and "compile" not in text
+    column = doc["columns"]["clean"]
     rows = ("read", "validate", "write", "single_linkage_collinear")
     assert all(column["times"][layer]["6"]["median_ms"] > 0 for layer in rows)
-    # One round: every spread is 0.
-    assert column["times"]["glue"]["6"]["iqr_ms"] == column["cli"]["jobs"]["ugh"]["iqr_ms"] == 0
     # No scaled time, program share, start-up row or compile ratio is a
     # schema-10 field.
     jobs = column["cli"]["jobs"]
@@ -292,27 +291,10 @@ def test_schema_10_drops_the_start_up_row(one_column):
             growth.check_schema(doc)
 
 
-def test_jobs_hold_a_clean_job_of_every_verb_and_family():
-    leaves = {
-        (verb, family)
-        for verb, (_, _, spec) in cli.VERBS.items()
-        for family in (spec if isinstance(spec, dict) else [None])
-    }
-    assert len(leaves) == 14
-    jobs = {(argv[0], argv[1] if argv[0] == "gen" else None) for argv in growth.JOBS.values()}
-    assert jobs == leaves
-
-
-def test_cli_rows_time_every_job_and_the_bare_interpreter(one_column):
-    doc = json.loads(one_column)
-    rows = doc["columns"]["only"]["cli"]
-    assert set(rows["jobs"]) == set(growth.JOBS)
-    assert set(rows["bare"]) == {"python -c pass", "python -S -c pass"}
-    assert all(entry["median_ms"] > 0 for entry in (*rows["jobs"].values(), *rows["bare"].values()))
-    assert all(set(entry) == growth.FIELDS for entry in (*rows["jobs"].values(), *rows["bare"].values()))
-    for kind in ("jobs", "bare"):
-        bad = json.loads(one_column)
-        bad["columns"]["only"]["cli"][kind].popitem()
-        with pytest.raises(AssertionError):
-            growth.check_schema(bad)
-
+def test_a_single_column_has_no_ratios(monkeypatch):
+    # The bench's default, --src change=src, is one column: nothing to pair.
+    monkeypatch.setattr(growth, "best", lambda call, inputs, repeat: 1.0)
+    monkeypatch.setattr(growth, "cases", lambda package, n: dict.fromkeys(growth.LAYERS, (None, tuple)))
+    doc = growth.bench({"only": ROOT / "src"}, [6], 1, 1)
+    growth.check_schema(doc)
+    assert list(doc["columns"]) == ["only"] and doc["ratios"] == doc["cli_ratios"] == {}

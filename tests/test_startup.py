@@ -1,16 +1,14 @@
 """Start-up cost: a CLI job imports only the modules its verb reaches.
 
-One table, :data:`MODULES`, gives the package modules each clean job loads,
-and the rules below read it.  One test checks the table by running each job
-in a fresh interpreter, since this test process has long since imported
-every module of the package.
+One table, :data:`MODULES`, gives the package modules each clean job of
+``bench/growth.py``'s ``JOBS`` loads, and the rules below read it.  One test
+checks the table by running each job in a fresh interpreter, since this test
+process has long since imported every module of the package.
 """
 
 import ast
 import json
-import os
 import pkgutil
-import subprocess
 import sys
 from importlib import import_module
 from pathlib import Path
@@ -34,7 +32,9 @@ from ultrametric import (
     spaces,
 )
 
+import growth
 from cli_corpus import GOLDEN, expected_text
+from conftest import run_child
 from test_bench_imports import SCRIPTS, used_names
 
 SRC = Path(ultrametric.__file__).resolve().parent
@@ -84,13 +84,7 @@ HEAVY = {"dataclasses", "inspect", "argparse", "gettext", "locale", "__future__"
 
 def run_python(args, cwd=GOLDEN):
     """Stdout and stderr of a fresh interpreter that exits 0."""
-    # The child runs from tests/golden, so a relative PYTHONPATH would miss src.
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    inherited = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, inherited]) if inherited else src)
-    result = subprocess.run(
-        [sys.executable, *args], cwd=cwd, capture_output=True, text=True, env=env
-    )
+    result = run_child([sys.executable, *args], cwd=cwd, capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
     return result.stdout, result.stderr
 
@@ -113,37 +107,14 @@ def run_job(argv):
     return set(modules), certifying
 
 
-# A clean job of every verb and family.
-CLEAN_JOBS = {
-    "validate": ["validate", "isosceles.json"],
-    "ugh": ["ugh", "x_half.json", "x_three_quarters.json"],
-    "ugh_certificate": [
-        "ugh", "x_half.json", "x_three_quarters.json", "--certificate", "{tmp}/cert.json",
-    ],
-    "glue": ["glue", "gluespec.json"],
-    "gen_two_point": ["gen", "two-point", "--c", "1/2"],
-    "cluster": ["cluster", "--input", "metric.json"],
-    "in_uk": ["in-uk", "isosceles.json", "--k", "0,1,2"],
-    "validate_merge": ["validate", "dirty_space.json", "--merge-duplicates"],
-    "spectrum": ["spectrum", "isosceles.json", "-o", "{tmp}/out.json"],
-    "quotient": ["quotient", "isosceles.json", "--t", "1"],
-    "hausdorff": ["hausdorff", "isosceles.json", "--a", '["a"]', "--b", '["b"]'],
-    "net": ["net", "isosceles.json", "--eps", "1"],
-    "amalgam": ["amalgam", "pair.json", "single.json", "--s", "1"],
-    "ugh_oracle": ["ugh", "x_half.json", "x_three_quarters.json", "--oracle"],
-    "gen_crowd": ["gen", "crowd", "--space", "pair.json", "--base", "a", "--c", "1/2", "--n", "1"],
-    "gen_cauchy": ["gen", "cauchy", "--depth", "2"],
-    "gen_random": ["gen", "random", "--n", "3", "--k", "0,1", "--seed", "1"],
-    "cluster_merge": ["cluster", "--input", "dirty_metric.json", "--merge-duplicates"],
-}
-
 
 def loads(*names: str) -> set[str]:
     return MINIMAL | {f"ultrametric.{name}" for name in names}
 
 
-# The package modules each clean job loads: MINIMAL, its verb's handler
-# module (named first in its ``cli.VERBS`` entry) and what that handler runs.
+# The package modules each clean job of ``growth.JOBS`` loads: MINIMAL, its
+# verb's handler module (named first in its ``cli.VERBS`` entry) and what that
+# handler runs.
 MODULES = {
     "validate": loads(),
     "spectrum": loads(),
@@ -167,38 +138,40 @@ MODULES = {
 
 
 @pytest.fixture(scope="module")
-def loaded(tmp_path_factory):
-    """Every module each clean job leaves loaded, one fresh run per job."""
-    tmp = str(tmp_path_factory.mktemp("jobs"))
-    return {
-        name: run_job([arg.replace("{tmp}", tmp) for arg in argv])[0]
-        for name, argv in CLEAN_JOBS.items()
-    }
+def loaded():
+    """Every module each clean job leaves loaded, one fresh run per job, each
+    ending in exit 0."""
+    return {name: run_job(argv)[0] for name, argv in growth.JOBS.items()}
 
 
 def handler_module(name: str) -> str:
     """The module of the clean job's verb handler, as ``cli.VERBS`` names it."""
-    return cli.VERBS[CLEAN_JOBS[name][0]][0]
+    return cli.VERBS[growth.JOBS[name][0]][0]
 
 
 def test_the_table_covers_every_clean_job_and_verb():
-    assert set(MODULES) == set(CLEAN_JOBS)
-    assert {argv[0] for argv in CLEAN_JOBS.values()} == set(cli.VERBS)
-    assert {argv[1] for argv in CLEAN_JOBS.values() if argv[0] == "gen"} == set(cli.VERBS["gen"][2])
+    assert set(MODULES) == set(growth.JOBS)
+    leaves = {
+        (verb, family)
+        for verb, (_, _, spec) in cli.VERBS.items()
+        for family in (spec if isinstance(spec, dict) else [None])
+    }
+    assert len(leaves) == 14
+    assert {(argv[0], argv[1] if argv[0] == "gen" else None) for argv in growth.JOBS.values()} == leaves
     # The handlers left cli.py, no copy of them stayed, and one table names them.
     assert not hasattr(cli, "_run") and not hasattr(cli, "HANDLERS")
 
 
-@pytest.mark.parametrize("name", list(CLEAN_JOBS))
+@pytest.mark.parametrize("name", list(growth.JOBS))
 def test_each_clean_job_loads_exactly_its_modules(name, loaded):
     assert package(loaded[name]) == MODULES[name]
 
 
-@pytest.mark.parametrize("name", list(CLEAN_JOBS))
+@pytest.mark.parametrize("name", list(growth.JOBS))
 def test_each_job_loads_its_verbs_handler_module(name):
     module = handler_module(name)
     assert f"ultrametric.{module}" in MODULES[name]
-    handler = "cli_" + CLEAN_JOBS[name][0].replace("-", "_")
+    handler = "cli_" + growth.JOBS[name][0].replace("-", "_")
     assert callable(vars(import_module(f"ultrametric.{module}"))[handler])
 
 
@@ -227,19 +200,10 @@ def test_ugh_without_certificate_or_oracle_skips_hyperspace():
 
 
 @pytest.mark.parametrize(
-    "argv, want",
-    [
-        (["ugh", "x_half.json", "x_three_quarters.json"], []),
-        (
-            ["ugh", "x_half.json", "x_three_quarters.json", "--certificate", "{tmp}/cert.json"],
-            ["ultrametric.certificates"],
-        ),
-    ],
-    ids=["ugh", "ugh_certificate"],
+    "name, want", [("ugh", []), ("ugh_certificate", ["ultrametric.certificates"])], ids=["ugh", "ugh_certificate"]
 )
-def test_only_ugh_certificate_loads_the_certificate_code(argv, want, tmp_path):
-    argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
-    assert run_job(argv)[1] == want
+def test_only_ugh_certificate_loads_the_certificate_code(name, want):
+    assert run_job(growth.JOBS[name])[1] == want
 
 
 @pytest.mark.parametrize("name", ["cluster", "in_uk", "gen_crowd", "gen_random"])
@@ -260,7 +224,7 @@ def test_glue_skips_gromov_and_generators():
     assert not MODULES["glue"] & {"ultrametric.gromov", "ultrametric.generators"}
 
 
-@pytest.mark.parametrize("name", list(CLEAN_JOBS))
+@pytest.mark.parametrize("name", list(growth.JOBS))
 def test_verbs_import_no_heavy_stdlib_module(name, loaded, bare_modules):
     assert not (loaded[name] - bare_modules) & HEAVY
 
@@ -302,7 +266,7 @@ BUILDING_JOBS = {
 }
 
 
-@pytest.mark.parametrize("name", list(CLEAN_JOBS))
+@pytest.mark.parametrize("name", list(growth.JOBS))
 def test_only_building_jobs_load_the_builders(name):
     assert ("ultrametric.builders" in MODULES[name]) == (name in BUILDING_JOBS)
 
